@@ -12,7 +12,8 @@ from the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,7 +32,7 @@ __all__ = [
     "integrate_bessel_ode",
     "verify_bessel_pair",
     "closed_form_maximizer",
-    "ode_residual_on_grid",
+    "ode_residuals",
     "improved_weight_auxiliary_pair",
     "momentum_from_profile",
 ]
@@ -70,6 +71,10 @@ class BesselCertificate:
     min_phi: float
     max_ode_residual: float
     max_closed_form_error: float
+    # r -> (phi, m): dense interpolant of the certifying solve
+    solution: Callable = field(repr=False, compare=False)
+    # r -> normalized ODE residual of the certified closed form at each r
+    residual: Callable = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,8 @@ class ODESolution:
     phi: np.ndarray
     momentum: np.ndarray
     phi_prime: np.ndarray
+    # r -> (phi, m) anywhere on the integration range
+    dense: Callable = field(repr=False, compare=False)
 
     def profile(self) -> Profile:
         """Hermite interpolant of the sampled solution."""
@@ -143,7 +150,8 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
     v = pair.V(r)
     w = m / (v * r ** mu)
     phi_prime = np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
-    return ODESolution(r=r, phi=phi, momentum=m, phi_prime=phi_prime)
+    return ODESolution(r=r, phi=phi, momentum=m, phi_prime=phi_prime,
+                       dense=sol.sol)
 
 
 def closed_form_maximizer(scenario: Scenario) -> Profile:
@@ -155,9 +163,9 @@ def closed_form_maximizer(scenario: Scenario) -> Profile:
         f"(tag: {scenario.maximizer})")
 
 
-def ode_residual_on_grid(V, W, lam: float, mu: float, p: float, phi: Profile,
-                         grid: np.ndarray, fd_rel_step: float = 1e-4) -> float:
-    """Max normalized ODE residual of an analytic profile.
+def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,
+                  grid: np.ndarray, fd_rel_step: float = 1e-4) -> np.ndarray:
+    """Normalized ODE residual of an analytic profile at each grid point.
 
     The outer derivative of the flux is taken by 4th-order central finite
     differences with a logarithmically scaled step; the residual at each grid
@@ -176,7 +184,7 @@ def ode_residual_on_grid(V, W, lam: float, mu: float, p: float, phi: Profile,
         * phi.value(grid)
     resid = flux_d + zero_order
     scale = 0.5 * (np.abs(flux_d) + np.abs(zero_order)) + 1e-300
-    return float(np.max(np.abs(resid) / scale))
+    return np.abs(resid) / scale
 
 
 def improved_weight_auxiliary_pair(Q: float, p: float):
@@ -218,8 +226,10 @@ def verify_bessel_pair(scenario: Scenario, interval: tuple[float, float],
         pair = scenario.pair
         phi = eigenfunction if eigenfunction is not None else closed_form_maximizer(scenario)
 
-    grid = np.geomspace(r0, r1, grid_n)
-    max_resid = ode_residual_on_grid(pair.V, pair.W, pair.lam, mu, exps.p, phi, grid)
+    def residual(r):
+        return ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi, r)
+
+    max_resid = float(np.max(residual(np.geomspace(r0, r1, grid_n))))
 
     init = RadialODEState(r0, float(phi.value(np.array([r0]))[0]),
                           momentum_from_profile(pair.V, mu, exps.p, phi, r0))
@@ -236,4 +246,6 @@ def verify_bessel_pair(scenario: Scenario, interval: tuple[float, float],
         min_phi=min_phi,
         max_ode_residual=max_resid,
         max_closed_form_error=closed_err,
+        solution=sol.dense,
+        residual=residual,
     )

@@ -16,22 +16,22 @@ import sys
 import numpy as np
 
 from . import geometry as geo
-from .besselpair import (closed_form_maximizer, integrate_bessel_ode,
-                         momentum_from_profile, ode_residual_on_grid,
-                         RadialODEState, verify_bessel_pair)
+from .besselpair import verify_bessel_pair
 from .functional import random_profile_slacks
 from .identities import (sample_complex_pairs, scalar_identity_batch,
                          vector_identity_batch)
 from .quadrature import QuadratureError
 from .reports import emit_report
-from .scenarios import (ParameterDomainError, SCENARIO_NAMES, default_catalog,
-                        scenario_catalog, scenario_to_json)
+from .scenarios import (ParameterDomainError, SCENARIO_NAMES,
+                        SCENARIO_PARAMETERS, default_catalog, scenario_catalog,
+                        scenario_to_json)
 from .sharpness import improved_weight_check, psiR_deficit, sweep_quotient
 from .spectral import (AnnulusProblem, check_lambda1_lower_bound, eigenvalue,
                        SearchFailureError)
 
-_SCENARIO_PARAMS = ("Q", "p", "theta", "beta", "R", "alpha", "a", "b", "m",
-                    "N", "gamma", "lambda1")
+# every key some scenario builder accepts, in first-seen order
+_SCENARIO_KEYS = tuple(dict.fromkeys(
+    k for keys in SCENARIO_PARAMETERS.values() for k in keys))
 
 
 def _add_scenario_args(sp: argparse.ArgumentParser) -> None:
@@ -52,28 +52,11 @@ def _add_scenario_args(sp: argparse.ArgumentParser) -> None:
                     help="first eigenvalue for annulus scenarios with p != 2")
 
 
-_SCENARIO_SIGNATURES = {
-    "power": ("Q", "p", "theta", "beta"),
-    "log_radial": ("p", "theta", "R", "Q"),
-    "log_cylindrical": ("p", "theta", "R", "m", "N"),
-    "gaussian_a": ("p", "alpha", "beta", "Q"),
-    "gaussian_b": ("p", "theta", "alpha", "beta", "Q"),
-    "annulus": ("Q", "p", "theta", "a", "b", "lambda1"),
-    "cylindrical": ("m", "p", "theta", "N"),
-    "strip": ("theta", "p"),
-    "antisymmetric": ("N", "theta"),
-    "improved_weight": ("Q", "p"),
-}
-
-
 def _build_scenario(cfg: dict):
     name = cfg.get("scenario")
     if not name:
         raise ParameterDomainError("--scenario is required")
-    if name not in _SCENARIO_SIGNATURES:
-        raise ParameterDomainError(
-            f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    kwargs = {k: cfg[k] for k in _SCENARIO_SIGNATURES[name]
+    kwargs = {k: cfg[k] for k in SCENARIO_PARAMETERS.get(name, ())
               if cfg.get(k) is not None}
     return scenario_catalog(name, **kwargs)
 
@@ -85,7 +68,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     if path:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(defaults) - set(_SCENARIO_PARAMS) \
+        unknown = set(file_cfg) - set(defaults) - set(_SCENARIO_KEYS) \
             - {"scenario"}
         if unknown:
             raise ParameterDomainError(
@@ -156,34 +139,20 @@ def _cmd_identity(args) -> int:
 def _cmd_bessel(args) -> int:
     cfg = _resolve(args, {"r0": None, "r1": None, "format": "csv", "out": None,
                           "seed": geo.DEFAULT_SEED,
-                          **{k: None for k in _SCENARIO_PARAMS},
+                          **dict.fromkeys(_SCENARIO_KEYS),
                           "scenario": None})
     scenario = _build_scenario(cfg)
     lo, hi = scenario.pair.interval
     r0 = cfg["r0"] if cfg["r0"] is not None else (lo + 0.1 if lo > 0 else 0.1)
     r1 = cfg["r1"] if cfg["r1"] is not None else min(10.0 * r0, 0.9 * hi
                                                      if math.isfinite(hi) else 10.0 * r0)
-    cert = verify_bessel_pair(scenario, (float(r0), float(r1)))
-
-    if scenario.name == "improved_weight":
-        from .besselpair import improved_weight_auxiliary_pair
-        pair, phi = improved_weight_auxiliary_pair(scenario.exponents.Q,
-                                                   scenario.exponents.p)
-    else:
-        pair, phi = scenario.pair, closed_form_maximizer(scenario)
-    exps = scenario.exponents
-    init = RadialODEState(float(r0), float(phi.value(np.array([r0]))[0]),
-                          momentum_from_profile(pair.V, exps.measure_exponent,
-                                                exps.p, phi, float(r0)))
-    sol = integrate_bessel_ode(pair, exps, init, float(r1), dense_n=200)
-    rows = []
-    for i in range(sol.r.size):
-        ri = float(sol.r[i])
-        resid = ode_residual_on_grid(pair.V, pair.W, pair.lam,
-                                     exps.measure_exponent, exps.p, phi,
-                                     np.array([ri]))
-        rows.append({"r": ri, "phi": float(sol.phi[i]),
-                     "momentum": float(sol.momentum[i]), "residual": resid})
+    r0, r1 = float(r0), float(r1)
+    cert = verify_bessel_pair(scenario, (r0, r1))
+    r = np.linspace(r0, r1, 200)
+    phi, momentum = cert.solution(r)
+    rows = [{"r": float(x), "phi": float(f), "momentum": float(m),
+             "residual": float(e)}
+            for x, f, m, e in zip(r, phi, momentum, cert.residual(r))]
     summary = {"is_positive": cert.is_positive, "min_phi": cert.min_phi,
                "max_ode_residual": cert.max_ode_residual,
                "max_closed_form_error": cert.max_closed_form_error,
@@ -239,7 +208,7 @@ def _cmd_sharpness(args) -> int:
                           "R_grid": "10,100,1000", "profiles": 100,
                           "format": "csv", "out": None,
                           "seed": geo.DEFAULT_SEED,
-                          **{k: None for k in _SCENARIO_PARAMS},
+                          **dict.fromkeys(_SCENARIO_KEYS),
                           "scenario": None})
     mode = cfg["mode"]
     if mode == "sweep":
@@ -308,7 +277,7 @@ def _geometry_model(cfg: dict):
 
 
 def _cmd_geometry(args) -> int:
-    cfg = _resolve(args, {**{k: None for k in _SCENARIO_PARAMS},
+    cfg = _resolve(args, {**dict.fromkeys(_SCENARIO_KEYS),
                           "scenario": None,
                           "model": None, "check": None, "n": None, "k": None,
                           "gamma": None, "alpha": 2.0, "R1": 1.0, "R2": 2.0,
@@ -404,7 +373,7 @@ def _cmd_geometry(args) -> int:
 def _cmd_rayleigh(args) -> int:
     cfg = _resolve(args, {"profiles": 200, "format": "csv", "out": None,
                           "seed": geo.DEFAULT_SEED,
-                          **{k: None for k in _SCENARIO_PARAMS},
+                          **dict.fromkeys(_SCENARIO_KEYS),
                           "scenario": None})
     scenario = _build_scenario(cfg)
     rows = random_profile_slacks(scenario, int(cfg["profiles"]),

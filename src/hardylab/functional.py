@@ -33,6 +33,14 @@ class ReducedFunctional:
     denominator: float
     quotient: float
 
+    def slack(self, c: float) -> float:
+        """Normalized slack (num - c*den) / (|num| + |c*den|) of the claim
+        num >= c*den; 0 when both terms vanish."""
+        scale = abs(self.numerator) + abs(c * self.denominator)
+        if scale == 0.0:
+            return 0.0
+        return (self.numerator - c * self.denominator) / scale
+
 
 def _bounds_and_flags(scenario: Scenario, phi: Profile):
     rbar, rmax = scenario.pair.interval
@@ -101,39 +109,23 @@ def inequality_slack(scenario: Scenario, phi: Profile,
     """Normalized slack of numerator >= sharp_constant * denominator.
 
     Sign-robust for weight pairs whose W changes sign: the inequality claim
-    is on the difference, not the quotient. The result is
-    (num - c*den) / (|num| + |c*den|), nonnegative up to quadrature noise
-    whenever the theorem holds.
+    is on the difference, not the quotient, and the slack is nonnegative up
+    to quadrature noise whenever the theorem holds.
     """
     red = reduce_radial_functional(scenario, phi, tol=tol)
-    c = scenario.sharp_constant
-    scale = abs(red.numerator) + abs(c * red.denominator)
-    if scale == 0.0:
-        return 0.0
-    return (red.numerator - c * red.denominator) / scale
+    return red.slack(scenario.sharp_constant)
 
 
 def random_profile_slacks(scenario: Scenario, count: int, seed: int,
                           tol: float = 1e-9) -> list[dict]:
     """Inequality sampling: quotient and normalized slack for seeded random
-    bump profiles supported inside the scenario interval.
-
-    Profiles are drawn sequentially from one seeded stream (deterministic);
-    the quotient evaluations are mapped in input order, optionally across
-    the HARDYLAB_THREADS pool.
-    """
-    from .reports import ordered_map
-
+    bump profiles supported inside the scenario interval, drawn in order
+    from one seeded stream (deterministic)."""
     rng = np.random.default_rng(seed)
-    profiles = [random_profile(rng, scenario.pair.interval)
-                for _ in range(count)]
-    c = scenario.sharp_constant
-
-    def evaluate(item):
-        i, phi = item
+    rows = []
+    for i in range(count):
+        phi = random_profile(rng, scenario.pair.interval)
         red = reduce_radial_functional(scenario, phi, tol=tol)
-        scale = abs(red.numerator) + abs(c * red.denominator)
-        slack = (red.numerator - c * red.denominator) / scale if scale > 0 else 0.0
-        return {"index": i, "quotient": red.quotient, "slack": slack}
-
-    return ordered_map(evaluate, enumerate(profiles))
+        rows.append({"index": i, "quotient": red.quotient,
+                     "slack": red.slack(scenario.sharp_constant)})
+    return rows

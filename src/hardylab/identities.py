@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import integrate_adaptive
+from .scenarios import require_p
 
 __all__ = [
     "ComplexPair",
@@ -47,8 +48,7 @@ class ComplexPair:
     p: float
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+        require_p(self.p)
         f = np.atleast_1d(np.asarray(self.f))
         g = np.atleast_1d(np.asarray(self.g))
         if f.shape != g.shape or f.ndim != 1 or f.size < 1:
@@ -163,8 +163,7 @@ def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
 
 def scalar_identity_batch(p: float, f: np.ndarray, g: np.ndarray) -> dict:
     """Scalar identity split for a batch of complex pairs (vectorized)."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    require_p(p)
     f = np.atleast_1d(np.asarray(f, dtype=complex))
     g = np.atleast_1d(np.asarray(g, dtype=complex))
     diff = f - g
@@ -192,8 +191,7 @@ def scalar_identity_breakdown(p: float, f: complex, g: complex) -> IdentityBreak
 
 def vector_identity_batch(p: float, zeta: np.ndarray, xi: np.ndarray) -> dict:
     """Vector identity split for a batch of pairs in C^h, shape (n, h)."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    require_p(p)
     zeta = np.atleast_2d(np.asarray(zeta, dtype=complex))
     xi = np.atleast_2d(np.asarray(xi, dtype=complex))
     if zeta.shape != xi.shape:
@@ -230,8 +228,7 @@ def realified_identity_oracle(p: float, mu, nu, tol: float = 1e-12) -> dict:
     c(t) = nu + t (mu - nu), D = mu - nu, using the generic adaptive engine;
     an independent numerical path from the graded-panel batch quadrature.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    require_p(p)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if mu.shape != nu.shape or mu.ndim != 1:
@@ -288,8 +285,7 @@ def sample_complex_pairs(rng: np.random.Generator, count: int,
 def check_cp_lower_bound(p: float, sample_count: int, seed: int) -> dict:
     """Sampled check of rhs_closed >= 2^-p |f-g|^p (the guaranteed lower end
     of the c_p window)."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    require_p(p)
     rng = np.random.default_rng(seed)
     f, g = sample_complex_pairs(rng, sample_count)
     rhs = rhs_closed_form(p, f, g)

@@ -3,8 +3,7 @@
 CSV files carry exactly a header row plus data rows (RFC 4180, '.' decimal
 separator, 17 significant digits); JSON reports are objects
 {config, rows, summary}. Identical (config, seed) runs produce byte-identical
-files. HARDYLAB_THREADS caps the thread pool used for batch maps; results are
-always collected in input order, so the output does not depend on it.
+files.
 """
 
 from __future__ import annotations
@@ -12,13 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["format_number", "render_csv", "render_json", "emit_report",
-           "thread_count", "ordered_map"]
+__all__ = ["format_number", "render_csv", "render_json", "emit_report"]
 
 
 def format_number(x) -> str:
@@ -69,21 +65,3 @@ def emit_report(rows: Sequence[dict], fmt: str, path: str | None,
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("HARDYLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def ordered_map(fn: Callable, items: Iterable) -> list:
-    """Map preserving input order; parallel when HARDYLAB_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

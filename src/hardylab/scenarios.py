@@ -10,9 +10,10 @@ closed forms |(Q-p*theta)/p|^p and |(beta(p-1)+p(theta-1))/p|^p coincide.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -24,11 +25,13 @@ __all__ = [
     "RadialWeightPair",
     "Scenario",
     "ParameterDomainError",
+    "require_p",
     "scenario_catalog",
     "scenario_to_json",
     "scenario_from_json",
     "default_catalog",
     "SCENARIO_NAMES",
+    "SCENARIO_PARAMETERS",
 ]
 
 SCENARIO_NAMES = (
@@ -41,6 +44,12 @@ class ParameterDomainError(ValueError):
     """Scenario parameters violate a hypothesis of the underlying theorem."""
 
 
+def require_p(p: float) -> None:
+    """Every identity and inequality here needs a finite p >= 2 (NaN fails)."""
+    if not (p >= 2 and math.isfinite(p)):
+        raise ParameterDomainError(f"p must be >= 2 and finite, got {p}")
+
+
 @dataclass(frozen=True)
 class Exponents:
     p: float
@@ -49,8 +58,7 @@ class Exponents:
     Q: float
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ParameterDomainError(f"p must be >= 2, got {self.p}")
+        require_p(self.p)
         if self.Q < 1:
             raise ParameterDomainError(f"Q must be >= 1, got {self.Q}")
         # measure exponent consistency: Q - 1 == -(beta-1)(p-1)
@@ -116,6 +124,8 @@ class Scenario:
     # optional zeroth-order numerator weight z(r): adds int r^(Q-1) z |phi|^p dr
     # to the reduced numerator (used by the antisymmetric sector reduction)
     numerator_zero_order: Callable | None = None
+    # keyword arguments of the scenario_catalog call that built it
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
@@ -400,8 +410,7 @@ def _improved_weight(Q: float = 5.0, p: float = 2.0) -> Scenario:
     constant 1 although it exceeds the critical weight on d < 1."""
     if Q < 1:
         raise ParameterDomainError(f"improved_weight needs Q >= 1, got {Q}")
-    if p < 2:
-        raise ParameterDomainError(f"improved_weight needs p >= 2, got {p}")
+    require_p(p)
     exps = Exponents(p=p, theta=1.0, beta=beta_fundamental(p, Q), Q=Q)
     cp = 2.0 ** (-p)
     hardy = abs((Q - p) / p) ** p
@@ -434,6 +443,10 @@ _BUILDERS = {
     "improved_weight": _improved_weight,
 }
 
+# keyword arguments each scenario builder accepts, read off its signature
+SCENARIO_PARAMETERS = {name: tuple(inspect.signature(builder).parameters)
+                       for name, builder in _BUILDERS.items()}
+
 
 def scenario_catalog(name: str, **params) -> Scenario:
     """Build a fully populated catalog scenario, validating every hypothesis."""
@@ -442,7 +455,7 @@ def scenario_catalog(name: str, **params) -> Scenario:
     except KeyError:
         raise ParameterDomainError(
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}") from None
-    return builder(**params)
+    return replace(builder(**params), params=dict(params))
 
 
 def default_catalog() -> list[Scenario]:
@@ -462,10 +475,11 @@ def default_catalog() -> list[Scenario]:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    """Serialize a scenario to JSON; weights are reconstructed from the name
-    and parameters on load, numbers are IEEE doubles."""
+    """Serialize a scenario to JSON; weights are rebuilt from the name and
+    the builder params on load, numbers are IEEE doubles."""
     doc = {
         "name": scenario.name,
+        "params": scenario.params,
         "exponents": {
             "p": scenario.exponents.p, "theta": scenario.exponents.theta,
             "beta": scenario.exponents.beta, "Q": scenario.exponents.Q,
@@ -485,40 +499,14 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 def scenario_from_json(text: str) -> Scenario:
     doc = json.loads(text)
-    name = doc["name"]
-    exps = doc["exponents"]
-    extra = doc.get("extra", {})
-    params: dict = {"p": exps["p"]}
-    if name == "power":
-        params.update(Q=exps["Q"], theta=exps["theta"], beta=exps["beta"])
-    elif name == "log_radial":
-        params.update(theta=exps["theta"], R=extra["R"], Q=exps["Q"])
-    elif name == "log_cylindrical":
-        params.update(theta=exps["theta"], R=extra["R"], m=int(extra["m"]),
-                      N=int(extra["N"]))
-    elif name == "gaussian_a":
-        params.update(alpha=extra["alpha"], beta=extra["beta"], Q=exps["Q"])
-    elif name == "gaussian_b":
-        params.update(theta=exps["theta"], alpha=extra["alpha"],
-                      beta=extra["beta"], Q=exps["Q"])
-    elif name == "annulus":
-        params.update(Q=exps["Q"], theta=exps["theta"], a=extra["a"], b=extra["b"])
-        if exps["p"] != 2:
-            params["lambda1"] = doc["pair"]["lambda"]
-    elif name == "cylindrical":
-        params.update(m=int(extra["m"]), theta=exps["theta"], N=int(extra["N"]))
-    elif name == "strip":
-        params.update(theta=exps["theta"])
-    elif name == "antisymmetric":
-        params = {"N": int(extra["N"]), "theta": exps["theta"]}
-    elif name == "improved_weight":
-        params.update(Q=exps["Q"])
-    else:
-        raise ParameterDomainError(f"unknown scenario {name!r}")
-    rebuilt = scenario_catalog(name, **params)
-    if abs(rebuilt.sharp_constant - doc["sharp_constant"]) > 1e-12 * (
-            1.0 + abs(doc["sharp_constant"])):
+    try:
+        rebuilt = scenario_catalog(doc["name"], **doc["params"])
+        stored = doc["sharp_constant"]
+        tampered = abs(rebuilt.sharp_constant - stored) > 1e-12 * (1.0 + abs(stored))
+    except (KeyError, TypeError) as exc:
+        raise ParameterDomainError(f"malformed scenario JSON: {exc!r}") from None
+    if tampered:
         raise ParameterDomainError(
-            f"stored sharp_constant {doc['sharp_constant']} does not match the "
-            f"closed form {rebuilt.sharp_constant} for {name}")
+            f"stored sharp_constant {stored} does not match the closed form "
+            f"{rebuilt.sharp_constant} for {rebuilt.name}")
     return rebuilt

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besselpair import closed_form_maximizer
-from .functional import reduce_radial_functional
-from .profiles import Profile, random_profile
+from .functional import random_profile_slacks, reduce_radial_functional
+from .profiles import Profile
 from .quadrature import integrate_adaptive
 from .scenarios import ParameterDomainError, Scenario, scenario_catalog
 
@@ -324,18 +324,8 @@ def improved_weight_check(Q: float, p: float, profile_count: int,
     """Sampled slack of the improved-weight inequality over random profiles
     supported away from the origin; the theorem makes every slack >= 0."""
     scenario = scenario_catalog("improved_weight", Q=Q, p=p)
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    worst = None
-    slacks = []
-    for i in range(profile_count):
-        phi = random_profile(rng, (0.0, 30.0))
-        red = reduce_radial_functional(scenario, phi, tol=1e-9)
-        den_part = scenario.sharp_constant * red.denominator
-        scale = abs(red.numerator) + abs(den_part)
-        slack = (red.numerator - den_part) / scale if scale > 0 else 0.0
-        slacks.append(slack)
-        if slack < min_slack:
-            min_slack, worst = slack, i
-    return {"min_slack": min_slack, "worst_profile_index": worst,
-            "slacks": slacks}
+    slacks = [row["slack"] for row in
+              random_profile_slacks(scenario, profile_count, seed)]
+    worst = min(range(len(slacks)), key=slacks.__getitem__, default=None)
+    return {"min_slack": math.inf if worst is None else slacks[worst],
+            "worst_profile_index": worst, "slacks": slacks}

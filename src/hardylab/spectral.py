@@ -23,7 +23,8 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from .profiles import Profile
-from .scenarios import ParameterDomainError, closed_form_lambda1_p2
+from .scenarios import (ParameterDomainError, closed_form_lambda1_p2,
+                        require_p)
 
 __all__ = [
     "AnnulusProblem",
@@ -54,8 +55,7 @@ class AnnulusProblem:
     def __post_init__(self) -> None:
         if not 0 < self.a < self.b:
             raise ParameterDomainError(f"need 0 < a < b, got a={self.a}, b={self.b}")
-        if self.p < 2:
-            raise ParameterDomainError(f"p must be >= 2, got {self.p}")
+        require_p(self.p)
 
     @property
     def lemma_lower_bound(self) -> float:

@@ -9,7 +9,7 @@ from hardylab.besselpair import (DivergenceError, RadialODEState,
                                  closed_form_maximizer,
                                  improved_weight_auxiliary_pair,
                                  integrate_bessel_ode, momentum_from_profile,
-                                 ode_residual_on_grid, verify_bessel_pair)
+                                 ode_residuals, verify_bessel_pair)
 from hardylab.scenarios import Exponents, RadialWeightPair, scenario_catalog
 
 
@@ -65,6 +65,33 @@ def test_certificates_for_catalog_closed_forms():
         assert cert.max_closed_form_error <= 1e-6, (name, cert)
 
 
+def test_certificate_solution_and_residual_match_direct_evaluation():
+    # the certificate's dense solve and vectorized residual give the same bits
+    # as a fresh solve from the same data and a point-by-point residual loop
+    cases = [("power", dict(Q=5.0, p=2.0, theta=1.0), (1.0, 10.0)),
+             ("annulus", dict(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e),
+              (1.1, 2.5)),
+             ("improved_weight", dict(Q=5.0, p=3.0), (0.1, 5.0))]
+    for name, kwargs, (r0, r1) in cases:
+        sc = scenario_catalog(name, **kwargs)
+        exps = sc.exponents
+        mu = exps.measure_exponent
+        if name == "improved_weight":
+            pair, phi = improved_weight_auxiliary_pair(exps.Q, exps.p)
+        else:
+            pair, phi = sc.pair, closed_form_maximizer(sc)
+        cert = verify_bessel_pair(sc, (r0, r1))
+        init = RadialODEState(r0, float(phi.value(np.array([r0]))[0]),
+                              momentum_from_profile(pair.V, mu, exps.p, phi, r0))
+        ref = integrate_bessel_ode(pair, exps, init, r1, dense_n=200)
+        phi_r, momentum = cert.solution(ref.r)
+        assert np.array_equal(phi_r, ref.phi), name
+        assert np.array_equal(momentum, ref.momentum), name
+        loop = [float(ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi,
+                                    np.array([x]))[0]) for x in ref.r]
+        assert cert.residual(ref.r).tolist() == loop, name
+
+
 def test_improved_weight_auxiliary_equation():
     # exp(-r) against V~ = r^-(Q-p), W~ = r^-(Q-p)(1-r)/r, lam = p-1
     sc = scenario_catalog("improved_weight", Q=5.0, p=2.0)
@@ -73,9 +100,9 @@ def test_improved_weight_auxiliary_equation():
     assert cert.max_ode_residual <= 1e-6
     assert cert.max_closed_form_error <= 1e-6
     pair, phi = improved_weight_auxiliary_pair(5.0, 3.0)
-    resid = ode_residual_on_grid(pair.V, pair.W, pair.lam, 4.0, 3.0, phi,
-                                 np.geomspace(0.1, 5.0, 500))
-    assert resid <= 1e-6
+    resid = ode_residuals(pair.V, pair.W, pair.lam, 4.0, 3.0, phi,
+                          np.geomspace(0.1, 5.0, 500))
+    assert np.max(resid) <= 1e-6
 
 
 def test_ode_scale_invariance():

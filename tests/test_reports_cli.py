@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -136,10 +137,38 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"frequency": 3}))
-    code, _, err = _cli(["eig", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "unknown config keys" in err
+    # "gamma" is a geometry key that no scenario builder takes
+    cases = [({"frequency": 3}, ["eig"]),
+             ({"gamma": 1.0}, ["rayleigh", "--scenario", "power", "--Q", "5",
+                               "--p", "2", "--profiles", "2"])]
+    for doc, argv in cases:
+        cfg.write_text(json.dumps(doc))
+        code, _, err = _cli([*argv, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown config keys" in err
+
+
+def test_scenario_flags_cover_builder_params():
+    from hardylab.cli import _add_scenario_args
+    from hardylab.scenarios import SCENARIO_PARAMETERS
+
+    sp = argparse.ArgumentParser()
+    _add_scenario_args(sp)
+    flags = {opt for action in sp._actions for opt in action.option_strings}
+    for name, keys in SCENARIO_PARAMETERS.items():
+        for key in keys:
+            assert f"--{key}" in flags, (name, key)
+
+
+@pytest.mark.parametrize("argv", [["eig", "--p", "nan"],
+                                  ["identity", "--p", "nan", "--samples", "20"]])
+def test_nan_p_exits_2(argv):
+    # a subprocess with a timeout: a NaN p that reaches the eig search never
+    # returns, and that must fail the test rather than hang the suite
+    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "p must be >= 2" in proc.stderr
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -231,16 +260,3 @@ def test_wrong_claimed_constant_exits_1(capsys):
     assert code == 1
     assert "FAIL" in err
 
-
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    from hardylab.cli import run as cli_run
-
-    out = tmp_path / "r.csv"
-    args = ["rayleigh", "--scenario", "power", "--Q", "5", "--p", "2",
-            "--theta", "1", "--profiles", "12", "--seed", "4",
-            "--out", str(out)]
-    assert cli_run(args) == 0
-    serial = out.read_bytes()
-    monkeypatch.setenv("HARDYLAB_THREADS", "4")
-    assert cli_run(args) == 0
-    assert out.read_bytes() == serial

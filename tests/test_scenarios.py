@@ -136,15 +136,21 @@ def test_weight_pair_sign_validation():
 
 
 def test_json_round_trip():
-    for sc in default_catalog():
+    extra = [scenario_catalog("annulus", Q=5.0, p=3.0, theta=1.0, a=1.0,
+                              b=2.0, lambda1=87.8),
+             scenario_catalog("log_cylindrical", p=2.0, theta=0.0, R=1.0, m=3,
+                              N=7)]
+    for sc in default_catalog() + extra:
         text = scenario_to_json(sc)
         doc = json.loads(text)
         assert doc["name"] == sc.name
         assert isinstance(doc["pair"]["lambda"], float)
         back = scenario_from_json(text)
         assert isinstance(back, Scenario)
+        assert back.params == sc.params
         assert back.sharp_constant == pytest.approx(sc.sharp_constant, rel=1e-14)
         assert back.exponents == sc.exponents
+        assert back.extra == sc.extra
         r = np.linspace(*_probe_window(sc), 17)
         assert np.allclose(back.pair.W(r), sc.pair.W(r), rtol=1e-14)
 
@@ -162,3 +168,10 @@ def test_json_rejects_tampered_constant():
     doc["sharp_constant"] = 2.0
     with pytest.raises(ParameterDomainError, match="sharp_constant"):
         scenario_from_json(json.dumps(doc))
+    # malformed documents: a missing key, an argument the builder lacks
+    missing = dict(doc)
+    del missing["params"]
+    unknown = dict(doc, params={**doc["params"], "alpha": 2.0})
+    for bad in (missing, unknown):
+        with pytest.raises(ParameterDomainError, match="malformed"):
+            scenario_from_json(json.dumps(bad))
