@@ -6,7 +6,8 @@ The state is (phi, m) with the p-Laplacian flux m = V r^(Q-1) |phi'|^(p-2) phi'
 as momentum, which stays smooth across phi' = 0; phi' is recovered by the
 inversion |m|^(1/(p-1)) with the sign carried separately. Integration never
 starts at the singular origin: initial data is seeded at an interior point
-from the closed form.
+from the closed form. `solve_flux` also integrates the annulus shooting of
+`spectral`, the same system with power coefficients.
 """
 
 from __future__ import annotations
@@ -17,21 +18,21 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .profiles import Profile
-from .scenarios import Exponents, RadialWeightPair, Scenario
+from .scenarios import (Exponents, RadialWeightPair, Scenario,
+                        closed_form_maximizer)
 
 __all__ = [
     "RadialODEState",
     "BesselCertificate",
     "ODESolution",
+    "ODEFailure",
     "SingularCoefficientError",
     "DivergenceError",
-    "UnsupportedScenarioError",
+    "solve_flux",
     "integrate_bessel_ode",
     "verify_bessel_pair",
-    "closed_form_maximizer",
     "ode_residuals",
     "improved_weight_auxiliary_pair",
     "momentum_from_profile",
@@ -40,16 +41,16 @@ __all__ = [
 _BLOWUP = 1e12
 
 
-class SingularCoefficientError(RuntimeError):
+class ODEFailure(RuntimeError):
+    """The flux ODE could not be integrated across the requested range."""
+
+
+class SingularCoefficientError(ODEFailure):
     """V vanishes (or is negative) on the integration path."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(ODEFailure):
     """|phi| exceeded the blow-up threshold during integration."""
-
-
-class UnsupportedScenarioError(ValueError):
-    """The scenario has no closed-form maximizer."""
 
 
 @dataclass(frozen=True)
@@ -82,45 +83,43 @@ class ODESolution:
     r: np.ndarray
     phi: np.ndarray
     momentum: np.ndarray
-    phi_prime: np.ndarray
     # r -> (phi, m) anywhere on the integration range
     dense: Callable = field(repr=False, compare=False)
 
-    def profile(self) -> Profile:
-        """Hermite interpolant of the sampled solution."""
-        order = np.argsort(self.r)
-        spline = CubicHermiteSpline(self.r[order], self.phi[order],
-                                    self.phi_prime[order])
-        der = spline.derivative()
-        lo, hi = float(self.r[order][0]), float(self.r[order][-1])
-        return Profile(spline, der, (lo, hi), compactly_supported=False)
+
+def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
+    """Flux V r^mu |phi'|^(p-2) phi' of an analytic profile, elementwise in r."""
+    d = phi.derivative(r)
+    return V(r) * r ** mu * np.abs(d) ** (p - 2.0) * d
 
 
-def momentum_from_profile(pair_V, mu: float, p: float, phi: Profile, r: float) -> float:
-    """Flux V r^mu |phi'|^(p-2) phi' of an analytic profile at a point."""
-    d = float(phi.derivative(np.array([r]))[0])
-    return float(pair_V(np.array([r]))[0]) * r ** mu * abs(d) ** (p - 2.0) * d
-
-
-def _flux_system(V, W, lam: float, mu: float, p: float):
+def solve_flux(coefficients: Callable, p: float, r_span, y0,
+               rtol: float, atol: float, events):
+    """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
+    for the state (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense
+    output; coefficients maps a scalar r to the floats (A(r), B(r))."""
     def rhs(r, y):
         phi, m = y
-        v = float(V(np.array([r]))[0])
-        if v <= 0.0:
-            raise SingularCoefficientError(f"V({r}) = {v} <= 0 on the path")
-        w = m / (v * r ** mu)
+        A, B = coefficients(r)
+        w = m / A
         dphi = math.copysign(abs(w) ** (1.0 / (p - 1.0)), w)
-        dm = -lam * float(W(np.array([r]))[0]) * r ** mu * abs(phi) ** (p - 2.0) * phi
+        dm = -B * abs(phi) ** (p - 2.0) * phi
         return (dphi, dm)
 
-    return rhs
+    sol = solve_ivp(rhs, r_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True, events=events)
+    if not sol.success:
+        raise ODEFailure(f"ODE integration failed: {sol.message}")
+    return sol
 
 
 def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
                          init: RadialODEState, r_end: float,
                          rtol: float = 1e-10, atol: float = 1e-12,
-                         dense_n: int = 600) -> ODESolution:
-    """Integrate the flux system from init.r to r_end (either direction)."""
+                         dense_n: int = 600,
+                         zero_order: Callable | None = None) -> ODESolution:
+    """Integrate the flux system from init.r to r_end (either direction);
+    a zeroth-order numerator weight z makes the coefficient (lam W - z) r^mu."""
     p = exponents.p
     mu = exponents.measure_exponent
     lo = min(init.r, r_end)
@@ -132,58 +131,63 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
     if np.min(pair.V(probe)) <= 0.0:
         raise SingularCoefficientError("V vanishes on the integration interval")
 
+    V, W, lam = pair.V, pair.W, pair.lam
+
+    # weights see 1-element arrays: numpy's scalar and array pow/log can differ
+    def coefficients(r):
+        x = np.array([r])
+        v = float(V(x)[0])
+        if v <= 0.0:
+            raise SingularCoefficientError(f"V({r}) = {v} <= 0 on the path")
+        c = lam * float(W(x)[0])
+        if zero_order is not None:
+            c -= float(zero_order(x)[0])
+        rm = r ** mu
+        return v * rm, c * rm
+
     def blowup(r, y):
         return abs(y[0]) - _BLOWUP
 
     blowup.terminal = True
-    sol = solve_ivp(_flux_system(pair.V, pair.W, pair.lam, mu, p),
-                    (init.r, r_end), (init.phi, init.momentum),
-                    method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=blowup)
+    sol = solve_flux(coefficients, p, (init.r, r_end),
+                     (init.phi, init.momentum), rtol, atol, events=blowup)
     if sol.status == 1:
         raise DivergenceError(
             f"|phi| exceeded {_BLOWUP:.0e} at r = {sol.t_events[0][0]:.6g}")
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
     r = np.linspace(init.r, r_end, dense_n)
     phi, m = sol.sol(r)
-    v = pair.V(r)
-    w = m / (v * r ** mu)
-    phi_prime = np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
-    return ODESolution(r=r, phi=phi, momentum=m, phi_prime=phi_prime,
-                       dense=sol.sol)
-
-
-def closed_form_maximizer(scenario: Scenario) -> Profile:
-    """The scenario's explicit maximizer with analytic derivative."""
-    if isinstance(scenario.maximizer, Profile):
-        return scenario.maximizer
-    raise UnsupportedScenarioError(
-        f"scenario {scenario.name!r} has no closed-form maximizer "
-        f"(tag: {scenario.maximizer})")
+    return ODESolution(r=r, phi=phi, momentum=m, dense=sol.sol)
 
 
 def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,
-                  grid: np.ndarray, fd_rel_step: float = 1e-4) -> np.ndarray:
+                  grid: np.ndarray, fd_rel_step: float = 1e-4,
+                  zero_order: Callable | None = None) -> np.ndarray:
     """Normalized ODE residual of an analytic profile at each grid point.
 
     The outer derivative of the flux is taken by 4th-order central finite
     differences with a logarithmically scaled step; the residual at each grid
-    point is normalized by the magnitude of the zeroth-order term.
+    point is normalized by the mean magnitude of the two terms. A zeroth-order
+    numerator weight z makes the coefficient (lam W - z) r^mu.
     """
     grid = np.asarray(grid, dtype=float)
 
     def flux(r):
-        d = phi.derivative(r)
-        return V(r) * r ** mu * np.abs(d) ** (p - 2.0) * d
+        return momentum_from_profile(V, mu, p, phi, r)
 
     h = fd_rel_step * grid
     flux_d = (flux(grid - 2 * h) - 8 * flux(grid - h)
               + 8 * flux(grid + h) - flux(grid + 2 * h)) / (12 * h)
-    zero_order = lam * W(grid) * grid ** mu * np.abs(phi.value(grid)) ** (p - 2.0) \
+    coeff = lam * W(grid)
+    if zero_order is not None:
+        coeff = coeff - zero_order(grid)
+    zero_term = coeff * grid ** mu * np.abs(phi.value(grid)) ** (p - 2.0) \
         * phi.value(grid)
-    resid = flux_d + zero_order
-    scale = 0.5 * (np.abs(flux_d) + np.abs(zero_order)) + 1e-300
+    resid = flux_d + zero_term
+    # where both terms vanish (the improved_weight auxiliary pair at r = 1)
+    # their mean is rounding noise and the ratio reads ~2; floor it at the
+    # flux's derivative scale |m|/r shrunk by the relative step
+    scale = np.maximum(0.5 * (np.abs(flux_d) + np.abs(zero_term)) + 1e-300,
+                       fd_rel_step * np.abs(flux(grid)) / grid)
     return np.abs(resid) / scale
 
 
@@ -225,15 +229,18 @@ def verify_bessel_pair(scenario: Scenario, interval: tuple[float, float],
     else:
         pair = scenario.pair
         phi = eigenfunction if eigenfunction is not None else closed_form_maximizer(scenario)
+    z = scenario.numerator_zero_order
 
     def residual(r):
-        return ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi, r)
+        return ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi, r,
+                             zero_order=z)
 
     max_resid = float(np.max(residual(np.geomspace(r0, r1, grid_n))))
 
-    init = RadialODEState(r0, float(phi.value(np.array([r0]))[0]),
-                          momentum_from_profile(pair.V, mu, exps.p, phi, r0))
-    sol = integrate_bessel_ode(pair, exps, init, r1, rtol=rtol)
+    at_r0 = np.array([r0])
+    init = RadialODEState(r0, float(phi.value(at_r0)[0]),
+                          float(momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
+    sol = integrate_bessel_ode(pair, exps, init, r1, rtol=rtol, zero_order=z)
     ref = phi.value(sol.r)
     scale = np.max(np.abs(ref))
     closed_err = float(np.max(np.abs(sol.phi - ref) / (np.abs(ref) + 1e-2 * scale)))

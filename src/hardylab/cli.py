@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import geometry as geo
-from .besselpair import verify_bessel_pair
+from .besselpair import ODEFailure, verify_bessel_pair
 from .functional import random_profile_slacks
 from .identities import (sample_complex_pairs, scalar_identity_batch,
                          vector_identity_batch)
@@ -540,7 +540,7 @@ def run(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, SearchFailureError) as exc:
+    except (QuadratureError, SearchFailureError, ODEFailure) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

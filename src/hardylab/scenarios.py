@@ -25,7 +25,9 @@ __all__ = [
     "RadialWeightPair",
     "Scenario",
     "ParameterDomainError",
+    "UnsupportedScenarioError",
     "require_p",
+    "closed_form_maximizer",
     "scenario_catalog",
     "scenario_to_json",
     "scenario_from_json",
@@ -42,6 +44,10 @@ SCENARIO_NAMES = (
 
 class ParameterDomainError(ValueError):
     """Scenario parameters violate a hypothesis of the underlying theorem."""
+
+
+class UnsupportedScenarioError(ValueError):
+    """The scenario has no closed-form maximizer."""
 
 
 def require_p(p: float) -> None:
@@ -130,6 +136,15 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
             raise ParameterDomainError(f"unknown scenario name {self.name!r}")
+
+
+def closed_form_maximizer(scenario: Scenario) -> Profile:
+    """The scenario's explicit maximizer with analytic derivative."""
+    if isinstance(scenario.maximizer, Profile):
+        return scenario.maximizer
+    raise UnsupportedScenarioError(
+        f"scenario {scenario.name!r} has no closed-form maximizer "
+        f"(tag: {scenario.maximizer})")
 
 
 def _power_weights(p: float, theta: float) -> tuple[Callable, Callable]:

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besselpair import closed_form_maximizer
 from .functional import random_profile_slacks, reduce_radial_functional
 from .profiles import Profile
 from .quadrature import integrate_adaptive
-from .scenarios import ParameterDomainError, Scenario, scenario_catalog
+from .scenarios import (ParameterDomainError, Scenario, closed_form_maximizer,
+                        scenario_catalog)
 
 __all__ = [
     "CutoffSpec",

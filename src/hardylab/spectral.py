@@ -7,9 +7,9 @@ The boundary value problem
 
 has a countable sequence of simple positive eigenvalues whose n-th
 eigenfunction has exactly n-1 interior zeros. Shooting integrates the flux
-system from (phi, m)(a) = (0, 1); the endpoint value phi_b(lam) changes sign
-exactly at each eigenvalue, so a coarse doubling scan brackets the n-th sign
-change and Brent's method polishes it.
+system (`besselpair.solve_flux`) from (phi, m)(a) = (0, 1); the endpoint
+value phi_b(lam) changes sign exactly at each eigenvalue, so a coarse
+doubling scan brackets the n-th sign change and Brent's method polishes it.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
+from .besselpair import solve_flux
 from .profiles import Profile
 from .scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                         require_p)
@@ -62,6 +62,12 @@ class AnnulusProblem:
         """Every eigenvalue exceeds |(Q - p theta)/p|^p."""
         return abs((self.Q - self.p * self.theta) / self.p) ** self.p
 
+    @property
+    def flux_exponents(self) -> tuple[float, float]:
+        """Powers of r multiplying the flux and the zeroth-order term."""
+        return (self.Q - 1.0 - self.p * (self.theta - 1.0),
+                self.Q - 1.0 - self.p * self.theta)
+
 
 @dataclass(frozen=True)
 class ShootingResult:
@@ -79,26 +85,14 @@ class ShootingResult:
 
 def _integrate(problem: AnnulusProblem, lam: float, init_momentum: float = 1.0,
                rtol: float = 1e-11, atol: float = 1e-13):
-    p, Q, theta = problem.p, problem.Q, problem.theta
-    flux_exp = Q - 1.0 - p * (theta - 1.0)
-    weight_exp = Q - 1.0 - p * theta
-
-    def rhs(r, y):
-        phi, m = y
-        w = m / r ** flux_exp
-        dphi = math.copysign(abs(w) ** (1.0 / (p - 1.0)), w)
-        dm = -lam * r ** weight_exp * abs(phi) ** (p - 2.0) * phi
-        return (dphi, dm)
+    flux_exp, weight_exp = problem.flux_exponents
 
     def crossing(r, y):
         return y[0]
 
-    sol = solve_ivp(rhs, (problem.a, problem.b), (0.0, init_momentum),
-                    method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=crossing)
-    if not sol.success:
-        raise RuntimeError(f"shooting integration failed: {sol.message}")
-    return sol
+    return solve_flux(lambda r: (r ** flux_exp, lam * r ** weight_exp),
+                      problem.p, (problem.a, problem.b), (0.0, init_momentum),
+                      rtol, atol, events=crossing)
 
 
 def _interior_zeros(sol, problem: AnnulusProblem) -> int:
@@ -122,8 +116,7 @@ def _result_from(problem: AnnulusProblem, lam: float, rtol: float,
     sol = _integrate(problem, lam, init_momentum=init_momentum, rtol=rtol)
     r = np.linspace(problem.a, problem.b, 1200)
     phi, m = sol.sol(r)
-    flux_exp = problem.Q - 1.0 - problem.p * (problem.theta - 1.0)
-    w = m / r ** flux_exp
+    w = m / r ** problem.flux_exponents[0]
     phi_prime = np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0))
     scale = np.max(np.abs(phi))
     phi_n = phi / scale

@@ -5,12 +5,12 @@ import pytest
 
 from hardylab.besselpair import (DivergenceError, RadialODEState,
                                  SingularCoefficientError,
-                                 UnsupportedScenarioError,
-                                 closed_form_maximizer,
                                  improved_weight_auxiliary_pair,
                                  integrate_bessel_ode, momentum_from_profile,
                                  ode_residuals, verify_bessel_pair)
-from hardylab.scenarios import Exponents, RadialWeightPair, scenario_catalog
+from hardylab.scenarios import (Exponents, RadialWeightPair,
+                                UnsupportedScenarioError,
+                                closed_form_maximizer, scenario_catalog)
 
 
 def test_power_trajectory_matches_closed_form():
@@ -56,6 +56,8 @@ def test_certificates_for_catalog_closed_forms():
          (0.2, 4.0)),
         ("cylindrical", dict(m=3, p=2.0, theta=1.0), (0.1, 5.0)),
         ("power", dict(Q=4.0, p=3.0, theta=1.0), (0.2, 5.0)),
+        ("antisymmetric", dict(N=3, theta=1.0), (0.1, 10.0)),
+        ("antisymmetric", dict(N=5, theta=2.0), (0.1, 10.0)),
     ]
     for name, kwargs, interval in cases:
         sc = scenario_catalog(name, **kwargs)
@@ -81,8 +83,9 @@ def test_certificate_solution_and_residual_match_direct_evaluation():
         else:
             pair, phi = sc.pair, closed_form_maximizer(sc)
         cert = verify_bessel_pair(sc, (r0, r1))
-        init = RadialODEState(r0, float(phi.value(np.array([r0]))[0]),
-                              momentum_from_profile(pair.V, mu, exps.p, phi, r0))
+        at_r0 = np.array([r0])
+        init = RadialODEState(r0, float(phi.value(at_r0)[0]), float(
+            momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
         ref = integrate_bessel_ode(pair, exps, init, r1, dense_n=200)
         phi_r, momentum = cert.solution(ref.r)
         assert np.array_equal(phi_r, ref.phi), name
@@ -99,9 +102,10 @@ def test_improved_weight_auxiliary_equation():
     assert cert.is_positive
     assert cert.max_ode_residual <= 1e-6
     assert cert.max_closed_form_error <= 1e-6
+    # both ODE terms vanish at r = 1, where the residual needs a scale floor
     pair, phi = improved_weight_auxiliary_pair(5.0, 3.0)
     resid = ode_residuals(pair.V, pair.W, pair.lam, 4.0, 3.0, phi,
-                          np.geomspace(0.1, 5.0, 500))
+                          np.append(np.geomspace(0.1, 5.0, 500), 1.0))
     assert np.max(resid) <= 1e-6
 
 

@@ -251,6 +251,26 @@ def test_bessel_cli(capsys):
     assert summary["max_closed_form_error"] <= 1e-6
 
 
+def test_bessel_cli_certifies_every_catalog_scenario(tmp_path, capsys):
+    from hardylab.scenarios import default_catalog
+
+    for sc in default_catalog():
+        flags = [x for k, v in sc.params.items() for x in (f"--{k}", str(v))]
+        code, _, err = _cli(["bessel", "--scenario", sc.name, *flags,
+                             "--out", str(tmp_path / "cert.csv")], capsys)
+        assert code == 0, (sc.name, err)
+
+
+def test_bessel_cli_ode_failure_exits_1(capsys):
+    # gaussian_a's phi = exp(r^2/4) passes the 1e12 blow-up guard at r ~ 10.5;
+    # gaussian_b's V = exp(-r^2/2) underflows to 0 before r = 40
+    for argv in (["--scenario", "gaussian_a", "--r0", "0.5", "--r1", "30"],
+                 ["--scenario", "gaussian_b", "--r0", "0.5", "--r1", "40"]):
+        code, _, err = _cli(["bessel", *argv], capsys)
+        assert code == 1, argv
+        assert err.startswith("FAIL: ") and "Traceback" not in err, argv
+
+
 def test_wrong_claimed_constant_exits_1(capsys):
     # claiming lambda1 = 1e6 for the p=3 annulus (true value ~ 87.8) makes
     # sampled quotients fall below the claimed constant: a math-check failure

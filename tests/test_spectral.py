@@ -129,7 +129,7 @@ def test_eigenfunction_quotient_equals_lambda1():
 
 
 def test_eigenfunction_matches_p2_closed_form():
-    from hardylab.besselpair import closed_form_maximizer
+    from hardylab.scenarios import closed_form_maximizer
 
     res = first_eigenvalue(PROB, tol=1e-10)
     sc = scenario_catalog("annulus", Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
