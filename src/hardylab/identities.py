@@ -9,7 +9,9 @@ Everything here exploits the exact parabola
 and the identity Re((f-g) conj(h(s))) = -A (s - s0), which removes the
 spurious |h|^(p-4) singularity analytically: the integrands become powers of
 q(s) = A (s-s0)^2 + d^2 and are integrated on per-pair geometrically graded
-Gauss-Legendre panels, vectorized over large sample batches.
+Gauss-Legendre panels, vectorized over large sample batches. Only the panels
+that meet [0,1] are evaluated, flattened over the batch and summed back per
+pair.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _N_PANELS = 42          # geometric panels per side of the near-zero point
+# Panel ends s0 +- width * offset, the offsets doubling from 1. The last one is
+# infinite so that each side's outermost panel runs to the end of [0,1] however
+# far s0 lies outside it: for f ~ g, s0 ~ |f|/|f-g| reaches 1e12, beyond any
+# finite reach of the grading, and otherwise every weight would be 0.
+_OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(_N_PANELS - 1.0), [np.inf]])
 _MIN_FEATURE = 1e-12
 _CHUNK = 2048
 
@@ -112,25 +119,21 @@ def rhs_closed_form(p: float, f: np.ndarray, g: np.ndarray,
     return np.where(near, stable, direct)
 
 
-def _graded_nodes(s0: np.ndarray, width: np.ndarray):
-    """Per-element panel nodes and weights on [0,1], graded toward s0.
+def _graded_panels(A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
+    """Panels on [0,1] graded geometrically toward s0 at the feature width
+    sqrt(d2/A) of q(s) = A (s-s0)^2 + d2, flattened over the batch (A > 0).
 
-    Returns (nodes, weights) of shape (n, 2 * _N_PANELS * len(_GL_NODES));
-    panels clipped to [0,1] collapse to zero weight.
+    Returns (owner, lo, hi): panel k spans [lo[k], hi[k]] for element owner[k].
+    Only panels that intersect [0,1] are kept; per element they tile [0,1].
     """
-    n = s0.shape[0]
-    j = np.arange(_N_PANELS + 1, dtype=float)
-    offs = np.where(j == 0, 0.0, 2.0 ** (j - 1.0))
-    offs = width[:, None] * offs[None, :]                      # (n, K+1)
+    width = np.clip(np.sqrt(np.maximum(d2, 0.0) / A), _MIN_FEATURE, 0.25)
+    offs = width[:, None] * _OFFSETS[None, :]                  # (n, K+1)
     right = np.clip(s0[:, None] + offs, 0.0, 1.0)
     left = np.clip(s0[:, None] - offs, 0.0, 1.0)
     lo = np.concatenate([right[:, :-1], left[:, 1:]], axis=1)  # (n, 2K)
     hi = np.concatenate([right[:, 1:], left[:, :-1]], axis=1)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]
-    weights = np.abs(half)[:, :, None] * _GL_WEIGHTS[None, None, :]
-    return nodes.reshape(n, -1), weights.reshape(n, -1)
+    owner, k = np.nonzero(hi != lo)
+    return owner, lo[owner, k], hi[owner, k]
 
 
 def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
@@ -140,25 +143,21 @@ def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
     K2m4 = int_0^1 s (s-s0)^2 q^((p-4)/2) ds
     K1m2 = int_0^1 s q^((p-2)/2) ds
     """
-    n = A.shape[0]
-    K1m4 = np.zeros(n)
-    K2m4 = np.zeros(n)
-    K1m2 = np.zeros(n)
+    K = np.zeros((3, A.shape[0]))
     live_idx = np.flatnonzero(A > 0.0)
     for start in range(0, live_idx.size, _CHUNK):
         idx = live_idx[start:start + _CHUNK]
-        a = A[idx]
-        c = s0[idx]
-        dd = d2[idx]
-        width = np.clip(np.sqrt(np.maximum(dd, 0.0) / a), _MIN_FEATURE, 0.25)
-        s, w = _graded_nodes(c, width)
-        ds = s - c[:, None]
-        q = np.maximum(a[:, None] * ds ** 2 + dd[:, None], 1e-300)
+        owner, lo, hi = _graded_panels(A[idx], s0[idx], d2[idx])
+        pair = idx[owner]
+        half = 0.5 * (hi - lo)
+        s = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES[None, :]
+        w = half[:, None] * _GL_WEIGHTS[None, :]
+        ds = s - s0[pair, None]
+        q = np.maximum(A[pair, None] * ds ** 2 + d2[pair, None], 1e-300)
         qm4 = q ** ((p - 4.0) / 2.0)
-        K1m4[idx] = np.einsum("ij,ij->i", w, s * qm4)
-        K2m4[idx] = np.einsum("ij,ij->i", w, s * ds ** 2 * qm4)
-        K1m2[idx] = np.einsum("ij,ij->i", w, s * qm4 * q)
-    return K1m4, K2m4, K1m2
+        for k, vals in enumerate((s * qm4, s * ds ** 2 * qm4, s * qm4 * q)):
+            K[k, idx] = np.bincount(owner, np.einsum("ij,ij->i", w, vals), minlength=idx.size)
+    return K[0], K[1], K[2]
 
 
 def scalar_identity_batch(p: float, f: np.ndarray, g: np.ndarray) -> dict:
@@ -250,8 +249,15 @@ def realified_identity_oracle(p: float, mu, nu, tol: float = 1e-12) -> dict:
             second = second + p * (p - 2.0) * q ** ((p - 4.0) / 2.0) * cdot ** 2
         return (1.0 - t) * second
 
+    # |c(t)|^2 = |D|^2 (t - t0)^2 + |c(t0)|^2, so |c| has a kink of width
+    # |c(t0)|/|D| at t0. On near-antipodal pairs GK15 steps over it with a
+    # falsely small error estimate; breakpoints graded geometrically toward
+    # t0 at that width resolve it.
     t0 = -float(nu @ delta) / nd2
-    points = [t0] if 0.0 < t0 < 1.0 else []
+    width = max(float(np.linalg.norm(nu + t0 * delta)) / math.sqrt(nd2), _MIN_FEATURE)
+    offs = width * 2.0 ** np.arange(math.ceil(math.log2((1.0 + abs(t0)) / width)) + 1)
+    points = np.concatenate([[t0], t0 - offs, t0 + offs])
+    points = points[(points > 0.0) & (points < 1.0)]
     est = integrate_adaptive(integrand, 0.0, 1.0, tol=tol, rel_tol=tol,
                              points=points)
     return {"lhs": lhs, "rhs": est.value}

@@ -68,3 +68,87 @@ def segment_identity_oracle(p: float, f: complex, g: complex,
     w_term = p * (p - 1.0) * np.mean(s * core * re ** 2)
     wt_term = p * np.mean(s * core * im ** 2)
     return float(w_term), float(wt_term)
+
+
+def near_collinear_pairs(rng: np.random.Generator, per_kind: int,
+                         radius: float = 10.0, eps_range=(1e-12, 1e-3)):
+    """Scalar pairs g ~ f, g ~ -f and g ~ 0, per_kind of each in that order,
+    with eps log-spaced over eps_range so that every decade of it is drawn."""
+    n = 3 * per_kind
+    f = radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    eps = np.tile(np.geomspace(*eps_range, per_kind), 3)
+    kind = np.repeat(np.arange(3), per_kind)
+    wiggle = np.exp(2j * np.pi * rng.uniform(size=n))
+    g = np.where(kind == 0, f * (1.0 + eps * wiggle),
+                 np.where(kind == 1, -f * (1.0 + eps * wiggle),
+                          eps * wiggle * radius))
+    return f, g
+
+
+def near_collinear_vectors(rng: np.random.Generator, per_kind: int, h: int,
+                           radius: float = 10.0):
+    """Vector pairs in C^h that are near-collinear as a whole: X = r Z with
+    one complex ratio r per row, r ~ 1, r ~ -1 or r ~ 0, so X ~ Z, X ~ -Z
+    and X ~ 0 with every component following the same relation."""
+    f, g = near_collinear_pairs(rng, per_kind, radius)
+    Z = rng.normal(size=(f.size, h)) + 1j * rng.normal(size=(f.size, h))
+    Z *= radius / np.linalg.norm(Z, axis=1, keepdims=True)
+    return Z, (g / f)[:, None] * Z
+
+
+def _mp_segment(f, g):
+    import mpmath
+
+    f = mpmath.mpc(f.real, f.imag)
+    g = mpmath.mpc(g.real, g.imag)
+    D = f - g
+    A = abs(D) ** 2
+    s0 = mpmath.re(mpmath.conj(f) * D) / A
+    return f, g, D, A, s0, abs(f - s0 * D) ** 2
+
+
+def segment_split_mp(p: float, f: complex, g: complex, dps: int = 50):
+    """The two scalar identity s-integrals at dps digits, straight from their
+    definitions on h(s) = s g + (1-s) f (no parabola rewriting), by
+    mpmath.quad. The substitution s = s0 + w sinh(t), w = |h(s0)|/|f-g|,
+    spreads the feature of width w around the nearest point s0 over t ~ 1,
+    and t = 0 (s = s0) is a breakpoint. Returns (w_term, wtilde_term) as
+    mpf; the double inputs are taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        f, g, D, A, s0, d2 = _mp_segment(f, g)
+        p = mpmath.mpf(p)
+        w = mpmath.sqrt(d2 / A)
+
+        def point(t):
+            s = s0 + w * mpmath.sinh(t)
+            h = s * g + (1 - s) * f
+            return w * mpmath.cosh(t) * s * abs(h) ** (p - 4), h
+
+        def w_integrand(t):
+            c, h = point(t)
+            return c * mpmath.re(D * mpmath.conj(h)) ** 2
+
+        ta, tb = mpmath.asinh(-s0 / w), mpmath.asinh((1 - s0) / w)
+        pts = [ta, 0, tb] if ta < 0 < tb else [ta, tb]
+        w_term = p * (p - 1) * mpmath.quad(w_integrand, pts)
+        wtilde = p * mpmath.im(f * mpmath.conj(g)) ** 2 * mpmath.quad(
+            lambda t: point(t)[0], pts)
+        return w_term, wtilde
+
+
+def segment_split_p4(f: complex, g: complex, dps: int = 50):
+    """Exact p = 4 splits from polynomial s-kernels, at dps digits:
+    K1m4 = 1/2, K2m4 = 1/4 - 2 s0/3 + s0^2/2, K1m2 = A K2m4 + d^2/2.
+    Returns ((w, wtilde) scalar, (w, wtilde) vector with h = 1) as mpf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        f, g, D, A, s0, d2 = _mp_segment(f, g)
+        K1m4 = mpmath.mpf(1) / 2
+        K2m4 = mpmath.mpf(1) / 4 - 2 * s0 / 3 + s0 ** 2 / 2
+        K1m2 = A * K2m4 + d2 / 2
+        im = mpmath.im(f * mpmath.conj(g))
+        return ((12 * A ** 2 * K2m4, 4 * im ** 2 * K1m4),
+                (4 * A * K1m2, 8 * A ** 2 * K2m4))

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from hardylab.identities import (check_cp_lower_bound, realified_identity_oracle,
+from hardylab.identities import (_graded_panels, check_cp_lower_bound,
+                                 realified_identity_oracle,
                                  rhs_closed_form, sample_complex_pairs,
                                  scalar_identity_batch,
                                  scalar_identity_breakdown,
                                  vector_identity_batch,
                                  vector_identity_breakdown)
 
-from oracles import segment_identity_oracle
+from oracles import (near_collinear_pairs, near_collinear_vectors,
+                     segment_identity_oracle, segment_split_mp,
+                     segment_split_p4)
+
+_U = 2.0 ** -53
 
 
 def test_p2_collapses_to_squared_difference():
@@ -174,3 +179,94 @@ def test_invalid_p_rejected():
         scalar_identity_breakdown(1.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         check_cp_lower_bound(1.0, 10, seed=0)
+
+
+def _wtilde_rtol(f, g):
+    """A-priori relative rounding bound of the computed wtilde_term on double
+    inputs, set from the dtype. im = Im(f conj g) cancels with condition
+    (|Im f Re g| + |Re f Im g|)/|im|. The nodes and s0 are stored to u
+    absolutely, which is u/w relative to the feature width
+    w = |h(s0)|/|f-g|, and d^2 = |h(s0)|^2 cancels by as much where the
+    segment passes near 0. w_term, whose integrand vanishes at s0, has
+    neither loss."""
+    diff = f - g
+    A = np.abs(diff) ** 2
+    s0 = np.real(np.conj(f) * diff) / A
+    width = np.abs(f - s0 * diff) / np.sqrt(A)
+    im = np.imag(f * np.conj(g))
+    kappa = (np.abs(f.imag * g.real) + np.abs(f.real * g.imag)) / np.abs(im)
+    return 1e-12 + 4.0 * _U / width + 4.0 * _U * kappa
+
+
+def test_split_terms_match_exact_oracles():
+    """w_term and wtilde_term each against an exact value, relative to it,
+    on near-collinear pairs down to |f - g| = 1e-12 |f|: p = 4 from the
+    polynomial kernels, p in {2, 2.5, 3} from 50-digit mpmath.quad."""
+    rng = np.random.default_rng(404)
+    f, g = near_collinear_pairs(rng, 20)
+    rtol_w, rtol_wt = 1e-13, _wtilde_rtol(f, g)
+    exact4 = [segment_split_p4(f[i], g[i]) for i in range(f.size)]
+    sc = scalar_identity_batch(4.0, f, g)
+    vc = vector_identity_batch(4.0, f[:, None], g[:, None])
+    for i, (scalar, vector) in enumerate(exact4):
+        for got, want, rtol in ((sc["w_term"][i], scalar[0], rtol_w),
+                                (sc["wtilde_term"][i], scalar[1], rtol_wt[i]),
+                                (vc["w_term"][i], vector[0], rtol_w),
+                                (vc["wtilde_term"][i], vector[1], rtol_w)):
+            assert abs(got - float(want)) <= rtol * abs(float(want)), (i, got, want)
+    for p, sl in ((2.0, slice(0, None, 3)), (2.5, slice(1, None, 3)),
+                  (3.0, slice(2, None, 3))):
+        idx = np.arange(f.size)[sl]
+        out = scalar_identity_batch(p, f[idx], g[idx])
+        for j, i in enumerate(idx):
+            w, wt = (float(x) for x in segment_split_mp(p, f[i], g[i]))
+            assert abs(out["w_term"][j] - w) <= rtol_w * w, (p, i, out["w_term"][j], w)
+            assert abs(out["wtilde_term"][j] - wt) <= rtol_wt[i] * wt, (
+                p, i, out["wtilde_term"][j], wt)
+
+
+def test_coupled_near_collinear_vectors():
+    rng = np.random.default_rng(8080)
+    for h in (2, 5):
+        Z, X = near_collinear_vectors(rng, 40, h)
+        for p in (2.0, 2.5, 3.0, 4.0):
+            out = vector_identity_batch(p, Z, X)
+            tol = 1e-9 * (1.0 + np.abs(out["rhs_closed"]))
+            assert np.max(out["residual"] / tol) <= 1.0, (h, p)
+
+
+def test_live_panels_tile_unit_interval():
+    rng = np.random.default_rng(17)
+    f, g = sample_complex_pairs(rng, 4000)
+    fa, ga = near_collinear_pairs(rng, 30)
+    f, g = np.concatenate([f, fa]), np.concatenate([g, ga])
+    diff = f - g
+    A = np.abs(diff) ** 2
+    s0 = np.real(np.conj(f) * diff) / A
+    d2 = np.abs(f - s0 * diff) ** 2
+    owner, lo, hi = _graded_panels(A, s0, d2)
+    assert np.all(hi > lo)
+    total = np.bincount(owner, hi - lo, minlength=f.size)
+    assert np.max(np.abs(total - 1.0)) <= 1e-15
+    generic = np.arange(400, 4000)      # sample_complex_pairs puts 400 adversarial first
+    count = np.bincount(owner, minlength=f.size)
+    assert np.mean(count[generic]) < 8.0
+
+
+def test_realified_oracle_near_antipodal_sweep():
+    """The Taylor-remainder oracle against 40-digit mpmath on pairs whose
+    segment passes close to 0, where |c(t)| has a narrow kink."""
+    import mpmath
+
+    rng = np.random.default_rng(55)
+    f, g = near_collinear_pairs(rng, 30, eps_range=(1e-12, 1e-1))
+    with mpmath.workdps(40):
+        for p in (2.0, 2.5, 3.0, 4.0, 5.5):
+            for i in range(f.size):
+                mu = np.array([f[i].real, f[i].imag])
+                nu = np.array([g[i].real, g[i].imag])
+                m, n = (mpmath.mpc(*x) for x in (mu, nu))
+                exact = float(abs(m) ** p + (p - 1) * abs(n) ** p
+                              - p * abs(n) ** (p - 2) * mpmath.re(mpmath.conj(n) * m))
+                got = realified_identity_oracle(p, mu, nu)["rhs"]
+                assert abs(got - exact) <= 1e-9 * (1.0 + abs(exact)), (p, i, got, exact)
