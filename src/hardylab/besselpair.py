@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .profiles import Profile
-from .scenarios import (Exponents, RadialWeightPair, Scenario,
+from .scenarios import (CheckFailure, Exponents, RadialWeightPair, Scenario,
                         closed_form_maximizer)
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 _BLOWUP = 1e12
 
 
-class ODEFailure(RuntimeError):
+class ODEFailure(CheckFailure):
     """The flux ODE could not be integrated across the requested range."""
 
 

@@ -2,8 +2,11 @@
 
 Subcommands: identity, bessel, eig, sharpness, geometry, rayleigh, catalog.
 Exit codes: 0 all checks passed, 1 a mathematical check failed (inequality
-violation or residual above tolerance, named in the message), 2 usage or
-parameter error. A JSON config file can supply defaults; explicit flags win.
+violation, residual above tolerance, or a quadrature, ODE or search that
+failed), 2 usage or parameter error. A command raises `CheckFailure` (exit 1)
+or `ParameterDomainError`/`ValueError` (exit 2); `run` alone turns them into
+one stderr line and the exit code. A JSON config file can supply defaults;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -16,18 +19,16 @@ import sys
 import numpy as np
 
 from . import geometry as geo
-from .besselpair import ODEFailure, verify_bessel_pair
+from .besselpair import verify_bessel_pair
 from .functional import random_profile_slacks
 from .identities import (sample_complex_pairs, scalar_identity_batch,
                          vector_identity_batch)
-from .quadrature import QuadratureError
 from .reports import emit_report
-from .scenarios import (ParameterDomainError, SCENARIO_NAMES,
+from .scenarios import (CheckFailure, ParameterDomainError, SCENARIO_NAMES,
                         SCENARIO_PARAMETERS, default_catalog, scenario_catalog,
                         scenario_to_json)
 from .sharpness import improved_weight_check, psiR_deficit, sweep_quotient
-from .spectral import (AnnulusProblem, check_lambda1_lower_bound, eigenvalue,
-                       SearchFailureError)
+from .spectral import AnnulusProblem, check_lambda1_lower_bound, eigenvalue
 
 # every key some scenario builder accepts, in first-seen order
 _SCENARIO_KEYS = tuple(dict.fromkeys(
@@ -95,7 +96,7 @@ def _common_flags(sp: argparse.ArgumentParser, fmt_default: str) -> None:
 
 # -------------------------------------------------------------- identity ----
 
-def _cmd_identity(args) -> int:
+def _cmd_identity(args) -> None:
     cfg = _resolve(args, {"p": 2.0, "samples": 1000, "seed": geo.DEFAULT_SEED,
                           "h": 1, "format": "csv", "out": None})
     p, h = float(cfg["p"]), int(cfg["h"])
@@ -128,15 +129,13 @@ def _cmd_identity(args) -> int:
                "pass": bool(worst <= 1.0)}
     emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
     if not summary["pass"]:
-        print("FAIL: scalar/vector identity residual exceeded "
-              "1e-9 (1 + |rhs|)", file=sys.stderr)
-        return 1
-    return 0
+        raise CheckFailure("scalar/vector identity residual exceeded "
+                           "1e-9 (1 + |rhs|)")
 
 
 # -------------------------------------------------------------- bessel ------
 
-def _cmd_bessel(args) -> int:
+def _cmd_bessel(args) -> None:
     cfg = _resolve(args, {"r0": None, "r1": None, "format": "csv", "out": None,
                           "seed": geo.DEFAULT_SEED,
                           **dict.fromkeys(_SCENARIO_KEYS),
@@ -161,15 +160,13 @@ def _cmd_bessel(args) -> int:
                             and cert.max_closed_form_error <= 1e-6)}
     emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
     if not summary["pass"]:
-        print("FAIL: Bessel-pair certificate (positivity of the ODE solution "
-              "or closed-form residual above 1e-6)", file=sys.stderr)
-        return 1
-    return 0
+        raise CheckFailure("Bessel-pair certificate (positivity of the ODE "
+                           "solution or closed-form residual above 1e-6)")
 
 
 # -------------------------------------------------------------- eig ---------
 
-def _cmd_eig(args) -> int:
+def _cmd_eig(args) -> None:
     cfg = _resolve(args, {"Q": 3.0, "p": 2.0, "theta": 1.0, "a": 1.0,
                           "b": math.e, "tol": 1e-8, "which": 1,
                           "format": "json", "out": None,
@@ -195,15 +192,13 @@ def _cmd_eig(args) -> int:
                   newline="") as fh:
             fh.write(render_csv(samples))
     if not bound_ok:
-        print("FAIL: first eigenvalue does not exceed the lower bound "
-              "|(Q - p theta)/p|^p", file=sys.stderr)
-        return 1
-    return 0
+        raise CheckFailure("first eigenvalue does not exceed the lower bound "
+                           "|(Q - p theta)/p|^p")
 
 
 # -------------------------------------------------------------- sharpness ---
 
-def _cmd_sharpness(args) -> int:
+def _cmd_sharpness(args) -> None:
     cfg = _resolve(args, {"mode": "sweep", "eps_grid": "1e-2,1e-3,1e-4",
                           "R_grid": "10,100,1000", "profiles": 100,
                           "format": "csv", "out": None,
@@ -214,12 +209,7 @@ def _cmd_sharpness(args) -> int:
     if mode == "sweep":
         scenario = _build_scenario(cfg)
         grid = [float(t) for t in str(cfg["eps_grid"]).split(",")]
-        try:
-            rows_obj = sweep_quotient(scenario, grid)
-        except ValueError as exc:
-            print(f"FAIL: sharpness sweep inequality violation: {exc}",
-                  file=sys.stderr)
-            return 1
+        rows_obj = sweep_quotient(scenario, grid)
         rows = [{"epsilon": r.epsilon, "quotient": r.quotient,
                  "deficit": r.deficit, "scaled_deficit": r.scaled_deficit}
                 for r in rows_obj]
@@ -245,15 +235,12 @@ def _cmd_sharpness(args) -> int:
                                     int(cfg["seed"]))
         rows = [{"index": i, "slack": s} for i, s in enumerate(res["slacks"])]
         summary = {"Q": Q, "p": p, "min_slack": res["min_slack"]}
-        if res["min_slack"] < -1e-9:
-            emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
-            print("FAIL: improved-weight inequality violated "
-                  "(slack below -1e-9)", file=sys.stderr)
-            return 1
     else:
         raise ParameterDomainError(f"unknown sharpness mode {mode!r}")
     emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
-    return 0
+    if mode == "improved" and summary["min_slack"] < -1e-9:
+        raise CheckFailure("improved-weight inequality violated "
+                           "(slack below -1e-9)")
 
 
 # -------------------------------------------------------------- geometry ----
@@ -276,7 +263,7 @@ def _geometry_model(cfg: dict):
         "model must be euclidean | grushin | greiner | cylindrical")
 
 
-def _cmd_geometry(args) -> int:
+def _cmd_geometry(args) -> None:
     cfg = _resolve(args, {**dict.fromkeys(_SCENARIO_KEYS),
                           "scenario": None,
                           "model": None, "check": None, "n": None, "k": None,
@@ -359,18 +346,16 @@ def _cmd_geometry(args) -> int:
     emit_report([record], cfg["format"], cfg["out"], _public(cfg),
                 {"pass": record["pass"]})
     if not record["pass"]:
-        inconclusive = record.get("inconclusive", False)
-        label = "INCONCLUSIVE" if inconclusive else "FAIL"
-        print(f"{label}: geometry check {check} "
-              f"(estimate {record['estimate']} vs expected {record['expected']})",
-              file=sys.stderr)
-        return 0 if inconclusive else 1
-    return 0
+        message = (f"geometry check {check} (estimate {record['estimate']} "
+                   f"vs expected {record['expected']})")
+        if not record.get("inconclusive", False):
+            raise CheckFailure(message)
+        print(f"INCONCLUSIVE: {message}", file=sys.stderr)
 
 
 # -------------------------------------------------------------- rayleigh ----
 
-def _cmd_rayleigh(args) -> int:
+def _cmd_rayleigh(args) -> None:
     cfg = _resolve(args, {"profiles": 200, "format": "csv", "out": None,
                           "seed": geo.DEFAULT_SEED,
                           **dict.fromkeys(_SCENARIO_KEYS),
@@ -384,16 +369,14 @@ def _cmd_rayleigh(args) -> int:
                "min_slack": min_slack, "pass": bool(min_slack >= -1e-8)}
     emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
     if not summary["pass"]:
-        print(f"FAIL: sampled quotient fell below the sharp constant "
-              f"for {scenario.name} (min normalized slack {min_slack})",
-              file=sys.stderr)
-        return 1
-    return 0
+        raise CheckFailure(f"sampled quotient fell below the sharp constant "
+                           f"for {scenario.name} (min normalized slack "
+                           f"{min_slack})")
 
 
 # -------------------------------------------------------------- catalog -----
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> None:
     cfg = _resolve(args, {"format": "json", "out": None,
                           "seed": geo.DEFAULT_SEED})
     rows = []
@@ -405,7 +388,6 @@ def _cmd_catalog(args) -> int:
                      "maximizer": doc["maximizer"]})
     emit_report(rows, cfg["format"], cfg["out"], _public(cfg),
                 {"count": len(rows)})
-    return 0
 
 
 def _public(cfg: dict) -> dict:
@@ -533,19 +515,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ParameterDomainError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
+        args.func(args)
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, SearchFailureError, ODEFailure) as exc:
+    except CheckFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

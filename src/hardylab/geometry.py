@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profiles import Profile
-from .scenarios import ParameterDomainError, Scenario
+from .scenarios import CheckFailure, ParameterDomainError, Scenario
 from .sharpness import CutoffSpec, make_cutoff
 
 __all__ = [
@@ -45,15 +45,15 @@ DEFAULT_SEED = 0x5EED
 _N_BATCHES = 32
 
 
-class SingularPointError(ValueError):
+class SingularPointError(ParameterDomainError):
     """Gauge evaluation requested at the gauge origin."""
 
 
-class UnsupportedModelError(ValueError):
+class UnsupportedModelError(ParameterDomainError):
     """Operation undefined for this gauge model (e.g. unbounded gauge balls)."""
 
 
-class ResolutionError(RuntimeError):
+class ResolutionError(CheckFailure):
     """Tensor grid failed its internal convergence check."""
 
 
@@ -278,7 +278,7 @@ def _batched_ratio(weigh_num, weigh_den, sampler, samples: int, seed: int,
     total_num = batch_num.sum()
     total_den = batch_den.sum()
     if total_den == 0:
-        raise RuntimeError("Monte-Carlo denominator vanished; no mass sampled")
+        raise CheckFailure("Monte-Carlo denominator vanished; no mass sampled")
     ratio = total_num / total_den
     live = batch_cnt > 0
     per_batch = batch_num[live] / np.where(batch_den[live] != 0, batch_den[live], 1.0)

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .scenarios import CheckFailure
+
 __all__ = [
     "QuadratureEstimate",
     "QuadratureError",
@@ -58,7 +60,7 @@ class QuadratureEstimate:
             raise ValueError("error_estimate must be nonnegative")
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(CheckFailure):
     """Adaptive refinement failed; carries the partial estimate."""
 
     def __init__(self, message: str, partial: QuadratureEstimate | None = None):

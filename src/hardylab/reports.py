@@ -48,12 +48,11 @@ def render_json(config: dict, rows: Sequence[dict], summary: dict) -> str:
 
 
 def emit_report(rows: Sequence[dict], fmt: str, path: str | None,
-                config: dict, summary: dict,
-                header: Sequence[str] | None = None) -> None:
+                config: dict, summary: dict) -> None:
     """Write the run report; CSV keeps the table clean (header + rows only)
     and surfaces the resolved config on stderr instead."""
     if fmt == "csv":
-        text = render_csv(rows, header)
+        text = render_csv(rows)
         print(json.dumps({"config": config, "summary": summary}),
               file=sys.stderr)
     elif fmt == "json":

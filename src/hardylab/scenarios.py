@@ -25,6 +25,7 @@ __all__ = [
     "RadialWeightPair",
     "Scenario",
     "ParameterDomainError",
+    "CheckFailure",
     "UnsupportedScenarioError",
     "require_p",
     "closed_form_maximizer",
@@ -43,10 +44,14 @@ SCENARIO_NAMES = (
 
 
 class ParameterDomainError(ValueError):
-    """Scenario parameters violate a hypothesis of the underlying theorem."""
+    """The input violates a hypothesis of the theorem or the check (exit 2)."""
 
 
-class UnsupportedScenarioError(ValueError):
+class CheckFailure(RuntimeError):
+    """A mathematical check failed or could not be carried out (exit 1)."""
+
+
+class UnsupportedScenarioError(ParameterDomainError):
     """The scenario has no closed-form maximizer."""
 
 
@@ -91,7 +96,6 @@ class RadialWeightPair:
     W: Callable
     lam: float
     interval: tuple[float, float]
-    V_nonnegative: bool = True
     W_nonnegative: bool = True
 
     def __post_init__(self) -> None:

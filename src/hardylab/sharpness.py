@@ -18,8 +18,8 @@ import numpy as np
 from .functional import random_profile_slacks, reduce_radial_functional
 from .profiles import Profile
 from .quadrature import integrate_adaptive
-from .scenarios import (ParameterDomainError, Scenario, closed_form_maximizer,
-                        scenario_catalog)
+from .scenarios import (CheckFailure, ParameterDomainError, Scenario,
+                        closed_form_maximizer, scenario_catalog)
 
 __all__ = [
     "CutoffSpec",
@@ -182,7 +182,7 @@ class SweepRow:
 
     def __post_init__(self) -> None:
         if self.deficit < -1e-9 * (1.0 + abs(self.quotient)):
-            raise ValueError(
+            raise CheckFailure(
                 f"inequality violated in sweep: deficit {self.deficit} at "
                 f"eps={self.epsilon}")
 
@@ -252,7 +252,7 @@ def sweep_quotient(scenario: Scenario, eps_grid, smoothing: str = "quintic",
     if scenario.name.startswith("log"):
         work = _log_equivalent_scenario(scenario)
         if abs(work.sharp_constant - scenario.sharp_constant) > 1e-12:
-            raise RuntimeError("log substitution lost the sharp constant")
+            raise CheckFailure("log substitution lost the sharp constant")
     else:
         work = scenario
     rows = []
@@ -261,7 +261,7 @@ def sweep_quotient(scenario: Scenario, eps_grid, smoothing: str = "quintic",
         if work.name == "gaussian_a":
             num, den, h_eps = _gaussian_a_reduced(work, eps, smoothing, tol)
             if h_prev is not None and not h_eps > h_prev:
-                raise RuntimeError(
+                raise CheckFailure(
                     "two-term normalizer h(eps) failed to diverge along the grid")
             h_prev = h_eps
             quotient = num / den
@@ -326,6 +326,4 @@ def improved_weight_check(Q: float, p: float, profile_count: int,
     scenario = scenario_catalog("improved_weight", Q=Q, p=p)
     slacks = [row["slack"] for row in
               random_profile_slacks(scenario, profile_count, seed)]
-    worst = min(range(len(slacks)), key=slacks.__getitem__, default=None)
-    return {"min_slack": math.inf if worst is None else slacks[worst],
-            "worst_profile_index": worst, "slacks": slacks}
+    return {"min_slack": min(slacks, default=math.inf), "slacks": slacks}

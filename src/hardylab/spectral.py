@@ -23,8 +23,8 @@ from scipy.optimize import brentq
 
 from .besselpair import solve_flux
 from .profiles import Profile
-from .scenarios import (ParameterDomainError, closed_form_lambda1_p2,
-                        require_p)
+from .scenarios import (CheckFailure, ParameterDomainError,
+                        closed_form_lambda1_p2, require_p)
 
 __all__ = [
     "AnnulusProblem",
@@ -40,7 +40,7 @@ __all__ = [
 _LAMBDA_MAX = 1e6
 
 
-class SearchFailureError(RuntimeError):
+class SearchFailureError(CheckFailure):
     """No eigenvalue bracket found below the search cap."""
 
 
@@ -56,6 +56,10 @@ class AnnulusProblem:
         if not 0 < self.a < self.b:
             raise ParameterDomainError(f"need 0 < a < b, got a={self.a}, b={self.b}")
         require_p(self.p)
+        for name in ("Q", "theta", "b"):   # 0 < a < b then bounds a too
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterDomainError(f"{name} must be finite, got {value}")
 
     @property
     def lemma_lower_bound(self) -> float:
@@ -141,7 +145,7 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     then polishes inside the isolated bracket, where the sign is guaranteed
     to change once.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterDomainError(f"tol must be positive, got {tol}")
     if which < 1:
         raise ParameterDomainError(f"which must be >= 1, got {which}")

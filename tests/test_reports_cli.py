@@ -161,14 +161,18 @@ def test_scenario_flags_cover_builder_params():
 
 
 @pytest.mark.parametrize("argv", [["eig", "--p", "nan"],
-                                  ["identity", "--p", "nan", "--samples", "20"]])
+                                  ["identity", "--p", "nan", "--samples", "20"],
+                                  ["eig", "--Q", "nan"], ["eig", "--theta", "nan"],
+                                  ["eig", "--Q", "inf"], ["eig", "--b", "inf"],
+                                  ["eig", "--tol", "nan"]])
 def test_nan_p_exits_2(argv):
-    # a subprocess with a timeout: a NaN p that reaches the eig search never
-    # returns, and that must fail the test rather than hang the suite
+    # a subprocess with a timeout: a NaN or infinite parameter that reaches
+    # the eig search never returns, and that must fail the test rather than
+    # hang the suite
     proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
-    assert "p must be >= 2" in proc.stderr
+    assert proc.stderr.startswith(f"parameter error: {argv[1][2:]} must be")
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -280,3 +284,29 @@ def test_wrong_claimed_constant_exits_1(capsys):
     assert code == 1
     assert "FAIL" in err
 
+
+_SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
+          "--theta", "1"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    # bad input: an eps grid outside (0, 1/4), or a scenario with no maximizer
+    ([*_SWEEP, "--eps-grid", "0.3"], 2),
+    ([*_SWEEP, "--eps-grid", "nan"], 2),
+    (["sharpness", "--scenario", "improved_weight"], 2),
+    # a check that could not be carried out: the strip tensor grid does not
+    # resolve eps = 1e-9, and no sample lands in a gauge ball of radius 1e-9
+    (["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-9"], 1),
+    (["geometry", "--model", "greiner", "--check", "measure", "--samples",
+      "1000", "--R1", "1e-9", "--R2", "1"], 1),
+])
+def test_exit_codes_without_traceback(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    if code == 2:
+        assert lines[0].startswith("parameter error: ")
+    else:
+        assert [x for x in lines if x.startswith("FAIL: ")] == lines[-1:]

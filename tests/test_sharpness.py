@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from hardylab.scenarios import ParameterDomainError, scenario_catalog
+from hardylab.scenarios import (CheckFailure, ParameterDomainError,
+                                scenario_catalog)
 from hardylab.sharpness import (BRIDGE_CONSTANTS, CutoffSpec, SweepRow,
                                 improved_weight_check, make_cutoff, psi_energy,
                                 psiR_deficit, sweep_quotient)
@@ -148,7 +149,7 @@ def test_sweep_grid_validation():
 
 
 def test_sweep_row_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailure):
         SweepRow(1e-2, 1.0, -1e-3, -1.0)
 
 
