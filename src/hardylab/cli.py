@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Subcommands: identity, bessel, eig, sharpness, geometry, rayleigh, catalog.
-Exit codes: 0 all checks passed, 1 a mathematical check failed (inequality
+Each flag declares its own default. A JSON config file (`--config`) may carry
+only the subcommand's own flag names (argparse dests such as `eps_grid`); its
+values become the subcommand's defaults, so explicit flags win. Each command
+returns (rows, summary, failure message or None), and `run` is the one place
+that writes the report, prints the `FAIL:` or `INCONCLUSIVE:` line and picks
+the exit code: 0 all checks passed, 1 a mathematical check failed (inequality
 violation, residual above tolerance, or a quadrature, ODE or search that
-failed), 2 usage or parameter error. A command raises `CheckFailure` (exit 1)
-or `ParameterDomainError`/`ValueError` (exit 2); `run` alone turns them into
-one stderr line and the exit code. A JSON config file can supply defaults;
-explicit flags win.
+failed, raised as `CheckFailure`), 2 usage or parameter error
+(`ParameterDomainError`/`ValueError`, or an unreadable config file).
 """
 
 from __future__ import annotations
@@ -20,19 +23,25 @@ import numpy as np
 
 from . import geometry as geo
 from .besselpair import verify_bessel_pair
-from .functional import random_profile_slacks
+from .functional import random_profile_slacks, reduce_radial_functional
 from .identities import (sample_complex_pairs, scalar_identity_batch,
                          vector_identity_batch)
-from .reports import emit_report
+from .profiles import random_profile
+from .reports import emit_report, render_csv
 from .scenarios import (CheckFailure, ParameterDomainError, SCENARIO_NAMES,
                         SCENARIO_PARAMETERS, default_catalog, scenario_catalog,
                         scenario_to_json)
 from .sharpness import improved_weight_check, psiR_deficit, sweep_quotient
 from .spectral import AnnulusProblem, check_lambda1_lower_bound, eigenvalue
 
-# every key some scenario builder accepts, in first-seen order
-_SCENARIO_KEYS = tuple(dict.fromkeys(
-    k for keys in SCENARIO_PARAMETERS.values() for k in keys))
+
+class _Inconclusive(str):
+    """A failed Monte-Carlo check whose estimate is too noisy to decide:
+    reported, but the run exits 0."""
+
+
+def _or(value, default):
+    return default if value is None else value
 
 
 def _add_scenario_args(sp: argparse.ArgumentParser) -> None:
@@ -53,55 +62,53 @@ def _add_scenario_args(sp: argparse.ArgumentParser) -> None:
                     help="first eigenvalue for annulus scenarios with p != 2")
 
 
-def _build_scenario(cfg: dict):
-    name = cfg.get("scenario")
-    if not name:
+def _build_scenario(args):
+    if not args.scenario:
         raise ParameterDomainError("--scenario is required")
-    kwargs = {k: cfg[k] for k in SCENARIO_PARAMETERS.get(name, ())
-              if cfg.get(k) is not None}
-    return scenario_catalog(name, **kwargs)
+    keys = SCENARIO_PARAMETERS.get(args.scenario, ())
+    kwargs = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    return scenario_catalog(args.scenario, **kwargs)
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults < config file < explicit flags."""
-    cfg = dict(defaults)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(defaults) - set(_SCENARIO_KEYS) \
-            - {"scenario"}
-        if unknown:
-            raise ParameterDomainError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
-        cfg.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "func"):
-            continue
-        if value is not None:
-            cfg[key] = value
-        elif key not in cfg:
-            cfg[key] = None
-    return cfg
+def _read_config(path: str, parsed: argparse.Namespace) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParameterDomainError(
+            f"config file must hold a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - (set(vars(parsed)) - {"config", "func"})
+    if unknown:
+        raise ParameterDomainError(
+            f"unknown config keys: {', '.join(sorted(unknown))}")
+    return doc
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser: defaults < `--config` file < explicit flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if parsed.config:
+            self.set_defaults(**_read_config(parsed.config, parsed))
+            parsed, extras = super().parse_known_args(args, namespace)
+        return parsed, extras
 
 
 def _common_flags(sp: argparse.ArgumentParser, fmt_default: str) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
+    sp.add_argument("--format", choices=("csv", "json"), default=fmt_default,
                     help=f"output format (default {fmt_default})")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=geo.DEFAULT_SEED)
     sp.add_argument("--config", default=None,
                     help="JSON file with defaults; explicit flags win")
 
 
 # -------------------------------------------------------------- identity ----
 
-def _cmd_identity(args) -> None:
-    cfg = _resolve(args, {"p": 2.0, "samples": 1000, "seed": geo.DEFAULT_SEED,
-                          "h": 1, "format": "csv", "out": None})
-    p, h = float(cfg["p"]), int(cfg["h"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    count = int(cfg["samples"])
+def _cmd_identity(args):
+    p, h = float(args.p), int(args.h)
+    rng = np.random.default_rng(int(args.seed))
+    count = int(args.samples)
     if h == 1:
         f, g = sample_complex_pairs(rng, count)
         out = scalar_identity_batch(p, f, g)
@@ -127,25 +134,18 @@ def _cmd_identity(args) -> None:
     summary = {"max_residual": float(np.max(out["residual"])),
                "max_residual_over_tolerance": worst,
                "pass": bool(worst <= 1.0)}
-    emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
-    if not summary["pass"]:
-        raise CheckFailure("scalar/vector identity residual exceeded "
-                           "1e-9 (1 + |rhs|)")
+    return rows, summary, None if summary["pass"] else (
+        "scalar/vector identity residual exceeded 1e-9 (1 + |rhs|)")
 
 
 # -------------------------------------------------------------- bessel ------
 
-def _cmd_bessel(args) -> None:
-    cfg = _resolve(args, {"r0": None, "r1": None, "format": "csv", "out": None,
-                          "seed": geo.DEFAULT_SEED,
-                          **dict.fromkeys(_SCENARIO_KEYS),
-                          "scenario": None})
-    scenario = _build_scenario(cfg)
+def _cmd_bessel(args):
+    scenario = _build_scenario(args)
     lo, hi = scenario.pair.interval
-    r0 = cfg["r0"] if cfg["r0"] is not None else (lo + 0.1 if lo > 0 else 0.1)
-    r1 = cfg["r1"] if cfg["r1"] is not None else min(10.0 * r0, 0.9 * hi
-                                                     if math.isfinite(hi) else 10.0 * r0)
-    r0, r1 = float(r0), float(r1)
+    r0 = float(_or(args.r0, lo + 0.1 if lo > 0 else 0.1))
+    r1 = float(_or(args.r1, min(10.0 * r0, 0.9 * hi if math.isfinite(hi)
+                                else 10.0 * r0)))
     cert = verify_bessel_pair(scenario, (r0, r1))
     r = np.linspace(r0, r1, 200)
     phi, momentum = cert.solution(r)
@@ -158,23 +158,18 @@ def _cmd_bessel(args) -> None:
                "pass": bool(cert.is_positive
                             and cert.max_ode_residual <= 1e-6
                             and cert.max_closed_form_error <= 1e-6)}
-    emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
-    if not summary["pass"]:
-        raise CheckFailure("Bessel-pair certificate (positivity of the ODE "
-                           "solution or closed-form residual above 1e-6)")
+    return rows, summary, None if summary["pass"] else (
+        "Bessel-pair certificate (positivity of the ODE solution or "
+        "closed-form residual above 1e-6)")
 
 
 # -------------------------------------------------------------- eig ---------
 
-def _cmd_eig(args) -> None:
-    cfg = _resolve(args, {"Q": 3.0, "p": 2.0, "theta": 1.0, "a": 1.0,
-                          "b": math.e, "tol": 1e-8, "which": 1,
-                          "format": "json", "out": None,
-                          "eigenfunction_out": None, "seed": geo.DEFAULT_SEED})
-    problem = AnnulusProblem(Q=float(cfg["Q"]), p=float(cfg["p"]),
-                             theta=float(cfg["theta"]), a=float(cfg["a"]),
-                             b=float(cfg["b"]))
-    result = eigenvalue(problem, which=int(cfg["which"]), tol=float(cfg["tol"]))
+def _cmd_eig(args):
+    problem = AnnulusProblem(Q=float(args.Q), p=float(args.p),
+                             theta=float(args.theta), a=float(args.a),
+                             b=float(args.b))
+    result = eigenvalue(problem, which=int(args.which), tol=float(args.tol))
     rows = [{"lambda": result.lam, "zero_count": result.zero_count,
              "endpoint_residual": result.endpoint_residual}]
     bound_ok = check_lambda1_lower_bound(problem, result)
@@ -182,33 +177,26 @@ def _cmd_eig(args) -> None:
                "endpoint_residual": result.endpoint_residual,
                "lemma_lower_bound": problem.lemma_lower_bound,
                "exceeds_lower_bound": bound_ok}
-    emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
-    if cfg["eigenfunction_out"]:
+    if args.eigenfunction_out:
         r = np.linspace(problem.a, problem.b, 400)
         samples = [{"r": float(x), "phi": float(result.eigenfunction.value(x))}
                    for x in r]
-        from .reports import render_csv
-        with open(cfg["eigenfunction_out"], "w", encoding="utf-8",
+        with open(args.eigenfunction_out, "w", encoding="utf-8",
                   newline="") as fh:
             fh.write(render_csv(samples))
-    if not bound_ok:
-        raise CheckFailure("first eigenvalue does not exceed the lower bound "
-                           "|(Q - p theta)/p|^p")
+    return rows, summary, None if bound_ok else (
+        "first eigenvalue does not exceed the lower bound |(Q - p theta)/p|^p")
 
 
 # -------------------------------------------------------------- sharpness ---
 
-def _cmd_sharpness(args) -> None:
-    cfg = _resolve(args, {"mode": "sweep", "eps_grid": "1e-2,1e-3,1e-4",
-                          "R_grid": "10,100,1000", "profiles": 100,
-                          "format": "csv", "out": None,
-                          "seed": geo.DEFAULT_SEED,
-                          **dict.fromkeys(_SCENARIO_KEYS),
-                          "scenario": None})
-    mode = cfg["mode"]
+def _cmd_sharpness(args):
+    mode = args.mode
+    if mode not in ("sweep", "psi", "improved"):
+        raise ParameterDomainError(f"unknown sharpness mode {mode!r}")
     if mode == "sweep":
-        scenario = _build_scenario(cfg)
-        grid = [float(t) for t in str(cfg["eps_grid"]).split(",")]
+        scenario = _build_scenario(args)
+        grid = [float(t) for t in str(args.eps_grid).split(",")]
         rows_obj = sweep_quotient(scenario, grid)
         rows = [{"epsilon": r.epsilon, "quotient": r.quotient,
                  "deficit": r.deficit, "scaled_deficit": r.scaled_deficit}
@@ -217,168 +205,127 @@ def _cmd_sharpness(args) -> None:
         stable = (max(scaled) <= 2.0 * min(scaled)
                   and all(b.deficit < a.deficit
                           for a, b in zip(rows_obj, rows_obj[1:])))
-        summary = {"scenario": scenario.name,
-                   "sharp_constant": scenario.sharp_constant,
-                   "grid": grid, "stable": bool(stable)}
-    elif mode == "psi":
-        Q = float(cfg["Q"] if cfg["Q"] is not None else 5.0)
-        p = float(cfg["p"] if cfg["p"] is not None else 2.0)
-        grid = [float(t) for t in str(cfg["R_grid"]).split(",")]
+        return rows, {"scenario": scenario.name,
+                      "sharp_constant": scenario.sharp_constant,
+                      "grid": grid, "stable": bool(stable)}, None
+    Q, p = float(_or(args.Q, 5.0)), float(_or(args.p, 2.0))
+    if mode == "psi":
+        grid = [float(t) for t in str(args.R_grid).split(",")]
         rows = psiR_deficit(Q, p, grid)
         scaled = [r["deficit_times_lnR"] for r in rows]
-        summary = {"Q": Q, "p": p, "grid": grid,
-                   "stable": bool(max(scaled) <= 2.0 * min(scaled))}
-    elif mode == "improved":
-        Q = float(cfg["Q"] if cfg["Q"] is not None else 5.0)
-        p = float(cfg["p"] if cfg["p"] is not None else 2.0)
-        res = improved_weight_check(Q, p, int(cfg["profiles"]),
-                                    int(cfg["seed"]))
-        rows = [{"index": i, "slack": s} for i, s in enumerate(res["slacks"])]
-        summary = {"Q": Q, "p": p, "min_slack": res["min_slack"]}
-    else:
-        raise ParameterDomainError(f"unknown sharpness mode {mode!r}")
-    emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
-    if mode == "improved" and summary["min_slack"] < -1e-9:
-        raise CheckFailure("improved-weight inequality violated "
-                           "(slack below -1e-9)")
+        return rows, {"Q": Q, "p": p, "grid": grid,
+                      "stable": bool(max(scaled) <= 2.0 * min(scaled))}, None
+    res = improved_weight_check(Q, p, int(args.profiles), int(args.seed))
+    rows = [{"index": i, "slack": s} for i, s in enumerate(res["slacks"])]
+    return rows, {"Q": Q, "p": p, "min_slack": res["min_slack"]}, (
+        "improved-weight inequality violated (slack below -1e-9)"
+        if res["min_slack"] < -1e-9 else None)
 
 
 # -------------------------------------------------------------- geometry ----
 
-def _geometry_model(cfg: dict):
-    kind = cfg.get("model")
-    if kind == "euclidean":
-        return geo.euclidean(int(cfg["N"] if cfg["N"] is not None else 3))
-    if kind == "grushin":
-        return geo.grushin(int(cfg["n"] if cfg["n"] is not None else 1),
-                           int(cfg["k"] if cfg["k"] is not None else 1),
-                           float(cfg["gamma"] if cfg["gamma"] is not None else 1.0))
-    if kind == "greiner":
-        return geo.greiner(int(cfg["n"] if cfg["n"] is not None else 1),
-                           float(cfg["gamma"] if cfg["gamma"] is not None else 1.0))
-    if kind == "cylindrical":
-        return geo.cylindrical_split(int(cfg["m"] if cfg["m"] is not None else 2),
-                                     int(cfg["N"] if cfg["N"] is not None else 3))
+def _geometry_model(args, N: int):
+    n, gamma = int(_or(args.n, 1)), float(_or(args.gamma, 1.0))
+    if args.model == "euclidean":
+        return geo.euclidean(N)
+    if args.model == "grushin":
+        return geo.grushin(n, int(_or(args.k, 1)), gamma)
+    if args.model == "greiner":
+        return geo.greiner(n, gamma)
+    if args.model == "cylindrical":
+        return geo.cylindrical_split(int(_or(args.m, 2)), N)
     raise ParameterDomainError(
         "model must be euclidean | grushin | greiner | cylindrical")
 
 
-def _cmd_geometry(args) -> None:
-    cfg = _resolve(args, {**dict.fromkeys(_SCENARIO_KEYS),
-                          "scenario": None,
-                          "model": None, "check": None, "n": None, "k": None,
-                          "gamma": None, "alpha": 2.0, "R1": 1.0, "R2": 2.0,
-                          "samples": 10 ** 6, "epsilon": 1e-3,
-                          "format": "json", "out": None,
-                          "seed": geo.DEFAULT_SEED})
-    check = cfg["check"]
-    seed = int(cfg["seed"])
+def _record(model: str, check: str, estimate: float, expected: float,
+            ok: bool, std_error: float = 0.0, **extra) -> dict:
+    """The one row shape every geometry check reports."""
+    return {"model": model, "check": check, "estimate": estimate,
+            "std_error": std_error, "expected": expected, "pass": bool(ok),
+            **extra}
+
+
+def _cmd_geometry(args):
+    check, seed = args.check, int(args.seed)
+    theta, N = float(_or(args.theta, 1.0)), int(_or(args.N, 3))
     if check == "strip":
-        theta = float(cfg["theta"] if cfg["theta"] is not None else 1.0)
-        q = geo.strip_quotient(theta, float(cfg["epsilon"]))
+        q = geo.strip_quotient(theta, float(args.epsilon))
         expected = ((2.0 * theta - 1.0) / 2.0) ** 2
-        record = {"model": "strip", "check": check, "estimate": q,
-                  "std_error": 0.0, "expected": expected,
-                  "pass": bool(q >= expected - 1e-9)}
+        record = _record("strip", check, q, expected, q >= expected - 1e-9)
     elif check == "vandermonde":
-        N = int(cfg["N"] if cfg["N"] is not None else 3)
-        theta = float(cfg["theta"] if cfg["theta"] is not None else 1.0)
-        res = geo.vandermonde_checks(N, theta, int(cfg["samples"]), seed)
+        res = geo.vandermonde_checks(N, theta, int(args.samples), seed)
+        expected = res["expected_constant"]
         ok = (res["harmonicity_residual"] <= 1e-6
               and res["sphere_eigvalue_residual"] <= 1e-5
-              and abs(res["rayleigh_quotient"] - res["expected_constant"])
-              <= 0.05 * res["expected_constant"])
-        record = {"model": f"vandermonde(N={N})", "check": check,
-                  "estimate": res["rayleigh_quotient"],
-                  "std_error": res["rayleigh_std_error"],
-                  "expected": res["expected_constant"], "pass": bool(ok),
-                  "harmonicity_residual": res["harmonicity_residual"],
-                  "sphere_eigvalue_residual": res["sphere_eigvalue_residual"]}
+              and abs(res["rayleigh_quotient"] - expected) <= 0.05 * expected)
+        record = _record(
+            f"vandermonde(N={N})", check, res["rayleigh_quotient"], expected,
+            ok, res["rayleigh_std_error"],
+            harmonicity_residual=res["harmonicity_residual"],
+            sphere_eigvalue_residual=res["sphere_eigvalue_residual"])
     else:
-        model = _geometry_model(cfg)
-        if check == "homogeneity":
-            err = geo.homogeneity_error(model, seed=seed)
-            record = {"model": model.kind, "check": check, "estimate": err,
-                      "std_error": 0.0, "expected": 0.0,
-                      "pass": bool(err <= 1e-12)}
+        model = _geometry_model(args, N)
+        if check in ("homogeneity", "orthogonality"):
+            error = (geo.homogeneity_error if check == "homogeneity"
+                     else geo.cylindrical_orthogonality_error)
+            err = error(model, seed=seed)
+            record = _record(model.kind, check, err, 0.0, err <= 1e-12)
         elif check == "gradient":
             rng = np.random.default_rng(seed)
             pts = rng.uniform(0.3, 1.5, size=(200, model.dims)) \
                 * rng.choice([-1.0, 1.0], size=(200, model.dims))
             err = geo.gauge_gradient_fd_error(model, pts)
-            record = {"model": model.kind, "check": check, "estimate": err,
-                      "std_error": 0.0, "expected": 0.0,
-                      "pass": bool(err <= 1e-6)}
+            record = _record(model.kind, check, err, 0.0, err <= 1e-6)
         elif check == "measure":
             res = geo.measure_homogeneity_check(
-                model, float(cfg["alpha"]), float(cfg["R1"]), float(cfg["R2"]),
-                int(cfg["samples"]), seed)
-            record = {"model": model.kind, "check": check,
-                      "estimate": res["ratio"].mean,
-                      "std_error": res["ratio"].std_error,
-                      "expected": res["expected"], "pass": bool(res["pass"]),
-                      "inconclusive": bool(res["inconclusive"])}
-        elif check == "orthogonality":
-            err = geo.cylindrical_orthogonality_error(model, seed=seed)
-            record = {"model": model.kind, "check": check, "estimate": err,
-                      "std_error": 0.0, "expected": 0.0,
-                      "pass": bool(err <= 1e-12)}
+                model, float(args.alpha), float(args.R1), float(args.R2),
+                int(args.samples), seed)
+            record = _record(model.kind, check, res["ratio"].mean,
+                             res["expected"], res["pass"],
+                             res["ratio"].std_error,
+                             inconclusive=bool(res["inconclusive"]))
         elif check == "direct":
-            scenario = _build_scenario(cfg)
-            from .profiles import random_profile
+            scenario = _build_scenario(args)
             rng = np.random.default_rng(seed)
             interval = (scenario.pair.interval[0],
                         min(scenario.pair.interval[1], 3.0))
             phi = random_profile(rng, interval)
-            from .functional import reduce_radial_functional
             red = reduce_radial_functional(scenario, phi)
             est = geo.direct_rayleigh(model, scenario, phi,
-                                      int(cfg["samples"]), seed)
-            gap = abs(est.mean - red.quotient)
-            record = {"model": model.kind, "check": check,
-                      "estimate": est.mean, "std_error": est.std_error,
-                      "expected": red.quotient,
-                      "pass": bool(gap <= 3.0 * est.std_error)}
+                                      int(args.samples), seed)
+            record = _record(model.kind, check, est.mean, red.quotient,
+                             abs(est.mean - red.quotient) <= 3.0 * est.std_error,
+                             est.std_error)
         else:
             raise ParameterDomainError(
                 "check must be homogeneity | gradient | measure | "
                 "orthogonality | direct | strip | vandermonde")
-    emit_report([record], cfg["format"], cfg["out"], _public(cfg),
-                {"pass": record["pass"]})
-    if not record["pass"]:
-        message = (f"geometry check {check} (estimate {record['estimate']} "
-                   f"vs expected {record['expected']})")
-        if not record.get("inconclusive", False):
-            raise CheckFailure(message)
-        print(f"INCONCLUSIVE: {message}", file=sys.stderr)
+    if record["pass"]:
+        return [record], {"pass": True}, None
+    message = (f"geometry check {check} (estimate {record['estimate']} "
+               f"vs expected {record['expected']})")
+    return [record], {"pass": False}, (
+        _Inconclusive(message) if record.get("inconclusive") else message)
 
 
 # -------------------------------------------------------------- rayleigh ----
 
-def _cmd_rayleigh(args) -> None:
-    cfg = _resolve(args, {"profiles": 200, "format": "csv", "out": None,
-                          "seed": geo.DEFAULT_SEED,
-                          **dict.fromkeys(_SCENARIO_KEYS),
-                          "scenario": None})
-    scenario = _build_scenario(cfg)
-    rows = random_profile_slacks(scenario, int(cfg["profiles"]),
-                                 int(cfg["seed"]))
+def _cmd_rayleigh(args):
+    scenario = _build_scenario(args)
+    rows = random_profile_slacks(scenario, int(args.profiles), int(args.seed))
     min_slack = min(r["slack"] for r in rows)
     summary = {"scenario": scenario.name,
                "sharp_constant": scenario.sharp_constant,
                "min_slack": min_slack, "pass": bool(min_slack >= -1e-8)}
-    emit_report(rows, cfg["format"], cfg["out"], _public(cfg), summary)
-    if not summary["pass"]:
-        raise CheckFailure(f"sampled quotient fell below the sharp constant "
-                           f"for {scenario.name} (min normalized slack "
-                           f"{min_slack})")
+    return rows, summary, None if summary["pass"] else (
+        f"sampled quotient fell below the sharp constant for {scenario.name} "
+        f"(min normalized slack {min_slack})")
 
 
 # -------------------------------------------------------------- catalog -----
 
-def _cmd_catalog(args) -> None:
-    cfg = _resolve(args, {"format": "json", "out": None,
-                          "seed": geo.DEFAULT_SEED})
+def _cmd_catalog(args):
     rows = []
     for sc in default_catalog():
         doc = json.loads(scenario_to_json(sc))
@@ -386,12 +333,7 @@ def _cmd_catalog(args) -> None:
                      "theta": sc.exponents.theta, "Q": sc.exponents.Q,
                      "sharp_constant": sc.sharp_constant,
                      "maximizer": doc["maximizer"]})
-    emit_report(rows, cfg["format"], cfg["out"], _public(cfg),
-                {"count": len(rows)})
-
-
-def _public(cfg: dict) -> dict:
-    return {k: v for k, v in sorted(cfg.items()) if v is not None}
+    return rows, {"count": len(rows)}, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hardylab",
         description="Numerical verification of weighted Hardy-type "
                     "inequalities, Bessel pairs, and sharp constants.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_CommandParser)
 
     sp = sub.add_parser(
         "identity",
@@ -408,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "into its two nonnegative s-integrals and reports the "
                     "reconstruction residual per sampled pair; the identity "
                     "underlies every inequality in the catalog.")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--h", type=int, help="vector length (1 = scalar identity)")
+    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--h", type=int, default=1,
+                    help="vector length (1 = scalar identity)")
     _common_flags(sp, "csv")
     sp.set_defaults(func=_cmd_identity)
 
@@ -434,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "on a < r < b with zero boundary values; for p = 2 it "
                     "matches ((Q-2 theta)/2)^2 + (pi/ln(b/a))^2 and it always "
                     "exceeds |(Q-p theta)/p|^p.")
-    sp.add_argument("--Q", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--which", type=int, choices=(1, 2))
+    sp.add_argument("--Q", type=float, default=3.0)
+    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--theta", type=float, default=1.0)
+    sp.add_argument("--a", type=float, default=1.0)
+    sp.add_argument("--b", type=float, default=math.e)
+    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--which", type=int, choices=(1, 2), default=1)
     sp.add_argument("--eigenfunction-out", dest="eigenfunction_out")
     _common_flags(sp, "json")
     sp.set_defaults(func=_cmd_eig)
@@ -454,10 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "deficit * ln R bounded. mode=improved: sampled slack of "
                     "the improved-weight inequality.")
     _add_scenario_args(sp)
-    sp.add_argument("--mode", choices=("sweep", "psi", "improved"))
-    sp.add_argument("--eps-grid", dest="eps_grid")
-    sp.add_argument("--R-grid", dest="R_grid")
-    sp.add_argument("--profiles", type=int)
+    sp.add_argument("--mode", choices=("sweep", "psi", "improved"),
+                    default="sweep")
+    sp.add_argument("--eps-grid", dest="eps_grid", default="1e-2,1e-3,1e-4")
+    sp.add_argument("--R-grid", dest="R_grid", default="10,100,1000")
+    sp.add_argument("--profiles", type=int, default=100)
     _common_flags(sp, "csv")
     sp.set_defaults(func=_cmd_sharpness)
 
@@ -479,11 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--gamma", type=float)
-    sp.add_argument("--R1", type=float)
-    sp.add_argument("--R2", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--epsilon", type=float)
-    _add_scenario_args(sp)   # adds --alpha, shared with the measure exponent
+    sp.add_argument("--R1", type=float, default=1.0)
+    sp.add_argument("--R2", type=float, default=2.0)
+    sp.add_argument("--samples", type=int, default=10 ** 6)
+    sp.add_argument("--epsilon", type=float, default=1e-3)
+    _add_scenario_args(sp)
+    sp.set_defaults(alpha=2.0)   # --alpha doubles as the measure exponent
     _common_flags(sp, "json")
     sp.set_defaults(func=_cmd_geometry)
 
@@ -494,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "quotient against the scenario's sharp constant; every "
                     "quotient must clear it (up to 1e-8 relative).")
     _add_scenario_args(sp)
-    sp.add_argument("--profiles", type=int)
+    sp.add_argument("--profiles", type=int, default=200)
     _common_flags(sp, "csv")
     sp.set_defaults(func=_cmd_rayleigh)
 
@@ -508,24 +454,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _public(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in sorted(vars(args).items())
+            if v is not None and k not in ("config", "func")}
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        rows, summary, failure = args.func(args)
+        emit_report(rows, args.format, args.out, _public(args), summary)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+        failure = exc
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    if failure is None:
+        return 0
+    if isinstance(failure, _Inconclusive):
+        print(f"INCONCLUSIVE: {failure}", file=sys.stderr)
+        return 0
+    print(f"FAIL: {failure}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

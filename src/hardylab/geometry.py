@@ -260,6 +260,9 @@ def _batched_ratio(weigh_num, weigh_den, sampler, samples: int, seed: int,
                    chunk: int = 1 << 20):
     """Ratio of two Monte-Carlo means over a common sample stream with a
     batch-means standard error."""
+    if samples < 1:
+        raise ParameterDomainError(
+            f"Monte-Carlo sample count must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     batch_num = np.zeros(_N_BATCHES)
     batch_den = np.zeros(_N_BATCHES)
@@ -364,19 +367,18 @@ def _strip_x_edges(eps: float, refine: int) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], inner, [x_in], bridge, [x_out]]))
 
 
-def strip_quotient(theta: float, epsilon: float, grid: int = 0,
-                   smoothing: str = "quintic") -> float:
+def strip_quotient(theta: float, epsilon: float) -> float:
     """Directional Rayleigh quotient on the strip (-pi/2, pi/2) x R for the
     gauge e^y cos x, evaluated on the truncated maximizer
 
         u = cos(x)^(theta-1/2) f_eps(x) e^((theta-1/2) y) eta(y)
 
     by tensor-grid quadrature. An internal two-resolution check guards
-    against an under-resolved grid; `grid` adds refinement levels.
+    against an under-resolved grid (`ResolutionError`).
     """
     if not 0.0 < epsilon < 0.25:
         raise ParameterDomainError(f"strip needs 0 < eps < 1/4, got {epsilon}")
-    f = make_cutoff(CutoffSpec("strip_f_eps", epsilon, smoothing))
+    f = make_cutoff(CutoffSpec("strip_f_eps", epsilon))
     eta = _eta_bump()
     s = theta - 0.5
 
@@ -402,11 +404,11 @@ def strip_quotient(theta: float, epsilon: float, grid: int = 0,
             wy)
         return num / den
 
-    coarse = quotient_at(grid)
-    fine = quotient_at(grid + 1)
+    coarse = quotient_at(0)
+    fine = quotient_at(1)
     if abs(fine - coarse) > 1e-6 * abs(fine):
-        raise ResolutionError(
-            f"tensor grid not converged: {coarse!r} vs {fine!r}; raise `grid`")
+        raise ResolutionError(f"tensor grid not converged at eps = {epsilon}: "
+                              f"{float(coarse)} vs {float(fine)}")
     return fine
 
 

@@ -137,15 +137,55 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    # "gamma" is a geometry key that no scenario builder takes
+    # "gamma" is a geometry key that no scenario builder takes; the last
+    # three are flags of other subcommands, which this one would ignore
     cases = [({"frequency": 3}, ["eig"]),
              ({"gamma": 1.0}, ["rayleigh", "--scenario", "power", "--Q", "5",
-                               "--p", "2", "--profiles", "2"])]
+                               "--p", "2", "--profiles", "2"]),
+             ({"beta": 3}, ["eig"]),
+             ({"R": 5}, ["identity", "--samples", "3"]),
+             ({"Q": 5}, ["catalog"])]
     for doc, argv in cases:
         cfg.write_text(json.dumps(doc))
         code, _, err = _cli([*argv, "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown config keys" in err
+
+
+# one run per subcommand as a config file, and one flag that contradicts it
+_MERGE_RUNS = [
+    ("identity", {"p": 3.0, "samples": 5, "h": 2, "seed": 4}, {"samples": 3}),
+    ("bessel", {"scenario": "power", "Q": 5.0, "p": 2.0, "theta": 1.0,
+                "r0": 1.0, "r1": 5.0}, {"r1": 4.0}),
+    ("eig", {"Q": 3.0, "p": 2.0, "theta": 1.0, "a": 1.0, "b": 2.0,
+             "format": "csv"}, {"b": 3.0}),
+    ("sharpness", {"mode": "psi", "Q": 5.0, "p": 2.0, "R_grid": "10,100"},
+     {"R_grid": "10,1000"}),
+    ("geometry", {"model": "greiner", "n": 1, "gamma": 2.0,
+                  "check": "gradient", "seed": 3}, {"gamma": 1.0}),
+    ("rayleigh", {"scenario": "power", "Q": 5.0, "p": 2.0, "theta": 1.0,
+                  "profiles": 3}, {"profiles": 2}),
+    ("catalog", {"format": "csv", "seed": 7}, {"format": "json"}),
+]
+
+
+def _flags(doc):
+    return [x for k, v in doc.items()
+            for x in (f"--{k.replace('_', '-')}", str(v))]
+
+
+@pytest.mark.parametrize("command, doc, override", _MERGE_RUNS,
+                         ids=[run[0] for run in _MERGE_RUNS])
+def test_config_file_equals_flags(tmp_path, capsys, command, doc, override):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    flagged = _cli([command, *_flags(doc)], capsys)
+    assert flagged[0] == 0, flagged
+    assert _cli([command, "--config", str(path)], capsys) == flagged
+    overridden = _cli([command, *_flags({**doc, **override})], capsys)
+    assert overridden[0] == 0 and overridden != flagged
+    assert _cli([command, "--config", str(path), *_flags(override)],
+                capsys) == overridden
 
 
 def test_scenario_flags_cover_builder_params():
@@ -299,14 +339,27 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-9"], 1),
     (["geometry", "--model", "greiner", "--check", "measure", "--samples",
       "1000", "--R1", "1e-9", "--R2", "1"], 1),
+    # a config file that is a directory, or a JSON document that is no object
+    (["catalog", "--config", "{tmp}"], 2),
+    (["catalog", "--config", "{tmp}/list.json"], 2),
+    # a Monte-Carlo check asked for no samples
+    (["geometry", "--check", "vandermonde", "--samples", "0"], 2),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
+      "0"], 2),
+    (["geometry", "--model", "grushin", "--check", "direct", "--scenario",
+      "power", "--Q", "3", "--samples", "-5"], 2),
 ])
-def test_exit_codes_without_traceback(argv, code):
+def test_exit_codes_without_traceback(argv, code, tmp_path):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    unreadable = "{tmp}" in argv
+    argv = [x.replace("{tmp}", str(tmp_path)) for x in argv]
     proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     if code == 2:
-        assert lines[0].startswith("parameter error: ")
+        assert lines[0].startswith("config error: " if unreadable
+                                   else "parameter error: ")
     else:
         assert [x for x in lines if x.startswith("FAIL: ")] == lines[-1:]
