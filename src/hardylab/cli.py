@@ -80,6 +80,11 @@ def _read_config(path: str, parsed: argparse.Namespace) -> dict:
     if unknown:
         raise ParameterDomainError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ParameterDomainError(
+                f"config key {key!r} must be a number or a string, "
+                f"got {json.dumps(value)}")
     return doc
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profiles import Profile
+from .profiles import Profile, smooth_bump
 from .scenarios import CheckFailure, ParameterDomainError, Scenario
-from .sharpness import CutoffSpec, make_cutoff
+from .sharpness import plateau_cutoff, strip_cutoff
 
 __all__ = [
     "GaugeModel",
@@ -256,10 +256,11 @@ def cylindrical_orthogonality_error(model: GaugeModel, samples: int = 200,
     return float(np.max(np.abs(dots)))
 
 
-def _batched_ratio(weigh_num, weigh_den, sampler, samples: int, seed: int,
+def _batched_ratio(weigh, sampler, samples: int, seed: int,
                    chunk: int = 1 << 20):
     """Ratio of two Monte-Carlo means over a common sample stream with a
-    batch-means standard error."""
+    batch-means standard error; `weigh(pts)` returns the (numerator,
+    denominator) weights of one batch."""
     if samples < 1:
         raise ParameterDomainError(
             f"Monte-Carlo sample count must be >= 1, got {samples}")
@@ -272,9 +273,9 @@ def _batched_ratio(weigh_num, weigh_den, sampler, samples: int, seed: int,
     b = 0
     while done < samples:
         take = min(chunk, samples - done)
-        pts = sampler(rng, take)
-        batch_num[b % _N_BATCHES] += float(np.sum(weigh_num(pts)))
-        batch_den[b % _N_BATCHES] += float(np.sum(weigh_den(pts)))
+        num, den = weigh(sampler(rng, take))
+        batch_num[b % _N_BATCHES] += float(np.sum(num))
+        batch_den[b % _N_BATCHES] += float(np.sum(den))
         batch_cnt[b % _N_BATCHES] += take
         done += take
         b += 1
@@ -309,27 +310,33 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
     def sampler(rng, n):
         return rng.uniform(-1.0, 1.0, size=(n, model.dims)) * half[None, :]
 
-    def weigh(R):
-        def inner(pts):
-            d = model.gauge(pts)
-            inside = d < R
-            if alpha == 0.0:
-                return inside.astype(float)
-            w = np.zeros(pts.shape[0])
-            w[inside] = model.grad_gauge_mag(pts[inside]) ** alpha
-            return w
-        return inner
+    def ball_weight(pts, d, R):
+        """|grad_L d|^alpha on the gauge ball of radius R, 0 outside."""
+        inside = d < R
+        if alpha == 0.0:
+            return inside.astype(float)
+        w = np.zeros(pts.shape[0])
+        w[inside] = model.grad_gauge_mag(pts[inside]) ** alpha
+        return w
 
-    ratio, std_error = _batched_ratio(weigh(R2), weigh(R1), sampler, samples, seed)
+    def weigh(pts):
+        d = model.gauge(pts)
+        w = ball_weight(pts, d, R2)
+        return w, np.where(d < R1, w, 0.0)
+
+    ratio, std_error = _batched_ratio(weigh, sampler, samples, seed)
     expected = (R2 / R1) ** model.Q
     gap = abs(ratio - expected)
     estimate = MonteCarloEstimate(ratio, std_error, samples, seed)
-    # one extra pass gives the gauge-ball constant itself (no closed form)
+    # one extra pass gives the gauge-ball constant itself (no closed form);
+    # it weighs only the R1 ball, since this pass holds up to 2^20 points at
+    # once and also weighing the larger R2 ball raises peak memory by a quarter
     rng = np.random.default_rng(seed + 1)
     pts = rng.uniform(-1.0, 1.0, size=(min(samples, 1 << 20), model.dims)) \
         * half[None, :]
     vol = float(np.prod(2.0 * half))
-    lam_alpha = vol * float(np.mean(weigh(R1)(pts))) / R1 ** model.Q
+    lam_alpha = vol * float(np.mean(ball_weight(pts, model.gauge(pts), R1))) \
+        / R1 ** model.Q
     return {
         "ratio": estimate,
         "expected": expected,
@@ -342,13 +349,6 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
 
 # -- strip ------------------------------------------------------------------
 
-def _eta_bump() -> Profile:
-    """Fixed smooth bump on [-1, 1] for the strip's vertical truncation."""
-    from .profiles import smooth_bump
-
-    return smooth_bump(0.0, 1.0, 1.0)
-
-
 def _panel_nodes_1d(edges: np.ndarray, n_nodes: int):
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     half = 0.5 * np.diff(edges)
@@ -356,15 +356,6 @@ def _panel_nodes_1d(edges: np.ndarray, n_nodes: int):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def _strip_x_edges(eps: float, refine: int) -> np.ndarray:
-    x_in = 0.5 * math.pi / (1.0 + 2.0 * eps)
-    x_out = 0.5 * math.pi / (1.0 + eps)
-    levels = 10 + refine
-    inner = x_in * (1.0 - 0.5 ** np.arange(1, levels))
-    bridge = np.linspace(x_in, x_out, 8 * (1 + refine))
-    return np.unique(np.concatenate([[0.0], inner, [x_in], bridge, [x_out]]))
 
 
 def strip_quotient(theta: float, epsilon: float) -> float:
@@ -376,14 +367,18 @@ def strip_quotient(theta: float, epsilon: float) -> float:
     by tensor-grid quadrature. An internal two-resolution check guards
     against an under-resolved grid (`ResolutionError`).
     """
-    if not 0.0 < epsilon < 0.25:
-        raise ParameterDomainError(f"strip needs 0 < eps < 1/4, got {epsilon}")
-    f = make_cutoff(CutoffSpec("strip_f_eps", epsilon))
-    eta = _eta_bump()
+    f = strip_cutoff(epsilon)
+    x_in, x_out = f.knots[2:]
+    eta = smooth_bump(0.0, 1.0)     # vertical truncation on [-1, 1]
     s = theta - 0.5
 
     def quotient_at(refine: int) -> float:
-        xs, wx = _panel_nodes_1d(_strip_x_edges(epsilon, refine), 16)
+        # x-panels graded geometrically toward x_in, down to the bridge width
+        levels = max(10, math.ceil(math.log2(1.0 / epsilon))) + refine
+        inner = x_in * (1.0 - 0.5 ** np.arange(1, levels))
+        bridge = np.linspace(x_in, x_out, 8 * (1 + refine))
+        edges = np.unique(np.concatenate([[0.0], inner, [x_in], bridge, [x_out]]))
+        xs, wx = _panel_nodes_1d(edges, 16)
         ys, wy = _panel_nodes_1d(np.linspace(-1.0, 1.0, 12 * (1 + refine)), 16)
         X = xs[:, None]
         Y = ys[None, :]
@@ -516,7 +511,7 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
 
     # (iii) Rayleigh quotient of u = r^-(N^2-2 theta)/2 nu g_eps(r) by
     # log-radial importance sampling over the cutoff support
-    g = make_cutoff(CutoffSpec("plain_g_eps", epsilon))
+    g = plateau_cutoff(epsilon)
     a_exp = (N * N - 2.0 * theta) / 2.0
     lo, hi = g.support
 
@@ -526,7 +521,7 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
         direc /= np.linalg.norm(direc, axis=1, keepdims=True)
         return r[:, None] * direc
 
-    def split(ptsx):
+    def weigh(ptsx):
         r = np.linalg.norm(ptsx, axis=1)
         nu = vandermonde(ptsx)
         F = r ** (-a_exp) * g.value(r)
@@ -534,18 +529,11 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
             + r ** (-a_exp) * g.derivative(r)
         gradnu = vandermonde_gradient(ptsx)
         gradu = Fp[:, None] * ptsx / r[:, None] * nu[:, None] + F[:, None] * gradnu
-        return r, np.sum(gradu ** 2, axis=1), (F * nu) ** 2
+        # r^N: the log-radial importance-sampling weight
+        return (np.sum(gradu ** 2, axis=1) * r ** (-2.0 * (theta - 1.0)) * r ** N,
+                (F * nu) ** 2 * r ** (-2.0 * theta) * r ** N)
 
-    def weigh_num(ptsx):
-        r, grad2, _ = split(ptsx)
-        return grad2 * r ** (-2.0 * (theta - 1.0)) * r ** N   # r^N: IS weight
-
-    def weigh_den(ptsx):
-        r, _, u2 = split(ptsx)
-        return u2 * r ** (-2.0 * theta) * r ** N
-
-    quotient, std_error = _batched_ratio(weigh_num, weigh_den, sampler,
-                                         mc_samples, seed)
+    quotient, std_error = _batched_ratio(weigh, sampler, mc_samples, seed)
     return {
         "harmonicity_residual": harmonicity_residual,
         "sphere_eigvalue_residual": sphere_eigvalue_residual,
@@ -586,28 +574,16 @@ def direct_rayleigh(model: GaugeModel, scenario: Scenario, profile: Profile,
     def sampler(rng, n):
         return rng.uniform(-1.0, 1.0, size=(n, model.dims)) * half[None, :]
 
-    def masked(pts):
+    def weigh(pts):
         d = model.gauge(pts)
         mask = (d > lo) & (d < hi)
-        return d, mask
-
-    def weigh_num(pts):
-        d, mask = masked(pts)
-        out = np.zeros(pts.shape[0])
         dm = d[mask]
-        gm = model.grad_gauge_mag(pts[mask])
-        out[mask] = scenario.pair.V(dm) * np.abs(profile.derivative(dm)) ** p \
-            * gm ** p
-        return out
+        gm = model.grad_gauge_mag(pts[mask]) ** p
+        num = np.zeros(pts.shape[0])
+        den = np.zeros(pts.shape[0])
+        num[mask] = scenario.pair.V(dm) * np.abs(profile.derivative(dm)) ** p * gm
+        den[mask] = scenario.pair.W(dm) * np.abs(profile.value(dm)) ** p * gm
+        return num, den
 
-    def weigh_den(pts):
-        d, mask = masked(pts)
-        out = np.zeros(pts.shape[0])
-        dm = d[mask]
-        gm = model.grad_gauge_mag(pts[mask])
-        out[mask] = scenario.pair.W(dm) * np.abs(profile.value(dm)) ** p * gm ** p
-        return out
-
-    ratio, std_error = _batched_ratio(weigh_num, weigh_den, sampler,
-                                      mc_samples, seed)
+    ratio, std_error = _batched_ratio(weigh, sampler, mc_samples, seed)
     return MonteCarloEstimate(ratio, std_error, mc_samples, seed)

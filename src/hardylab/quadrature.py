@@ -76,7 +76,7 @@ def _gk15_batch(f: Callable, lefts: np.ndarray, rights: np.ndarray):
     vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         bad = pts.ravel()[~np.isfinite(vals.ravel())]
-        raise QuadratureError(f"non-finite integrand value near r={bad[0]!r}")
+        raise QuadratureError(f"non-finite integrand value near r={float(bad[0])!r}")
     kron = half * (vals @ _W_KRON)
     gauss = half * (vals @ _W_GAUSS)
     # QUADPACK-style sharpened error estimate

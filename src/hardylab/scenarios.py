@@ -70,8 +70,11 @@ class Exponents:
 
     def __post_init__(self) -> None:
         require_p(self.p)
-        if self.Q < 1:
-            raise ParameterDomainError(f"Q must be >= 1, got {self.Q}")
+        if not (self.Q >= 1 and math.isfinite(self.Q)):
+            raise ParameterDomainError(f"Q must be >= 1 and finite, got {self.Q}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.beta)):
+            raise ParameterDomainError(
+                f"theta and beta must be finite, got {self.theta}, {self.beta}")
         # measure exponent consistency: Q - 1 == -(beta-1)(p-1)
         lhs = self.Q - 1.0
         rhs = -(self.beta - 1.0) * (self.p - 1.0)
@@ -87,6 +90,7 @@ class Exponents:
 
 def beta_fundamental(p: float, Q: float) -> float:
     """Homogeneity exponent of the fundamental-solution power d^((p-Q)/(p-1))."""
+    require_p(p)
     return (p - Q) / (p - 1.0)
 
 
@@ -427,9 +431,6 @@ def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
 def _improved_weight(Q: float = 5.0, p: float = 2.0) -> Scenario:
     """Hardy weight improved by c_p (p-1) (1-d)/d with c_p = 2^-p; holds with
     constant 1 although it exceeds the critical weight on d < 1."""
-    if Q < 1:
-        raise ParameterDomainError(f"improved_weight needs Q >= 1, got {Q}")
-    require_p(p)
     exps = Exponents(p=p, theta=1.0, beta=beta_fundamental(p, Q), Q=Q)
     cp = 2.0 ** (-p)
     hardy = abs((Q - p) / p) ** p

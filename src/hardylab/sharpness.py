@@ -1,11 +1,14 @@
-"""Cut-off families and sharpness sweeps.
+"""Cut-off profiles and sharpness sweeps.
 
-The plateau cut-off g_eps is 0 on [0, eps] and beyond 1/eps, 1 on
-[2 eps, 1/(2 eps)], with monotone polynomial bridges; its reduced integrals
-grow like -ln(4 eps^2), which drives maximizer-times-cut-off quotients down
-to the sharp constants. psi_R is the piecewise-logarithmic Lipschitz profile
-whose energy int r psi'^2 dr equals 2/ln R exactly and whose cross term
-int psi psi' dr vanishes, the engine of the criticality argument.
+Three builders, each validating its own argument. `plateau_cutoff(eps)` is
+g_eps: 0 on [0, eps] and beyond 1/eps, 1 on [2 eps, 1/(2 eps)], with quintic
+bridges; its reduced integrals grow like -ln(4 eps^2), which drives
+maximizer-times-cut-off quotients down to the sharp constants (log quotients
+are swept in L = ln(R/r), where g_eps applies unchanged). `psi_cutoff(R)` is
+psi_R, the piecewise-logarithmic Lipschitz profile whose energy
+int r psi'^2 dr equals 2/ln R exactly and whose cross term int psi psi' dr
+vanishes, the engine of the criticality argument. `strip_cutoff(eps)` is the
+strip's f_eps in x; its knots are the breakpoints of the strip grid.
 """
 
 from __future__ import annotations
@@ -18,102 +21,64 @@ import numpy as np
 from .functional import random_profile_slacks, reduce_radial_functional
 from .profiles import Profile
 from .quadrature import integrate_adaptive
-from .scenarios import (CheckFailure, ParameterDomainError, Scenario,
-                        closed_form_maximizer, scenario_catalog)
+from .scenarios import (CheckFailure, Exponents, ParameterDomainError,
+                        Scenario, beta_fundamental, closed_form_maximizer,
+                        scenario_catalog)
 
 __all__ = [
-    "CutoffSpec",
     "SweepRow",
-    "BRIDGE_CONSTANTS",
-    "make_cutoff",
+    "BRIDGE_MAX_SLOPE",
+    "plateau_cutoff",
+    "psi_cutoff",
+    "strip_cutoff",
     "sweep_quotient",
     "psi_energy",
     "psiR_deficit",
     "improved_weight_check",
 ]
 
-# |g'| <= c/eps on the rising bridge and c*eps on the falling one; the bridge
-# polynomial fixes c (the slope bound left free by the construction)
-BRIDGE_CONSTANTS = {
-    "quintic": {"max_slope": 15.0 / 8.0, "c_lower": 15.0 / 8.0, "c_upper": 15.0 / 4.0},
-    "cubic": {"max_slope": 1.5, "c_lower": 1.5, "c_upper": 3.0},
-}
+# max |s'| of the quintic bridge s: |g_eps'| <= c/eps on the rising bridge
+# (width eps) and 2c eps on the falling one (width 1/(2 eps)), c = 15/8
+BRIDGE_MAX_SLOPE = 15.0 / 8.0
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    kind: str                      # plain_g_eps | log_g_eps | psi_R | strip_f_eps
-    epsilon_or_R: float
-    smoothing: str = "quintic"
-
-    def __post_init__(self) -> None:
-        kinds = ("plain_g_eps", "log_g_eps", "psi_R", "strip_f_eps")
-        if self.kind not in kinds:
-            raise ParameterDomainError(f"unknown cutoff kind {self.kind!r}")
-        if self.kind == "psi_R":
-            if not self.epsilon_or_R > 1.0:
-                raise ParameterDomainError(
-                    f"psi_R needs R > 1, got {self.epsilon_or_R}")
-        elif self.kind == "strip_f_eps":
-            if not 0.0 < self.epsilon_or_R < 0.25:
-                raise ParameterDomainError(
-                    f"strip cutoff needs 0 < eps < 1/4, got {self.epsilon_or_R}")
-        else:
-            if not 0.0 < self.epsilon_or_R < 0.5:
-                raise ParameterDomainError(
-                    f"plateau cutoff needs 0 < eps < 1/2, got {self.epsilon_or_R}")
-        if self.smoothing not in BRIDGE_CONSTANTS:
-            raise ParameterDomainError(f"unknown smoothing {self.smoothing!r}")
+def _step(t):
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _step(smoothing: str):
-    if smoothing == "quintic":
-        return (lambda t: t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
-                lambda t: 30.0 * t * t * (1.0 - t) ** 2)
-    return (lambda t: t * t * (3.0 - 2.0 * t),
-            lambda t: 6.0 * t * (1.0 - t))
+def _step_slope(t):
+    return 30.0 * t * t * (1.0 - t) ** 2
 
 
-def _plateau_profile(eps: float, smoothing: str) -> Profile:
-    s, sp = _step(smoothing)
+def plateau_cutoff(eps: float) -> Profile:
+    """g_eps: 0 on [0, eps] and beyond 1/eps, 1 on [2 eps, 1/(2 eps)]."""
+    if not 0.0 < eps < 0.5:
+        raise ParameterDomainError(
+            f"plateau cutoff needs 0 < eps < 1/2, got {eps}")
     lo, rise, fall, hi = eps, 2.0 * eps, 0.5 / eps, 1.0 / eps
 
     def value(r):
         r = np.asarray(r, dtype=float)
         t_up = np.clip((r - lo) / (rise - lo), 0.0, 1.0)
         t_dn = np.clip((hi - r) / (hi - fall), 0.0, 1.0)
-        return s(t_up) * s(t_dn)
+        return _step(t_up) * _step(t_dn)
 
     def derivative(r):
         r = np.asarray(r, dtype=float)
         up = (r > lo) & (r < rise)
         dn = (r > fall) & (r < hi)
         out = np.zeros_like(r)
-        out[up] = sp((r[up] - lo) / (rise - lo)) / (rise - lo)
-        out[dn] = -sp((hi - r[dn]) / (hi - fall)) / (hi - fall)
+        out[up] = _step_slope((r[up] - lo) / (rise - lo)) / (rise - lo)
+        out[dn] = -_step_slope((hi - r[dn]) / (hi - fall)) / (hi - fall)
         return out
 
     return Profile(value, derivative, (lo, hi), knots=(lo, rise, fall, hi))
 
 
-def _log_composed_profile(eps: float, R: float, smoothing: str) -> Profile:
-    base = _plateau_profile(eps, smoothing)
-    # support in r: ln(R/r) in (eps, 1/eps)
-    lo, hi = R * math.exp(-1.0 / eps), R * math.exp(-eps)
-
-    def value(r):
-        r = np.asarray(r, dtype=float)
-        return base.value(np.log(R / r))
-
-    def derivative(r):
-        r = np.asarray(r, dtype=float)
-        return -base.derivative(np.log(R / r)) / r
-
-    knots = tuple(sorted(R * math.exp(-k) for k in base.knots))
-    return Profile(value, derivative, (lo, hi), knots=knots)
-
-
-def _psi_profile(R: float) -> Profile:
+def psi_cutoff(R: float) -> Profile:
+    """psi_R: 1 on [1/R, R], logarithmic down to 0 at R^-2 and R^2."""
+    if not R > 1.0:
+        raise ParameterDomainError(f"psi_R needs R > 1, got {R}")
     lnR = math.log(R)
     k1, k2, k3, k4 = R ** -2, 1.0 / R, R, R ** 2
 
@@ -138,9 +103,10 @@ def _psi_profile(R: float) -> Profile:
     return Profile(value, derivative, (k1, k4), knots=(k1, k2, k3, k4))
 
 
-def _strip_profile(eps: float, smoothing: str) -> Profile:
-    """Even cut-off in x: 1 for |x| <= (pi/2)/(1+2 eps), 0 beyond (pi/2)/(1+eps)."""
-    s, sp = _step(smoothing)
+def strip_cutoff(eps: float) -> Profile:
+    """f_eps, even in x: 1 for |x| <= (pi/2)/(1+2 eps), 0 beyond (pi/2)/(1+eps)."""
+    if not 0.0 < eps < 0.25:
+        raise ParameterDomainError(f"strip needs 0 < eps < 1/4, got {eps}")
     x_in = 0.5 * math.pi / (1.0 + 2.0 * eps)
     x_out = 0.5 * math.pi / (1.0 + eps)
     w = x_out - x_in
@@ -148,29 +114,18 @@ def _strip_profile(eps: float, smoothing: str) -> Profile:
     def value(x):
         x = np.abs(np.asarray(x, dtype=float))
         t = np.clip((x_out - x) / w, 0.0, 1.0)
-        return s(t)
+        return _step(t)
 
     def derivative(x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         mid = (ax > x_in) & (ax < x_out)
         out = np.zeros_like(x)
-        out[mid] = -np.sign(x[mid]) * sp((x_out - ax[mid]) / w) / w
+        out[mid] = -np.sign(x[mid]) * _step_slope((x_out - ax[mid]) / w) / w
         return out
 
     return Profile(value, derivative, (-x_out, x_out),
                    knots=(-x_out, -x_in, x_in, x_out))
-
-
-def make_cutoff(spec: CutoffSpec, R: float = 1.0) -> Profile:
-    """Build the cut-off profile; R is the log-weight scale for log_g_eps."""
-    if spec.kind == "plain_g_eps":
-        return _plateau_profile(spec.epsilon_or_R, spec.smoothing)
-    if spec.kind == "log_g_eps":
-        return _log_composed_profile(spec.epsilon_or_R, R, spec.smoothing)
-    if spec.kind == "psi_R":
-        return _psi_profile(spec.epsilon_or_R)
-    return _strip_profile(spec.epsilon_or_R, spec.smoothing)
 
 
 @dataclass(frozen=True)
@@ -187,7 +142,7 @@ class SweepRow:
                 f"eps={self.epsilon}")
 
 
-def _gaussian_a_reduced(scenario: Scenario, eps: float, smoothing: str,
+def _gaussian_a_reduced(scenario: Scenario, eps: float,
                         tol: float) -> tuple[float, float, float]:
     """Fused numerator/denominator for the exponential-maximizer sweep.
 
@@ -201,7 +156,7 @@ def _gaussian_a_reduced(scenario: Scenario, eps: float, smoothing: str,
     alpha = scenario.extra["alpha"]
     beta = scenario.extra["beta"]
     corr = (p * beta / alpha) * (alpha * (p - 1.0) + Q - p)
-    g = _plateau_profile(eps, smoothing)
+    g = plateau_cutoff(eps)
     rate = alpha / (p * beta)
 
     def num_integrand(r):
@@ -240,7 +195,7 @@ def _log_equivalent_scenario(scenario: Scenario) -> Scenario:
     return scenario_catalog("power", Q=1.0, p=p, theta=-theta / p)
 
 
-def sweep_quotient(scenario: Scenario, eps_grid, smoothing: str = "quintic",
+def sweep_quotient(scenario: Scenario, eps_grid,
                    tol: float = 1e-10) -> list[SweepRow]:
     """Rayleigh quotients of the truncated maximizer along a decreasing
     eps-grid, with the log-rate-scaled deficit for stability checks."""
@@ -259,15 +214,14 @@ def sweep_quotient(scenario: Scenario, eps_grid, smoothing: str = "quintic",
     h_prev = None
     for eps in eps_grid:
         if work.name == "gaussian_a":
-            num, den, h_eps = _gaussian_a_reduced(work, eps, smoothing, tol)
+            num, den, h_eps = _gaussian_a_reduced(work, eps, tol)
             if h_prev is not None and not h_eps > h_prev:
                 raise CheckFailure(
                     "two-term normalizer h(eps) failed to diverge along the grid")
             h_prev = h_eps
             quotient = num / den
         else:
-            cutoff = make_cutoff(CutoffSpec("plain_g_eps", eps, smoothing))
-            u = closed_form_maximizer(work) * cutoff
+            u = closed_form_maximizer(work) * plateau_cutoff(eps)
             quotient = reduce_radial_functional(work, u, tol=tol).quotient
         deficit = quotient - scenario.sharp_constant
         rows.append(SweepRow(eps, quotient, deficit,
@@ -277,7 +231,7 @@ def sweep_quotient(scenario: Scenario, eps_grid, smoothing: str = "quintic",
 
 def psi_energy(R: float, tol: float = 1e-14) -> float:
     """int_0^inf r psi_R'(r)^2 dr; equals 2/ln R exactly."""
-    psi = make_cutoff(CutoffSpec("psi_R", R))
+    psi = psi_cutoff(R)
 
     def integrand(r):
         r = np.asarray(r, dtype=float)
@@ -294,10 +248,11 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
     Rows carry the deficit and deficit * ln R; for p = 2 the cross term
     integrates to zero exactly and the deficit equals the psi-energy 2/ln R.
     """
+    Exponents(p, 1.0, beta_fundamental(p, Q), Q)   # validates p and Q
     hardy = abs((Q - p) / p) ** p
     rows = []
     for R in R_grid:
-        psi = make_cutoff(CutoffSpec("psi_R", float(R)))
+        psi = psi_cutoff(float(R))
         ex = -(Q - p) / p
 
         def num_integrand(r, _psi=psi, _ex=ex):

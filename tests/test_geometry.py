@@ -119,12 +119,12 @@ def test_strip_quotient_matches_separable_oracle():
     # the 2-D integrand splits exactly into three separable terms; evaluating
     # them with 1-D adaptive quadrature is an independent route
     from hardylab.quadrature import integrate_adaptive
-    from hardylab.sharpness import CutoffSpec, make_cutoff
+    from hardylab.sharpness import strip_cutoff
     from hardylab.profiles import smooth_bump
 
     theta, eps = 1.25, 5e-3
     s = theta - 0.5
-    f = make_cutoff(CutoffSpec("strip_f_eps", eps))
+    f = strip_cutoff(eps)
     eta = smooth_bump(0.0, 1.0)
 
     def P(x):
@@ -167,6 +167,13 @@ def test_strip_quotient_theta_three_halves():
     q = strip_quotient(1.5, 1e-2)
     assert q > 1.0
     assert q - 1.0 < strip_quotient(1.5, 3e-2) - 1.0
+
+
+def test_strip_quotient_resolves_small_eps():
+    # the x-panels grade down to the bridge width ~eps, so the two-resolution
+    # check passes far below eps = 2^-10 and the quotient keeps falling
+    qs = [strip_quotient(1.0, eps) for eps in (3e-5, 1e-6, 1e-9)]
+    assert qs[0] > qs[1] > qs[2] > 0.25
 
 
 def test_strip_parameter_validation():
@@ -217,9 +224,9 @@ def _separated_quotient(N: int, theta: float, eps: float) -> float:
     """1-D reduction of the sector quotient for u = phi(r) nu_S: the
     numerator carries the sphere-eigenvalue term (oracle for the MC path)."""
     from hardylab.quadrature import integrate_adaptive
-    from hardylab.sharpness import CutoffSpec, make_cutoff
+    from hardylab.sharpness import plateau_cutoff
 
-    g = make_cutoff(CutoffSpec("plain_g_eps", eps))
+    g = plateau_cutoff(eps)
     kappa = N * (N - 1) / 2.0
     E = kappa * (kappa + N - 2.0)
     s = (N - 2.0 * theta) / 2.0

@@ -82,7 +82,7 @@ def test_nonfinite_integrand_reported():
         return np.where(shifted == 0.0, np.nan, 1.0) / np.where(
             shifted == 0.0, 1.0, shifted)
 
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"near r=0\.5$"):
         integrate_adaptive(f, 0.0, 1.0)
 
 

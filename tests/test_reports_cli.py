@@ -335,8 +335,9 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     ([*_SWEEP, "--eps-grid", "nan"], 2),
     (["sharpness", "--scenario", "improved_weight"], 2),
     # a check that could not be carried out: the strip tensor grid does not
-    # resolve eps = 1e-9, and no sample lands in a gauge ball of radius 1e-9
-    (["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-9"], 1),
+    # resolve eps = 1e-12 (cos cancels near pi/2), and no sample lands in a
+    # gauge ball of radius 1e-9
+    (["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-12"], 1),
     (["geometry", "--model", "greiner", "--check", "measure", "--samples",
       "1000", "--R1", "1e-9", "--R2", "1"], 1),
     # a config file that is a directory, or a JSON document that is no object
@@ -348,9 +349,24 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
       "0"], 2),
     (["geometry", "--model", "grushin", "--check", "direct", "--scenario",
       "power", "--Q", "3", "--samples", "-5"], 2),
+    # non-finite or out-of-domain exponents
+    (["sharpness", "--mode", "psi", "--p", "nan"], 2),
+    (["sharpness", "--mode", "psi", "--p", "inf"], 2),
+    (["sharpness", "--mode", "psi", "--Q", "nan"], 2),
+    (["sharpness", "--mode", "improved", "--Q", "nan"], 2),
+    (["rayleigh", "--scenario", "gaussian_a", "--Q", "nan"], 2),
+    (["sharpness", "--mode", "psi", "--p", "1.5"], 2),
+    (["sharpness", "--mode", "psi", "--Q", "0.5"], 2),
+    (["rayleigh", "--scenario", "gaussian_a", "--p", "1"], 2),
+    # config values that are neither numbers nor strings
+    (["eig", "--config", "{tmp}/null.json"], 2),
+    (["eig", "--config", "{tmp}/array.json"], 2),
+    (["eig", "--config", "{tmp}/bool.json"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
+    for name, value in (("null", "null"), ("array", "[1]"), ("bool", "true")):
+        (tmp_path / f"{name}.json").write_text(f'{{"Q": {value}}}')
     unreadable = "{tmp}" in argv
     argv = [x.replace("{tmp}", str(tmp_path)) for x in argv]
     proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],

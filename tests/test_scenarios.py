@@ -110,7 +110,12 @@ def test_exponents_invariants():
         Exponents(p=2.0, theta=0.0, beta=0.0, Q=0.5)
     with pytest.raises(ParameterDomainError, match="inconsistent"):
         Exponents(p=2.0, theta=0.0, beta=0.0, Q=3.0)
-    e = Exponents(p=2.0, theta=1.0, beta=-3.0, Q=5.0)
+    good = dict(p=2.0, theta=1.0, beta=-3.0, Q=5.0)
+    for bad in (dict(Q=math.nan), dict(Q=math.inf), dict(theta=math.nan),
+                dict(theta=-math.inf), dict(beta=math.nan)):
+        with pytest.raises(ParameterDomainError):
+            Exponents(**{**good, **bad})
+    e = Exponents(**good)
     assert e.measure_exponent == pytest.approx(4.0)
 
 

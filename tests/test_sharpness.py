@@ -5,44 +5,45 @@ import sys
 import numpy as np
 import pytest
 
+from hardylab.functional import reduce_radial_functional
+from hardylab.profiles import Profile
 from hardylab.scenarios import (CheckFailure, ParameterDomainError,
-                                scenario_catalog)
-from hardylab.sharpness import (BRIDGE_CONSTANTS, CutoffSpec, SweepRow,
-                                improved_weight_check, make_cutoff, psi_energy,
-                                psiR_deficit, sweep_quotient)
+                                closed_form_maximizer, scenario_catalog)
+from hardylab.sharpness import (BRIDGE_MAX_SLOPE, SweepRow,
+                                improved_weight_check, plateau_cutoff,
+                                psi_cutoff, psi_energy, psiR_deficit,
+                                strip_cutoff, sweep_quotient)
 
 from oracles import decades_gauss
 
 
 def test_cutoff_spec_validation():
-    with pytest.raises(ParameterDomainError):
-        CutoffSpec("plain_g_eps", 0.6)
-    with pytest.raises(ParameterDomainError):
-        CutoffSpec("psi_R", 0.9)
-    with pytest.raises(ParameterDomainError):
-        CutoffSpec("plain_g_eps", 0.1, smoothing="septic")
-    with pytest.raises(ParameterDomainError):
-        CutoffSpec("plateau", 0.1)
+    # each builder rejects an argument outside its own range, NaN included
+    for build, bad in ((plateau_cutoff, 0.6), (plateau_cutoff, math.nan),
+                       (psi_cutoff, 0.9), (psi_cutoff, math.nan),
+                       (strip_cutoff, 0.25), (strip_cutoff, 0.0)):
+        with pytest.raises(ParameterDomainError):
+            build(bad)
 
 
 def test_plateau_cutoff_values():
-    g = make_cutoff(CutoffSpec("plain_g_eps", 0.1))
+    g = plateau_cutoff(0.1)
     vals = g.value(np.array([0.05, 0.3, 20.0]))
     assert vals.tolist() == [0.0, 1.0, 0.0]
     assert g.support == (0.1, 10.0)
-    # derivative bounds |g'| <= c/eps and c*eps with the quintic constant
+    # derivative bounds |g'| <= c/eps on the rising bridge (width eps) and
+    # 2 c eps on the falling one (width 1/(2 eps)), c the quintic slope bound
     r = np.linspace(0.1, 0.2, 2000)
-    cmax = BRIDGE_CONSTANTS["quintic"]["c_lower"]
-    assert np.max(np.abs(g.derivative(r))) <= cmax / 0.1 + 1e-9
+    assert np.max(np.abs(g.derivative(r))) <= BRIDGE_MAX_SLOPE / 0.1 + 1e-9
     r2 = np.linspace(5.0, 10.0, 2000)
     assert np.max(np.abs(g.derivative(r2))) <= \
-        BRIDGE_CONSTANTS["quintic"]["c_upper"] * 0.1 + 1e-9
+        2.0 * BRIDGE_MAX_SLOPE * 0.1 + 1e-9
 
 
 def test_plateau_identity():
     # int over the plateau of r^-1 equals -ln(4 eps^2) exactly
     eps = 0.05
-    g = make_cutoff(CutoffSpec("plain_g_eps", eps))
+    g = plateau_cutoff(eps)
     val = decades_gauss(lambda r: g.value(r) ** 2 / r, 2 * eps, 0.5 / eps)
     assert val == pytest.approx(-math.log(4 * eps ** 2), rel=1e-12)
     assert -math.log(4 * eps ** 2) == pytest.approx(math.log(100.0), rel=1e-15)
@@ -51,7 +52,7 @@ def test_plateau_identity():
 def test_bridge_integrals_bounded_in_eps():
     # the three reduced integrals stay within O(1) of the plateau law
     for eps in (1e-2, 1e-3, 1e-4):
-        g = make_cutoff(CutoffSpec("plain_g_eps", eps))
+        g = plateau_cutoff(eps)
         lead = decades_gauss(lambda r: g.value(r) ** 2 / r, eps, 1.0 / eps,
                              per_decade=16)
         assert abs(lead - (-math.log(4 * eps ** 2))) < 1.0
@@ -63,49 +64,32 @@ def test_bridge_integrals_bounded_in_eps():
         assert abs(energy - 30.0 / 7.0) < 1e-6   # both bridges give 15/7
 
 
-def test_log_cutoff_reduced_integrals_follow_plateau_law():
-    # the three log-composed integrals (in r, against 1/r measure) match the
-    # plateau law -ln(4 eps^2) + O(1) and the two bridge integrals stay O(1)
-    R = 2.0
-    for p in (2.0, 3.0):
-        rows = []
-        for eps in (0.05, 0.02):
-            g = make_cutoff(CutoffSpec("log_g_eps", eps), R=R)
-            lo, hi = g.support
+def _log_composed_cutoff(eps: float, R: float) -> Profile:
+    """g_eps(ln(R/r)) built directly in r, independent of the sweep's
+    substitution L = ln(R/r)."""
+    g = plateau_cutoff(eps)
 
-            def L(r):
-                return np.log(R / np.asarray(r, dtype=float))
+    def value(r):
+        return g.value(np.log(R / np.asarray(r, dtype=float)))
 
-            lead = decades_gauss(
-                lambda r: np.abs(g.value(r)) ** p / (r * L(r)), lo, hi,
-                per_decade=12)
-            assert abs(lead - (-math.log(4 * eps ** 2))) < 1.0
-            # the derivative in the log variable L is r*g'(r)
-            mixed = decades_gauss(
-                lambda r: np.abs(g.value(r)) ** (p - 1)
-                * np.abs(r * g.derivative(r)) / r, lo, hi, per_decade=12)
-            upper = decades_gauss(
-                lambda r: L(r) ** (p - 1) * np.abs(r * g.derivative(r)) ** p / r,
-                lo, hi, per_decade=12)
-            rows.append((mixed, upper))
-        # O(1) claims operationalized as factor-2 stability across eps
-        for j in range(2):
-            vals = [row[j] for row in rows]
-            assert max(vals) <= 2.0 * min(vals)
-            assert max(vals) < 30.0
+    def derivative(r):
+        r = np.asarray(r, dtype=float)
+        return -g.derivative(np.log(R / r)) / r
+
+    return Profile(value, derivative, (R * math.exp(-1.0 / eps), R * math.exp(-eps)),
+                   knots=tuple(sorted(R * math.exp(-k) for k in g.knots)))
 
 
-def test_log_cutoff_support_and_chain_rule():
-    g = make_cutoff(CutoffSpec("log_g_eps", 0.05), R=2.0)
-    lo, hi = g.support
-    assert lo == pytest.approx(2.0 * math.exp(-20.0))
-    assert hi == pytest.approx(2.0 * math.exp(-0.05))
-    # finite differences in u = ln r (the variable the bridges live in)
-    u = np.linspace(math.log(lo) + 1e-3, math.log(hi) - 1e-3, 800)
-    h = 1e-6
-    fd_u = (g.value(np.exp(u + h)) - g.value(np.exp(u - h))) / (2 * h)
-    analytic_u = g.derivative(np.exp(u)) * np.exp(u)    # dg/du = r g'(r)
-    assert np.max(np.abs(fd_u - analytic_u)) < 1e-5 * (1 + np.max(np.abs(fd_u)))
+@pytest.mark.parametrize("p, theta, R", [(2.0, 0.0, 1.0), (3.0, 0.5, 2.0)])
+def test_log_sweep_matches_composed_cutoff_in_r(p, theta, R):
+    # the sweep runs log scenarios through the equivalent power pair in
+    # L = ln(R/r); the oracle truncates the log maximizer in r itself
+    sc = scenario_catalog("log_radial", p=p, theta=theta, R=R)
+    for eps in (0.05, 0.02):
+        row = sweep_quotient(sc, [eps])[0]
+        u = closed_form_maximizer(sc) * _log_composed_cutoff(eps, R)
+        oracle = reduce_radial_functional(sc, u, tol=1e-12).quotient
+        assert row.quotient == pytest.approx(oracle, rel=1e-10)
 
 
 def test_psi_energy_closed_form():
@@ -115,7 +99,7 @@ def test_psi_energy_closed_form():
 
 
 def test_psi_cross_term_vanishes():
-    psi = make_cutoff(CutoffSpec("psi_R", 50.0))
+    psi = psi_cutoff(50.0)
     val = decades_gauss(lambda r: psi.value(r) * psi.derivative(r),
                         50.0 ** -2, 50.0 ** 2, per_decade=16)
     assert abs(val) <= 1e-12
