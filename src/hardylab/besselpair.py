@@ -24,9 +24,7 @@ from .scenarios import (CheckFailure, Exponents, RadialWeightPair, Scenario,
                         closed_form_maximizer)
 
 __all__ = [
-    "RadialODEState",
     "BesselCertificate",
-    "ODESolution",
     "ODEFailure",
     "SingularCoefficientError",
     "DivergenceError",
@@ -39,6 +37,10 @@ __all__ = [
 ]
 
 _BLOWUP = 1e12
+_RTOL, _ATOL = 1e-10, 1e-12     # DOP853 tolerances of every certificate solve
+_DENSE_N = 600                  # points comparing the solve with the closed form
+_GRID_N = 1000                  # points of the closed form's residual scan
+_FD_REL_STEP = 1e-4             # relative step of the residual's flux derivative
 
 
 class ODEFailure(CheckFailure):
@@ -54,19 +56,6 @@ class DivergenceError(ODEFailure):
 
 
 @dataclass(frozen=True)
-class RadialODEState:
-    r: float
-    phi: float
-    momentum: float
-
-    def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError(f"states live on r > 0, got r={self.r}")
-        if not math.isfinite(self.momentum):
-            raise ValueError("momentum must be finite")
-
-
-@dataclass(frozen=True)
 class BesselCertificate:
     is_positive: bool
     min_phi: float
@@ -76,15 +65,6 @@ class BesselCertificate:
     solution: Callable = field(repr=False, compare=False)
     # r -> normalized ODE residual of the certified closed form at each r
     residual: Callable = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class ODESolution:
-    r: np.ndarray
-    phi: np.ndarray
-    momentum: np.ndarray
-    # r -> (phi, m) anywhere on the integration range
-    dense: Callable = field(repr=False, compare=False)
 
 
 def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
@@ -114,16 +94,15 @@ def solve_flux(coefficients: Callable, p: float, r_span, y0,
 
 
 def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
-                         init: RadialODEState, r_end: float,
-                         rtol: float = 1e-10, atol: float = 1e-12,
-                         dense_n: int = 600,
-                         zero_order: Callable | None = None) -> ODESolution:
-    """Integrate the flux system from init.r to r_end (either direction);
-    a zeroth-order numerator weight z makes the coefficient (lam W - z) r^mu."""
+                         r0: float, y0: tuple[float, float], r_end: float,
+                         zero_order: Callable | None = None) -> Callable:
+    """Integrate the flux system from (phi, m)(r0) = y0 to r_end (either
+    direction) and return its dense output r -> (phi, m); a zeroth-order
+    numerator weight z makes the coefficient (lam W - z) r^mu."""
     p = exponents.p
     mu = exponents.measure_exponent
-    lo = min(init.r, r_end)
-    hi = max(init.r, r_end)
+    lo = min(r0, r_end)
+    hi = max(r0, r_end)
     if not (pair.interval[0] <= lo and hi <= pair.interval[1]):
         raise ValueError(
             f"integration range [{lo}, {hi}] leaves the pair interval {pair.interval}")
@@ -149,19 +128,16 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
         return abs(y[0]) - _BLOWUP
 
     blowup.terminal = True
-    sol = solve_flux(coefficients, p, (init.r, r_end),
-                     (init.phi, init.momentum), rtol, atol, events=blowup)
+    sol = solve_flux(coefficients, p, (r0, r_end), y0, _RTOL, _ATOL,
+                     events=blowup)
     if sol.status == 1:
         raise DivergenceError(
             f"|phi| exceeded {_BLOWUP:.0e} at r = {sol.t_events[0][0]:.6g}")
-    r = np.linspace(init.r, r_end, dense_n)
-    phi, m = sol.sol(r)
-    return ODESolution(r=r, phi=phi, momentum=m, dense=sol.sol)
+    return sol.sol
 
 
 def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,
-                  grid: np.ndarray, fd_rel_step: float = 1e-4,
-                  zero_order: Callable | None = None) -> np.ndarray:
+                  grid: np.ndarray, zero_order: Callable | None = None) -> np.ndarray:
     """Normalized ODE residual of an analytic profile at each grid point.
 
     The outer derivative of the flux is taken by 4th-order central finite
@@ -174,7 +150,7 @@ def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,
     def flux(r):
         return momentum_from_profile(V, mu, p, phi, r)
 
-    h = fd_rel_step * grid
+    h = _FD_REL_STEP * grid
     flux_d = (flux(grid - 2 * h) - 8 * flux(grid - h)
               + 8 * flux(grid + h) - flux(grid + 2 * h)) / (12 * h)
     coeff = lam * W(grid)
@@ -187,7 +163,7 @@ def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,
     # their mean is rounding noise and the ratio reads ~2; floor it at the
     # flux's derivative scale |m|/r shrunk by the relative step
     scale = np.maximum(0.5 * (np.abs(flux_d) + np.abs(zero_term)) + 1e-300,
-                       fd_rel_step * np.abs(flux(grid)) / grid)
+                       _FD_REL_STEP * np.abs(flux(grid)) / grid)
     return np.abs(resid) / scale
 
 
@@ -208,15 +184,13 @@ def improved_weight_auxiliary_pair(Q: float, p: float):
     return pair, phi
 
 
-def verify_bessel_pair(scenario: Scenario, interval: tuple[float, float],
-                       rtol: float = 1e-10, grid_n: int = 1000,
-                       eigenfunction: Profile | None = None) -> BesselCertificate:
+def verify_bessel_pair(scenario: Scenario,
+                       interval: tuple[float, float]) -> BesselCertificate:
     """Integrate from closed-form-seeded data across the interval, certify
     positivity of phi, and report the closed form's max ODE residual.
 
     For the improved_weight scenario the certificate concerns the auxiliary
-    pair (exp(-r) against the (1-r)/r weight); for the annulus scenario pass
-    the computed eigenfunction to certify it instead of the p=2 closed form.
+    pair (exp(-r) against the (1-r)/r weight).
     """
     r0, r1 = interval
     lo, hi = scenario.pair.interval
@@ -228,31 +202,33 @@ def verify_bessel_pair(scenario: Scenario, interval: tuple[float, float],
         pair, phi = improved_weight_auxiliary_pair(exps.Q, exps.p)
     else:
         pair = scenario.pair
-        phi = eigenfunction if eigenfunction is not None else closed_form_maximizer(scenario)
+        phi = closed_form_maximizer(scenario)
     z = scenario.numerator_zero_order
 
     def residual(r):
         return ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi, r,
                              zero_order=z)
 
-    max_resid = float(np.max(residual(np.geomspace(r0, r1, grid_n))))
+    max_resid = float(np.max(residual(np.geomspace(r0, r1, _GRID_N))))
 
     at_r0 = np.array([r0])
-    init = RadialODEState(r0, float(phi.value(at_r0)[0]),
-                          float(momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
-    sol = integrate_bessel_ode(pair, exps, init, r1, rtol=rtol, zero_order=z)
-    ref = phi.value(sol.r)
+    y0 = (float(phi.value(at_r0)[0]),
+          float(momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
+    dense = integrate_bessel_ode(pair, exps, r0, y0, r1, zero_order=z)
+    r = np.linspace(r0, r1, _DENSE_N)
+    phi_r = dense(r)[0]
+    ref = phi.value(r)
     scale = np.max(np.abs(ref))
-    closed_err = float(np.max(np.abs(sol.phi - ref) / (np.abs(ref) + 1e-2 * scale)))
+    closed_err = float(np.max(np.abs(phi_r - ref) / (np.abs(ref) + 1e-2 * scale)))
 
     # positivity margin: ten times the integrator's local error scale
-    margin = 10.0 * (rtol * scale + 1e-12)
-    min_phi = float(np.min(sol.phi))
+    margin = 10.0 * (_RTOL * scale + 1e-12)
+    min_phi = float(np.min(phi_r))
     return BesselCertificate(
         is_positive=bool(min_phi > margin),
         min_phi=min_phi,
         max_ode_residual=max_resid,
         max_closed_form_error=closed_err,
-        solution=sol.dense,
+        solution=dense,
         residual=residual,
     )

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .functional import reduce_radial_functional
 from .profiles import Profile, smooth_bump
-from .scenarios import CheckFailure, ParameterDomainError, Scenario
+from .scenarios import (CheckFailure, ParameterDomainError, Scenario,
+                        closed_form_maximizer, scenario_catalog)
 from .sharpness import plateau_cutoff, strip_cutoff
 
 __all__ = [
@@ -159,9 +161,10 @@ def euclidean(N: int) -> GaugeModel:
 
 
 def grushin(n: int, k: int, gamma: float) -> GaugeModel:
-    if n < 1 or k < 0 or gamma < 0:
-        raise ParameterDomainError(
-            f"grushin needs n >= 1, k >= 0, gamma >= 0, got ({n}, {k}, {gamma})")
+    if not (gamma >= 0 and math.isfinite(gamma)):
+        raise ParameterDomainError(f"gamma must be >= 0 and finite, got {gamma}")
+    if n < 1 or k < 0:
+        raise ParameterDomainError(f"grushin needs n >= 1, k >= 0, got ({n}, {k})")
     Q = n + (1.0 + gamma) * k
     exps = (1.0,) * n + (1.0 + gamma,) * k
     return GaugeModel("grushin", n + k, n + k, Q, exps,
@@ -169,9 +172,10 @@ def grushin(n: int, k: int, gamma: float) -> GaugeModel:
 
 
 def greiner(n: int, gamma: float) -> GaugeModel:
-    if n < 1 or gamma < 1:
-        raise ParameterDomainError(
-            f"greiner needs n >= 1, gamma >= 1, got ({n}, {gamma})")
+    if not (gamma >= 1 and math.isfinite(gamma)):
+        raise ParameterDomainError(f"gamma must be >= 1 and finite, got {gamma}")
+    if n < 1:
+        raise ParameterDomainError(f"greiner needs n >= 1, got {n}")
     Q = 2.0 * n + 2.0 * gamma
     exps = (1.0,) * (2 * n) + (2.0 * gamma,)
     return GaugeModel("greiner", 2 * n + 1, 2 * n, Q, exps,
@@ -367,6 +371,8 @@ def strip_quotient(theta: float, epsilon: float) -> float:
     by tensor-grid quadrature. An internal two-resolution check guards
     against an under-resolved grid (`ResolutionError`).
     """
+    if not math.isfinite(theta):
+        raise ParameterDomainError(f"theta must be finite, got {theta}")
     f = strip_cutoff(epsilon)
     x_in, x_out = f.knots[2:]
     eta = smooth_bump(0.0, 1.0)     # vertical truncation on [-1, 1]
@@ -476,17 +482,18 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
     The eigenvalue check uses the polar split Delta = d_rr + (N-1)/r d_r +
     r^-2 Delta_sphere: for w = r^-kappa nu (the degree-kappa sphere factor),
     -r^2 Delta w / w equals the sphere eigenvalue kappa (kappa + N - 2).
+    The Monte-Carlo quotient of the truncated maximizer is compared with the
+    `antisymmetric` scenario's reduced quotient of the same profile, which
+    approaches the sharp constant only as epsilon -> 0.
     """
     if N not in (2, 3, 4):
         raise ParameterDomainError(f"desk scale: N in {{2,3,4}}, got {N}")
-    if N * N <= 2.0 * theta:
-        raise ParameterDomainError(
-            f"hypothesis N^2 > 2*theta violated: N^2={N*N}, 2*theta={2*theta}")
+    sector = scenario_catalog("antisymmetric", N=N, theta=theta)
+    g = plateau_cutoff(epsilon)
+    reduced = reduce_radial_functional(sector, closed_form_maximizer(sector) * g)
     rng = np.random.default_rng(seed)
-    kappa = N * (N - 1) / 2.0
-    expected_eig = kappa * (kappa + N - 2.0)
-    expected_const = ((N * N - 2.0 * theta) / 2.0) ** 2 \
-        + N * (N - 1.0) * (theta - 1.0)
+    kappa = sector.extra["vandermonde_degree"]
+    expected_eig = sector.extra["sphere_eigenvalue"]
 
     # (i) harmonicity of the pair-difference product (per-coordinate degree
     # N-1, so the 4th-order stencil is exact up to roundoff)
@@ -511,7 +518,6 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
 
     # (iii) Rayleigh quotient of u = r^-(N^2-2 theta)/2 nu g_eps(r) by
     # log-radial importance sampling over the cutoff support
-    g = plateau_cutoff(epsilon)
     a_exp = (N * N - 2.0 * theta) / 2.0
     lo, hi = g.support
 
@@ -540,7 +546,8 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
         "rayleigh_quotient": quotient,
         "rayleigh_std_error": std_error,
         "expected_sphere_eigenvalue": expected_eig,
-        "expected_constant": expected_const,
+        "expected_constant": sector.sharp_constant,
+        "reduced_quotient": reduced.quotient,
     }
 
 

@@ -65,33 +65,25 @@ def require_p(p: float) -> None:
 class Exponents:
     p: float
     theta: float
-    beta: float
     Q: float
 
     def __post_init__(self) -> None:
         require_p(self.p)
         if not (self.Q >= 1 and math.isfinite(self.Q)):
             raise ParameterDomainError(f"Q must be >= 1 and finite, got {self.Q}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.beta)):
-            raise ParameterDomainError(
-                f"theta and beta must be finite, got {self.theta}, {self.beta}")
-        # measure exponent consistency: Q - 1 == -(beta-1)(p-1)
-        lhs = self.Q - 1.0
-        rhs = -(self.beta - 1.0) * (self.p - 1.0)
-        if abs(lhs - rhs) > 1e-9 * (1.0 + abs(lhs)):
-            raise ParameterDomainError(
-                f"inconsistent homogeneity: Q-1={lhs} but -(beta-1)(p-1)={rhs}")
+        if not math.isfinite(self.theta):
+            raise ParameterDomainError(f"theta must be finite, got {self.theta}")
+
+    @property
+    def beta(self) -> float:
+        """Homogeneity of the fundamental-solution power d^((p-Q)/(p-1)),
+        so that Q - 1 = -(beta-1)(p-1)."""
+        return (self.p - self.Q) / (self.p - 1.0)
 
     @property
     def measure_exponent(self) -> float:
         """Exponent m in the reduced 1-D measure r^m dr."""
         return self.Q - 1.0
-
-
-def beta_fundamental(p: float, Q: float) -> float:
-    """Homogeneity exponent of the fundamental-solution power d^((p-Q)/(p-1))."""
-    require_p(p)
-    return (p - Q) / (p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,8 +95,9 @@ class RadialWeightPair:
     W_nonnegative: bool = True
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ParameterDomainError(f"lambda must be positive, got {self.lam}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ParameterDomainError(
+                f"lambda must be positive and finite, got {self.lam}")
         if not self.interval[0] < self.interval[1]:
             raise ParameterDomainError(f"empty weight interval {self.interval}")
         probe = self._probe_points()
@@ -172,14 +165,15 @@ def _power(Q: float | None = None, p: float = 2.0, theta: float = 1.0,
            beta: float | None = None) -> Scenario:
     if Q is None and beta is None:
         raise ParameterDomainError("power scenario needs Q or beta")
-    if beta is None:
-        beta = beta_fundamental(p, Q)
-    Q_eff = 1.0 - (beta - 1.0) * (p - 1.0)
-    if Q is not None and abs(Q - Q_eff) > 1e-9 * (1.0 + abs(Q)):
-        raise ParameterDomainError(
-            f"Q={Q} and beta={beta} are inconsistent (beta implies Q={Q_eff})")
-    exps = Exponents(p=p, theta=theta, beta=beta, Q=Q_eff)
-    gamma = (beta * (p - 1.0) + p * (theta - 1.0)) / p
+    require_p(p)
+    if beta is not None:
+        Q_eff = 1.0 - (beta - 1.0) * (p - 1.0)
+        if Q is not None and abs(Q - Q_eff) > 1e-9 * (1.0 + abs(Q)):
+            raise ParameterDomainError(
+                f"Q={Q} and beta={beta} are inconsistent (beta implies Q={Q_eff})")
+        Q = Q_eff
+    exps = Exponents(p=p, theta=theta, Q=Q)
+    gamma = (exps.beta * (p - 1.0) + p * (theta - 1.0)) / p
     lam = abs(gamma) ** p
     if lam == 0:
         raise ParameterDomainError(
@@ -222,12 +216,12 @@ def _log_maximizer(p: float, theta: float, R: float) -> Profile:
 
 def _log_radial(p: float = 2.0, theta: float = 0.0, R: float = 1.0,
                 Q: float | None = None) -> Scenario:
-    if R <= 0:
-        raise ParameterDomainError(f"log scenario needs R > 0, got {R}")
+    if not (R > 0 and math.isfinite(R)):
+        raise ParameterDomainError(f"R must be > 0 and finite, got {R}")
     if theta == -1.0:
         raise ParameterDomainError("theta = -1 makes the log constant vanish")
     Q = p if Q is None else Q
-    exps = Exponents(p=p, theta=theta, beta=beta_fundamental(p, Q), Q=Q)
+    exps = Exponents(p=p, theta=theta, Q=Q)
     lam = abs((theta + 1.0) / p) ** p
     V, W = _log_weights(p, theta, R, Q)
     return Scenario(
@@ -251,13 +245,17 @@ def _log_cylindrical(p: float = 2.0, theta: float = 0.0, R: float = 1.0,
     )
 
 
+def _require_gaussian(alpha: float, beta: float) -> None:
+    if not (alpha >= 2 and math.isfinite(alpha)):
+        raise ParameterDomainError(f"alpha must be >= 2 and finite, got {alpha}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ParameterDomainError(f"beta must be > 0 and finite, got {beta}")
+
+
 def _gaussian_a(p: float = 2.0, alpha: float = 2.0, beta: float = 2.0,
                 Q: float = 3.0) -> Scenario:
-    if alpha < 2:
-        raise ParameterDomainError(f"Gaussian weight needs alpha >= 2, got {alpha}")
-    if beta <= 0:
-        raise ParameterDomainError(f"Gaussian weight needs beta > 0, got {beta}")
-    exps = Exponents(p=p, theta=1.0, beta=beta_fundamental(p, Q), Q=Q)
+    _require_gaussian(alpha, beta)
+    exps = Exponents(p=p, theta=1.0, Q=Q)
     lam = (alpha / (p * beta)) ** p
     corr = (p * beta / alpha) * (alpha * (p - 1.0) + Q - p)
 
@@ -289,14 +287,11 @@ def _gaussian_a(p: float = 2.0, alpha: float = 2.0, beta: float = 2.0,
 
 def _gaussian_b(p: float = 2.0, theta: float = 1.0, alpha: float = 2.0,
                 beta: float = 2.0, Q: float = 5.0) -> Scenario:
-    if alpha < 2:
-        raise ParameterDomainError(f"Gaussian weight needs alpha >= 2, got {alpha}")
-    if beta <= 0:
-        raise ParameterDomainError(f"Gaussian weight needs beta > 0, got {beta}")
+    _require_gaussian(alpha, beta)
     x = (Q - p * theta) / p
     if x == 0:
         raise ParameterDomainError("gaussian_b needs Q != p*theta")
-    exps = Exponents(p=p, theta=theta, beta=beta_fundamental(p, Q), Q=Q)
+    exps = Exponents(p=p, theta=theta, Q=Q)
     lam = abs(x) ** p
     corr = (alpha / beta) / x   # coefficient of the r^(alpha - p*theta) term
 
@@ -342,20 +337,18 @@ def _annulus_maximizer_p2(Q: float, theta: float, a: float, b: float) -> Profile
 
 
 def _annulus(Q: float = 3.0, p: float = 2.0, theta: float = 1.0,
-             a: float = 1.0, b: float = math.e,
-             lambda1: float | None = None) -> Scenario:
+             a: float = 1.0, b: float = math.e) -> Scenario:
     if not 0 < a < b:
         raise ParameterDomainError(f"annulus needs 0 < a < b, got a={a}, b={b}")
-    exps = Exponents(p=p, theta=theta, beta=beta_fundamental(p, Q), Q=Q)
+    exps = Exponents(p=p, theta=theta, Q=Q)
     if p == 2:
         lam = closed_form_lambda1_p2(Q, theta, a, b)
         maximizer: Profile | str = _annulus_maximizer_p2(Q, theta, a, b)
     else:
-        if lambda1 is None:
-            raise ParameterDomainError(
-                "annulus with p != 2 has no closed-form constant; pass lambda1 "
-                "computed by the spectral module")
-        lam = float(lambda1)
+        # no closed form: shoot for lam_1 (spectral loads scipy, so only here)
+        from .spectral import AnnulusProblem, eigenvalue
+
+        lam = eigenvalue(AnnulusProblem(Q, p, theta, a, b)).lam
         maximizer = "eigenfunction"
     V, W = _power_weights(p, theta)
     return Scenario(
@@ -407,7 +400,7 @@ def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
             f"hypothesis N^2 > 2*theta violated: N^2={N*N}, 2*theta={2*theta}")
     p = 2.0
     Q = float(N)
-    exps = Exponents(p=p, theta=theta, beta=beta_fundamental(p, Q), Q=Q)
+    exps = Exponents(p=p, theta=theta, Q=Q)
     k = N * (N - 1) / 2.0
     sphere_eig = k * (k + N - 2.0)
     sharp = ((N * N - 2.0 * theta) / 2.0) ** 2 + N * (N - 1.0) * (theta - 1.0)
@@ -431,7 +424,7 @@ def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
 def _improved_weight(Q: float = 5.0, p: float = 2.0) -> Scenario:
     """Hardy weight improved by c_p (p-1) (1-d)/d with c_p = 2^-p; holds with
     constant 1 although it exceeds the critical weight on d < 1."""
-    exps = Exponents(p=p, theta=1.0, beta=beta_fundamental(p, Q), Q=Q)
+    exps = Exponents(p=p, theta=1.0, Q=Q)
     cp = 2.0 ** (-p)
     hardy = abs((Q - p) / p) ** p
 

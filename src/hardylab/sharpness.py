@@ -22,8 +22,7 @@ from .functional import random_profile_slacks, reduce_radial_functional
 from .profiles import Profile
 from .quadrature import integrate_adaptive
 from .scenarios import (CheckFailure, Exponents, ParameterDomainError,
-                        Scenario, beta_fundamental, closed_form_maximizer,
-                        scenario_catalog)
+                        Scenario, closed_form_maximizer, scenario_catalog)
 
 __all__ = [
     "SweepRow",
@@ -248,7 +247,7 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
     Rows carry the deficit and deficit * ln R; for p = 2 the cross term
     integrates to zero exactly and the deficit equals the psi-energy 2/ln R.
     """
-    Exponents(p, 1.0, beta_fundamental(p, Q), Q)   # validates p and Q
+    Exponents(p, 1.0, Q)   # validates p and Q
     hardy = abs((Q - p) / p) ** p
     rows = []
     for R in R_grid:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from .besselpair import solve_flux
@@ -38,6 +37,8 @@ __all__ = [
 ]
 
 _LAMBDA_MAX = 1e6
+_RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of every shot
+_GRID_N = 1200                  # points locating max |phi| of the final shot
 
 
 class SearchFailureError(CheckFailure):
@@ -87,16 +88,15 @@ class ShootingResult:
             raise ValueError("zero_count must be nonnegative")
 
 
-def _integrate(problem: AnnulusProblem, lam: float, init_momentum: float = 1.0,
-               rtol: float = 1e-11, atol: float = 1e-13):
+def _integrate(problem: AnnulusProblem, lam: float):
     flux_exp, weight_exp = problem.flux_exponents
 
     def crossing(r, y):
         return y[0]
 
     return solve_flux(lambda r: (r ** flux_exp, lam * r ** weight_exp),
-                      problem.p, (problem.a, problem.b), (0.0, init_momentum),
-                      rtol, atol, events=crossing)
+                      problem.p, (problem.a, problem.b), (0.0, 1.0),
+                      _RTOL, _ATOL, events=crossing)
 
 
 def _interior_zeros(sol, problem: AnnulusProblem) -> int:
@@ -105,38 +105,38 @@ def _interior_zeros(sol, problem: AnnulusProblem) -> int:
     return int(np.sum((events > problem.a + margin) & (events < problem.b - margin)))
 
 
-def shoot(problem: AnnulusProblem, lam: float, rtol: float = 1e-11,
-          init_momentum: float = 1.0) -> tuple[float, int]:
+def shoot(problem: AnnulusProblem, lam: float) -> tuple[float, int]:
     """Endpoint value phi(b) and interior-zero count for one trial lam,
-    integrating from (phi, m)(a) = (0, init_momentum)."""
-    if not init_momentum > 0:
-        raise ParameterDomainError("initial momentum must be positive")
-    sol = _integrate(problem, lam, init_momentum=init_momentum, rtol=rtol)
+    integrating from (phi, m)(a) = (0, 1)."""
+    sol = _integrate(problem, lam)
     return float(sol.y[0, -1]), _interior_zeros(sol, problem)
 
 
-def _result_from(problem: AnnulusProblem, lam: float, rtol: float,
-                 init_momentum: float = 1.0) -> ShootingResult:
-    sol = _integrate(problem, lam, init_momentum=init_momentum, rtol=rtol)
-    r = np.linspace(problem.a, problem.b, 1200)
-    phi, m = sol.sol(r)
-    w = m / r ** problem.flux_exponents[0]
-    phi_prime = np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0))
+def _result_from(problem: AnnulusProblem, lam: float) -> ShootingResult:
+    """The shot at lam, normalized to max |phi| = 1; the eigenfunction is the
+    shot's own dense output, with phi' recovered from the flux m."""
+    sol = _integrate(problem, lam)
+    dense, flux_exp = sol.sol, problem.flux_exponents[0]
+    phi = dense(np.linspace(problem.a, problem.b, _GRID_N))[0]
     scale = np.max(np.abs(phi))
-    phi_n = phi / scale
-    spline = CubicHermiteSpline(r, phi_n, phi_prime / scale)
-    der = spline.derivative()
-    eigenfunction = Profile(spline, der, (problem.a, problem.b))
+
+    def value(r):
+        return dense(r)[0] / scale
+
+    def derivative(r):
+        w = dense(r)[1] / np.asarray(r, dtype=float) ** flux_exp
+        return np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0)) / scale
+
     return ShootingResult(
         lam=lam,
         zero_count=_interior_zeros(sol, problem),
         endpoint_residual=float(abs(phi[-1]) / scale),
-        eigenfunction=eigenfunction,
+        eigenfunction=Profile(value, derivative, (problem.a, problem.b)),
     )
 
 
 def eigenvalue(problem: AnnulusProblem, which: int = 1,
-               tol: float = 1e-8, init_momentum: float = 1.0) -> ShootingResult:
+               tol: float = 1e-8) -> ShootingResult:
     """The which-th eigenvalue by interior-zero counting plus endpoint root.
 
     The count of interior zeros of the shot equals the number of eigenvalues
@@ -153,7 +153,7 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
 
     def probe(lam: float) -> tuple[float, int]:
         if lam not in cache:
-            cache[lam] = shoot(problem, lam, init_momentum=init_momentum)
+            cache[lam] = shoot(problem, lam)
         return cache[lam]
 
     def S(lam: float) -> float:
@@ -185,7 +185,7 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     else:
         raise SearchFailureError("endpoint sign change not found in bracket")
     lam = brentq(S, lo, hi, rtol=max(tol, 4 * np.finfo(float).eps), xtol=1e-14)
-    result = _result_from(problem, lam, rtol=1e-11, init_momentum=init_momentum)
+    result = _result_from(problem, lam)
     expect = which - 1
     if result.zero_count != expect:
         raise SearchFailureError(

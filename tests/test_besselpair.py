@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.besselpair import (DivergenceError, RadialODEState,
-                                 SingularCoefficientError,
+from hardylab.besselpair import (DivergenceError, SingularCoefficientError,
                                  improved_weight_auxiliary_pair,
                                  integrate_bessel_ode, momentum_from_profile,
                                  ode_residuals, verify_bessel_pair)
@@ -15,35 +14,36 @@ from hardylab.scenarios import (Exponents, RadialWeightPair,
 
 def test_power_trajectory_matches_closed_form():
     sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    init = RadialODEState(1.0, 1.0, -1.5)   # phi(1)=1, phi'(1)=-3/2, V r^4 flux
-    sol = integrate_bessel_ode(sc.pair, sc.exponents, init, 10.0)
-    ref = sol.r ** -1.5
-    assert np.max(np.abs(sol.phi - ref) / ref) <= 1e-6
+    # phi(1)=1, phi'(1)=-3/2, V r^4 flux
+    dense = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, (1.0, -1.5), 10.0)
+    r = np.linspace(1.0, 10.0, 600)
+    ref = r ** -1.5
+    assert np.max(np.abs(dense(r)[0] - ref) / ref) <= 1e-6
 
 
 def test_log_trajectory_matches_closed_form():
     sc = scenario_catalog("log_radial", p=2.0, theta=0.0, R=1.0)
     phi = closed_form_maximizer(sc)
     r0 = 0.01
-    init = RadialODEState(r0, float(phi.value(np.array([r0]))[0]),
-                          momentum_from_profile(sc.pair.V,
-                                                sc.exponents.measure_exponent,
-                                                2.0, phi, r0))
-    sol = integrate_bessel_ode(sc.pair, sc.exponents, init, 0.9)
-    ref = np.log(1.0 / sol.r) ** -0.5
-    assert np.max(np.abs(sol.phi - ref) / ref) <= 1e-6
+    y0 = (float(phi.value(np.array([r0]))[0]),
+          momentum_from_profile(sc.pair.V, sc.exponents.measure_exponent,
+                                2.0, phi, r0))
+    dense = integrate_bessel_ode(sc.pair, sc.exponents, r0, y0, 0.9)
+    r = np.linspace(r0, 0.9, 600)
+    ref = np.log(1.0 / r) ** -0.5
+    assert np.max(np.abs(dense(r)[0] - ref) / ref) <= 1e-6
 
 
 def test_gaussian_a_trajectory_matches_closed_form():
     sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
     phi = closed_form_maximizer(sc)
-    init = RadialODEState(0.5, float(phi.value(np.array([0.5]))[0]),
-                          momentum_from_profile(sc.pair.V,
-                                                sc.exponents.measure_exponent,
-                                                2.0, phi, 0.5))
-    sol = integrate_bessel_ode(sc.pair, sc.exponents, init, 3.0)
-    ref = np.exp(sol.r ** 2 / 4.0)
-    assert np.max(np.abs(sol.phi - ref) / ref) <= 1e-6
+    y0 = (float(phi.value(np.array([0.5]))[0]),
+          momentum_from_profile(sc.pair.V, sc.exponents.measure_exponent,
+                                2.0, phi, 0.5))
+    dense = integrate_bessel_ode(sc.pair, sc.exponents, 0.5, y0, 3.0)
+    r = np.linspace(0.5, 3.0, 600)
+    ref = np.exp(r ** 2 / 4.0)
+    assert np.max(np.abs(dense(r)[0] - ref) / ref) <= 1e-6
     assert float(phi.value(np.array([0.5]))[0]) == pytest.approx(math.exp(1 / 16))
 
 
@@ -84,15 +84,14 @@ def test_certificate_solution_and_residual_match_direct_evaluation():
             pair, phi = sc.pair, closed_form_maximizer(sc)
         cert = verify_bessel_pair(sc, (r0, r1))
         at_r0 = np.array([r0])
-        init = RadialODEState(r0, float(phi.value(at_r0)[0]), float(
+        y0 = (float(phi.value(at_r0)[0]), float(
             momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
-        ref = integrate_bessel_ode(pair, exps, init, r1, dense_n=200)
-        phi_r, momentum = cert.solution(ref.r)
-        assert np.array_equal(phi_r, ref.phi), name
-        assert np.array_equal(momentum, ref.momentum), name
+        ref = integrate_bessel_ode(pair, exps, r0, y0, r1)
+        r = np.linspace(r0, r1, 200)
+        assert np.array_equal(cert.solution(r), ref(r)), name
         loop = [float(ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi,
-                                    np.array([x]))[0]) for x in ref.r]
-        assert cert.residual(ref.r).tolist() == loop, name
+                                    np.array([x]))[0]) for x in r]
+        assert cert.residual(r).tolist() == loop, name
 
 
 def test_improved_weight_auxiliary_equation():
@@ -111,14 +110,14 @@ def test_improved_weight_auxiliary_equation():
 
 def test_ode_scale_invariance():
     sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    base = RadialODEState(1.0, 1.0, -1.5)
-    ref = integrate_bessel_ode(sc.pair, sc.exponents, base, 5.0)
+    r = np.linspace(1.0, 5.0, 600)
+    ref = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, (1.0, -1.5), 5.0)(r)[0]
     p = sc.exponents.p
     for c in (2.0, -1.0, 10.0):
-        init = RadialODEState(1.0, c * 1.0, abs(c) ** (p - 2.0) * c * -1.5)
-        sol = integrate_bessel_ode(sc.pair, sc.exponents, init, 5.0)
-        scale = np.max(np.abs(c * ref.phi))
-        assert np.max(np.abs(sol.phi - c * ref.phi)) <= 1e-8 * scale
+        y0 = (c * 1.0, abs(c) ** (p - 2.0) * c * -1.5)
+        phi = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, y0, 5.0)(r)[0]
+        scale = np.max(np.abs(c * ref))
+        assert np.max(np.abs(phi - c * ref)) <= 1e-8 * scale
 
 
 def test_ode_scale_invariance_p3():
@@ -126,13 +125,14 @@ def test_ode_scale_invariance_p3():
     phi = closed_form_maximizer(sc)
     m0 = momentum_from_profile(sc.pair.V, sc.exponents.measure_exponent, 3.0,
                                phi, 1.0)
-    base = RadialODEState(1.0, float(phi.value(np.array([1.0]))[0]), m0)
-    ref = integrate_bessel_ode(sc.pair, sc.exponents, base, 4.0)
+    phi0 = float(phi.value(np.array([1.0]))[0])
+    r = np.linspace(1.0, 4.0, 600)
+    ref = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, (phi0, m0), 4.0)(r)[0]
     c = 2.0
     # momentum scales like |c|^(p-2) c = c^2 for p=3, c>0
-    init = RadialODEState(1.0, c * base.phi, c ** 2.0 * m0)
-    sol = integrate_bessel_ode(sc.pair, sc.exponents, init, 4.0)
-    assert np.max(np.abs(sol.phi - c * ref.phi)) <= 1e-8 * np.max(np.abs(c * ref.phi))
+    sol = integrate_bessel_ode(sc.pair, sc.exponents, 1.0,
+                               (c * phi0, c ** 2.0 * m0), 4.0)(r)[0]
+    assert np.max(np.abs(sol - c * ref)) <= 1e-8 * np.max(np.abs(c * ref))
 
 
 def test_maximizer_closed_forms():
@@ -181,8 +181,7 @@ def test_singular_coefficient_detected():
     pair = RadialWeightPair(V, W, 1.0, (0.0, math.inf), W_nonnegative=True)
     sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
     with pytest.raises(SingularCoefficientError):
-        integrate_bessel_ode(pair, sc.exponents, RadialODEState(0.5, 1.0, 0.1),
-                             2.0)
+        integrate_bessel_ode(pair, sc.exponents, 0.5, (1.0, 0.1), 2.0)
 
 
 def test_divergence_detected():
@@ -193,6 +192,6 @@ def test_divergence_detected():
         return -np.ones_like(np.asarray(r, dtype=float))
 
     pair = RadialWeightPair(V, W, 200.0, (0.0, math.inf), W_nonnegative=False)
-    exps = Exponents(p=2.0, theta=1.0, beta=0.0, Q=2.0)
+    exps = Exponents(p=2.0, theta=1.0, Q=2.0)
     with pytest.raises(DivergenceError):
-        integrate_bessel_ode(pair, exps, RadialODEState(1.0, 1.0, 1.0), 30.0)
+        integrate_bessel_ode(pair, exps, 1.0, (1.0, 1.0), 30.0)

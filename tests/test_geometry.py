@@ -181,6 +181,16 @@ def test_strip_parameter_validation():
         strip_quotient(1.0, 0.3)
 
 
+def test_nonfinite_model_knobs_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterDomainError, match="^gamma must be"):
+            grushin(1, 1, bad)
+        with pytest.raises(ParameterDomainError, match="^gamma must be"):
+            greiner(1, bad)
+        with pytest.raises(ParameterDomainError, match="^theta must be"):
+            strip_quotient(bad, 1e-3)
+
+
 def test_vandermonde_domain_invariants():
     from hardylab.geometry import VandermondeDomain
 
@@ -256,6 +266,7 @@ def test_vandermonde_checks_n2():
     assert out["expected_sphere_eigenvalue"] == pytest.approx(1.0)
     assert out["sphere_eigvalue_residual"] <= 1e-5
     oracle = _separated_quotient(2, 1.0, 1e-2)
+    assert out["reduced_quotient"] == pytest.approx(oracle, rel=1e-8)
     assert abs(out["rayleigh_quotient"] - oracle) <= \
         5.0 * max(out["rayleigh_std_error"], 1e-4)
     assert out["rayleigh_quotient"] > 1.0
@@ -269,6 +280,7 @@ def test_vandermonde_checks_n3():
     assert out["expected_constant"] == pytest.approx(12.25)
     assert abs(out["rayleigh_quotient"] - 12.25) <= 0.05 * 12.25
     oracle = _separated_quotient(3, 1.0, 1e-2)
+    assert out["reduced_quotient"] == pytest.approx(oracle, rel=1e-8)
     assert abs(out["rayleigh_quotient"] - oracle) <= \
         5.0 * max(out["rayleigh_std_error"], 1e-4)
 

@@ -315,14 +315,41 @@ def test_bessel_cli_ode_failure_exits_1(capsys):
         assert err.startswith("FAIL: ") and "Traceback" not in err, argv
 
 
-def test_wrong_claimed_constant_exits_1(capsys):
-    # claiming lambda1 = 1e6 for the p=3 annulus (true value ~ 87.8) makes
-    # sampled quotients fall below the claimed constant: a math-check failure
-    code, _, err = _cli(["rayleigh", "--scenario", "annulus", "--Q", "5",
-                         "--p", "3", "--theta", "1", "--a", "1", "--b", "2",
-                         "--lambda1", "1e6", "--profiles", "10"], capsys)
-    assert code == 1
-    assert "FAIL" in err
+def test_annulus_p3_constant_is_computed(capsys):
+    # the p != 2 annulus constant is eig's lam_1, not a value the user claims
+    annulus = ["--Q", "5", "--p", "3", "--theta", "1", "--a", "1", "--b", "2"]
+    code, out, _ = _cli(["eig", *annulus], capsys)
+    assert code == 0
+    lam = json.loads(out)["summary"]["lambda"]
+    assert lam == 87.84714424997169
+    code, _, err = _cli(["rayleigh", "--scenario", "annulus", *annulus,
+                         "--profiles", "10"], capsys)
+    assert code == 0
+    summary = json.loads(err.splitlines()[0])["summary"]
+    assert summary["sharp_constant"] == lam
+    assert summary["pass"] is True
+
+
+def test_lambda1_is_rejected(tmp_path, capsys):
+    argv = ["rayleigh", "--scenario", "annulus", "--p", "3"]
+    code, _, err = _cli([*argv, "--lambda1", "0.5"], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --lambda1" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lambda1": 0.5}))
+    code, _, err = _cli([*argv, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown config keys: lambda1" in err
+
+
+def test_geometry_cli_vandermonde_small_constant(capsys):
+    # the truncation deficit at eps = 1e-3 is ~0.33 whatever the constant, so
+    # the check compares with the reduced quotient, not with 1.25
+    code, out, _ = _cli(["geometry", "--check", "vandermonde", "--N", "2",
+                         "--theta", "0.5", "--samples", "200000"], capsys)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["pass"] is True and row["expected"] > 1.25
 
 
 _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
@@ -362,12 +389,24 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["eig", "--config", "{tmp}/null.json"], 2),
     (["eig", "--config", "{tmp}/array.json"], 2),
     (["eig", "--config", "{tmp}/bool.json"], 2),
+    # non-finite builder and model knobs
+    (["rayleigh", "--scenario", "log_radial", "--R", "inf"], 2),
+    (["rayleigh", "--scenario", "gaussian_a", "--alpha", "inf"], 2),
+    (["geometry", "--check", "strip", "--theta", "inf"], 2),
+    (["geometry", "--model", "grushin", "--check", "measure", "--gamma",
+      "nan"], 2),
+    (["geometry", "--model", "grushin", "--check", "measure", "--gamma",
+      "inf"], 2),
+    # a report or eigenfunction file that cannot be written
+    (["catalog", "--out", "{tmp}/nodir/x.json"], 2),
+    (["eig", "--eigenfunction-out", "{tmp}/nodir/x.json"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
     for name, value in (("null", "null"), ("array", "[1]"), ("bool", "true")):
         (tmp_path / f"{name}.json").write_text(f'{{"Q": {value}}}')
     unreadable = "{tmp}" in argv
+    unwritable = "{tmp}/nodir/x.json" in argv
     argv = [x.replace("{tmp}", str(tmp_path)) for x in argv]
     proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
                           capture_output=True, text=True, timeout=120)
@@ -375,7 +414,8 @@ def test_exit_codes_without_traceback(argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     if code == 2:
-        assert lines[0].startswith("config error: " if unreadable
-                                   else "parameter error: ")
+        assert lines[0].startswith(
+            "config error: " if unreadable else
+            "output error: " if unwritable else "parameter error: ")
     else:
         assert [x for x in lines if x.startswith("FAIL: ")] == lines[-1:]

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from hardylab.scenarios import (Exponents, ParameterDomainError, Scenario,
-                                beta_fundamental, default_catalog,
-                                scenario_catalog, scenario_from_json,
-                                scenario_to_json)
+                                default_catalog, scenario_catalog,
+                                scenario_from_json, scenario_to_json)
 
 
 def test_power_constants():
@@ -25,7 +24,7 @@ def test_power_two_closed_forms_agree():
         p = rng.uniform(2.0, 5.0)
         Q = rng.uniform(1.0, 9.0)
         theta = rng.uniform(-2.0, 3.0)
-        beta = beta_fundamental(p, Q)
+        beta = Exponents(p, theta, Q).beta
         lhs = abs((beta * (p - 1.0) + p * (theta - 1.0)) / p) ** p
         rhs = abs((Q - p * theta) / p) ** p
         assert lhs == pytest.approx(rhs, rel=1e-13)
@@ -67,12 +66,15 @@ def test_gaussian_hypothesis_validation():
 
 
 def test_annulus_requires_lambda1_for_p_not_2():
-    with pytest.raises(ParameterDomainError, match="lambda1"):
-        scenario_catalog("annulus", Q=5.0, p=3.0, theta=1.0, a=1.0, b=2.0)
-    sc = scenario_catalog("annulus", Q=5.0, p=3.0, theta=1.0, a=1.0, b=2.0,
-                          lambda1=87.85)
-    assert sc.sharp_constant == pytest.approx(87.85)
+    # no closed form for p != 2: the builder computes lam_1 by shooting, and
+    # a claimed value is no longer accepted
+    sc = scenario_catalog("annulus", Q=5.0, p=3.0, theta=1.0, a=1.0, b=2.0)
+    assert sc.sharp_constant == 87.84714424997169
+    assert sc.pair.lam == sc.sharp_constant
     assert sc.maximizer == "eigenfunction"
+    with pytest.raises(TypeError, match="lambda1"):
+        scenario_catalog("annulus", Q=5.0, p=3.0, theta=1.0, a=1.0, b=2.0,
+                         lambda1=0.5)
 
 
 def test_annulus_p2_closed_form():
@@ -105,18 +107,21 @@ def test_improved_weight_pointwise_exceeds_hardy():
 
 def test_exponents_invariants():
     with pytest.raises(ParameterDomainError):
-        Exponents(p=1.5, theta=0.0, beta=0.0, Q=2.0)
+        Exponents(p=1.5, theta=0.0, Q=2.0)
     with pytest.raises(ParameterDomainError):
-        Exponents(p=2.0, theta=0.0, beta=0.0, Q=0.5)
-    with pytest.raises(ParameterDomainError, match="inconsistent"):
-        Exponents(p=2.0, theta=0.0, beta=0.0, Q=3.0)
-    good = dict(p=2.0, theta=1.0, beta=-3.0, Q=5.0)
+        Exponents(p=2.0, theta=0.0, Q=0.5)
+    good = dict(p=2.0, theta=1.0, Q=5.0)
     for bad in (dict(Q=math.nan), dict(Q=math.inf), dict(theta=math.nan),
-                dict(theta=-math.inf), dict(beta=math.nan)):
+                dict(theta=-math.inf), dict(p=math.inf)):
         with pytest.raises(ParameterDomainError):
             Exponents(**{**good, **bad})
     e = Exponents(**good)
     assert e.measure_exponent == pytest.approx(4.0)
+    # beta is derived, so the homogeneity Q - 1 = -(beta-1)(p-1) holds
+    assert e.beta == -3.0
+    e3 = Exponents(p=3.0, theta=0.5, Q=4.0)
+    assert e3.Q - 1.0 == pytest.approx(-(e3.beta - 1.0) * (e3.p - 1.0),
+                                       rel=1e-15)
 
 
 def test_unknown_scenario_rejected():
@@ -140,9 +145,29 @@ def test_weight_pair_sign_validation():
     RadialWeightPair(one, neg, 1.0, (0.0, math.inf), W_nonnegative=False)
 
 
+def test_nonfinite_knobs_rejected():
+    from hardylab.scenarios import RadialWeightPair
+
+    for name, bad in (("log_radial", dict(R=math.inf)),
+                      ("gaussian_a", dict(alpha=math.inf)),
+                      ("gaussian_a", dict(beta=math.nan)),
+                      ("gaussian_b", dict(alpha=math.nan)),
+                      ("gaussian_b", dict(beta=math.inf))):
+        knob = next(iter(bad))
+        with pytest.raises(ParameterDomainError, match=f"^{knob} must be"):
+            scenario_catalog(name, **bad)
+
+    def one(r):
+        return np.ones_like(np.asarray(r, dtype=float))
+
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ParameterDomainError, match="^lambda must be"):
+            RadialWeightPair(one, one, lam, (0.0, math.inf))
+
+
 def test_json_round_trip():
     extra = [scenario_catalog("annulus", Q=5.0, p=3.0, theta=1.0, a=1.0,
-                              b=2.0, lambda1=87.8),
+                              b=2.0),
              scenario_catalog("log_cylindrical", p=2.0, theta=0.0, R=1.0, m=3,
                               N=7)]
     for sc in default_catalog() + extra:
