@@ -6,17 +6,24 @@ turns the directional quotient into
     int r^(Q-1) V |phi'|^p dr  /  int r^(Q-1) W |phi|^p dr,
 
 with the gauge-ball constant cancelling between numerator and denominator.
+
+One routine reduces a batch of profiles: the numerator, zero-order and
+denominator integrals of every profile go to one ``integrate_batch`` call, so
+sampling many random bump profiles costs a few kernel sweeps instead of two
+or three adaptive integrations per profile. ``reduce_radial_functional`` is
+its one-profile case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .profiles import Profile, random_profile
-from .quadrature import integrate_adaptive
+from .profiles import Profile, random_bumps
+from .quadrature import QuadratureError, integrate_adaptive, integrate_batch
 from .scenarios import Scenario
 
 __all__ = ["ReducedFunctional", "InvalidProfileError", "reduce_radial_functional",
@@ -42,18 +49,106 @@ class ReducedFunctional:
         return (self.numerator - c * self.denominator) / scale
 
 
-def _bounds_and_flags(scenario: Scenario, phi: Profile):
-    rbar, rmax = scenario.pair.interval
-    lo = max(rbar, phi.support[0])
-    hi = min(rmax, phi.support[1])
+def _bounds_and_flags(interval, support, knots):
+    rbar, rmax = interval
+    lo = max(rbar, support[0])
+    hi = min(rmax, support[1])
     if not lo < hi:
         raise InvalidProfileError(
-            f"profile support {phi.support} lies outside the scenario "
-            f"interval {scenario.pair.interval}")
+            f"profile support {support} lies outside the scenario "
+            f"interval {interval}")
     sing_left = lo <= rbar or lo <= 0.0
     sing_right = math.isinf(hi) or hi >= rmax
-    points = [k for k in phi.knots if lo < k < hi]
+    points = [k for k in knots if lo < k < hi]
     return lo, hi, sing_left, sing_right, points
+
+
+def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
+                  tol: float) -> list[ReducedFunctional]:
+    """Reduced functionals of a batch of profiles.
+
+    value(r, rows) and derivative(r, rows) return the array of profile
+    rows[j] at the points r[j, ...], in r's shape or raveled; rows may also
+    be one profile index. All integrals of a batch go to one integrate_batch
+    call; every integral keeps its own adaptive target, so a profile's result
+    does not depend on its batch mates. A single profile's two or three
+    integrals go one at a time through integrate_adaptive, the one-owner
+    case of the same kernel: batching them gains little, and it keeps each
+    integral visible to per-call tracing of integrate_adaptive (perfbench's
+    quadrature counters). Raises the error met by the lowest-index profile,
+    the one reducing the profiles in order would raise.
+    """
+    p = scenario.exponents.p
+    mu = scenario.exponents.measure_exponent
+    # integrand weights and the profile factor each carries, numerator first
+    terms = [(scenario.pair.V, derivative)]
+    if scenario.numerator_zero_order is not None:
+        terms.append((scenario.numerator_zero_order, value))
+    terms.append((scenario.pair.W, value))
+    K = len(terms)
+
+    def term(k, nodes, rows):
+        weight, phi = terms[k]
+        r = nodes.ravel()
+        return r ** mu * weight(r) * np.abs(phi(nodes, rows).ravel()) ** p
+
+    specs = []
+    for support, kn in zip(supports, knots):
+        try:
+            specs.append(_bounds_and_flags(scenario.pair.interval, support,
+                                           kn))
+        except InvalidProfileError as err:
+            specs.append(err)
+    valid = [i for i, spec in enumerate(specs) if isinstance(spec, tuple)]
+    # tol is relative-only here: the weights can underflow to ~1e-90 scales
+    # on far-out supports, where any fixed absolute target is meaningless
+    if len(valid) == 1:
+        lo, hi, s_left, s_right, points = specs[valid[0]]
+        ests = (integrate_adaptive(partial(term, k, rows=valid[0]), lo, hi,
+                                   tol=0.0, rel_tol=tol, singular_left=s_left,
+                                   singular_right=s_right, points=points)
+                for k in range(K))
+    else:
+        profile_of = np.repeat(valid, K)
+
+        def integrand(x, owner):
+            kind = owner % K
+            out = np.empty_like(x)
+            for k in range(K):
+                m = (kind == k).nonzero()[0]
+                if m.size:   # a profile callable need not accept empty input
+                    out[m] = term(k, x[m], profile_of[owner[m]]).reshape(
+                        m.size, -1)
+            return out
+
+        lo, hi, s_left, s_right, points = (
+            [specs[i][f] for i in valid for _ in range(K)] for f in range(5))
+        ests = iter(integrate_batch(integrand, lo, hi, s_left, s_right, points,
+                                    tol=0.0, rel_tol=tol))
+    reduced = []
+    for spec in specs:
+        if isinstance(spec, InvalidProfileError):
+            raise spec
+        values = []
+        for _ in range(K):
+            est = next(ests)
+            if isinstance(est, QuadratureError):
+                raise est
+            values.append(est.value)
+        num = values[0]
+        for v in values[1:-1]:
+            num += v
+        den = values[-1]
+        if den <= 0.0:
+            if scenario.pair.W_nonnegative:
+                raise InvalidProfileError(
+                    f"denominator {den} is nonpositive although W >= 0; "
+                    "the profile is numerically trivial on the interval")
+            quotient = math.inf
+        else:
+            quotient = num / den
+        reduced.append(ReducedFunctional(num, den, quotient))
+    return reduced
 
 
 def reduce_radial_functional(scenario: Scenario, phi: Profile,
@@ -65,43 +160,15 @@ def reduce_radial_functional(scenario: Scenario, phi: Profile,
     scenarios and yields quotient = +inf otherwise (the inequality is then
     vacuously satisfied since the numerator is nonnegative).
     """
-    p = scenario.exponents.p
-    mu = scenario.exponents.measure_exponent
-    V, W = scenario.pair.V, scenario.pair.W
-    val, der = phi.value, phi.derivative
-    lo, hi, s_left, s_right, points = _bounds_and_flags(scenario, phi)
+    def value(r, rows):
+        return np.asarray(phi.value(r.ravel()))
 
-    def num_integrand(r):
-        r = np.asarray(r, dtype=float)
-        return r ** mu * V(r) * np.abs(der(r)) ** p
+    def derivative(r, rows):
+        return np.asarray(phi.derivative(r.ravel()))
 
-    def den_integrand(r):
-        r = np.asarray(r, dtype=float)
-        return r ** mu * W(r) * np.abs(val(r)) ** p
-
-    # tol is relative-only here: the weights can underflow to ~1e-90 scales
-    # on far-out supports, where any fixed absolute target is meaningless
-    kw = dict(tol=0.0, rel_tol=tol, singular_left=s_left,
-              singular_right=s_right, points=points)
-    num = integrate_adaptive(num_integrand, lo, hi, **kw).value
-    if scenario.numerator_zero_order is not None:
-        zo = scenario.numerator_zero_order
-
-        def zo_integrand(r):
-            r = np.asarray(r, dtype=float)
-            return r ** mu * zo(r) * np.abs(val(r)) ** p
-
-        num += integrate_adaptive(zo_integrand, lo, hi, **kw).value
-    den = integrate_adaptive(den_integrand, lo, hi, **kw).value
-    if den <= 0.0:
-        if scenario.pair.W_nonnegative:
-            raise InvalidProfileError(
-                f"denominator {den} is nonpositive although W >= 0; "
-                "the profile is numerically trivial on the interval")
-        quotient = math.inf
-    else:
-        quotient = num / den
-    return ReducedFunctional(num, den, quotient)
+    (red,) = _reduce_batch(scenario, [phi.support], [phi.knots], value,
+                           derivative, tol)
+    return red
 
 
 def inequality_slack(scenario: Scenario, phi: Profile,
@@ -120,12 +187,11 @@ def random_profile_slacks(scenario: Scenario, count: int, seed: int,
                           tol: float = 1e-9) -> list[dict]:
     """Inequality sampling: quotient and normalized slack for seeded random
     bump profiles supported inside the scenario interval, drawn in order
-    from one seeded stream (deterministic)."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(count):
-        phi = random_profile(rng, scenario.pair.interval)
-        red = reduce_radial_functional(scenario, phi, tol=tol)
-        rows.append({"index": i, "quotient": red.quotient,
-                     "slack": red.slack(scenario.sharp_constant)})
-    return rows
+    from one seeded stream (deterministic) and reduced as one batch."""
+    bumps = random_bumps(np.random.default_rng(seed), scenario.pair.interval,
+                         count)
+    reduced = _reduce_batch(scenario, bumps.supports, [()] * count,
+                            bumps.value, bumps.derivative, tol)
+    c = scenario.sharp_constant
+    return [{"index": i, "quotient": red.quotient, "slack": red.slack(c)}
+            for i, red in enumerate(reduced)]

@@ -300,10 +300,11 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
                               seed: int = DEFAULT_SEED) -> dict:
     """Monte-Carlo test of the gauge-ball scaling law: the ratio of
     int_{B_R} |grad_L d|^alpha dx at R2 and R1 must equal (R2/R1)^Q."""
-    if alpha < 0:
-        raise ParameterDomainError(f"alpha must be >= 0, got {alpha}")
-    if not 0 < R1 <= R2:
-        raise ParameterDomainError(f"need 0 < R1 <= R2, got {R1}, {R2}")
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ParameterDomainError(f"alpha must be >= 0 and finite, got {alpha}")
+    if not (0 < R1 <= R2 and math.isfinite(R2)):
+        raise ParameterDomainError(
+            f"need finite radii 0 < R1 <= R2, got {R1}, {R2}")
     if model.dims > 4:
         raise UnsupportedModelError("desk scale: model dimension must be <= 4")
     if R1 == R2:

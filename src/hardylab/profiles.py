@@ -3,6 +3,11 @@
 A Profile bundles a vectorized value function, its derivative, and compact
 support metadata. Products (maximizer times cut-off) keep analytic
 derivatives via the product rule.
+
+Smooth bumps are parameter arrays: ``Bumps`` holds the centres, half-widths
+and amplitudes of a batch of bump sums, one profile per column, and one
+vectorized formula evaluates a single bump, one random profile, or the whole
+batch at once with each point evaluated on its own profile's row.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Profile", "smooth_bump", "random_profile", "power_profile"]
+__all__ = ["Profile", "Bumps", "smooth_bump", "random_bumps", "random_profile",
+           "power_profile"]
 
 
 @dataclass(frozen=True)
@@ -66,49 +72,73 @@ class Profile:
         return err
 
 
-def smooth_bump(center: float, halfwidth: float, amplitude: float = 1.0) -> Profile:
+def _bump_sum(r, c, w, a, derivative: bool):
+    """Sum of the C-infinity bumps a*exp(1 - 1/(1-t^2)), t = (r - c)/w, or of
+    their r-derivatives, one bump per leading entry of c, w and a (each
+    broadcast against r), added in order."""
+    out = None
+    for cj, wj, aj in zip(c, w, a):
+        t = (r - cj) / wj
+        inside = np.abs(t) < 1.0
+        ts = np.where(inside, t, 0.0)
+        q = 1.0 - ts**2
+        core = np.exp(1.0 - 1.0 / q)
+        if derivative:
+            core = core * (-2.0 * ts / q**2)
+            aj = aj / wj
+        term = np.where(inside, aj * core, 0.0)
+        out = term if out is None else out + term
+    return out[()]   # a 0-d result as a numpy scalar
+
+
+@dataclass(frozen=True)
+class Bumps:
+    """A batch of bump sums: column i of the (k, count) arrays holds profile
+    i's bumps. A profile with fewer than k bumps is padded with zero-amplitude
+    copies of its first bump, which add exactly zero and leave its support
+    unchanged."""
+
+    centers: np.ndarray
+    halfwidths: np.ndarray
+    amplitudes: np.ndarray
+
+    @property
+    def supports(self) -> list[tuple[float, float]]:
+        lo = (self.centers - self.halfwidths).min(axis=0)
+        hi = (self.centers + self.halfwidths).max(axis=0)
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    def _eval(self, r, rows, derivative: bool):
+        r = np.asarray(r, dtype=float)
+        pick = (slice(None), rows) + (None,) * (r.ndim - np.ndim(rows))
+        return _bump_sum(r, self.centers[pick], self.halfwidths[pick],
+                         self.amplitudes[pick], derivative)
+
+    def value(self, r, rows):
+        """Profile rows[j] at r[j], where r may carry more trailing axes than
+        rows; rows may also be one profile index."""
+        return self._eval(r, rows, False)
+
+    def derivative(self, r, rows):
+        return self._eval(r, rows, True)
+
+    def profile(self, i: int) -> Profile:
+        return Profile(lambda r: self.value(r, i),
+                       lambda r: self.derivative(r, i), self.supports[i])
+
+
+def smooth_bump(center: float, halfwidth: float,
+                amplitude: float = 1.0) -> Profile:
     """C-infinity bump a*exp(1 - 1/(1-t^2)), t=(r-center)/halfwidth."""
-    c, w, a = float(center), float(halfwidth), float(amplitude)
-
-    def value(r):
-        r = np.asarray(r, dtype=float)
-        t = (np.atleast_1d(r) - c) / w
-        inside = np.abs(t) < 1.0
-        out = np.zeros_like(t)
-        ts = np.where(inside, t, 0.0)
-        out[inside] = a * np.exp(1.0 - 1.0 / (1.0 - ts**2))[inside]
-        return out[0] if r.ndim == 0 else out
-
-    def derivative(r):
-        r = np.asarray(r, dtype=float)
-        t = (np.atleast_1d(r) - c) / w
-        inside = np.abs(t) < 1.0
-        out = np.zeros_like(t)
-        ts = np.where(inside, t, 0.0)
-        core = np.exp(1.0 - 1.0 / (1.0 - ts**2)) * (-2.0 * ts / (1.0 - ts**2) ** 2)
-        out[inside] = (a / w) * core[inside]
-        return out[0] if r.ndim == 0 else out
-
-    return Profile(value, derivative, (c - w, c + w))
+    return Bumps(np.array([[float(center)]]), np.array([[float(halfwidth)]]),
+                 np.array([[float(amplitude)]])).profile(0)
 
 
-def _sum_profiles(parts: list[Profile]) -> Profile:
-    lo = min(p.support[0] for p in parts)
-    hi = max(p.support[1] for p in parts)
-
-    def value(r):
-        return sum(p.value(r) for p in parts)
-
-    def derivative(r):
-        return sum(p.derivative(r) for p in parts)
-
-    return Profile(value, derivative, (lo, hi))
-
-
-def random_profile(rng: np.random.Generator, interval: tuple[float, float],
-                   max_bumps: int = 4) -> Profile:
-    """Random admissible test profile: a sum of smooth bumps supported
-    strictly inside the open interval (improper ends are truncated)."""
+def random_bumps(rng: np.random.Generator, interval: tuple[float, float],
+                 count: int, max_bumps: int = 4) -> Bumps:
+    """count random admissible test profiles, each a sum of smooth bumps
+    supported strictly inside the open interval (improper ends are
+    truncated), drawn in the order of count successive random_profile calls."""
     rbar, rmax = interval
     lo = max(rbar, 1e-6)
     hi = rmax if np.isfinite(rmax) else 30.0
@@ -116,17 +146,30 @@ def random_profile(rng: np.random.Generator, interval: tuple[float, float],
     span = hi - lo
     left = lo + 0.05 * span
     right = hi - 0.05 * span
-    n = int(rng.integers(1, max_bumps + 1))
-    parts = []
-    for i in range(n):
-        c = rng.uniform(left, right)
-        wmax = min(c - lo, hi - c)
-        w = rng.uniform(0.2, 0.95) * wmax
-        amp = rng.uniform(0.2, 1.0)
-        if i > 0 and rng.random() < 0.4:
-            amp = -amp
-        parts.append(smooth_bump(c, w, amp))
-    return _sum_profiles(parts)
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(1, max_bumps + 1))
+        bumps = []
+        for i in range(n):
+            c = rng.uniform(left, right)
+            wmax = min(c - lo, hi - c)
+            w = rng.uniform(0.2, 0.95) * wmax
+            amp = rng.uniform(0.2, 1.0)
+            if i > 0 and rng.random() < 0.4:
+                amp = -amp
+            bumps.append((c, w, amp))
+        draws.append(bumps)
+    k = max((len(d) for d in draws), default=1)
+    padded = [d + [(d[0][0], d[0][1], 0.0)] * (k - len(d)) for d in draws]
+    params = np.array(padded, dtype=float).reshape(count, k, 3)
+    return Bumps(*np.ascontiguousarray(params.transpose(2, 1, 0)))
+
+
+def random_profile(rng: np.random.Generator, interval: tuple[float, float],
+                   max_bumps: int = 4) -> Profile:
+    """Random admissible test profile: a sum of smooth bumps supported
+    strictly inside the open interval (improper ends are truncated)."""
+    return random_bumps(rng, interval, 1, max_bumps).profile(0)
 
 
 def power_profile(exponent: float, support: tuple[float, float],

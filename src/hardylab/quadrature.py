@@ -1,9 +1,16 @@
-"""Globally adaptive Gauss-Kronrod quadrature with endpoint-singularity grading.
+"""Globally adaptive Gauss-Kronrod quadrature over a batch of integrals.
 
-All integrands are expected to be numpy-vectorized: f(r: ndarray) -> ndarray.
+One kernel refines a flat list of intervals, each tagged with the integral
+(its *owner*) it belongs to; per-owner sums come from ``np.bincount``, and the
+integrand is called as f(x: ndarray, owner: ndarray) -> ndarray on the nodes of
+all live intervals at once, so many small integrals cost about as much as one
+large one. Every owner keeps its own target, refinement and stopping rules,
+and its result depends on its own intervals only, never on its batch mates.
+Converged owners drop out. ``integrate_adaptive`` is the one-owner case.
+
+Endpoint singularities get a geometric seed mesh toward the flagged endpoint.
 Improper upper limits are handled by the substitution r = a + t/(1-t), which
-maps [a, +inf) to [0, 1) and turns the far end into a flagged singular endpoint,
-so a single kernel serves every integral in the package.
+maps [a, +inf) to [0, 1) and turns the far end into a flagged singular endpoint.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ __all__ = [
     "QuadratureEstimate",
     "QuadratureError",
     "integrate_adaptive",
+    "integrate_batch",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
@@ -44,7 +52,8 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])   # Gauss nodes sit at odd slots
 
 _GRADE_LEVELS = 18            # geometric seed mesh depth toward a singular endpoint
-_SPLIT_BATCH = 256            # max intervals refined per sweep
+_SPLIT_BATCH = 256            # max intervals refined per owner per sweep
+_CHUNK = 256                  # intervals per integrand call: bounds a batch's working set
 
 
 @dataclass(frozen=True)
@@ -68,32 +77,63 @@ class QuadratureError(CheckFailure):
         self.partial = partial
 
 
-def _gk15_batch(f: Callable, lefts: np.ndarray, rights: np.ndarray):
-    """Gauss-Kronrod 15 on a batch of intervals with one integrand call."""
+def _gk15(f: Callable, lefts: np.ndarray, rights: np.ndarray, owner: np.ndarray,
+          shift: np.ndarray | None, out: np.ndarray) -> dict[int, float]:
+    """Gauss-Kronrod 15 value and error estimate of each interval, written to
+    the rows of out (2, m).
+
+    f(x, owner) gets the (m, 15) nodes of at most _CHUNK intervals and their
+    owners, and returns their m * 15 values. An owner with a finite ``shift``
+    integrates over t in [0, 1) for r = shift + t/(1-t). The rules are
+    row-wise dot products (vecdot), not one BLAS matrix product, so an
+    interval's numbers do not depend on its position in the batch. Returns
+    {owner: first non-finite r} for the owners whose integrand met a
+    non-finite value.
+    """
+    if lefts.size > _CHUNK:
+        bad: dict[int, float] = {}
+        for s in range(0, lefts.size, _CHUNK):
+            rows = slice(s, s + _CHUNK)
+            for k, r in _gk15(f, lefts[rows], rights[rows], owner[rows], shift,
+                              out[:, rows]).items():
+                bad.setdefault(k, r)
+        return bad
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = pts.ravel()[~np.isfinite(vals.ravel())]
-        raise QuadratureError(f"non-finite integrand value near r={float(bad[0])!r}")
-    kron = half * (vals @ _W_KRON)
-    gauss = half * (vals @ _W_GAUSS)
+    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    if shift is not None:
+        mapped = np.isfinite(shift[owner])
+        one_m = 1.0 - x[mapped]
+        x[mapped] = shift[owner[mapped], None] + x[mapped] / one_m
+    vals = np.ascontiguousarray(f(x, owner), dtype=float).reshape(x.shape)
+    if shift is not None:
+        vals[mapped] = vals[mapped] / one_m ** 2
+    bad = {}
+    finite = np.isfinite(vals)
+    if not finite.all():
+        for i in (~finite).ravel().nonzero()[0]:
+            bad.setdefault(int(owner[i // 15]), float(x.flat[i]))
+    kron = out[0]
+    np.multiply(half, np.vecdot(vals, _W_KRON), out=kron)
+    gauss = half * np.vecdot(vals, _W_GAUSS)
     # QUADPACK-style sharpened error estimate
-    resasc = half * (np.abs(vals - (kron / (2.0 * half))[:, None]) @ _W_KRON)
-    raw = np.abs(kron - gauss)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resasc = half * np.vecdot(
+            np.abs(vals - (kron / (2.0 * half))[:, None]), _W_KRON)
+        raw = np.abs(kron - gauss)
+        # where resasc == 0 the quotient is discarded by the condition
         scaled = np.where(
             (resasc > 0) & (raw > 0),
-            resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+            resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5),
             raw,
         )
-    err = np.where(np.isfinite(scaled), scaled, raw)
-    return kron, err
+    # a NaN raw error (overflowing rule sums) counts as the worst, +inf
+    out[1] = np.where(np.isfinite(scaled), scaled, np.fmin(raw, np.inf))
+    return bad
 
 
 def _initial_edges(a: float, b: float, singular_left: bool, singular_right: bool,
-                   points: Sequence[float]) -> np.ndarray:
+                   points: Sequence[float]) -> list[float]:
     edges = {a, b}
     for p in points:
         if a < p < b:
@@ -109,7 +149,140 @@ def _initial_edges(a: float, b: float, singular_left: bool, singular_right: bool
         # zero error and silently drop its mass
         k = math.ceil(math.log10(b / a))
         edges.update(a * 10.0 ** j for j in range(1, k))
-    return np.array(sorted(e for e in edges if a <= e <= b))
+    return sorted(e for e in edges if a <= e <= b)
+
+
+def _worst(hot, errs, owner, n):
+    """Keep each owner's _SPLIT_BATCH worst hot intervals (ties by position)."""
+    for k in (np.bincount(owner[hot], minlength=n) > _SPLIT_BATCH).nonzero()[0]:
+        mine = (hot & (owner == k)).nonzero()[0]
+        hot[mine[np.argsort(-errs[mine], kind="stable")[_SPLIT_BATCH:]]] = False
+    return hot
+
+
+def integrate_batch(
+    f: Callable,
+    a: Sequence[float],
+    b: Sequence[float],
+    singular_left: Sequence[bool],
+    singular_right: Sequence[bool],
+    points: Sequence[Sequence[float]],
+    tol: float = 1e-10,
+    rel_tol: float = 1e-10,
+    max_subdivisions: int = 1 << 20,
+) -> list[QuadratureEstimate | QuadratureError]:
+    """Integrate the owners k = 0..n-1, each f(., k) over [a[k], b[k]] (b[k]
+    may be +inf), in one adaptive pass.
+
+    f(x, owner) takes an (m, 15) array of nodes and the (m,) owners of its
+    rows and returns the m * 15 values, in x's shape or raveled. Owner k has
+    its own endpoint-singularity flags and interior split points points[k];
+    the tolerances and the subdivision cap are shared. Owner k is done when
+    its error sum meets max(tol, rel_tol * max(|total|, mass)), mass being
+    the sum of |interval values|; until then each sweep refines its intervals
+    above a fair share of that target, worst first and at most _SPLIT_BATCH
+    of them. An owner whose every such interval has shrunk to the float grid
+    ends with its current estimate. Returns each owner's estimate, or the
+    QuadratureError it met: a non-finite integrand value, or the subdivision
+    cap, with the partial estimate.
+    """
+    n = len(a)
+    if not n:
+        return []
+    lefts, rights, sizes = [], [], []
+    shift = None
+    for k, (lo, hi) in enumerate(zip(a, b)):
+        lo, hi = float(lo), float(hi)
+        if not lo < hi:
+            raise ValueError(
+                f"integration bounds must satisfy a < b, got [{lo}, {hi}]")
+        if math.isinf(hi):
+            inner = [(p - lo) / (1.0 + p - lo) for p in points[k] if p > lo]
+            edges = _initial_edges(0.0, 1.0, singular_left[k], True, inner)
+            shift = np.where(np.isinf(b), a, np.inf)
+        else:
+            edges = _initial_edges(lo, hi, singular_left[k], singular_right[k],
+                                   points[k])
+        lefts += edges[:-1]
+        rights += edges[1:]
+        sizes.append(len(edges) - 1)
+    owner = np.arange(n).repeat(sizes)
+    # rows of iv: left, right, value and error of every live interval; owner
+    # slots are renumbered 0..live-1 whenever some owners end, and ids maps
+    # them back to the caller's owner numbers, which f, shift and bad use
+    iv = np.array([lefts, rights, lefts, rights])
+    bad = _gk15(f, iv[0], iv[1], owner, shift, iv[2:])
+    ids = np.arange(n)
+    stalled = None
+    out: list = [None] * n
+    while True:
+        count = np.bincount(owner, minlength=ids.size)
+        total = np.bincount(owner, iv[2], ids.size)
+        total_err = np.bincount(owner, iv[3], ids.size)
+        # relative accuracy is measured against the absolute mass so that
+        # integrals of tiny magnitude (underflowing weights) still get
+        # resolved instead of trivially meeting an absolute target; summed
+        # in the same order as total, mass >= |total| holds in floating point
+        mass = np.bincount(owner, np.abs(iv[2]), ids.size)
+        target = np.maximum(tol, rel_tol * mass)
+        ended = total_err <= target
+        if owner.size >= max_subdivisions:   # some owner may be at the cap
+            ended |= count >= max_subdivisions
+        if stalled is not None:
+            ended |= stalled
+        if bad:
+            ended[np.searchsorted(ids, list(bad))] = True
+        n_ended = np.count_nonzero(ended)
+        if n_ended:
+            for j in ended.nonzero()[0]:
+                k = int(ids[j])
+                est = QuadratureEstimate(float(total[j]), float(total_err[j]),
+                                         int(count[j]))
+                if k in bad:
+                    out[k] = QuadratureError(
+                        f"non-finite integrand value near r={bad[k]!r}")
+                elif total_err[j] <= target[j] or stalled is not None and stalled[j]:
+                    out[k] = est
+                else:
+                    out[k] = QuadratureError(
+                        f"adaptive quadrature did not converge within "
+                        f"{max_subdivisions} subdivisions (error "
+                        f"{total_err[j]:.3e} > target {target[j]:.3e})",
+                        partial=est)
+            if n_ended == ids.size:
+                return out
+            stay = ~ended
+            ids, count, target = ids[stay], count[stay], target[stay]
+            sel = stay[owner]
+            owner = (np.cumsum(stay) - 1)[owner[sel]]
+            iv = iv.compress(sel, axis=1)
+        # refine every interval above its owner's fair error share
+        hot = iv[3] > (target / (2.0 * count))[owner]
+        if np.count_nonzero(hot) > _SPLIT_BATCH:
+            hot = _worst(hot, iv[3], owner, ids.size)
+        idx = hot.nonzero()[0]
+        left, right = iv[:2].take(idx, axis=1)
+        mids = 0.5 * (left + right)
+        # stop refining intervals whose width approaches the float grid of
+        # the endpoint location: Kronrod nodes of a narrower child could
+        # round onto a singular endpoint (only an issue away from 0, where
+        # denormals make the grid effectively unbounded below); an owner
+        # whose every hot interval is stuck ends with its current estimate
+        stuck = mids - left <= np.abs(mids) * 1e-13
+        stalled = None
+        if np.count_nonzero(stuck):
+            hot[idx[stuck]] = False
+            free = ~stuck
+            idx, left, right, mids = idx[free], left[free], right[free], mids[free]
+            stalled = np.bincount(owner[idx], minlength=ids.size) == 0
+        new = np.empty((4, 2 * idx.size))
+        np.concatenate([left, mids, mids, right], out=new[:2].reshape(-1))
+        mine = owner[idx]
+        new_owner = np.concatenate([mine, mine])
+        bad = _gk15(f, new[0], new[1], ids[new_owner], shift, new[2:])
+        keep = ~hot
+        iv = np.concatenate([iv.compress(keep, axis=1), new], axis=1)
+        owner = np.concatenate([owner[keep], new_owner])
 
 
 def integrate_adaptive(
@@ -123,70 +296,13 @@ def integrate_adaptive(
     max_subdivisions: int = 1 << 20,
     points: Sequence[float] = (),
 ) -> QuadratureEstimate:
-    """Integrate f over [a, b] (b may be +inf) to the requested tolerance.
-
-    Endpoint singularities of integrable type are handled by a geometric seed
-    mesh toward the flagged endpoint followed by global adaptive bisection.
-    Raises QuadratureError carrying the partial estimate on non-convergence.
-    """
-    if not a < b:
-        raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    if math.isinf(b):
-        shift = a
-
-        def g(t, _f=f, _shift=shift):
-            t = np.asarray(t, dtype=float)
-            one_m = 1.0 - t
-            return _f(_shift + t / one_m) / one_m ** 2
-
-        inner = [(p - shift) / (1.0 + p - shift) for p in points if p > shift]
-        return integrate_adaptive(
-            g, 0.0, 1.0, tol=tol, rel_tol=rel_tol,
-            singular_left=singular_left, singular_right=True,
-            max_subdivisions=max_subdivisions, points=inner,
-        )
-    edges = _initial_edges(a, b, singular_left, singular_right, points)
-    lefts, rights = edges[:-1], edges[1:]
-    vals, errs = _gk15_batch(f, lefts, rights)
-
-    while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        # relative accuracy is measured against the absolute mass so that
-        # integrals of tiny magnitude (underflowing weights) still get
-        # resolved instead of trivially meeting an absolute target
-        mass = float(np.abs(vals).sum())
-        target = max(tol, rel_tol * max(abs(total), mass))
-        if total_err <= target:
-            return QuadratureEstimate(total, total_err, len(vals))
-        if len(vals) >= max_subdivisions:
-            raise QuadratureError(
-                f"adaptive quadrature did not converge within {max_subdivisions} "
-                f"subdivisions (error {total_err:.3e} > target {target:.3e})",
-                partial=QuadratureEstimate(total, total_err, len(vals)),
-            )
-        # refine every interval above its fair error share, worst first
-        thresh = target / (2.0 * len(vals))
-        order = np.argsort(errs)[::-1]
-        hot = order[errs[order] > thresh][:_SPLIT_BATCH]
-        if hot.size == 0:
-            hot = order[:1]
-        mids = 0.5 * (lefts[hot] + rights[hot])
-        # stop refining intervals whose width approaches the float grid of
-        # the endpoint location: Kronrod nodes of a narrower child could
-        # round onto a singular endpoint (only an issue away from 0, where
-        # denormals make the grid effectively unbounded below)
-        stuck = mids - lefts[hot] <= np.abs(mids) * 1e-13
-        if np.all(stuck):
-            return QuadratureEstimate(total, total_err, len(vals))
-        hot = hot[~stuck]
-        mids = mids[~stuck]
-        new_lefts = np.concatenate([lefts[hot], mids])
-        new_rights = np.concatenate([mids, rights[hot]])
-        new_vals, new_errs = _gk15_batch(f, new_lefts, new_rights)
-        keep = np.ones(len(vals), dtype=bool)
-        keep[hot] = False
-        lefts = np.concatenate([lefts[keep], new_lefts])
-        rights = np.concatenate([rights[keep], new_rights])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+    """Integrate f(r) over [a, b] (b may be +inf) to the requested tolerance:
+    the one-owner case of integrate_batch. Raises QuadratureError carrying
+    the partial estimate on non-convergence."""
+    (est,) = integrate_batch(
+        lambda x, owner: f(x.ravel()),
+        [a], [b], [singular_left], [singular_right], [points],
+        tol=tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+    if isinstance(est, QuadratureError):
+        raise est
+    return est

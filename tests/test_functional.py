@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.functional import (InvalidProfileError, inequality_slack,
-                                 random_profile_slacks,
+from hardylab.functional import (InvalidProfileError, _reduce_batch,
+                                 inequality_slack, random_profile_slacks,
                                  reduce_radial_functional)
-from hardylab.profiles import Profile, random_profile, smooth_bump
+from hardylab.profiles import (Bumps, Profile, random_bumps, random_profile,
+                               smooth_bump)
+from hardylab.quadrature import QuadratureError
 from hardylab.scenarios import scenario_catalog
 
 from oracles import composite_gauss
@@ -124,3 +126,59 @@ def test_antisymmetric_numerator_carries_sphere_term():
         lambda r: 12.0 * r ** 2 * r ** (-2.0) * phi.value(r) ** 2,
         0.5, 1.5, 100, 20)
     assert red.numerator == pytest.approx(red_plain.numerator + extra, rel=1e-9)
+
+
+def test_random_profile_rows_do_not_depend_on_batch_mates():
+    for name, kwargs in (("power", dict(Q=5.0, p=3.0, theta=1.0)),
+                         ("gaussian_b", dict(p=2.0, theta=1.0, alpha=2.0,
+                                             beta=2.0, Q=5.0)),
+                         ("antisymmetric", dict(N=3, theta=1.0))):
+        sc = scenario_catalog(name, **kwargs)
+        few = random_profile_slacks(sc, 10, seed=31)
+        many = random_profile_slacks(sc, 40, seed=31)
+        assert few == many[:10]
+        # and a profile reduced on its own gives its batch row
+        phi = random_bumps(np.random.default_rng(31), sc.pair.interval, 3).profile(2)
+        red = reduce_radial_functional(sc, phi, tol=1e-9)
+        assert (red.quotient, red.slack(sc.sharp_constant)) \
+            == (many[2]["quotient"], many[2]["slack"])
+
+
+def _loop_error(sc, bumps):
+    """The error a loop reducing the profiles one by one raises first."""
+    for i in range(len(bumps.supports)):
+        try:
+            reduce_radial_functional(sc, bumps.profile(i), tol=1e-9)
+        except (InvalidProfileError, QuadratureError) as err:
+            return err
+    return None
+
+
+def _reduce_all(sc, bumps):
+    return _reduce_batch(sc, bumps.supports, [()] * len(bumps.supports),
+                         bumps.value, bumps.derivative, 1e-9)
+
+
+def test_batch_errors_name_the_lowest_index_profile():
+    sc = scenario_catalog("annulus", Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
+    # profiles 1 and 3 lie outside the interval (1, e)
+    outside = Bumps(np.array([[1.5, 10.5, 2.0, 20.5]]),
+                    np.array([[0.3, 0.5, 0.4, 0.5]]), np.ones((1, 4)))
+    with pytest.raises(InvalidProfileError) as err:
+        _reduce_all(sc, outside)
+    assert "(10.0, 11.0)" in str(err.value)
+    assert str(err.value) == str(_loop_error(sc, outside))
+    # profiles 1 and 2 have a NaN amplitude, so their integrands fail
+    failing = Bumps(np.array([[1.5, 2.2, 1.8, 2.0]]),
+                    np.array([[0.3, 0.4, 0.5, 0.4]]),
+                    np.array([[1.0, math.nan, math.nan, 1.0]]))
+    with pytest.raises(QuadratureError) as err:
+        _reduce_all(sc, failing)
+    assert "non-finite integrand value near r=" in str(err.value)
+    assert str(err.value) == str(_loop_error(sc, failing))
+    # an invalid profile ahead of a failing one is the one named
+    mixed = Bumps(np.array([[1.5, 2.2, 10.5]]), np.array([[0.3, 0.4, 0.5]]),
+                  np.array([[1.0, math.nan, 1.0]]))
+    with pytest.raises(QuadratureError):
+        _reduce_all(sc, mixed)
+    assert isinstance(_loop_error(sc, mixed), QuadratureError)

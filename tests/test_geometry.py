@@ -189,6 +189,10 @@ def test_nonfinite_model_knobs_rejected():
             greiner(1, bad)
         with pytest.raises(ParameterDomainError, match="^theta must be"):
             strip_quotient(bad, 1e-3)
+        with pytest.raises(ParameterDomainError, match="^alpha must be"):
+            measure_homogeneity_check(euclidean(3), bad, 0.5, 1.0, 1000)
+        with pytest.raises(ParameterDomainError, match="^need finite radii"):
+            measure_homogeneity_check(euclidean(3), 1.0, 0.5, bad, 1000)
 
 
 def test_vandermonde_domain_invariants():

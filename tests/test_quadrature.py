@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hardylab.quadrature import QuadratureError, integrate_adaptive
+from hardylab.quadrature import (QuadratureError, integrate_adaptive,
+                                 integrate_batch)
 
 from oracles import decades_gauss, graded_gauss
 
@@ -95,3 +97,84 @@ def test_nonconvergence_carries_partial_estimate():
     # the partial value is still in the right ballpark
     exact = 2.0 * (math.sqrt(0.37) + math.sqrt(0.63))
     assert abs(err.value.partial.value - exact) < 0.5
+
+
+# the integrands above, each with its own bounds, flags and split points
+_BATCH = [
+    (lambda r: 1.0 / np.sqrt(r), 0.0, 1.0,
+     dict(singular_left=True)),
+    (lambda r: r ** -0.5, 0.0, 2.0, dict(singular_left=True)),
+    (lambda r: np.exp(-r), 0.0, math.inf, {}),
+    (lambda r: 1.0 / (1.0 + r) ** 2, 1.0, math.inf, {}),
+    (lambda r: np.exp(-0.5 * r * r) / r, 2e-4, 5e3, {}),
+    (lambda r: np.abs(r - 0.3) ** 0.5, 0.0, 1.0, dict(points=[0.3])),
+    (lambda r: 1.0 / np.sqrt(r * (1.0 - r)), 0.0, 1.0,
+     dict(singular_left=True, singular_right=True)),
+]
+
+
+def _batched(funcs):
+    def f(x, owner):
+        out = np.empty_like(x)
+        for k, g in enumerate(funcs):
+            rows = owner == k
+            if rows.any():
+                out[rows] = g(x[rows])
+        return out
+    return f
+
+
+def _batch_call(cases, **kw):
+    return integrate_batch(
+        _batched([c[0] for c in cases]), [c[1] for c in cases],
+        [c[2] for c in cases],
+        [c[3].get("singular_left", False) for c in cases],
+        [c[3].get("singular_right", False) for c in cases],
+        [c[3].get("points", ()) for c in cases], **kw)
+
+
+def test_batch_matches_single_calls():
+    tol = dict(tol=1e-11, rel_tol=1e-11)
+    ests = _batch_call(_BATCH, **tol)
+    for (g, a, b, kw), est in zip(_BATCH, ests):
+        single = integrate_adaptive(g, a, b, **tol, **kw)
+        assert abs(est.value - single.value) <= 4 * np.spacing(abs(single.value))
+        assert abs(est.error_estimate - single.error_estimate) \
+            <= 4 * np.spacing(single.error_estimate)
+        assert est.subdivisions == single.subdivisions
+    # and each owner's result does not depend on its batch mates
+    for k in range(len(_BATCH)):
+        alone = _batch_call(_BATCH[k:k + 1], **tol)[0]
+        assert (alone.value, alone.subdivisions) \
+            == (ests[k].value, ests[k].subdivisions)
+
+
+def test_batch_nonconvergence_is_per_owner():
+    hard = lambda r: 1.0 / np.sqrt(np.abs(r - 0.37))
+    cases = [(lambda s: s * (1.0 - s), 0.0, 1.0, {}), (hard, 0.0, 1.0, {})]
+    kw = dict(tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
+    easy, failed = _batch_call(cases, **kw)
+    assert math.isclose(easy.value, 1.0 / 6.0, rel_tol=1e-12)
+    assert isinstance(failed, QuadratureError)
+    with pytest.raises(QuadratureError) as single:
+        integrate_adaptive(hard, 0.0, 1.0, **kw)
+    assert str(failed) == str(single.value)
+    assert failed.partial == single.value.partial
+    assert failed.partial.subdivisions >= 8
+
+
+def test_batch_nonfinite_value_names_its_owner_and_r():
+    def nan_at_half(r):
+        shifted = np.asarray(r) - 0.5
+        return np.where(shifted == 0.0, np.nan, 1.0) / np.where(
+            shifted == 0.0, 1.0, shifted)
+
+    fine, bad = _batch_call([(lambda r: r * r, 0.0, 1.0, {}),
+                             (nan_at_half, 0.0, 1.0, {})])
+    assert math.isclose(fine.value, 1.0 / 3.0, rel_tol=1e-12)
+    assert isinstance(bad, QuadratureError)
+    assert re.search(r"near r=0\.5$", str(bad))
+
+
+def test_empty_batch():
+    assert integrate_batch(lambda x, owner: x, [], [], [], [], []) == []

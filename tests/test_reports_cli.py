@@ -397,6 +397,10 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
       "nan"], 2),
     (["geometry", "--model", "grushin", "--check", "measure", "--gamma",
       "inf"], 2),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
+      "1000", "--alpha", "nan"], 2),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
+      "1000", "--R2", "inf"], 2),
     # a report or eigenfunction file that cannot be written
     (["catalog", "--out", "{tmp}/nodir/x.json"], 2),
     (["eig", "--eigenfunction-out", "{tmp}/nodir/x.json"], 2),
