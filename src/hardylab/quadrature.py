@@ -190,7 +190,7 @@ def integrate_batch(
     if not n:
         return []
     lefts, rights, sizes = [], [], []
-    shift = None
+    improper = False
     for k, (lo, hi) in enumerate(zip(a, b)):
         lo, hi = float(lo), float(hi)
         if not lo < hi:
@@ -199,13 +199,14 @@ def integrate_batch(
         if math.isinf(hi):
             inner = [(p - lo) / (1.0 + p - lo) for p in points[k] if p > lo]
             edges = _initial_edges(0.0, 1.0, singular_left[k], True, inner)
-            shift = np.where(np.isinf(b), a, np.inf)
+            improper = True
         else:
             edges = _initial_edges(lo, hi, singular_left[k], singular_right[k],
                                    points[k])
         lefts += edges[:-1]
         rights += edges[1:]
         sizes.append(len(edges) - 1)
+    shift = np.where(np.isinf(b), a, np.inf) if improper else None
     owner = np.arange(n).repeat(sizes)
     # rows of iv: left, right, value and error of every live interval; owner
     # slots are renumbered 0..live-1 whenever some owners end, and ids maps
