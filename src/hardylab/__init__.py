@@ -3,8 +3,7 @@ Bessel-pair ODE characterizations, sharp constants, and the algebraic
 identities they rest on, across concrete subelliptic gauge geometries."""
 
 from .functional import (InvalidProfileError, ReducedFunctional,
-                         inequality_slack, random_profile_slacks,
-                         reduce_radial_functional)
+                         random_profile_slacks, reduce_radial_functional)
 from .profiles import Profile, power_profile, random_profile, smooth_bump
 from .quadrature import QuadratureError, QuadratureEstimate, integrate_adaptive
 from .scenarios import (CheckFailure, Exponents, ParameterDomainError,
@@ -19,6 +18,6 @@ __all__ = [
     "scenario_from_json", "Profile", "smooth_bump", "random_profile",
     "power_profile", "QuadratureEstimate", "QuadratureError",
     "integrate_adaptive", "ReducedFunctional", "InvalidProfileError",
-    "reduce_radial_functional", "inequality_slack", "random_profile_slacks",
+    "reduce_radial_functional", "random_profile_slacks",
     "__version__",
 ]

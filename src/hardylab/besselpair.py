@@ -180,7 +180,7 @@ def improved_weight_auxiliary_pair(Q: float, p: float):
     pair = RadialWeightPair(V, W, p - 1.0, (0.0, math.inf), W_nonnegative=False)
     phi = Profile(lambda r: np.exp(-np.asarray(r, dtype=float)),
                   lambda r: -np.exp(-np.asarray(r, dtype=float)),
-                  (0.0, math.inf), compactly_supported=False)
+                  (0.0, math.inf))
     return pair, phi
 
 

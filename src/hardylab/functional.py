@@ -24,10 +24,12 @@ import numpy as np
 
 from .profiles import Profile, random_bumps
 from .quadrature import QuadratureError, integrate_adaptive, integrate_batch
-from .scenarios import Scenario
+from .scenarios import ParameterDomainError, Scenario
 
 __all__ = ["ReducedFunctional", "InvalidProfileError", "reduce_radial_functional",
-           "inequality_slack", "random_profile_slacks"]
+           "random_profile_slacks"]
+
+_SAMPLE_TOL = 1e-9      # relative target of each random-profile integral
 
 
 class InvalidProfileError(ValueError):
@@ -171,27 +173,17 @@ def reduce_radial_functional(scenario: Scenario, phi: Profile,
     return red
 
 
-def inequality_slack(scenario: Scenario, phi: Profile,
-                     tol: float = 1e-10) -> float:
-    """Normalized slack of numerator >= sharp_constant * denominator.
-
-    Sign-robust for weight pairs whose W changes sign: the inequality claim
-    is on the difference, not the quotient, and the slack is nonnegative up
-    to quadrature noise whenever the theorem holds.
-    """
-    red = reduce_radial_functional(scenario, phi, tol=tol)
-    return red.slack(scenario.sharp_constant)
-
-
-def random_profile_slacks(scenario: Scenario, count: int, seed: int,
-                          tol: float = 1e-9) -> list[dict]:
+def random_profile_slacks(scenario: Scenario, count: int,
+                          seed: int) -> list[dict]:
     """Inequality sampling: quotient and normalized slack for seeded random
     bump profiles supported inside the scenario interval, drawn in order
     from one seeded stream (deterministic) and reduced as one batch."""
+    if count < 1:
+        raise ParameterDomainError(f"profile count must be >= 1, got {count}")
     bumps = random_bumps(np.random.default_rng(seed), scenario.pair.interval,
                          count)
     reduced = _reduce_batch(scenario, bumps.supports, [()] * count,
-                            bumps.value, bumps.derivative, tol)
+                            bumps.value, bumps.derivative, _SAMPLE_TOL)
     c = scenario.sharp_constant
     return [{"index": i, "quotient": red.quotient, "slack": red.slack(c)}
             for i, red in enumerate(reduced)]

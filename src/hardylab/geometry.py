@@ -24,15 +24,12 @@ from .sharpness import plateau_cutoff, strip_cutoff
 __all__ = [
     "GaugeModel",
     "MonteCarloEstimate",
-    "VandermondeDomain",
-    "SingularPointError",
     "UnsupportedModelError",
     "ResolutionError",
     "euclidean",
     "grushin",
     "greiner",
     "cylindrical_split",
-    "gauge_eval",
     "gauge_gradient_fd_error",
     "homogeneity_error",
     "cylindrical_orthogonality_error",
@@ -45,10 +42,10 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 _N_BATCHES = 32
-
-
-class SingularPointError(ParameterDomainError):
-    """Gauge evaluation requested at the gauge origin."""
+_CHUNK = 1 << 20          # Monte-Carlo points drawn and weighed at once
+_HOMOGENEITY_SAMPLES = 1000
+_ORTHOGONALITY_SAMPLES = 200
+_CHECK_POINTS = 200       # harmonicity and sphere-eigenvalue test points
 
 
 class UnsupportedModelError(ParameterDomainError):
@@ -139,11 +136,6 @@ class GaugeModel:
             out[:, n + i, -1] = -zfac * pts[:, i]       # - 2 gamma x_i |z|^(2g-2) d_t
         return out
 
-    def dilate(self, lam: float, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        exps = np.asarray(self.dilation_exponents)
-        return pts * lam ** exps[None, :]
-
     def ball_box(self, R: float) -> np.ndarray:
         """Half-widths of the smallest dilation-adapted box containing the
         gauge ball of radius R."""
@@ -189,23 +181,14 @@ def cylindrical_split(m: int, N: int) -> GaugeModel:
                       {"m": m, "N": N})
 
 
-def gauge_eval(model: GaugeModel, point) -> dict:
-    """Gauge value and gauge-gradient magnitude at one point."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    d = model.gauge(pts)
-    if d[0] == 0.0:
-        raise SingularPointError("gauge vanishes only at the origin; "
-                                 "evaluation there is undefined")
-    return {"d": float(d[0]), "grad_gauge_mag": float(model.grad_gauge_mag(pts)[0])}
-
-
-def _fd_gradient(func, pts: np.ndarray, rel_step: float = 1e-3) -> np.ndarray:
-    """4th-order central finite-difference gradient, per coordinate."""
+def _fd_gradient(func, pts: np.ndarray) -> np.ndarray:
+    """4th-order central finite-difference gradient, per coordinate, with
+    steps 1e-3 (1 + |x_j|)."""
     pts = np.atleast_2d(pts)
     npts, dims = pts.shape
     grad = np.zeros_like(pts)
     for j in range(dims):
-        h = rel_step * (1.0 + np.abs(pts[:, j]))
+        h = 1e-3 * (1.0 + np.abs(pts[:, j]))
         for c, s in ((1.0, -2.0), (-8.0, -1.0), (8.0, 1.0), (-1.0, 2.0)):
             shifted = pts.copy()
             shifted[:, j] += s * h
@@ -214,12 +197,11 @@ def _fd_gradient(func, pts: np.ndarray, rel_step: float = 1e-3) -> np.ndarray:
     return grad
 
 
-def gauge_gradient_fd_error(model: GaugeModel, pts: np.ndarray,
-                            rel_step: float = 1e-3) -> float:
+def gauge_gradient_fd_error(model: GaugeModel, pts: np.ndarray) -> float:
     """Max relative mismatch between |sigma grad d| from finite differences
     and the closed form, away from singular sets."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    grad = _fd_gradient(model.gauge, pts, rel_step)
+    grad = _fd_gradient(model.gauge, pts)
     sig = model.sigma(pts)
     horizontal = np.einsum("nhd,nd->nh", sig, grad)
     fd_mag = np.linalg.norm(horizontal, axis=1)
@@ -227,12 +209,11 @@ def gauge_gradient_fd_error(model: GaugeModel, pts: np.ndarray,
     return float(np.max(np.abs(fd_mag - closed) / (np.abs(closed) + 1e-12)))
 
 
-def homogeneity_error(model: GaugeModel, samples: int = 1000,
-                      seed: int = DEFAULT_SEED) -> float:
+def homogeneity_error(model: GaugeModel, seed: int = DEFAULT_SEED) -> float:
     """Max relative defect of d(delta_lam x) = lam d(x) over random points."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-2.0, 2.0, size=(samples, model.dims))
-    lam = rng.uniform(0.1, 10.0, size=samples)
+    pts = rng.uniform(-2.0, 2.0, size=(_HOMOGENEITY_SAMPLES, model.dims))
+    lam = rng.uniform(0.1, 10.0, size=_HOMOGENEITY_SAMPLES)
     d = model.gauge(pts)
     keep = d > 1e-9
     exps = np.asarray(model.dilation_exponents)
@@ -242,7 +223,7 @@ def homogeneity_error(model: GaugeModel, samples: int = 1000,
                         / (lam[keep] * d[keep])))
 
 
-def cylindrical_orthogonality_error(model: GaugeModel, samples: int = 200,
+def cylindrical_orthogonality_error(model: GaugeModel,
                                     seed: int = DEFAULT_SEED) -> float:
     """For the Greiner family: the horizontal derivative of the vertical
     radius |t| is orthogonal to the first-layer direction (z/|z|, 0); the
@@ -250,8 +231,8 @@ def cylindrical_orthogonality_error(model: GaugeModel, samples: int = 200,
     if model.kind != "greiner":
         raise UnsupportedModelError("orthogonality check targets the Greiner model")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.2, 2.0, size=(samples, model.dims)) \
-        * rng.choice([-1.0, 1.0], size=(samples, model.dims))
+    pts = rng.uniform(0.2, 2.0, size=(_ORTHOGONALITY_SAMPLES, model.dims)) \
+        * rng.choice([-1.0, 1.0], size=(_ORTHOGONALITY_SAMPLES, model.dims))
     sig = model.sigma(pts)
     vertical = np.sign(pts[:, -1])[:, None] * sig[:, :, -1]   # grad_L |t|
     z = pts[:, :model.h]
@@ -260,8 +241,7 @@ def cylindrical_orthogonality_error(model: GaugeModel, samples: int = 200,
     return float(np.max(np.abs(dots)))
 
 
-def _batched_ratio(weigh, sampler, samples: int, seed: int,
-                   chunk: int = 1 << 20):
+def _batched_ratio(weigh, sampler, samples: int, seed: int):
     """Ratio of two Monte-Carlo means over a common sample stream with a
     batch-means standard error; `weigh(pts)` returns the (numerator,
     denominator) weights of one batch."""
@@ -272,7 +252,7 @@ def _batched_ratio(weigh, sampler, samples: int, seed: int,
     batch_num = np.zeros(_N_BATCHES)
     batch_den = np.zeros(_N_BATCHES)
     batch_cnt = np.zeros(_N_BATCHES)
-    chunk = min(chunk, max(1024, -(-samples // _N_BATCHES)))
+    chunk = min(_CHUNK, max(1024, -(-samples // _N_BATCHES)))
     done = 0
     b = 0
     while done < samples:
@@ -337,7 +317,7 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
     # it weighs only the R1 ball, since this pass holds up to 2^20 points at
     # once and also weighing the larger R2 ball raises peak memory by a quarter
     rng = np.random.default_rng(seed + 1)
-    pts = rng.uniform(-1.0, 1.0, size=(min(samples, 1 << 20), model.dims)) \
+    pts = rng.uniform(-1.0, 1.0, size=(min(samples, _CHUNK), model.dims)) \
         * half[None, :]
     vol = float(np.prod(2.0 * half))
     lam_alpha = vol * float(np.mean(ball_weight(pts, model.gauge(pts), R1))) \
@@ -416,18 +396,6 @@ def strip_quotient(theta: float, epsilon: float) -> float:
 
 # -- Vandermonde sector -----------------------------------------------------
 
-@dataclass(frozen=True)
-class VandermondeDomain:
-    m: int
-    N: int
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.N < self.m:
-            raise ParameterDomainError(
-                f"need 2 <= m <= N, got m={self.m}, N={self.N}")
-
-
 def vandermonde(pts: np.ndarray) -> np.ndarray:
     """prod_{i<j} (x_j - x_i) over the last axis."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -475,8 +443,7 @@ def _fd_laplacian(func, pts: np.ndarray, rel_step: float = 1e-3):
 
 
 def vandermonde_checks(N: int, theta: float, mc_samples: int,
-                       seed: int = DEFAULT_SEED, epsilon: float = 1e-2,
-                       check_points: int = 200) -> dict:
+                       seed: int = DEFAULT_SEED, epsilon: float = 1e-2) -> dict:
     """Harmonicity, sphere eigenvalue, and sector Rayleigh quotient for the
     ordered-coordinate domain.
 
@@ -498,12 +465,12 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
 
     # (i) harmonicity of the pair-difference product (per-coordinate degree
     # N-1, so the 4th-order stencil is exact up to roundoff)
-    pts = rng.uniform(-2.0, 2.0, size=(check_points, N))
+    pts = rng.uniform(-2.0, 2.0, size=(_CHECK_POINTS, N))
     lap, scale = _fd_laplacian(vandermonde, pts)
     harmonicity_residual = float(np.max(np.abs(lap) / scale))
 
     # (ii) sphere eigenvalue via the radial power w = r^-kappa nu
-    spts = rng.normal(size=(check_points, N))
+    spts = rng.normal(size=(_CHECK_POINTS, N))
     spts = spts[np.abs(vandermonde(spts)) > 1e-2]
     spts *= (1.0 + rng.uniform(0.0, 1.0, size=(spts.shape[0], 1)))
 

@@ -1,8 +1,8 @@
 """Piecewise-smooth scalar profiles of one radial variable.
 
-A Profile bundles a vectorized value function, its derivative, and compact
-support metadata. Products (maximizer times cut-off) keep analytic
-derivatives via the product rule.
+A Profile bundles a vectorized value function, its derivative, its support
+and the knots of a piecewise definition. Products (maximizer times cut-off)
+keep analytic derivatives via the product rule.
 
 Smooth bumps are parameter arrays: ``Bumps`` holds the centres, half-widths
 and amplitudes of a batch of bump sums, one profile per column, and one
@@ -20,13 +20,14 @@ import numpy as np
 __all__ = ["Profile", "Bumps", "smooth_bump", "random_bumps", "random_profile",
            "power_profile"]
 
+_MAX_BUMPS = 4          # bumps per random profile: 1 to _MAX_BUMPS
+
 
 @dataclass(frozen=True)
 class Profile:
     value: Callable
     derivative: Callable
     support: tuple[float, float]
-    compactly_supported: bool = True
     knots: tuple[float, ...] = ()   # junctions of piecewise definitions
 
     def __call__(self, r):
@@ -48,28 +49,8 @@ class Profile:
 
         return Profile(
             value, derivative, (lo, hi),
-            self.compactly_supported or other.compactly_supported,
             tuple(sorted(set(self.knots) | set(other.knots))),
         )
-
-    def scaled(self, c: float) -> "Profile":
-        f, fp = self.value, self.derivative
-        return Profile(lambda r: c * f(r), lambda r: c * fp(r),
-                       self.support, self.compactly_supported, self.knots)
-
-    def check_derivative(self, tol: float = 1e-5, n: int = 200,
-                         margin: float = 1e-3) -> float:
-        """Max relative mismatch between stored derivative and central FD."""
-        lo, hi = self.support
-        pad = margin * (hi - lo)
-        r = np.linspace(lo + pad, hi - pad, n)
-        h = 1e-6 * (hi - lo)
-        fd = (self.value(r + h) - self.value(r - h)) / (2 * h)
-        scale = np.max(np.abs(self.derivative(r))) + 1e-300
-        err = float(np.max(np.abs(fd - self.derivative(r))) / scale)
-        if err > tol:
-            raise ValueError(f"derivative inconsistent with value: rel FD error {err:.3e}")
-        return err
 
 
 def _bump_sum(r, c, w, a, derivative: bool):
@@ -135,7 +116,7 @@ def smooth_bump(center: float, halfwidth: float,
 
 
 def random_bumps(rng: np.random.Generator, interval: tuple[float, float],
-                 count: int, max_bumps: int = 4) -> Bumps:
+                 count: int) -> Bumps:
     """count random admissible test profiles, each a sum of smooth bumps
     supported strictly inside the open interval (improper ends are
     truncated), drawn in the order of count successive random_profile calls."""
@@ -148,7 +129,7 @@ def random_bumps(rng: np.random.Generator, interval: tuple[float, float],
     right = hi - 0.05 * span
     draws = []
     for _ in range(count):
-        n = int(rng.integers(1, max_bumps + 1))
+        n = int(rng.integers(1, _MAX_BUMPS + 1))
         bumps = []
         for i in range(n):
             c = rng.uniform(left, right)
@@ -165,20 +146,18 @@ def random_bumps(rng: np.random.Generator, interval: tuple[float, float],
     return Bumps(*np.ascontiguousarray(params.transpose(2, 1, 0)))
 
 
-def random_profile(rng: np.random.Generator, interval: tuple[float, float],
-                   max_bumps: int = 4) -> Profile:
+def random_profile(rng: np.random.Generator,
+                   interval: tuple[float, float]) -> Profile:
     """Random admissible test profile: a sum of smooth bumps supported
     strictly inside the open interval (improper ends are truncated)."""
-    return random_bumps(rng, interval, 1, max_bumps).profile(0)
+    return random_bumps(rng, interval, 1).profile(0)
 
 
-def power_profile(exponent: float, support: tuple[float, float],
-                  scale: float = 1.0) -> Profile:
-    """r -> scale * r^exponent with analytic derivative (not compactly supported)."""
-    g, s = float(exponent), float(scale)
+def power_profile(exponent: float, support: tuple[float, float]) -> Profile:
+    """r -> r^exponent with analytic derivative (not compactly supported)."""
+    g = float(exponent)
     return Profile(
-        lambda r: s * np.asarray(r, dtype=float) ** g,
-        lambda r: s * g * np.asarray(r, dtype=float) ** (g - 1.0),
+        lambda r: np.asarray(r, dtype=float) ** g,
+        lambda r: g * np.asarray(r, dtype=float) ** (g - 1.0),
         support,
-        compactly_supported=False,
     )

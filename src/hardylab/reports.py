@@ -23,17 +23,13 @@ def format_number(x) -> str:
     return str(x)
 
 
-def render_csv(rows: Sequence[dict], header: Sequence[str] | None = None) -> str:
-    if rows:
-        row_header = list(rows[0].keys())
-        if header is not None and list(header) != row_header:
-            raise ValueError("declared header does not match row keys")
-        header = row_header
-        for row in rows:
-            if list(row.keys()) != header:
-                raise ValueError("rows must be homogeneous")
-    elif header is None:
-        raise ValueError("empty report needs an explicit header")
+def render_csv(rows: Sequence[dict]) -> str:
+    if not rows:
+        raise ValueError("empty report: no rows to take the header from")
+    header = list(rows[0].keys())
+    for row in rows:
+        if list(row.keys()) != header:
+            raise ValueError("rows must be homogeneous")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

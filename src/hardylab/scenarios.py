@@ -1,6 +1,7 @@
 """Scenario catalog: every weighted Hardy-type inequality instance the
-package verifies, as an immutable bundle of exponents, a radial weight pair,
-the claimed sharp constant, and the closed-form maximizer when one exists.
+package verifies, as an immutable bundle of exponents, a radial weight pair
+whose lambda is the claimed sharp constant, and the closed-form maximizer
+when one exists.
 
 Each 1-D reduction lives on the measure r^(Q-1) dr, where Q is the effective
 homogeneous dimension tied to the weight homogeneity beta through
@@ -125,7 +126,6 @@ class Scenario:
     name: str
     exponents: Exponents
     pair: RadialWeightPair
-    sharp_constant: float
     maximizer: Profile | str
     extra: dict = field(default_factory=dict)
     # optional zeroth-order numerator weight z(r): adds int r^(Q-1) z |phi|^p dr
@@ -137,6 +137,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
             raise ParameterDomainError(f"unknown scenario name {self.name!r}")
+
+    @property
+    def sharp_constant(self) -> float:
+        """The claimed sharp constant: the weight pair's lambda."""
+        return self.pair.lam
 
 
 def closed_form_maximizer(scenario: Scenario) -> Profile:
@@ -183,7 +188,6 @@ def _power(Q: float | None = None, p: float = 2.0, theta: float = 1.0,
     return Scenario(
         name="power", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (0.0, math.inf)),
-        sharp_constant=lam,
         maximizer=power_profile(gamma, (0.0, math.inf)),
         extra={"gamma": gamma},
     )
@@ -211,7 +215,7 @@ def _log_maximizer(p: float, theta: float, R: float) -> Profile:
         r = np.asarray(r, dtype=float)
         return -e * np.log(R / r) ** (e - 1.0) / r
 
-    return Profile(value, derivative, (0.0, R), compactly_supported=False)
+    return Profile(value, derivative, (0.0, R))
 
 
 def _log_radial(p: float = 2.0, theta: float = 0.0, R: float = 1.0,
@@ -227,7 +231,6 @@ def _log_radial(p: float = 2.0, theta: float = 0.0, R: float = 1.0,
     return Scenario(
         name="log_radial", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (0.0, R)),
-        sharp_constant=lam,
         maximizer=_log_maximizer(p, theta, R),
         extra={"R": R},
     )
@@ -238,11 +241,8 @@ def _log_cylindrical(p: float = 2.0, theta: float = 0.0, R: float = 1.0,
     if m < 1:
         raise ParameterDomainError(f"cylindrical split needs m >= 1, got {m}")
     base = _log_radial(p=p, theta=theta, R=R, Q=float(m))
-    return Scenario(
-        name="log_cylindrical", exponents=base.exponents, pair=base.pair,
-        sharp_constant=base.sharp_constant, maximizer=base.maximizer,
-        extra={"R": R, "m": m, "N": N if N is not None else m + 1},
-    )
+    return replace(base, name="log_cylindrical",
+                   extra={"R": R, "m": m, "N": N if N is not None else m + 1})
 
 
 def _require_gaussian(alpha: float, beta: float) -> None:
@@ -278,8 +278,7 @@ def _gaussian_a(p: float = 2.0, alpha: float = 2.0, beta: float = 2.0,
     return Scenario(
         name="gaussian_a", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (0.0, math.inf), W_nonnegative=False),
-        sharp_constant=lam,
-        maximizer=Profile(max_value, max_derivative, (0.0, math.inf), False),
+        maximizer=Profile(max_value, max_derivative, (0.0, math.inf)),
         extra={"alpha": alpha, "beta": beta,
                "correction_coefficient": lam ** ((p - 1.0) / p) * (alpha * (p - 1.0) + Q - p)},
     )
@@ -307,7 +306,6 @@ def _gaussian_b(p: float = 2.0, theta: float = 1.0, alpha: float = 2.0,
     return Scenario(
         name="gaussian_b", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (0.0, math.inf), W_nonnegative=False),
-        sharp_constant=lam,
         maximizer=power_profile(-x, (0.0, math.inf)),
         extra={"alpha": alpha, "beta": beta},
     )
@@ -354,7 +352,7 @@ def _annulus(Q: float = 3.0, p: float = 2.0, theta: float = 1.0,
     return Scenario(
         name="annulus", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (a, b)),
-        sharp_constant=lam, maximizer=maximizer,
+        maximizer=maximizer,
         extra={"a": a, "b": b},
     )
 
@@ -364,12 +362,9 @@ def _cylindrical(m: int = 3, p: float = 2.0, theta: float = 1.0,
     if m < 1:
         raise ParameterDomainError(f"cylindrical split needs m >= 1, got {m}")
     base = _power(Q=float(m), p=p, theta=theta)
-    return Scenario(
-        name="cylindrical", exponents=base.exponents, pair=base.pair,
-        sharp_constant=base.sharp_constant, maximizer=base.maximizer,
-        extra={"m": m, "N": N if N is not None else m + 1,
-               "gamma": base.extra["gamma"]},
-    )
+    return replace(base, name="cylindrical",
+                   extra={"m": m, "N": N if N is not None else m + 1,
+                          "gamma": base.extra["gamma"]})
 
 
 def _strip(theta: float = 1.0, p: float = 2.0) -> Scenario:
@@ -380,12 +375,9 @@ def _strip(theta: float = 1.0, p: float = 2.0) -> Scenario:
     if theta == 0.5:
         raise ParameterDomainError("theta = 1/2 makes the strip constant vanish")
     base = _power(p=p, theta=theta, beta=1.0)
-    return Scenario(
-        name="strip", exponents=base.exponents, pair=base.pair,
-        sharp_constant=base.sharp_constant, maximizer=base.maximizer,
-        extra={"domain": "(-pi/2, pi/2) x R", "gauge": "exp(y) cos(x)",
-               "gamma": base.extra["gamma"]},
-    )
+    return replace(base, name="strip", extra={
+        "domain": "(-pi/2, pi/2) x R", "gauge": "exp(y) cos(x)",
+        "gamma": base.extra["gamma"]})
 
 
 def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
@@ -413,7 +405,6 @@ def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
     return Scenario(
         name="antisymmetric", exponents=exps,
         pair=RadialWeightPair(V, W, sharp, (0.0, math.inf)),
-        sharp_constant=sharp,
         maximizer=power_profile(-(N - 2.0 * theta) / 2.0, (0.0, math.inf)),
         extra={"N": N, "sphere_eigenvalue": sphere_eig,
                "vandermonde_degree": k},
@@ -438,7 +429,7 @@ def _improved_weight(Q: float = 5.0, p: float = 2.0) -> Scenario:
     return Scenario(
         name="improved_weight", exponents=exps,
         pair=RadialWeightPair(V, W, 1.0, (0.0, math.inf), W_nonnegative=False),
-        sharp_constant=1.0, maximizer="none",
+        maximizer="none",
         extra={"c_p": cp, "hardy_constant": hardy},
     )
 

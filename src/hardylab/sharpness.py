@@ -31,7 +31,6 @@ __all__ = [
     "psi_cutoff",
     "strip_cutoff",
     "sweep_quotient",
-    "psi_energy",
     "psiR_deficit",
     "improved_weight_check",
 ]
@@ -39,6 +38,7 @@ __all__ = [
 # max |s'| of the quintic bridge s: |g_eps'| <= c/eps on the rising bridge
 # (width eps) and 2c eps on the falling one (width 1/(2 eps)), c = 15/8
 BRIDGE_MAX_SLOPE = 15.0 / 8.0
+_SWEEP_TOL = 1e-10      # absolute and relative target of each sweep integral
 
 
 def _step(t):
@@ -141,8 +141,8 @@ class SweepRow:
                 f"eps={self.epsilon}")
 
 
-def _gaussian_a_reduced(scenario: Scenario, eps: float,
-                        tol: float) -> tuple[float, float, float]:
+def _gaussian_a_reduced(scenario: Scenario,
+                        eps: float) -> tuple[float, float, float]:
     """Fused numerator/denominator for the exponential-maximizer sweep.
 
     With u = exp(r^alpha/(p beta)) g(r), the Gaussian weight cancels the
@@ -174,7 +174,7 @@ def _gaussian_a_reduced(scenario: Scenario, eps: float,
         return r ** (Q - 1.0 + alpha * (p - 1.0)) * g.value(r) ** p
 
     lo, hi = g.support
-    kw = dict(tol=tol, rel_tol=tol, points=list(g.knots[1:-1]))
+    kw = dict(tol=_SWEEP_TOL, rel_tol=_SWEEP_TOL, points=list(g.knots[1:-1]))
     num = integrate_adaptive(num_integrand, lo, hi, **kw).value
     den = integrate_adaptive(den_integrand, lo, hi, **kw).value
     h_eps = integrate_adaptive(h_integrand, lo, hi, **kw).value
@@ -194,8 +194,7 @@ def _log_equivalent_scenario(scenario: Scenario) -> Scenario:
     return scenario_catalog("power", Q=1.0, p=p, theta=-theta / p)
 
 
-def sweep_quotient(scenario: Scenario, eps_grid,
-                   tol: float = 1e-10) -> list[SweepRow]:
+def sweep_quotient(scenario: Scenario, eps_grid) -> list[SweepRow]:
     """Rayleigh quotients of the truncated maximizer along a decreasing
     eps-grid, with the log-rate-scaled deficit for stability checks."""
     eps_grid = [float(e) for e in eps_grid]
@@ -213,7 +212,7 @@ def sweep_quotient(scenario: Scenario, eps_grid,
     h_prev = None
     for eps in eps_grid:
         if work.name == "gaussian_a":
-            num, den, h_eps = _gaussian_a_reduced(work, eps, tol)
+            num, den, h_eps = _gaussian_a_reduced(work, eps)
             if h_prev is not None and not h_eps > h_prev:
                 raise CheckFailure(
                     "two-term normalizer h(eps) failed to diverge along the grid")
@@ -221,24 +220,11 @@ def sweep_quotient(scenario: Scenario, eps_grid,
             quotient = num / den
         else:
             u = closed_form_maximizer(work) * plateau_cutoff(eps)
-            quotient = reduce_radial_functional(work, u, tol=tol).quotient
+            quotient = reduce_radial_functional(work, u, tol=_SWEEP_TOL).quotient
         deficit = quotient - scenario.sharp_constant
         rows.append(SweepRow(eps, quotient, deficit,
                              deficit * math.log(1.0 / (4.0 * eps * eps))))
     return rows
-
-
-def psi_energy(R: float, tol: float = 1e-14) -> float:
-    """int_0^inf r psi_R'(r)^2 dr; equals 2/ln R exactly."""
-    psi = psi_cutoff(R)
-
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        return r * psi.derivative(r) ** 2
-
-    lo, hi = psi.support
-    return integrate_adaptive(integrand, lo, hi, tol=tol, rel_tol=tol,
-                              points=list(psi.knots[1:-1])).value
 
 
 def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
@@ -280,4 +266,4 @@ def improved_weight_check(Q: float, p: float, profile_count: int,
     scenario = scenario_catalog("improved_weight", Q=Q, p=p)
     slacks = [row["slack"] for row in
               random_profile_slacks(scenario, profile_count, seed)]
-    return {"min_slack": min(slacks, default=math.inf), "slacks": slacks}
+    return {"min_slack": min(slacks), "slacks": slacks}

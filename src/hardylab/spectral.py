@@ -30,9 +30,7 @@ __all__ = [
     "ShootingResult",
     "SearchFailureError",
     "shoot",
-    "first_eigenvalue",
     "eigenvalue",
-    "closed_form_lambda1_p2",
     "check_lambda1_lower_bound",
 ]
 
@@ -192,10 +190,6 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
             f"converged shot has {result.zero_count} interior zeros, "
             f"expected {expect} for eigenvalue {which}")
     return result
-
-
-def first_eigenvalue(problem: AnnulusProblem, tol: float = 1e-8) -> ShootingResult:
-    return eigenvalue(problem, which=1, tol=tol)
 
 
 def check_lambda1_lower_bound(problem: AnnulusProblem,

@@ -1,4 +1,4 @@
-"""Independent quadrature oracles for the tests.
+"""Independent quadrature oracles and profile helpers for the tests.
 
 Deliberately disjoint from hardylab.quadrature: fixed composite
 Gauss-Legendre grids (numpy's leggauss) with geometric panel grading. Frozen
@@ -8,6 +8,30 @@ expected values in the tests were computed with these routines.
 from __future__ import annotations
 
 import numpy as np
+
+from hardylab.profiles import Profile
+
+
+def check_derivative(phi: Profile, tol: float = 1e-5, n: int = 200,
+                     margin: float = 1e-3) -> float:
+    """Max relative mismatch between a profile's stored derivative and a
+    central finite difference of its value; ValueError above tol."""
+    lo, hi = phi.support
+    pad = margin * (hi - lo)
+    r = np.linspace(lo + pad, hi - pad, n)
+    h = 1e-6 * (hi - lo)
+    fd = (phi.value(r + h) - phi.value(r - h)) / (2 * h)
+    scale = np.max(np.abs(phi.derivative(r))) + 1e-300
+    err = float(np.max(np.abs(fd - phi.derivative(r))) / scale)
+    if err > tol:
+        raise ValueError(f"derivative inconsistent with value: rel FD error {err:.3e}")
+    return err
+
+
+def scaled(phi: Profile, c: float) -> Profile:
+    """c * phi, with the same support and knots."""
+    return Profile(lambda r: c * phi.value(r), lambda r: c * phi.derivative(r),
+                   phi.support, phi.knots)
 
 
 def composite_gauss(f, a: float, b: float, panels: int = 64,
@@ -52,6 +76,16 @@ def decades_gauss(f, a: float, b: float, per_decade: int = 8,
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
     return float(np.sum(wts * f(pts)))
+
+
+def psi_energy(psi: Profile) -> float:
+    """int r psi'(r)^2 dr over the support, by decades_gauss between
+    consecutive knots (psi' may jump at a knot)."""
+    def integrand(r):
+        return r * psi.derivative(r) ** 2
+
+    return sum(decades_gauss(integrand, a, b)
+               for a, b in zip(psi.knots, psi.knots[1:]))
 
 
 def segment_identity_oracle(p: float, f: complex, g: complex,

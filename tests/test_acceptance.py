@@ -25,11 +25,14 @@ from hardylab.identities import (check_cp_lower_bound, realified_identity_oracle
                                  sample_complex_pairs, scalar_identity_batch,
                                  vector_identity_batch)
 from hardylab.profiles import random_profile
-from hardylab.scenarios import default_catalog, scenario_catalog
-from hardylab.sharpness import improved_weight_check, psi_energy, psiR_deficit, \
+from hardylab.scenarios import (closed_form_lambda1_p2, default_catalog,
+                                scenario_catalog)
+from hardylab.sharpness import improved_weight_check, psi_cutoff, psiR_deficit, \
     sweep_quotient
 from hardylab.spectral import (AnnulusProblem, check_lambda1_lower_bound,
-                               closed_form_lambda1_p2, eigenvalue)
+                               eigenvalue)
+
+from oracles import psi_energy
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -201,7 +204,7 @@ def test_criterion_07_random_profile_sampling():
 
 
 def test_criterion_08_criticality():
-    energy_err = max(abs(psi_energy(R) - 2.0 / math.log(R))
+    energy_err = max(abs(psi_energy(psi_cutoff(R)) - 2.0 / math.log(R))
                      for R in (10.0, 100.0, math.e ** 2, 1000.0))
     rows = psiR_deficit(5.0, 2.0, [10.0, 100.0, 1000.0])
     scaled = [r["deficit_times_lnR"] for r in rows]

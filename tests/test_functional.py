@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from hardylab.functional import (InvalidProfileError, _reduce_batch,
-                                 inequality_slack, random_profile_slacks,
+                                 random_profile_slacks,
                                  reduce_radial_functional)
 from hardylab.profiles import (Bumps, Profile, random_bumps, random_profile,
                                smooth_bump)
 from hardylab.quadrature import QuadratureError
-from hardylab.scenarios import scenario_catalog
+from hardylab.scenarios import ParameterDomainError, scenario_catalog
 
-from oracles import composite_gauss
+from oracles import composite_gauss, scaled
 
 
 def _sin_profile():
@@ -41,7 +41,7 @@ def test_rescaling_invariance():
     phi = random_profile(np.random.default_rng(5), sc.pair.interval)
     q1 = reduce_radial_functional(sc, phi).quotient
     for c in (2.0, -1.0, 10.0):
-        q2 = reduce_radial_functional(sc, phi.scaled(c)).quotient
+        q2 = reduce_radial_functional(sc, scaled(phi, c)).quotient
         assert q2 == pytest.approx(q1, rel=1e-12)
 
 
@@ -64,7 +64,8 @@ def test_sign_changing_weight_slack():
     rng = np.random.default_rng(9)
     for _ in range(10):
         phi = random_profile(rng, sc.pair.interval)
-        assert inequality_slack(sc, phi) >= -1e-9
+        red = reduce_radial_functional(sc, phi)
+        assert red.slack(sc.sharp_constant) >= -1e-9
 
 
 def test_denominator_sign_handling():
@@ -182,3 +183,10 @@ def test_batch_errors_name_the_lowest_index_profile():
     with pytest.raises(QuadratureError):
         _reduce_all(sc, mixed)
     assert isinstance(_loop_error(sc, mixed), QuadratureError)
+
+
+def test_profile_count_must_be_positive():
+    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
+    for count in (0, -3):
+        with pytest.raises(ParameterDomainError, match="profile count"):
+            random_profile_slacks(sc, count, seed=1)

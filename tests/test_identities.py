@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,7 @@ from hardylab.identities import (_graded_panels, check_cp_lower_bound,
                                  realified_identity_oracle,
                                  rhs_closed_form, sample_complex_pairs,
                                  scalar_identity_batch,
-                                 scalar_identity_breakdown,
-                                 vector_identity_batch,
-                                 vector_identity_breakdown)
+                                 vector_identity_batch)
 
 from oracles import (near_collinear_pairs, near_collinear_vectors,
                      segment_identity_oracle, segment_split_mp,
@@ -16,8 +16,15 @@ from oracles import (near_collinear_pairs, near_collinear_vectors,
 _U = 2.0 ** -53
 
 
+def _one_pair(batch, p, f, g):
+    """The batch split of a single pair (scalars, or C^h vectors), as floats
+    named like the batch keys."""
+    out = batch(p, np.array([f]), np.array([g]))
+    return SimpleNamespace(**{k: float(v[0]) for k, v in out.items()})
+
+
 def test_p2_collapses_to_squared_difference():
-    b = scalar_identity_breakdown(2.0, 1.0, 1j)
+    b = _one_pair(scalar_identity_batch, 2.0, 1.0, 1j)
     assert b.rhs_closed == pytest.approx(2.0, abs=1e-14)
     assert b.w_term + b.wtilde_term == pytest.approx(2.0, abs=1e-10)
     assert b.residual <= 1e-10
@@ -25,7 +32,7 @@ def test_p2_collapses_to_squared_difference():
 
 def test_p3_real_pair_analytic_split():
     # w^2 = 6 int_0^1 s(2-s) ds = 4, wtilde = 0 (real pair)
-    b = scalar_identity_breakdown(3.0, 2.0, 1.0)
+    b = _one_pair(scalar_identity_batch, 3.0, 2.0, 1.0)
     assert b.rhs_closed == pytest.approx(4.0, abs=1e-14)
     assert b.w_term == pytest.approx(4.0, rel=1e-12)
     assert b.wtilde_term == 0.0
@@ -69,16 +76,16 @@ def test_zero_characterization():
     near = np.abs(f - g) <= 1e-7 * (np.abs(f) + np.abs(g))
     assert np.all(total[~near] > 1e-12)
     # exact equality really vanishes
-    b = scalar_identity_breakdown(3.0, 0.3 + 0.4j, 0.3 + 0.4j)
+    b = _one_pair(scalar_identity_batch, 3.0, 0.3 + 0.4j, 0.3 + 0.4j)
     assert b.w_term + b.wtilde_term <= 1e-15
 
 
 def test_vector_trivial_cases():
     z = np.array([1 + 2j, -0.5j, 0.25])
-    same = vector_identity_breakdown(3.3, z, z)
+    same = _one_pair(vector_identity_batch, 3.3, z, z)
     assert same.rhs_closed == pytest.approx(0.0, abs=1e-13)
     assert same.w_term + same.wtilde_term <= 1e-13
-    collapse = vector_identity_breakdown(3.3, z, np.zeros(3))
+    collapse = _one_pair(vector_identity_batch, 3.3, z, np.zeros(3))
     norm = float(np.linalg.norm(z))
     assert collapse.rhs_closed == pytest.approx(norm ** 3.3, rel=1e-13)
     assert collapse.w_term + collapse.wtilde_term == pytest.approx(
@@ -152,7 +159,6 @@ def test_cp_examples():
 def test_cp_lower_bound_sampled():
     out = check_cp_lower_bound(2.7, 100_000, seed=42)
     assert out["min_slack"] >= -1e-12
-    assert out["worst_pair"].p == 2.7
 
 
 def test_rhs_closed_form_against_high_precision():
@@ -176,9 +182,15 @@ def test_rhs_closed_form_against_high_precision():
 
 def test_invalid_p_rejected():
     with pytest.raises(ValueError):
-        scalar_identity_breakdown(1.5, 1.0, 0.0)
+        scalar_identity_batch(1.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         check_cp_lower_bound(1.0, 10, seed=0)
+
+
+def test_sample_count_must_be_positive():
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="sample count"):
+            sample_complex_pairs(np.random.default_rng(0), count)
 
 
 def _wtilde_rtol(f, g):

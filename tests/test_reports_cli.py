@@ -29,9 +29,7 @@ def test_render_csv_quoting_and_header():
     assert lines[1] == '1.5,"x,""y"""'
 
 
-def test_render_csv_empty_rows_header_only():
-    text = render_csv([], header=["epsilon", "quotient"])
-    assert text == "epsilon,quotient\n"
+def test_render_csv_empty_rows_rejected():
     with pytest.raises(ValueError):
         render_csv([])
 
@@ -404,6 +402,13 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     # a report or eigenfunction file that cannot be written
     (["catalog", "--out", "{tmp}/nodir/x.json"], 2),
     (["eig", "--eigenfunction-out", "{tmp}/nodir/x.json"], 2),
+    # no profiles or pairs to sample: an empty report has nothing to verify
+    (["rayleigh", "--scenario", "power", "--Q", "5", "--profiles", "0"], 2),
+    (["sharpness", "--mode", "improved", "--profiles", "0", "--format",
+      "json"], 2),
+    (["sharpness", "--mode", "improved", "--profiles", "-3"], 2),
+    (["identity", "--samples", "0"], 2),
+    (["identity", "--samples", "-2"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")

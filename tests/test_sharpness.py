@@ -11,10 +11,10 @@ from hardylab.scenarios import (CheckFailure, ParameterDomainError,
                                 closed_form_maximizer, scenario_catalog)
 from hardylab.sharpness import (BRIDGE_MAX_SLOPE, SweepRow,
                                 improved_weight_check, plateau_cutoff,
-                                psi_cutoff, psi_energy, psiR_deficit,
+                                psi_cutoff, psiR_deficit,
                                 strip_cutoff, sweep_quotient)
 
-from oracles import decades_gauss
+from oracles import decades_gauss, psi_energy
 
 
 def test_cutoff_spec_validation():
@@ -93,9 +93,10 @@ def test_log_sweep_matches_composed_cutoff_in_r(p, theta, R):
 
 
 def test_psi_energy_closed_form():
-    assert psi_energy(math.e ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert psi_energy(psi_cutoff(math.e ** 2)) == pytest.approx(1.0, abs=1e-12)
     for R in (10.0, 100.0, 1000.0):
-        assert psi_energy(R) == pytest.approx(2.0 / math.log(R), abs=1e-12)
+        assert psi_energy(psi_cutoff(R)) == pytest.approx(2.0 / math.log(R),
+                                                          abs=1e-12)
 
 
 def test_psi_cross_term_vanishes():

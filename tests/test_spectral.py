@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hardylab.functional import reduce_radial_functional
-from hardylab.scenarios import ParameterDomainError, scenario_catalog
+from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
+                                scenario_catalog)
 from hardylab.spectral import (AnnulusProblem, check_lambda1_lower_bound,
-                               closed_form_lambda1_p2, eigenvalue,
-                               first_eigenvalue, shoot)
+                               eigenvalue, shoot)
 
 PROB = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
 
@@ -51,7 +51,7 @@ def test_shoot_counts_interior_zeros():
 
 
 def test_first_eigenvalue_matches_closed_form():
-    res = first_eigenvalue(PROB, tol=1e-10)
+    res = eigenvalue(PROB, tol=1e-10)
     assert res.lam == pytest.approx(0.25 + math.pi ** 2, rel=1e-8)
     assert res.zero_count == 0
     assert res.endpoint_residual <= 1e-7
@@ -60,7 +60,7 @@ def test_first_eigenvalue_matches_closed_form():
 
 def test_critical_case_never_zero():
     prob = AnnulusProblem(Q=4.0, p=2.0, theta=2.0, a=1.0, b=math.e ** 2)
-    res = first_eigenvalue(prob)
+    res = eigenvalue(prob)
     assert res.lam == pytest.approx((math.pi / 2.0) ** 2, rel=1e-8)
     assert res.lam > 0
     assert check_lambda1_lower_bound(prob, res)
@@ -72,7 +72,7 @@ def test_p2_grid_against_closed_form():
         for j, theta in enumerate((0.0, 1.0, 2.0)):
             a, b = intervals[(i + j) % 3]
             prob = AnnulusProblem(Q=Q, p=2.0, theta=theta, a=a, b=b)
-            res = first_eigenvalue(prob)
+            res = eigenvalue(prob)
             assert res.lam == pytest.approx(
                 closed_form_lambda1_p2(Q, theta, a, b), rel=1e-8)
 
@@ -106,7 +106,7 @@ def test_second_eigenvalue_p2():
 
 
 def test_eigenfunction_quotient_equals_lambda1():
-    res = first_eigenvalue(PROB, tol=1e-10)
+    res = eigenvalue(PROB, tol=1e-10)
     sc = scenario_catalog("annulus", Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
     red = reduce_radial_functional(sc, res.eigenfunction)
     assert red.quotient == pytest.approx(res.lam, rel=1e-6)
@@ -115,7 +115,7 @@ def test_eigenfunction_quotient_equals_lambda1():
 def test_eigenfunction_matches_p2_closed_form():
     from hardylab.scenarios import closed_form_maximizer
 
-    res = first_eigenvalue(PROB, tol=1e-10)
+    res = eigenvalue(PROB, tol=1e-10)
     sc = scenario_catalog("annulus", Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
     ref = closed_form_maximizer(sc)
     r = np.linspace(1.0, math.e, 400)
@@ -125,7 +125,7 @@ def test_eigenfunction_matches_p2_closed_form():
 
 
 def test_eigenfunction_positive_inside():
-    res = first_eigenvalue(PROB)
+    res = eigenvalue(PROB)
     r = np.linspace(1.0 + 1e-3, math.e - 1e-3, 500)
     assert np.min(res.eigenfunction.value(r)) > 0.0
     assert np.max(np.abs(res.eigenfunction.value(
@@ -172,5 +172,5 @@ def test_lambda1_decreases_with_b():
     lams = []
     for b in (2.0, 3.0, 4.0):
         prob = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=b)
-        lams.append(first_eigenvalue(prob).lam)
+        lams.append(eigenvalue(prob).lam)
     assert lams[0] > lams[1] > lams[2]
