@@ -74,10 +74,10 @@ def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
 
 
 def solve_flux(coefficients: Callable, p: float, r_span, y0,
-               rtol: float, atol: float, events):
+               rtol: float, atol: float, events, dense: bool = True):
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
-    for the state (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense
-    output; coefficients maps a scalar r to the floats (A(r), B(r))."""
+    for the state (phi, m), m = A |phi'|^(p-2) phi', by DOP853 (with dense
+    output if dense); coefficients maps a scalar r to (A(r), B(r))."""
     def rhs(r, y):
         phi, m = y
         A, B = coefficients(r)
@@ -87,7 +87,7 @@ def solve_flux(coefficients: Callable, p: float, r_span, y0,
         return (dphi, dm)
 
     sol = solve_ivp(rhs, r_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=events)
+                    dense_output=dense, events=events)
     if not sol.success:
         raise ODEFailure(f"ODE integration failed: {sol.message}")
     return sol

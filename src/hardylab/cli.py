@@ -110,6 +110,8 @@ def _common_flags(sp: argparse.ArgumentParser, fmt_default: str) -> None:
 
 def _cmd_identity(args):
     p, h = float(args.p), int(args.h)
+    if h < 1:
+        raise ParameterDomainError(f"h must be ≥ 1, got {h}")
     rng = np.random.default_rng(int(args.seed))
     count = int(args.samples)
     if h == 1:
@@ -117,8 +119,9 @@ def _cmd_identity(args):
         out = scalar_identity_batch(p, f, g)
         F, G = f[:, None], g[:, None]
     else:
-        F = np.stack([sample_complex_pairs(rng, count)[0] for _ in range(h)], axis=1)
-        G = np.stack([sample_complex_pairs(rng, count)[0] for _ in range(h)], axis=1)
+        # component j is draw j's own (f, g), near-collinear rows included
+        F, G = np.stack([sample_complex_pairs(rng, count) for _ in range(h)],
+                        axis=2)
         out = vector_identity_batch(p, F, G)
     rows = []
     for i in range(count):
@@ -188,7 +191,7 @@ def _cmd_eig(args):
                   newline="") as fh:
             fh.write(render_csv(samples))
     return rows, summary, None if bound_ok else (
-        "first eigenvalue does not exceed the lower bound |(Q - p theta)/p|^p")
+        "eigenvalue does not exceed the lower bound |(Q - p theta)/p|^p")
 
 
 # -------------------------------------------------------------- sharpness ---
@@ -378,17 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "eig",
         help="annulus p-Laplacian eigenvalues by shooting",
-        description="First (or second) eigenvalue of the radial p-Laplacian "
+        description="The n-th (--which) eigenvalue of the radial p-Laplacian "
                     "on a < r < b with zero boundary values; for p = 2 it "
-                    "matches ((Q-2 theta)/2)^2 + (pi/ln(b/a))^2 and it always "
-                    "exceeds |(Q-p theta)/p|^p.")
+                    "matches ((Q-2 theta)/2)^2 + n^2 (pi/ln(b/a))^2 and it "
+                    "always exceeds |(Q-p theta)/p|^p.")
     sp.add_argument("--Q", type=float, default=3.0)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--b", type=float, default=math.e)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--which", type=int, choices=(1, 2), default=1)
+    sp.add_argument("--which", type=int, default=1, help="n >= 1")
     sp.add_argument("--eigenfunction-out", dest="eigenfunction_out")
     _common_flags(sp, "json")
     sp.set_defaults(func=_cmd_eig)

@@ -1,15 +1,17 @@
 """Annulus eigenvalues of the radial p-Laplacian by shooting.
 
-The boundary value problem
+The problem (r^(Q-1-p(theta-1)) |phi'|^(p-2) phi')' + lam r^(Q-1-p theta)
+|phi|^(p-2) phi = 0, phi(a) = phi(b) = 0, has simple eigenvalues
+lam_1 < lam_2 < ... above c = |kappa/p|^p, kappa = Q - p theta, and the n-th
+eigenfunction has n-1 interior zeros. In t = ln r it reads (Phi_p(phi_t))' +
+kappa Phi_p(phi_t) + lam Phi_p(phi) = 0. A shot integrates the flux system
+(`besselpair.solve_flux`) from (phi, m)(a) = (0, 1). With k interior zeros,
+s = (-1)^k and u = (lam - c)^(1/p), its phase at b,
 
-    (r^(Q-1-p(theta-1)) |phi'|^(p-2) phi')' + lam r^(Q-1-p theta) |phi|^(p-2) phi = 0,
-    phi(a) = phi(b) = 0,
+    Theta(lam) = k pi + atan2(s u phi(b), s (phi_t(b) + (kappa/p) phi(b))),
 
-has a countable sequence of simple positive eigenvalues whose n-th
-eigenfunction has exactly n-1 interior zeros. Shooting integrates the flux
-system (`besselpair.solve_flux`) from (phi, m)(a) = (0, 1); the endpoint
-value phi_b(lam) changes sign exactly at each eigenvalue, so a coarse
-doubling scan brackets the n-th sign change and Brent's method polishes it.
+the angle taken in [0, 2 pi), is continuous, Theta - n pi has the sign of
+lam - lam_n (half-linear Sturm comparison), and Theta = u ln(b/a) for p = 2.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .besselpair import solve_flux
 from .profiles import Profile
-from .scenarios import (CheckFailure, ParameterDomainError,
-                        closed_form_lambda1_p2, require_p)
+from .scenarios import CheckFailure, ParameterDomainError, require_p
 
 __all__ = [
     "AnnulusProblem",
@@ -34,13 +34,14 @@ __all__ = [
     "check_lambda1_lower_bound",
 ]
 
-_LAMBDA_MAX = 1e6
 _RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of every shot
 _GRID_N = 1200                  # points locating max |phi| of the final shot
+_MAX_SHOTS = 60                 # search shots per eigenvalue
+_MAX_STEP = math.log(16.0)      # largest factor on u of one expansion shot
 
 
 class SearchFailureError(CheckFailure):
-    """No eigenvalue bracket found below the search cap."""
+    """The phase search ran out of shots or ended on the wrong zero count."""
 
 
 @dataclass(frozen=True)
@@ -79,22 +80,12 @@ class ShootingResult:
     endpoint_residual: float
     eigenfunction: Profile
 
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError("eigenvalues are positive")
-        if self.zero_count < 0:
-            raise ValueError("zero_count must be nonnegative")
 
-
-def _integrate(problem: AnnulusProblem, lam: float):
+def _integrate(problem: AnnulusProblem, lam: float, dense: bool):
     flux_exp, weight_exp = problem.flux_exponents
-
-    def crossing(r, y):
-        return y[0]
-
     return solve_flux(lambda r: (r ** flux_exp, lam * r ** weight_exp),
                       problem.p, (problem.a, problem.b), (0.0, 1.0),
-                      _RTOL, _ATOL, events=crossing)
+                      _RTOL, _ATOL, events=lambda r, y: y[0], dense=dense)
 
 
 def _interior_zeros(sol, problem: AnnulusProblem) -> int:
@@ -103,18 +94,25 @@ def _interior_zeros(sol, problem: AnnulusProblem) -> int:
     return int(np.sum((events > problem.a + margin) & (events < problem.b - margin)))
 
 
-def shoot(problem: AnnulusProblem, lam: float) -> tuple[float, int]:
-    """Endpoint value phi(b) and interior-zero count for one trial lam,
-    integrating from (phi, m)(a) = (0, 1)."""
-    sol = _integrate(problem, lam)
-    return float(sol.y[0, -1]), _interior_zeros(sol, problem)
+def _slope(problem: AnnulusProblem, m, r):
+    """phi' from the flux m = r^(flux exponent) |phi'|^(p-2) phi'."""
+    w = m / np.asarray(r, dtype=float) ** problem.flux_exponents[0]
+    return np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0))
+
+
+def shoot(problem: AnnulusProblem, lam: float) -> tuple[float, int, float]:
+    """phi(b), the interior-zero count and phi'(b) of the shot at lam, from
+    (phi, m)(a) = (0, 1), without dense output."""
+    sol = _integrate(problem, lam, dense=False)
+    phi_b, m_b = sol.y[:, -1]
+    return (float(phi_b), _interior_zeros(sol, problem),
+            float(_slope(problem, m_b, problem.b)))
 
 
 def _result_from(problem: AnnulusProblem, lam: float) -> ShootingResult:
-    """The shot at lam, normalized to max |phi| = 1; the eigenfunction is the
-    shot's own dense output, with phi' recovered from the flux m."""
-    sol = _integrate(problem, lam)
-    dense, flux_exp = sol.sol, problem.flux_exponents[0]
+    """The shot at lam with its dense output as eigenfunction, max |phi| = 1."""
+    sol = _integrate(problem, lam, dense=True)
+    dense = sol.sol
     phi = dense(np.linspace(problem.a, problem.b, _GRID_N))[0]
     scale = np.max(np.abs(phi))
 
@@ -122,73 +120,72 @@ def _result_from(problem: AnnulusProblem, lam: float) -> ShootingResult:
         return dense(r)[0] / scale
 
     def derivative(r):
-        w = dense(r)[1] / np.asarray(r, dtype=float) ** flux_exp
-        return np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0)) / scale
+        return _slope(problem, dense(r)[1], r) / scale
 
-    return ShootingResult(
-        lam=lam,
-        zero_count=_interior_zeros(sol, problem),
-        endpoint_residual=float(abs(phi[-1]) / scale),
-        eigenfunction=Profile(value, derivative, (problem.a, problem.b)),
-    )
+    return ShootingResult(lam, _interior_zeros(sol, problem),
+                          float(abs(phi[-1]) / scale),
+                          Profile(value, derivative, (problem.a, problem.b)))
 
 
 def eigenvalue(problem: AnnulusProblem, which: int = 1,
                tol: float = 1e-8) -> ShootingResult:
-    """The which-th eigenvalue by interior-zero counting plus endpoint root.
-
-    The count of interior zeros of the shot equals the number of eigenvalues
-    below the trial lam, so integer bisection isolates exactly one eigenvalue
-    regardless of how the endpoint sign oscillates; Brent's method on phi(b)
-    then polishes inside the isolated bracket, where the sign is guaranteed
-    to change once.
-    """
+    """The which-th eigenvalue: a safeguarded secant solving Theta = which pi
+    in u from u_0 = which pi_p / ln(b/a), pi_p = 2 pi (p-1)^(1/p)/(p sin(pi/p)),
+    exact for p = 2 and kappa = 0. Geometric expansion brackets the root, and
+    regula falsi with the Illinois fix (bisection if a step leaves the
+    bracket) narrows it to max(tol/p, 4 eps) u, so tol bounds lam's
+    relative error down to what doubles resolve.
+    Search shots go through `shoot`; the shot at the root alone keeps dense
+    output, for the eigenfunction, and must have which-1 interior zeros."""
     if not tol > 0:
         raise ParameterDomainError(f"tol must be positive, got {tol}")
     if which < 1:
         raise ParameterDomainError(f"which must be >= 1, got {which}")
-    cache: dict[float, tuple[float, int]] = {}
+    p, c, target = problem.p, problem.lemma_lower_bound, which * math.pi
+    drift = (problem.Q - p * problem.theta) / p         # kappa / p
+    width = max(tol / p, 4 * np.finfo(float).eps)
 
-    def probe(lam: float) -> tuple[float, int]:
-        if lam not in cache:
-            cache[lam] = shoot(problem, lam)
-        return cache[lam]
+    def excess(u: float) -> float:                      # Theta - which pi
+        phi_b, k, slope = shoot(problem, c + u ** p)
+        s = -1.0 if k % 2 else 1.0
+        angle = math.atan2(s * u * phi_b, s * (problem.b * slope + drift * phi_b))
+        return k * math.pi + angle % (2.0 * math.pi) - target
 
-    def S(lam: float) -> float:
-        return probe(lam)[0]
-
-    lo = max(problem.lemma_lower_bound, 1e-9)       # below lam_1 by the lemma
-    seed = closed_form_lambda1_p2(problem.Q, problem.theta, problem.a, problem.b)
-    hi = max(seed * max(1.0, problem.p - 1.0) * 4.0, lo * 2.0)
-    while probe(hi)[1] < which:
-        hi *= 2.0
-        if hi > _LAMBDA_MAX:
-            raise SearchFailureError(
-                f"no bracket for eigenvalue {which} below {_LAMBDA_MAX:.0e}")
-    # integer bisection: count(lo) <= which-1 < which <= count(hi)
-    while probe(hi)[1] - probe(lo)[1] > 1 or hi - lo > 0.25 * hi:
-        mid = 0.5 * (lo + hi)
-        if probe(mid)[1] >= which:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * hi:
+    u = which * 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (
+        p * math.sin(math.pi / p) * math.log(problem.b / problem.a))
+    ends = {}           # side (-1 below the root, 1 above) -> [u, f, scaled f]
+    kept, step = 0, 0.0     # side the last update kept; last ln u expansion
+    for _ in range(_MAX_SHOTS):
+        f = excess(u)
+        side = 1 if f > 0 else -1
+        if len(ends) == 2:
+            if kept == -side:           # that end survived twice: Illinois
+                ends[kept][2] *= 0.5
+            kept = -side
+        ends[side] = [u, f, f]
+        if len(ends) == 1:      # Theta ~ u: go twice past its proportional root
+            step = max(2.0 * abs(math.log(target / max(target + f, 1e-300))),
+                       2.0 * step, width)
+            u *= math.exp(-side * min(step, _MAX_STEP))
+            continue
+        (u0, f0, g0), (u1, f1, g1) = ends[-1], ends[1]
+        if u1 - u0 <= width * u1 or f == 0.0:    # f = 0 is stored as f0
+            u = (u0 * f1 - u1 * f0) / (f1 - f0)
             break
-    # the interior count lags the true crossing by the endpoint margin; make
-    # sure the endpoint value changes sign across the bracket before Brent
-    for _ in range(60):
-        if math.copysign(1.0, S(lo)) != math.copysign(1.0, S(hi)):
-            break
-        lo = max(problem.lemma_lower_bound, 1e-9, lo * (1.0 - 1e-4) - 1e-12)
+        u = (u0 * g1 - u1 * g0) / (g1 - g0)
+        if not u0 < u < u1:
+            u = 0.5 * (u0 + u1)
+        # stay half the tolerance inside: a step landing next to one end
+        # then closes the bracket from the other
+        u = min(max(u, u0 + 0.5 * width * u1), u1 - 0.5 * width * u1)
     else:
-        raise SearchFailureError("endpoint sign change not found in bracket")
-    lam = brentq(S, lo, hi, rtol=max(tol, 4 * np.finfo(float).eps), xtol=1e-14)
-    result = _result_from(problem, lam)
-    expect = which - 1
-    if result.zero_count != expect:
+        raise SearchFailureError(f"phase search for eigenvalue {which} did "
+                                 f"not converge in {_MAX_SHOTS} shots")
+    result = _result_from(problem, c + u ** p)
+    if result.zero_count != which - 1:
         raise SearchFailureError(
             f"converged shot has {result.zero_count} interior zeros, "
-            f"expected {expect} for eigenvalue {which}")
+            f"expected {which - 1} for eigenvalue {which}")
     return result
 
 

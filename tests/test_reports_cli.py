@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hardylab.cli import run
@@ -54,6 +55,20 @@ def test_eig_cli_json(capsys):
     assert doc["config"]["command"] == "eig"
 
 
+def test_eig_cli_any_which(capsys):
+    # the n-th eigenvalue for any n >= 1: n = 3 against the p = 2 closed form
+    code, out, _ = _cli(["eig", "--Q", "3", "--p", "2", "--theta", "1",
+                         "--a", "1", "--b", "2", "--which", "3"], capsys)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["lambda"] == pytest.approx(
+        0.25 + (3 * math.pi / math.log(2.0)) ** 2, rel=1e-8)
+    assert summary["zero_count"] == 2
+    code, _, err = _cli(["eig", "--which", "0"], capsys)
+    assert code == 2
+    assert err.startswith("parameter error: which must be >= 1")
+
+
 def test_eig_cli_rejects_bad_interval(capsys):
     code, out, err = _cli(["eig", "--p", "2", "--Q", "3", "--a", "0",
                            "--b", "1"], capsys)
@@ -92,6 +107,36 @@ def test_identity_cli_vector_pairs(capsys):
     assert header[:2] == ["p", "h"]
     assert "re_f2" in header and "im_g2" in header
     assert json.loads(err.splitlines()[0])["summary"]["pass"] is True
+
+
+def test_identity_cli_vector_pairs_include_near_collinear_rows(capsys):
+    # each component is one draw's own (f, g), so the adversarial rows of the
+    # draws make whole vectors with G ~ F, G ~ -F or G ~ 0
+    code, out, err = _cli(["identity", "--p", "3", "--h", "2", "--samples",
+                           "1000", "--seed", "7"], capsys)
+    assert code == 0
+    assert json.loads(err.splitlines()[0])["summary"]["pass"] is True
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    cols = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+    def vec(name):
+        return np.stack([cols[:, header.index(f"re_{name}{j}")]
+                         + 1j * cols[:, header.index(f"im_{name}{j}")]
+                         for j in (1, 2)], axis=1)
+
+    F, G = vec("f"), vec("g")
+    size = np.linalg.norm(F, axis=1)
+    for other in (F - G, F + G, G):
+        assert np.min(np.linalg.norm(other, axis=1) / size) < 1e-3
+
+
+@pytest.mark.parametrize("h", ["0", "-1"])
+def test_identity_cli_rejects_h_below_1(capsys, h):
+    code, out, err = _cli(["identity", "--h", h], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error: h must be ≥ 1")
 
 
 def test_sharpness_cli_csv_schema(capsys):
@@ -319,7 +364,9 @@ def test_annulus_p3_constant_is_computed(capsys):
     code, out, _ = _cli(["eig", *annulus], capsys)
     assert code == 0
     lam = json.loads(out)["summary"]["lambda"]
-    assert lam == 87.84714424997169
+    assert lam == 87.84714424991179
+    # the Riccati period integral at 30 digits (tests/oracles.py)
+    assert lam == pytest.approx(87.8471442497941, rel=1e-10)
     code, _, err = _cli(["rayleigh", "--scenario", "annulus", *annulus,
                          "--profiles", "10"], capsys)
     assert code == 0

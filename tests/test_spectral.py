@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import spectral
 from hardylab.functional import reduce_radial_functional
 from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                                 scenario_catalog)
 from hardylab.spectral import (AnnulusProblem, check_lambda1_lower_bound,
                                eigenvalue, shoot)
+from oracles import annulus_eigenvalue_mp
 
 PROB = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
 
@@ -30,7 +32,7 @@ def test_closed_form_values():
 
 
 def test_shoot_at_eigenvalue_hits_endpoint():
-    val, zeros = shoot(PROB, 0.25 + math.pi ** 2)
+    val, zeros, _ = shoot(PROB, 0.25 + math.pi ** 2)
     assert abs(val) <= 1e-7
     assert zeros == 0
 
@@ -38,15 +40,18 @@ def test_shoot_at_eigenvalue_hits_endpoint():
 def test_shoot_matches_general_solution():
     # p=2 solution with phi(a)=0, m(a)=1: phi = a^-s sin(C ln(r/a)) / C * ...
     C = math.sqrt(4.75)
-    val, zeros = shoot(PROB, 5.0)
+    val, zeros, slope = shoot(PROB, 5.0)
     expected = math.exp(-0.5) * math.sin(C) / C
     assert val == pytest.approx(expected, rel=1e-9)
     assert zeros == 0
+    # phi_t = r phi' = e^(-t/2) (C cos(C t) - sin(C t)/2) / C at t = ln b = 1
+    expected = math.exp(-1.5) * (C * math.cos(C) - 0.5 * math.sin(C)) / C
+    assert slope == pytest.approx(expected, rel=1e-9)
 
 
 def test_shoot_counts_interior_zeros():
     # zeros of sin(C ln r) at ln r = k pi / C, C = sqrt(49.75)
-    val, zeros = shoot(PROB, 50.0)
+    val, zeros, _ = shoot(PROB, 50.0)
     assert zeros == 2
 
 
@@ -174,3 +179,75 @@ def test_lambda1_decreases_with_b():
         prob = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=b)
         lams.append(eigenvalue(prob).lam)
     assert lams[0] > lams[1] > lams[2]
+
+
+def _pi_p(p):
+    return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
+
+
+# (Q, p, theta, a, b, n): every p with two signs of kappa = Q - p theta
+ORACLE_CASES = [
+    (5.0, 2.5, 1.0, 1.0, 2.0, 1),       # kappa > 0
+    (2.0, 2.5, 2.0, 1.0, 100.0, 3),     # kappa < 0
+    (3.0, 3.0, 1.0, 1.0, 2.0, 1),       # kappa = 0
+    (5.0, 3.0, 1.0, 1.0, 2.0, 2),       # kappa > 0
+    (1.0, 4.0, 1.0, 1.0, 10.0, 3),      # kappa < 0
+    (6.0, 4.0, 1.5, 0.5, 5.0, 2),       # kappa = 0
+    (8.0, 6.0, 1.0, 1.0, 3.0, 1),       # kappa > 0
+    (1.0, 6.0, 1.0, 1.0, 100.0, 2),     # kappa < 0
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
+    f"{x:g}" for x in c))
+def test_eigenvalue_matches_period_integral(case):
+    Q, p, theta, a, b, n = case
+    ref = float(annulus_eigenvalue_mp(Q, p, theta, a, b, n))
+    res = eigenvalue(AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b), which=n)
+    assert res.zero_count == n - 1
+    assert abs(res.lam - ref) <= 1e-8 * ref
+
+
+def test_period_integral_oracle_closed_forms():
+    # kappa = 0: (n pi_p / L)^p; p = 2: ((Q - 2 theta)/2)^2 + (n pi / L)^2
+    assert float(annulus_eigenvalue_mp(3.0, 3.0, 1.0, 1.0, 2.0, 2)) == \
+        pytest.approx((2 * _pi_p(3.0) / math.log(2.0)) ** 3, rel=1e-14)
+    assert float(annulus_eigenvalue_mp(5.0, 2.0, 0.5, 1.0, 7.0, 2)) == \
+        pytest.approx(4.0 + (2 * math.pi / math.log(7.0)) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+def test_kappa_zero_is_pi_p_closed_form(p):
+    # Q = p theta makes the equation in t = ln r the plain half-linear one
+    for n, (a, b) in ((1, (1.0, 2.0)), (3, (0.5, 20.0))):
+        prob = AnnulusProblem(Q=2.0 * p, p=p, theta=2.0, a=a, b=b)
+        res = eigenvalue(prob, which=n)
+        assert res.lam == pytest.approx(
+            (n * _pi_p(p) / math.log(b / a)) ** p, rel=1e-10)
+
+
+def test_tolerance_below_double_resolution_converges():
+    # the bracket cannot close below a few ulps of u, whatever tol asks for
+    prob = AnnulusProblem(Q=1.0, p=6.0, theta=1.0, a=1.0, b=10.0)
+    res = eigenvalue(prob, which=2, tol=1e-300)
+    assert res.lam == pytest.approx(eigenvalue(prob, which=2).lam, rel=1e-10)
+    assert res.zero_count == 1
+
+
+def test_p2_takes_at_most_four_shots(monkeypatch):
+    calls = []
+
+    def counting(problem, lam):
+        calls.append(lam)
+        return shoot(problem, lam)
+
+    monkeypatch.setattr(spectral, "shoot", counting)
+    for Q, theta, b, n in ((3.0, 1.0, math.e, 1), (5.0, 0.0, 2.0, 2),
+                           (0.5, 4.0, 100.0, 3), (8.0, 2.5, 1.05, 5)):
+        calls.clear()
+        res = eigenvalue(AnnulusProblem(Q=Q, p=2.0, theta=theta, a=1.0, b=b),
+                         which=n)
+        assert res.lam == pytest.approx(
+            ((Q - 2 * theta) / 2) ** 2 + (n * math.pi / math.log(b)) ** 2,
+            rel=1e-10)
+        assert 1 <= len(calls) <= 4
