@@ -390,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--b", type=float, default=math.e)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8,
+                    help="relative tolerance on lambda, in (0, 1e-6]")
     sp.add_argument("--which", type=int, default=1, help="n >= 1")
     sp.add_argument("--eigenfunction-out", dest="eigenfunction_out")
     _common_flags(sp, "json")

@@ -4,14 +4,18 @@ The problem (r^(Q-1-p(theta-1)) |phi'|^(p-2) phi')' + lam r^(Q-1-p theta)
 |phi|^(p-2) phi = 0, phi(a) = phi(b) = 0, has simple eigenvalues
 lam_1 < lam_2 < ... above c = |kappa/p|^p, kappa = Q - p theta, and the n-th
 eigenfunction has n-1 interior zeros. In t = ln r it reads (Phi_p(phi_t))' +
-kappa Phi_p(phi_t) + lam Phi_p(phi) = 0. A shot integrates the flux system
-(`besselpair.solve_flux`) from (phi, m)(a) = (0, 1). With k interior zeros,
-s = (-1)^k and u = (lam - c)^(1/p), its phase at b,
+kappa Phi_p(phi_t) + lam Phi_p(phi) = 0, autonomous and invariant under
+phi -> C phi for every real C, so a solution through a zero continues past
+its next zero as a negative multiple of itself shifted by a half-period
+T(lam). Its zeros sit at a e^(k T), and lam_n solves
 
-    Theta(lam) = k pi + atan2(s u phi(b), s (phi_t(b) + (kappa/p) phi(b))),
+    n T(lam) = ln(b/a),
 
-the angle taken in [0, 2 pi), is continuous, Theta - n pi has the sign of
-lam - lam_n (half-linear Sturm comparison), and Theta = u ln(b/a) for p = 2.
+with T strictly decreasing and T = pi_p / u for p = 2 and for kappa = 0,
+u = (lam - c)^(1/p), pi_p = 2 pi (p-1)^(1/p)/(p sin(pi/p)), pi_2 = pi
+(Elbert 1979; Dosly and Rehak, Half-Linear Differential Equations, 2005).
+A shot integrates the flux system (`besselpair.solve_flux`) from
+(phi, m)(a) = (0, 1).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
 _RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of every shot
 _GRID_N = 1200                  # points locating max |phi| of the final shot
 _MAX_SHOTS = 60                 # search shots per eigenvalue
-_MAX_STEP = math.log(16.0)      # largest factor on u of one expansion shot
 
 
 class SearchFailureError(CheckFailure):
@@ -81,11 +84,20 @@ class ShootingResult:
     eigenfunction: Profile
 
 
-def _integrate(problem: AnnulusProblem, lam: float, dense: bool):
+def _first_zero(r, y):
+    return y[0]
+
+
+_first_zero.terminal = True
+_first_zero.direction = -1      # phi > 0 just after a: skips the zero at a
+
+
+def _integrate(problem: AnnulusProblem, lam: float, r_end: float, events,
+               dense: bool):
     flux_exp, weight_exp = problem.flux_exponents
     return solve_flux(lambda r: (r ** flux_exp, lam * r ** weight_exp),
-                      problem.p, (problem.a, problem.b), (0.0, 1.0),
-                      _RTOL, _ATOL, events=lambda r, y: y[0], dense=dense)
+                      problem.p, (problem.a, r_end), (0.0, 1.0),
+                      _RTOL, _ATOL, events=events, dense=dense)
 
 
 def _interior_zeros(sol, problem: AnnulusProblem) -> int:
@@ -100,18 +112,19 @@ def _slope(problem: AnnulusProblem, m, r):
     return np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0))
 
 
-def shoot(problem: AnnulusProblem, lam: float) -> tuple[float, int, float]:
-    """phi(b), the interior-zero count and phi'(b) of the shot at lam, from
-    (phi, m)(a) = (0, 1), without dense output."""
-    sol = _integrate(problem, lam, dense=False)
-    phi_b, m_b = sol.y[:, -1]
-    return (float(phi_b), _interior_zeros(sol, problem),
-            float(_slope(problem, m_b, problem.b)))
+def shoot(problem: AnnulusProblem, lam: float) -> float:
+    """The half-period T(lam) = ln(r_1/a), r_1 the first zero after a of the
+    shot from (phi, m)(a) = (0, 1), without dense output; inf if there is no
+    zero before a (b/a)^2, that is if T > 2 ln(b/a)."""
+    sol = _integrate(problem, lam, problem.b ** 2 / problem.a, _first_zero,
+                     dense=False)
+    zeros = sol.t_events[0]
+    return math.log(zeros[0] / problem.a) if zeros.size else math.inf
 
 
 def _result_from(problem: AnnulusProblem, lam: float) -> ShootingResult:
     """The shot at lam with its dense output as eigenfunction, max |phi| = 1."""
-    sol = _integrate(problem, lam, dense=True)
+    sol = _integrate(problem, lam, problem.b, lambda r, y: y[0], dense=True)
     dense = sol.sol
     phi = dense(np.linspace(problem.a, problem.b, _GRID_N))[0]
     scale = np.max(np.abs(phi))
@@ -129,59 +142,42 @@ def _result_from(problem: AnnulusProblem, lam: float) -> ShootingResult:
 
 def eigenvalue(problem: AnnulusProblem, which: int = 1,
                tol: float = 1e-8) -> ShootingResult:
-    """The which-th eigenvalue: a safeguarded secant solving Theta = which pi
-    in u from u_0 = which pi_p / ln(b/a), pi_p = 2 pi (p-1)^(1/p)/(p sin(pi/p)),
-    exact for p = 2 and kappa = 0. Geometric expansion brackets the root, and
-    regula falsi with the Illinois fix (bisection if a step leaves the
-    bracket) narrows it to max(tol/p, 4 eps) u, so tol bounds lam's
-    relative error down to what doubles resolve.
+    """The which-th eigenvalue: the root of F(x) = ln(which T / ln(b/a)) in
+    x = ln u, from u_0 = which pi_p / ln(b/a). The first step x_1 = x_0 + F_0
+    is exact for p = 2 and kappa = 0; later steps are secants through the
+    last two shots, bisecting when one leaves the sign bracket, and a shot
+    with no zero (T > 2 ln(b/a)) steps x up by ln(2 which). The search stops
+    at a step below max(tol/p, _RTOL), so tol in (0, 1e-6] bounds lam's
+    relative error down to what the shots resolve.
     Search shots go through `shoot`; the shot at the root alone keeps dense
     output, for the eigenfunction, and must have which-1 interior zeros."""
-    if not tol > 0:
-        raise ParameterDomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol <= 1e-6:     # looser, the root can land past lam_which
+        raise ParameterDomainError(f"tol must be in (0, 1e-6], got {tol}")
     if which < 1:
         raise ParameterDomainError(f"which must be >= 1, got {which}")
-    p, c, target = problem.p, problem.lemma_lower_bound, which * math.pi
-    drift = (problem.Q - p * problem.theta) / p         # kappa / p
-    width = max(tol / p, 4 * np.finfo(float).eps)
-
-    def excess(u: float) -> float:                      # Theta - which pi
-        phi_b, k, slope = shoot(problem, c + u ** p)
-        s = -1.0 if k % 2 else 1.0
-        angle = math.atan2(s * u * phi_b, s * (problem.b * slope + drift * phi_b))
-        return k * math.pi + angle % (2.0 * math.pi) - target
-
-    u = which * 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (
-        p * math.sin(math.pi / p) * math.log(problem.b / problem.a))
-    ends = {}           # side (-1 below the root, 1 above) -> [u, f, scaled f]
-    kept, step = 0, 0.0     # side the last update kept; last ln u expansion
+    p, c = problem.p, problem.lemma_lower_bound
+    span = math.log(problem.b / problem.a)
+    width = max(tol / p, _RTOL)
+    x = math.log(which * 2.0 * math.pi * (p - 1.0) ** (1.0 / p)
+                 / (p * math.sin(math.pi / p) * span))
+    lo, hi, last = -math.inf, math.inf, None    # F(lo) > 0 > F(hi)
     for _ in range(_MAX_SHOTS):
-        f = excess(u)
-        side = 1 if f > 0 else -1
-        if len(ends) == 2:
-            if kept == -side:           # that end survived twice: Illinois
-                ends[kept][2] *= 0.5
-            kept = -side
-        ends[side] = [u, f, f]
-        if len(ends) == 1:      # Theta ~ u: go twice past its proportional root
-            step = max(2.0 * abs(math.log(target / max(target + f, 1e-300))),
-                       2.0 * step, width)
-            u *= math.exp(-side * min(step, _MAX_STEP))
-            continue
-        (u0, f0, g0), (u1, f1, g1) = ends[-1], ends[1]
-        if u1 - u0 <= width * u1 or f == 0.0:    # f = 0 is stored as f0
-            u = (u0 * f1 - u1 * f0) / (f1 - f0)
+        f = math.log(which * shoot(problem, c + math.exp(p * x)) / span)
+        lo, hi = (x, hi) if f > 0 else (lo, x)
+        if f == math.inf:       # which T / ln(b/a) > 2 which
+            step = math.log(2.0 * which)
+        else:
+            slope = -1.0 if last is None else (f - last[1]) / (x - last[0])
+            step = -f / slope if slope < 0 else f
+            last = (x, f)
+        if abs(step) <= width:
+            x += step
             break
-        u = (u0 * g1 - u1 * g0) / (g1 - g0)
-        if not u0 < u < u1:
-            u = 0.5 * (u0 + u1)
-        # stay half the tolerance inside: a step landing next to one end
-        # then closes the bracket from the other
-        u = min(max(u, u0 + 0.5 * width * u1), u1 - 0.5 * width * u1)
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
     else:
-        raise SearchFailureError(f"phase search for eigenvalue {which} did "
-                                 f"not converge in {_MAX_SHOTS} shots")
-    result = _result_from(problem, c + u ** p)
+        raise SearchFailureError(f"half-period search for eigenvalue {which} "
+                                 f"did not converge in {_MAX_SHOTS} shots")
+    result = _result_from(problem, c + math.exp(p * x))
     if result.zero_count != which - 1:
         raise SearchFailureError(
             f"converged shot has {result.zero_count} interior zeros, "

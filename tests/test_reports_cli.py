@@ -358,13 +358,28 @@ def test_bessel_cli_ode_failure_exits_1(capsys):
         assert err.startswith("FAIL: ") and "Traceback" not in err, argv
 
 
+def test_eig_tol_above_1e_6_exits_2(tmp_path, capsys):
+    # a tolerance that loose would let the root land past lam_which, which
+    # the final zero count then reports as a failed search
+    annulus = ["--Q", "5", "--p", "3", "--theta", "1", "--a", "1", "--b", "2"]
+    for tol in ("0.5", "1e-3", "2e-6"):
+        code, _, err = _cli(["eig", *annulus, "--tol", tol], capsys)
+        assert code == 2, tol
+        assert err.startswith(f"parameter error: tol must be in (0, 1e-6], "
+                              f"got {float(tol)}"), err
+    code, _, err = _cli(["eig", *annulus, "--which", "2", "--tol", "1e-6",
+                         "--eigenfunction-out", str(tmp_path / "phi2.csv")],
+                        capsys)
+    assert code == 0, err
+
+
 def test_annulus_p3_constant_is_computed(capsys):
     # the p != 2 annulus constant is eig's lam_1, not a value the user claims
     annulus = ["--Q", "5", "--p", "3", "--theta", "1", "--a", "1", "--b", "2"]
     code, out, _ = _cli(["eig", *annulus], capsys)
     assert code == 0
     lam = json.loads(out)["summary"]["lambda"]
-    assert lam == 87.84714424991179
+    assert lam == 87.8471442499125
     # the Riccati period integral at 30 digits (tests/oracles.py)
     assert lam == pytest.approx(87.8471442497941, rel=1e-10)
     code, _, err = _cli(["rayleigh", "--scenario", "annulus", *annulus,

@@ -31,28 +31,32 @@ def test_closed_form_values():
         pytest.approx(1.0, rel=1e-15)
 
 
+def _half_period_p2(lam):
+    # PROB has p = 2 and kappa = 1: T = pi / sqrt(lam - 1/4)
+    return math.pi / math.sqrt(lam - 0.25)
+
+
 def test_shoot_at_eigenvalue_hits_endpoint():
-    val, zeros, _ = shoot(PROB, 0.25 + math.pi ** 2)
-    assert abs(val) <= 1e-7
-    assert zeros == 0
+    # ln(b/a) = 1 for PROB, so n T(lam_n) = 1
+    assert shoot(PROB, 0.25 + math.pi ** 2) == pytest.approx(1.0, rel=1e-9)
+    assert shoot(PROB, 0.25 + 4.0 * math.pi ** 2) == pytest.approx(
+        0.5, rel=1e-9)
 
 
 def test_shoot_matches_general_solution():
-    # p=2 solution with phi(a)=0, m(a)=1: phi = a^-s sin(C ln(r/a)) / C * ...
-    C = math.sqrt(4.75)
-    val, zeros, slope = shoot(PROB, 5.0)
-    expected = math.exp(-0.5) * math.sin(C) / C
-    assert val == pytest.approx(expected, rel=1e-9)
-    assert zeros == 0
-    # phi_t = r phi' = e^(-t/2) (C cos(C t) - sin(C t)/2) / C at t = ln b = 1
-    expected = math.exp(-1.5) * (C * math.cos(C) - 0.5 * math.sin(C)) / C
-    assert slope == pytest.approx(expected, rel=1e-9)
+    # phi = e^(-t/2) sin(C t) / C with C = sqrt(4.75) first vanishes at
+    # t = pi / C ~ 1.44, past b (t = 1) but inside the span t <= 2
+    assert shoot(PROB, 5.0) == pytest.approx(_half_period_p2(5.0), rel=1e-9)
 
 
 def test_shoot_counts_interior_zeros():
-    # zeros of sin(C ln r) at ln r = k pi / C, C = sqrt(49.75)
-    val, zeros, _ = shoot(PROB, 50.0)
-    assert zeros == 2
+    # the shot stops at its first zero: at lam = 50 the ones past it (two
+    # more before b) are not integrated, and a shot whose first zero lies
+    # past t = 2 ln(b/a) reports none
+    assert shoot(PROB, 50.0) == pytest.approx(_half_period_p2(50.0),
+                                              rel=1e-9)
+    assert _half_period_p2(2.0) > 2.0
+    assert shoot(PROB, 2.0) == math.inf
 
 
 def test_first_eigenvalue_matches_closed_form():
@@ -234,7 +238,7 @@ def test_tolerance_below_double_resolution_converges():
     assert res.zero_count == 1
 
 
-def test_p2_takes_at_most_four_shots(monkeypatch):
+def _counting_shoot(monkeypatch):
     calls = []
 
     def counting(problem, lam):
@@ -242,6 +246,11 @@ def test_p2_takes_at_most_four_shots(monkeypatch):
         return shoot(problem, lam)
 
     monkeypatch.setattr(spectral, "shoot", counting)
+    return calls
+
+
+def test_p2_takes_at_most_two_shots(monkeypatch):
+    calls = _counting_shoot(monkeypatch)
     for Q, theta, b, n in ((3.0, 1.0, math.e, 1), (5.0, 0.0, 2.0, 2),
                            (0.5, 4.0, 100.0, 3), (8.0, 2.5, 1.05, 5)):
         calls.clear()
@@ -250,4 +259,32 @@ def test_p2_takes_at_most_four_shots(monkeypatch):
         assert res.lam == pytest.approx(
             ((Q - 2 * theta) / 2) ** 2 + (n * math.pi / math.log(b)) ** 2,
             rel=1e-10)
-        assert 1 <= len(calls) <= 4
+        assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
+    f"{x:g}" for x in c))
+def test_zeros_equally_spaced_in_log_r(case):
+    # in t = ln r the shot repeats itself, sign flipped, every T: at lam_n
+    # its first zero is at t = ln(b/a) / n, and the eigenfunction (the final
+    # shot over [a, b]) vanishes at every a (b/a)^(k/n)
+    Q, p, theta, a, b, n = case
+    prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
+    res = eigenvalue(prob, which=n)
+    assert shoot(prob, res.lam) == pytest.approx(math.log(b / a) / n,
+                                                 rel=1e-9)
+    nodes = a * (b / a) ** (np.arange(1, n + 1) / n)
+    assert np.max(np.abs(res.eigenfunction.value(nodes))) <= 1e-9
+
+
+def test_tolerance_below_shot_accuracy_costs_no_shots(monkeypatch):
+    # the search width is floored at the shots' own rtol
+    calls = _counting_shoot(monkeypatch)
+    for Q, p, theta, a, b, n in ORACLE_CASES:
+        prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
+        counts = []
+        for tol in (1e-10, 1e-15):
+            calls.clear()
+            eigenvalue(prob, which=n, tol=tol)
+            counts.append(len(calls))
+        assert counts[1] <= counts[0], (prob, n, counts)
