@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import geometry as geo
-from .besselpair import verify_bessel_pair
 from .functional import random_profile_slacks, reduce_radial_functional
 from .identities import (sample_complex_pairs, scalar_identity_batch,
                          vector_identity_batch)
@@ -32,7 +31,6 @@ from .scenarios import (CheckFailure, ParameterDomainError, SCENARIO_NAMES,
                         SCENARIO_PARAMETERS, default_catalog, scenario_catalog,
                         scenario_to_json)
 from .sharpness import improved_weight_check, psiR_deficit, sweep_quotient
-from .spectral import AnnulusProblem, check_lambda1_lower_bound, eigenvalue
 
 
 class _Inconclusive(str):
@@ -147,6 +145,8 @@ def _cmd_identity(args):
 # -------------------------------------------------------------- bessel ------
 
 def _cmd_bessel(args):
+    from .besselpair import verify_bessel_pair  # the ODE layer loads scipy
+
     scenario = _build_scenario(args)
     lo, hi = scenario.pair.interval
     r0 = float(_or(args.r0, lo + 0.1 if lo > 0 else 0.1))
@@ -172,6 +172,9 @@ def _cmd_bessel(args):
 # -------------------------------------------------------------- eig ---------
 
 def _cmd_eig(args):
+    from .spectral import (AnnulusProblem, check_lambda1_lower_bound,
+                           eigenvalue)
+
     problem = AnnulusProblem(Q=float(args.Q), p=float(args.p),
                              theta=float(args.theta), a=float(args.a),
                              b=float(args.b))

@@ -243,8 +243,8 @@ def cylindrical_orthogonality_error(model: GaugeModel,
 
 def _batched_ratio(weigh, sampler, samples: int, seed: int):
     """Ratio of two Monte-Carlo means over a common sample stream with a
-    batch-means standard error; `weigh(pts)` returns the (numerator,
-    denominator) weights of one batch."""
+    batch-means standard error, and the mean denominator weight per sample;
+    `weigh(pts)` returns the (numerator, denominator) weights of one batch."""
     if samples < 1:
         raise ParameterDomainError(
             f"Monte-Carlo sample count must be >= 1, got {samples}")
@@ -272,14 +272,15 @@ def _batched_ratio(weigh, sampler, samples: int, seed: int):
     per_batch = batch_num[live] / np.where(batch_den[live] != 0, batch_den[live], 1.0)
     n_live = int(live.sum())
     spread = float(np.std(per_batch, ddof=1)) if n_live > 1 else 0.0
-    return ratio, spread / math.sqrt(max(n_live, 1))
+    return ratio, spread / math.sqrt(max(n_live, 1)), total_den / samples
 
 
 def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
                               R2: float, samples: int,
                               seed: int = DEFAULT_SEED) -> dict:
     """Monte-Carlo test of the gauge-ball scaling law: the ratio of
-    int_{B_R} |grad_L d|^alpha dx at R2 and R1 must equal (R2/R1)^Q."""
+    Phi_alpha(R) = int_{B_R} |grad_L d|^alpha dx at R2 and R1 must equal
+    (R2/R1)^Q. The same pass estimates lambda_alpha = Phi_alpha(R1) / R1^Q."""
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ParameterDomainError(f"alpha must be >= 0 and finite, got {alpha}")
     if not (0 < R1 <= R2 and math.isfinite(R2)):
@@ -295,33 +296,23 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
     def sampler(rng, n):
         return rng.uniform(-1.0, 1.0, size=(n, model.dims)) * half[None, :]
 
-    def ball_weight(pts, d, R):
-        """|grad_L d|^alpha on the gauge ball of radius R, 0 outside."""
-        inside = d < R
-        if alpha == 0.0:
-            return inside.astype(float)
-        w = np.zeros(pts.shape[0])
-        w[inside] = model.grad_gauge_mag(pts[inside]) ** alpha
-        return w
-
     def weigh(pts):
+        """|grad_L d|^alpha on the R2 and on the R1 gauge ball, 0 outside."""
         d = model.gauge(pts)
-        w = ball_weight(pts, d, R2)
+        inside = d < R2
+        if alpha == 0.0:
+            w = inside.astype(float)
+        else:
+            w = np.zeros(pts.shape[0])
+            w[inside] = model.grad_gauge_mag(pts[inside]) ** alpha
         return w, np.where(d < R1, w, 0.0)
 
-    ratio, std_error = _batched_ratio(weigh, sampler, samples, seed)
+    ratio, std_error, mean_den = _batched_ratio(weigh, sampler, samples, seed)
     expected = (R2 / R1) ** model.Q
     gap = abs(ratio - expected)
     estimate = MonteCarloEstimate(ratio, std_error, samples, seed)
-    # one extra pass gives the gauge-ball constant itself (no closed form);
-    # it weighs only the R1 ball, since this pass holds up to 2^20 points at
-    # once and also weighing the larger R2 ball raises peak memory by a quarter
-    rng = np.random.default_rng(seed + 1)
-    pts = rng.uniform(-1.0, 1.0, size=(min(samples, _CHUNK), model.dims)) \
-        * half[None, :]
-    vol = float(np.prod(2.0 * half))
-    lam_alpha = vol * float(np.mean(ball_weight(pts, model.gauge(pts), R1))) \
-        / R1 ** model.Q
+    # the denominator is Phi_alpha(R1) / vol(box) per sample
+    lam_alpha = float(np.prod(2.0 * half)) * mean_den / R1 ** model.Q
     return {
         "ratio": estimate,
         "expected": expected,
@@ -507,7 +498,7 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
         return (np.sum(gradu ** 2, axis=1) * r ** (-2.0 * (theta - 1.0)) * r ** N,
                 (F * nu) ** 2 * r ** (-2.0 * theta) * r ** N)
 
-    quotient, std_error = _batched_ratio(weigh, sampler, mc_samples, seed)
+    quotient, std_error, _ = _batched_ratio(weigh, sampler, mc_samples, seed)
     return {
         "harmonicity_residual": harmonicity_residual,
         "sphere_eigvalue_residual": sphere_eigvalue_residual,
@@ -560,5 +551,5 @@ def direct_rayleigh(model: GaugeModel, scenario: Scenario, profile: Profile,
         den[mask] = scenario.pair.W(dm) * np.abs(profile.value(dm)) ** p * gm
         return num, den
 
-    ratio, std_error = _batched_ratio(weigh, sampler, mc_samples, seed)
+    ratio, std_error, _ = _batched_ratio(weigh, sampler, mc_samples, seed)
     return MonteCarloEstimate(ratio, std_error, mc_samples, seed)

@@ -118,6 +118,21 @@ def test_measure_scaling_greiner_and_alpha2():
     assert res["lambda_alpha_estimate"] > 0.0
 
 
+def _beta(x, y):
+    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+
+@pytest.mark.parametrize("model, alpha, exact", [
+    (euclidean(2), 0.0, math.pi),             # area of the unit disc
+    (greiner(1, 1.0), 2.0, math.pi),          # Heisenberg H^1
+    # |S^0| |S^0| / (2Q) B((h1 + alpha kappa)/a, h2/2), Q = 3, a = 4, kappa = 1
+    (grushin(1, 1, 1.0), 2.0, 2.0 / 3.0 * _beta(0.75, 0.5)),
+])
+def test_measure_lambda_alpha_matches_closed_form(model, alpha, exact):
+    res = measure_homogeneity_check(model, alpha, 1.0, 2.0, 10 ** 6, seed=17)
+    assert res["lambda_alpha_estimate"] == pytest.approx(exact, rel=0.02)
+
+
 def test_strip_quotient_matches_separable_oracle():
     # the 2-D integrand splits exactly into three separable terms; evaluating
     # them with 1-D adaptive quadrature is an independent route

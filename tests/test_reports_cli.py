@@ -285,6 +285,58 @@ def test_console_entry_point():
     assert "improved_weight" in proc.stdout
 
 
+# the nine README commands that solve no ODE, at small sample counts
+_COLD_COMMANDS = [
+    ["catalog"],
+    ["identity", "--p", "2.5", "--samples", "200", "--seed", "7"],
+    ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2", "--theta", "1",
+     "--eps-grid", "1e-2,1e-3,1e-4"],
+    ["sharpness", "--mode", "psi", "--Q", "5", "--p", "2",
+     "--R-grid", "10,100,1000"],
+    ["sharpness", "--mode", "improved", "--Q", "5", "--p", "2",
+     "--profiles", "5"],
+    ["geometry", "--model", "grushin", "--n", "1", "--k", "1", "--gamma", "1",
+     "--check", "measure", "--samples", "20000"],
+    ["geometry", "--check", "vandermonde", "--N", "3", "--theta", "1",
+     "--samples", "20000"],
+    ["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-3"],
+    ["rayleigh", "--scenario", "gaussian_b", "--Q", "5", "--p", "2",
+     "--theta", "1", "--alpha", "2", "--beta", "2", "--profiles", "10"],
+]
+
+_COLD_CHILD = """
+import json, os, sys
+scipy_loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+import hardylab
+print(json.dumps(['import hardylab', 0, scipy_loaded()]))
+import hardylab.cli, hardylab.geometry, hardylab.sharpness
+print(json.dumps(['import hardylab.cli', 0, scipy_loaded()]))
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    out = os.path.join(sys.argv[2], f'{i}.out')
+    code = hardylab.cli.run(argv + ['--out', out])
+    print(json.dumps([' '.join(argv), code, scipy_loaded()]))
+"""
+
+
+def test_cold_path_loads_no_scipy(tmp_path):
+    # the ODE layer (besselpair, spectral) is what loads scipy.integrate; the
+    # package and every command that solves no ODE must start without scipy
+    eig = ["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1",
+           "--b", "2.718281828"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD,
+         json.dumps(_COLD_COMMANDS + [eig]), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(steps) == 2 + len(_COLD_COMMANDS) + 1
+    for label, code, loaded in steps[:-1]:
+        assert (code, loaded) == (0, []), label
+    # the probe sees scipy once an ODE command has run
+    label, code, loaded = steps[-1]
+    assert code == 0 and "scipy.integrate" in loaded, label
+
+
 def test_help_names_the_checks(capsys):
     assert run(["eig", "--help"]) == 0
     out = capsys.readouterr().out

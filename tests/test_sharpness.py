@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -187,12 +185,3 @@ def test_improved_weight_slack_nonnegative():
     # boundary case Q = p: the pure improvement term alone stays nonnegative
     out2 = improved_weight_check(2.0, 2.0, 30, seed=3)
     assert out2["min_slack"] >= -1e-9
-
-
-def test_sharpness_and_geometry_do_not_load_the_ode_layer():
-    code = ("import sys, hardylab.sharpness, hardylab.geometry; "
-            "print('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
