@@ -121,18 +121,15 @@ def _cmd_identity(args):
         F, G = np.stack([sample_complex_pairs(rng, count) for _ in range(h)],
                         axis=2)
         out = vector_identity_batch(p, F, G)
-    rows = []
-    for i in range(count):
-        row = {"p": p, "h": h}
-        for j in range(h):
-            row[f"re_f{j + 1}"] = float(F[i, j].real)
-            row[f"im_f{j + 1}"] = float(F[i, j].imag)
-            row[f"re_g{j + 1}"] = float(G[i, j].real)
-            row[f"im_g{j + 1}"] = float(G[i, j].imag)
-        row["residual"] = float(out["residual"][i])
-        row["w_term"] = float(out["w_term"][i])
-        row["wtilde_term"] = float(out["wtilde_term"][i])
-        rows.append(row)
+    columns = {"p": [p] * count, "h": [h] * count}
+    for j in range(h):
+        columns[f"re_f{j + 1}"] = F[:, j].real.tolist()
+        columns[f"im_f{j + 1}"] = F[:, j].imag.tolist()
+        columns[f"re_g{j + 1}"] = G[:, j].real.tolist()
+        columns[f"im_g{j + 1}"] = G[:, j].imag.tolist()
+    for key in ("residual", "w_term", "wtilde_term"):
+        columns[key] = out[key].tolist()
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     tol = 1e-9 * (1.0 + np.abs(out["rhs_closed"]))
     worst = float(np.max(out["residual"] / tol))
     summary = {"max_residual": float(np.max(out["residual"])),

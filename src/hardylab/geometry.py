@@ -48,6 +48,14 @@ _ORTHOGONALITY_SAMPLES = 200
 _CHECK_POINTS = 200       # harmonicity and sphere-eigenvalue test points
 
 
+def _radius(cols: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; a single column is its absolute value,
+    which is what sqrt(x * x) rounds to in binary64 barring under/overflow."""
+    if cols.shape[1] == 1:
+        return np.abs(cols[:, 0])
+    return np.linalg.norm(cols, axis=1)
+
+
 class UnsupportedModelError(ParameterDomainError):
     """Operation undefined for this gauge model (e.g. unbounded gauge balls)."""
 
@@ -79,36 +87,46 @@ class GaugeModel:
 
     # -- gauge closed forms -------------------------------------------------
 
-    def gauge(self, pts: np.ndarray) -> np.ndarray:
+    def _layers(self, pts: np.ndarray):
+        """One pass over the points: the gauge d and the first-layer radius
+        that |grad_L d| needs besides d (None where |grad_L d| = 1)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.kind == "euclidean":
-            return np.linalg.norm(pts, axis=1)
+            return _radius(pts), None
         if self.kind == "grushin":
             n, gam = self.params["n"], self.params["gamma"]
-            x = np.linalg.norm(pts[:, :n], axis=1)
-            y = np.linalg.norm(pts[:, n:], axis=1)
-            return (x ** (2.0 * (1.0 + gam)) + y ** 2) ** (0.5 / (1.0 + gam))
+            x = _radius(pts[:, :n])
+            y = _radius(pts[:, n:])
+            d = (x ** (2.0 * (1.0 + gam)) + y ** 2) ** (0.5 / (1.0 + gam))
+            return d, None if gam == 0.0 else x
         if self.kind == "greiner":
             n, gam = self.params["n"], self.params["gamma"]
-            z = np.linalg.norm(pts[:, :2 * n], axis=1)
+            z = _radius(pts[:, :2 * n])
             t = pts[:, -1]
-            return (z ** (4.0 * gam) + t ** 2) ** (0.25 / gam)
-        m = self.params["m"]
-        return np.linalg.norm(pts[:, :m], axis=1)
+            return (z ** (4.0 * gam) + t ** 2) ** (0.25 / gam), z
+        return _radius(pts[:, :self.params["m"]]), None
+
+    def _grad(self, d: np.ndarray, radius) -> np.ndarray:
+        """|grad_L d| from d and the first-layer radius at the same points."""
+        if radius is None:
+            return np.ones(d.shape[0])
+        gam = self.params["gamma"]
+        if self.kind == "grushin":
+            return (radius / d) ** gam
+        return radius ** (2.0 * gam - 1.0) / d ** (2.0 * gam - 1.0)
+
+    def gauge(self, pts: np.ndarray) -> np.ndarray:
+        return self._layers(pts)[0]
 
     def grad_gauge_mag(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind in ("euclidean", "cylindrical_split"):
-            return np.ones(pts.shape[0])
-        if self.kind == "grushin":
-            n, gam = self.params["n"], self.params["gamma"]
-            if gam == 0.0:
-                return np.ones(pts.shape[0])
-            x = np.linalg.norm(pts[:, :n], axis=1)
-            return (x / self.gauge(pts)) ** gam
-        n, gam = self.params["n"], self.params["gamma"]
-        z = np.linalg.norm(pts[:, :2 * n], axis=1)
-        return z ** (2.0 * gam - 1.0) / self.gauge(pts) ** (2.0 * gam - 1.0)
+        return self._grad(*self._layers(pts))
+
+    def gauge_and_grad(self, pts: np.ndarray, keep):
+        """d at every point, the mask keep(d), and |grad_L d| at the masked
+        points, all from one pass over the layer radii."""
+        d, radius = self._layers(pts)
+        mask = keep(d)
+        return d, mask, self._grad(d[mask], None if radius is None else radius[mask])
 
     def sigma(self, pts: np.ndarray) -> np.ndarray:
         """Field matrix sigma(x) of shape (npts, h, dims)."""
@@ -298,13 +316,9 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
 
     def weigh(pts):
         """|grad_L d|^alpha on the R2 and on the R1 gauge ball, 0 outside."""
-        d = model.gauge(pts)
-        inside = d < R2
-        if alpha == 0.0:
-            w = inside.astype(float)
-        else:
-            w = np.zeros(pts.shape[0])
-            w[inside] = model.grad_gauge_mag(pts[inside]) ** alpha
+        d, inside, grad = model.gauge_and_grad(pts, lambda d: d < R2)
+        w = np.zeros(pts.shape[0])
+        w[inside] = grad ** alpha           # 1.0 at alpha = 0, whatever grad is
         return w, np.where(d < R1, w, 0.0)
 
     ratio, std_error, mean_den = _batched_ratio(weigh, sampler, samples, seed)
@@ -541,10 +555,9 @@ def direct_rayleigh(model: GaugeModel, scenario: Scenario, profile: Profile,
         return rng.uniform(-1.0, 1.0, size=(n, model.dims)) * half[None, :]
 
     def weigh(pts):
-        d = model.gauge(pts)
-        mask = (d > lo) & (d < hi)
+        d, mask, grad = model.gauge_and_grad(pts, lambda d: (d > lo) & (d < hi))
         dm = d[mask]
-        gm = model.grad_gauge_mag(pts[mask]) ** p
+        gm = grad ** p
         num = np.zeros(pts.shape[0])
         den = np.zeros(pts.shape[0])
         num[mask] = scenario.pair.V(dm) * np.abs(profile.derivative(dm)) ** p * gm

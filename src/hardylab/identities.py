@@ -40,7 +40,7 @@ _N_PANELS = 42          # geometric panels per side of the near-zero point
 # finite reach of the grading, and otherwise every weight would be 0.
 _OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(_N_PANELS - 1.0), [np.inf]])
 _MIN_FEATURE = 1e-12
-_CHUNK = 2048
+_CHUNK = 256           # pairs per block: a block's per-node arrays stay in L2
 
 
 def rhs_closed_form(p: float, f: np.ndarray, g: np.ndarray,
@@ -102,14 +102,22 @@ def _graded_panels(A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
     return owner, lo[owner, k], hi[owner, k]
 
 
-def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
-    """The three s-integrals shared by the scalar and vector identities:
+# The s-integrands of int_0^1 ... ds at the graded nodes s, from ds = s - s0,
+# q = A ds^2 + d2 and qm4 = q^((p-4)/2)
+_INTEGRANDS = {
+    "K1m4": lambda s, ds, q, qm4: s * qm4,              # s q^((p-4)/2)
+    "K2m4": lambda s, ds, q, qm4: s * ds ** 2 * qm4,    # s (s-s0)^2 q^((p-4)/2)
+    "K1m2": lambda s, ds, q, qm4: s * qm4 * q,          # s q^((p-2)/2)
+}
 
-    K1m4 = int_0^1 s q^((p-4)/2) ds
-    K2m4 = int_0^1 s (s-s0)^2 q^((p-4)/2) ds
-    K1m2 = int_0^1 s q^((p-2)/2) ds
-    """
-    K = np.zeros((3, A.shape[0]))
+
+def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray,
+                     names: tuple[str, ...]):
+    """The named s-integrals of `_INTEGRANDS`, one array each in the order of
+    `names`; the scalar identity reads K1m4 and K2m4, the vector one K2m4 and
+    K1m2. Pairs are taken in blocks of `_CHUNK`, and a pair's panels never
+    leave its block, so each pair's result does not depend on its batch."""
+    K = np.zeros((len(names), A.shape[0]))
     live_idx = np.flatnonzero(A > 0.0)
     for start in range(0, live_idx.size, _CHUNK):
         idx = live_idx[start:start + _CHUNK]
@@ -121,9 +129,10 @@ def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
         ds = s - s0[pair, None]
         q = np.maximum(A[pair, None] * ds ** 2 + d2[pair, None], 1e-300)
         qm4 = q ** ((p - 4.0) / 2.0)
-        for k, vals in enumerate((s * qm4, s * ds ** 2 * qm4, s * qm4 * q)):
+        for k, name in enumerate(names):
+            vals = _INTEGRANDS[name](s, ds, q, qm4)
             K[k, idx] = np.bincount(owner, np.einsum("ij,ij->i", w, vals), minlength=idx.size)
-    return K[0], K[1], K[2]
+    return tuple(K)
 
 
 def scalar_identity_batch(p: float, f: np.ndarray, g: np.ndarray) -> dict:
@@ -139,7 +148,7 @@ def scalar_identity_batch(p: float, f: np.ndarray, g: np.ndarray) -> dict:
     h_at = f + s0 * (g - f)
     d2 = np.abs(h_at) ** 2
     im = np.imag(f * np.conj(g))
-    K1m4, K2m4, _ = _segment_kernels(p, A, s0, d2)
+    K1m4, K2m4 = _segment_kernels(p, A, s0, d2, ("K1m4", "K2m4"))
     w_term = p * (p - 1.0) * A ** 2 * K2m4
     wtilde_term = p * im ** 2 * K1m4
     rhs = rhs_closed_form(p, f, g)
@@ -162,7 +171,7 @@ def vector_identity_batch(p: float, zeta: np.ndarray, xi: np.ndarray) -> dict:
     s0 = np.real(np.sum(np.conj(zeta) * diff, axis=1)) / A_safe
     k_at = zeta + s0[:, None] * (xi - zeta)
     d2 = np.sum(np.abs(k_at) ** 2, axis=1)
-    K1m4, K2m4, K1m2 = _segment_kernels(p, A, s0, d2)
+    K2m4, K1m2 = _segment_kernels(p, A, s0, d2, ("K2m4", "K1m2"))
     w_term = p * A * K1m2
     wtilde_term = p * (p - 2.0) * A ** 2 * K2m4
     rhs = rhs_closed_form(p, zeta, xi, vector=True)

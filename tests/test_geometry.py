@@ -43,6 +43,56 @@ def test_gauge_closed_forms():
     assert euclidean(4).Q == pytest.approx(4.0)
 
 
+def _parent_gauge_formulas(model, pts):
+    """d and |grad_L d| as each model wrote them before the single pass: every
+    layer radius through np.linalg.norm, the gradient recomputing d."""
+    def norm(cols):
+        return np.linalg.norm(cols, axis=1)
+
+    ones = np.ones(pts.shape[0])
+    if model.kind == "euclidean":
+        return norm(pts), ones
+    if model.kind == "cylindrical_split":
+        return norm(pts[:, :model.params["m"]]), ones
+    n, gam = model.params["n"], model.params["gamma"]
+    if model.kind == "grushin":
+        x, y = norm(pts[:, :n]), norm(pts[:, n:])
+        d = (x ** (2.0 * (1.0 + gam)) + y ** 2) ** (0.5 / (1.0 + gam))
+        return d, ones if gam == 0.0 else (x / d) ** gam
+    z = norm(pts[:, :2 * n])
+    d = (z ** (4.0 * gam) + pts[:, -1] ** 2) ** (0.25 / gam)
+    return d, z ** (2.0 * gam - 1.0) / d ** (2.0 * gam - 1.0)
+
+
+@pytest.mark.parametrize("model", [
+    euclidean(1), euclidean(3), grushin(1, 1, 0.0), grushin(1, 2, 0.0),
+    grushin(1, 1, 1.0), grushin(2, 1, 0.5), grushin(1, 2, 2.0),
+    grushin(1, 0, 1.0), greiner(1, 1.0), greiner(2, 2.0),
+    cylindrical_split(1, 3), cylindrical_split(2, 3)],
+    ids=lambda m: f"{m.kind}{sorted(m.params.values())}")
+def test_single_gauge_pass_matches_parent_formulas(model):
+    rng = np.random.default_rng(99)
+    pts = rng.uniform(-2.0, 2.0, size=(2000, model.dims))
+    pts[:50, 0] = 0.0                   # on the first layer's singular set
+    pts[50:100] *= 1e-30                # tiny radii, squares still normal
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 where d = 0
+        d_ref, grad_ref = _parent_gauge_formulas(model, pts)
+        assert np.array_equal(model.gauge(pts), d_ref)
+        assert np.array_equal(model.grad_gauge_mag(pts), grad_ref, equal_nan=True)
+        d, mask, grad = model.gauge_and_grad(pts, lambda d: d < 1.7)
+    assert np.array_equal(d, d_ref)
+    assert np.array_equal(mask, d_ref < 1.7)
+    assert np.array_equal(grad, grad_ref[mask], equal_nan=True)
+
+
+def test_measure_check_pinned_values():
+    """Ratio and std error as recorded before the single gauge pass."""
+    res = measure_homogeneity_check(grushin(1, 1, 1.0), 2.0, 1.0, 2.0, 200_000,
+                                    seed=17)
+    assert res["ratio"].mean == 7.983340299031773
+    assert res["ratio"].std_error == 0.05860840703458806
+
+
 def test_homogeneity_all_models():
     for model in (euclidean(3), grushin(1, 1, 1.0), grushin(2, 1, 0.5),
                   greiner(1, 1.0), greiner(1, 2.0), cylindrical_split(2, 3)):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hardylab.identities import (_graded_panels, check_cp_lower_bound,
+from hardylab.identities import (_CHUNK, _graded_panels, check_cp_lower_bound,
                                  realified_identity_oracle,
                                  rhs_closed_form, sample_complex_pairs,
                                  scalar_identity_batch,
@@ -282,3 +282,26 @@ def test_realified_oracle_near_antipodal_sweep():
                               - p * abs(n) ** (p - 2) * mpmath.re(mpmath.conj(n) * m))
                 got = realified_identity_oracle(p, mu, nu)["rhs"]
                 assert abs(got - exact) <= 1e-9 * (1.0 + abs(exact)), (p, i, got, exact)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+def test_pair_result_does_not_depend_on_its_block(p):
+    """The kernel takes pairs in blocks of _CHUNK; a batch's output must equal
+    that of sub-batches cut across block edges, and that of each pair alone."""
+    rng = np.random.default_rng(1515)
+    f, g = sample_complex_pairs(rng, 480)
+    fa, ga = near_collinear_pairs(rng, 40)
+    f, g = np.concatenate([f, fa]), np.concatenate([g, ga])
+    F, G = np.stack([sample_complex_pairs(rng, 600) for _ in range(3)], axis=2)
+    Z, X = near_collinear_vectors(rng, 40, 3)
+    F[::5], G[::5] = Z, X
+    cuts = np.cumsum([0, 1, _CHUNK - 1, _CHUNK + 1])
+    for batch, a, b in ((scalar_identity_batch, f, g),
+                        (vector_identity_batch, F, G)):
+        whole = batch(p, a, b)
+        pieces = [batch(p, a[lo:hi], b[lo:hi])
+                  for lo, hi in zip(cuts, np.append(cuts[1:], a.shape[0]))]
+        alone = [batch(p, a[i:i + 1], b[i:i + 1]) for i in range(a.shape[0])]
+        for key, value in whole.items():
+            assert np.array_equal(value, np.concatenate([x[key] for x in pieces])), key
+            assert np.array_equal(value, np.concatenate([x[key] for x in alone])), key
