@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, DenseOutput, solve_ivp
 
 from .profiles import Profile
 from .scenarios import (CheckFailure, Exponents, RadialWeightPair, Scenario,
@@ -73,21 +73,137 @@ def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
     return V(r) * r ** mu * np.abs(d) ** (p - 2.0) * d
 
 
+def _nonzero(row):
+    return tuple((j, float(a)) for j, a in enumerate(row) if a)
+
+
+def _combine(K, row):
+    """sum_j a_j K[j] over a tableau row's nonzero (j, a_j), per component."""
+    d0 = d1 = 0.0
+    for j, a in row:
+        k0, k1 = K[j]
+        d0 += k0 * a
+        d1 += k1 * a
+    return d0, d1
+
+
+class _FloatDOP853(DOP853):
+    """scipy's DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6)
+    on a 2-state system in Python floats. It inherits the tableau, the
+    tolerance checks and the initial step, and redoes scipy's step (the E5/E3
+    error norm and its controller: safety 0.9, factors 0.2 to 10, exponent
+    -1/8, the minimum step and the clamp to t_bound) and its order-7 dense
+    output over the tableau's nonzero entries, calling the raw RHS, which
+    returns a pair of floats, and counting nfev itself."""
+
+    # (c, row) per stage after the first; the last one, (1, B), is f(t + h, y_new)
+    _STAGES = tuple((float(c), _nonzero(a)) for a, c in zip(
+        [*DOP853.A[1:], DOP853.B], [*DOP853.C[1:], 1.0]))
+    _EXTRA = tuple((float(c), _nonzero(a))
+                   for a, c in zip(DOP853.A_EXTRA, DOP853.C_EXTRA))
+    _E5, _E3 = _nonzero(DOP853.E5), _nonzero(DOP853.E3)
+    _D = tuple(_nonzero(row) for row in DOP853.D)
+    _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+    def __init__(self, fun, *args, **kwargs):
+        super().__init__(fun, *args, **kwargs)
+        self._rhs = fun
+        self._tol = float(self.rtol), float(self.atol)
+        self.f = tuple(self.f.tolist())
+        self.h_abs = float(self.h_abs)      # numpy scalars would slow each step
+
+    def _add_stages(self, K, t, y, h, stages):
+        """Append the RHS at each stage to K; return the last stage's state."""
+        for c, row in stages:
+            d0, d1 = _combine(K, row)
+            z = (y[0] + d0 * h, y[1] + d1 * h)
+            K.append(self._rhs(t + c * h, z))
+        self.nfev += len(stages)
+        return z
+
+    def _step_impl(self):
+        t, y, direction = self.t, self.y.tolist(), float(self.direction)
+        rtol, atol = self._tol
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(self.h_abs, min_step), self.max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K = [self.f]
+            y_new = self._add_stages(K, t, y, h, self._STAGES)
+            err5 = err3 = 0.0
+            for e5, e3, u, v in zip(_combine(K, self._E5), _combine(K, self._E3),
+                                    y, y_new):
+                scale = atol + max(abs(u), abs(v)) * rtol
+                e5, e3 = e5 / scale, e3 / scale
+                err5 += e5 * e5
+                err3 += e3 * e3
+            error_norm = 0.0 if err5 == 0 and err3 == 0 else \
+                h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
+            if error_norm < 1:
+                factor = self._MAX_FACTOR if error_norm == 0 else min(
+                    self._MAX_FACTOR, self._SAFETY * error_norm ** self.error_exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(self._MIN_FACTOR,
+                         self._SAFETY * error_norm ** self.error_exponent)
+            rejected = True
+        self.h_previous, self.y_old, self._K = h, self.y, K
+        self.t, self.y, self.h_abs, self.f = t_new, np.array(y_new), h_abs, K[-1]
+        return True, None
+
+    def _dense_output_impl(self):
+        K, h, y_old = self._K[:], self.h_previous, self.y_old.tolist()
+        self._add_stages(K, self.t_old, y_old, h, self._EXTRA)
+        dy = [v - u for u, v in zip(y_old, self.y.tolist())]
+        F = [dy, [h * f - d for d, f in zip(dy, K[0])],
+             [2 * d - h * (f1 + f0) for d, f0, f1 in zip(dy, K[0], self.f)]]
+        F += [[h * x for x in _combine(K, row)] for row in self._D]
+        return _FloatDense(self.t_old, self.t, y_old, F)
+
+
+class _FloatDense(DenseOutput):
+    """A step's order-7 interpolant, summed in scipy's Horner order."""
+
+    def __init__(self, t_old, t, y_old, F):
+        super().__init__(t_old, t)
+        self.h, self.y_old, self.F = t - t_old, y_old, F
+
+    def _call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        x = float(x) if t.ndim == 0 else x
+        xs, y0, y1 = (x, 1.0 - x), 0.0, 0.0
+        for i, (f0, f1) in enumerate(reversed(self.F)):
+            y0 = (y0 + f0) * xs[i % 2]
+            y1 = (y1 + f1) * xs[i % 2]
+        return np.array((y0 + self.y_old[0], y1 + self.y_old[1]))
+
+
 def solve_flux(coefficients: Callable, p: float, r_span, y0,
                rtol: float, atol: float, events, dense: bool = True):
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
     for the state (phi, m), m = A |phi'|^(p-2) phi', by DOP853 (with dense
-    output if dense); coefficients maps a scalar r to (A(r), B(r))."""
+    output if dense); coefficients maps a scalar r to (A(r), B(r)). A float
+    overflow or division by zero in the RHS is an ODEFailure."""
+    inv, q = 1.0 / (p - 1.0), p - 2.0
+
     def rhs(r, y):
         phi, m = y
         A, B = coefficients(r)
         w = m / A
-        dphi = math.copysign(abs(w) ** (1.0 / (p - 1.0)), w)
-        dm = -B * abs(phi) ** (p - 2.0) * phi
-        return (dphi, dm)
+        return (math.copysign(abs(w) ** inv, w), -B * abs(phi) ** q * phi)
 
-    sol = solve_ivp(rhs, r_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense, events=events)
+    try:
+        sol = solve_ivp(rhs, r_span, y0, method=_FloatDOP853, rtol=rtol,
+                        atol=atol, dense_output=dense, events=events)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ODEFailure(f"ODE integration failed: {exc}") from exc
     if not sol.success:
         raise ODEFailure(f"ODE integration failed: {sol.message}")
     return sol
@@ -95,10 +211,12 @@ def solve_flux(coefficients: Callable, p: float, r_span, y0,
 
 def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
                          r0: float, y0: tuple[float, float], r_end: float,
-                         zero_order: Callable | None = None) -> Callable:
+                         zero_order: Callable | None = None,
+                         blowup: float = _BLOWUP) -> Callable:
     """Integrate the flux system from (phi, m)(r0) = y0 to r_end (either
     direction) and return its dense output r -> (phi, m); a zeroth-order
-    numerator weight z makes the coefficient (lam W - z) r^mu."""
+    numerator weight z makes the coefficient (lam W - z) r^mu. The solve
+    stops with DivergenceError once |phi| exceeds blowup."""
     p = exponents.p
     mu = exponents.measure_exponent
     lo = min(r0, r_end)
@@ -124,15 +242,15 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
         rm = r ** mu
         return v * rm, c * rm
 
-    def blowup(r, y):
-        return abs(y[0]) - _BLOWUP
+    def diverged(r, y):
+        return abs(y[0]) - blowup
 
-    blowup.terminal = True
+    diverged.terminal = True
     sol = solve_flux(coefficients, p, (r0, r_end), y0, _RTOL, _ATOL,
-                     events=blowup)
+                     events=diverged)
     if sol.status == 1:
         raise DivergenceError(
-            f"|phi| exceeded {_BLOWUP:.0e} at r = {sol.t_events[0][0]:.6g}")
+            f"|phi| exceeded {blowup:.3g} at r = {sol.t_events[0][0]:.6g}")
     return sol.sol
 
 
@@ -156,8 +274,8 @@ def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,
     coeff = lam * W(grid)
     if zero_order is not None:
         coeff = coeff - zero_order(grid)
-    zero_term = coeff * grid ** mu * np.abs(phi.value(grid)) ** (p - 2.0) \
-        * phi.value(grid)
+    value = phi.value(grid)
+    zero_term = coeff * grid ** mu * np.abs(value) ** (p - 2.0) * value
     resid = flux_d + zero_term
     # where both terms vanish (the improved_weight auxiliary pair at r = 1)
     # their mean is rounding noise and the ratio reads ~2; floor it at the
@@ -214,18 +332,22 @@ def verify_bessel_pair(scenario: Scenario,
     at_r0 = np.array([r0])
     y0 = (float(phi.value(at_r0)[0]),
           float(momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
-    dense = integrate_bessel_ode(pair, exps, r0, y0, r1, zero_order=z)
     r = np.linspace(r0, r1, _DENSE_N)
-    phi_r = dense(r)[0]
     ref = phi.value(r)
-    scale = np.max(np.abs(ref))
-    closed_err = float(np.max(np.abs(phi_r - ref) / (np.abs(ref) + 1e-2 * scale)))
+    abs_ref = np.abs(ref)
+    scale = np.max(abs_ref)
+    # the closed form has no finite-r blow-up to guard against: the solve
+    # stops only far past the scale of the solution it should track
+    dense = integrate_bessel_ode(pair, exps, r0, y0, r1, zero_order=z,
+                                 blowup=_BLOWUP * scale)
+    phi_r = dense(r)[0]
+    closed_err = float(np.max(np.abs(phi_r - ref) / (abs_ref + 1e-2 * scale)))
 
-    # positivity margin: ten times the integrator's local error scale
-    margin = 10.0 * (_RTOL * scale + 1e-12)
+    # positivity margin: ten times the integrator's local error scale at each r
+    margin = 10.0 * (_RTOL * abs_ref + 1e-12)
     min_phi = float(np.min(phi_r))
     return BesselCertificate(
-        is_positive=bool(min_phi > margin),
+        is_positive=bool(np.all(phi_r > margin)),
         min_phi=min_phi,
         max_ode_residual=max_resid,
         max_closed_form_error=closed_err,

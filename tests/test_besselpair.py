@@ -1,15 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from hardylab.besselpair import (DivergenceError, SingularCoefficientError,
+from hardylab import besselpair
+from hardylab.besselpair import (DivergenceError, ODEFailure,
+                                 SingularCoefficientError,
                                  improved_weight_auxiliary_pair,
                                  integrate_bessel_ode, momentum_from_profile,
-                                 ode_residuals, verify_bessel_pair)
+                                 ode_residuals, solve_flux, verify_bessel_pair)
+from hardylab.cli import run
 from hardylab.scenarios import (Exponents, RadialWeightPair,
                                 UnsupportedScenarioError,
-                                closed_form_maximizer, scenario_catalog)
+                                closed_form_maximizer, default_catalog,
+                                scenario_catalog)
+from hardylab.spectral import AnnulusProblem, eigenvalue
 
 
 def test_power_trajectory_matches_closed_form():
@@ -67,6 +74,29 @@ def test_certificates_for_catalog_closed_forms():
         assert cert.max_closed_form_error <= 1e-6, (name, cert)
 
 
+def test_gaussian_a_certificate_on_a_long_interval(tmp_path):
+    # phi = exp(r^2/4) grows to 5e97 by r = 30: no blow-up at finite r, so
+    # neither the divergence guard nor the positivity margin may scale with
+    # max |phi| absolutely
+    sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
+    cert = verify_bessel_pair(sc, (0.5, 30.0))
+    assert cert.is_positive, cert
+    assert cert.max_ode_residual <= 1e-6, cert
+    assert cert.max_closed_form_error <= 1e-6, cert
+    assert run(["bessel", "--scenario", "gaussian_a", "--r0", "0.5", "--r1",
+                "30", "--out", str(tmp_path / "g.csv")]) == 0
+
+
+def test_sign_changing_solution_is_not_certified():
+    # four times the power pair's lam makes the solution from the closed
+    # form's data oscillate: r^-1.5 cos(2.6 ln r + c) changes sign on (0.1, 10)
+    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
+    sc = replace(sc, pair=replace(sc.pair, lam=4.0 * sc.pair.lam))
+    cert = verify_bessel_pair(sc, (0.1, 10.0))
+    assert not cert.is_positive
+    assert cert.min_phi < 0.0
+
+
 def test_certificate_solution_and_residual_match_direct_evaluation():
     # the certificate's dense solve and vectorized residual give the same bits
     # as a fresh solve from the same data and a point-by-point residual loop
@@ -92,6 +122,90 @@ def test_certificate_solution_and_residual_match_direct_evaluation():
         loop = [float(ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi,
                                     np.array([x]))[0]) for x in r]
         assert cert.residual(r).tolist() == loop, name
+
+
+# every catalog closed form, over the intervals the benchmark certifies
+CATALOG_INTERVALS = {
+    "power": (0.1, 10.0), "log_radial": (0.01, 0.9),
+    "log_cylindrical": (0.01, 0.9), "gaussian_a": (0.5, 3.0),
+    "gaussian_b": (0.2, 4.0), "annulus": (1.1, 2.5), "cylindrical": (0.1, 5.0),
+    "strip": (0.1, 5.0), "antisymmetric": (0.1, 10.0),
+    "improved_weight": (0.1, 5.0),
+}
+
+
+def _record_solves(monkeypatch):
+    """Route every solve_flux solve through a recorder that also runs scipy's
+    own DOP853 on the same RHS, span, tolerances and events."""
+    pairs = []
+
+    def both(fun, t_span, y0, method, **kwargs):
+        ours = solve_ivp(fun, t_span, y0, method=method, **kwargs)
+        pairs.append((ours, solve_ivp(fun, t_span, y0, method="DOP853",
+                                      **kwargs)))
+        return ours
+
+    monkeypatch.setattr(besselpair, "solve_ivp", both)
+    return pairs
+
+
+def test_float_stepper_matches_scipy_dop853(monkeypatch):
+    # the two differ only in the rounding of the stage sums (BLAS orders them
+    # its own way), and for p != 2, where the flux is only C^{1,1/(p-1)} at
+    # its turning points, that can tip a step's accept/reject decision: single
+    # solves then part by a few percent of nfev and up to ~1e2 rtol in the
+    # state, while the event times and the total work stay put
+    pairs = _record_solves(monkeypatch)
+    for sc in default_catalog():
+        verify_bessel_pair(sc, CATALOG_INTERVALS[sc.name])
+    for p in (2.0, 2.5, 3.0, 4.0, 6.0):
+        eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=2.0))
+    assert len(pairs) > 20
+    for ours, ref in pairs:
+        assert ours.status == ref.status
+        final = np.abs(ref.y[:, -1])
+        assert np.max(np.abs(ours.y[:, -1] - ref.y[:, -1])) <= 1e-9 * np.max(final)
+        for t_ours, t_ref in zip(ours.t_events, ref.t_events):
+            assert t_ours.shape == t_ref.shape
+            assert np.all(np.abs(t_ours - t_ref) <= 1e-10 * np.abs(t_ref))
+    total = sum(ref.nfev for _, ref in pairs)
+    assert abs(sum(ours.nfev for ours, _ in pairs) - total) <= 0.02 * total
+
+
+def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
+    pairs = _record_solves(monkeypatch)
+    verify_bessel_pair(scenario_catalog("power", Q=4.0, p=3.0, theta=1.0),
+                       (0.2, 5.0))
+    eigenvalue(AnnulusProblem(Q=5.0, p=4.0, theta=1.0, a=1.0, b=2.0))
+    for sol, _ in pairs:
+        if sol.sol is None:
+            continue
+        for k, piece in enumerate(sol.sol.interpolants):
+            y0, y1 = sol.y[:, k], sol.y[:, k + 1]
+            assert np.array_equal(piece(sol.t[k]), y0)
+            ends = piece(np.array([sol.t[k], sol.t[k + 1]]))
+            assert np.array_equal(ends[:, 0], y0)
+            assert np.all(np.abs(ends[:, 1] - y1) <= 4e-16 * (np.abs(y0) + np.abs(y1)))
+
+
+@pytest.mark.parametrize("coefficients, y0", [
+    (lambda r: (1.0, 1.0), (1e200, 0.0)),            # |phi|^(p-2) = 1e400
+    (lambda r: (0.0 if r > 0.5 else 1.0, 1.0), (1.0, 0.0)),  # m / A, A = 0
+])
+def test_float_overflow_in_the_rhs_is_an_ode_failure(coefficients, y0):
+    with pytest.raises(ODEFailure, match="ODE integration failed"):
+        solve_flux(coefficients, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12,
+                   events=None)
+
+
+def test_float_overflow_exits_1_without_traceback(tmp_path, capsys):
+    # r^(Q-1) overflows a float long before r = 1e300
+    code = run(["bessel", "--scenario", "power", "--Q", "5", "--p", "2",
+                "--theta", "1", "--r0", "1", "--r1", "1e300",
+                "--out", str(tmp_path / "b.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "FAIL: ODE integration failed" in err and "Traceback" not in err
 
 
 def test_improved_weight_auxiliary_equation():
