@@ -17,6 +17,7 @@ import numpy as np
 
 from .functional import reduce_radial_functional
 from .profiles import Profile, smooth_bump
+from .quadrature import QuadratureError, integrate_batch
 from .scenarios import (CheckFailure, ParameterDomainError, Scenario,
                         closed_form_maximizer, scenario_catalog)
 from .sharpness import plateau_cutoff, strip_cutoff
@@ -25,7 +26,6 @@ __all__ = [
     "GaugeModel",
     "MonteCarloEstimate",
     "UnsupportedModelError",
-    "ResolutionError",
     "euclidean",
     "grushin",
     "greiner",
@@ -46,6 +46,7 @@ _CHUNK = 1 << 20          # Monte-Carlo points drawn and weighed at once
 _HOMOGENEITY_SAMPLES = 1000
 _ORTHOGONALITY_SAMPLES = 200
 _CHECK_POINTS = 200       # harmonicity and sphere-eigenvalue test points
+_STRIP_TOL = 1e-13        # relative target of each strip integral
 
 
 def _radius(cols: np.ndarray) -> np.ndarray:
@@ -58,10 +59,6 @@ def _radius(cols: np.ndarray) -> np.ndarray:
 
 class UnsupportedModelError(ParameterDomainError):
     """Operation undefined for this gauge model (e.g. unbounded gauge balls)."""
-
-
-class ResolutionError(CheckFailure):
-    """Tensor grid failed its internal convergence check."""
 
 
 @dataclass(frozen=True)
@@ -339,64 +336,66 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
 
 # -- strip ------------------------------------------------------------------
 
-def _panel_nodes_1d(edges: np.ndarray, n_nodes: int):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def strip_quotient(theta: float, epsilon: float) -> float:
     """Directional Rayleigh quotient on the strip (-pi/2, pi/2) x R for the
     gauge e^y cos x, evaluated on the truncated maximizer
 
-        u = cos(x)^(theta-1/2) f_eps(x) e^((theta-1/2) y) eta(y)
+        u = cos(x)^(theta-1/2) f_eps(x) e^((theta-1/2) y) eta(y).
 
-    by tensor-grid quadrature. An internal two-resolution check guards
-    against an under-resolved grid (`ResolutionError`).
+    u and both weights split into an x-factor times a y-factor, so the
+    quotient is a ratio of 1-D integrals. They are written in the offset
+    s = pi/2 - |x|, where cos x = sin s and the knots of f = f_eps
+    (`strip_cutoff`) are exact, so nothing cancels as eps -> 0, and in
+    cancelled form, so no power of cos x depends on theta. With
+    g = sin s f_x' - (theta-1/2) cos s f the x-integrals over [s_out, pi/2] are
+
+        X1 = int cos^2 s g^2 / sin s,    X2 = int cos s sin s f g,
+        X3 = int sin^3 s f^2,            X4 = int f^2 / sin s,
+
+    and the y-integrals over [-1, 1] are Y1 = int e^y eta^2 and
+    Z = int e^y eta'^2; the other two y-factors follow by parts, since eta
+    vanishes at +-1, as (theta-1) Y1 and (theta-1/2)(theta-3/2) Y1 + Z. So
+
+        q = [X1 - 2 (theta-1) X2 + X3 ((theta-1/2)(theta-3/2) + Z/Y1)] / X4.
+
+    The six integrals are the owners of one `integrate_batch` call, each
+    evaluated on its own nodes only; an owner that fails raises its
+    `QuadratureError`.
     """
     if not math.isfinite(theta):
         raise ParameterDomainError(f"theta must be finite, got {theta}")
     f = strip_cutoff(epsilon)
-    x_in, x_out = f.knots[2:]
     eta = smooth_bump(0.0, 1.0)     # vertical truncation on [-1, 1]
-    s = theta - 0.5
+    sig = theta - 0.5
 
-    def quotient_at(refine: int) -> float:
-        # x-panels graded geometrically toward x_in, down to the bridge width
-        levels = max(10, math.ceil(math.log2(1.0 / epsilon))) + refine
-        inner = x_in * (1.0 - 0.5 ** np.arange(1, levels))
-        bridge = np.linspace(x_in, x_out, 8 * (1 + refine))
-        edges = np.unique(np.concatenate([[0.0], inner, [x_in], bridge, [x_out]]))
-        xs, wx = _panel_nodes_1d(edges, 16)
-        ys, wy = _panel_nodes_1d(np.linspace(-1.0, 1.0, 12 * (1 + refine)), 16)
-        X = xs[:, None]
-        Y = ys[None, :]
-        cos = np.cos(X)
-        sin = np.sin(X)
-        P = cos ** s * f.value(xs)[:, None]
-        Pp = -s * cos ** (s - 1.0) * sin * f.value(xs)[:, None] \
-            + cos ** s * f.derivative(xs)[:, None]
-        E = np.exp(s * Y) * eta.value(ys)[None, :]
-        Ep = s * np.exp(s * Y) * eta.value(ys)[None, :] \
-            + np.exp(s * Y) * eta.derivative(ys)[None, :]
-        D = -sin * (Pp * E) + cos * (P * Ep)
-        vweight = cos ** (-2.0 * (theta - 1.0)) * np.exp(-2.0 * (theta - 1.0) * Y)
-        num = 2.0 * np.einsum("i,ij,j->", wx, D ** 2 * vweight, wy)
-        den = 2.0 * np.einsum(
-            "i,ij,j->", wx,
-            (P * E) ** 2 * cos ** (-2.0 * theta) * np.exp(-2.0 * (theta - 1.0) * Y),
-            wy)
-        return num / den
+    def g(s):   # f' is d/ds = -d/dx
+        return -(np.sin(s) * f.derivative(s) + sig * np.cos(s) * f.value(s))
 
-    coarse = quotient_at(0)
-    fine = quotient_at(1)
-    if abs(fine - coarse) > 1e-6 * abs(fine):
-        raise ResolutionError(f"tensor grid not converged at eps = {epsilon}: "
-                              f"{float(coarse)} vs {float(fine)}")
-    return fine
+    terms = (lambda s: np.cos(s) ** 2 * g(s) ** 2 / np.sin(s),
+             lambda s: np.cos(s) * np.sin(s) * f.value(s) * g(s),
+             lambda s: np.sin(s) ** 3 * f.value(s) ** 2,
+             lambda s: f.value(s) ** 2 / np.sin(s),
+             lambda y: np.exp(y) * eta.value(y) ** 2,
+             lambda y: np.exp(y) * eta.derivative(y) ** 2)
+
+    def integrand(x, owner):
+        out = np.empty_like(x)
+        for k, term in enumerate(terms):
+            rows = owner == k
+            out[rows] = term(x[rows])
+        return out
+
+    (lo, hi), inner = f.support, [f.knots[1]]
+    ests = integrate_batch(integrand, [lo] * 4 + [-1.0] * 2,
+                           [hi] * 4 + [1.0] * 2, [False] * 6, [False] * 6,
+                           [inner] * 4 + [[]] * 2, tol=0.0,
+                           rel_tol=_STRIP_TOL)
+    for est in ests:
+        if isinstance(est, QuadratureError):
+            raise est
+    X1, X2, X3, X4, Y1, Z = (est.value for est in ests)
+    return (X1 - 2.0 * (theta - 1.0) * X2
+            + X3 * ((theta - 0.5) * (theta - 1.5) + Z / Y1)) / X4
 
 
 # -- Vandermonde sector -----------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "scalar_identity_batch",
     "vector_identity_batch",
     "realified_identity_oracle",
-    "check_cp_lower_bound",
     "sample_complex_pairs",
     "rhs_closed_form",
 ]
@@ -249,14 +248,3 @@ def sample_complex_pairs(rng: np.random.Generator, count: int,
                          np.where(kind == 1, -base * (1.0 + eps * wiggle),
                                   eps * wiggle * radius))
     return f, g
-
-
-def check_cp_lower_bound(p: float, sample_count: int, seed: int) -> dict:
-    """Sampled check of rhs_closed >= 2^-p |f-g|^p (the guaranteed lower end
-    of the c_p window)."""
-    require_p(p)
-    rng = np.random.default_rng(seed)
-    f, g = sample_complex_pairs(rng, sample_count)
-    rhs = rhs_closed_form(p, f, g)
-    slack = rhs - 2.0 ** (-p) * np.abs(f - g) ** p
-    return {"min_slack": float(np.min(slack)), "slacks": slack}

@@ -8,7 +8,8 @@ are swept in L = ln(R/r), where g_eps applies unchanged). `psi_cutoff(R)` is
 psi_R, the piecewise-logarithmic Lipschitz profile whose energy
 int r psi'^2 dr equals 2/ln R exactly and whose cross term int psi psi' dr
 vanishes, the engine of the criticality argument. `strip_cutoff(eps)` is the
-strip's f_eps in x; its knots are the breakpoints of the strip grid.
+strip's f_eps in the offset s = pi/2 - |x| from the edge, where both knots
+are exact and the strip quotient's x-integrals run.
 """
 
 from __future__ import annotations
@@ -103,28 +104,27 @@ def psi_cutoff(R: float) -> Profile:
 
 
 def strip_cutoff(eps: float) -> Profile:
-    """f_eps, even in x: 1 for |x| <= (pi/2)/(1+2 eps), 0 beyond (pi/2)/(1+eps)."""
+    """f_eps in the offset s = pi/2 - |x| from the strip's edge: 0 for
+    s <= s_out = (pi/2) eps/(1+eps), 1 for s >= s_in = pi eps/(1+2 eps), that
+    is 0 beyond |x| = (pi/2)/(1+eps) and 1 for |x| <= (pi/2)/(1+2 eps).
+    The derivative is d/ds."""
     if not 0.0 < eps < 0.25:
         raise ParameterDomainError(f"strip needs 0 < eps < 1/4, got {eps}")
-    x_in = 0.5 * math.pi / (1.0 + 2.0 * eps)
-    x_out = 0.5 * math.pi / (1.0 + eps)
-    w = x_out - x_in
+    s_out = 0.5 * math.pi * eps / (1.0 + eps)
+    s_in = math.pi * eps / (1.0 + 2.0 * eps)
+    w = s_in - s_out
 
-    def value(x):
-        x = np.abs(np.asarray(x, dtype=float))
-        t = np.clip((x_out - x) / w, 0.0, 1.0)
-        return _step(t)
+    def t(s):
+        return np.clip((np.asarray(s, dtype=float) - s_out) / w, 0.0, 1.0)
 
-    def derivative(x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        mid = (ax > x_in) & (ax < x_out)
-        out = np.zeros_like(x)
-        out[mid] = -np.sign(x[mid]) * _step_slope((x_out - ax[mid]) / w) / w
-        return out
+    def value(s):
+        return _step(t(s))
 
-    return Profile(value, derivative, (-x_out, x_out),
-                   knots=(-x_out, -x_in, x_in, x_out))
+    def derivative(s):
+        return _step_slope(t(s)) / w
+
+    return Profile(value, derivative, (s_out, 0.5 * math.pi),
+                   knots=(s_out, s_in))
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,10 @@ def _slope(problem: AnnulusProblem, m, r):
 def shoot(problem: AnnulusProblem, lam: float) -> float:
     """The half-period T(lam) = ln(r_1/a), r_1 the first zero after a of the
     shot from (phi, m)(a) = (0, 1), without dense output; inf if there is no
-    zero before a (b/a)^2, that is if T > 2 ln(b/a)."""
-    sol = _integrate(problem, lam, problem.b ** 2 / problem.a, _first_zero,
-                     dense=False)
+    zero before a (b/a)^2, that is if T > 2 ln(b/a). That end is a float
+    product, inf where it overflows: a float power would raise."""
+    sol = _integrate(problem, lam, problem.b * problem.b / problem.a,
+                     _first_zero, dense=False)
     zeros = sol.t_events[0]
     return math.log(zeros[0] / problem.a) if zeros.size else math.inf
 

@@ -1,15 +1,21 @@
-"""Independent quadrature oracles and profile helpers for the tests.
+"""Independent quadrature oracles, profile helpers and test-only checks.
 
 Deliberately disjoint from hardylab.quadrature: fixed composite
-Gauss-Legendre grids (numpy's leggauss) with geometric panel grading. Frozen
-expected values in the tests were computed with these routines.
+Gauss-Legendre grids (numpy's leggauss) with geometric panel grading, and
+mpmath evaluations straight from the definitions. Frozen expected values in
+the tests were computed with these routines. `check_cp_lower_bound` is a
+sampled check that only the tests call.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from hardylab.identities import rhs_closed_form, sample_complex_pairs
 from hardylab.profiles import Profile
+from hardylab.scenarios import require_p
 
 
 def check_derivative(phi: Profile, tol: float = 1e-5, n: int = 200,
@@ -102,6 +108,17 @@ def segment_identity_oracle(p: float, f: complex, g: complex,
     w_term = p * (p - 1.0) * np.mean(s * core * re ** 2)
     wt_term = p * np.mean(s * core * im ** 2)
     return float(w_term), float(wt_term)
+
+
+def check_cp_lower_bound(p: float, sample_count: int, seed: int) -> dict:
+    """Sampled check of rhs_closed >= 2^-p |f-g|^p (the guaranteed lower end
+    of the c_p window)."""
+    require_p(p)
+    rng = np.random.default_rng(seed)
+    f, g = sample_complex_pairs(rng, sample_count)
+    rhs = rhs_closed_form(p, f, g)
+    slack = rhs - 2.0 ** (-p) * np.abs(f - g) ** p
+    return {"min_slack": float(np.min(slack)), "slacks": slack}
 
 
 def near_collinear_pairs(rng: np.random.Generator, per_kind: int,
@@ -218,3 +235,72 @@ def annulus_eigenvalue_mp(Q: float, p: float, theta: float, a: float, b: float,
         pi_p = 2 * mpmath.pi * (p - 1) ** (1 / p) / (p * mpmath.sin(mpmath.pi / p))
         guess = c + (n * pi_p / L) ** p
         return mpmath.findroot(lambda lam: n * period(lam) - L, guess)
+
+
+def strip_quotient_mp(theta: float, eps: float, dps: int = 30):
+    """The strip quotient of u = P(x) E(y) at dps digits, as the ratio
+
+        (X1 Y1 - 2 X2 Y2 + X3 Y3) / (X4 Y1)
+
+    of the seven unexpanded 1-D integrals of the tensor form, in x itself:
+    X1 = int sin^2 P'^2 c^(2-2 theta), X2 = int sin cos P P' c^(2-2 theta),
+    X3 = int cos^2 P^2 c^(2-2 theta), X4 = int P^2 c^(-2 theta) over
+    [0, x_out], Y1 = int E^2 w, Y2 = int E E' w, Y3 = int E'^2 w over [-1, 1],
+    with c = cos x, w = e^((2-2 theta) y), P = c^(theta-1/2) f_eps,
+    E = e^((theta-1/2) y) eta, f_eps the quintic step from 1 at
+    x_in = (pi/2)/(1+2 eps) to 0 at x_out = (pi/2)/(1+eps) and
+    eta = exp(1 - 1/(1-y^2)). mpmath.quad splits [0, x_in] where the distance
+    to the edge grows by factors of 100. No hardylab code and no integration
+    by parts. Returns an mpf; theta and eps are taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        theta, eps = mpmath.mpf(theta), mpmath.mpf(eps)
+        half_pi = mpmath.pi / 2
+        x_in, x_out = half_pi / (1 + 2 * eps), half_pi / (1 + eps)
+        sig = theta - mpmath.mpf(1) / 2
+
+        def f(x):
+            if x <= x_in:
+                return mpmath.mpf(1), mpmath.mpf(0)
+            t = (x_out - x) / (x_out - x_in)
+            return (t ** 3 * (10 - 15 * t + 6 * t ** 2),
+                    -30 * t ** 2 * (1 - t) ** 2 / (x_out - x_in))
+
+        @functools.cache     # the four x-integrals share their nodes
+        def P(x):
+            c, s = mpmath.cos(x), mpmath.sin(x)
+            v, dv = f(x)
+            dp = -sig * c ** (sig - 1) * s * v + c ** sig * dv
+            return c, s, c ** sig * v, dp
+
+        @functools.cache
+        def E(y):
+            eta = mpmath.exp(1 - 1 / (1 - y * y))
+            deta = eta * (-2 * y / (1 - y * y) ** 2)
+            e = mpmath.exp(sig * y)
+            w = mpmath.exp((2 - 2 * theta) * y)
+            return w, e * eta, sig * e * eta + e * deta
+
+        def X(k):
+            def integrand(x):
+                c, s, p, dp = P(x)
+                vw = c ** (2 - 2 * theta)
+                return (s * s * dp * dp * vw, s * c * p * dp * vw,
+                        c * c * p * p * vw, p * p * c ** (-2 * theta))[k]
+            return integrand
+
+        def Y(k):
+            def integrand(y):
+                w, e, de = E(y)
+                return (e * e * w, e * de * w, de * de * w)[k]
+            return integrand
+
+        gap, cuts = half_pi - x_in, []
+        while gap * 100 < half_pi:
+            gap *= 100
+            cuts.append(half_pi - gap)
+        xs = [0, *cuts[::-1], x_in, x_out]
+        X1, X2, X3, X4 = (mpmath.quad(X(k), xs) for k in range(4))
+        Y1, Y2, Y3 = (mpmath.quad(Y(k), [-1, 0, 1]) for k in range(3))
+        return (X1 * Y1 - 2 * X2 * Y2 + X3 * Y3) / (X4 * Y1)

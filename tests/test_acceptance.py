@@ -21,7 +21,7 @@ from hardylab.geometry import (direct_rayleigh, euclidean, grushin,
                                gauge_gradient_fd_error, greiner,
                                measure_homogeneity_check, strip_quotient,
                                vandermonde_checks)
-from hardylab.identities import (check_cp_lower_bound, realified_identity_oracle,
+from hardylab.identities import (realified_identity_oracle,
                                  sample_complex_pairs, scalar_identity_batch,
                                  vector_identity_batch)
 from hardylab.profiles import random_profile
@@ -32,7 +32,7 @@ from hardylab.sharpness import improved_weight_check, psi_cutoff, psiR_deficit, 
 from hardylab.spectral import (AnnulusProblem, check_lambda1_lower_bound,
                                eigenvalue)
 
-from oracles import psi_energy
+from oracles import check_cp_lower_bound, psi_energy
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -15,7 +15,7 @@ from hardylab.geometry import (UnsupportedModelError,
 from hardylab.profiles import Profile, smooth_bump
 from hardylab.scenarios import ParameterDomainError, scenario_catalog
 
-from oracles import scaled
+from oracles import scaled, strip_quotient_mp
 
 
 def _sample_points(rng, dims, n=200):
@@ -192,7 +192,12 @@ def test_strip_quotient_matches_separable_oracle():
 
     theta, eps = 1.25, 5e-3
     s = theta - 0.5
-    f = strip_cutoff(eps)
+    f_s = strip_cutoff(eps)     # f_eps in the offset pi/2 - |x|
+    x_knots = tuple(0.5 * np.pi - k for k in f_s.knots[::-1])
+    f = Profile(lambda x: f_s.value(0.5 * np.pi - np.abs(x)),
+                lambda x: -np.sign(x)
+                * f_s.derivative(0.5 * np.pi - np.abs(x)),
+                (-x_knots[-1], x_knots[-1]), x_knots)
     eta = smooth_bump(0.0, 1.0)
 
     def P(x):
@@ -238,10 +243,29 @@ def test_strip_quotient_theta_three_halves():
 
 
 def test_strip_quotient_resolves_small_eps():
-    # the x-panels grade down to the bridge width ~eps, so the two-resolution
-    # check passes far below eps = 2^-10 and the quotient keeps falling
-    qs = [strip_quotient(1.0, eps) for eps in (3e-5, 1e-6, 1e-9)]
-    assert qs[0] > qs[1] > qs[2] > 0.25
+    # the x-integrals run in the offset s = pi/2 - |x|, where cos x = sin s
+    # and the knots are exact, so the quotient keeps falling down to eps
+    # near the float grid
+    eps_grid = (3e-5, 1e-6, 1e-9, 1e-12, 1e-15)
+    qs = [strip_quotient(1.0, eps) for eps in eps_grid]
+    assert all(a > b for a, b in zip(qs, qs[1:])) and qs[-1] > 0.25
+
+
+@pytest.mark.parametrize("theta", [0.75, 1.0, 3.0])
+@pytest.mark.parametrize("eps", [1e-3, 1e-12, 1e-15])
+def test_strip_quotient_matches_mpmath(theta, eps):
+    # the seven unexpanded tensor-form integrals in x at 30 digits
+    assert strip_quotient(theta, eps) == pytest.approx(
+        float(strip_quotient_mp(theta, eps)), rel=1e-13)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12, 1e-15])
+def test_strip_deficit_does_not_depend_on_theta(eps):
+    # the ground-state substitution makes q(theta) - ((2 theta - 1)/2)^2 the
+    # same for every theta
+    deficits = [strip_quotient(theta, eps) - (theta - 0.5) ** 2
+                for theta in (0.75, 1.0, 1.5, 3.0)]
+    assert max(deficits) - min(deficits) <= 1e-13
 
 
 def test_strip_parameter_validation():

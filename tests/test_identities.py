@@ -3,15 +3,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hardylab.identities import (_CHUNK, _graded_panels, check_cp_lower_bound,
+from hardylab.identities import (_CHUNK, _graded_panels,
                                  realified_identity_oracle,
                                  rhs_closed_form, sample_complex_pairs,
                                  scalar_identity_batch,
                                  vector_identity_batch)
 
-from oracles import (near_collinear_pairs, near_collinear_vectors,
-                     segment_identity_oracle, segment_split_mp,
-                     segment_split_p4)
+from oracles import (check_cp_lower_bound, near_collinear_pairs,
+                     near_collinear_vectors, segment_identity_oracle,
+                     segment_split_mp, segment_split_p4)
 
 _U = 2.0 ** -53
 

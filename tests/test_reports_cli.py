@@ -10,6 +10,8 @@ import pytest
 from hardylab.cli import run
 from hardylab.reports import format_number, render_csv, render_json
 
+from oracles import strip_quotient_mp
+
 
 def _cli(args, capsys):
     code = run(args)
@@ -379,6 +381,19 @@ def test_geometry_cli_strip_and_direct(capsys):
     assert row["pass"] is True
 
 
+@pytest.mark.parametrize("eps", ["1e-12", "1e-15"])
+def test_geometry_cli_strip_small_eps(eps, capsys):
+    # the strip integrals run in the offset from the edge, where nothing
+    # cancels, so the check holds down to eps near the float grid
+    code, out, _ = _cli(["geometry", "--check", "strip", "--theta", "1",
+                         "--epsilon", eps], capsys)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["pass"] is True
+    assert row["estimate"] == pytest.approx(
+        float(strip_quotient_mp(1.0, float(eps))), rel=1e-13)
+
+
 def test_bessel_cli(capsys):
     code, out, err = _cli(["bessel", "--scenario", "power", "--Q", "5",
                            "--p", "2", "--theta", "1", "--r0", "1",
@@ -471,12 +486,12 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     ([*_SWEEP, "--eps-grid", "0.3"], 2),
     ([*_SWEEP, "--eps-grid", "nan"], 2),
     (["sharpness", "--scenario", "improved_weight"], 2),
-    # a check that could not be carried out: the strip tensor grid does not
-    # resolve eps = 1e-12 (cos cancels near pi/2), and no sample lands in a
-    # gauge ball of radius 1e-9
-    (["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-12"], 1),
+    # a check that could not be carried out: no sample lands in a gauge ball
+    # of radius 1e-9, and the annulus shot overflows a float (r^4 past 1e77)
     (["geometry", "--model", "greiner", "--check", "measure", "--samples",
       "1000", "--R1", "1e-9", "--R2", "1"], 1),
+    (["eig", "--Q", "5", "--p", "3", "--theta", "1", "--a", "1", "--b",
+      "1e200"], 1),
     # a config file that is a directory, or a JSON document that is no object
     (["catalog", "--config", "{tmp}"], 2),
     (["catalog", "--config", "{tmp}/list.json"], 2),

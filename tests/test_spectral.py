@@ -75,6 +75,13 @@ def test_critical_case_never_zero():
     assert check_lambda1_lower_bound(prob, res)
 
 
+def test_shot_end_past_the_float_range():
+    # the search shots run to a (b/a)^2 = 1e310, past the largest float
+    prob = AnnulusProblem(Q=1.0, p=2.0, theta=1.0, a=1.0, b=1e155)
+    assert eigenvalue(prob).lam == pytest.approx(
+        closed_form_lambda1_p2(1.0, 1.0, 1.0, 1e155), rel=1e-8)
+
+
 def test_p2_grid_against_closed_form():
     intervals = [(1.0, 2.0), (1.0, math.e), (0.5, 4.0)]
     for i, Q in enumerate((2.0, 3.0, 5.0)):
