@@ -41,6 +41,8 @@ _RTOL, _ATOL = 1e-10, 1e-12     # DOP853 tolerances of every certificate solve
 _DENSE_N = 600                  # points comparing the solve with the closed form
 _GRID_N = 1000                  # points of the closed form's residual scan
 _FD_REL_STEP = 1e-4             # relative step of the residual's flux derivative
+# RHS budget of one solve; the largest legitimate solve seen needs ~4e4
+_MAX_NFEV = 1_000_000
 
 
 class ODEFailure(CheckFailure):
@@ -130,6 +132,8 @@ class _FloatDOP853(DOP853):
         while True:
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
+            if self.nfev > _MAX_NFEV:
+                return False, f"more than {_MAX_NFEV} RHS evaluations"
             t_new = t + h_abs * direction
             if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound

@@ -10,6 +10,9 @@ the exit code: 0 all checks passed, 1 a mathematical check failed (inequality
 violation, residual above tolerance, or a quadrature, ODE or search that
 failed, raised as `CheckFailure`), 2 usage or parameter error
 (`ParameterDomainError`/`ValueError`, or an unreadable config file).
+
+Each command imports the layers it runs in its own body, so a cold process
+loads only those (and scipy only for `bessel` and `eig`).
 """
 
 from __future__ import annotations
@@ -21,16 +24,10 @@ import sys
 
 import numpy as np
 
-from . import geometry as geo
-from .functional import random_profile_slacks, reduce_radial_functional
-from .identities import (sample_complex_pairs, scalar_identity_batch,
-                         vector_identity_batch)
-from .profiles import random_profile
 from .reports import emit_report, render_csv
-from .scenarios import (CheckFailure, ParameterDomainError, SCENARIO_NAMES,
-                        SCENARIO_PARAMETERS, default_catalog, scenario_catalog,
-                        scenario_to_json)
-from .sharpness import improved_weight_check, psiR_deficit, sweep_quotient
+from .scenarios import (DEFAULT_SEED, CheckFailure, ParameterDomainError,
+                        SCENARIO_NAMES, SCENARIO_PARAMETERS, default_catalog,
+                        scenario_catalog, scenario_to_json)
 
 
 class _Inconclusive(str):
@@ -99,7 +96,7 @@ def _common_flags(sp: argparse.ArgumentParser, fmt_default: str) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default=fmt_default,
                     help=f"output format (default {fmt_default})")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=geo.DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--config", default=None,
                     help="JSON file with defaults; explicit flags win")
 
@@ -107,6 +104,9 @@ def _common_flags(sp: argparse.ArgumentParser, fmt_default: str) -> None:
 # -------------------------------------------------------------- identity ----
 
 def _cmd_identity(args):
+    from .identities import (sample_complex_pairs, scalar_identity_batch,
+                             vector_identity_batch)
+
     p, h = float(args.p), int(args.h)
     if h < 1:
         raise ParameterDomainError(f"h must be ≥ 1, got {h}")
@@ -197,6 +197,8 @@ def _cmd_eig(args):
 # -------------------------------------------------------------- sharpness ---
 
 def _cmd_sharpness(args):
+    from .sharpness import improved_weight_check, psiR_deficit, sweep_quotient
+
     mode = args.mode
     if mode not in ("sweep", "psi", "improved"):
         raise ParameterDomainError(f"unknown sharpness mode {mode!r}")
@@ -231,6 +233,8 @@ def _cmd_sharpness(args):
 # -------------------------------------------------------------- geometry ----
 
 def _geometry_model(args, N: int):
+    from . import geometry as geo
+
     n, gamma = int(_or(args.n, 1)), float(_or(args.gamma, 1.0))
     if args.model == "euclidean":
         return geo.euclidean(N)
@@ -253,6 +257,8 @@ def _record(model: str, check: str, estimate: float, expected: float,
 
 
 def _cmd_geometry(args):
+    from . import geometry as geo
+
     check, seed = args.check, int(args.seed)
     theta, N = float(_or(args.theta, 1.0)), int(_or(args.N, 3))
     if check == "strip":
@@ -293,6 +299,9 @@ def _cmd_geometry(args):
                              res["ratio"].std_error,
                              inconclusive=bool(res["inconclusive"]))
         elif check == "direct":
+            from .functional import reduce_radial_functional
+            from .profiles import random_profile
+
             scenario = _build_scenario(args)
             rng = np.random.default_rng(seed)
             interval = (scenario.pair.interval[0],
@@ -319,6 +328,8 @@ def _cmd_geometry(args):
 # -------------------------------------------------------------- rayleigh ----
 
 def _cmd_rayleigh(args):
+    from .functional import random_profile_slacks
+
     scenario = _build_scenario(args)
     rows = random_profile_slacks(scenario, int(args.profiles), int(args.seed))
     min_slack = min(r["slack"] for r in rows)

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functional import reduce_radial_functional
 from .profiles import Profile, smooth_bump
-from .quadrature import QuadratureError, integrate_batch
-from .scenarios import (CheckFailure, ParameterDomainError, Scenario,
-                        closed_form_maximizer, scenario_catalog)
-from .sharpness import plateau_cutoff, strip_cutoff
+from .scenarios import (DEFAULT_SEED, CheckFailure, ParameterDomainError,
+                        Scenario, closed_form_maximizer, scenario_catalog)
 
 __all__ = [
     "GaugeModel",
@@ -40,7 +37,6 @@ __all__ = [
     "DEFAULT_SEED",
 ]
 
-DEFAULT_SEED = 0x5EED
 _N_BATCHES = 32
 _CHUNK = 1 << 20          # Monte-Carlo points drawn and weighed at once
 _HOMOGENEITY_SAMPLES = 1000
@@ -362,6 +358,9 @@ def strip_quotient(theta: float, epsilon: float) -> float:
     evaluated on its own nodes only; an owner that fails raises its
     `QuadratureError`.
     """
+    from .quadrature import QuadratureError, integrate_batch
+    from .sharpness import strip_cutoff
+
     if not math.isfinite(theta):
         raise ParameterDomainError(f"theta must be finite, got {theta}")
     f = strip_cutoff(epsilon)
@@ -458,6 +457,9 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
     `antisymmetric` scenario's reduced quotient of the same profile, which
     approaches the sharp constant only as epsilon -> 0.
     """
+    from .functional import reduce_radial_functional
+    from .sharpness import plateau_cutoff
+
     if N not in (2, 3, 4):
         raise ParameterDomainError(f"desk scale: N in {{2,3,4}}, got {N}")
     sector = scenario_catalog("antisymmetric", N=N, theta=theta)

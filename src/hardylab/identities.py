@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .quadrature import integrate_adaptive
 from .scenarios import ParameterDomainError, require_p
 
 __all__ = [
@@ -187,6 +186,8 @@ def realified_identity_oracle(p: float, mu, nu, tol: float = 1e-12) -> dict:
     c(t) = nu + t (mu - nu), D = mu - nu, using the generic adaptive engine;
     an independent numerical path from the graded-panel batch quadrature.
     """
+    from .quadrature import integrate_adaptive
+
     require_p(p)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)

@@ -36,7 +36,10 @@ __all__ = [
     "default_catalog",
     "SCENARIO_NAMES",
     "SCENARIO_PARAMETERS",
+    "DEFAULT_SEED",
 ]
+
+DEFAULT_SEED = 0x5EED     # every seeded check's default seed
 
 SCENARIO_NAMES = (
     "power", "log_radial", "log_cylindrical", "gaussian_a", "gaussian_b",

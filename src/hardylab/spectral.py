@@ -101,9 +101,13 @@ def _integrate(problem: AnnulusProblem, lam: float, r_end: float, events,
 
 
 def _interior_zeros(sol, problem: AnnulusProblem) -> int:
-    margin = 1e-8 * (problem.b - problem.a)
+    """Zeros more than 1e-8 ln(b/a) inside (a, b) in ln r, the variable the
+    zeros are evenly spaced in; a margin in r would swallow real zeros near a
+    on a wide annulus."""
+    margin = 1e-8 * math.log(problem.b / problem.a)
     events = sol.t_events[0]
-    return int(np.sum((events > problem.a + margin) & (events < problem.b - margin)))
+    return int(np.sum((events > problem.a * math.exp(margin))
+                      & (events < problem.b * math.exp(-margin))))
 
 
 def _slope(problem: AnnulusProblem, m, r):

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,16 @@ def test_float_overflow_in_the_rhs_is_an_ode_failure(coefficients, y0):
     with pytest.raises(ODEFailure, match="ODE integration failed"):
         solve_flux(coefficients, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12,
                    events=None)
+
+
+def test_stiff_solve_ends_at_the_rhs_budget():
+    # B = 10^(400 r) turns stiff long before it overflows: without a budget
+    # the solve kept taking ever smaller steps for minutes
+    start = time.perf_counter()
+    with pytest.raises(ODEFailure, match="more than 1000000 RHS evaluations"):
+        solve_flux(lambda r: (1.0, 10.0 ** (400.0 * r)), 3.0, (0.0, 1.0),
+                   (1.0, 0.0), 1e-10, 1e-12, events=None)
+    assert time.perf_counter() - start < 60.0
 
 
 def test_float_overflow_exits_1_without_traceback(tmp_path, capsys):

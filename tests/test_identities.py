@@ -165,19 +165,19 @@ def test_rhs_closed_form_against_high_precision():
     # adversarial near-cancelling pairs against a 50-digit evaluation
     import mpmath
 
-    mpmath.mp.dps = 50
     rng = np.random.default_rng(2718)
     f, g = sample_complex_pairs(rng, 60, radius=10.0)
-    for p in (2.0, 3.0, 3.7):
-        ours = rhs_closed_form(p, f, g)
-        for i in range(f.size):
-            fa = mpmath.mpc(f[i].real, f[i].imag)
-            ga = mpmath.mpc(g[i].real, g[i].imag)
-            exact = (abs(fa) ** p + (p - 1) * abs(ga) ** p
-                     - p * abs(ga) ** (p - 2)
-                     * mpmath.re(mpmath.conj(ga) * fa))
-            err = abs(ours[i] - float(exact))
-            assert err <= 1e-13 * (1.0 + abs(float(exact))), (p, i, err)
+    with mpmath.workdps(50):
+        for p in (2.0, 3.0, 3.7):
+            ours = rhs_closed_form(p, f, g)
+            for i in range(f.size):
+                fa = mpmath.mpc(f[i].real, f[i].imag)
+                ga = mpmath.mpc(g[i].real, g[i].imag)
+                exact = (abs(fa) ** p + (p - 1) * abs(ga) ** p
+                         - p * abs(ga) ** (p - 2)
+                         * mpmath.re(mpmath.conj(ga) * fa))
+                err = abs(ours[i] - float(exact))
+                assert err <= 1e-13 * (1.0 + abs(float(exact))), (p, i, err)
 
 
 def test_invalid_p_rejected():

@@ -287,56 +287,75 @@ def test_console_entry_point():
     assert "improved_weight" in proc.stdout
 
 
-# the nine README commands that solve no ODE, at small sample counts
-_COLD_COMMANDS = [
-    ["catalog"],
-    ["identity", "--p", "2.5", "--samples", "200", "--seed", "7"],
-    ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2", "--theta", "1",
-     "--eps-grid", "1e-2,1e-3,1e-4"],
-    ["sharpness", "--mode", "psi", "--Q", "5", "--p", "2",
-     "--R-grid", "10,100,1000"],
-    ["sharpness", "--mode", "improved", "--Q", "5", "--p", "2",
-     "--profiles", "5"],
-    ["geometry", "--model", "grushin", "--n", "1", "--k", "1", "--gamma", "1",
-     "--check", "measure", "--samples", "20000"],
-    ["geometry", "--check", "vandermonde", "--N", "3", "--theta", "1",
-     "--samples", "20000"],
-    ["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-3"],
-    ["rayleigh", "--scenario", "gaussian_b", "--Q", "5", "--p", "2",
-     "--theta", "1", "--alpha", "2", "--beta", "2", "--profiles", "10"],
-]
+# the twelve README commands at small sample counts, each with the hardylab
+# modules it may load beyond the CLI's own (cli, reports, scenarios and the
+# profiles that scenarios builds on)
+_CLI_LAYERS = {"cli", "reports", "scenarios", "profiles"}
+_REDUCTION = {"functional", "quadrature"}
+_SWEEPS = {"sharpness"} | _REDUCTION
+_ODE = {"besselpair", "spectral"}
+_COLD_COMMANDS = {
+    "catalog": (["catalog"], set()),
+    "identity": (["identity", "--p", "2.5", "--samples", "200", "--seed", "7"],
+                 {"identities"}),
+    "bessel": (["bessel", "--scenario", "power", "--Q", "5", "--p", "2",
+                "--theta", "1", "--r0", "1", "--r1", "10"], {"besselpair"}),
+    "eig_p2": (["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1",
+                "--b", "2.718281828"], _ODE),
+    "eig_p3_which2": (["eig", "--Q", "5", "--p", "3", "--theta", "1", "--a",
+                       "1", "--b", "2", "--which", "2",
+                       "--eigenfunction-out", "{tmp}/phi2.csv"], _ODE),
+    "sharpness_sweep": (["sharpness", "--scenario", "power", "--Q", "5",
+                         "--p", "2", "--theta", "1",
+                         "--eps-grid", "1e-2,1e-3,1e-4"], _SWEEPS),
+    "sharpness_psi": (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2",
+                       "--R-grid", "10,100,1000"], _SWEEPS),
+    "sharpness_improved": (["sharpness", "--mode", "improved", "--Q", "5",
+                            "--p", "2", "--profiles", "5"], _SWEEPS),
+    "geometry_measure": (["geometry", "--model", "grushin", "--n", "1",
+                          "--k", "1", "--gamma", "1", "--check", "measure",
+                          "--samples", "20000"], {"geometry"}),
+    "geometry_vandermonde": (["geometry", "--check", "vandermonde", "--N", "3",
+                              "--theta", "1", "--samples", "20000"],
+                             {"geometry"} | _SWEEPS),
+    "geometry_strip": (["geometry", "--check", "strip", "--theta", "1",
+                        "--epsilon", "1e-3"], {"geometry"} | _SWEEPS),
+    "rayleigh": (["rayleigh", "--scenario", "gaussian_b", "--Q", "5",
+                  "--p", "2", "--theta", "1", "--alpha", "2", "--beta", "2",
+                  "--profiles", "10"], _REDUCTION),
+}
 
-_COLD_CHILD = """
-import json, os, sys
-scipy_loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
-import hardylab
-print(json.dumps(['import hardylab', 0, scipy_loaded()]))
-import hardylab.cli, hardylab.geometry, hardylab.sharpness
-print(json.dumps(['import hardylab.cli', 0, scipy_loaded()]))
-for i, argv in enumerate(json.loads(sys.argv[1])):
-    out = os.path.join(sys.argv[2], f'{i}.out')
-    code = hardylab.cli.run(argv + ['--out', out])
-    print(json.dumps([' '.join(argv), code, scipy_loaded()]))
-"""
+
+def _cold_modules(code: str, *args: str):
+    """Run `code` in a fresh interpreter; it ends by printing, as JSON, its
+    result and then its loaded hardylab and scipy modules."""
+    probe = ("\nimport sys\nprint(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('hardylab', 'scipy'))))")
+    proc = subprocess.run([sys.executable, "-c", code + probe, *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_import_hardylab_loads_no_submodule():
+    assert _cold_modules("import json, hardylab") == [["hardylab"]]
 
 
 def test_cold_path_loads_no_scipy(tmp_path):
-    # the ODE layer (besselpair, spectral) is what loads scipy.integrate; the
-    # package and every command that solves no ODE must start without scipy
-    eig = ["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1",
-           "--b", "2.718281828"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_CHILD,
-         json.dumps(_COLD_COMMANDS + [eig]), str(tmp_path)],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(steps) == 2 + len(_COLD_COMMANDS) + 1
-    for label, code, loaded in steps[:-1]:
-        assert (code, loaded) == (0, []), label
-    # the probe sees scipy once an ODE command has run
-    label, code, loaded = steps[-1]
-    assert code == 0 and "scipy.integrate" in loaded, label
+    # each command, in its own fresh interpreter, loads only the layers it
+    # runs; scipy comes in only with the ODE layer, that is for bessel and eig
+    for name, (argv, layers) in _COLD_COMMANDS.items():
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, loaded = _cold_modules(
+            "import json, sys, hardylab.cli\n"
+            "print(hardylab.cli.run(json.loads(sys.argv[1])))",
+            json.dumps(argv + ["--out", str(tmp_path / f"{name}.out")]))
+        assert code == 0, name
+        ours = {m.split(".", 1)[1] for m in loaded
+                if m.startswith("hardylab.")}
+        assert ours <= _CLI_LAYERS | layers, (name, ours - _CLI_LAYERS - layers)
+        assert any(m.split(".")[0] == "scipy" for m in loaded) == (
+            argv[0] in ("bessel", "eig")), name
 
 
 def test_help_names_the_checks(capsys):

@@ -284,6 +284,17 @@ def test_zeros_equally_spaced_in_log_r(case):
     assert np.max(np.abs(res.eigenfunction.value(nodes))) <= 1e-9
 
 
+@pytest.mark.parametrize("b, n", [(1e10, 5), (1e12, 4)])
+def test_wide_annulus_counts_zeros_near_a(b, n):
+    # the zeros sit at (b/a)^(k/n): the first is ~1e2 past a = 1 here, inside
+    # any margin of 1e-8 (b - a)
+    prob = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=b)
+    res = eigenvalue(prob, which=n)
+    assert res.zero_count == n - 1
+    assert res.lam == pytest.approx(0.25 + (n * math.pi / math.log(b)) ** 2,
+                                    rel=1e-8)
+
+
 def test_tolerance_below_shot_accuracy_costs_no_shots(monkeypatch):
     # the search width is floored at the shots' own rtol
     calls = _counting_shoot(monkeypatch)
