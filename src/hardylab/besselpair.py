@@ -148,7 +148,7 @@ class _FloatDOP853(DOP853):
                 e5, e3 = e5 / scale, e3 / scale
                 err5 += e5 * e5
                 err3 += e3 * e3
-            error_norm = 0.0 if err5 == 0 and err3 == 0 else \
+            error_norm = 0.0 if err5 == 0 else \
                 h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
             if error_norm < 1:
                 factor = self._MAX_FACTOR if error_norm == 0 else min(

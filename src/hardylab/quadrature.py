@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .scenarios import CheckFailure
+from .scenarios import CheckFailure, ParameterDomainError
 
 __all__ = [
     "QuadratureEstimate",
@@ -147,6 +147,9 @@ def _initial_edges(a: float, b: float, singular_left: bool, singular_right: bool
         # multi-decade radial span: one seed panel per decade, otherwise a wide
         # panel whose nodes all miss a left-edge power-law spike can report
         # zero error and silently drop its mass
+        if b / a == math.inf:
+            raise ParameterDomainError(
+                f"span [{a}, {b}] is wider than a float ratio holds")
         k = math.ceil(math.log10(b / a))
         edges.update(a * 10.0 ** j for j in range(1, k))
     return sorted(e for e in edges if a <= e <= b)

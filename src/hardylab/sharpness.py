@@ -77,8 +77,9 @@ def plateau_cutoff(eps: float) -> Profile:
 
 def psi_cutoff(R: float) -> Profile:
     """psi_R: 1 on [1/R, R], logarithmic down to 0 at R^-2 and R^2."""
-    if not R > 1.0:
-        raise ParameterDomainError(f"psi_R needs R > 1, got {R}")
+    if not (R > 1.0 and math.isfinite(R * R)):
+        raise ParameterDomainError(
+            f"psi_R needs R > 1 with R^2 finite, got {R}")
     lnR = math.log(R)
     k1, k2, k3, k4 = R ** -2, 1.0 / R, R, R ** 2
 

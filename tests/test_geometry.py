@@ -86,11 +86,21 @@ def test_single_gauge_pass_matches_parent_formulas(model):
 
 
 def test_measure_check_pinned_values():
-    """Ratio and std error as recorded before the single gauge pass."""
+    """The ratio as recorded before the single gauge pass; the std error of
+    the per-sample residuals."""
     res = measure_homogeneity_check(grushin(1, 1, 1.0), 2.0, 1.0, 2.0, 200_000,
                                     seed=17)
     assert res["ratio"].mean == 7.983340299031773
-    assert res["ratio"].std_error == 0.05860840703458806
+    assert res["ratio"].std_error == 0.06378006187298259
+
+
+def test_measure_std_error_matches_seed_spread():
+    """Over 200 seeds the ratios scatter as their std errors say."""
+    runs = [measure_homogeneity_check(grushin(1, 1, 1.0), 2.0, 1.0, 2.0,
+                                      20_000, seed=seed)["ratio"]
+            for seed in range(200)]
+    spread = np.std([r.mean for r in runs], ddof=1)
+    assert abs(spread / np.median([r.std_error for r in runs]) - 1.0) <= 0.15
 
 
 def test_homogeneity_all_models():

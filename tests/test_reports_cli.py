@@ -496,6 +496,16 @@ def test_geometry_cli_vandermonde_small_constant(capsys):
     assert row["pass"] is True and row["expected"] > 1.25
 
 
+def test_geometry_measure_small_sample_has_std_error(capsys):
+    # 1,000 samples are one chunk; the error still comes from every sample
+    code, out, _ = _cli(["geometry", "--model", "grushin", "--n", "1", "--k",
+                         "1", "--gamma", "1", "--check", "measure",
+                         "--samples", "1000", "--seed", "3"], capsys)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["pass"] is True and row["std_error"] > 0.0
+
+
 _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
           "--theta", "1"]
 
@@ -555,6 +565,18 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["sharpness", "--mode", "improved", "--profiles", "-3"], 2),
     (["identity", "--samples", "0"], 2),
     (["identity", "--samples", "-2"], 2),
+    # a cut-off span (R^-2 to R^2, or eps to 1/eps) whose ratio overflows
+    (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
+      "1e300"], 2),
+    (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
+      "1e150"], 2),
+    (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
+      "inf"], 2),
+    ([*_SWEEP, "--eps-grid", "1e-160"], 2),
+    # one sample has no standard error
+    (["geometry", "--check", "vandermonde", "--samples", "1"], 2),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
+      "1"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")

@@ -76,10 +76,12 @@ def test_critical_case_never_zero():
 
 
 def test_shot_end_past_the_float_range():
-    # the search shots run to a (b/a)^2 = 1e310, past the largest float
-    prob = AnnulusProblem(Q=1.0, p=2.0, theta=1.0, a=1.0, b=1e155)
-    assert eigenvalue(prob).lam == pytest.approx(
-        closed_form_lambda1_p2(1.0, 1.0, 1.0, 1e155), rel=1e-8)
+    # the search shots run to (b/a)^2 >= 1e310, past the largest float; at
+    # b = 1e160 a step's fifth-order error estimate underflows to 0
+    for b in (1e155, 1e160):
+        prob = AnnulusProblem(Q=1.0, p=2.0, theta=1.0, a=1.0, b=b)
+        assert eigenvalue(prob).lam == pytest.approx(
+            closed_form_lambda1_p2(1.0, 1.0, 1.0, b), rel=1e-8)
 
 
 def test_p2_grid_against_closed_form():
