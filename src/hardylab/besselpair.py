@@ -6,8 +6,8 @@ The state is (phi, m) with the p-Laplacian flux m = V r^(Q-1) |phi'|^(p-2) phi'
 as momentum, which stays smooth across phi' = 0; phi' is recovered by the
 inversion |m|^(1/(p-1)) with the sign carried separately. Integration never
 starts at the singular origin: initial data is seeded at an interior point
-from the closed form. `solve_flux` also integrates the annulus shooting of
-`spectral`, the same system with power coefficients.
+from the closed form. `solve_flux` also integrates the annulus eigenfunction
+of `spectral`, the same system with power coefficients.
 """
 
 from __future__ import annotations
@@ -190,10 +190,10 @@ class _FloatDense(DenseOutput):
 
 
 def solve_flux(coefficients: Callable, p: float, r_span, y0,
-               rtol: float, atol: float, events, dense: bool = True):
+               rtol: float, atol: float, events):
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
-    for the state (phi, m), m = A |phi'|^(p-2) phi', by DOP853 (with dense
-    output if dense); coefficients maps a scalar r to (A(r), B(r)). A float
+    for the state (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense
+    output; coefficients maps a scalar r to (A(r), B(r)). A float
     overflow or division by zero in the RHS is an ODEFailure."""
     inv, q = 1.0 / (p - 1.0), p - 2.0
 
@@ -205,7 +205,7 @@ def solve_flux(coefficients: Callable, p: float, r_span, y0,
 
     try:
         sol = solve_ivp(rhs, r_span, y0, method=_FloatDOP853, rtol=rtol,
-                        atol=atol, dense_output=dense, events=events)
+                        atol=atol, dense_output=True, events=events)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ODEFailure(f"ODE integration failed: {exc}") from exc
     if not sol.success:

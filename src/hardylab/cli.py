@@ -178,7 +178,7 @@ def _cmd_eig(args):
     result = eigenvalue(problem, which=int(args.which), tol=float(args.tol))
     rows = [{"lambda": result.lam, "zero_count": result.zero_count,
              "endpoint_residual": result.endpoint_residual}]
-    bound_ok = check_lambda1_lower_bound(problem, result)
+    bound_ok = check_lambda1_lower_bound(problem, result, tol=float(args.tol))
     summary = {"lambda": result.lam, "zero_count": result.zero_count,
                "endpoint_residual": result.endpoint_residual,
                "lemma_lower_bound": problem.lemma_lower_bound,
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "eig",
-        help="annulus p-Laplacian eigenvalues by shooting",
+        help="annulus p-Laplacian eigenvalues from the half-period",
         description="The n-th (--which) eigenvalue of the radial p-Laplacian "
                     "on a < r < b with zero boundary values; for p = 2 it "
                     "matches ((Q-2 theta)/2)^2 + n^2 (pi/ln(b/a))^2 and it "

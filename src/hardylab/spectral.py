@@ -1,4 +1,4 @@
-"""Annulus eigenvalues of the radial p-Laplacian by shooting.
+"""Annulus eigenvalues of the radial p-Laplacian from the half-period.
 
 The problem (r^(Q-1-p(theta-1)) |phi'|^(p-2) phi')' + lam r^(Q-1-p theta)
 |phi|^(p-2) phi = 0, phi(a) = phi(b) = 0, has simple eigenvalues
@@ -12,10 +12,17 @@ T(lam). Its zeros sit at a e^(k T), and lam_n solves
     n T(lam) = ln(b/a),
 
 with T strictly decreasing and T = pi_p / u for p = 2 and for kappa = 0,
-u = (lam - c)^(1/p), pi_p = 2 pi (p-1)^(1/p)/(p sin(pi/p)), pi_2 = pi
-(Elbert 1979; Dosly and Rehak, Half-Linear Differential Equations, 2005).
-A shot integrates the flux system (`besselpair.solve_flux`) from
-(phi, m)(a) = (0, 1).
+u = (lam - c)^(1/p), pi_p = 2 pi (p-1)^(1/p)/(p sin(pi/p)), pi_2 = pi.
+Between two zeros the Riccati variable v = phi_t / phi runs from +inf to
+-inf, which gives T as a 1-D integral,
+
+    T(lam) = int_R (p-1) |v|^(p-2) dv / (lam + kappa |v|^(p-2) v + (p-1) |v|^p)
+
+(Elbert 1979; Dosly and Rehak, Half-Linear Differential Equations, 2005),
+taken by `quadrature.integrate_batch`. The search runs no ODE: one shot of
+the flux system (`besselpair.solve_flux`) from (phi, m)(a) = (0, 1) over
+[a, b] at the root gives the eigenfunction, and its zero count and endpoint
+residual check the root independently.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numpy as np
 
 from .besselpair import solve_flux
 from .profiles import Profile
+from .quadrature import QuadratureError, integrate_batch
 from .scenarios import CheckFailure, ParameterDomainError, require_p
 
 __all__ = [
@@ -38,13 +46,16 @@ __all__ = [
     "check_lambda1_lower_bound",
 ]
 
-_RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of every shot
+_RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of the final shot
 _GRID_N = 1200                  # points locating max |phi| of the final shot
-_MAX_SHOTS = 60                 # search shots per eigenvalue
+_MAX_STEPS = 60                 # search steps (half-periods) per eigenvalue
+_T_RTOL = 1e-13                 # relative target of each half-period integral
+_T_MAX_SUBDIVISIONS = 1 << 12   # bounds each half-period's cost
 
 
 class SearchFailureError(CheckFailure):
-    """The phase search ran out of shots or ended on the wrong zero count."""
+    """The half-period search ran out of steps, a half-period integral
+    failed, or the final shot ended on the wrong zero count."""
 
 
 @dataclass(frozen=True)
@@ -84,27 +95,12 @@ class ShootingResult:
     eigenfunction: Profile
 
 
-def _first_zero(r, y):
-    return y[0]
-
-
-_first_zero.terminal = True
-_first_zero.direction = -1      # phi > 0 just after a: skips the zero at a
-
-
-def _integrate(problem: AnnulusProblem, lam: float, r_end: float, events,
-               dense: bool):
-    flux_exp, weight_exp = problem.flux_exponents
-    return solve_flux(lambda r: (r ** flux_exp, lam * r ** weight_exp),
-                      problem.p, (problem.a, r_end), (0.0, 1.0),
-                      _RTOL, _ATOL, events=events, dense=dense)
-
-
-def _interior_zeros(sol, problem: AnnulusProblem) -> int:
-    """Zeros more than 1e-8 ln(b/a) inside (a, b) in ln r, the variable the
-    zeros are evenly spaced in; a margin in r would swallow real zeros near a
-    on a wide annulus."""
-    margin = 1e-8 * math.log(problem.b / problem.a)
+def _interior_zeros(sol, problem: AnnulusProblem, which: int) -> int:
+    """Zeros more than half a half-period, ln(b/a) / (2 which), inside (a, b)
+    in ln r, the variable the zeros are evenly spaced in: the interior ones
+    sit a whole half-period from each end, and the shot's own zero near b,
+    off by its global error, does not count."""
+    margin = math.log(problem.b / problem.a) / (2 * which)
     events = sol.t_events[0]
     return int(np.sum((events > problem.a * math.exp(margin))
                       & (events < problem.b * math.exp(-margin))))
@@ -117,19 +113,58 @@ def _slope(problem: AnnulusProblem, m, r):
 
 
 def shoot(problem: AnnulusProblem, lam: float) -> float:
-    """The half-period T(lam) = ln(r_1/a), r_1 the first zero after a of the
-    shot from (phi, m)(a) = (0, 1), without dense output; inf if there is no
-    zero before a (b/a)^2, that is if T > 2 ln(b/a). That end is a float
-    product, inf where it overflows: a float power would raise."""
-    sol = _integrate(problem, lam, problem.b * problem.b / problem.a,
-                     _first_zero, dense=False)
-    zeros = sol.t_events[0]
-    return math.log(zeros[0] / problem.a) if zeros.size else math.inf
+    """The half-period T(lam) for lam > c, from the period integral folded
+    onto u = |v| and scaled by sigma = lam^(1/p), w = u / sigma:
+
+        T = (1/sigma) sum over s = +1, -1 of
+            int_0^inf (p-1) w^(p-2) dw / (1 + s k w^(p-1) + (p-1) w^p),
+
+    k = |kappa| / sigma, s = -1 being the side where kappa v < 0. There the
+    denominator dips to (lam - c)/lam at w* = (c/lam)^(1/p) and is written
+    as ((lam - c) + c F(w/w*)) / lam near w*, F(s) = (p-1) s^p - p s^(p-1) + 1
+    with its double zero at s = 1 taken without cancellation. Both integrals
+    are the two owners of one `integrate_batch` call at relative target
+    _T_RTOL, each integrand divided through by w^(p-2) so that no power
+    overflows. A failed integral, or a lam that is not above c, is a
+    SearchFailureError."""
+    p, c = problem.p, problem.lemma_lower_bound
+    if not lam > c:     # lam = c + u^p rounds to c for a tiny u
+        raise SearchFailureError(
+            f"no half-period at lam = {lam!r} <= c = {c!r}")
+    gamma, delta = c / lam, (lam - c) / lam
+    w_min = gamma ** (1.0 / p)
+    k = p * w_min
+
+    def f(w, owner):
+        side = np.where(owner == 0, 1.0, -1.0)[:, None]
+        w2p = w ** (2.0 - p)
+        den = w2p + (side * k + (p - 1.0) * w) * w
+        near = (side < 0) & (np.abs(w - w_min) < 0.5 * w_min)
+        e = (w[near] - w_min) / w_min
+        m = np.expm1((p - 1.0) * np.log1p(e))       # (1 + e)^(p-1) - 1
+        F = ((p - 1.0) * e - m) + (p - 1.0) * e * m
+        den[near] = (delta + gamma * F) * w2p[near]
+        return (p - 1.0) / den
+
+    halves = integrate_batch(f, [0.0, 0.0], [math.inf, math.inf], [True, True],
+                             [False, False], [[], [w_min]],
+                             tol=0.0, rel_tol=_T_RTOL,
+                             max_subdivisions=_T_MAX_SUBDIVISIONS)
+    for est in halves:
+        if isinstance(est, QuadratureError):
+            raise SearchFailureError(f"half-period integral at lam = {lam!r} "
+                                     f"failed: {est}")
+    return (halves[0].value + halves[1].value) / lam ** (1.0 / p)
 
 
-def _result_from(problem: AnnulusProblem, lam: float) -> ShootingResult:
-    """The shot at lam with its dense output as eigenfunction, max |phi| = 1."""
-    sol = _integrate(problem, lam, problem.b, lambda r, y: y[0], dense=True)
+def _result_from(problem: AnnulusProblem, lam: float,
+                 which: int) -> ShootingResult:
+    """The shot from (phi, m)(a) = (0, 1) over [a, b] at lam, its dense output
+    the eigenfunction, max |phi| = 1."""
+    flux_exp, weight_exp = problem.flux_exponents
+    sol = solve_flux(lambda r: (r ** flux_exp, lam * r ** weight_exp),
+                     problem.p, (problem.a, problem.b), (0.0, 1.0),
+                     _RTOL, _ATOL, events=lambda r, y: y[0])
     dense = sol.sol
     phi = dense(np.linspace(problem.a, problem.b, _GRID_N))[0]
     scale = np.max(np.abs(phi))
@@ -140,7 +175,7 @@ def _result_from(problem: AnnulusProblem, lam: float) -> ShootingResult:
     def derivative(r):
         return _slope(problem, dense(r)[1], r) / scale
 
-    return ShootingResult(lam, _interior_zeros(sol, problem),
+    return ShootingResult(lam, _interior_zeros(sol, problem, which),
                           float(abs(phi[-1]) / scale),
                           Profile(value, derivative, (problem.a, problem.b)))
 
@@ -150,12 +185,12 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     """The which-th eigenvalue: the root of F(x) = ln(which T / ln(b/a)) in
     x = ln u, from u_0 = which pi_p / ln(b/a). The first step x_1 = x_0 + F_0
     is exact for p = 2 and kappa = 0; later steps are secants through the
-    last two shots, bisecting when one leaves the sign bracket, and a shot
-    with no zero (T > 2 ln(b/a)) steps x up by ln(2 which). The search stops
-    at a step below max(tol/p, _RTOL), so tol in (0, 1e-6] bounds lam's
-    relative error down to what the shots resolve.
-    Search shots go through `shoot`; the shot at the root alone keeps dense
-    output, for the eigenfunction, and must have which-1 interior zeros."""
+    last two half-periods, bisecting when one leaves the sign bracket. The
+    search stops at a step below max(tol/p, _RTOL), so tol in (0, 1e-6]
+    bounds lam's relative error down to what the half-periods resolve.
+    Each half-period comes from `shoot`; the one ODE shot, over [a, b] at the
+    root, gives the eigenfunction and checks the root independently: it must
+    have which-1 interior zeros, and its endpoint residual is reported."""
     if not 0 < tol <= 1e-6:     # looser, the root can land past lam_which
         raise ParameterDomainError(f"tol must be in (0, 1e-6], got {tol}")
     if which < 1:
@@ -166,23 +201,20 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     x = math.log(which * 2.0 * math.pi * (p - 1.0) ** (1.0 / p)
                  / (p * math.sin(math.pi / p) * span))
     lo, hi, last = -math.inf, math.inf, None    # F(lo) > 0 > F(hi)
-    for _ in range(_MAX_SHOTS):
+    for _ in range(_MAX_STEPS):
         f = math.log(which * shoot(problem, c + math.exp(p * x)) / span)
         lo, hi = (x, hi) if f > 0 else (lo, x)
-        if f == math.inf:       # which T / ln(b/a) > 2 which
-            step = math.log(2.0 * which)
-        else:
-            slope = -1.0 if last is None else (f - last[1]) / (x - last[0])
-            step = -f / slope if slope < 0 else f
-            last = (x, f)
+        slope = -1.0 if last is None else (f - last[1]) / (x - last[0])
+        step = -f / slope if slope < 0 else f
+        last = (x, f)
         if abs(step) <= width:
             x += step
             break
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
     else:
         raise SearchFailureError(f"half-period search for eigenvalue {which} "
-                                 f"did not converge in {_MAX_SHOTS} shots")
-    result = _result_from(problem, c + math.exp(p * x))
+                                 f"did not converge in {_MAX_STEPS} steps")
+    result = _result_from(problem, c + math.exp(p * x), which)
     if result.zero_count != which - 1:
         raise SearchFailureError(
             f"converged shot has {result.zero_count} interior zeros, "
@@ -190,7 +222,8 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     return result
 
 
-def check_lambda1_lower_bound(problem: AnnulusProblem,
-                              result: ShootingResult) -> bool:
-    """True iff the computed lam_1 clears the lemma bound |(Q-p theta)/p|^p."""
-    return result.lam > problem.lemma_lower_bound + 1e-9
+def check_lambda1_lower_bound(problem: AnnulusProblem, result: ShootingResult,
+                              tol: float = 1e-8) -> bool:
+    """True iff the computed lam_1 clears the lemma bound |(Q-p theta)/p|^p by
+    more than its own error budget tol * lam, tol being the search's."""
+    return result.lam - problem.lemma_lower_bound > tol * result.lam

@@ -205,36 +205,46 @@ def segment_split_p4(f: complex, g: complex, dps: int = 50):
                 (4 * A * K1m2, 8 * A ** 2 * K2m4))
 
 
-def annulus_eigenvalue_mp(Q: float, p: float, theta: float, a: float, b: float,
-                          n: int = 1, dps: int = 30):
-    """n-th annulus eigenvalue from the Riccati period integral, at dps digits.
+def half_period_mp(Q: float, p: float, theta: float, lam, dps: int = 30):
+    """Half-period T(lam) of the annulus equation from the Riccati period
+    integral, at dps digits.
 
     In t = ln r the annulus equation is autonomous,
     (Phi_p(phi_t))' + kappa Phi_p(phi_t) + lam Phi_p(phi) = 0, kappa = Q - p theta,
     and v = phi_t/phi runs from +inf to -inf between consecutive zeros in time
-    T(lam) = int_R (p-1)|v|^(p-2) dv / (lam + kappa |v|^(p-2) v + (p-1)|v|^p),
-    so lam_n is the root of n T(lam) = ln(b/a) above |kappa/p|^p. mpmath.quad
-    splits at 0 and at v* = -sign(kappa)|kappa/p|, where the denominator is
-    smallest, and mpmath.findroot solves from the kappa = 0 value. No shooting,
-    no hardylab code. Returns an mpf."""
+    T(lam) = int_R (p-1)|v|^(p-2) dv / (lam + kappa |v|^(p-2) v + (p-1)|v|^p).
+    mpmath.quad splits at 0 and at v* = -sign(kappa)|kappa/p|, where the
+    denominator is smallest. No shooting, no hardylab code. Returns an mpf;
+    lam is taken as exact."""
     import mpmath
 
     with mpmath.workdps(dps):
         p, kappa = mpmath.mpf(p), mpmath.mpf(Q) - mpmath.mpf(p) * mpmath.mpf(theta)
-        L = mpmath.log(mpmath.mpf(b) / mpmath.mpf(a))
-        c = abs(kappa / p) ** p
+        lam = mpmath.mpf(lam)
         cuts = sorted({mpmath.mpf(0), -mpmath.sign(kappa) * abs(kappa / p)})
 
-        def period(lam):
-            def f(v):
-                x = abs(v) ** (p - 2)
-                return (p - 1) * x / (lam + kappa * x * v + (p - 1) * x * v * v)
+        def f(v):
+            x = abs(v) ** (p - 2)
+            return (p - 1) * x / (lam + kappa * x * v + (p - 1) * x * v * v)
 
-            return mpmath.quad(f, [-mpmath.inf, *cuts, mpmath.inf])
+        return mpmath.quad(f, [-mpmath.inf, *cuts, mpmath.inf])
 
-        pi_p = 2 * mpmath.pi * (p - 1) ** (1 / p) / (p * mpmath.sin(mpmath.pi / p))
-        guess = c + (n * pi_p / L) ** p
-        return mpmath.findroot(lambda lam: n * period(lam) - L, guess)
+
+def annulus_eigenvalue_mp(Q: float, p: float, theta: float, a: float, b: float,
+                          n: int = 1, dps: int = 30):
+    """n-th annulus eigenvalue at dps digits: the root of
+    n half_period_mp(lam) = ln(b/a) above |kappa/p|^p, by mpmath.findroot from
+    the kappa = 0 value. Returns an mpf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        P = mpmath.mpf(p)
+        c = abs(mpmath.mpf(Q) / P - mpmath.mpf(theta)) ** P
+        L = mpmath.log(mpmath.mpf(b) / mpmath.mpf(a))
+        pi_p = 2 * mpmath.pi * (P - 1) ** (1 / P) / (P * mpmath.sin(mpmath.pi / P))
+        guess = c + (n * pi_p / L) ** P
+        return mpmath.findroot(
+            lambda lam: n * half_period_mp(Q, p, theta, lam, dps) - L, guess)
 
 
 def strip_quotient_mp(theta: float, eps: float, dps: int = 30):

@@ -160,7 +160,8 @@ def test_float_stepper_matches_scipy_dop853(monkeypatch):
     for sc in default_catalog():
         verify_bessel_pair(sc, CATALOG_INTERVALS[sc.name])
     for p in (2.0, 2.5, 3.0, 4.0, 6.0):
-        eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=2.0))
+        for b in (2.0, math.e, 4.0):
+            eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=b))
     assert len(pairs) > 20
     for ours, ref in pairs:
         assert ours.status == ref.status

@@ -293,7 +293,7 @@ def test_console_entry_point():
 _CLI_LAYERS = {"cli", "reports", "scenarios", "profiles"}
 _REDUCTION = {"functional", "quadrature"}
 _SWEEPS = {"sharpness"} | _REDUCTION
-_ODE = {"besselpair", "spectral"}
+_ODE = {"besselpair", "spectral", "quadrature"}   # eig: T by quadrature
 _COLD_COMMANDS = {
     "catalog": (["catalog"], set()),
     "identity": (["identity", "--p", "2.5", "--samples", "200", "--seed", "7"],
@@ -463,7 +463,7 @@ def test_annulus_p3_constant_is_computed(capsys):
     code, out, _ = _cli(["eig", *annulus], capsys)
     assert code == 0
     lam = json.loads(out)["summary"]["lambda"]
-    assert lam == 87.84714424991219
+    assert lam == 87.84714424979337
     # the Riccati period integral at 30 digits (tests/oracles.py)
     assert lam == pytest.approx(87.8471442497941, rel=1e-10)
     code, _, err = _cli(["rayleigh", "--scenario", "annulus", *annulus,
@@ -472,6 +472,17 @@ def test_annulus_p3_constant_is_computed(capsys):
     summary = json.loads(err.splitlines()[0])["summary"]
     assert summary["sharp_constant"] == lam
     assert summary["pass"] is True
+
+
+def test_eig_lemma_bound_has_a_relative_margin(capsys):
+    # kappa = 0: lam_1 = (pi_6 / ln 1e40)^6 = 6.9e-10 clears c = 0 by far more
+    # than its error, though by less than an absolute 1e-9
+    code, out, _ = _cli(["eig", "--Q", "6", "--p", "6", "--theta", "1", "--a",
+                         "1", "--b", "1e40"], capsys)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["exceeds_lower_bound"] is True
+    assert summary["lambda"] == pytest.approx(6.913016699667806e-10, rel=1e-12)
 
 
 def test_lambda1_is_rejected(tmp_path, capsys):

@@ -66,10 +66,10 @@ def test_gaussian_hypothesis_validation():
 
 
 def test_annulus_requires_lambda1_for_p_not_2():
-    # no closed form for p != 2: the builder computes lam_1 by shooting, and
+    # no closed form for p != 2: the builder computes lam_1 (spectral), and
     # a claimed value is no longer accepted
     sc = scenario_catalog("annulus", Q=5.0, p=3.0, theta=1.0, a=1.0, b=2.0)
-    assert sc.sharp_constant == 87.84714424991219
+    assert sc.sharp_constant == 87.84714424979337
     # the Riccati period integral at 30 digits (tests/oracles.py)
     assert sc.sharp_constant == pytest.approx(87.8471442497941, rel=1e-10)
     assert sc.pair.lam == sc.sharp_constant

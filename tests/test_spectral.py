@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                                 scenario_catalog)
 from hardylab.spectral import (AnnulusProblem, check_lambda1_lower_bound,
                                eigenvalue, shoot)
-from oracles import annulus_eigenvalue_mp
+from oracles import annulus_eigenvalue_mp, half_period_mp
 
 PROB = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
 
@@ -50,13 +51,12 @@ def test_shoot_matches_general_solution():
 
 
 def test_shoot_counts_interior_zeros():
-    # the shot stops at its first zero: at lam = 50 the ones past it (two
-    # more before b) are not integrated, and a shot whose first zero lies
-    # past t = 2 ln(b/a) reports none
+    # T is one half-period whatever the number of zeros in (a, b): three at
+    # lam = 50, and none at lam = 2, whose half-period exceeds 2 ln(b/a)
     assert shoot(PROB, 50.0) == pytest.approx(_half_period_p2(50.0),
                                               rel=1e-9)
     assert _half_period_p2(2.0) > 2.0
-    assert shoot(PROB, 2.0) == math.inf
+    assert shoot(PROB, 2.0) == pytest.approx(_half_period_p2(2.0), rel=1e-12)
 
 
 def test_first_eigenvalue_matches_closed_form():
@@ -76,8 +76,9 @@ def test_critical_case_never_zero():
 
 
 def test_shot_end_past_the_float_range():
-    # the search shots run to (b/a)^2 >= 1e310, past the largest float; at
-    # b = 1e160 a step's fifth-order error estimate underflows to 0
+    # the final shot spans 155 and 160 decades; at b = 1e160 a step's
+    # fifth-order error estimate underflows to 0, and its zero near b, off by
+    # the shot's global error, must not count as interior
     for b in (1e155, 1e160):
         prob = AnnulusProblem(Q=1.0, p=2.0, theta=1.0, a=1.0, b=b)
         assert eigenvalue(prob).lam == pytest.approx(
@@ -218,7 +219,9 @@ def test_eigenvalue_matches_period_integral(case):
     ref = float(annulus_eigenvalue_mp(Q, p, theta, a, b, n))
     res = eigenvalue(AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b), which=n)
     assert res.zero_count == n - 1
-    assert abs(res.lam - ref) <= 1e-8 * ref
+    assert abs(res.lam - ref) <= 1e-12 * ref
+    # the final ODE shot, independent of the quadrature, ends on a zero
+    assert res.endpoint_residual <= 1e-9
 
 
 def test_period_integral_oracle_closed_forms():
@@ -227,6 +230,47 @@ def test_period_integral_oracle_closed_forms():
         pytest.approx((2 * _pi_p(3.0) / math.log(2.0)) ** 3, rel=1e-14)
     assert float(annulus_eigenvalue_mp(5.0, 2.0, 0.5, 1.0, 7.0, 2)) == \
         pytest.approx(4.0 + (2 * math.pi / math.log(7.0)) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("kappa", [1.5, -1.5])
+def test_half_period_p2_closed_form(kappa):
+    # T = pi / sqrt(lam - kappa^2/4), from next to the peak of the
+    # kappa v < 0 side's integrand (lam -> c) to far above c
+    prob = AnnulusProblem(Q=2.0 + kappa, p=2.0, theta=1.0, a=1.0, b=2.0)
+    c = prob.lemma_lower_bound
+    for gap in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e3):
+        lam = c + gap * c
+        assert shoot(prob, lam) == pytest.approx(math.pi / math.sqrt(lam - c),
+                                                 rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+def test_half_period_kappa_zero_closed_form(p):
+    prob = AnnulusProblem(Q=2.0 * p, p=p, theta=2.0, a=1.0, b=2.0)
+    for lam in (1e-6, 1e-2, 1.0, 1e3):
+        assert shoot(prob, lam) == pytest.approx(_pi_p(p) / lam ** (1.0 / p),
+                                                 rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+def test_half_period_matches_period_integral(p):
+    # both signs of kappa = Q - p theta; the float c is an ulp off the exact
+    # one, which moves T by ~1e-16/gap relative (1e-10 at gap = 1e-6)
+    for Q in (1.0, 8.0):
+        prob = AnnulusProblem(Q=Q, p=p, theta=1.0, a=1.0, b=2.0)
+        c = prob.lemma_lower_bound
+        for gap in (1e-2, 1.0, 1e2):
+            lam = c + gap * c
+            ref = float(half_period_mp(Q, p, 1.0, lam))
+            assert shoot(prob, lam) == pytest.approx(ref, rel=1e-12)
+
+
+def test_lemma_check_margin_is_the_search_tolerance():
+    c = PROB.lemma_lower_bound
+    res = eigenvalue(PROB)
+    assert check_lambda1_lower_bound(PROB, res)
+    for lam in (0.5 * c, c, c * (1.0 + 1e-10)):
+        assert not check_lambda1_lower_bound(PROB, replace(res, lam=lam))
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
