@@ -7,7 +7,7 @@ as momentum, which stays smooth across phi' = 0; phi' is recovered by the
 inversion |m|^(1/(p-1)) with the sign carried separately. Integration never
 starts at the singular origin: initial data is seeded at an interior point
 from the closed form. `solve_flux` also integrates the annulus eigenfunction
-of `spectral`, the same system with power coefficients.
+of `spectral`, in t = ln r with constant coefficients and a constant drift.
 """
 
 from __future__ import annotations
@@ -190,24 +190,27 @@ class _FloatDense(DenseOutput):
 
 
 def solve_flux(coefficients: Callable, p: float, r_span, y0,
-               rtol: float, atol: float, events):
+               rtol: float, atol: float, events, drift: float = 0.0):
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
-    for the state (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense
-    output; coefficients maps a scalar r to (A(r), B(r)). A float
-    overflow or division by zero in the RHS is an ODEFailure."""
+    for (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense output; r ->
+    (A(r), B(r)) are the coefficients, and a drift d adds d phi to phi' and
+    -d m to m'. A float overflow or division by zero in the RHS is an ODEFailure."""
     inv, q = 1.0 / (p - 1.0), p - 2.0
 
     def rhs(r, y):
         phi, m = y
         A, B = coefficients(r)
         w = m / A
-        return (math.copysign(abs(w) ** inv, w), -B * abs(phi) ** q * phi)
+        return (math.copysign(abs(w) ** inv, w) + drift * phi,
+                -drift * m - B * abs(phi) ** q * phi)
 
     try:
         sol = solve_ivp(rhs, r_span, y0, method=_FloatDOP853, rtol=rtol,
                         atol=atol, dense_output=True, events=events)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise ODEFailure(f"ODE integration failed: {exc}") from exc
+        fault = "overflow" if isinstance(exc, OverflowError) else "division by zero"
+        raise ODEFailure(f"ODE integration failed: float {fault} in the "
+                         "right-hand side") from exc
     if not sol.success:
         raise ODEFailure(f"ODE integration failed: {sol.message}")
     return sol

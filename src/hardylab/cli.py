@@ -179,14 +179,12 @@ def _cmd_eig(args):
     rows = [{"lambda": result.lam, "zero_count": result.zero_count,
              "endpoint_residual": result.endpoint_residual}]
     bound_ok = check_lambda1_lower_bound(problem, result, tol=float(args.tol))
-    summary = {"lambda": result.lam, "zero_count": result.zero_count,
-               "endpoint_residual": result.endpoint_residual,
-               "lemma_lower_bound": problem.lemma_lower_bound,
+    summary = {**rows[0], "lemma_lower_bound": problem.lemma_lower_bound,
                "exceeds_lower_bound": bound_ok}
     if args.eigenfunction_out:
         r = np.linspace(problem.a, problem.b, 400)
-        samples = [{"r": float(x), "phi": float(result.eigenfunction.value(x))}
-                   for x in r]
+        samples = [{"r": x, "phi": v} for x, v in
+                   zip(r.tolist(), result.eigenfunction.value(r).tolist())]
         with open(args.eigenfunction_out, "w", encoding="utf-8",
                   newline="") as fh:
             fh.write(render_csv(samples))

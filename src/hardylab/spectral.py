@@ -7,10 +7,7 @@ eigenfunction has n-1 interior zeros. In t = ln r it reads (Phi_p(phi_t))' +
 kappa Phi_p(phi_t) + lam Phi_p(phi) = 0, autonomous and invariant under
 phi -> C phi for every real C, so a solution through a zero continues past
 its next zero as a negative multiple of itself shifted by a half-period
-T(lam). Its zeros sit at a e^(k T), and lam_n solves
-
-    n T(lam) = ln(b/a),
-
+T(lam). Its zeros sit at a e^(k T), and lam_n solves n T(lam) = ln(b/a),
 with T strictly decreasing and T = pi_p / u for p = 2 and for kappa = 0,
 u = (lam - c)^(1/p), pi_p = 2 pi (p-1)^(1/p)/(p sin(pi/p)), pi_2 = pi.
 Between two zeros the Riccati variable v = phi_t / phi runs from +inf to
@@ -19,10 +16,8 @@ Between two zeros the Riccati variable v = phi_t / phi runs from +inf to
     T(lam) = int_R (p-1) |v|^(p-2) dv / (lam + kappa |v|^(p-2) v + (p-1) |v|^p)
 
 (Elbert 1979; Dosly and Rehak, Half-Linear Differential Equations, 2005),
-taken by `quadrature.integrate_batch`. The search runs no ODE: one shot of
-the flux system (`besselpair.solve_flux`) from (phi, m)(a) = (0, 1) over
-[a, b] at the root gives the eigenfunction, and its zero count and endpoint
-residual check the root independently.
+taken by `quadrature.integrate_batch`; the search runs no ODE. One ODE shot
+over a half-period (`_result_from`) gives the eigenfunction and checks lam.
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import OdeSolution
 
 from .besselpair import solve_flux
 from .profiles import Profile
@@ -47,15 +43,14 @@ __all__ = [
 ]
 
 _RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of the final shot
-_GRID_N = 1200                  # points locating max |phi| of the final shot
 _MAX_STEPS = 60                 # search steps (half-periods) per eigenvalue
 _T_RTOL = 1e-13                 # relative target of each half-period integral
 _T_MAX_SUBDIVISIONS = 1 << 12   # bounds each half-period's cost
 
 
 class SearchFailureError(CheckFailure):
-    """The half-period search ran out of steps, a half-period integral
-    failed, or the final shot ended on the wrong zero count."""
+    """The half-period search or one of its integrals failed, or the shot
+    at the root failed its half-period check."""
 
 
 @dataclass(frozen=True)
@@ -80,12 +75,6 @@ class AnnulusProblem:
         """Every eigenvalue exceeds |(Q - p theta)/p|^p."""
         return abs((self.Q - self.p * self.theta) / self.p) ** self.p
 
-    @property
-    def flux_exponents(self) -> tuple[float, float]:
-        """Powers of r multiplying the flux and the zeroth-order term."""
-        return (self.Q - 1.0 - self.p * (self.theta - 1.0),
-                self.Q - 1.0 - self.p * self.theta)
-
 
 @dataclass(frozen=True)
 class ShootingResult:
@@ -93,23 +82,6 @@ class ShootingResult:
     zero_count: int
     endpoint_residual: float
     eigenfunction: Profile
-
-
-def _interior_zeros(sol, problem: AnnulusProblem, which: int) -> int:
-    """Zeros more than half a half-period, ln(b/a) / (2 which), inside (a, b)
-    in ln r, the variable the zeros are evenly spaced in: the interior ones
-    sit a whole half-period from each end, and the shot's own zero near b,
-    off by its global error, does not count."""
-    margin = math.log(problem.b / problem.a) / (2 * which)
-    events = sol.t_events[0]
-    return int(np.sum((events > problem.a * math.exp(margin))
-                      & (events < problem.b * math.exp(-margin))))
-
-
-def _slope(problem: AnnulusProblem, m, r):
-    """phi' from the flux m = r^(flux exponent) |phi'|^(p-2) phi'."""
-    w = m / np.asarray(r, dtype=float) ** problem.flux_exponents[0]
-    return np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0))
 
 
 def shoot(problem: AnnulusProblem, lam: float) -> float:
@@ -157,40 +129,68 @@ def shoot(problem: AnnulusProblem, lam: float) -> float:
     return (halves[0].value + halves[1].value) / lam ** (1.0 / p)
 
 
-def _result_from(problem: AnnulusProblem, lam: float,
-                 which: int) -> ShootingResult:
-    """The shot from (phi, m)(a) = (0, 1) over [a, b] at lam, its dense output
-    the eigenfunction, max |phi| = 1."""
-    flux_exp, weight_exp = problem.flux_exponents
-    sol = solve_flux(lambda r: (r ** flux_exp, lam * r ** weight_exp),
-                     problem.p, (problem.a, problem.b), (0.0, 1.0),
-                     _RTOL, _ATOL, events=lambda r, y: y[0])
-    dense = sol.sol
-    phi = dense(np.linspace(problem.a, problem.b, _GRID_N))[0]
-    scale = np.max(np.abs(phi))
+def _result_from(problem: AnnulusProblem, lam: float, which: int,
+                 tol: float) -> ShootingResult:
+    """The shot of y_t = Phi_p^-1(w/A) + (kappa/p) y, w_t = -(kappa/p) w -
+    lam A Phi_p(y) in t = ln(r/a) from (y, w) = (0, 1) over one half-period
+    T = ln(b/a)/which; A = (lam - c)^((1-p)/p) keeps y and w of order 1. It
+    restarts at its turning point w = 0, where phi is only C^(1,1/(p-1)): a
+    step across it loses up to 8e-8 in w(T) at p = 8. phi = (-1)^k e^(-kappa
+    t/p) y(t - kT) on half-period k, over its peak (in log form), which is at
+    the turning point of the first (kappa >= 0) or last half-period. Check:
+    y > 0 at interior steps, and |y(T)| / max y (the endpoint residual) and
+    the end slope's error |w(T)|^(1/(p-1)) - 1 within max(tol, 1e3 _RTOL)."""
+    p, a = problem.p, problem.a
+    drift = (problem.Q - p * problem.theta) / p
+    T = math.log(problem.b / a) / which
+    A = (lam - problem.lemma_lower_bound) ** ((1.0 - p) / p)
 
-    def value(r):
-        return dense(r)[0] / scale
+    def turn(t, y):     # w = 0, where phi_t = 0
+        return y[1]
 
-    def derivative(r):
-        return _slope(problem, dense(r)[1], r) / scale
+    turn.terminal = True
+    rise = solve_flux(lambda t: (A, lam * A), p, (0.0, T), (0.0, 1.0), _RTOL,
+                      _ATOL, events=turn, drift=drift)
+    fall = solve_flux(lambda t: (A, lam * A), p, (rise.t[-1], T),
+                      rise.y[:, -1], _RTOL, _ATOL, events=None, drift=drift)
+    y = np.concatenate([rise.y[0], fall.y[0]])
+    residual, bound = float(abs(y[-1]) / np.max(y)), max(tol, 1e3 * _RTOL)
+    slope_error = abs(fall.y[1, -1]) ** (1.0 / (p - 1.0)) - 1.0
+    if not (np.all(y[1:-1] > 0) and max(residual, abs(slope_error)) <= bound):
+        raise SearchFailureError(
+            f"half-period check failed at lam = {lam!r}: min interior y "
+            f"{np.min(y[1:-1]):.3g}, endpoint residual {residual:.3g}, end "
+            f"slope error {slope_error:.3g}, bound {bound:.3g}")
+    dense = OdeSolution(np.concatenate([rise.t, fall.t[1:]]),
+                        rise.sol.interpolants + fall.sol.interpolants)
+    log_peak = math.log(rise.y[0, -1]) - drift * (
+        rise.t[-1] + (0 if drift >= 0 else which - 1) * T)
 
-    return ShootingResult(lam, _interior_zeros(sol, problem, which),
-                          float(abs(phi[-1]) / scale),
-                          Profile(value, derivative, (problem.a, problem.b)))
+    def phi(r, slope=False):
+        """phi at r, or phi' with slope: (-1)^k e^(-kappa t/p) y over the peak."""
+        r = np.asarray(r, dtype=float)
+        t = np.log(r / a)
+        k = np.clip(np.floor(t / T), 0, which - 1)
+        y, w = dense(t - k * T)
+        scale = (1 - 2 * (k % 2)) * np.exp(-drift * t - log_peak)
+        if slope:   # phi' = phi_t / r
+            return scale * np.sign(w) * np.abs(w / A) ** (1 / (p - 1)) / r
+        return scale * y
+
+    return ShootingResult(lam, which - 1, residual, Profile(
+        phi, lambda r: phi(r, slope=True), (a, problem.b)))
 
 
 def eigenvalue(problem: AnnulusProblem, which: int = 1,
                tol: float = 1e-8) -> ShootingResult:
     """The which-th eigenvalue: the root of F(x) = ln(which T / ln(b/a)) in
-    x = ln u, from u_0 = which pi_p / ln(b/a). The first step x_1 = x_0 + F_0
-    is exact for p = 2 and kappa = 0; later steps are secants through the
-    last two half-periods, bisecting when one leaves the sign bracket. The
-    search stops at a step below max(tol/p, _RTOL), so tol in (0, 1e-6]
-    bounds lam's relative error down to what the half-periods resolve.
-    Each half-period comes from `shoot`; the one ODE shot, over [a, b] at the
-    root, gives the eigenfunction and checks the root independently: it must
-    have which-1 interior zeros, and its endpoint residual is reported."""
+    x = ln u, from the larger of u_0 = which pi_p / ln(b/a) and the near-c
+    asymptote (equal for p = 2), so the first step x_1 = x_0 + F_0 is exact
+    for p = 2 and kappa = 0; later steps are secants through the last two
+    half-periods, bisecting when one leaves the sign bracket. The search
+    stops at a step below max(tol/p, _RTOL), so tol in (0, 1e-6] bounds lam's
+    relative error down to what the half-periods (`shoot`) resolve;
+    `_result_from` then checks the root."""
     if not 0 < tol <= 1e-6:     # looser, the root can land past lam_which
         raise ParameterDomainError(f"tol must be in (0, 1e-6], got {tol}")
     if which < 1:
@@ -200,6 +200,9 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     width = max(tol / p, _RTOL)
     x = math.log(which * 2.0 * math.pi * (p - 1.0) ** (1.0 / p)
                  / (p * math.sin(math.pi / p) * span))
+    if c:   # near c, lam - c ~ 2 pi^2 (p-1) n^2 c^((p-2)/p) / (p ln(b/a)^2)
+        x = max(x, (math.log(2.0 * math.pi ** 2 * (p - 1.0) / p) + math.log(c)
+                    * (p - 2.0) / p + 2.0 * math.log(which / span)) / p)
     lo, hi, last = -math.inf, math.inf, None    # F(lo) > 0 > F(hi)
     for _ in range(_MAX_STEPS):
         f = math.log(which * shoot(problem, c + math.exp(p * x)) / span)
@@ -214,12 +217,7 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     else:
         raise SearchFailureError(f"half-period search for eigenvalue {which} "
                                  f"did not converge in {_MAX_STEPS} steps")
-    result = _result_from(problem, c + math.exp(p * x), which)
-    if result.zero_count != which - 1:
-        raise SearchFailureError(
-            f"converged shot has {result.zero_count} interior zeros, "
-            f"expected {which - 1} for eigenvalue {which}")
-    return result
+    return _result_from(problem, c + math.exp(p * x), which, tol)
 
 
 def check_lambda1_lower_bound(problem: AnnulusProblem, result: ShootingResult,

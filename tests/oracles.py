@@ -231,20 +231,26 @@ def half_period_mp(Q: float, p: float, theta: float, lam, dps: int = 30):
 
 
 def annulus_eigenvalue_mp(Q: float, p: float, theta: float, a: float, b: float,
-                          n: int = 1, dps: int = 30):
+                          n: int = 1, dps: int = 30, bracket=None):
     """n-th annulus eigenvalue at dps digits: the root of
-    n half_period_mp(lam) = ln(b/a) above |kappa/p|^p, by mpmath.findroot from
-    the kappa = 0 value. Returns an mpf."""
+    n half_period_mp(lam) = ln(b/a) above |kappa/p|^p, by mpmath.findroot's
+    secant from the kappa = 0 value, or by its Anderson solver from a
+    bracket (lo, hi) above c, which a root close to c needs. Returns an mpf."""
     import mpmath
 
     with mpmath.workdps(dps):
         P = mpmath.mpf(p)
         c = abs(mpmath.mpf(Q) / P - mpmath.mpf(theta)) ** P
         L = mpmath.log(mpmath.mpf(b) / mpmath.mpf(a))
+
+        def f(lam):
+            return n * half_period_mp(Q, p, theta, lam, dps) - L
+
+        if bracket is not None:
+            return mpmath.findroot(f, tuple(map(mpmath.mpf, bracket)),
+                                   solver="anderson")
         pi_p = 2 * mpmath.pi * (P - 1) ** (1 / P) / (P * mpmath.sin(mpmath.pi / P))
-        guess = c + (n * pi_p / L) ** P
-        return mpmath.findroot(
-            lambda lam: n * half_period_mp(Q, p, theta, lam, dps) - L, guess)
+        return mpmath.findroot(f, c + (n * pi_p / L) ** P)
 
 
 def strip_quotient_mp(theta: float, eps: float, dps: int = 30):

@@ -527,11 +527,12 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     ([*_SWEEP, "--eps-grid", "nan"], 2),
     (["sharpness", "--scenario", "improved_weight"], 2),
     # a check that could not be carried out: no sample lands in a gauge ball
-    # of radius 1e-9, and the annulus shot overflows a float (r^4 past 1e77)
+    # of radius 1e-9, and the annulus gap lam_1 - c = (pi / ln b)^2 = 2.1e-5 is
+    # below one ulp (3.1e-5) of c = 2.5e11
     (["geometry", "--model", "greiner", "--check", "measure", "--samples",
       "1000", "--R1", "1e-9", "--R2", "1"], 1),
-    (["eig", "--Q", "5", "--p", "3", "--theta", "1", "--a", "1", "--b",
-      "1e200"], 1),
+    (["eig", "--Q", "1e6", "--p", "2", "--theta", "1", "--a", "1", "--b",
+      "1e300"], 1),
     # a config file that is a directory, or a JSON document that is no object
     (["catalog", "--config", "{tmp}"], 2),
     (["catalog", "--config", "{tmp}/list.json"], 2),

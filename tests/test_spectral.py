@@ -8,8 +8,8 @@ from hardylab import spectral
 from hardylab.functional import reduce_radial_functional
 from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                                 scenario_catalog)
-from hardylab.spectral import (AnnulusProblem, check_lambda1_lower_bound,
-                               eigenvalue, shoot)
+from hardylab.spectral import (AnnulusProblem, SearchFailureError,
+                               check_lambda1_lower_bound, eigenvalue, shoot)
 from oracles import annulus_eigenvalue_mp, half_period_mp
 
 PROB = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
@@ -76,13 +76,55 @@ def test_critical_case_never_zero():
 
 
 def test_shot_end_past_the_float_range():
-    # the final shot spans 155 and 160 decades; at b = 1e160 a step's
-    # fifth-order error estimate underflows to 0, and its zero near b, off by
-    # the shot's global error, must not count as interior
-    for b in (1e155, 1e160):
+    # 150 to 160 decades are one half-period in t = ln r, where the shot runs
+    # whatever b is: phi = r^(1/2) sin(pi t/L) / peak, kappa = -1, peaks where
+    # tan(pi t/L) = -2 pi/L, and is formed relative to that peak
+    for b in (1e150, 1e155, 1e160):
         prob = AnnulusProblem(Q=1.0, p=2.0, theta=1.0, a=1.0, b=b)
-        assert eigenvalue(prob).lam == pytest.approx(
+        res = eigenvalue(prob)
+        assert res.lam == pytest.approx(
             closed_form_lambda1_p2(1.0, 1.0, 1.0, b), rel=1e-8)
+        L = math.log(b)
+        omega = math.pi / L
+        t_peak = (math.pi - math.atan(2.0 * omega)) / omega
+        t = np.linspace(0.0, L, 2001)
+        exact = (np.exp(0.5 * (t - t_peak)) * np.sin(omega * t)
+                 / math.sin(omega * t_peak))
+        assert np.max(np.abs(res.eigenfunction.value(np.exp(t)) - exact)) \
+            <= 2e-9
+
+
+# (Q, p, b) with theta = 1, a = 1: a shot in r across [a, b] ends on phi's
+# maximum (b = 1e150) or overflows r^(Q-1) (Q = 20, b = 1e200), and a search
+# started at the kappa = 0 value puts lam within rounding of c (p = 6, 10)
+WIDE_CASES = [(1.0, 3.0, 1e150), (20.0, 3.0, 1e30), (5.0, 3.0, 1e200),
+              (1.0, 6.0, 1e100), (1.0, 10.0, 1e50)]
+
+
+@pytest.mark.parametrize("Q, p, b", WIDE_CASES)
+def test_wide_annulus_passes_the_half_period_check(Q, p, b):
+    res = eigenvalue(AnnulusProblem(Q=Q, p=p, theta=1.0, a=1.0, b=b))
+    assert float(half_period_mp(Q, p, 1.0, res.lam)) == pytest.approx(
+        math.log(b), rel=1e-11)
+    # the check's bound at the default tol is max(1e-8, 1e3 rtol) = 1e-8
+    assert res.endpoint_residual <= 1e-8
+    assert np.max(np.abs(res.eigenfunction.value(
+        np.geomspace(1.0, b, 1001)))) <= 1.0 + 1e-12
+
+
+def test_search_starts_near_c_on_a_wide_annulus():
+    # the roots sit at (lam - c)/c ~ 5e-4 and 2e-3; mpmath's secant from the
+    # kappa = 0 value fails on both, its Anderson solver from a bracket does not
+    c = (5.0 / 6.0) ** 6
+    res = eigenvalue(AnnulusProblem(Q=1.0, p=6.0, theta=1.0, a=1.0, b=1e100))
+    ref = float(annulus_eigenvalue_mp(1.0, 6.0, 1.0, 1.0, 1e100,
+                                      bracket=(c * (1 + 1e-5), c * 1.01)))
+    assert res.lam == pytest.approx(ref, rel=1e-12)
+    assert res.lam == pytest.approx(0.33504876997091, rel=1e-13)
+    res = eigenvalue(AnnulusProblem(Q=1.0, p=10.0, theta=1.0, a=1.0, b=1e50))
+    assert res.lam == pytest.approx(0.34926977176674, rel=1e-13)
+    assert float(half_period_mp(1.0, 10.0, 1.0, res.lam)) == pytest.approx(
+        math.log(1e50), rel=1e-12)
 
 
 def test_p2_grid_against_closed_form():
@@ -151,12 +193,20 @@ def test_eigenfunction_positive_inside():
         np.array([1.0, math.e])))) <= 1e-9
 
 
-def _tight_shot(problem, lam):
-    """Dense output of the flux shot from (phi, m)(a) = (0, 1) at rtol 1e-13,
-    written independently of besselpair.solve_flux."""
-    from scipy.integrate import solve_ivp
+def _flux_exponents(problem):
+    """Powers of r multiplying the flux and the zeroth-order term."""
+    return (problem.Q - 1.0 - problem.p * (problem.theta - 1.0),
+            problem.Q - 1.0 - problem.p * problem.theta)
 
-    flux_exp, weight_exp = problem.flux_exponents
+
+def _tight_shot(problem, lam):
+    """Dense output of the flux shot in r from (phi, m)(a) = (0, 1) at rtol
+    1e-13, written independently of besselpair.solve_flux, and its exact
+    max phi, at the zero of m."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    flux_exp, weight_exp = _flux_exponents(problem)
     p = problem.p
 
     def rhs(r, y):
@@ -164,8 +214,10 @@ def _tight_shot(problem, lam):
         return (math.copysign(abs(w) ** (1.0 / (p - 1.0)), w),
                 -lam * r ** weight_exp * abs(y[0]) ** (p - 2.0) * y[0])
 
-    return solve_ivp(rhs, (problem.a, problem.b), (0.0, 1.0), method="DOP853",
-                     rtol=1e-13, atol=1e-15, dense_output=True).sol
+    dense = solve_ivp(rhs, (problem.a, problem.b), (0.0, 1.0), method="DOP853",
+                      rtol=1e-13, atol=1e-15, dense_output=True).sol
+    peak = brentq(lambda r: dense(r)[1], problem.a, problem.b, xtol=1e-15)
+    return dense, dense(peak)[0]
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
@@ -176,15 +228,27 @@ def test_eigenfunction_matches_tight_shot(p):
     for Q, a, b in ((5.0, 1.0, 2.0), (3.0, 1.0, math.e)):
         prob = AnnulusProblem(Q=Q, p=p, theta=1.0, a=a, b=b)
         res = eigenvalue(prob)
-        ref = _tight_shot(prob, res.lam)
-        scale = np.max(np.abs(ref(np.linspace(a, b, 1200))[0]))
+        ref, scale = _tight_shot(prob, res.lam)
         r = np.linspace(a, b, 2001)
         phi, m = ref(r)
-        w = m / r ** prob.flux_exponents[0]
+        w = m / r ** _flux_exponents(prob)[0]
         slope = np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
         assert np.max(np.abs(res.eigenfunction.value(r) - phi / scale)) <= 2e-9
         assert np.max(np.abs(res.eigenfunction.derivative(r)
                              - slope / scale)) <= 2e-8
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_eigenfunction_peaks_at_exactly_one(p):
+    # max |phi| = 1 at the zero of phi', found by root-finding, not on a grid
+    from scipy.optimize import brentq
+
+    for Q, a, b in ((5.0, 1.0, 2.0), (3.0, 1.0, math.e)):
+        phi = eigenvalue(AnnulusProblem(Q=Q, p=p, theta=1.0, a=a, b=b)
+                         ).eigenfunction
+        peak = brentq(phi.derivative, a, b, xtol=1e-15)
+        assert abs(phi.value(peak) - 1.0) <= 1e-12
+        assert np.max(np.abs(phi.value(np.linspace(a, b, 4001)))) <= 1.0 + 1e-12
 
 
 def test_lambda1_decreases_with_b():
@@ -275,12 +339,15 @@ def test_lemma_check_margin_is_the_search_tolerance():
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
 def test_kappa_zero_is_pi_p_closed_form(p):
-    # Q = p theta makes the equation in t = ln r the plain half-linear one
-    for n, (a, b) in ((1, (1.0, 2.0)), (3, (0.5, 20.0))):
+    # Q = p theta makes the equation in t = ln r the plain half-linear one;
+    # the shot's flux is scaled so that y stays of order 1, else y ~ 1e-4 on
+    # the thin annulus and the absolute tolerance 1e-13 shows in the residual
+    for n, (a, b) in ((1, (1.0, 2.0)), (3, (0.5, 20.0)), (3, (1.0, 1.001))):
         prob = AnnulusProblem(Q=2.0 * p, p=p, theta=2.0, a=a, b=b)
         res = eigenvalue(prob, which=n)
         assert res.lam == pytest.approx(
             (n * _pi_p(p) / math.log(b / a)) ** p, rel=1e-10)
+        assert res.endpoint_residual <= 1e-11
 
 
 def test_tolerance_below_double_resolution_converges():
@@ -315,12 +382,24 @@ def test_p2_takes_at_most_two_shots(monkeypatch):
         assert 1 <= len(calls) <= 2
 
 
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_lambda_off_by_1e_6_fails_the_check(monkeypatch, shift):
+    # half-periods of lam (1 + shift) make the search land on
+    # lam_n / (1 + shift); the final shot, which never calls shoot, rejects it
+    monkeypatch.setattr(spectral, "shoot",
+                        lambda problem, lam: shoot(problem, lam * (1 + shift)))
+    for Q, p, theta, a, b, n in ORACLE_CASES:
+        with pytest.raises(SearchFailureError, match="half-period check"):
+            eigenvalue(AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b),
+                       which=n)
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
     f"{x:g}" for x in c))
 def test_zeros_equally_spaced_in_log_r(case):
     # in t = ln r the shot repeats itself, sign flipped, every T: at lam_n
-    # its first zero is at t = ln(b/a) / n, and the eigenfunction (the final
-    # shot over [a, b]) vanishes at every a (b/a)^(k/n)
+    # its first zero is at t = ln(b/a) / n, and the eigenfunction (the shot's
+    # antiperiodic extension) vanishes at every a (b/a)^(k/n)
     Q, p, theta, a, b, n = case
     prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
     res = eigenvalue(prob, which=n)
@@ -332,11 +411,14 @@ def test_zeros_equally_spaced_in_log_r(case):
 
 @pytest.mark.parametrize("b, n", [(1e10, 5), (1e12, 4)])
 def test_wide_annulus_counts_zeros_near_a(b, n):
-    # the zeros sit at (b/a)^(k/n): the first is ~1e2 past a = 1 here, inside
-    # any margin of 1e-8 (b - a)
+    # the zeros sit at (b/a)^(k/n), the first ~1e2 past a = 1 here; the
+    # eigenfunction changes sign at each of them and nowhere else
     prob = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=b)
     res = eigenvalue(prob, which=n)
     assert res.zero_count == n - 1
+    t = math.log(b) * (np.arange(1000) + 0.5) / 1000
+    signs = np.sign(res.eigenfunction.value(np.exp(t)))
+    assert np.count_nonzero(np.diff(signs)) == n - 1
     assert res.lam == pytest.approx(0.25 + (n * math.pi / math.log(b)) ** 2,
                                     rel=1e-8)
 
