@@ -7,23 +7,22 @@ turns the directional quotient into
 
 with the gauge-ball constant cancelling between numerator and denominator.
 
-One routine reduces a batch of profiles: the numerator, zero-order and
+One routine reduces one profile or many: the numerator, zero-order and
 denominator integrals of every profile go to one ``integrate_batch`` call, so
 sampling many random bump profiles costs a few kernel sweeps instead of two
 or three adaptive integrations per profile. ``reduce_radial_functional`` is
-its one-profile case.
+its one-profile case, one kernel call as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .profiles import Profile, random_bumps
-from .quadrature import QuadratureError, integrate_adaptive, integrate_batch
+from .quadrature import QuadratureError, integrate_batch
 from .scenarios import ParameterDomainError, Scenario
 
 __all__ = ["ReducedFunctional", "InvalidProfileError", "reduce_radial_functional",
@@ -67,18 +66,14 @@ def _bounds_and_flags(interval, support, knots):
 
 def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
                   tol: float) -> list[ReducedFunctional]:
-    """Reduced functionals of a batch of profiles.
+    """Reduced functionals of one profile or a batch of them.
 
     value(r, rows) and derivative(r, rows) return the array of profile
-    rows[j] at the points r[j, ...], in r's shape or raveled; rows may also
-    be one profile index. All integrals of a batch go to one integrate_batch
-    call; every integral keeps its own adaptive target, so a profile's result
-    does not depend on its batch mates. A single profile's two or three
-    integrals go one at a time through integrate_adaptive, the one-owner
-    case of the same kernel: batching them gains little, and it keeps each
-    integral visible to per-call tracing of integrate_adaptive (perfbench's
-    quadrature counters). Raises the error met by the lowest-index profile,
-    the one reducing the profiles in order would raise.
+    rows[j] at the points r[j, ...], in r's shape or raveled. All integrals
+    go to one integrate_batch call, a single profile's two or three as well;
+    every integral keeps its own adaptive target, so a profile's result does
+    not depend on its batch mates. Raises the error met by the lowest-index
+    profile, the one reducing the profiles in order would raise.
     """
     p = scenario.exponents.p
     mu = scenario.exponents.measure_exponent
@@ -102,31 +97,24 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         except InvalidProfileError as err:
             specs.append(err)
     valid = [i for i, spec in enumerate(specs) if isinstance(spec, tuple)]
+    profile_of = np.repeat(valid, K)
+
+    def integrand(x, owner):
+        kind = owner % K
+        out = np.empty_like(x)
+        for k in range(K):
+            m = (kind == k).nonzero()[0]
+            if m.size:   # a profile callable need not accept empty input
+                rows = profile_of[owner[m]]
+                out[m] = term(k, x[m], rows).reshape(m.size, -1)
+        return out
+
+    lo, hi, s_left, s_right, points = (
+        [specs[i][f] for i in valid for _ in range(K)] for f in range(5))
     # tol is relative-only here: the weights can underflow to ~1e-90 scales
     # on far-out supports, where any fixed absolute target is meaningless
-    if len(valid) == 1:
-        lo, hi, s_left, s_right, points = specs[valid[0]]
-        ests = (integrate_adaptive(partial(term, k, rows=valid[0]), lo, hi,
-                                   tol=0.0, rel_tol=tol, singular_left=s_left,
-                                   singular_right=s_right, points=points)
-                for k in range(K))
-    else:
-        profile_of = np.repeat(valid, K)
-
-        def integrand(x, owner):
-            kind = owner % K
-            out = np.empty_like(x)
-            for k in range(K):
-                m = (kind == k).nonzero()[0]
-                if m.size:   # a profile callable need not accept empty input
-                    out[m] = term(k, x[m], profile_of[owner[m]]).reshape(
-                        m.size, -1)
-            return out
-
-        lo, hi, s_left, s_right, points = (
-            [specs[i][f] for i in valid for _ in range(K)] for f in range(5))
-        ests = iter(integrate_batch(integrand, lo, hi, s_left, s_right, points,
-                                    tol=0.0, rel_tol=tol))
+    ests = iter(integrate_batch(integrand, lo, hi, s_left, s_right, points,
+                                tol=0.0, rel_tol=tol))
     reduced = []
     for spec in specs:
         if isinstance(spec, InvalidProfileError):

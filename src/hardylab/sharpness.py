@@ -39,7 +39,9 @@ __all__ = [
 # max |s'| of the quintic bridge s: |g_eps'| <= c/eps on the rising bridge
 # (width eps) and 2c eps on the falling one (width 1/(2 eps)), c = 15/8
 BRIDGE_MAX_SLOPE = 15.0 / 8.0
-_SWEEP_TOL = 1e-10      # absolute and relative target of each sweep integral
+# target of each sweep integral: relative-only in the generic sweep
+# (`reduce_radial_functional`), absolute and relative in `_gaussian_a_reduced`
+_SWEEP_TOL = 1e-10
 
 
 def _step(t):

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolution
 
 from .besselpair import solve_flux
 from .profiles import Profile
@@ -139,7 +138,9 @@ def _result_from(problem: AnnulusProblem, lam: float, which: int,
     t/p) y(t - kT) on half-period k, over its peak (in log form), which is at
     the turning point of the first (kappa >= 0) or last half-period. Check:
     y > 0 at interior steps, and |y(T)| / max y (the endpoint residual) and
-    the end slope's error |w(T)|^(1/(p-1)) - 1 within max(tol, 1e3 _RTOL)."""
+    the end slope's error (|w(T)|^(1/(p-1)) - 1) / max |w|^(1/(p-1)) within
+    max(tol, 1e3 _RTOL), each over both legs' steps: the error of w(T)
+    scales with w's swing, about |kappa| / (p u) with u = (lam - c)^(1/p)."""
     p, a = problem.p, problem.a
     drift = (problem.Q - p * problem.theta) / p
     T = math.log(problem.b / a) / which
@@ -151,20 +152,24 @@ def _result_from(problem: AnnulusProblem, lam: float, which: int,
     turn.terminal = True
     rise = solve_flux(lambda t: (A, lam * A), p, (0.0, T), (0.0, 1.0), _RTOL,
                       _ATOL, events=turn, drift=drift)
-    fall = solve_flux(lambda t: (A, lam * A), p, (rise.t[-1], T),
-                      rise.y[:, -1], _RTOL, _ATOL, events=None, drift=drift)
-    y = np.concatenate([rise.y[0], fall.y[0]])
+    t_turn = rise.t[-1]
+    fall = solve_flux(lambda t: (A, lam * A), p, (t_turn, T), rise.y[:, -1],
+                      _RTOL, _ATOL, events=None, drift=drift)
+    y, w = (np.concatenate([rise.y[i], fall.y[i]]) for i in (0, 1))
     residual, bound = float(abs(y[-1]) / np.max(y)), max(tol, 1e3 * _RTOL)
-    slope_error = abs(fall.y[1, -1]) ** (1.0 / (p - 1.0)) - 1.0
+    inv = 1.0 / (p - 1.0)
+    slope_error = (abs(w[-1]) ** inv - 1.0) / np.max(np.abs(w)) ** inv
     if not (np.all(y[1:-1] > 0) and max(residual, abs(slope_error)) <= bound):
         raise SearchFailureError(
             f"half-period check failed at lam = {lam!r}: min interior y "
             f"{np.min(y[1:-1]):.3g}, endpoint residual {residual:.3g}, end "
             f"slope error {slope_error:.3g}, bound {bound:.3g}")
-    dense = OdeSolution(np.concatenate([rise.t, fall.t[1:]]),
-                        rise.sol.interpolants + fall.sol.interpolants)
     log_peak = math.log(rise.y[0, -1]) - drift * (
-        rise.t[-1] + (0 if drift >= 0 else which - 1) * T)
+        t_turn + (0 if drift >= 0 else which - 1) * T)
+
+    def dense(s):   # (y, w) from the rise's dense output up to the turn
+        return np.where(s <= t_turn, rise.sol(np.minimum(s, t_turn)),
+                        fall.sol(np.maximum(s, t_turn)))
 
     def phi(r, slope=False):
         """phi at r, or phi' with slope: (-1)^k e^(-kappa t/p) y over the peak."""

@@ -8,7 +8,7 @@ from hardylab.functional import (InvalidProfileError, _reduce_batch,
                                  reduce_radial_functional)
 from hardylab.profiles import (Bumps, Profile, random_bumps, random_profile,
                                smooth_bump)
-from hardylab.quadrature import QuadratureError
+from hardylab.quadrature import QuadratureError, integrate_batch
 from hardylab.scenarios import ParameterDomainError, scenario_catalog
 
 from oracles import composite_gauss, scaled
@@ -143,6 +143,23 @@ def test_random_profile_rows_do_not_depend_on_batch_mates():
         red = reduce_radial_functional(sc, phi, tol=1e-9)
         assert (red.quotient, red.slack(sc.sharp_constant)) \
             == (many[2]["quotient"], many[2]["slack"])
+
+
+def test_one_profile_is_one_kernel_call(monkeypatch):
+    import hardylab.functional as functional
+    calls = []
+
+    def counting(f, lo, *args, **kwargs):
+        calls.append(len(lo))
+        return integrate_batch(f, lo, *args, **kwargs)
+
+    monkeypatch.setattr(functional, "integrate_batch", counting)
+    for name, kwargs, owners in (("power", dict(Q=5.0, p=2.0, theta=1.0), 2),
+                                 ("antisymmetric", dict(N=3, theta=1.0), 3)):
+        calls.clear()
+        reduce_radial_functional(scenario_catalog(name, **kwargs),
+                                 smooth_bump(1.0, 0.5))
+        assert calls == [owners]
 
 
 def _loop_error(sc, bumps):

@@ -71,6 +71,17 @@ def test_eig_cli_any_which(capsys):
     assert err.startswith("parameter error: which must be >= 1")
 
 
+def test_eig_cli_wide_annulus_with_large_kappa(capsys):
+    # kappa/p = 9 against u = (lam - c)^(1/2) = 0.027: w swings to about 330
+    # times its end value along the shot, and the end slope's error is read
+    # in that scale
+    code, out, err = _cli(["eig", "--Q", "20", "--p", "2", "--theta", "1",
+                           "--a", "1", "--b", "1e50"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["lambda"] == pytest.approx(
+        81.0 + (math.pi / math.log(1e50)) ** 2, abs=1e-12)
+
+
 def test_eig_cli_rejects_bad_interval(capsys):
     code, out, err = _cli(["eig", "--p", "2", "--Q", "3", "--a", "0",
                            "--b", "1"], capsys)
