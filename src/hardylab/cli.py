@@ -12,7 +12,7 @@ failed, raised as `CheckFailure`), 2 usage or parameter error
 (`ParameterDomainError`/`ValueError`, or an unreadable config file).
 
 Each command imports the layers it runs in its own body, so a cold process
-loads only those (and scipy only for `bessel` and `eig`).
+loads only those; none loads scipy.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _cmd_identity(args):
 # -------------------------------------------------------------- bessel ------
 
 def _cmd_bessel(args):
-    from .besselpair import verify_bessel_pair  # the ODE layer loads scipy
+    from .besselpair import verify_bessel_pair
 
     scenario = _build_scenario(args)
     lo, hi = scenario.pair.interval

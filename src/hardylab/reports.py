@@ -8,8 +8,6 @@ files.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 from typing import Sequence
@@ -23,19 +21,29 @@ def format_number(x) -> str:
     return str(x)
 
 
+def _quoted(cells: list[str]) -> list[str]:
+    """A column's cells quoted as csv.writer's minimal quoting quotes them:
+    those that hold a comma, a double quote or a newline."""
+    if not any(c in "".join(cells) for c in ',"\n'):
+        return cells
+    return ['"' + s.replace('"', '""') + '"'
+            if any(c in s for c in ',"\n') else s for s in cells]
+
+
 def render_csv(rows: Sequence[dict]) -> str:
+    """The header row and the data rows, each column formatted at once and
+    the rows then joined: byte for byte what csv.writer writes with
+    lineterminator "\n" from `format_number` cells."""
     if not rows:
         raise ValueError("empty report: no rows to take the header from")
-    header = list(rows[0].keys())
-    for row in rows:
-        if list(row.keys()) != header:
-            raise ValueError("rows must be homogeneous")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_number(v) for v in row.values()])
-    return buf.getvalue()
+    header = list(rows[0])
+    if any(list(row) != header for row in rows):
+        raise ValueError("rows must be homogeneous")
+    columns = [_quoted([str(key), *map(format_number, values)])
+               for key, values in zip(header, zip(*(r.values() for r in rows)))]
+    if len(columns) == 1:   # csv.writer quotes a row's lone empty field
+        columns = [[s or '""' for s in columns[0]]]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def render_json(config: dict, rows: Sequence[dict], summary: dict) -> str:

@@ -346,7 +346,7 @@ def _annulus(Q: float = 3.0, p: float = 2.0, theta: float = 1.0,
         lam = closed_form_lambda1_p2(Q, theta, a, b)
         maximizer: Profile | str = _annulus_maximizer_p2(Q, theta, a, b)
     else:
-        # no closed form: shoot for lam_1 (spectral loads scipy, so only here)
+        # no closed form: shoot for lam_1 (the ODE layer, so imported here)
         from .spectral import AnnulusProblem, eigenvalue
 
         lam = eigenvalue(AnnulusProblem(Q, p, theta, a, b)).lam

@@ -149,7 +149,6 @@ def _result_from(problem: AnnulusProblem, lam: float, which: int,
     def turn(t, y):     # w = 0, where phi_t = 0
         return y[1]
 
-    turn.terminal = True
     rise = solve_flux(lambda t: (A, lam * A), p, (0.0, T), (0.0, 1.0), _RTOL,
                       _ATOL, events=turn, drift=drift)
     t_turn = rise.t[-1]

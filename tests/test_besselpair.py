@@ -137,16 +137,25 @@ CATALOG_INTERVALS = {
 
 def _record_solves(monkeypatch):
     """Route every solve_flux solve through a recorder that also runs scipy's
-    own DOP853 on the same RHS, span, tolerances and events."""
+    own solve_ivp(method="DOP853") on the same RHS, span, tolerances and
+    event, which it makes terminal."""
     pairs = []
+    dop853 = besselpair._dop853
 
-    def both(fun, t_span, y0, method, **kwargs):
-        ours = solve_ivp(fun, t_span, y0, method=method, **kwargs)
-        pairs.append((ours, solve_ivp(fun, t_span, y0, method="DOP853",
-                                      **kwargs)))
+    def both(rhs, t0, y0, t_bound, rtol, atol, event):
+        ours = dop853(rhs, t0, y0, t_bound, rtol, atol, event)
+        events = None
+        if event is not None:
+            def events(t, y):
+                return event(t, y)
+
+            events.terminal = True
+        pairs.append((ours, solve_ivp(rhs, (t0, t_bound), y0, method="DOP853",
+                                      rtol=rtol, atol=atol, dense_output=True,
+                                      events=events)))
         return ours
 
-    monkeypatch.setattr(besselpair, "solve_ivp", both)
+    monkeypatch.setattr(besselpair, "_dop853", both)
     return pairs
 
 
@@ -154,10 +163,12 @@ def test_float_stepper_matches_scipy_dop853(monkeypatch):
     # the two differ only in the rounding of the stage sums (BLAS orders them
     # its own way); for p != 2 that can tip the accept/reject decision of a
     # step across a turning point of phi, where the flux is only
-    # C^{1,1/(p-1)}, and part single solves by a few percent of nfev and ~1e2
-    # rtol in the state. No solve here takes such a step: the annulus shot
-    # stops at its turning point (a terminal event on w) and restarts there,
-    # so the event times agree to ulps and the states to ~1e-11
+    # C^{1,1/(p-1)}, and part single solves by a few percent of their steps
+    # and ~1e2 rtol in the state. No solve here takes such a step: the
+    # annulus shot stops at its turning point (a terminal event on w) and
+    # restarts there, so the event times agree to ulps and the states to
+    # ~1e-11. `_dop853` builds a step's dense piece only when it is read,
+    # so its nfev counts fewer pieces than scipy's: compare accepted steps
     pairs = _record_solves(monkeypatch)
     for sc in default_catalog():
         verify_bessel_pair(sc, CATALOG_INTERVALS[sc.name])
@@ -165,15 +176,16 @@ def test_float_stepper_matches_scipy_dop853(monkeypatch):
         for b in (2.0, math.e, 4.0):
             eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=b))
     assert len(pairs) > 20
+    assert sum(ours.t_event is not None for ours, _ in pairs) == 15
     for ours, ref in pairs:
-        assert ours.status == ref.status
+        assert (ours.t_event is not None) == (ref.status == 1)
         final = np.abs(ref.y[:, -1])
         assert np.max(np.abs(ours.y[:, -1] - ref.y[:, -1])) <= 1e-9 * np.max(final)
-        for t_ours, t_ref in zip(ours.t_events or (), ref.t_events or ()):
-            assert t_ours.shape == t_ref.shape
-            assert np.all(np.abs(t_ours - t_ref) <= 1e-10 * np.abs(t_ref))
-    total = sum(ref.nfev for _, ref in pairs)
-    assert abs(sum(ours.nfev for ours, _ in pairs) - total) <= 0.02 * total
+        if ours.t_event is not None:
+            t_ref = ref.t_events[0][0]
+            assert abs(ours.t_event - t_ref) <= 1e-10 * abs(t_ref)
+    total = sum(len(ref.t) - 1 for _, ref in pairs)
+    assert abs(sum(len(ours.t) - 1 for ours, _ in pairs) - total) <= 0.02 * total
 
 
 def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
@@ -181,15 +193,120 @@ def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
     verify_bessel_pair(scenario_catalog("power", Q=4.0, p=3.0, theta=1.0),
                        (0.2, 5.0))
     eigenvalue(AnnulusProblem(Q=5.0, p=4.0, theta=1.0, a=1.0, b=2.0))
+    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
+    integrate_bessel_ode(sc.pair, sc.exponents, 10.0, (10.0 ** -1.5,
+                         -1.5 * 10.0 ** 1.5), 1.0)            # backward
+    assert len(pairs) == 4
     for sol, _ in pairs:
-        if sol.sol is None:
-            continue
-        for k, piece in enumerate(sol.sol.interpolants):
+        # at a step end sol picks the step that ends there, as OdeSolution
+        ends = sol.sol(sol.t)
+        assert np.array_equal(ends[:, 0], sol.y[:, 0])
+        for k in range(len(sol.t) - 1):
             y0, y1 = sol.y[:, k], sol.y[:, k + 1]
-            assert np.array_equal(piece(sol.t[k]), y0)
-            ends = piece(np.array([sol.t[k], sol.t[k + 1]]))
-            assert np.array_equal(ends[:, 0], y0)
-            assert np.all(np.abs(ends[:, 1] - y1) <= 4e-16 * (np.abs(y0) + np.abs(y1)))
+            assert sol._at(k, sol.t[k]) == tuple(y0)
+            end = np.array(sol._at(k, sol.t[k + 1]))
+            assert np.array_equal(ends[:, k + 1], end)
+            assert np.all(np.abs(end - y1) <= 4e-16 * (np.abs(y0) + np.abs(y1)))
+            assert sol.sol(sol.t[k]).shape == (2,)
+
+
+def test_dense_pieces_are_built_once_when_read():
+    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
+    exps = sc.exponents
+
+    def coefficients(r):
+        return (float(sc.pair.V(np.array([r]))[0]) * r ** 4,
+                sc.pair.lam * float(sc.pair.W(np.array([r]))[0]) * r ** 4)
+
+    sol = solve_flux(coefficients, exps.p, (1.0, 10.0), (1.0, -1.5),
+                     1e-10, 1e-12, events=None)
+    steps = len(sol.t) - 1
+    assert steps > 5 and (sol.nfev - 2) % 12 == 0    # no piece built yet
+    solved = sol.nfev
+    r = np.linspace(1.0, 10.0, 50)
+    first = sol.sol(r)
+    read = np.unique(np.clip(np.searchsorted(sol.t, r) - 1, 0, None))
+    assert sol.nfev == solved + 3 * len(read) < solved + 3 * steps
+    assert np.array_equal(sol.sol(r[::-1])[:, ::-1], first)
+    sol.sol(sol.t)
+    assert sol.nfev == solved + 3 * steps
+
+
+def test_zero_span_solve_is_scipys_constant_solve():
+    def rhs(r, y):
+        return y[1], -y[0]
+
+    ref = solve_ivp(rhs, (1.0, 1.0), (2.0, 3.0), method="DOP853",
+                    dense_output=True)
+    sol = besselpair._dop853(rhs, 1.0, (2.0, 3.0), 1.0, 1e-10, 1e-12, None)
+    assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
+    assert sol.nfev == ref.nfev == 1 and sol.t_event is None
+    r = np.array([0.5, 1.0, 2.0])
+    assert np.array_equal(sol.sol(r), ref.sol(r))
+    assert np.array_equal(sol.sol(1.0), ref.sol(1.0))
+
+
+def test_event_root_is_scipy_brentq_on_the_step_piece(monkeypatch):
+    from scipy.optimize import brentq
+
+    pairs = _record_solves(monkeypatch)
+    for p in (2.0, 3.0, 4.0):
+        eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=2.0))
+    rises = [sol for sol, _ in pairs if sol.t_event is not None]
+    assert len(rises) == 3
+    tol = 4 * np.finfo(float).eps
+    for sol in rises:
+        k = len(sol.t) - 2
+        t_old, t_end = sol._steps[k][:2]
+        assert t_old < sol.t_event < t_end
+        root = brentq(lambda t: sol._at(k, t)[1], t_old, t_end, xtol=tol,
+                      rtol=tol)
+        assert sol.t_event == root
+
+
+@pytest.mark.parametrize("f, a, b", [
+    pytest.param(lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, id="cubic"),
+    pytest.param(lambda x: math.cos(x) - x, 0.0, 1.0, id="cos"),
+    pytest.param(lambda x: x ** 3 - x, 0.5, 2.0, id="cubic_root_1"),
+    # a flat root: no convergence in 100 iterations, for scipy too
+    pytest.param(lambda x: x ** 9, -1.0, 1.5, id="flat"),
+    pytest.param(lambda x: math.exp(x) - 1e3, 0.0, 50.0, id="exp"),
+    pytest.param(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, id="jump"),
+    pytest.param(lambda x: x - 0.25, 0.25, 1.0, id="root_at_an_end"),
+    pytest.param(lambda x: math.atan(1e4 * (x - 1e-3)), 1.0, -1.0,
+                 id="steep_descending_bracket"),
+])
+def test_brentq_transcription_matches_scipy_bitwise(f, a, b):
+    from scipy.optimize import brentq
+
+    tol = 4 * np.finfo(float).eps
+    try:
+        root = brentq(f, a, b, xtol=tol, rtol=tol)
+    except RuntimeError:    # scipy's failure to converge is an ODEFailure
+        with pytest.raises(ODEFailure, match="not found in 100 iterations"):
+            besselpair._brentq(f, a, b)
+    else:
+        assert besselpair._brentq(f, a, b) == root
+
+
+def test_dop853_tableau_is_scipys_bitwise():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    A, C = np.zeros((16, 16)), np.zeros(16)
+    for i, (c, row) in enumerate(besselpair._STAGES + besselpair._EXTRA, 1):
+        C[i] = c
+        A[i, list(row)] = list(row.values())
+    E = np.zeros((2, 13))
+    D = np.zeros((4, 16))
+    for out, rows in ((E, (besselpair._E3, besselpair._E5)),
+                      (D, besselpair._D)):
+        for i, row in enumerate(rows):
+            out[i, list(row)] = list(row.values())
+    B = np.zeros(12)
+    B[list(besselpair._STAGES[-1][1])] = list(besselpair._STAGES[-1][1].values())
+    for ours, theirs in ((A, ref.A), (C, ref.C), (B, ref.B), (E[0], ref.E3),
+                         (E[1], ref.E5), (D, ref.D)):
+        assert ours.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("coefficients, y0, fault", [

@@ -1,12 +1,14 @@
 import argparse
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hardylab
 from hardylab.cli import run
 from hardylab.reports import format_number, render_csv, render_json
 
@@ -354,7 +356,9 @@ def test_import_hardylab_loads_no_submodule():
 
 def test_cold_path_loads_no_scipy(tmp_path):
     # each command, in its own fresh interpreter, loads only the layers it
-    # runs; scipy comes in only with the ODE layer, that is for bessel and eig
+    # runs, and none loads scipy: the ODE layer steps by its own DOP853
+    assert any(m.split(".")[0] == "scipy" for m in _cold_modules(
+        "import json, scipy.integrate")[0])     # the probe can see scipy
     for name, (argv, layers) in _COLD_COMMANDS.items():
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         code, loaded = _cold_modules(
@@ -365,8 +369,17 @@ def test_cold_path_loads_no_scipy(tmp_path):
         ours = {m.split(".", 1)[1] for m in loaded
                 if m.startswith("hardylab.")}
         assert ours <= _CLI_LAYERS | layers, (name, ours - _CLI_LAYERS - layers)
-        assert any(m.split(".")[0] == "scipy" for m in loaded) == (
-            argv[0] in ("bessel", "eig")), name
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"], name
+
+
+def test_no_hardylab_module_imports_scipy():
+    (loaded,) = _cold_modules(
+        "import importlib, json, pkgutil, hardylab\n"
+        "for m in pkgutil.iter_modules(hardylab.__path__):\n"
+        "    importlib.import_module('hardylab.' + m.name)")
+    every = {f"hardylab.{m.name}" for m in pkgutil.iter_modules(hardylab.__path__)}
+    assert len(every) > 10 and every <= set(loaded)
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def test_help_names_the_checks(capsys):
