@@ -642,7 +642,17 @@ def verify_bessel_pair(scenario: Scenario,
         return ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi, r,
                              zero_order=z)
 
-    max_resid = float(np.max(residual(np.geomspace(r0, r1, _GRID_N))))
+    grid = np.geomspace(r0, r1, _GRID_N)
+    # a term that overflows makes its residual NaN or inf, which fails the
+    # certificate; a coefficient that does fails the solve, so it ends here
+    with np.errstate(over="ignore", invalid="ignore"):
+        rm = grid ** mu
+        finite = np.isfinite(rm * pair.V(grid)) & np.isfinite(rm * pair.W(grid))
+        max_resid = float(np.max(residual(grid)))
+    if not finite.all():
+        raise ODEFailure(
+            "ODE integration failed: the coefficients V r^mu and W r^mu are "
+            f"not finite from r = {grid[~finite][0]:.6g}")
 
     at_r0 = np.array([r0])
     y0 = (float(phi.value(at_r0)[0]),

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -333,14 +335,20 @@ def test_stiff_solve_ends_at_the_rhs_budget():
     assert time.perf_counter() - start < 60.0
 
 
-def test_float_overflow_exits_1_without_traceback(tmp_path, capsys):
-    # r^(Q-1) overflows a float long before r = 1e300
-    code = run(["bessel", "--scenario", "power", "--Q", "5", "--p", "2",
-                "--theta", "1", "--r0", "1", "--r1", "1e300",
-                "--out", str(tmp_path / "b.csv")])
-    err = capsys.readouterr().err
-    assert code == 1
+def test_float_overflow_exits_1_without_traceback(tmp_path):
+    # r^(Q-1) overflows a float long before r = 1e300; a fresh process, so
+    # that a numpy warning would reach its stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "hardylab.cli", "bessel", "--scenario",
+         "power", "--Q", "5", "--p", "2", "--theta", "1", "--r0", "1",
+         "--r1", "1e300", "--out", str(tmp_path / "b.csv")],
+        capture_output=True, text=True, timeout=120)
+    err = proc.stderr
+    assert proc.returncode == 1
     assert "FAIL: ODE integration failed" in err and "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert [x for x in err.splitlines() if x.startswith("FAIL: ")] == \
+        err.splitlines()[-1:]
 
 
 def test_improved_weight_auxiliary_equation():

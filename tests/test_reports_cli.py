@@ -601,14 +601,16 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["sharpness", "--mode", "improved", "--profiles", "-3"], 2),
     (["identity", "--samples", "0"], 2),
     (["identity", "--samples", "-2"], 2),
-    # a cut-off span (R^-2 to R^2, or eps to 1/eps) whose ratio overflows
+    # a psi_R whose outer knot R^2 overflows, or an r-form sweep's cut-off
+    # span eps to 1/eps whose ratio overflows (the power family, swept in
+    # t = ln r, has no such span)
     (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
       "1e300"], 2),
     (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
-      "1e150"], 2),
+      "1e155"], 2),
     (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
       "inf"], 2),
-    ([*_SWEEP, "--eps-grid", "1e-160"], 2),
+    (["sharpness", "--scenario", "gaussian_b", "--eps-grid", "1e-160"], 2),
     # one sample has no standard error
     (["geometry", "--check", "vandermonde", "--samples", "1"], 2),
     (["geometry", "--model", "euclidean", "--check", "measure", "--samples",

@@ -1,13 +1,18 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hardylab.cli import run
 from hardylab.functional import reduce_radial_functional
-from hardylab.profiles import Profile
+from hardylab.profiles import Profile, power_profile
 from hardylab.scenarios import (CheckFailure, ParameterDomainError,
                                 closed_form_maximizer, scenario_catalog)
 from hardylab.sharpness import (BRIDGE_MAX_SLOPE, SweepRow,
+                                _bridge_remainder, _gaussian_a_quotients,
+                                _log_equivalent_scenario, _SWEEP_TOL,
                                 improved_weight_check, plateau_cutoff,
                                 psi_cutoff, psiR_deficit,
                                 strip_cutoff, sweep_quotient)
@@ -185,3 +190,142 @@ def test_improved_weight_slack_nonnegative():
     # boundary case Q = p: the pure improvement term alone stays nonnegative
     out2 = improved_weight_check(2.0, 2.0, 30, seed=3)
     assert out2["min_slack"] >= -1e-9
+
+
+# the power family, swept in t = ln r, with p = 2, 2.5 and 3 for power
+POWER_FAMILY = [
+    ("power", dict(Q=5.0, p=2.0, theta=1.0)),
+    ("power", dict(Q=5.0, p=2.5, theta=1.0)),
+    ("power", dict(Q=5.0, p=3.0, theta=1.0)),
+    ("cylindrical", dict(m=3, p=2.0, theta=1.0, N=5)),
+    ("strip", dict(theta=1.0)),
+    ("antisymmetric", dict(N=3, theta=1.0)),
+    ("log_radial", dict(p=2.0, theta=0.0, R=1.0)),
+    ("log_radial", dict(p=3.0, theta=0.5, R=2.0)),
+    ("log_cylindrical", dict(p=2.0, theta=0.0, R=1.0, m=3)),
+]
+
+
+def _with_constant(sc, c):
+    return replace(sc, pair=replace(sc.pair, lam=c))
+
+
+@pytest.mark.parametrize("name, kw", POWER_FAMILY)
+def test_t_form_sweep_matches_r_form(name, kw):
+    # the bridge integrals in t against the truncated maximizer reduced in r
+    # (log scenarios through their power pair in L = ln(R/r))
+    sc = scenario_catalog(name, **kw)
+    work = _log_equivalent_scenario(sc) if name.startswith("log") else sc
+    c = sc.sharp_constant
+    for row in sweep_quotient(sc, [1e-2, 1e-3, 1e-4]):
+        u = closed_form_maximizer(work) * plateau_cutoff(row.epsilon)
+        q = reduce_radial_functional(work, u, tol=1e-12).quotient
+        assert row.quotient == pytest.approx(q, rel=1e-12, abs=0.0)
+        assert row.deficit == pytest.approx(q - c, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("power", dict(Q=5.0, p=2.0, theta=1.0)),    # gamma = -3/2
+    ("power", dict(Q=3.0, p=2.0, theta=0.3)),    # gamma = -6/5
+    ("power", dict(Q=1.0, p=2.0, theta=3.0)),    # gamma = 5/2
+    ("strip", dict(theta=1.0)),                  # gamma = 1/2
+])
+def test_bridge_remainder_p2_is_30_over_7(name, kw):
+    # R = int G_t^2 dt = 3 int_0^1 s'^2 = 30/7 over the two bridges, for
+    # every gamma; the deficit tends to it times 1/L
+    sc = scenario_catalog(name, **kw)
+    R, _ = _bridge_remainder(sc, sc.sharp_constant)
+    assert R == pytest.approx(30.0 / 7.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("name, kw", POWER_FAMILY)
+def test_sweep_rejects_a_constant_off_by_1e_6(name, kw):
+    sc = scenario_catalog(name, **kw)
+    for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+        with pytest.raises(CheckFailure):
+            sweep_quotient(_with_constant(sc, sc.sharp_constant * factor),
+                           [1e-2])
+
+
+def test_sweep_rejects_a_maximizer_that_misses_the_weights():
+    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
+    off = replace(sc, maximizer=power_profile(-1.4, (0.0, math.inf)))
+    with pytest.raises(CheckFailure, match="does not cancel the weights"):
+        sweep_quotient(off, [1e-2])
+
+
+def test_power_sweep_below_the_float_span(tmp_path):
+    # eps to 1/eps spans more than a float ratio below eps ~ 1e-154, and
+    # phi'^2 overflows at r = 1e-70; in t neither exists
+    out = tmp_path / "s.json"
+    assert run(["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
+                "--theta", "1", "--eps-grid", "1e-70,1e-150,1e-300",
+                "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["stable"] is True
+    last = doc["rows"][-1]
+    assert 0.0 < last["deficit"] < 4e-3
+    assert last["scaled_deficit"] == pytest.approx(30.0 / 7.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("gaussian_b", dict(p=2.0, theta=1.0, alpha=2.0, beta=2.0, Q=5.0)),
+    ("annulus", dict(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)),
+])
+def test_r_form_sweep_batch_equals_eps_by_eps(name, kw):
+    sc = scenario_catalog(name, **kw)
+    grid = [5e-2, 1e-2, 1e-3, 1e-4]
+    for row in sweep_quotient(sc, grid):
+        u = closed_form_maximizer(sc) * plateau_cutoff(row.epsilon)
+        red = reduce_radial_functional(sc, u, tol=_SWEEP_TOL)
+        assert row.quotient == red.quotient
+
+
+def test_gaussian_a_batch_equals_eps_by_eps():
+    sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
+    grid = [5e-2, 2e-2, 1e-2]
+    assert _gaussian_a_quotients(sc, grid) == \
+        [_gaussian_a_quotients(sc, [eps])[0] for eps in grid]
+
+
+def test_r_form_sweep_errors_come_in_grid_order():
+    # eps = 1e-2 violates the inequality against a constant 1.5 times too
+    # large, ahead of eps = 1e-160, whose span overflows: the violation is
+    # what an eps-by-eps sweep meets first
+    sc = scenario_catalog("gaussian_b", p=2.0, theta=1.0, alpha=2.0,
+                          beta=2.0, Q=5.0)
+    bad = _with_constant(sc, 1.5 * sc.sharp_constant)
+    with pytest.raises(CheckFailure, match="inequality violated"):
+        sweep_quotient(bad, [1e-2, 1e-160])
+    with pytest.raises(ParameterDomainError):
+        sweep_quotient(sc, [1e-2, 1e-160])
+
+
+def test_psiR_deficit_p2_exact_and_p3_against_mpmath():
+    for row in psiR_deficit(5.0, 2.0, [10.0, 100.0, 1000.0, 1e10, 1e150]):
+        assert abs(row["deficit_times_lnR"] - 2.0) <= 8 * np.spacing(2.0)
+    import mpmath
+
+    (row,) = psiR_deficit(5.0, 3.0, [1e10])
+    # from the definition in t: the Hardy terms over the two bridges, where
+    # psi_R = 2 -+ t/ln R (the plateau's terms cancel)
+    with mpmath.workdps(30):
+        lnR = mpmath.log(mpmath.mpf(10) ** 10)
+        g = mpmath.mpf(-2) / 3
+
+        def bridge(sign):
+            def f(t):
+                psi = 2 - sign * t / lnR
+                return (abs(g * psi - sign / lnR) ** 3
+                        - abs(g) ** 3 * abs(psi) ** 3)
+            return f
+
+        # g psi + 1/ln R changes sign where psi = 1/(|g| ln R)
+        kink = -2 * lnR + 1 / abs(g)
+        deficit = (mpmath.quad(bridge(-1), [-2 * lnR, kink, -lnR])
+                   + mpmath.quad(bridge(1), [lnR, 2 * lnR]))
+        assert row["deficit"] == pytest.approx(float(deficit), rel=1e-12)
+    # Q = p: gamma = 0 and the remainder is a^p on both bridges
+    for row in psiR_deficit(3.0, 3.0, [10.0, 1e10]):
+        assert row["deficit"] == pytest.approx(
+            2.0 * math.log(row["R"]) ** -2, rel=1e-13)
