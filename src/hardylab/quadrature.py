@@ -105,19 +105,20 @@ def _gk15(f: Callable, lefts: np.ndarray, rights: np.ndarray, owner: np.ndarray,
         mapped = np.isfinite(shift[owner])
         one_m = 1.0 - x[mapped]
         x[mapped] = shift[owner[mapped], None] + x[mapped] / one_m
-    vals = np.ascontiguousarray(f(x, owner), dtype=float).reshape(x.shape)
-    if shift is not None:
-        vals[mapped] = vals[mapped] / one_m ** 2
-    bad = {}
-    finite = np.isfinite(vals)
-    if not finite.all():
-        for i in (~finite).ravel().nonzero()[0]:
-            bad.setdefault(int(owner[i // 15]), float(x.flat[i]))
-    kron = out[0]
-    np.multiply(half, np.vecdot(vals, _W_KRON), out=kron)
-    gauss = half * np.vecdot(vals, _W_GAUSS)
-    # QUADPACK-style sharpened error estimate
+    # the non-finite check below names an overflowing owner: no warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.ascontiguousarray(f(x, owner), dtype=float).reshape(x.shape)
+        if shift is not None:
+            vals[mapped] = vals[mapped] / one_m ** 2
+        bad = {}
+        finite = np.isfinite(vals)
+        if not finite.all():
+            for i in (~finite).ravel().nonzero()[0]:
+                bad.setdefault(int(owner[i // 15]), float(x.flat[i]))
+        kron = out[0]
+        np.multiply(half, np.vecdot(vals, _W_KRON), out=kron)
+        gauss = half * np.vecdot(vals, _W_GAUSS)
+        # QUADPACK-style sharpened error estimate
         resasc = half * np.vecdot(
             np.abs(vals - (kron / (2.0 * half))[:, None]), _W_KRON)
         raw = np.abs(kron - gauss)

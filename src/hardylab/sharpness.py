@@ -10,20 +10,19 @@ int psi psi' dr vanishes, the engine of the criticality argument.
 `strip_cutoff(eps)` is the strip's f_eps in the offset s = pi/2 - |x| from
 the edge, where both knots are exact and the strip quotient's x-integrals run.
 
-The power family (power, cylindrical, strip and antisymmetric, and the log
-scenarios, which are power pairs in L = ln(R/r)) is swept in t = ln r. With
-u = r^gamma G(t), gamma the maximizer's exponent, the weights cancel to dt,
-and the two bridges of g_eps are fixed profiles G = s(x), x in [0, 1]: on
-the rising one t = ln eps + ln(1 + x), on the falling one
-t = -ln eps + ln(1 - x/2). Hence q(eps) = c + R/(D + L) with
-R = N - (c - z) D, where N and D are the bridges' numerator and denominator
-integrals and z the zero-order weight, all independent of eps. By Picone's
-identity R is also the integral of the remainder R_p(gamma G + G_t, gamma G)
->= 0 over the bridges; the sweep requires the two values to agree, which a
-wrong c fails at every eps. psi_R is linear in t on its two bridges, so its
-Hardy deficit is the same remainder integrated over s = psi in [0, 1].
-gaussian_a, gaussian_b and the p = 2 annulus keep the truncated maximizer in
-r, all integrals of the grid in one kernel call.
+Every sweep runs in t = ln r. For u = phi G(t), phi the closed-form
+maximizer, the weights cancel into psi = (V r^(Q-p))^(1/p) phi,
+chi = psi r phi'/phi and rho = W r^Q phi^p (power family: 1, gamma and 1;
+the log scenarios are power pairs in ln(R/r)), so the numerator is
+N = int |chi G + psi G_t|^p + z G^p dt and the denominator D = int rho G^p dt.
+By Picone's identity N - c D is the integral P of the remainder
+R_p(chi G + psi G_t, chi G) >= 0, which vanishes where G is constant. Each
+eps contributes N, D and P (and gaussian_a its normalizer h) as owners of
+one kernel call over g_eps's support in t, with g_eps evaluated in t so
+that eps may go down to the smallest float. A row is c + P/D, and only
+once N - c D and P agree, which a wrong c fails at every eps. psi_R is
+linear in t on its two bridges, so its Hardy deficit is the same remainder
+integrated over s = psi in [0, 1].
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import _reduce_batch, random_profile_slacks
 from .profiles import Profile
 from .quadrature import QuadratureError, integrate_batch
 from .scenarios import (CheckFailure, Exponents, ParameterDomainError,
@@ -53,12 +51,12 @@ __all__ = [
 # max |s'| of the quintic bridge s: |g_eps'| <= c/eps on the rising bridge
 # (width eps) and 2c eps on the falling one (width 1/(2 eps)), c = 15/8
 BRIDGE_MAX_SLOPE = 15.0 / 8.0
-# target of each r-form sweep integral: relative-only for the reduced
-# functional, absolute and relative for gaussian_a's fused integrals
-_SWEEP_TOL = 1e-10
-# relative target of the t-form integrals (the bridges and psi_R's deficit)
-_BRIDGE_TOL = 1e-14
-# the two bridge remainders must agree within this many summed error bounds
+# relative target of each sweep integral (at 1e-14 gaussian_b's crawl)
+_SWEEP_TOL = 1e-12
+# relative target of psi_R's deficit integrals
+_PSI_TOL = 1e-14
+# N - c D and the Picone integral must agree within this many summed error
+# bounds
 _PICONE_K = 10.0
 _POWER_FAMILY = ("power", "cylindrical", "strip", "antisymmetric")
 
@@ -69,25 +67,6 @@ def _step(t):
 
 def _step_slope(t):
     return 30.0 * t * t * (1.0 - t) ** 2
-
-
-def _plateau_value(r, eps):
-    """g_eps(r), elementwise; eps is a float or an array broadcast with r."""
-    lo, rise, fall, hi = eps, 2.0 * eps, 0.5 / eps, 1.0 / eps
-    t_up = np.clip((r - lo) / (rise - lo), 0.0, 1.0)
-    t_dn = np.clip((hi - r) / (hi - fall), 0.0, 1.0)
-    return _step(t_up) * _step(t_dn)
-
-
-def _plateau_slope(r, eps):
-    """g_eps'(r), elementwise; eps is a float or an array broadcast with r."""
-    lo, rise, fall, hi = eps, 2.0 * eps, 0.5 / eps, 1.0 / eps
-    up = (r > lo) & (r < rise)
-    dn = (r > fall) & (r < hi)
-    t_up = np.clip((r - lo) / (rise - lo), 0.0, 1.0)
-    t_dn = np.clip((hi - r) / (hi - fall), 0.0, 1.0)
-    return (np.where(up, _step_slope(t_up) / (rise - lo), 0.0)
-            - np.where(dn, _step_slope(t_dn) / (hi - fall), 0.0))
 
 
 def _plateau_length(eps: float) -> float:
@@ -101,10 +80,23 @@ def plateau_cutoff(eps: float) -> Profile:
     if not 0.0 < eps < 0.5:
         raise ParameterDomainError(
             f"plateau cutoff needs 0 < eps < 1/2, got {eps}")
-    return Profile(lambda r: _plateau_value(np.asarray(r, dtype=float), eps),
-                   lambda r: _plateau_slope(np.asarray(r, dtype=float), eps),
-                   (eps, 1.0 / eps),
-                   knots=(eps, 2.0 * eps, 0.5 / eps, 1.0 / eps))
+    lo, rise, fall, hi = eps, 2.0 * eps, 0.5 / eps, 1.0 / eps
+
+    def bridges(r):
+        r = np.asarray(r, dtype=float)
+        return (np.clip((r - lo) / (rise - lo), 0.0, 1.0),
+                np.clip((hi - r) / (hi - fall), 0.0, 1.0))
+
+    def value(r):
+        up, dn = bridges(r)
+        return _step(up) * _step(dn)
+
+    def derivative(r):
+        # s' vanishes at both ends of the bridge, so clipped points give 0
+        up, dn = bridges(r)
+        return _step_slope(up) / (rise - lo) - _step_slope(dn) / (hi - fall)
+
+    return Profile(value, derivative, (lo, hi), knots=(lo, rise, fall, hi))
 
 
 def _psi_log_radius(R: float) -> float:
@@ -179,140 +171,154 @@ class SweepRow:
                 f"eps={self.epsilon}")
 
 
-def _integrals(f, lo, hi, points, tol: float, rel_tol: float) -> list:
-    """The estimates of one integrate_batch call over owners without a
-    singular end; raises the error of the first owner that failed."""
-    n = len(lo)
-    ests = integrate_batch(f, lo, hi, [False] * n, [False] * n, points,
-                           tol=tol, rel_tol=rel_tol)
-    for est in ests:
-        if isinstance(est, QuadratureError):
-            raise est
-    return ests
-
-
 def _picone(b, d, p: float):
     """Picone remainder R_p(b + d, b) = |b + d|^p - |b|^p - p |b|^(p-2) b d,
-    >= 0 by convexity; exactly d^2 at p = 2."""
+    >= 0 by convexity; exactly d^2 at p = 2. Where |d| < |b|/8 the three
+    terms cancel to about binom(p, 2) |b|^(p-2) d^2, so there it is summed
+    as the binomial series |b|^(p-2) d^2 sum_(k=2..20) binom(p, k) (d/b)^(k-2),
+    whose tail is below 8^-19 of it."""
     if p == 2.0:
         return d * d
-    return (np.abs(b + d) ** p - np.abs(b) ** p
-            - p * np.abs(b) ** (p - 2.0) * b * d)
+    b, d = np.broadcast_arrays(b, d)
+    out = (np.abs(b + d) ** p - np.abs(b) ** p
+           - p * np.abs(b) ** (p - 2.0) * b * d)
+    near = np.abs(d) < 0.125 * np.abs(b)
+    if near.any():
+        bn, dn = b[near], d[near]
+        binom = np.cumprod([p * (p - 1.0) / 2.0]
+                           + [(p - k) / (k + 1.0) for k in range(2, 20)])
+        out[near] = (np.abs(bn) ** (p - 2.0) * dn * dn
+                     * np.polyval(binom[::-1], dn / bn))
+    return out
 
 
-def _bridge_terms(x, gamma: float, p: float):
-    """Integrands over x in [0, 1] of N, D and the Picone remainder, the two
-    bridges summed: G = s(x) on both, with dt = dx/(1 + x) and
-    G_t = (1 + x) s'(x) on the rising one, dt = dx/(2 - x) and
-    G_t = -(2 - x) s'(x) on the falling one."""
-    s, slope = _step(x), _step_slope(x)
-    b = gamma * s
-    num = den = rem = 0.0
-    for w, d in ((1.0 + x, (1.0 + x) * slope), (2.0 - x, -(2.0 - x) * slope)):
-        num = num + np.abs(b + d) ** p / w
-        den = den + s ** p / w
-        rem = rem + _picone(b, d, p) / w
-    return num, den, rem
+def _cutoff_in_t(t, ln_eps):
+    """G = g_eps(e^t) and G_t, elementwise. The bridge variable is
+    x = expm1(t - ln eps) on the rising bridge and -2 expm1(t + ln eps) on
+    the falling one, each clipped to [0, 1], so no power of eps is formed."""
+    up = np.clip(np.expm1(t - ln_eps), 0.0, 1.0)
+    dn = np.clip(-2.0 * np.expm1(t + ln_eps), 0.0, 1.0)
+    s_up, s_dn = _step(up), _step(dn)
+    return s_up * s_dn, ((1.0 + up) * _step_slope(up) * s_dn
+                         - (2.0 - dn) * _step_slope(dn) * s_up)
 
 
-def _bridge_remainder(scenario: Scenario, c: float) -> tuple[float, float]:
-    """(R, D) of a power-family sweep in t = ln r: R = N - (c - z) D.
+def _maximizer_in_t(scenario: Scenario):
+    """(weights, z) of the closed-form maximizer phi in t = ln r.
 
-    N, D and the Picone integral are the three owners of one kernel call.
-    Raises CheckFailure unless R and the Picone integral agree within
-    _PICONE_K times their summed error bounds (each integral's estimate,
-    floored at its relative target): an error dc in c moves R by -D dc.
+    weights(t) returns psi = (V r^(Q-p))^(1/p) phi, chi = psi r phi'/phi,
+    rho = W r^Q phi^p and gaussian_a's normalizer weight h = r^(Q+alpha(p-1))
+    (None elsewhere), each in the form where weight and maximizer cancel;
+    z, the zero-order weight times r^Q phi^p, is a constant.
     """
-    exps = scenario.exponents
-    p = exps.p
-    one = np.ones(1)
-    # the maximizer is r^gamma, whose slope at r = 1 is gamma exactly
-    gamma = float(closed_form_maximizer(scenario).derivative(one)[0])
-    if abs(exps.Q - p * exps.theta + p * gamma) > 1e-12 * (1.0 + abs(exps.Q)):
-        raise CheckFailure(
-            f"maximizer r^{gamma!r} does not cancel the weights of "
-            f"{scenario.name} in t = ln r")
-    # a pure power of r, so its factor in t is its value at r = 1
-    zero_order = scenario.numerator_zero_order
-    z = 0.0 if zero_order is None else float(zero_order(one)[0])
+    phi = closed_form_maximizer(scenario)   # raises if there is none
+    p, theta, Q = (scenario.exponents.p, scenario.exponents.theta,
+                   scenario.exponents.Q)
+    extra = scenario.extra
+    if scenario.name in _POWER_FAMILY:
+        one = np.ones(1)
+        # the maximizer is r^gamma, whose slope at r = 1 is gamma exactly
+        gamma = float(phi.derivative(one)[0])
+        if abs(Q - p * theta + p * gamma) > 1e-12 * (1.0 + abs(Q)):
+            raise CheckFailure(
+                f"maximizer r^{gamma!r} does not cancel the weights of "
+                f"{scenario.name} in t = ln r")
+        # a pure power of r, so its factor in t is its value at r = 1
+        zero_order = scenario.numerator_zero_order
+        z = 0.0 if zero_order is None else float(zero_order(one)[0])
+        return (lambda t: (1.0, gamma, 1.0, None)), z
+    if scenario.name == "annulus":   # p = 2: phi = r^-s sin(w ln(r/a))
+        s, ln_a = (Q - 2.0 * theta) / 2.0, math.log(extra["a"])
+        w = math.pi / math.log(extra["b"] / extra["a"])
 
-    def integrand(x, owner):
-        return np.stack(_bridge_terms(x, gamma, p))[owner, np.arange(owner.size)]
+        def annulus(t):
+            tau = w * (t - ln_a)
+            sin = np.sin(tau)
+            return sin, w * np.cos(tau) - s * sin, sin * sin, None
+        return annulus, 0.0
+    alpha, beta = extra["alpha"], extra["beta"]
+    if scenario.name == "gaussian_a":   # phi = exp(r^alpha/(p beta))
+        corr = (p * beta / alpha) * (alpha * (p - 1.0) + Q - p)
 
-    ests = _integrals(integrand, [0.0] * 3, [1.0] * 3, [()] * 3, 0.0,
-                      _BRIDGE_TOL)
-    (N, dN), (D, dD), (P, dP) = (
-        (e.value, max(e.error_estimate, _BRIDGE_TOL * abs(e.value)))
-        for e in ests)
-    R = N - (c - z) * D
-    bound = _PICONE_K * (dN + abs(c - z) * dD + dP)
-    if not abs(R - P) <= bound:
-        raise CheckFailure(
-            f"sweep remainder N - (c - z) D = {R!r} and its Picone integral "
-            f"{P!r} differ by more than {bound:.3g}: c = {c!r} is not the "
-            "constant of the maximizer")
-    return R, D
+        def gaussian_a(t):
+            psi = np.exp((Q - p) / p * t)
+            rho = np.exp(Q * t) * (np.exp(p * (alpha - 1.0) * t) - corr
+                                   * np.exp((alpha * (p - 1.0) - p) * t))
+            return (psi, alpha / (p * beta) * np.exp(alpha * t) * psi, rho,
+                    np.exp((Q + alpha * (p - 1.0)) * t))
+        return gaussian_a, 0.0
+    x = (Q - p * theta) / p   # gaussian_b: phi = r^-x
+
+    def gaussian_b(t):
+        # exp(alpha t - r^alpha/beta), since r^alpha itself overflows
+        e = np.exp(alpha * t) / beta
+        psi = np.exp(-e / p)
+        return (psi, -x * psi,
+                np.exp(-e) - (alpha / beta) / x * np.exp(alpha * t - e), None)
+    return gaussian_b, 0.0
 
 
-def _gaussian_a_quotients(scenario: Scenario, eps_grid) -> list[tuple]:
-    """(num/den, h_eps) of the exponential-maximizer sweep at each eps.
+def _picone_integrals(scenario: Scenario, c: float, eps_grid):
+    """Yield (D, P) of the maximizer times g_eps at each eps, in grid order.
 
-    With u = exp(r^alpha/(p beta)) g(r), the Gaussian weight cancels the
-    maximizer exactly; evaluating the cancelled forms avoids overflow of
-    exp(r^alpha/(p beta)) on the outer bridge. h_eps is the divergent
-    normalizer of the two-term functional. The three integrals of every eps
-    are owners of one kernel call; raises the error of the first failing
-    integral in grid order (num, den, h at each eps).
+    N = int |chi G + psi G_t|^p + z G^p, D = int rho G^p and the Picone
+    integral P = int R_p(chi G + psi G_t, chi G) of every eps (and
+    gaussian_a's h) are owners of one kernel call over g_eps's support in t.
+    Each eps raises its own quadrature error when reached, and CheckFailure
+    unless N - c D = P within _PICONE_K times their summed error bounds (each
+    estimate floored at its relative target): an error dc in c moves N - c D
+    by -D dc.
     """
+    weights, z = _maximizer_in_t(scenario)
     p = scenario.exponents.p
-    Q = scenario.exponents.Q
-    alpha = scenario.extra["alpha"]
-    beta = scenario.extra["beta"]
-    corr = (p * beta / alpha) * (alpha * (p - 1.0) + Q - p)
-    rate = alpha / (p * beta)
-    eps = np.repeat(eps_grid, 3)
+    K = 4 if scenario.name == "gaussian_a" else 3
+    a, b = scenario.pair.interval   # (0, inf) except for the annulus
+    ln_eps = np.log(eps_grid)
+    lo = ln_eps if a == 0.0 else np.maximum(ln_eps, math.log(a))
+    hi = -ln_eps if math.isinf(b) else np.minimum(-ln_eps, math.log(b))
+    if not np.all(lo < hi):
+        raise ParameterDomainError(
+            f"g_eps's support misses the scenario interval {(a, b)}")
+    # seeds at 0, +-2^k and the bridge ends keep GK15 from stepping over
+    # features near r = 1, such as gaussian_b's knee
+    seeds = [0.0] + [s * 2.0 ** k for k in range(10) for s in (1.0, -1.0)]
 
-    def integrand(r, owner):
-        e = eps[owner, None]
-        g = _plateau_value(r, e)
-        num = r ** (Q - 1.0) * np.abs(
-            rate * r ** (alpha - 1.0) * g + _plateau_slope(r, e)) ** p
-        den = r ** (Q - 1.0) * (r ** (p * (alpha - 1.0))
-                                - corr * r ** (alpha * (p - 1.0) - p)) * g ** p
-        h = r ** (Q - 1.0 + alpha * (p - 1.0)) * g ** p
-        kind = (owner % 3)[:, None]
-        return np.where(kind == 0, num, np.where(kind == 1, den, h))
+    def integrand(t, owner):
+        G, G_t = _cutoff_in_t(t, ln_eps[owner // K, None])
+        psi, chi, rho, h = weights(t)
+        lead, slope, Gp = chi * G, psi * G_t, G ** p
+        terms = [np.abs(lead + slope) ** p + z * Gp, rho * Gp,
+                 _picone(lead, slope, p), h * Gp if K == 4 else None]
+        kind = (owner % K)[:, None]
+        return np.select([kind == k for k in range(K)], terms[:K])
 
-    cuts = [plateau_cutoff(e) for e in eps_grid for _ in range(3)]
-    ests = _integrals(integrand, [g.support[0] for g in cuts],
-                      [g.support[1] for g in cuts],
-                      [g.knots[1:-1] for g in cuts], _SWEEP_TOL, _SWEEP_TOL)
-    return [(num.value / den.value, h.value)
-            for num, den, h in zip(ests[::3], ests[1::3], ests[2::3])]
-
-
-def _truncated_quotients(scenario: Scenario, eps_grid) -> list[tuple]:
-    """(quotient, h_eps or None) of the maximizer times g_eps in r at each
-    eps, all from one kernel call; raises the first error in grid order."""
-    if scenario.name == "gaussian_a":
-        return _gaussian_a_quotients(scenario, eps_grid)
-    phi = closed_form_maximizer(scenario)
-    cuts = [phi * plateau_cutoff(e) for e in eps_grid]
-    eps = np.asarray(eps_grid, dtype=float)
-
-    # the product rule as in Profile.__mul__, with the eps of each node's row
-    def value(r, rows):
-        return phi.value(r) * _plateau_value(r, eps[rows, None])
-
-    def derivative(r, rows):
-        e = eps[rows, None]
-        return (phi.derivative(r) * _plateau_value(r, e)
-                + phi.value(r) * _plateau_slope(r, e))
-
-    reduced = _reduce_batch(scenario, [u.support for u in cuts],
-                            [u.knots for u in cuts], value, derivative,
-                            _SWEEP_TOL)
-    return [(red.quotient, None) for red in reduced]
+    n = K * len(eps_grid)
+    ests = integrate_batch(
+        integrand, np.repeat(lo, K), np.repeat(hi, K), [False] * n,
+        [False] * n, [seeds + [e + math.log(2.0), -e - math.log(2.0)]
+                      for e in ln_eps for _ in range(K)],
+        tol=0.0, rel_tol=_SWEEP_TOL)
+    h_prev = -math.inf
+    for i in range(len(eps_grid)):
+        mine = ests[K * i:K * i + K]
+        for est in mine:
+            if isinstance(est, QuadratureError):
+                raise est
+        (N, dN), (D, dD), (P, dP) = (
+            (e.value, max(e.error_estimate, _SWEEP_TOL * abs(e.value)))
+            for e in mine[:3])
+        bound = _PICONE_K * (dN + c * dD + dP)
+        if not abs(N - c * D - P) <= bound:
+            raise CheckFailure(
+                f"sweep remainder N - c D = {N - c * D!r} and its Picone "
+                f"integral {P!r} differ by more than {bound:.3g}: c = {c!r} "
+                "is not the constant of the maximizer")
+        if K == 4:
+            if not mine[3].value > h_prev:
+                raise CheckFailure("two-term normalizer h(eps) failed to "
+                                   "diverge along the grid")
+            h_prev = mine[3].value
+        yield D, P
 
 
 def _log_equivalent_scenario(scenario: Scenario) -> Scenario:
@@ -331,8 +337,9 @@ def _log_equivalent_scenario(scenario: Scenario) -> Scenario:
 def sweep_quotient(scenario: Scenario, eps_grid) -> list[SweepRow]:
     """Rayleigh quotients of the truncated maximizer along a decreasing
     eps-grid, with the deficit scaled by L = ln(1/(4 eps^2)) for stability
-    checks. The power family takes each row from its eps-independent bridge
-    integrals; the other scenarios reduce every eps in r."""
+    checks. Each row is c + P/D with deficit P/D (+inf where D <= 0), from
+    the Picone integrals in t = ln r (log scenarios through their power pair
+    in ln(R/r), checked against the log scenario's own c)."""
     eps_grid = [float(e) for e in eps_grid]
     if any(not 0.0 < e < 0.25 for e in eps_grid):
         raise ParameterDomainError(f"eps grid must lie in (0, 0.25): {eps_grid}")
@@ -342,28 +349,11 @@ def sweep_quotient(scenario: Scenario, eps_grid) -> list[SweepRow]:
             if scenario.name.startswith("log") else scenario)
     c = scenario.sharp_constant
     rows = []
-    if work.name in _POWER_FAMILY:
-        R, D = _bridge_remainder(work, c)
-        for eps in eps_grid:
-            L = _plateau_length(eps)
-            deficit = R / (D + L)
-            rows.append(SweepRow(eps, c + deficit, deficit, deficit * L))
-        return rows
-    try:
-        reduced = _truncated_quotients(work, eps_grid)
-    except (CheckFailure, ValueError):
-        # reduce eps by eps instead, so that the first eps in grid order
-        # raises its own error, and only once the rows before it are checked
-        reduced = (_truncated_quotients(work, [eps])[0] for eps in eps_grid)
-    h_prev = None
-    for eps, (quotient, h_eps) in zip(eps_grid, reduced):
-        if h_eps is not None:
-            if h_prev is not None and not h_eps > h_prev:
-                raise CheckFailure(
-                    "two-term normalizer h(eps) failed to diverge along the grid")
-            h_prev = h_eps
-        deficit = quotient - c
-        rows.append(SweepRow(eps, quotient, deficit,
+    for eps, (D, P) in zip(eps_grid, _picone_integrals(work, c, eps_grid)):
+        # where W changes sign, D <= 0 holds the inequality vacuously: the
+        # reduced functional's quotient +inf
+        deficit = P / D if D > 0.0 else math.inf
+        rows.append(SweepRow(eps, c + deficit, deficit,
                              deficit * _plateau_length(eps)))
     return rows
 
@@ -396,9 +386,14 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
 
         kinks = [[1.0 / (ln * abs(gamma))] if ln * abs(gamma) > 1.0 else []
                  for ln in logs]
-        deficits = [est.value for est in _integrals(
-            integrand, [0.0] * len(grid), [1.0] * len(grid), kinks, 0.0,
-            _BRIDGE_TOL)]
+        n = len(grid)
+        deficits = []
+        for est in integrate_batch(integrand, [0.0] * n, [1.0] * n,
+                                   [False] * n, [False] * n, kinks, tol=0.0,
+                                   rel_tol=_PSI_TOL):
+            if isinstance(est, QuadratureError):
+                raise est
+            deficits.append(est.value)
     return [{"R": R, "deficit": d, "deficit_times_lnR": d * lnR}
             for R, d, lnR in zip(grid, deficits, logs)]
 
@@ -407,6 +402,8 @@ def improved_weight_check(Q: float, p: float, profile_count: int,
                           seed: int) -> dict:
     """Sampled slack of the improved-weight inequality over random profiles
     supported away from the origin; the theorem makes every slack >= 0."""
+    from .functional import random_profile_slacks
+
     scenario = scenario_catalog("improved_weight", Q=Q, p=p)
     slacks = [row["slack"] for row in
               random_profile_slacks(scenario, profile_count, seed)]

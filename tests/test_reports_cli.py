@@ -306,6 +306,7 @@ def test_console_entry_point():
 _CLI_LAYERS = {"cli", "reports", "scenarios", "profiles"}
 _REDUCTION = {"functional", "quadrature"}
 _SWEEPS = {"sharpness"} | _REDUCTION
+_T_SWEEPS = {"sharpness", "quadrature"}   # the sweep and psi modes, in t
 _ODE = {"besselpair", "spectral", "quadrature"}   # eig: T by quadrature
 _COLD_COMMANDS = {
     "catalog": (["catalog"], set()),
@@ -320,9 +321,9 @@ _COLD_COMMANDS = {
                        "--eigenfunction-out", "{tmp}/phi2.csv"], _ODE),
     "sharpness_sweep": (["sharpness", "--scenario", "power", "--Q", "5",
                          "--p", "2", "--theta", "1",
-                         "--eps-grid", "1e-2,1e-3,1e-4"], _SWEEPS),
+                         "--eps-grid", "1e-2,1e-3,1e-4"], _T_SWEEPS),
     "sharpness_psi": (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2",
-                       "--R-grid", "10,100,1000"], _SWEEPS),
+                       "--R-grid", "10,100,1000"], _T_SWEEPS),
     "sharpness_improved": (["sharpness", "--mode", "improved", "--Q", "5",
                             "--p", "2", "--profiles", "5"], _SWEEPS),
     "geometry_measure": (["geometry", "--model", "grushin", "--n", "1",
@@ -601,16 +602,15 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["sharpness", "--mode", "improved", "--profiles", "-3"], 2),
     (["identity", "--samples", "0"], 2),
     (["identity", "--samples", "-2"], 2),
-    # a psi_R whose outer knot R^2 overflows, or an r-form sweep's cut-off
-    # span eps to 1/eps whose ratio overflows (the power family, swept in
-    # t = ln r, has no such span)
+    # a psi_R whose outer knot R^2 overflows, or a sweep's eps that rounds
+    # to 0 (every sweep runs in t = ln r, down to the smallest float)
     (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
       "1e300"], 2),
     (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
       "1e155"], 2),
     (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
       "inf"], 2),
-    (["sharpness", "--scenario", "gaussian_b", "--eps-grid", "1e-160"], 2),
+    (["sharpness", "--scenario", "gaussian_b", "--eps-grid", "1e-400"], 2),
     # one sample has no standard error
     (["geometry", "--check", "vandermonde", "--samples", "1"], 2),
     (["geometry", "--model", "euclidean", "--check", "measure", "--samples",

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +10,11 @@ import pytest
 from hardylab.cli import run
 from hardylab.functional import reduce_radial_functional
 from hardylab.profiles import Profile, power_profile
+from hardylab.quadrature import QuadratureError
 from hardylab.scenarios import (CheckFailure, ParameterDomainError,
                                 closed_form_maximizer, scenario_catalog)
 from hardylab.sharpness import (BRIDGE_MAX_SLOPE, SweepRow,
-                                _bridge_remainder, _gaussian_a_quotients,
-                                _log_equivalent_scenario, _SWEEP_TOL,
+                                _log_equivalent_scenario, _picone_integrals,
                                 improved_weight_check, plateau_cutoff,
                                 psi_cutoff, psiR_deficit,
                                 strip_cutoff, sweep_quotient)
@@ -192,7 +194,7 @@ def test_improved_weight_slack_nonnegative():
     assert out2["min_slack"] >= -1e-9
 
 
-# the power family, swept in t = ln r, with p = 2, 2.5 and 3 for power
+# the power family, with p = 2, 2.5 and 3 for power
 POWER_FAMILY = [
     ("power", dict(Q=5.0, p=2.0, theta=1.0)),
     ("power", dict(Q=5.0, p=2.5, theta=1.0)),
@@ -204,20 +206,33 @@ POWER_FAMILY = [
     ("log_radial", dict(p=3.0, theta=0.5, R=2.0)),
     ("log_cylindrical", dict(p=2.0, theta=0.0, R=1.0, m=3)),
 ]
+GAUSSIAN_B = ("gaussian_b", dict(p=2.0, theta=1.0, alpha=2.0, beta=2.0, Q=5.0))
+ANNULUS = ("annulus", dict(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e))
+# every other catalog scenario with a closed-form maximizer
+OTHER_CLOSED_FORMS = [
+    ("gaussian_a", dict(p=2.0, alpha=2.0, beta=2.0, Q=3.0)),
+    ("gaussian_a", dict(p=3.0, alpha=2.0, beta=2.0, Q=3.0)),
+    GAUSSIAN_B,
+    ("gaussian_b", dict(p=3.0, theta=1.0, alpha=2.0, beta=2.0, Q=5.0)),
+    ANNULUS,
+]
 
 
 def _with_constant(sc, c):
     return replace(sc, pair=replace(sc.pair, lam=c))
 
 
-@pytest.mark.parametrize("name, kw", POWER_FAMILY)
+@pytest.mark.parametrize("name, kw", POWER_FAMILY + [GAUSSIAN_B, ANNULUS])
 def test_t_form_sweep_matches_r_form(name, kw):
-    # the bridge integrals in t against the truncated maximizer reduced in r
-    # (log scenarios through their power pair in L = ln(R/r))
+    # the Picone integrals in t against the truncated maximizer reduced in r
+    # (log scenarios through their power pair in L = ln(R/r)); the annulus
+    # at eps = 0.24, where the falling bridge reaches into [1, e] and q - c
+    # in r is not yet at its rounding floor
     sc = scenario_catalog(name, **kw)
     work = _log_equivalent_scenario(sc) if name.startswith("log") else sc
     c = sc.sharp_constant
-    for row in sweep_quotient(sc, [1e-2, 1e-3, 1e-4]):
+    grid = [0.24] if name == "annulus" else [1e-2, 1e-3, 1e-4]
+    for row in sweep_quotient(sc, grid):
         u = closed_form_maximizer(work) * plateau_cutoff(row.epsilon)
         q = reduce_radial_functional(work, u, tol=1e-12).quotient
         assert row.quotient == pytest.approx(q, rel=1e-12, abs=0.0)
@@ -231,20 +246,30 @@ def test_t_form_sweep_matches_r_form(name, kw):
     ("strip", dict(theta=1.0)),                  # gamma = 1/2
 ])
 def test_bridge_remainder_p2_is_30_over_7(name, kw):
-    # R = int G_t^2 dt = 3 int_0^1 s'^2 = 30/7 over the two bridges, for
-    # every gamma; the deficit tends to it times 1/L
+    # P = int G_t^2 dt = 3 int_0^1 s'^2 = 30/7 over the two bridges, for
+    # every gamma and eps; the deficit tends to it times 1/L
     sc = scenario_catalog(name, **kw)
-    R, _ = _bridge_remainder(sc, sc.sharp_constant)
-    assert R == pytest.approx(30.0 / 7.0, rel=1e-13)
+    for _, P in _picone_integrals(sc, sc.sharp_constant, [1e-2, 1e-300]):
+        assert P == pytest.approx(30.0 / 7.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("name, kw", POWER_FAMILY)
+@pytest.mark.parametrize("name, kw", POWER_FAMILY + OTHER_CLOSED_FORMS)
 def test_sweep_rejects_a_constant_off_by_1e_6(name, kw):
     sc = scenario_catalog(name, **kw)
     for factor in (1.0 + 1e-6, 1.0 - 1e-6):
         with pytest.raises(CheckFailure):
             sweep_quotient(_with_constant(sc, sc.sharp_constant * factor),
                            [1e-2])
+
+
+@pytest.mark.parametrize("name, kw", POWER_FAMILY + OTHER_CLOSED_FORMS)
+def test_sweep_batch_equals_eps_by_eps(name, kw):
+    # every eps's integrals are owners of one kernel call, each with its own
+    # refinement, so a grid's rows are its one-eps sweeps, bitwise
+    sc = scenario_catalog(name, **kw)
+    grid = [5e-2, 1e-2, 1e-3, 1e-4]
+    assert sweep_quotient(sc, grid) == \
+        [sweep_quotient(sc, [eps])[0] for eps in grid]
 
 
 def test_sweep_rejects_a_maximizer_that_misses_the_weights():
@@ -268,37 +293,80 @@ def test_power_sweep_below_the_float_span(tmp_path):
     assert last["scaled_deficit"] == pytest.approx(30.0 / 7.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("name, kw", [
-    ("gaussian_b", dict(p=2.0, theta=1.0, alpha=2.0, beta=2.0, Q=5.0)),
-    ("annulus", dict(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)),
-])
-def test_r_form_sweep_batch_equals_eps_by_eps(name, kw):
-    sc = scenario_catalog(name, **kw)
-    grid = [5e-2, 1e-2, 1e-3, 1e-4]
-    for row in sweep_quotient(sc, grid):
-        u = closed_form_maximizer(sc) * plateau_cutoff(row.epsilon)
-        red = reduce_radial_functional(sc, u, tol=_SWEEP_TOL)
-        assert row.quotient == red.quotient
+def test_gaussian_b_sweep_down_to_the_smallest_float(tmp_path):
+    # r^alpha overflows from eps ~ 1e-154 on, and eps = 5e-324 is the
+    # smallest subnormal; the weights in t take exp(alpha t - r^alpha/beta)
+    out = tmp_path / "s.json"
+    assert run(["sharpness", "--scenario", "gaussian_b", "--eps-grid",
+                "1e-80,1e-160,1e-300,5e-324", "--format", "json",
+                "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    deficits = [row["deficit"] for row in rows]
+    assert all(d > 0 for d in deficits)
+    assert all(b < a for a, b in zip(deficits, deficits[1:]))
+    for row in rows:
+        assert row["scaled_deficit"] == pytest.approx(30.0 / 7.0, rel=1e-2)
 
 
-def test_gaussian_a_batch_equals_eps_by_eps():
+def test_gaussian_a_deficit_follows_eps_to_the_fourth():
+    # P comes from the falling bridge, where psi^2 ~ r and rho ~ r^5, so
+    # P/D ~ eps^4; the Picone integral resolves it far below c's ulp
     sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
-    grid = [5e-2, 2e-2, 1e-2]
-    assert _gaussian_a_quotients(sc, grid) == \
-        [_gaussian_a_quotients(sc, [eps])[0] for eps in grid]
+    rows = sweep_quotient(sc, [1e-4, 1e-8, 1e-30, 1e-60])
+    assert rows[0].deficit == pytest.approx(4.407e-15, rel=1e-4)
+    for row in rows[1:]:
+        assert row.deficit / row.epsilon ** 4 == pytest.approx(
+            44.0702864569, rel=1e-11)
 
 
-def test_r_form_sweep_errors_come_in_grid_order():
-    # eps = 1e-2 violates the inequality against a constant 1.5 times too
-    # large, ahead of eps = 1e-160, whose span overflows: the violation is
-    # what an eps-by-eps sweep meets first
-    sc = scenario_catalog("gaussian_b", p=2.0, theta=1.0, alpha=2.0,
-                          beta=2.0, Q=5.0)
+def test_annulus_deficit_vanishes_once_the_cutoff_is_flat_there():
+    # g_eps = 1 on [1, e] for eps <= 1/(2e): G_t = 0, so P = 0 exactly
+    name, kw = ANNULUS
+    sc = scenario_catalog(name, **kw)
+    rows = sweep_quotient(sc, [0.2, 0.18, 1e-2, 1e-300])
+    assert rows[0].deficit > 0.0
+    assert [row.deficit for row in rows[1:]] == [0.0] * 3
+    assert [row.quotient for row in rows[1:]] == [sc.sharp_constant] * 3
+
+
+@pytest.mark.parametrize("name, kw, eps", [
+    ("gaussian_a", dict(p=2.0, alpha=2.0, beta=2.0, Q=3.0), 0.24),
+    ("gaussian_b", dict(p=3.0, theta=1.0, alpha=2.0, beta=2.0, Q=5.0), 0.2),
+])
+def test_sweep_row_is_infinite_where_the_denominator_is_not_positive(
+        name, kw, eps):
+    # W < 0 near the origin (gaussian_a) or far out (gaussian_b): on a short
+    # support D <= 0 and the inequality holds vacuously, as in
+    # reduce_radial_functional
+    sc = scenario_catalog(name, **kw)
+    u = closed_form_maximizer(sc) * plateau_cutoff(eps)
+    assert reduce_radial_functional(sc, u).denominator < 0.0
+    (row,) = sweep_quotient(sc, [eps])
+    assert row.quotient == row.deficit == row.scaled_deficit == math.inf
+
+
+def test_sweep_errors_come_in_grid_order():
+    # a constant 1.5 times too large fails the Picone check at eps = 1e-2,
+    # ahead of eps = 1e-100, where gaussian_a's D ~ eps^-5 overflows: each
+    # eps raises its own error only when the sweep reaches it
+    sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
     bad = _with_constant(sc, 1.5 * sc.sharp_constant)
-    with pytest.raises(CheckFailure, match="inequality violated"):
-        sweep_quotient(bad, [1e-2, 1e-160])
-    with pytest.raises(ParameterDomainError):
-        sweep_quotient(sc, [1e-2, 1e-160])
+    with pytest.raises(CheckFailure, match="Picone"):
+        sweep_quotient(bad, [1e-2, 1e-100])
+    with pytest.raises(QuadratureError, match="non-finite"):
+        sweep_quotient(sc, [1e-2, 1e-100])
+
+
+def test_overflowing_sweep_fails_without_warnings():
+    # the kernel evaluates integrands under np.errstate and names the
+    # non-finite value itself: one FAIL line, no numpy RuntimeWarning
+    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", "sharpness",
+                           "--scenario", "gaussian_a", "--eps-grid", "1e-100"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("FAIL: non-finite integrand value")
 
 
 def test_psiR_deficit_p2_exact_and_p3_against_mpmath():
