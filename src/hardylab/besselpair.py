@@ -9,8 +9,7 @@ starts at the singular origin: initial data is seeded at an interior point
 from the closed form. `solve_flux` also integrates the annulus eigenfunction
 of `spectral`, in t = ln r with constant coefficients and a constant drift.
 It steps by DOP853 in Python floats, with the tableau, initial step, step
-control, dense output and event root finding of scipy's `solve_ivp`, and
-imports no scipy.
+control and dense output of scipy's `solve_ivp`, and imports no scipy.
 """
 
 from __future__ import annotations
@@ -258,8 +257,6 @@ _D = (
 )
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order + 1)
-_BRENT_TOL = 4 * math.ulp(1.0)  # xtol = rtol of an event's root
-_BRENT_MAXITER = 100
 
 
 def _combine(K, row):
@@ -292,51 +289,6 @@ def _horner(F, x, y_old):
     return y0 + y_old[0], y1 + y_old[1]
 
 
-def _brentq(f, xa, xb):
-    """The root of f between xa and xb by Brent's method (Brent 1973,
-    Algorithms for Minimization without Derivatives, ch. 4), transcribed line
-    for line from scipy's brentq (scipy/optimize/Zeros/brentq.c) with xtol =
-    rtol = 4 eps; f's values are nonzero where their signs are compared."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ODEFailure(f"ODE event not bracketed on [{xa!r}, {xb!r}]")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_TOL + _BRENT_TOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:    # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:               # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                    dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry     # good short step
-            else:
-                spre = scur = sbis          # bisect
-        else:
-            spre = scur = sbis              # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise ODEFailure(f"ODE event root not found in {_BRENT_MAXITER} iterations")
-
-
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -367,14 +319,13 @@ def _float_fault(exc):
 
 
 class FluxSolution:
-    """A `solve_flux` solve: the step ends t and the states y (2 x len(t); the
-    last column sits at the event when one stops the solve), nfev, the event
-    time t_event (None without one) and the dense output `sol`. A step's
-    order-7 piece costs 3 more RHS evaluations, so it is built, and counted
-    in nfev, only when something first evaluates that step."""
+    """A `solve_flux` solve: the step ends t and the states y (2 x len(t)),
+    nfev and the dense output `sol`. A step's order-7 piece costs 3 more RHS
+    evaluations, so it is built, and counted in nfev, only when something
+    first evaluates that step."""
 
     def __init__(self, rhs):
-        self.nfev, self.t_event, self._rhs = 0, None, rhs
+        self.nfev, self._rhs = 0, rhs
         self._steps, self._pieces = [], {}  # (t_old, t, y_old, y, K) per step
 
     def _piece(self, k):
@@ -392,11 +343,6 @@ class FluxSolution:
             F += [[h * x for x in _combine(K, row)] for row in _D]
             self._pieces[k] = F
         return F
-
-    def _at(self, k, t):
-        """(phi, m) at the float t from step k's piece."""
-        t_old, t_end, y_old = self._steps[k][:3]
-        return _horner(self._piece(k), (t - t_old) / (t_end - t_old), y_old)
 
     def sol(self, t):
         """(phi, m) at t, a float or an array, each from the piece of the step
@@ -428,15 +374,14 @@ class FluxSolution:
         return self
 
 
-def _dop853(rhs, t0, y0, t_bound, rtol, atol, event):
+def _dop853(rhs, t0, y0, t_bound, rtol, atol, blowup):
     """solve_ivp(rhs, (t0, t_bound), y0, method="DOP853", dense_output=True)
-    of scipy, with at most one event, which is terminal, for a 2-state rhs
-    on Python floats: scipy's initial step, then each step as scipy's DOP853
-    takes it (the E5/E3 error norm and its controller: safety 0.9, factors
-    0.2 to 10, exponent -1/8, the minimum step and the clamp to t_bound),
-    summing each stage over its row's nonzero entries. The event g(t, y)
-    fires where its sign changes over a step, as scipy's does, and its root
-    is found by `_brentq` on that step's piece."""
+    of scipy for a 2-state rhs on Python floats: scipy's initial step, then
+    each step as scipy's DOP853 takes it (the E5/E3 error norm and its
+    controller: safety 0.9, factors 0.2 to 10, exponent -1/8, the minimum
+    step and the clamp to t_bound), summing each stage over its row's nonzero
+    entries. The first step that ends with |phi| > blowup raises
+    DivergenceError, naming that step's end."""
     sol = FluxSolution(rhs)
     y, t = (float(y0[0]), float(y0[1])), t0
     ts, ys = [t0], [y]
@@ -447,7 +392,6 @@ def _dop853(rhs, t0, y0, t_bound, rtol, atol, event):
     direction = 1.0 if t_bound > t0 else -1.0
     h_abs = _initial_step(rhs, t0, y, f, t_bound, direction, rtol, atol)
     sol.nfev = 2            # f(t0) and the initial step's probe
-    g = None if event is None else event(t0, y0)
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -484,31 +428,23 @@ def _dop853(rhs, t0, y0, t_bound, rtol, atol, event):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         sol._steps.append((t, t_new, y, y_new, K))
-        t_old, t, y, f = t, t_new, y_new, K[-1]
-        if event is not None:
-            g_new = event(t, y)
-            if g <= 0 <= g_new or g >= 0 >= g_new:
-                k = len(sol._steps) - 1
-                t = sol.t_event = _brentq(lambda s: event(s, sol._at(k, s)),
-                                          t_old, t)
-                ts.append(t)
-                ys.append(sol._at(k, t))
-                break
-            g = g_new
+        t, y, f = t_new, y_new, K[-1]
+        if abs(y[0]) > blowup:
+            raise DivergenceError(f"|phi| exceeded {blowup:.3g} at r = {t:.6g}")
         ts.append(t)
         ys.append(y)
     return sol._finish(ts, ys)
 
 
 def solve_flux(coefficients: Callable, p: float, r_span, y0,
-               rtol: float, atol: float, events, drift: float = 0.0
-               ) -> FluxSolution:
+               rtol: float, atol: float, drift: float = 0.0,
+               blowup: float = math.inf) -> FluxSolution:
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
     for (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense output
     (`_dop853`); r -> (A(r), B(r)) are the coefficients, and a drift d adds
-    d phi to phi' and -d m to m'. events is None or one function g(r, (phi,
-    m)), and the solve stops at the first root of g, its t_event. A float
-    overflow or division by zero in the RHS is an ODEFailure."""
+    d phi to phi' and -d m to m'. The first step that ends with |phi| >
+    blowup is a DivergenceError, and a float overflow or division by zero in
+    the RHS is an ODEFailure."""
     inv, q = 1.0 / (p - 1.0), p - 2.0
 
     def rhs(r, y):
@@ -520,7 +456,7 @@ def solve_flux(coefficients: Callable, p: float, r_span, y0,
 
     try:
         return _dop853(rhs, float(r_span[0]), y0, float(r_span[1]), rtol,
-                       atol, events)
+                       atol, blowup)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _float_fault(exc) from exc
 
@@ -531,8 +467,8 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
                          blowup: float = _BLOWUP) -> Callable:
     """Integrate the flux system from (phi, m)(r0) = y0 to r_end (either
     direction) and return its dense output r -> (phi, m); a zeroth-order
-    numerator weight z makes the coefficient (lam W - z) r^mu. The solve
-    stops with DivergenceError once |phi| exceeds blowup."""
+    numerator weight z makes the coefficient (lam W - z) r^mu. The first step
+    that ends with |phi| > blowup raises DivergenceError, naming its r."""
     p = exponents.p
     mu = exponents.measure_exponent
     lo = min(r0, r_end)
@@ -558,15 +494,8 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
         rm = r ** mu
         return v * rm, c * rm
 
-    def diverged(r, y):
-        return abs(y[0]) - blowup
-
-    sol = solve_flux(coefficients, p, (r0, r_end), y0, _RTOL, _ATOL,
-                     events=diverged)
-    if sol.t_event is not None:
-        raise DivergenceError(
-            f"|phi| exceeded {blowup:.3g} at r = {sol.t_event:.6g}")
-    return sol.sol
+    return solve_flux(coefficients, p, (r0, r_end), y0, _RTOL, _ATOL,
+                      blowup=blowup).sol
 
 
 def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,

@@ -245,7 +245,7 @@ def integrate_batch(
                                          int(count[j]))
                 if k in bad:
                     out[k] = QuadratureError(
-                        f"non-finite integrand value near r={bad[k]!r}")
+                        f"non-finite integrand value at x={bad[k]!r}")
                 elif total_err[j] <= target[j] or stalled is not None and stalled[j]:
                     out[k] = est
                 else:

@@ -83,14 +83,15 @@ class ShootingResult:
     eigenfunction: Profile
 
 
-def shoot(problem: AnnulusProblem, lam: float) -> float:
-    """The half-period T(lam) for lam > c, from the period integral folded
-    onto u = |v| and scaled by sigma = lam^(1/p), w = u / sigma:
+def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
+    """The two halves of sigma T(lam) for lam > c, from the period integral
+    folded onto u = |v| and scaled by sigma = lam^(1/p), w = u / sigma:
 
         T = (1/sigma) sum over s = +1, -1 of
             int_0^inf (p-1) w^(p-2) dw / (1 + s k w^(p-1) + (p-1) w^p),
 
-    k = |kappa| / sigma, s = -1 being the side where kappa v < 0. There the
+    k = |kappa| / sigma, s = +1 (the first value) being the side where
+    kappa v >= 0 and s = -1 the side where kappa v < 0. There the
     denominator dips to (lam - c)/lam at w* = (c/lam)^(1/p) and is written
     as ((lam - c) + c F(w/w*)) / lam near w*, F(s) = (p-1) s^p - p s^(p-1) + 1
     with its double zero at s = 1 taken without cancellation. Both integrals
@@ -125,18 +126,27 @@ def shoot(problem: AnnulusProblem, lam: float) -> float:
         if isinstance(est, QuadratureError):
             raise SearchFailureError(f"half-period integral at lam = {lam!r} "
                                      f"failed: {est}")
-    return (halves[0].value + halves[1].value) / lam ** (1.0 / p)
+    return halves[0].value, halves[1].value
+
+
+def shoot(problem: AnnulusProblem, lam: float) -> float:
+    """The half-period T(lam) = (sum of `_half_periods`) / lam^(1/p)."""
+    plus, minus = _half_periods(problem, lam)
+    return (plus + minus) / lam ** (1.0 / problem.p)
 
 
 def _result_from(problem: AnnulusProblem, lam: float, which: int,
                  tol: float) -> ShootingResult:
     """The shot of y_t = Phi_p^-1(w/A) + (kappa/p) y, w_t = -(kappa/p) w -
     lam A Phi_p(y) in t = ln(r/a) from (y, w) = (0, 1) over one half-period
-    T = ln(b/a)/which; A = (lam - c)^((1-p)/p) keeps y and w of order 1. It
-    restarts at its turning point w = 0, where phi is only C^(1,1/(p-1)): a
-    step across it loses up to 8e-8 in w(T) at p = 8. phi = (-1)^k e^(-kappa
-    t/p) y(t - kT) on half-period k, over its peak (in log form), which is at
-    the turning point of the first (kappa >= 0) or last half-period. Check:
+    T = ln(b/a)/which; A = (lam - c)^((1-p)/p) keeps y and w of order 1. The
+    rise ends at the turning time, the v > 0 half of the period integral
+    (`_half_periods`' first for kappa >= 0, its second below) over
+    lam^(1/p), and the fall restarts there: phi is only C^(1,1/(p-1)) at the
+    turning point w = 0, and a step across it loses up to 8e-8 in w(T) at
+    p = 8. phi = (-1)^k e^(-kappa t/p) y(t - kT) on half-period k, over its
+    peak (in log form), which is at the turning point of the first
+    (kappa >= 0) or last half-period. Check:
     y > 0 at interior steps, and |y(T)| / max y (the endpoint residual) and
     the end slope's error (|w(T)|^(1/(p-1)) - 1) / max |w|^(1/(p-1)) within
     max(tol, 1e3 _RTOL), each over both legs' steps: the error of w(T)
@@ -146,14 +156,12 @@ def _result_from(problem: AnnulusProblem, lam: float, which: int,
     T = math.log(problem.b / a) / which
     A = (lam - problem.lemma_lower_bound) ** ((1.0 - p) / p)
 
-    def turn(t, y):     # w = 0, where phi_t = 0
-        return y[1]
-
-    rise = solve_flux(lambda t: (A, lam * A), p, (0.0, T), (0.0, 1.0), _RTOL,
-                      _ATOL, events=turn, drift=drift)
-    t_turn = rise.t[-1]
+    t_turn = (_half_periods(problem, lam)[0 if drift >= 0 else 1]
+              / lam ** (1.0 / p))
+    rise = solve_flux(lambda t: (A, lam * A), p, (0.0, t_turn), (0.0, 1.0),
+                      _RTOL, _ATOL, drift=drift)
     fall = solve_flux(lambda t: (A, lam * A), p, (t_turn, T), rise.y[:, -1],
-                      _RTOL, _ATOL, events=None, drift=drift)
+                      _RTOL, _ATOL, drift=drift)
     y, w = (np.concatenate([rise.y[i], fall.y[i]]) for i in (0, 1))
     residual, bound = float(abs(y[-1]) / np.max(y)), max(tol, 1e3 * _RTOL)
     inv = 1.0 / (p - 1.0)

@@ -139,22 +139,14 @@ CATALOG_INTERVALS = {
 
 def _record_solves(monkeypatch):
     """Route every solve_flux solve through a recorder that also runs scipy's
-    own solve_ivp(method="DOP853") on the same RHS, span, tolerances and
-    event, which it makes terminal."""
+    own solve_ivp(method="DOP853") on the same RHS, span and tolerances."""
     pairs = []
     dop853 = besselpair._dop853
 
-    def both(rhs, t0, y0, t_bound, rtol, atol, event):
-        ours = dop853(rhs, t0, y0, t_bound, rtol, atol, event)
-        events = None
-        if event is not None:
-            def events(t, y):
-                return event(t, y)
-
-            events.terminal = True
+    def both(rhs, t0, y0, t_bound, rtol, atol, blowup):
+        ours = dop853(rhs, t0, y0, t_bound, rtol, atol, blowup)
         pairs.append((ours, solve_ivp(rhs, (t0, t_bound), y0, method="DOP853",
-                                      rtol=rtol, atol=atol, dense_output=True,
-                                      events=events)))
+                                      rtol=rtol, atol=atol, dense_output=True)))
         return ours
 
     monkeypatch.setattr(besselpair, "_dop853", both)
@@ -167,10 +159,10 @@ def test_float_stepper_matches_scipy_dop853(monkeypatch):
     # step across a turning point of phi, where the flux is only
     # C^{1,1/(p-1)}, and part single solves by a few percent of their steps
     # and ~1e2 rtol in the state. No solve here takes such a step: the
-    # annulus shot stops at its turning point (a terminal event on w) and
-    # restarts there, so the event times agree to ulps and the states to
-    # ~1e-11. `_dop853` builds a step's dense piece only when it is read,
-    # so its nfev counts fewer pieces than scipy's: compare accepted steps
+    # annulus shot's rise ends at the turning time that the period integral
+    # gives, and its fall restarts there, so the states agree to ~1e-11.
+    # `_dop853` builds a step's dense piece only when it is read, so its
+    # nfev counts fewer pieces than scipy's: compare accepted steps
     pairs = _record_solves(monkeypatch)
     for sc in default_catalog():
         verify_bessel_pair(sc, CATALOG_INTERVALS[sc.name])
@@ -178,14 +170,10 @@ def test_float_stepper_matches_scipy_dop853(monkeypatch):
         for b in (2.0, math.e, 4.0):
             eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=b))
     assert len(pairs) > 20
-    assert sum(ours.t_event is not None for ours, _ in pairs) == 15
     for ours, ref in pairs:
-        assert (ours.t_event is not None) == (ref.status == 1)
+        assert ours.t[-1] == ref.t[-1]
         final = np.abs(ref.y[:, -1])
         assert np.max(np.abs(ours.y[:, -1] - ref.y[:, -1])) <= 1e-9 * np.max(final)
-        if ours.t_event is not None:
-            t_ref = ref.t_events[0][0]
-            assert abs(ours.t_event - t_ref) <= 1e-10 * abs(t_ref)
     total = sum(len(ref.t) - 1 for _, ref in pairs)
     assert abs(sum(len(ours.t) - 1 for ours, _ in pairs) - total) <= 0.02 * total
 
@@ -205,8 +193,9 @@ def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
         assert np.array_equal(ends[:, 0], sol.y[:, 0])
         for k in range(len(sol.t) - 1):
             y0, y1 = sol.y[:, k], sol.y[:, k + 1]
-            assert sol._at(k, sol.t[k]) == tuple(y0)
-            end = np.array(sol._at(k, sol.t[k + 1]))
+            F = sol._piece(k)
+            assert besselpair._horner(F, 0.0, tuple(y0)) == tuple(y0)
+            end = np.array(besselpair._horner(F, 1.0, tuple(y0)))
             assert np.array_equal(ends[:, k + 1], end)
             assert np.all(np.abs(end - y1) <= 4e-16 * (np.abs(y0) + np.abs(y1)))
             assert sol.sol(sol.t[k]).shape == (2,)
@@ -221,7 +210,7 @@ def test_dense_pieces_are_built_once_when_read():
                 sc.pair.lam * float(sc.pair.W(np.array([r]))[0]) * r ** 4)
 
     sol = solve_flux(coefficients, exps.p, (1.0, 10.0), (1.0, -1.5),
-                     1e-10, 1e-12, events=None)
+                     1e-10, 1e-12)
     steps = len(sol.t) - 1
     assert steps > 5 and (sol.nfev - 2) % 12 == 0    # no piece built yet
     solved = sol.nfev
@@ -240,55 +229,13 @@ def test_zero_span_solve_is_scipys_constant_solve():
 
     ref = solve_ivp(rhs, (1.0, 1.0), (2.0, 3.0), method="DOP853",
                     dense_output=True)
-    sol = besselpair._dop853(rhs, 1.0, (2.0, 3.0), 1.0, 1e-10, 1e-12, None)
+    sol = besselpair._dop853(rhs, 1.0, (2.0, 3.0), 1.0, 1e-10, 1e-12,
+                             math.inf)
     assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
-    assert sol.nfev == ref.nfev == 1 and sol.t_event is None
+    assert sol.nfev == ref.nfev == 1
     r = np.array([0.5, 1.0, 2.0])
     assert np.array_equal(sol.sol(r), ref.sol(r))
     assert np.array_equal(sol.sol(1.0), ref.sol(1.0))
-
-
-def test_event_root_is_scipy_brentq_on_the_step_piece(monkeypatch):
-    from scipy.optimize import brentq
-
-    pairs = _record_solves(monkeypatch)
-    for p in (2.0, 3.0, 4.0):
-        eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=2.0))
-    rises = [sol for sol, _ in pairs if sol.t_event is not None]
-    assert len(rises) == 3
-    tol = 4 * np.finfo(float).eps
-    for sol in rises:
-        k = len(sol.t) - 2
-        t_old, t_end = sol._steps[k][:2]
-        assert t_old < sol.t_event < t_end
-        root = brentq(lambda t: sol._at(k, t)[1], t_old, t_end, xtol=tol,
-                      rtol=tol)
-        assert sol.t_event == root
-
-
-@pytest.mark.parametrize("f, a, b", [
-    pytest.param(lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, id="cubic"),
-    pytest.param(lambda x: math.cos(x) - x, 0.0, 1.0, id="cos"),
-    pytest.param(lambda x: x ** 3 - x, 0.5, 2.0, id="cubic_root_1"),
-    # a flat root: no convergence in 100 iterations, for scipy too
-    pytest.param(lambda x: x ** 9, -1.0, 1.5, id="flat"),
-    pytest.param(lambda x: math.exp(x) - 1e3, 0.0, 50.0, id="exp"),
-    pytest.param(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, id="jump"),
-    pytest.param(lambda x: x - 0.25, 0.25, 1.0, id="root_at_an_end"),
-    pytest.param(lambda x: math.atan(1e4 * (x - 1e-3)), 1.0, -1.0,
-                 id="steep_descending_bracket"),
-])
-def test_brentq_transcription_matches_scipy_bitwise(f, a, b):
-    from scipy.optimize import brentq
-
-    tol = 4 * np.finfo(float).eps
-    try:
-        root = brentq(f, a, b, xtol=tol, rtol=tol)
-    except RuntimeError:    # scipy's failure to converge is an ODEFailure
-        with pytest.raises(ODEFailure, match="not found in 100 iterations"):
-            besselpair._brentq(f, a, b)
-    else:
-        assert besselpair._brentq(f, a, b) == root
 
 
 def test_dop853_tableau_is_scipys_bitwise():
@@ -321,8 +268,7 @@ def test_float_overflow_in_the_rhs_is_an_ode_failure(coefficients, y0, fault):
     # the message names the fault, not the errno tuple of an OverflowError
     with pytest.raises(ODEFailure, match=f"^ODE integration failed: {fault} "
                        "in the right-hand side$"):
-        solve_flux(coefficients, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12,
-                   events=None)
+        solve_flux(coefficients, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12)
 
 
 def test_stiff_solve_ends_at_the_rhs_budget():
@@ -331,7 +277,7 @@ def test_stiff_solve_ends_at_the_rhs_budget():
     start = time.perf_counter()
     with pytest.raises(ODEFailure, match="more than 1000000 RHS evaluations"):
         solve_flux(lambda r: (1.0, 10.0 ** (400.0 * r)), 3.0, (0.0, 1.0),
-                   (1.0, 0.0), 1e-10, 1e-12, events=None)
+                   (1.0, 0.0), 1e-10, 1e-12)
     assert time.perf_counter() - start < 60.0
 
 
@@ -441,14 +387,38 @@ def test_singular_coefficient_detected():
         integrate_bessel_ode(pair, sc.exponents, 0.5, (1.0, 0.1), 2.0)
 
 
-def test_divergence_detected():
+def test_divergence_detected(monkeypatch):
+    from scipy.optimize import brentq
+    from scipy.special import i0e, i1e, k0e, k1e
+
     def V(r):
         return np.ones_like(np.asarray(r, dtype=float))
 
     def W(r):
         return -np.ones_like(np.asarray(r, dtype=float))
 
+    solves = []
+
+    class Recorded(besselpair.FluxSolution):
+        def __init__(self, rhs):
+            super().__init__(rhs)
+            solves.append(self)
+
+    monkeypatch.setattr(besselpair, "FluxSolution", Recorded)
     pair = RadialWeightPair(V, W, 200.0, (0.0, math.inf), W_nonnegative=False)
     exps = Exponents(p=2.0, theta=1.0, Q=2.0)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as err:
         integrate_bessel_ode(pair, exps, 1.0, (1.0, 1.0), 30.0)
+    # (r phi')' = 200 r phi from phi(1) = phi'(1) = 1 is phi = A I0(k r) +
+    # B K0(k r), k = sqrt(200); the guard names the first step end past the
+    # r where phi crosses 1e12
+    k = math.sqrt(200.0)
+    A, B = np.linalg.solve([[i0e(k) * math.exp(k), k0e(k) * math.exp(-k)],
+                            [k * i1e(k) * math.exp(k),
+                             -k * k1e(k) * math.exp(-k)]], [1.0, 1.0])
+    crossing = brentq(lambda r: A * i0e(k * r) * math.exp(k * r)
+                      + B * k0e(k * r) * math.exp(-k * r) - 1e12, 1.0, 30.0)
+    (sol,) = solves
+    before, last = sol._steps[-2][1], sol._steps[-1][1]
+    assert before < crossing <= last
+    assert str(err.value) == f"|phi| exceeded 1e+12 at r = {last:.6g}"

@@ -192,7 +192,7 @@ def test_batch_errors_name_the_lowest_index_profile():
                     np.array([[1.0, math.nan, math.nan, 1.0]]))
     with pytest.raises(QuadratureError) as err:
         _reduce_all(sc, failing)
-    assert "non-finite integrand value near r=" in str(err.value)
+    assert "non-finite integrand value at x=" in str(err.value)
     assert str(err.value) == str(_loop_error(sc, failing))
     # an invalid profile ahead of a failing one is the one named
     mixed = Bumps(np.array([[1.5, 2.2, 10.5]]), np.array([[0.3, 0.4, 0.5]]),

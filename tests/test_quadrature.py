@@ -84,7 +84,7 @@ def test_nonfinite_integrand_reported():
         return np.where(shifted == 0.0, np.nan, 1.0) / np.where(
             shifted == 0.0, 1.0, shifted)
 
-    with pytest.raises(QuadratureError, match=r"near r=0\.5$"):
+    with pytest.raises(QuadratureError, match=r"at x=0\.5$"):
         integrate_adaptive(f, 0.0, 1.0)
 
 
@@ -173,7 +173,7 @@ def test_batch_nonfinite_value_names_its_owner_and_r():
                              (nan_at_half, 0.0, 1.0, {})])
     assert math.isclose(fine.value, 1.0 / 3.0, rel_tol=1e-12)
     assert isinstance(bad, QuadratureError)
-    assert re.search(r"near r=0\.5$", str(bad))
+    assert re.search(r"at x=0\.5$", str(bad))
 
 
 def test_empty_batch():

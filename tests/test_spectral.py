@@ -274,6 +274,19 @@ ORACLE_CASES = [
     (8.0, 6.0, 1.0, 1.0, 3.0, 1),       # kappa > 0
     (1.0, 6.0, 1.0, 1.0, 100.0, 2),     # kappa < 0
 ]
+# the bits of each case's eigenvalue and of shoot there, which sums the two
+# half-period integrals before it divides by lam^(1/p): a reordered sum or
+# division moves lam in its last bits on some annulus cases
+ORACLE_BITS = [
+    (45.21996373315181, 0.6931471805599454),
+    (8.48519880917763, 1.5350567286626975),
+    (84.94494869089351, 0.6931471805599455),
+    (685.3387958821102, 0.3465735902799724),
+    (226.52644443763378, 0.7675283643313486),
+    (41.58320717926581, 1.151292546497023),
+    (252.11739372914568, 1.0986122886681102),
+    (8.811236831201063, 2.302585092994047),
+]
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
@@ -296,16 +309,22 @@ def test_period_integral_oracle_closed_forms():
         pytest.approx(4.0 + (2 * math.pi / math.log(7.0)) ** 2, rel=1e-14)
 
 
-@pytest.mark.parametrize("kappa", [1.5, -1.5])
+@pytest.mark.parametrize("kappa", [1.5, -1.5, 0.0])
 def test_half_period_p2_closed_form(kappa):
-    # T = pi / sqrt(lam - kappa^2/4), from next to the peak of the
-    # kappa v < 0 side's integrand (lam -> c) to far above c
+    # T = pi / u, u = sqrt(lam - kappa^2/4), from next to the peak of the
+    # kappa v < 0 side's integrand (lam -> c) to far above c; its v > 0 half,
+    # the shot's rise from a zero to the turning point, is int_0^inf dv /
+    # ((v + kappa/2)^2 + u^2) = (pi/2 - atan(kappa/(2u))) / u, written as
+    # atan2(2u, kappa) / u to spare the closed form a cancellation
     prob = AnnulusProblem(Q=2.0 + kappa, p=2.0, theta=1.0, a=1.0, b=2.0)
     c = prob.lemma_lower_bound
     for gap in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e3):
-        lam = c + gap * c
-        assert shoot(prob, lam) == pytest.approx(math.pi / math.sqrt(lam - c),
-                                                 rel=1e-13)
+        lam = c + gap * (c or 1.0)
+        u = math.sqrt(lam - c)
+        assert shoot(prob, lam) == pytest.approx(math.pi / u, rel=1e-13)
+        rise = spectral._half_periods(prob, lam)[0 if kappa >= 0 else 1]
+        assert rise / math.sqrt(lam) == pytest.approx(
+            math.atan2(2.0 * u, kappa) / u, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
@@ -403,6 +422,8 @@ def test_zeros_equally_spaced_in_log_r(case):
     Q, p, theta, a, b, n = case
     prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
     res = eigenvalue(prob, which=n)
+    assert (res.lam, shoot(prob, res.lam)) == \
+        ORACLE_BITS[ORACLE_CASES.index(case)]
     assert shoot(prob, res.lam) == pytest.approx(math.log(b / a) / n,
                                                  rel=1e-9)
     nodes = a * (b / a) ** (np.arange(1, n + 1) / n)
