@@ -9,7 +9,10 @@ starts at the singular origin: initial data is seeded at an interior point
 from the closed form. `solve_flux` also integrates the annulus eigenfunction
 of `spectral`, in t = ln r with constant coefficients and a constant drift.
 It steps by DOP853 in Python floats, with the tableau, initial step, step
-control and dense output of scipy's `solve_ivp`, and imports no scipy.
+control and dense output of scipy's `solve_ivp`, and imports no scipy. The
+coefficients are read by one call per step attempt, at the array of all its
+stage radii, and the stage sums are straight-line code generated at import
+from the tableau.
 """
 
 from __future__ import annotations
@@ -259,23 +262,59 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order + 1)
 
 
-def _combine(K, row):
-    """sum_j a_j K[j] over a tableau row's nonzero {j: a_j}, per component."""
-    d0 = d1 = 0.0
-    for j, a in row.items():
-        k0, k1 = K[j]
-        d0 += k0 * a
-        d1 += k1 * a
-    return d0, d1
+_C = np.array([c for c, _ in _STAGES])     # a step's stage radii: t + _C h
+_C_EXTRA = np.array([c for c, _ in _EXTRA])  # a piece's: t_old + _C_EXTRA h
 
 
-def _add_stages(rhs, K, t, y, h, stages):
-    """Append the RHS at each stage to K; return the last stage's state."""
-    for c, row in stages:
-        d0, d1 = _combine(K, row)
-        z = (y[0] + d0 * h, y[1] + d1 * h)
-        K.append(rhs(t + c * h, z))
-    return z
+# The stage sums as straight-line code, generated once from the tableau above.
+# K holds the stage slopes as k{j}_0, k{j}_1 (phi and m of stage j), and
+# A[n], B[n] are the coefficients at the n-th radius of the call. Every sum
+# starts from 0.0 and adds a_j k_j left to right in its row's order, and the
+# RHS is solve_flux's: phi' = Phi_p^-1(m / A) + d phi, m' = -d m - B Phi_p(phi)
+# with Phi_p^-1(w) = |w|^inv sign w, inv = 1/(p-1), Phi_p(x) = |x|^q x, q = p-2.
+_RHS = ("w = z1 / A[{n}]",
+        "k{s}_0 = copysign(abs(w) ** inv, w) + d * z0",
+        "k{s}_1 = -d * z1 - B[{n}] * abs(z0) ** q * z0")
+
+
+def _sum(row, i):
+    """Source of sum_j a_j K[j] over a row's nonzero {j: a_j}, component i."""
+    return "0.0" + "".join(f" + k{j}_{i} * {a!r}" for j, a in row.items())
+
+
+def _stage_lines(stages, first):
+    """Source of each stage: its state y + h sum_j a_j K[j] and its slope,
+    stage `first` taking the call's first radius."""
+    lines = []
+    for n, (_, row) in enumerate(stages):
+        lines += [f"z{i} = y{i} + ({_sum(row, i)}) * h" for i in (0, 1)]
+        lines += [x.format(n=n, s=first + n) for x in _RHS]
+    return lines
+
+
+def _generate(name, lines, result):
+    """Compile `name(y0, y1, h, K, A, B, inv, q, d)` from its body's lines."""
+    body = "".join(f"    {x}\n" for x in lines + [f"return {result}"])
+    namespace = {"copysign": math.copysign}
+    exec(compile(f"def {name}(y0, y1, h, K, A, B, inv, q, d):\n{body}",
+                 f"<dop853 {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_K13 = ", ".join(f"k{j}_{i}" for j in range(len(_STAGES) + 1) for i in (0, 1))
+# the RHS at (y0, y1): a start evaluation
+_slope = _generate("slope", ["z0, z1 = y0, y1"]
+                   + [x.format(n=0, s=0) for x in _RHS], "k0_0, k0_1")
+# a step from the slope K = (k0_0, k0_1) at its start: the 13 slopes (the
+# last at y_new is the next step's first), y_new and the E5 and E3 estimates
+_step = _generate(
+    "step", ["k0_0, k0_1 = K"] + _stage_lines(_STAGES, 1),
+    f"({_K13}), (z0, z1), ({_sum(_E5, 0)}, {_sum(_E5, 1)}), "
+    f"({_sum(_E3, 0)}, {_sum(_E3, 1)})")
+# the three extra stages of a step's dense piece, then its rows h sum D K
+_dense = _generate(
+    "dense", [f"{_K13} = K"] + _stage_lines(_EXTRA, len(_STAGES) + 1),
+    ", ".join(f"(h * ({_sum(row, 0)}), h * ({_sum(row, 1)}))" for row in _D))
 
 
 def _horner(F, x, y_old):
@@ -293,7 +332,7 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(rhs, t0, y0, f0, t_bound, direction, rtol, atol):
+def _initial_step(slope, t0, y0, f0, t_bound, direction, rtol, atol):
     """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4) for an
     error estimator of order 7 and no step bound, in its numpy expressions."""
     interval_length = abs(t_bound - t0)
@@ -303,7 +342,7 @@ def _initial_step(rhs, t0, y0, f0, t_bound, direction, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = np.array(rhs(float(t0 + h0 * direction), tuple(y1.tolist())))
+    f1 = np.array(slope(float(t0 + h0 * direction), tuple(y1.tolist())))
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -322,10 +361,11 @@ class FluxSolution:
     """A `solve_flux` solve: the step ends t and the states y (2 x len(t)),
     nfev and the dense output `sol`. A step's order-7 piece costs 3 more RHS
     evaluations, so it is built, and counted in nfev, only when something
-    first evaluates that step."""
+    first evaluates that step. `stages(code, r, y, h, K)` runs one generated
+    stage function at the stage radii r."""
 
-    def __init__(self, rhs):
-        self.nfev, self._rhs = 0, rhs
+    def __init__(self, stages):
+        self.nfev, self._stages = 0, stages
         self._steps, self._pieces = [], {}  # (t_old, t, y_old, y, K) per step
 
     def _piece(self, k):
@@ -334,13 +374,12 @@ class FluxSolution:
         F = self._pieces.get(k)
         if F is None:
             t_old, t, y_old, y, K = self._steps[k]
-            h, K = t - t_old, K[:]
-            _add_stages(self._rhs, K, t_old, y_old, h, _EXTRA)
-            self.nfev += len(_EXTRA)
+            h = t - t_old
             dy = [v - u for u, v in zip(y_old, y)]
-            F = [dy, [h * f - d for d, f in zip(dy, K[0])],
-                 [2 * d - h * (f1 + f0) for d, f0, f1 in zip(dy, K[0], K[12])]]
-            F += [[h * x for x in _combine(K, row)] for row in _D]
+            F = [dy, [h * f - d for d, f in zip(dy, K[:2])],
+                 [2 * d - h * (f1 + f0) for d, f0, f1 in zip(dy, K[:2], K[-2:])]]
+            F += self._stages(_dense, t_old + _C_EXTRA * h, y_old, h, K)
+            self.nfev += len(_EXTRA)
             self._pieces[k] = F
         return F
 
@@ -374,23 +413,40 @@ class FluxSolution:
         return self
 
 
-def _dop853(rhs, t0, y0, t_bound, rtol, atol, blowup):
+def _per_stage(x, n):
+    """A coefficient as n floats: an array's entries or a constant n times."""
+    return x.tolist() if isinstance(x, np.ndarray) else [float(x)] * n
+
+
+def _dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
     """solve_ivp(rhs, (t0, t_bound), y0, method="DOP853", dense_output=True)
-    of scipy for a 2-state rhs on Python floats: scipy's initial step, then
-    each step as scipy's DOP853 takes it (the E5/E3 error norm and its
+    of scipy for solve_flux's RHS on Python floats: scipy's initial step,
+    then each step as scipy's DOP853 takes it (the E5/E3 error norm and its
     controller: safety 0.9, factors 0.2 to 10, exponent -1/8, the minimum
     step and the clamp to t_bound), summing each stage over its row's nonzero
-    entries. The first step that ends with |phi| > blowup raises
-    DivergenceError, naming that step's end."""
-    sol = FluxSolution(rhs)
+    entries. One coefficient call serves each step attempt (its 12 stage
+    radii), each dense piece (3) and each start evaluation (1). The first
+    step that ends with |phi| > blowup raises DivergenceError, naming that
+    step's end."""
+    consts = (1.0 / (p - 1.0), p - 2.0, drift)
+
+    def stages(code, r, y, h, K):
+        A, B = coefficients(r)
+        return code(y[0], y[1], h, K, _per_stage(A, len(r)),
+                    _per_stage(B, len(r)), *consts)
+
+    def slope(t, y):
+        return stages(_slope, np.array([t]), y, 0.0, ())
+
+    sol = FluxSolution(stages)
     y, t = (float(y0[0]), float(y0[1])), t0
     ts, ys = [t0], [y]
-    f = rhs(t0, y)
+    f = slope(t0, y)
     if t0 == t_bound:       # scipy's zero-span solve: one constant piece
         sol.nfev = 1
         return sol._finish([t0, t0], [y, y])
     direction = 1.0 if t_bound > t0 else -1.0
-    h_abs = _initial_step(rhs, t0, y, f, t_bound, direction, rtol, atol)
+    h_abs = _initial_step(slope, t0, y, f, t_bound, direction, rtol, atol)
     sol.nfev = 2            # f(t0) and the initial step's probe
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -408,12 +464,10 @@ def _dop853(rhs, t0, y0, t_bound, rtol, atol, blowup):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            y_new = _add_stages(rhs, K, t, y, h, _STAGES)
+            K, y_new, e5s, e3s = stages(_step, t + _C * h, y, h, f)
             sol.nfev += len(_STAGES)
             err5 = err3 = 0.0
-            for e5, e3, u, v in zip(_combine(K, _E5), _combine(K, _E3), y,
-                                    y_new):
+            for e5, e3, u, v in zip(e5s, e3s, y, y_new):
                 scale = atol + max(abs(u), abs(v)) * rtol
                 e5, e3 = e5 / scale, e3 / scale
                 err5 += e5 * e5
@@ -428,7 +482,7 @@ def _dop853(rhs, t0, y0, t_bound, rtol, atol, blowup):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         sol._steps.append((t, t_new, y, y_new, K))
-        t, y, f = t_new, y_new, K[-1]
+        t, y, f = t_new, y_new, K[-2:]
         if abs(y[0]) > blowup:
             raise DivergenceError(f"|phi| exceeded {blowup:.3g} at r = {t:.6g}")
         ts.append(t)
@@ -441,24 +495,58 @@ def solve_flux(coefficients: Callable, p: float, r_span, y0,
                blowup: float = math.inf) -> FluxSolution:
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
     for (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense output
-    (`_dop853`); r -> (A(r), B(r)) are the coefficients, and a drift d adds
-    d phi to phi' and -d m to m'. The first step that ends with |phi| >
-    blowup is a DivergenceError, and a float overflow or division by zero in
-    the RHS is an ODEFailure."""
-    inv, q = 1.0 / (p - 1.0), p - 2.0
-
-    def rhs(r, y):
-        phi, m = y
-        A, B = coefficients(r)
-        w = m / A
-        return (math.copysign(abs(w) ** inv, w) + drift * phi,
-                -drift * m - B * abs(phi) ** q * phi)
-
+    (`_dop853`); a drift d adds d phi to phi' and -d m to m'. The
+    coefficients take the 1-D array of a step's stage radii, t + c_i h, and
+    return (A, B) at all of them, each an array or, constant, a float: one
+    call per step attempt, per dense piece and per start evaluation. The
+    first step that ends with |phi| > blowup is a DivergenceError, and a
+    float overflow or division by zero in the RHS is an ODEFailure."""
     try:
-        return _dop853(rhs, float(r_span[0]), y0, float(r_span[1]), rtol,
-                       atol, blowup)
+        return _dop853(coefficients, p, drift, float(r_span[0]), y0,
+                       float(r_span[1]), rtol, atol, blowup)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _float_fault(exc) from exc
+
+
+def _bessel_coefficients(pair: RadialWeightPair, mu: float,
+                         zero_order: Callable | None = None) -> Callable:
+    """The flux coefficients (V r^mu, (lam W - z) r^mu) at a 1-D array of
+    radii: V, W and z see the whole array, and r^mu is a Python-float power
+    per entry, since numpy's array power may differ from libm's by an ulp.
+    The first radius where V <= 0 is a SingularCoefficientError."""
+    V, W, lam = pair.V, pair.W, pair.lam
+
+    def coefficients(r):
+        v = V(r)
+        singular = v <= 0.0
+        if singular.any():
+            i = int(singular.argmax())
+            raise SingularCoefficientError(
+                f"V({r.item(i)}) = {v.item(i)} <= 0 on the path")
+        c = lam * W(r)
+        if zero_order is not None:
+            c = c - zero_order(r)
+        rm = np.array([x ** mu for x in r.tolist()])
+        return v * rm, c * rm
+
+    return coefficients
+
+
+def _first_nonpositive(a: Callable, r0: float, r1: float) -> float | None:
+    """The first r from r0 towards r1 where a(r) <= 0 on a 64-point
+    geometric probe, refined by bisection down to adjacent floats; None
+    when a > 0 (or NaN) at every probe point."""
+    probe = np.geomspace(r0, r1, 64)
+    bad = np.flatnonzero(a(probe) <= 0.0)
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if i == 0:
+        return r0
+    good, first = float(probe[i - 1]), float(probe[i])
+    while (mid := 0.5 * (good + first)) not in (good, first):
+        good, first = (good, mid) if a(np.array([mid]))[0] <= 0.0 else (mid, first)
+    return first
 
 
 def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
@@ -467,8 +555,10 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
                          blowup: float = _BLOWUP) -> Callable:
     """Integrate the flux system from (phi, m)(r0) = y0 to r_end (either
     direction) and return its dense output r -> (phi, m); a zeroth-order
-    numerator weight z makes the coefficient (lam W - z) r^mu. The first step
-    that ends with |phi| > blowup raises DivergenceError, naming its r."""
+    numerator weight z makes the coefficient (lam W - z) r^mu. A probe of
+    V r^mu along the path that reads <= 0 is a SingularCoefficientError
+    naming the first such r. The first step that ends with |phi| > blowup
+    raises DivergenceError, naming its r."""
     p = exponents.p
     mu = exponents.measure_exponent
     lo = min(r0, r_end)
@@ -476,26 +566,19 @@ def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
     if not (pair.interval[0] <= lo and hi <= pair.interval[1]):
         raise ValueError(
             f"integration range [{lo}, {hi}] leaves the pair interval {pair.interval}")
-    probe = np.geomspace(lo, hi, 64)
-    if np.min(pair.V(probe)) <= 0.0:
-        raise SingularCoefficientError("V vanishes on the integration interval")
 
-    V, W, lam = pair.V, pair.W, pair.lam
+    def flux_weight(r):     # V r^mu; r^mu may overflow, V r^mu underflow
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return pair.V(r) * r ** mu
 
-    # weights see 1-element arrays: numpy's scalar and array pow/log can differ
-    def coefficients(r):
-        x = np.array([r])
-        v = float(V(x)[0])
-        if v <= 0.0:
-            raise SingularCoefficientError(f"V({r}) = {v} <= 0 on the path")
-        c = lam * float(W(x)[0])
-        if zero_order is not None:
-            c -= float(zero_order(x)[0])
-        rm = r ** mu
-        return v * rm, c * rm
-
-    return solve_flux(coefficients, p, (r0, r_end), y0, _RTOL, _ATOL,
-                      blowup=blowup).sol
+    r = _first_nonpositive(flux_weight, r0, r_end)
+    if r is not None:
+        a = float(flux_weight(np.array([r]))[0])
+        raise SingularCoefficientError(
+            f"V r^mu reads {a!r} from r = {r:.6g} on the integration path"
+            + (" (V vanishes there, or V > 0 underflows)" if a == 0.0 else ""))
+    return solve_flux(_bessel_coefficients(pair, mu, zero_order), p,
+                      (r0, r_end), y0, _RTOL, _ATOL, blowup=blowup).sol
 
 
 def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,

@@ -8,12 +8,15 @@ The grid is p in {2, 2.5, 3, 4, 6, 8, 20}, Q in {0, 1, p, 2p + 1, 20, 50}
 (deduplicated), theta = 1, a = 1, b in {1.001, 2, 10, 1e10, 1e50, 1e150,
 1e300} and --which n in {1, 2, 5}. Each case runs the CLI in process; a case
 passes when it exits 0. The script prints every failing case with its exit
-code and message, then "N of 861 pass".
+code and message, then "N of 861 pass", then one sha256 over the argv, the
+repr of lambda and of the endpoint residual of every passing case, in grid
+order: two trees that print the same line agree on every passing case.
 """
 
 import contextlib
+import hashlib
 import io
-import os
+import json
 import sys
 
 from hardylab.cli import run
@@ -35,17 +38,21 @@ def cases():
 
 def main() -> int:
     grid = list(cases())
-    passed = 0
+    passed, digest = 0, hashlib.sha256()
     for argv in grid:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(argv + ["--out", os.devnull])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
         if code == 0:
             passed += 1
+            summary = json.loads(out.getvalue())["summary"]
+            digest.update(repr((argv, summary["lambda"],
+                                summary["endpoint_residual"])).encode())
         else:
             message = err.getvalue().strip().replace("\n", " | ")
             print(f"{' '.join(argv)}: exit {code}: {message}")
     print(f"{passed} of {len(grid)} pass")
+    print(f"sha256 of the passing cases: {digest.hexdigest()}")
     return 0
 
 

@@ -137,15 +137,30 @@ CATALOG_INTERVALS = {
 }
 
 
+def _scalar_rhs(coefficients, p, drift):
+    """solve_flux's RHS at one r, from the coefficients at a one-element
+    array: the right-hand side scipy's solve_ivp steps."""
+    def rhs(r, y):
+        A, B = (float(np.reshape(c, -1)[0])
+                for c in coefficients(np.array([r])))
+        w = y[1] / A
+        return (math.copysign(abs(w) ** (1.0 / (p - 1.0)), w) + drift * y[0],
+                -drift * y[1] - B * abs(y[0]) ** (p - 2.0) * y[0])
+
+    return rhs
+
+
 def _record_solves(monkeypatch):
     """Route every solve_flux solve through a recorder that also runs scipy's
     own solve_ivp(method="DOP853") on the same RHS, span and tolerances."""
     pairs = []
     dop853 = besselpair._dop853
 
-    def both(rhs, t0, y0, t_bound, rtol, atol, blowup):
-        ours = dop853(rhs, t0, y0, t_bound, rtol, atol, blowup)
-        pairs.append((ours, solve_ivp(rhs, (t0, t_bound), y0, method="DOP853",
+    def both(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
+        ours = dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol,
+                      blowup)
+        pairs.append((ours, solve_ivp(_scalar_rhs(coefficients, p, drift),
+                                      (t0, t_bound), y0, method="DOP853",
                                       rtol=rtol, atol=atol, dense_output=True)))
         return ours
 
@@ -201,13 +216,83 @@ def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
             assert sol.sol(sol.t[k]).shape == (2,)
 
 
+def _record_coefficient_calls(monkeypatch):
+    """Route every solve_flux solve through a recorder of its coefficient
+    calls: per solve, the solution and each call's (radii, A, B)."""
+    solves = []
+    dop853 = besselpair._dop853
+
+    def recorded(coefficients, *args):
+        calls = []
+
+        def record(r):
+            A, B = coefficients(r)
+            calls.append((r.copy(), A, B))
+            return A, B
+
+        solves.append((dop853(record, *args), calls))
+        return solves[-1][0]
+
+    monkeypatch.setattr(besselpair, "_dop853", recorded)
+    return solves
+
+
+def test_stage_array_coefficients_are_the_one_element_ones(monkeypatch):
+    # V, W and z see a step's whole array of stage radii; every value must be
+    # the bits they give at a one-element array, whose r^mu is libm's pow,
+    # at the stage radii of real solves of every catalog certificate (the
+    # improved_weight one is its auxiliary pair's)
+    solves = _record_coefficient_calls(monkeypatch)
+    scenarios = default_catalog()
+    assert {sc.name for sc in scenarios} == set(CATALOG_INTERVALS)
+    for sc in scenarios:
+        del solves[:]
+        verify_bessel_pair(sc, CATALOG_INTERVALS[sc.name])
+        exps = sc.exponents
+        pair = (improved_weight_auxiliary_pair(exps.Q, exps.p)[0]
+                if sc.name == "improved_weight" else sc.pair)
+        coefficients = besselpair._bessel_coefficients(
+            pair, exps.measure_exponent, sc.numerator_zero_order)
+        ((_, calls),) = solves
+        assert {len(r) for r, _, _ in calls} == {1, 3, 12}, sc.name
+        for r, A, B in calls:
+            one = np.array([coefficients(np.array([x])) for x in r.tolist()])
+            assert one[:, :, 0].tobytes() == np.array([A, B]).T.tobytes(), \
+                (sc.name, r)
+
+
+def test_one_coefficient_call_per_attempt_piece_and_start(monkeypatch):
+    solves = _record_coefficient_calls(monkeypatch)
+    sc = scenario_catalog("power", Q=4.0, p=3.0, theta=1.0)
+    dense = integrate_bessel_ode(sc.pair, sc.exponents, 0.2, (1.0, -1.0), 5.0)
+    dense(np.linspace(0.2, 5.0, 40))
+    eigenvalue(AnnulusProblem(Q=5.0, p=4.0, theta=1.0, a=1.0, b=2.0))
+    assert len(solves) == 3
+    for sol, calls in solves:
+        sizes = [len(r) for r, _, _ in calls]
+        attempts, pieces = sizes.count(12), sizes.count(3)
+        # the start f(t0) and the initial step's probe, then the attempts
+        assert sizes[:2] == [1, 1] and sizes.count(1) == 2
+        assert attempts + pieces + 2 == len(calls)
+        assert pieces == len(sol._pieces)
+        assert sol.nfev == 12 * attempts + 3 * pieces + 2
+        assert attempts >= len(sol.t) - 1
+        steps = [r for r, _, _ in calls if len(r) == 12]
+        for t_old, t, *_ in sol._steps:     # each accepted step's radii
+            r = t_old + besselpair._C * (t - t_old)
+            assert any(np.array_equal(r, x) for x in steps)
+        # the annulus coefficients are the constants A and lam A, as floats
+        if sol is not solves[0][0]:
+            assert all(isinstance(A, float) for _, A, _ in calls)
+    assert solves[0][0]._pieces
+
+
 def test_dense_pieces_are_built_once_when_read():
     sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
     exps = sc.exponents
 
     def coefficients(r):
-        return (float(sc.pair.V(np.array([r]))[0]) * r ** 4,
-                sc.pair.lam * float(sc.pair.W(np.array([r]))[0]) * r ** 4)
+        return sc.pair.V(r) * r ** 4, sc.pair.lam * sc.pair.W(r) * r ** 4
 
     sol = solve_flux(coefficients, exps.p, (1.0, 10.0), (1.0, -1.5),
                      1e-10, 1e-12)
@@ -229,13 +314,53 @@ def test_zero_span_solve_is_scipys_constant_solve():
 
     ref = solve_ivp(rhs, (1.0, 1.0), (2.0, 3.0), method="DOP853",
                     dense_output=True)
-    sol = besselpair._dop853(rhs, 1.0, (2.0, 3.0), 1.0, 1e-10, 1e-12,
-                             math.inf)
+    # phi' = m, m' = -phi: solve_flux's RHS at p = 2, A = B = 1, no drift
+    sol = besselpair._dop853(lambda r: (1.0, 1.0), 2.0, 0.0, 1.0, (2.0, 3.0),
+                             1.0, 1e-10, 1e-12, math.inf)
     assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
     assert sol.nfev == ref.nfev == 1
     r = np.array([0.5, 1.0, 2.0])
     assert np.array_equal(sol.sol(r), ref.sol(r))
     assert np.array_equal(sol.sol(1.0), ref.sol(1.0))
+
+
+def test_generated_stages_are_the_tableau_rows_summed_in_order():
+    # the straight-line stage code against the tableau summed by loops, each
+    # row from 0.0 in its order, with the RHS taken stage by stage
+    def rhs(z, A, B, p, d):
+        return _scalar_rhs(lambda r: (A, B), p, d)(0.0, z)
+
+    def combine(K, row):
+        d0 = d1 = 0.0
+        for j, a in row.items():
+            d0 += K[j][0] * a
+            d1 += K[j][1] * a
+        return d0, d1
+
+    def add_stages(K, y, h, stages, A, B, p, d):
+        for n, (_, row) in enumerate(stages):
+            d0, d1 = combine(K, row)
+            z = (y[0] + d0 * h, y[1] + d1 * h)
+            K.append(rhs(z, A[n], B[n], p, d))
+        return z
+
+    rng = np.random.default_rng(27)
+    for p, d in ((2.0, 0.0), (3.0, 0.7), (2.5, -1.3), (8.0, 0.0)):
+        y, f = (tuple(rng.normal(size=2).tolist()) for _ in range(2))
+        h = float(rng.uniform(0.01, 0.2))
+        A, B = rng.uniform(0.5, 2.0, 15).tolist(), rng.normal(size=15).tolist()
+        args = (1.0 / (p - 1.0), p - 2.0, d)
+        assert besselpair._slope(*y, 0.0, (), A, B, *args) == rhs(y, A[0],
+                                                                 B[0], p, d)
+        K = [f]
+        y_new = add_stages(K, y, h, besselpair._STAGES, A, B, p, d)
+        flat, *rest = besselpair._step(*y, h, f, A, B, *args)
+        assert flat == tuple(x for k in K for x in k)
+        assert rest == [y_new, combine(K, besselpair._E5),
+                        combine(K, besselpair._E3)]
+        add_stages(K, y, h, besselpair._EXTRA, A[12:], B[12:], p, d)
+        assert besselpair._dense(*y, h, flat, A[12:], B[12:], *args) == tuple(
+            tuple(h * x for x in combine(K, row)) for row in besselpair._D)
 
 
 def test_dop853_tableau_is_scipys_bitwise():
@@ -261,7 +386,7 @@ def test_dop853_tableau_is_scipys_bitwise():
 @pytest.mark.parametrize("coefficients, y0, fault", [
     pytest.param(lambda r: (1.0, 1.0), (1e200, 0.0),     # |phi|^(p-2) = 1e400
                  "float overflow", id="overflow"),
-    pytest.param(lambda r: (0.0 if r > 0.5 else 1.0, 1.0), (1.0, 0.0),
+    pytest.param(lambda r: (np.where(r > 0.5, 0.0, 1.0), 1.0), (1.0, 0.0),
                  "float division by zero", id="zero_division"),  # m / A, A = 0
 ])
 def test_float_overflow_in_the_rhs_is_an_ode_failure(coefficients, y0, fault):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import pkgutil
@@ -460,11 +461,40 @@ def test_bessel_cli_certifies_every_catalog_scenario(tmp_path, capsys):
 
 
 def test_bessel_cli_ode_failure_exits_1(capsys):
-    # gaussian_b's V = exp(-r^2/2) underflows to 0 before r = 40
+    # gaussian_b's V = exp(-r^2/2) > 0 reads 0.0 only past r = 38.604, where
+    # exp underflows below -745.133: the failure names that r
     argv = ["--scenario", "gaussian_b", "--r0", "0.5", "--r1", "40"]
     code, _, err = _cli(["bessel", *argv], capsys)
     assert code == 1
     assert err.startswith("FAIL: ") and "Traceback" not in err
+    assert err == ("FAIL: V r^mu reads 0.0 from r = 38.604 on the integration "
+                   "path (V vanishes there, or V > 0 underflows)\n")
+    assert math.exp(-38.6035 ** 2 / 2) > 0.0 == math.exp(-38.6045 ** 2 / 2)
+
+
+def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
+    # the README bessel and eig reports, bit for bit: the flux ODE's stepping
+    # and dense output may not move a float
+    code, _, err = _cli(["bessel", "--scenario", "power", "--Q", "5", "--p",
+                         "2", "--theta", "1", "--r0", "1", "--r1", "10",
+                         "--out", str(tmp_path / "b.csv")], capsys)
+    summary = json.loads(err.splitlines()[0])["summary"]
+    assert code == 0
+    assert [repr(summary[k]) for k in ("min_phi", "max_ode_residual",
+                                       "max_closed_form_error")] == [
+        "0.03162277660460544", "2.7961307417827463e-12",
+        "1.7314215968014936e-10"]
+    phi2 = tmp_path / "phi2.csv"
+    for argv, lam in ((["--Q", "3", "--p", "2", "--theta", "1", "--a", "1",
+                        "--b", "2.718281828"], "10.11960440442272"),
+                      (["--Q", "5", "--p", "3", "--theta", "1", "--a", "1",
+                        "--b", "2", "--which", "2", "--eigenfunction-out",
+                        str(phi2)], "685.3387958821102")):
+        code, out, _ = _cli(["eig", *argv], capsys)
+        assert code == 0
+        assert repr(json.loads(out)["summary"]["lambda"]) == lam
+    assert hashlib.sha256(phi2.read_bytes()).hexdigest() == \
+        "b567691dbb892c5e1c80d9d29062a569d903ea1daac9c0456b020458fa5a8a2b"
 
 
 def test_eig_tol_above_1e_6_exits_2(tmp_path, capsys):
