@@ -1,6 +1,7 @@
 """Exact verification of the algebraic identities behind the inequalities.
 
-The scalar identity splits |f|^p + (p-1)|g|^p - p|g|^(p-2) Re(conj(g) f)
+The scalar identity splits |f|^p + (p-1)|g|^p - p|g|^(p-2) Re(conj(g) f),
+the Picone remainder R_p(f, g) that the sharpness sweeps integrate too,
 into two nonnegative s-integrals over the segment h(s) = s g + (1-s) f.
 Everything here exploits the exact parabola
 
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .scenarios import ParameterDomainError, require_p
+from .scenarios import CheckFailure, ParameterDomainError, require_p
 
 __all__ = [
     "scalar_identity_batch",
@@ -28,6 +29,7 @@ __all__ = [
     "realified_identity_oracle",
     "sample_complex_pairs",
     "rhs_closed_form",
+    "picone_remainder",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -39,48 +41,56 @@ _N_PANELS = 42          # geometric panels per side of the near-zero point
 _OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(_N_PANELS - 1.0), [np.inf]])
 _MIN_FEATURE = 1e-12
 _CHUNK = 256           # pairs per block: a block's per-node arrays stay in L2
+_SERIES_TERMS = 20     # binomial terms of the Picone remainder near g
+
+
+def _inner(a, b, vector: bool):
+    """Re<a, b> from real products, contracting the last axis if vector."""
+    prod = a.real * b.real
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
+        prod = prod + a.imag * b.imag
+    return np.sum(prod, axis=-1) if vector else prod
+
+
+def picone_remainder(p: float, g, d, vector: bool = False) -> np.ndarray:
+    """R_p(g + d, g) = |g + d|^p - |g|^p - p |g|^(p-2) Re<g, d> >= 0, the
+    remainder of Picone's identity for the p-Laplacian, for real, complex or
+    (vector=True) C^h arguments, g broadcast against d; |d|^2 at p = 2.
+
+    With m = p/2 and x = (2 Re<g, d> + |d|^2)/|g|^2, so |g + d|^2 =
+    |g|^2 (1 + x), it is |g|^(p-2) [m |d|^2 + |g|^2 sum_(k>=2) binom(m, k)
+    x^k]. Where |x| < min(1/4, 1/m) the direct form cancels, and the series,
+    whose leading terms do not, is summed to k = _SERIES_TERMS + 1.
+    """
+    g, d = np.broadcast_arrays(g, d)
+    dd = _inner(d, d, vector)
+    if p == 2.0:
+        return dd
+    m = 0.5 * p
+
+    def norm(a):
+        return np.sqrt(_inner(a, a, vector)) if vector else np.abs(a)
+
+    ag, gd = norm(g), _inner(g, d, vector)
+    out = np.asarray(norm(g + d) ** p - ag ** p - p * ag ** (p - 2.0) * gd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (2.0 * gd + dd) / (ag * ag)
+    near = np.abs(x) < min(0.25, 1.0 / m)
+    if near.any():
+        coef = np.cumprod([m * (m - 1.0) / 2.0] + [
+            (m - k) / (k + 1.0) for k in range(2, _SERIES_TERMS + 1)])
+        xn, agn = x[near], ag[near]
+        out[near] = agn ** (p - 2.0) * (
+            m * dd[near] + (agn * xn) ** 2 * np.polyval(coef[::-1], xn))
+    return out
 
 
 def rhs_closed_form(p: float, f: np.ndarray, g: np.ndarray,
                     vector: bool = False) -> np.ndarray:
-    """|f|^p + (p-1)|g|^p - p |g|^(p-2) Re<g, f>.
-
-    Elementwise over a batch of scalar pairs by default; with vector=True the
-    inputs are batches of C^h pairs of shape (n, h) and the inner product
-    contracts the last axis.
-
-    For f near g the three terms cancel down to O(|f-g|^2) and the naive sum
-    loses everything to roundoff; there the algebraically identical form
-    (|f|^p - |g|^p) - p |g|^(p-2) Re<g, f-g>, with the power difference
-    evaluated through expm1/log1p, keeps the absolute error at the scale of
-    the result.
-    """
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    if vector:
-        af = np.linalg.norm(f, axis=-1)
-        ag = np.linalg.norm(g, axis=-1)
-        re_gf = np.real(np.sum(np.conj(g) * f, axis=-1))
-        re_gd = np.real(np.sum(np.conj(g) * (f - g), axis=-1))
-        d2 = np.sum(np.abs(f - g) ** 2, axis=-1)
-    else:
-        af = np.abs(f)
-        ag = np.abs(g)
-        re_gf = np.real(np.conj(g) * f)
-        re_gd = np.real(np.conj(g) * (f - g))
-        d2 = np.abs(f - g) ** 2
-    direct = af ** p + (p - 1.0) * ag ** p + (-p) * ag ** (p - 2.0) * re_gf
-    near = (d2 < 0.25 * ag ** 2) & (ag > 0.0)
-    if not np.any(near):
-        return direct
-    ag_n = np.where(near, ag, 1.0)
-    af_n = np.where(near, af, 1.0)
-    # |f| - |g| without cancellation: (|f|^2 - |g|^2) / (|f| + |g|)
-    diff_mag = (2.0 * re_gd + d2) / (af_n + ag_n)
-    with np.errstate(invalid="ignore"):
-        power_diff = ag_n ** p * np.expm1(p * np.log1p(diff_mag / ag_n))
-    stable = power_diff - p * ag_n ** (p - 2.0) * re_gd
-    return np.where(near, stable, direct)
+    """|f|^p + (p-1)|g|^p - p |g|^(p-2) Re<g, f> = R_p(f, g), elementwise
+    over scalar pairs or, with vector=True, over C^h pairs of shape (n, h)."""
+    f, g = np.asarray(f), np.asarray(g)
+    return picone_remainder(p, g, f - g, vector)
 
 
 def _graded_panels(A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
@@ -133,26 +143,39 @@ def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray,
     return tuple(K)
 
 
+def _split(p: float, f, g, names: tuple[str, str], terms):
+    """The split of rows f, g of shape (n, h): on the segment
+    h(s) = f + s (g - f), |h|^2 is minimal at s0 with value d^2, and
+    terms(A, *kernels) gives (w_term, wtilde_term) from the kernels `names`.
+    Runs with numpy's overflow warnings off and raises CheckFailure where a
+    term left the float range: such a split cannot be checked, and its NaN
+    residual would read as a failed bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = f - g
+        A = np.sum(np.abs(diff) ** 2, axis=1)
+        A_safe = np.where(A > 0, A, 1.0)
+        s0 = np.real(np.sum(np.conj(f) * diff, axis=1)) / A_safe
+        d2 = np.sum(np.abs(f + s0[:, None] * (g - f)) ** 2, axis=1)
+        w_term, wtilde_term = terms(A, *_segment_kernels(p, A, s0, d2, names))
+        rhs = rhs_closed_form(p, f, g, vector=True)
+        out = {"w_term": w_term, "wtilde_term": wtilde_term,
+               "rhs_closed": rhs, "residual": np.abs(w_term + wtilde_term - rhs)}
+    for name, value in out.items():
+        if not np.all(np.isfinite(value)):
+            raise CheckFailure(f"{name} is not finite at p = {p!r}: the "
+                               "identity split overflows the float range")
+    return out
+
+
 def scalar_identity_batch(p: float, f: np.ndarray, g: np.ndarray) -> dict:
     """Scalar identity split for a batch of complex pairs (vectorized)."""
     require_p(p)
     f = np.atleast_1d(np.asarray(f, dtype=complex))
     g = np.atleast_1d(np.asarray(g, dtype=complex))
-    diff = f - g
-    A = np.abs(diff) ** 2
-    A_safe = np.where(A > 0, A, 1.0)
-    # h(s) = f + s (g - f); minimum of |h|^2 at s0, value d^2
-    s0 = np.real(np.conj(f) * diff) / A_safe
-    h_at = f + s0 * (g - f)
-    d2 = np.abs(h_at) ** 2
     im = np.imag(f * np.conj(g))
-    K1m4, K2m4 = _segment_kernels(p, A, s0, d2, ("K1m4", "K2m4"))
-    w_term = p * (p - 1.0) * A ** 2 * K2m4
-    wtilde_term = p * im ** 2 * K1m4
-    rhs = rhs_closed_form(p, f, g)
-    residual = np.abs(w_term + wtilde_term - rhs)
-    return {"w_term": w_term, "wtilde_term": wtilde_term,
-            "rhs_closed": rhs, "residual": residual}
+    return _split(p, f[:, None], g[:, None], ("K1m4", "K2m4"),
+                  lambda A, K1m4, K2m4: (p * (p - 1.0) * A ** 2 * K2m4,
+                                         p * im ** 2 * K1m4))
 
 
 def vector_identity_batch(p: float, zeta: np.ndarray, xi: np.ndarray) -> dict:
@@ -162,20 +185,9 @@ def vector_identity_batch(p: float, zeta: np.ndarray, xi: np.ndarray) -> dict:
     xi = np.atleast_2d(np.asarray(xi, dtype=complex))
     if zeta.shape != xi.shape:
         raise ValueError("zeta and xi must have equal shapes (n, h)")
-    diff = zeta - xi
-    A = np.sum(np.abs(diff) ** 2, axis=1)
-    A_safe = np.where(A > 0, A, 1.0)
-    # k(s) = zeta + s (xi - zeta); |k|^2 minimal at s0 with value d^2
-    s0 = np.real(np.sum(np.conj(zeta) * diff, axis=1)) / A_safe
-    k_at = zeta + s0[:, None] * (xi - zeta)
-    d2 = np.sum(np.abs(k_at) ** 2, axis=1)
-    K2m4, K1m2 = _segment_kernels(p, A, s0, d2, ("K2m4", "K1m2"))
-    w_term = p * A * K1m2
-    wtilde_term = p * (p - 2.0) * A ** 2 * K2m4
-    rhs = rhs_closed_form(p, zeta, xi, vector=True)
-    residual = np.abs(w_term + wtilde_term - rhs)
-    return {"w_term": w_term, "wtilde_term": wtilde_term,
-            "rhs_closed": rhs, "residual": residual}
+    return _split(p, zeta, xi, ("K2m4", "K1m2"),
+                  lambda A, K2m4, K1m2: (p * A * K1m2,
+                                         p * (p - 2.0) * A ** 2 * K2m4))
 
 
 def realified_identity_oracle(p: float, mu, nu, tol: float = 1e-12) -> dict:

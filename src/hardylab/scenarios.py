@@ -105,15 +105,16 @@ class RadialWeightPair:
         if not self.interval[0] < self.interval[1]:
             raise ParameterDomainError(f"empty weight interval {self.interval}")
         probe = self._probe_points()
-        v = np.asarray(self.V(probe), dtype=float)
-        if np.any(np.isnan(v)) or np.any(v < 0.0):
-            raise ParameterDomainError("V must be nonnegative on the interval")
-        if self.W_nonnegative:
-            w = np.asarray(self.W(probe), dtype=float)
-            if np.any(np.isnan(w)) or np.any(w < 0.0):
-                raise ParameterDomainError(
-                    "W flagged nonnegative but takes negative values; "
-                    "construct with W_nonnegative=False")
+        with np.errstate(over="ignore"):   # an overflow to inf is >= 0
+            v = np.asarray(self.V(probe), dtype=float)
+            if np.any(np.isnan(v)) or np.any(v < 0.0):
+                raise ParameterDomainError("V must be nonnegative on the interval")
+            if self.W_nonnegative:
+                w = np.asarray(self.W(probe), dtype=float)
+                if np.any(np.isnan(w)) or np.any(w < 0.0):
+                    raise ParameterDomainError(
+                        "W flagged nonnegative but takes negative values; "
+                        "construct with W_nonnegative=False")
 
     def _probe_points(self, n: int = 24) -> np.ndarray:
         lo, hi = self.interval

@@ -171,27 +171,6 @@ class SweepRow:
                 f"eps={self.epsilon}")
 
 
-def _picone(b, d, p: float):
-    """Picone remainder R_p(b + d, b) = |b + d|^p - |b|^p - p |b|^(p-2) b d,
-    >= 0 by convexity; exactly d^2 at p = 2. Where |d| < |b|/8 the three
-    terms cancel to about binom(p, 2) |b|^(p-2) d^2, so there it is summed
-    as the binomial series |b|^(p-2) d^2 sum_(k=2..20) binom(p, k) (d/b)^(k-2),
-    whose tail is below 8^-19 of it."""
-    if p == 2.0:
-        return d * d
-    b, d = np.broadcast_arrays(b, d)
-    out = (np.abs(b + d) ** p - np.abs(b) ** p
-           - p * np.abs(b) ** (p - 2.0) * b * d)
-    near = np.abs(d) < 0.125 * np.abs(b)
-    if near.any():
-        bn, dn = b[near], d[near]
-        binom = np.cumprod([p * (p - 1.0) / 2.0]
-                           + [(p - k) / (k + 1.0) for k in range(2, 20)])
-        out[near] = (np.abs(bn) ** (p - 2.0) * dn * dn
-                     * np.polyval(binom[::-1], dn / bn))
-    return out
-
-
 def _cutoff_in_t(t, ln_eps):
     """G = g_eps(e^t) and G_t, elementwise. The bridge variable is
     x = expm1(t - ln eps) on the rising bridge and -2 expm1(t + ln eps) on
@@ -269,6 +248,8 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
     estimate floored at its relative target): an error dc in c moves N - c D
     by -D dc.
     """
+    from .identities import picone_remainder
+
     weights, z = _maximizer_in_t(scenario)
     p = scenario.exponents.p
     K = 4 if scenario.name == "gaussian_a" else 3
@@ -288,7 +269,7 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
         psi, chi, rho, h = weights(t)
         lead, slope, Gp = chi * G, psi * G_t, G ** p
         terms = [np.abs(lead + slope) ** p + z * Gp, rho * Gp,
-                 _picone(lead, slope, p), h * Gp if K == 4 else None]
+                 picone_remainder(p, lead, slope), h * Gp if K == 4 else None]
         kind = (owner % K)[:, None]
         return np.select([kind == k for k in range(K)], terms[:K])
 
@@ -376,13 +357,16 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
     if p == 2.0:
         deficits = [2.0 / lnR for lnR in logs]
     else:
+        from .identities import picone_remainder
+
         gamma = -(Q - p) / p
         lnR = np.array(logs)
 
         def integrand(s, owner):
             ln = lnR[owner, None]
             a, b = 1.0 / ln, gamma * s
-            return ln * (_picone(b, a, p) + _picone(b, -a, p))
+            return ln * (picone_remainder(p, b, a)
+                         + picone_remainder(p, b, -a))
 
         kinks = [[1.0 / (ln * abs(gamma))] if ln * abs(gamma) > 1.0 else []
                  for ln in logs]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab.identities import (_CHUNK, _graded_panels,
-                                 realified_identity_oracle,
+                                 picone_remainder, realified_identity_oracle,
                                  rhs_closed_form, sample_complex_pairs,
                                  scalar_identity_batch,
                                  vector_identity_batch)
@@ -161,23 +161,48 @@ def test_cp_lower_bound_sampled():
     assert out["min_slack"] >= -1e-12
 
 
+def _mp_remainder(p, f, g):
+    """|f|^p + (p-1)|g|^p - p |g|^(p-2) Re<g, f> at 50 digits; f and g are
+    complex scalars or C^h rows."""
+    import mpmath
+
+    f = [mpmath.mpc(z.real, z.imag) for z in np.atleast_1d(f)]
+    g = [mpmath.mpc(z.real, z.imag) for z in np.atleast_1d(g)]
+    nf = mpmath.sqrt(sum(abs(z) ** 2 for z in f))
+    ng = mpmath.sqrt(sum(abs(z) ** 2 for z in g))
+    re_gf = sum(mpmath.re(mpmath.conj(b) * a) for a, b in zip(f, g))
+    return float(nf ** p + (p - 1) * ng ** p - p * ng ** (p - 2) * re_gf)
+
+
 def test_rhs_closed_form_against_high_precision():
-    # adversarial near-cancelling pairs against a 50-digit evaluation
+    # relative error against a 50-digit evaluation: near-collinear scalar and
+    # C^3 pairs, where the three terms cancel to 1e-24 of their size, generic
+    # sampled pairs, and real (g, d) with |d/g| from 1e-10 to 10
     import mpmath
 
     rng = np.random.default_rng(2718)
-    f, g = sample_complex_pairs(rng, 60, radius=10.0)
+    f, g = near_collinear_pairs(rng, 20)
+    F, G = near_collinear_vectors(rng, 20, h=3)
+    fs, gs = sample_complex_pairs(rng, 60, radius=10.0)
+    ratio = np.geomspace(1e-10, 10.0, 41) * np.tile([1.0, -1.0], 21)[:41]
+    gr = rng.uniform(0.1, 10.0, ratio.size) * rng.choice([-1.0, 1.0], ratio.size)
+    dr = ratio * gr
     with mpmath.workdps(50):
-        for p in (2.0, 3.0, 3.7):
-            ours = rhs_closed_form(p, f, g)
-            for i in range(f.size):
-                fa = mpmath.mpc(f[i].real, f[i].imag)
-                ga = mpmath.mpc(g[i].real, g[i].imag)
-                exact = (abs(fa) ** p + (p - 1) * abs(ga) ** p
-                         - p * abs(ga) ** (p - 2)
-                         * mpmath.re(mpmath.conj(ga) * fa))
-                err = abs(ours[i] - float(exact))
-                assert err <= 1e-13 * (1.0 + abs(float(exact))), (p, i, err)
+        for p in (2.0, 2.5, 3.0, 4.0, 12.0):
+            for ours, pairs in ((rhs_closed_form(p, f, g), zip(f, g)),
+                                (rhs_closed_form(p, F, G, vector=True),
+                                 zip(F, G)),
+                                (rhs_closed_form(p, fs, gs), zip(fs, gs))):
+                exact = np.array([_mp_remainder(p, a, b) for a, b in pairs])
+                rel = np.abs(ours - exact) / exact
+                assert rel.max() <= 1e-13, (p, int(rel.argmax()), rel.max())
+        for p in (2.5, 3.0, 4.0, 20.0):
+            ours = picone_remainder(p, gr, dr)
+            assert ours.dtype == np.float64
+            exact = np.array([_mp_remainder(p, b + d, b) for b, d in
+                              zip(map(mpmath.mpf, gr), map(mpmath.mpf, dr))])
+            rel = np.abs(ours - exact) / exact
+            assert rel.max() <= 1e-13, (p, int(rel.argmax()), rel.max())
 
 
 def test_invalid_p_rejected():

@@ -307,7 +307,8 @@ def test_console_entry_point():
 _CLI_LAYERS = {"cli", "reports", "scenarios", "profiles"}
 _REDUCTION = {"functional", "quadrature"}
 _SWEEPS = {"sharpness"} | _REDUCTION
-_T_SWEEPS = {"sharpness", "quadrature"}   # the sweep and psi modes, in t
+# the sweep and psi modes, in t, with the Picone remainder of identities
+_T_SWEEPS = {"sharpness", "quadrature", "identities"}
 _ODE = {"besselpair", "spectral", "quadrature"}   # eig: T by quadrature
 _COLD_COMMANDS = {
     "catalog": (["catalog"], set()),
@@ -645,6 +646,12 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["geometry", "--check", "vandermonde", "--samples", "1"], 2),
     (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
       "1"], 2),
+    # true vector identities whose near-collinear rows once cancelled the
+    # closed-form right side past the residual bound
+    (["identity", "--p", "12", "--h", "3", "--samples", "10000", "--out",
+      "{tmp}/identity.csv"], 0),
+    (["identity", "--p", "20", "--h", "3", "--samples", "1000", "--out",
+      "{tmp}/identity.csv"], 0),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -663,4 +670,22 @@ def test_exit_codes_without_traceback(argv, code, tmp_path):
             "config error: " if unreadable else
             "output error: " if unwritable else "parameter error: ")
     else:
-        assert [x for x in lines if x.startswith("FAIL: ")] == lines[-1:]
+        fails = [x for x in lines if x.startswith("FAIL: ")]
+        assert fails == (lines[-1:] if code == 1 else [])
+
+
+@pytest.mark.parametrize("argv", [["identity", "--p", "400"],
+                                  ["identity", "--p", "300", "--h", "3"]])
+def test_identity_overflow_is_one_fail_line(argv, tmp_path):
+    # |f|^p and the segment integrals leave the float range: the run names
+    # the overflow instead of reporting NaN residuals, warns nothing and
+    # writes no report
+    out = tmp_path / "identity.csv"
+    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv,
+                           "--samples", "100", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"FAIL: w_term is not finite at p = {float(argv[2])!r}: the "
+        "identity split overflows the float range"]
+    assert proc.stdout == "" and not out.exists()

@@ -147,6 +147,23 @@ def test_weight_pair_sign_validation():
     RadialWeightPair(one, neg, 1.0, (0.0, math.inf), W_nonnegative=False)
 
 
+def test_weight_probe_reads_an_overflow_as_nonnegative():
+    # W = r^-60 overflows at the probe's r = 1e-6: inf >= 0 passes without a
+    # RuntimeWarning, while a NaN still fails the sign check
+    from hardylab.scenarios import RadialWeightPair
+
+    sc = scenario_catalog("power", Q=5.0, p=60.0, theta=1.0)
+    with np.errstate(over="ignore"):
+        assert np.isinf(sc.pair.W(np.array([1e-6]))).all()
+
+    def nan_at_zero(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < 1e-3, np.nan, r ** -400.0)
+
+    with pytest.raises(ParameterDomainError, match="V must be nonnegative"):
+        RadialWeightPair(nan_at_zero, sc.pair.W, 1.0, (0.0, math.inf))
+
+
 def test_nonfinite_knobs_rejected():
     from hardylab.scenarios import RadialWeightPair
 
