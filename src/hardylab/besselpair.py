@@ -11,8 +11,8 @@ of `spectral`, in t = ln r with constant coefficients and a constant drift.
 It steps by DOP853 in Python floats, with the tableau, initial step, step
 control and dense output of scipy's `solve_ivp`, and imports no scipy. The
 coefficients are read by one call per step attempt, at the array of all its
-stage radii, and the stage sums are straight-line code generated at import
-from the tableau.
+stage radii and its dense piece's, and the stage sums are straight-line
+code generated at import from the tableau.
 """
 
 from __future__ import annotations
@@ -262,8 +262,8 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order + 1)
 
 
-_C = np.array([c for c, _ in _STAGES])     # a step's stage radii: t + _C h
-_C_EXTRA = np.array([c for c, _ in _EXTRA])  # a piece's: t_old + _C_EXTRA h
+# a step attempt's 15 radii t + _C h: its 12 stages, then its dense piece's 3
+_C = np.array([c for c, _ in _STAGES + _EXTRA])
 
 
 # The stage sums as straight-line code, generated once from the tableau above.
@@ -361,24 +361,25 @@ class FluxSolution:
     """A `solve_flux` solve: the step ends t and the states y (2 x len(t)),
     nfev and the dense output `sol`. A step's order-7 piece costs 3 more RHS
     evaluations, so it is built, and counted in nfev, only when something
-    first evaluates that step. `stages(code, r, y, h, K)` runs one generated
-    stage function at the stage radii r."""
+    first evaluates that step; its coefficients come with the step. `consts`
+    are the RHS constants (1/(p-1), p-2, drift) of the generated code."""
 
-    def __init__(self, stages):
-        self.nfev, self._stages = 0, stages
-        self._steps, self._pieces = [], {}  # (t_old, t, y_old, y, K) per step
+    def __init__(self, consts):
+        self.nfev, self._consts = 0, consts
+        # (t_old, t, y_old, y, K, (A, B) at the piece's radii) per step
+        self._steps, self._pieces = [], {}
 
     def _piece(self, k):
         """Step k's interpolant coefficients F, 7 (phi, m) pairs, built as
         scipy's DOP853 builds them, in floats."""
         F = self._pieces.get(k)
         if F is None:
-            t_old, t, y_old, y, K = self._steps[k]
+            t_old, t, y_old, y, K, (A, B) = self._steps[k]
             h = t - t_old
             dy = [v - u for u, v in zip(y_old, y)]
             F = [dy, [h * f - d for d, f in zip(dy, K[:2])],
                  [2 * d - h * (f1 + f0) for d, f0, f1 in zip(dy, K[:2], K[-2:])]]
-            F += self._stages(_dense, t_old + _C_EXTRA * h, y_old, h, K)
+            F += _dense(*y_old, h, K, A, B, *self._consts)
             self.nfev += len(_EXTRA)
             self._pieces[k] = F
         return F
@@ -425,20 +426,17 @@ def _dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
     controller: safety 0.9, factors 0.2 to 10, exponent -1/8, the minimum
     step and the clamp to t_bound), summing each stage over its row's nonzero
     entries. One coefficient call serves each step attempt (its 12 stage
-    radii), each dense piece (3) and each start evaluation (1). The first
+    radii and its dense piece's 3) and each start evaluation (1). The first
     step that ends with |phi| > blowup raises DivergenceError, naming that
     step's end."""
     consts = (1.0 / (p - 1.0), p - 2.0, drift)
 
-    def stages(code, r, y, h, K):
-        A, B = coefficients(r)
-        return code(y[0], y[1], h, K, _per_stage(A, len(r)),
-                    _per_stage(B, len(r)), *consts)
-
     def slope(t, y):
-        return stages(_slope, np.array([t]), y, 0.0, ())
+        A, B = coefficients(np.array([t]))
+        return _slope(*y, 0.0, (), _per_stage(A, 1), _per_stage(B, 1),
+                      *consts)
 
-    sol = FluxSolution(stages)
+    sol = FluxSolution(consts)
     y, t = (float(y0[0]), float(y0[1])), t0
     ts, ys = [t0], [y]
     f = slope(t0, y)
@@ -464,7 +462,8 @@ def _dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K, y_new, e5s, e3s = stages(_step, t + _C * h, y, h, f)
+            A, B = (_per_stage(x, len(_C)) for x in coefficients(t + _C * h))
+            K, y_new, e5s, e3s = _step(*y, h, f, A, B, *consts)
             sol.nfev += len(_STAGES)
             err5 = err3 = 0.0
             for e5, e3, u, v in zip(e5s, e3s, y, y_new):
@@ -481,7 +480,8 @@ def _dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        sol._steps.append((t, t_new, y, y_new, K))
+        piece = (A[len(_STAGES):], B[len(_STAGES):])
+        sol._steps.append((t, t_new, y, y_new, K, piece))
         t, y, f = t_new, y_new, K[-2:]
         if abs(y[0]) > blowup:
             raise DivergenceError(f"|phi| exceeded {blowup:.3g} at r = {t:.6g}")
@@ -496,11 +496,12 @@ def solve_flux(coefficients: Callable, p: float, r_span, y0,
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
     for (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense output
     (`_dop853`); a drift d adds d phi to phi' and -d m to m'. The
-    coefficients take the 1-D array of a step's stage radii, t + c_i h, and
-    return (A, B) at all of them, each an array or, constant, a float: one
-    call per step attempt, per dense piece and per start evaluation. The
-    first step that ends with |phi| > blowup is a DivergenceError, and a
-    float overflow or division by zero in the RHS is an ODEFailure."""
+    coefficients take the 1-D array of a step's 15 radii, t + c_i h (its 12
+    stages and its dense piece's 3), and return (A, B) at all of them, each
+    an array or, constant, a float: one call per step attempt and per start
+    evaluation. The first step that ends with |phi| > blowup is a
+    DivergenceError, and a float overflow or division by zero in the RHS is
+    an ODEFailure."""
     try:
         return _dop853(coefficients, p, drift, float(r_span[0]), y0,
                        float(r_span[1]), rtol, atol, blowup)

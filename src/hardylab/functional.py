@@ -23,7 +23,7 @@ import numpy as np
 
 from .profiles import Profile, random_bumps
 from .quadrature import QuadratureError, integrate_batch
-from .scenarios import ParameterDomainError, Scenario
+from .scenarios import CheckFailure, ParameterDomainError, Scenario
 
 __all__ = ["ReducedFunctional", "InvalidProfileError", "reduce_radial_functional",
            "random_profile_slacks"]
@@ -131,9 +131,9 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         den = values[-1]
         if den <= 0.0:
             if scenario.pair.W_nonnegative:
-                raise InvalidProfileError(
+                raise CheckFailure(
                     f"denominator {den} is nonpositive although W >= 0; "
-                    "the profile is numerically trivial on the interval")
+                    "W |phi|^p is numerically zero on the profile's support")
             quotient = math.inf
         else:
             quotient = num / den
@@ -146,9 +146,10 @@ def reduce_radial_functional(scenario: Scenario, phi: Profile,
     """Reduced Rayleigh quotient of a radial profile for one scenario.
 
     The quotient is numerator/denominator when the denominator is positive;
-    a nonpositive denominator is an invalid profile for nonnegative-W
-    scenarios and yields quotient = +inf otherwise (the inequality is then
-    vacuously satisfied since the numerator is nonnegative).
+    a nonpositive denominator is a CheckFailure for nonnegative-W scenarios
+    (the weighted profile underflows, so nothing can be checked) and yields
+    quotient = +inf otherwise (the inequality is then vacuously satisfied
+    since the numerator is nonnegative).
     """
     def value(r, rows):
         return np.asarray(phi.value(r.ravel()))

@@ -137,6 +137,12 @@ class Scenario:
     numerator_zero_order: Callable | None = None
     # keyword arguments of the scenario_catalog call that built it
     params: dict = field(default_factory=dict)
+    # the closed-form maximizer phi in t = ln r, where it cancels the weights:
+    # t -> (psi, chi, rho, z, h), psi = (V r^(Q-p))^(1/p) phi, chi = psi r
+    # phi'/phi, rho = W r^Q phi^p, the constant z = (zero-order weight) r^Q
+    # phi^p and gaussian_a's normalizer weight h (None elsewhere)
+    maximizer_in_t: Callable | None = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
@@ -194,6 +200,7 @@ def _power(Q: float | None = None, p: float = 2.0, theta: float = 1.0,
         pair=RadialWeightPair(V, W, lam, (0.0, math.inf)),
         maximizer=power_profile(gamma, (0.0, math.inf)),
         extra={"gamma": gamma},
+        maximizer_in_t=lambda t: (1.0, gamma, 1.0, 0.0, None),
     )
 
 
@@ -279,12 +286,20 @@ def _gaussian_a(p: float = 2.0, alpha: float = 2.0, beta: float = 2.0,
         r = np.asarray(r, dtype=float)
         return (alpha / (p * beta)) * r ** (alpha - 1.0) * max_value(r)
 
+    def in_t(t):    # with the normalizer weight h = r^(Q + alpha(p-1))
+        psi = np.exp((Q - p) / p * t)
+        rho = np.exp(Q * t) * (np.exp(p * (alpha - 1.0) * t) - corr
+                               * np.exp((alpha * (p - 1.0) - p) * t))
+        return (psi, alpha / (p * beta) * np.exp(alpha * t) * psi, rho, 0.0,
+                np.exp((Q + alpha * (p - 1.0)) * t))
+
     return Scenario(
         name="gaussian_a", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (0.0, math.inf), W_nonnegative=False),
         maximizer=Profile(max_value, max_derivative, (0.0, math.inf)),
         extra={"alpha": alpha, "beta": beta,
                "correction_coefficient": lam ** ((p - 1.0) / p) * (alpha * (p - 1.0) + Q - p)},
+        maximizer_in_t=in_t,
     )
 
 
@@ -307,11 +322,20 @@ def _gaussian_b(p: float = 2.0, theta: float = 1.0, alpha: float = 2.0,
         return (r ** (-p * theta) - corr * r ** (alpha - p * theta)) \
             * np.exp(-(r ** alpha) / beta)
 
+    def in_t(t):
+        # exp(alpha t - r^alpha/beta), since r^alpha itself overflows
+        e = np.exp(alpha * t) / beta
+        psi = np.exp(-e / p)
+        return (psi, -x * psi,
+                np.exp(-e) - (alpha / beta) / x * np.exp(alpha * t - e), 0.0,
+                None)
+
     return Scenario(
         name="gaussian_b", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (0.0, math.inf), W_nonnegative=False),
         maximizer=power_profile(-x, (0.0, math.inf)),
         extra={"alpha": alpha, "beta": beta},
+        maximizer_in_t=in_t,
     )
 
 
@@ -322,9 +346,12 @@ def closed_form_lambda1_p2(Q: float, theta: float, a: float, b: float) -> float:
     return ((Q - 2.0 * theta) / 2.0) ** 2 + (math.pi / math.log(b / a)) ** 2
 
 
-def _annulus_maximizer_p2(Q: float, theta: float, a: float, b: float) -> Profile:
+def _annulus_maximizer_p2(Q: float, theta: float, a: float, b: float):
+    """phi = r^-s sin(c ln(r/a)) in r, and in t = ln r: with
+    tau = c (t - ln a), psi = sin tau, chi = c cos tau - s sin tau and
+    rho = sin^2 tau."""
     s = (Q - 2.0 * theta) / 2.0
-    c = math.pi / math.log(b / a)
+    c, ln_a = math.pi / math.log(b / a), math.log(a)
 
     def value(r):
         r = np.asarray(r, dtype=float)
@@ -335,7 +362,12 @@ def _annulus_maximizer_p2(Q: float, theta: float, a: float, b: float) -> Profile
         return r ** (-s - 1.0) * (-s * np.sin(c * np.log(r / a))
                                   + c * np.cos(c * np.log(r / a)))
 
-    return Profile(value, derivative, (a, b))
+    def in_t(t):
+        tau = c * (t - ln_a)
+        sin = np.sin(tau)
+        return sin, c * np.cos(tau) - s * sin, sin * sin, 0.0, None
+
+    return Profile(value, derivative, (a, b)), in_t
 
 
 def _annulus(Q: float = 3.0, p: float = 2.0, theta: float = 1.0,
@@ -345,19 +377,20 @@ def _annulus(Q: float = 3.0, p: float = 2.0, theta: float = 1.0,
     exps = Exponents(p=p, theta=theta, Q=Q)
     if p == 2:
         lam = closed_form_lambda1_p2(Q, theta, a, b)
-        maximizer: Profile | str = _annulus_maximizer_p2(Q, theta, a, b)
+        maximizer, in_t = _annulus_maximizer_p2(Q, theta, a, b)
     else:
         # no closed form: shoot for lam_1 (the ODE layer, so imported here)
         from .spectral import AnnulusProblem, eigenvalue
 
         lam = eigenvalue(AnnulusProblem(Q, p, theta, a, b)).lam
-        maximizer = "eigenfunction"
+        maximizer, in_t = "eigenfunction", None
     V, W = _power_weights(p, theta)
     return Scenario(
         name="annulus", exponents=exps,
         pair=RadialWeightPair(V, W, lam, (a, b)),
         maximizer=maximizer,
         extra={"a": a, "b": b},
+        maximizer_in_t=in_t,
     )
 
 
@@ -400,6 +433,7 @@ def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
     k = N * (N - 1) / 2.0
     sphere_eig = k * (k + N - 2.0)
     sharp = ((N * N - 2.0 * theta) / 2.0) ** 2 + N * (N - 1.0) * (theta - 1.0)
+    gamma = -(N - 2.0 * theta) / 2.0
     V, W = _power_weights(p, theta)
 
     def zero_order(r):
@@ -409,10 +443,12 @@ def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
     return Scenario(
         name="antisymmetric", exponents=exps,
         pair=RadialWeightPair(V, W, sharp, (0.0, math.inf)),
-        maximizer=power_profile(-(N - 2.0 * theta) / 2.0, (0.0, math.inf)),
+        maximizer=power_profile(gamma, (0.0, math.inf)),
         extra={"N": N, "sphere_eigenvalue": sphere_eig,
                "vandermonde_degree": k},
         numerator_zero_order=zero_order,
+        # z = sphere_eig V r^-2 r^Q r^(2 gamma) = sphere_eig
+        maximizer_in_t=lambda t: (1.0, gamma, 1.0, sphere_eig, None),
     )
 
 

@@ -12,17 +12,18 @@ the edge, where both knots are exact and the strip quotient's x-integrals run.
 
 Every sweep runs in t = ln r. For u = phi G(t), phi the closed-form
 maximizer, the weights cancel into psi = (V r^(Q-p))^(1/p) phi,
-chi = psi r phi'/phi and rho = W r^Q phi^p (power family: 1, gamma and 1;
-the log scenarios are power pairs in ln(R/r)), so the numerator is
-N = int |chi G + psi G_t|^p + z G^p dt and the denominator D = int rho G^p dt.
-By Picone's identity N - c D is the integral P of the remainder
-R_p(chi G + psi G_t, chi G) >= 0, which vanishes where G is constant. Each
-eps contributes N, D and P (and gaussian_a its normalizer h) as owners of
-one kernel call over g_eps's support in t, with g_eps evaluated in t so
-that eps may go down to the smallest float. A row is c + P/D, and only
-once N - c D and P agree, which a wrong c fails at every eps. psi_R is
-linear in t on its two bridges, so its Hardy deficit is the same remainder
-integrated over s = psi in [0, 1].
+chi = psi r phi'/phi and rho = W r^Q phi^p, which the scenario's builder
+sets as its `maximizer_in_t` (the log scenarios sweep as power pairs in
+ln(R/r)), so the numerator is N = int |chi G + psi G_t|^p + z G^p dt and
+the denominator D = int rho G^p dt. By Picone's identity N - c D is the
+integral P of the remainder R_p(chi G + psi G_t, chi G) >= 0, which
+vanishes where G is constant. Each eps contributes N, D and P (and
+int h G^p where the maximizer carries a normalizer h) as owners of one
+kernel call over g_eps's support in t, with g_eps evaluated in t so that
+eps may go down to the smallest float. A sweep row is c + P/D, and only
+once N - c D and P agree, which a wrong c or a wrong maximizer fails at
+every eps. psi_R is linear in t on its two bridges, so its Hardy deficit
+is the same remainder integrated over s = psi in [0, 1].
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ _PSI_TOL = 1e-14
 # N - c D and the Picone integral must agree within this many summed error
 # bounds
 _PICONE_K = 10.0
-_POWER_FAMILY = ("power", "cylindrical", "strip", "antisymmetric")
 
 
 def _step(t):
@@ -182,77 +182,25 @@ def _cutoff_in_t(t, ln_eps):
                          - (2.0 - dn) * _step_slope(dn) * s_up)
 
 
-def _maximizer_in_t(scenario: Scenario):
-    """(weights, z) of the closed-form maximizer phi in t = ln r.
-
-    weights(t) returns psi = (V r^(Q-p))^(1/p) phi, chi = psi r phi'/phi,
-    rho = W r^Q phi^p and gaussian_a's normalizer weight h = r^(Q+alpha(p-1))
-    (None elsewhere), each in the form where weight and maximizer cancel;
-    z, the zero-order weight times r^Q phi^p, is a constant.
-    """
-    phi = closed_form_maximizer(scenario)   # raises if there is none
-    p, theta, Q = (scenario.exponents.p, scenario.exponents.theta,
-                   scenario.exponents.Q)
-    extra = scenario.extra
-    if scenario.name in _POWER_FAMILY:
-        one = np.ones(1)
-        # the maximizer is r^gamma, whose slope at r = 1 is gamma exactly
-        gamma = float(phi.derivative(one)[0])
-        if abs(Q - p * theta + p * gamma) > 1e-12 * (1.0 + abs(Q)):
-            raise CheckFailure(
-                f"maximizer r^{gamma!r} does not cancel the weights of "
-                f"{scenario.name} in t = ln r")
-        # a pure power of r, so its factor in t is its value at r = 1
-        zero_order = scenario.numerator_zero_order
-        z = 0.0 if zero_order is None else float(zero_order(one)[0])
-        return (lambda t: (1.0, gamma, 1.0, None)), z
-    if scenario.name == "annulus":   # p = 2: phi = r^-s sin(w ln(r/a))
-        s, ln_a = (Q - 2.0 * theta) / 2.0, math.log(extra["a"])
-        w = math.pi / math.log(extra["b"] / extra["a"])
-
-        def annulus(t):
-            tau = w * (t - ln_a)
-            sin = np.sin(tau)
-            return sin, w * np.cos(tau) - s * sin, sin * sin, None
-        return annulus, 0.0
-    alpha, beta = extra["alpha"], extra["beta"]
-    if scenario.name == "gaussian_a":   # phi = exp(r^alpha/(p beta))
-        corr = (p * beta / alpha) * (alpha * (p - 1.0) + Q - p)
-
-        def gaussian_a(t):
-            psi = np.exp((Q - p) / p * t)
-            rho = np.exp(Q * t) * (np.exp(p * (alpha - 1.0) * t) - corr
-                                   * np.exp((alpha * (p - 1.0) - p) * t))
-            return (psi, alpha / (p * beta) * np.exp(alpha * t) * psi, rho,
-                    np.exp((Q + alpha * (p - 1.0)) * t))
-        return gaussian_a, 0.0
-    x = (Q - p * theta) / p   # gaussian_b: phi = r^-x
-
-    def gaussian_b(t):
-        # exp(alpha t - r^alpha/beta), since r^alpha itself overflows
-        e = np.exp(alpha * t) / beta
-        psi = np.exp(-e / p)
-        return (psi, -x * psi,
-                np.exp(-e) - (alpha / beta) / x * np.exp(alpha * t - e), None)
-    return gaussian_b, 0.0
-
-
 def _picone_integrals(scenario: Scenario, c: float, eps_grid):
     """Yield (D, P) of the maximizer times g_eps at each eps, in grid order.
 
-    N = int |chi G + psi G_t|^p + z G^p, D = int rho G^p and the Picone
-    integral P = int R_p(chi G + psi G_t, chi G) of every eps (and
-    gaussian_a's h) are owners of one kernel call over g_eps's support in t.
-    Each eps raises its own quadrature error when reached, and CheckFailure
-    unless N - c D = P within _PICONE_K times their summed error bounds (each
-    estimate floored at its relative target): an error dc in c moves N - c D
-    by -D dc.
+    From the scenario's maximizer in t (a log scenario has none: it sweeps
+    as its power pair), N = int |chi G + psi G_t|^p + z G^p, D = int rho G^p
+    and the Picone integral P = int R_p(chi G + psi G_t, chi G) of every eps
+    (and int h G^p where the row has a normalizer h) are owners of one
+    kernel call over g_eps's support in t. Each eps raises its own
+    quadrature error when reached, and CheckFailure unless N - c D = P
+    within _PICONE_K times their summed error bounds (each estimate floored
+    at its relative target): an error dc in c moves N - c D by -D dc.
     """
     from .identities import picone_remainder
 
-    weights, z = _maximizer_in_t(scenario)
+    row = scenario.maximizer_in_t
+    if row is None:     # no closed form: raises, naming the tag
+        closed_form_maximizer(scenario)
     p = scenario.exponents.p
-    K = 4 if scenario.name == "gaussian_a" else 3
+    K = 3 if row(np.zeros(1))[4] is None else 4
     a, b = scenario.pair.interval   # (0, inf) except for the annulus
     ln_eps = np.log(eps_grid)
     lo = ln_eps if a == 0.0 else np.maximum(ln_eps, math.log(a))
@@ -266,7 +214,7 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
 
     def integrand(t, owner):
         G, G_t = _cutoff_in_t(t, ln_eps[owner // K, None])
-        psi, chi, rho, h = weights(t)
+        psi, chi, rho, z, h = row(t)
         lead, slope, Gp = chi * G, psi * G_t, G ** p
         terms = [np.abs(lead + slope) ** p + z * Gp, rho * Gp,
                  picone_remainder(p, lead, slope), h * Gp if K == 4 else None]

@@ -9,7 +9,8 @@ from hardylab.functional import (InvalidProfileError, _reduce_batch,
 from hardylab.profiles import (Bumps, Profile, random_bumps, random_profile,
                                smooth_bump)
 from hardylab.quadrature import QuadratureError, integrate_batch
-from hardylab.scenarios import ParameterDomainError, scenario_catalog
+from hardylab.scenarios import (CheckFailure, ParameterDomainError,
+                                scenario_catalog)
 
 from oracles import composite_gauss, scaled
 
@@ -80,11 +81,13 @@ def test_denominator_sign_handling():
 
 
 def test_nonnegative_weight_rejects_trivial_profile():
+    # a zero denominator under W >= 0 is a check that cannot be carried
+    # out (exit 1), not bad input
     sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
     zero = Profile(lambda r: np.zeros_like(np.asarray(r, float)),
                    lambda r: np.zeros_like(np.asarray(r, float)),
                    (1.0, 2.0))
-    with pytest.raises(InvalidProfileError):
+    with pytest.raises(CheckFailure, match="denominator 0.0 is nonpositive"):
         reduce_radial_functional(sc, zero)
 
 

@@ -498,6 +498,28 @@ def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
         "b567691dbb892c5e1c80d9d29062a569d903ea1daac9c0456b020458fa5a8a2b"
 
 
+def test_readme_sweep_outputs_are_pinned(capsys):
+    # the README sharpness sweep and psi_R rows, bit for bit
+    for argv, rows in (
+            (["--scenario", "power", "--Q", "5", "--p", "2", "--theta", "1",
+              "--eps-grid", "1e-2,1e-3,1e-4"],
+             [["0.01", "2.7619594062319375", "0.5119594062319374",
+               "4.005593950049345"],
+              ["0.001", "2.580270670077185", "0.330270670077185",
+               "4.105005561865996"],
+              ["0.0001", "2.493762169630779", "0.24376216963077918",
+               "4.152338983008245"]]),
+            (["--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
+              "10,100,1000"],
+             [["10.0", "0.8685889638065035", "1.9999999999999998"],
+              ["100.0", "0.43429448190325176", "1.9999999999999998"],
+              ["1000.0", "0.2895296546021679", "2.0"]])):
+        code, out, _ = _cli(["sharpness", *argv, "--format", "json"], capsys)
+        assert code == 0
+        assert [[repr(x) for x in row.values()]
+                for row in json.loads(out)["rows"]] == rows
+
+
 def test_eig_tol_above_1e_6_exits_2(tmp_path, capsys):
     # a tolerance that loose would let the root land past lam_which, which
     # the final zero count then reports as a failed search
@@ -652,6 +674,10 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
       "{tmp}/identity.csv"], 0),
     (["identity", "--p", "20", "--h", "3", "--samples", "1000", "--out",
       "{tmp}/identity.csv"], 0),
+    # W = r^-400 underflows on every profile: a zero denominator of valid
+    # input
+    (["rayleigh", "--scenario", "power", "--Q", "5", "--p", "2", "--theta",
+      "200", "--profiles", "20"], 1),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 
 from hardylab.cli import run
 from hardylab.functional import reduce_radial_functional
-from hardylab.profiles import Profile, power_profile
+from hardylab.profiles import Profile
 from hardylab.quadrature import QuadratureError
 from hardylab.scenarios import (CheckFailure, ParameterDomainError,
+                                UnsupportedScenarioError,
                                 closed_form_maximizer, scenario_catalog)
 from hardylab.sharpness import (BRIDGE_MAX_SLOPE, SweepRow,
                                 _log_equivalent_scenario, _picone_integrals,
@@ -272,11 +274,96 @@ def test_sweep_batch_equals_eps_by_eps(name, kw):
         [sweep_quotient(sc, [eps])[0] for eps in grid]
 
 
-def test_sweep_rejects_a_maximizer_that_misses_the_weights():
-    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    off = replace(sc, maximizer=power_profile(-1.4, (0.0, math.inf)))
-    with pytest.raises(CheckFailure, match="does not cancel the weights"):
-        sweep_quotient(off, [1e-2])
+def _with_chi_scaled(sc, factor):
+    row = sc.maximizer_in_t
+
+    def scaled(t):
+        psi, chi, rho, z, h = row(t)
+        return psi, chi * factor, rho, z, h
+
+    return replace(sc, maximizer_in_t=scaled)
+
+
+@pytest.mark.parametrize("name, kw", [
+    *(case for case in POWER_FAMILY if not case[0].startswith("log")),
+    *OTHER_CLOSED_FORMS])
+def test_sweep_rejects_a_maximizer_off_by_1e_6(name, kw):
+    # a maximizer row whose chi = psi r phi'/phi is off by a relative 1e-6
+    # no longer cancels the weights: N - c D and the Picone integral part
+    sc = scenario_catalog(name, **kw)
+    grid = [0.24] if name == "annulus" else [1e-2]
+    for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+        with pytest.raises(CheckFailure, match="Picone"):
+            sweep_quotient(_with_chi_scaled(sc, factor), grid)
+
+
+@pytest.mark.parametrize("name, kw", POWER_FAMILY + OTHER_CLOSED_FORMS)
+def test_maximizer_in_t_is_the_r_form(name, kw):
+    # each builder's row against its maximizer phi and weights in r, at
+    # t = ln r: psi = (V r^(Q-p))^(1/p) phi, chi = psi r phi'/phi,
+    # rho = W r^Q phi^p, z = (zero-order weight) r^Q phi^p and gaussian_a's
+    # h = r^(Q + alpha(p-1)); the log scenarios carry no row, since they
+    # sweep as power pairs in ln(R/r)
+    sc = scenario_catalog(name, **kw)
+    if name.startswith("log"):
+        assert sc.maximizer_in_t is None
+        return
+    p, Q = sc.exponents.p, sc.exponents.Q
+    a, b = sc.pair.interval
+    r = (np.linspace(a, b, 11)[1:-1] if name == "annulus"
+         else np.geomspace(0.2, 5.0, 9))
+    phi = closed_form_maximizer(sc)
+    value, slope = phi.value(r), phi.derivative(r)
+    zero_order = sc.numerator_zero_order
+    psi = (sc.pair.V(r) * r ** (Q - p)) ** (1.0 / p) * value
+    expected = [psi, psi * r * slope / value,
+                sc.pair.W(r) * r ** Q * value ** p,
+                0.0 * r if zero_order is None else
+                zero_order(r) * r ** Q * value ** p,
+                r ** (Q + kw["alpha"] * (p - 1.0)) if name == "gaussian_a"
+                else None]
+    row = sc.maximizer_in_t(np.log(r))
+    for got, want in zip(row, expected):
+        if want is None:
+            assert got is None
+            continue
+        got = np.broadcast_to(got, r.shape)
+        assert np.all(np.abs(got - want)
+                      <= 1e-14 * max(np.max(np.abs(want)), 1e-300)), name
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("improved_weight", dict(Q=5.0, p=2.0)),
+    ("annulus", dict(Q=5.0, p=3.0, theta=1.0, a=1.0, b=2.0)),
+])
+def test_sweep_without_a_maximizer_names_its_tag(name, kw):
+    sc = scenario_catalog(name, **kw)
+    assert sc.maximizer_in_t is None
+    with pytest.raises(UnsupportedScenarioError) as ref:
+        closed_form_maximizer(sc)
+    with pytest.raises(UnsupportedScenarioError) as err:
+        sweep_quotient(sc, [1e-2])
+    assert str(err.value) == str(ref.value)
+    assert f"(tag: {sc.maximizer})" in str(err.value)
+
+
+def _pin_grid(name):
+    # gaussian_a's h ~ eps^-7 overflows in t below eps = 1e-44 at p = 3
+    if name == "gaussian_a":
+        return [1e-2, 1e-3, 1e-4, 1e-10, 1e-30, 1e-40]
+    grid = [1e-2, 1e-3, 1e-4, 1e-10, 1e-30, 1e-100, 1e-300]
+    return grid + [5e-324] if name == "gaussian_b" else grid
+
+
+def test_sweep_rows_are_pinned():
+    # every closed-form sweep, bit for bit: the rows of each case, repr'd
+    # and hashed in order, at eps down to 1e-300 (gaussian_b to 5e-324)
+    digest = hashlib.sha256()
+    for name, kw in POWER_FAMILY + OTHER_CLOSED_FORMS:
+        rows = sweep_quotient(scenario_catalog(name, **kw), _pin_grid(name))
+        digest.update(repr(rows).encode())
+    assert digest.hexdigest() == \
+        "c6478c040f0f5eecc10f5d8bda34d3502028a7387a9cf53c92818683e0c2fe1b"
 
 
 def test_power_sweep_below_the_float_span(tmp_path):
