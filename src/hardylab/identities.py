@@ -12,7 +12,8 @@ spurious |h|^(p-4) singularity analytically: the integrands become powers of
 q(s) = A (s-s0)^2 + d^2 and are integrated on per-pair geometrically graded
 Gauss-Legendre panels, vectorized over large sample batches. Only the panels
 that meet [0,1] are evaluated, flattened over the batch and summed back per
-pair.
+pair; a block of pairs builds its candidate panels only as deep as its own
+widest reach needs, and every block's node arrays share one workspace.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _N_PANELS = 42          # geometric panels per side of the near-zero point
 # finite reach of the grading, and otherwise every weight would be 0.
 _OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(_N_PANELS - 1.0), [np.inf]])
 _MIN_FEATURE = 1e-12
-_CHUNK = 256           # pairs per block: a block's per-node arrays stay in L2
+_CHUNK = 256           # pairs per block: a generic block's node buffers stay in L2
 _SERIES_TERMS = 20     # binomial terms of the Picone remainder near g
 
 
@@ -99,54 +100,78 @@ def _graded_panels(A: np.ndarray, s0: np.ndarray, d2: np.ndarray):
 
     Returns (owner, lo, hi): panel k spans [lo[k], hi[k]] for element owner[k].
     Only panels that intersect [0,1] are kept; per element they tile [0,1].
+    The table is cut at the depth L the batch needs: its first L + 1 offsets,
+    then the infinite one in place of 2^L. Once width 2^L reaches
+    max(|s0|, |1-s0|) for every element, both sides are clipped to the ends
+    of [0,1] at offset 2^L as at the infinite one, and every deeper panel is
+    empty. L = ceil(log2(max of that reach/width)) + 2 keeps two doublings
+    to spare for rounding; a batch whose reach is past the table or not
+    finite (an overflowing pair) takes all of `_OFFSETS`.
     """
     width = np.clip(np.sqrt(np.maximum(d2, 0.0) / A), _MIN_FEATURE, 0.25)
-    offs = width[:, None] * _OFFSETS[None, :]                  # (n, K+1)
+    reach = float(np.max(np.maximum(np.abs(s0), np.abs(1.0 - s0)) / width))
+    depth = (min(math.ceil(math.log2(reach)) + 2, _N_PANELS - 1)
+             if math.isfinite(reach) else _N_PANELS - 1)
+    offs = width[:, None] * np.append(_OFFSETS[:depth + 1], np.inf)[None, :]
     right = np.clip(s0[:, None] + offs, 0.0, 1.0)
     left = np.clip(s0[:, None] - offs, 0.0, 1.0)
-    lo = np.concatenate([right[:, :-1], left[:, 1:]], axis=1)  # (n, 2K)
+    lo = np.concatenate([right[:, :-1], left[:, 1:]], axis=1)  # (n, 2 depth + 2)
     hi = np.concatenate([right[:, 1:], left[:, :-1]], axis=1)
-    owner, k = np.nonzero(hi != lo)
-    return owner, lo[owner, k], hi[owner, k]
-
-
-# The s-integrands of int_0^1 ... ds at the graded nodes s, from ds = s - s0,
-# q = A ds^2 + d2 and qm4 = q^((p-4)/2)
-_INTEGRANDS = {
-    "K1m4": lambda s, ds, q, qm4: s * qm4,              # s q^((p-4)/2)
-    "K2m4": lambda s, ds, q, qm4: s * ds ** 2 * qm4,    # s (s-s0)^2 q^((p-4)/2)
-    "K1m2": lambda s, ds, q, qm4: s * qm4 * q,          # s q^((p-2)/2)
-}
+    flat = np.flatnonzero(hi != lo)
+    return flat // lo.shape[1], lo.ravel()[flat], hi.ravel()[flat]
 
 
 def _segment_kernels(p: float, A: np.ndarray, s0: np.ndarray, d2: np.ndarray,
-                     names: tuple[str, ...]):
-    """The named s-integrals of `_INTEGRANDS`, one array each in the order of
-    `names`; the scalar identity reads K1m4 and K2m4, the vector one K2m4 and
-    K1m2. Pairs are taken in blocks of `_CHUNK`, and a pair's panels never
-    leave its block, so each pair's result does not depend on its batch."""
-    K = np.zeros((len(names), A.shape[0]))
+                     times_q: bool):
+    """(K2, K1): K2 = int_0^1 s (s-s0)^2 q^((p-4)/2) ds and K1 = int_0^1
+    s q^((p-4)/2) ds, or with times_q int_0^1 s q^((p-4)/2) q ds, which is
+    int_0^1 s q^((p-2)/2) ds; the scalar identity reads K1 without q, the
+    vector one with it.
+
+    Pairs are taken in blocks of `_CHUNK`, and a pair's panels never leave
+    its block, so each pair's result does not depend on its batch; each
+    block's panels are only as deep as that block needs. Every block writes
+    its node arrays into one workspace of four buffers, sized for the block
+    with the most panels: the nodes s, (s-s0)^2, q and q^((p-4)/2). K2's
+    integrand (s (s-s0)^2) q^((p-4)/2) overwrites (s-s0)^2, K1's
+    (s q^((p-4)/2)) q overwrites s, and the weights take the buffer of
+    q^((p-4)/2) once both have read it.
+    """
+    K = np.zeros((2, A.shape[0]))
     live_idx = np.flatnonzero(A > 0.0)
-    for start in range(0, live_idx.size, _CHUNK):
-        idx = live_idx[start:start + _CHUNK]
-        owner, lo, hi = _graded_panels(A[idx], s0[idx], d2[idx])
+    blocks = [live_idx[start:start + _CHUNK]
+              for start in range(0, live_idx.size, _CHUNK)]
+    panels = [_graded_panels(A[idx], s0[idx], d2[idx]) for idx in blocks]
+    work = np.empty((4, max((lo.size for _, lo, _ in panels), default=0),
+                     _GL_NODES.size))
+    for idx, (owner, lo, hi) in zip(blocks, panels):
         pair = idx[owner]
+        s, ds2, q, qm4 = work[:, :lo.size]
         half = 0.5 * (hi - lo)
-        s = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES[None, :]
-        w = half[:, None] * _GL_WEIGHTS[None, :]
-        ds = s - s0[pair, None]
-        q = np.maximum(A[pair, None] * ds ** 2 + d2[pair, None], 1e-300)
-        qm4 = q ** ((p - 4.0) / 2.0)
-        for k, name in enumerate(names):
-            vals = _INTEGRANDS[name](s, ds, q, qm4)
-            K[k, idx] = np.bincount(owner, np.einsum("ij,ij->i", w, vals), minlength=idx.size)
+        np.multiply(half[:, None], _GL_NODES, out=s)
+        np.add((0.5 * (hi + lo))[:, None], s, out=s)
+        np.subtract(s, s0[pair, None], out=ds2)
+        np.square(ds2, out=ds2)
+        np.multiply(A[pair, None], ds2, out=q)
+        np.add(q, d2[pair, None], out=q)
+        np.maximum(q, 1e-300, out=q)
+        np.copyto(qm4, q)
+        qm4 **= (p - 4.0) / 2.0   # as q ** e: numpy's fast paths at p = 2 and 4
+        np.multiply(np.multiply(s, ds2, out=ds2), qm4, out=ds2)
+        np.multiply(s, qm4, out=s)
+        if times_q:
+            np.multiply(s, q, out=s)
+        w = np.multiply(half[:, None], _GL_WEIGHTS, out=qm4)
+        for k, vals in enumerate((ds2, s)):
+            K[k, idx] = np.bincount(owner, np.einsum("ij,ij->i", w, vals),
+                                    minlength=idx.size)
     return tuple(K)
 
 
-def _split(p: float, f, g, names: tuple[str, str], terms):
+def _split(p: float, f, g, times_q: bool, terms):
     """The split of rows f, g of shape (n, h): on the segment
     h(s) = f + s (g - f), |h|^2 is minimal at s0 with value d^2, and
-    terms(A, *kernels) gives (w_term, wtilde_term) from the kernels `names`.
+    terms(A, K2, K1) gives (w_term, wtilde_term) from `_segment_kernels`.
     Runs with numpy's overflow warnings off and raises CheckFailure where a
     term left the float range: such a split cannot be checked, and its NaN
     residual would read as a failed bound."""
@@ -156,7 +181,7 @@ def _split(p: float, f, g, names: tuple[str, str], terms):
         A_safe = np.where(A > 0, A, 1.0)
         s0 = np.real(np.sum(np.conj(f) * diff, axis=1)) / A_safe
         d2 = np.sum(np.abs(f + s0[:, None] * (g - f)) ** 2, axis=1)
-        w_term, wtilde_term = terms(A, *_segment_kernels(p, A, s0, d2, names))
+        w_term, wtilde_term = terms(A, *_segment_kernels(p, A, s0, d2, times_q))
         rhs = rhs_closed_form(p, f, g, vector=True)
         out = {"w_term": w_term, "wtilde_term": wtilde_term,
                "rhs_closed": rhs, "residual": np.abs(w_term + wtilde_term - rhs)}
@@ -167,14 +192,24 @@ def _split(p: float, f, g, names: tuple[str, str], terms):
     return out
 
 
+def _require_finite(f, g, names: str):
+    """ParameterDomainError naming the first row (index along the first
+    axis) where f or g holds a NaN or an infinity."""
+    bad = ~(np.isfinite(f) & np.isfinite(g))
+    if bad.any():
+        row = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
+        raise ParameterDomainError(f"{names} must be finite: row {row} is not")
+
+
 def scalar_identity_batch(p: float, f: np.ndarray, g: np.ndarray) -> dict:
     """Scalar identity split for a batch of complex pairs (vectorized)."""
     require_p(p)
     f = np.atleast_1d(np.asarray(f, dtype=complex))
     g = np.atleast_1d(np.asarray(g, dtype=complex))
+    _require_finite(f, g, "f and g")
     im = np.imag(f * np.conj(g))
-    return _split(p, f[:, None], g[:, None], ("K1m4", "K2m4"),
-                  lambda A, K1m4, K2m4: (p * (p - 1.0) * A ** 2 * K2m4,
+    return _split(p, f[:, None], g[:, None], False,
+                  lambda A, K2m4, K1m4: (p * (p - 1.0) * A ** 2 * K2m4,
                                          p * im ** 2 * K1m4))
 
 
@@ -185,7 +220,8 @@ def vector_identity_batch(p: float, zeta: np.ndarray, xi: np.ndarray) -> dict:
     xi = np.atleast_2d(np.asarray(xi, dtype=complex))
     if zeta.shape != xi.shape:
         raise ValueError("zeta and xi must have equal shapes (n, h)")
-    return _split(p, zeta, xi, ("K2m4", "K1m2"),
+    _require_finite(zeta, xi, "zeta and xi")
+    return _split(p, zeta, xi, True,
                   lambda A, K2m4, K1m2: (p * A * K1m2,
                                          p * (p - 2.0) * A ** 2 * K2m4))
 

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hardylab.identities import (_CHUNK, _graded_panels,
                                  rhs_closed_form, sample_complex_pairs,
                                  scalar_identity_batch,
                                  vector_identity_batch)
+from hardylab.scenarios import CheckFailure, ParameterDomainError
 
 from oracles import (check_cp_lower_bound, near_collinear_pairs,
                      near_collinear_vectors, segment_identity_oracle,
@@ -290,6 +292,80 @@ def test_live_panels_tile_unit_interval():
     assert np.mean(count[generic]) < 8.0
 
 
+def _full_depth_panels(A, s0, d2):
+    """The graded panels from all 42 offsets per side, every candidate built
+    and the empty ones dropped afterwards: the reference for the depth cut."""
+    offsets = np.concatenate([[0.0], 2.0 ** np.arange(41.0), [np.inf]])
+    width = np.clip(np.sqrt(np.maximum(d2, 0.0) / A), 1e-12, 0.25)
+    offs = width[:, None] * offsets[None, :]
+    right = np.clip(s0[:, None] + offs, 0.0, 1.0)
+    left = np.clip(s0[:, None] - offs, 0.0, 1.0)
+    lo = np.concatenate([right[:, :-1], left[:, 1:]], axis=1)
+    hi = np.concatenate([right[:, 1:], left[:, :-1]], axis=1)
+    owner, k = np.nonzero(hi != lo)
+    return owner, lo[owner, k], hi[owner, k]
+
+
+def test_graded_panels_match_full_depth():
+    """The panels cut at the depth a batch needs are those of the full table,
+    in the same order, for every pair alone and for every block of _CHUNK."""
+    rng = np.random.default_rng(2929)
+    f, g = sample_complex_pairs(rng, 2000)          # generic and adversarial
+    fa, ga = near_collinear_pairs(rng, 40, eps_range=(1e-12, 1e-1))
+    fe = 10.0 * np.exp(2j * np.pi * rng.uniform(size=20))
+    ge = fe * (1.0 + 1e-14 * np.exp(2j * np.pi * rng.uniform(size=20)))
+    # width clamped at 1e-12 (a segment through 0) and at 0.25
+    fw = np.array([1.0, 2.0 + 1j, 10.0, 3.0])
+    gw = np.array([-1.0, -4.0 - 2j, 10j, 3.0 + 9j])
+    f, g = np.concatenate([f, fa, fe, fw]), np.concatenate([g, ga, ge, gw])
+    diff = f - g
+    A = np.abs(diff) ** 2
+    s0 = np.real(np.conj(f) * diff) / A
+    d2 = np.abs(f - s0 * diff) ** 2
+    width = np.sqrt(d2 / A)
+    assert np.max(np.abs(s0)) > 1e12
+    assert np.min(width) < 1e-12 and np.max(width) > 0.25
+    for step in (1, _CHUNK):
+        for start in range(0, f.size, step):
+            sl = slice(start, start + step)
+            got = _graded_panels(A[sl], s0[sl], d2[sl])
+            want = _full_depth_panels(A[sl], s0[sl], d2[sl])
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (step, start)
+    # an overflowing pair, whose reach is not finite, takes the full table
+    A, s0, d2 = (np.array([1.0, np.inf]), np.array([0.3, np.nan]),
+                 np.array([1.0, np.nan]))
+    for a, b in zip(_graded_panels(A, s0, d2), _full_depth_panels(A, s0, d2)):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.nan)])
+def test_nonfinite_pairs_are_rejected_before_arithmetic(bad):
+    # under tier-1's warnings-as-errors: no numpy warning comes first
+    finite = np.array([1.0, 2.0 - 1j, 0.5j, 3.0])
+    spoilt = finite.copy()
+    spoilt[2] = bad
+    for f, g in ((spoilt, finite), (finite, spoilt)):
+        with pytest.raises(ParameterDomainError,
+                           match="f and g must be finite: row 2 is not"):
+            scalar_identity_batch(3.0, f, g)
+    with pytest.raises(ParameterDomainError, match="row 0 is not"):
+        scalar_identity_batch(3.0, [bad], [1.0])
+    Z = np.ones((4, 3), dtype=complex)
+    X = Z.copy()
+    X[1, 2] = bad
+    with pytest.raises(ParameterDomainError,
+                       match="zeta and xi must be finite: row 1 is not"):
+        vector_identity_batch(3.0, Z, X)
+
+
+def test_finite_overflow_is_a_check_failure():
+    with pytest.raises(CheckFailure, match="overflows the float range"):
+        scalar_identity_batch(3.0, [1e200], [1.0])
+    with pytest.raises(CheckFailure, match="overflows the float range"):
+        vector_identity_batch(3.0, np.full((2, 3), 1e200), np.ones((2, 3)))
+
+
 def test_realified_oracle_near_antipodal_sweep():
     """The Taylor-remainder oracle against 40-digit mpmath on pairs whose
     segment passes close to 0, where |c(t)| has a narrow kink."""
@@ -330,3 +406,19 @@ def test_pair_result_does_not_depend_on_its_block(p):
         for key, value in whole.items():
             assert np.array_equal(value, np.concatenate([x[key] for x in pieces])), key
             assert np.array_equal(value, np.concatenate([x[key] for x in alone])), key
+
+
+def test_split_outputs_are_pinned():
+    """The four output arrays of seeded 2,000-pair batches, bit for bit: the
+    scalar split at p in {2, 2.5, 3, 4} and the C^3 split at p = 3, whose
+    first 200 rows are near-collinear as whole vectors."""
+    rng = np.random.default_rng(3030)
+    digest = hashlib.sha256()
+    for p in (2.0, 2.5, 3.0, 4.0):
+        out = scalar_identity_batch(p, *sample_complex_pairs(rng, 2000))
+        digest.update(b"".join(out[k].tobytes() for k in sorted(out)))
+    F, G = np.stack([sample_complex_pairs(rng, 2000) for _ in range(3)], axis=2)
+    G[:200] = F[:200] * (G[:200, :1] / F[:200, :1])
+    out = vector_identity_batch(3.0, F, G)
+    digest.update(b"".join(out[k].tobytes() for k in sorted(out)))
+    assert digest.hexdigest() == "6a6b8654669279325e4c178576e52c3aa7071936e1838b43fe29aa16592d2a43"

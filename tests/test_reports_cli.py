@@ -498,6 +498,18 @@ def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
         "b567691dbb892c5e1c80d9d29062a569d903ea1daac9c0456b020458fa5a8a2b"
 
 
+def test_readme_identity_report_is_pinned(capsys):
+    # the README identity report, bit for bit: the graded-panel s-kernel may
+    # not move a float of any of its 10,000 rows
+    code, out, err = _cli(["identity", "--p", "2.5", "--samples", "10000",
+                           "--seed", "7"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "70f8306f100855b990c31a730d08233c8b294d21377ff0306772ff33167677e2"
+    assert hashlib.sha256(err.encode()).hexdigest() == \
+        "0b2b92a644e2da5d7e895f5360ee8e31a19df5924b37647940e1be8d6aad5f21"
+
+
 def test_readme_sweep_outputs_are_pinned(capsys):
     # the README sharpness sweep and psi_R rows, bit for bit
     for argv, rows in (
