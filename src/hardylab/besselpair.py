@@ -73,6 +73,14 @@ class BesselCertificate:
     # r -> normalized ODE residual of the certified closed form at each r
     residual: Callable = field(repr=False, compare=False)
 
+    @property
+    def failure(self) -> str | None:
+        """None if phi stays positive and both residuals are <= 1e-6."""
+        return None if (self.is_positive and self.max_ode_residual <= 1e-6
+                        and self.max_closed_form_error <= 1e-6) else (
+            "Bessel-pair certificate (positivity of the ODE solution or "
+            "closed-form residual above 1e-6)")
+
 
 def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
     """Flux V r^mu |phi'|^(p-2) phi' of an analytic profile, elementwise in r."""

@@ -4,12 +4,12 @@ Subcommands: identity, bessel, eig, sharpness, geometry, rayleigh, catalog.
 Each flag declares its own default. A JSON config file (`--config`) may carry
 only the subcommand's own flag names (argparse dests such as `eps_grid`); its
 values become the subcommand's defaults, so explicit flags win. Each command
-returns (rows, summary, failure message or None), and `run` is the one place
-that writes the report, prints the `FAIL:` or `INCONCLUSIVE:` line and picks
-the exit code: 0 all checks passed, 1 a mathematical check failed (inequality
-violation, residual above tolerance, or a quadrature, ODE or search that
-failed, raised as `CheckFailure`), 2 usage or parameter error
-(`ParameterDomainError`/`ValueError`, or an unreadable config file).
+builds its rows and summary and takes its verdict (a failure message or None)
+from the module that computes what the verdict judges. `run` writes the
+report, prints the `FAIL:` or `INCONCLUSIVE:` line and maps the outcome to an
+exit code: 0 all checks passed, 1 a verdict failed or a quadrature, ODE or
+search could not be carried out (`CheckFailure`), 2 usage or parameter error
+(`ParameterDomainError`/`ValueError`, one that overflows, or a bad config).
 
 Each command imports the layers it runs in its own body, so a cold process
 loads only those; none loads scipy.
@@ -104,8 +104,8 @@ def _common_flags(sp: argparse.ArgumentParser, fmt_default: str) -> None:
 # -------------------------------------------------------------- identity ----
 
 def _cmd_identity(args):
-    from .identities import (sample_complex_pairs, scalar_identity_batch,
-                             vector_identity_batch)
+    from .identities import (identity_verdict, sample_complex_pairs,
+                             scalar_identity_batch, vector_identity_batch)
 
     p, h = float(args.p), int(args.h)
     if h < 1:
@@ -130,13 +130,10 @@ def _cmd_identity(args):
     for key in ("residual", "w_term", "wtilde_term"):
         columns[key] = out[key].tolist()
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    tol = 1e-9 * (1.0 + np.abs(out["rhs_closed"]))
-    worst = float(np.max(out["residual"] / tol))
-    summary = {"max_residual": float(np.max(out["residual"])),
-               "max_residual_over_tolerance": worst,
-               "pass": bool(worst <= 1.0)}
-    return rows, summary, None if summary["pass"] else (
-        "scalar/vector identity residual exceeded 1e-9 (1 + |rhs|)")
+    worst, failure = identity_verdict(out)
+    return rows, {"max_residual": float(np.max(out["residual"])),
+                  "max_residual_over_tolerance": worst,
+                  "pass": failure is None}, failure
 
 
 # -------------------------------------------------------------- bessel ------
@@ -155,15 +152,10 @@ def _cmd_bessel(args):
     rows = [{"r": float(x), "phi": float(f), "momentum": float(m),
              "residual": float(e)}
             for x, f, m, e in zip(r, phi, momentum, cert.residual(r))]
-    summary = {"is_positive": cert.is_positive, "min_phi": cert.min_phi,
-               "max_ode_residual": cert.max_ode_residual,
-               "max_closed_form_error": cert.max_closed_form_error,
-               "pass": bool(cert.is_positive
-                            and cert.max_ode_residual <= 1e-6
-                            and cert.max_closed_form_error <= 1e-6)}
-    return rows, summary, None if summary["pass"] else (
-        "Bessel-pair certificate (positivity of the ODE solution or "
-        "closed-form residual above 1e-6)")
+    return rows, {"is_positive": cert.is_positive, "min_phi": cert.min_phi,
+                  "max_ode_residual": cert.max_ode_residual,
+                  "max_closed_form_error": cert.max_closed_form_error,
+                  "pass": cert.failure is None}, cert.failure
 
 
 # -------------------------------------------------------------- eig ---------
@@ -195,7 +187,8 @@ def _cmd_eig(args):
 # -------------------------------------------------------------- sharpness ---
 
 def _cmd_sharpness(args):
-    from .sharpness import improved_weight_check, psiR_deficit, sweep_quotient
+    from .sharpness import (improved_weight_check, is_stable, psiR_deficit,
+                            sweep_quotient)
 
     mode = args.mode
     if mode not in ("sweep", "psi", "improved"):
@@ -207,25 +200,19 @@ def _cmd_sharpness(args):
         rows = [{"epsilon": r.epsilon, "quotient": r.quotient,
                  "deficit": r.deficit, "scaled_deficit": r.scaled_deficit}
                 for r in rows_obj]
-        scaled = [r.scaled_deficit for r in rows_obj]
-        stable = (max(scaled) <= 2.0 * min(scaled)
-                  and all(b.deficit < a.deficit
-                          for a, b in zip(rows_obj, rows_obj[1:])))
         return rows, {"scenario": scenario.name,
-                      "sharp_constant": scenario.sharp_constant,
-                      "grid": grid, "stable": bool(stable)}, None
+                      "sharp_constant": scenario.sharp_constant, "grid": grid,
+                      "stable": is_stable([r.scaled_deficit for r in rows_obj],
+                                          [r.deficit for r in rows_obj])}, None
     Q, p = float(_or(args.Q, 5.0)), float(_or(args.p, 2.0))
     if mode == "psi":
         grid = [float(t) for t in str(args.R_grid).split(",")]
         rows = psiR_deficit(Q, p, grid)
-        scaled = [r["deficit_times_lnR"] for r in rows]
-        return rows, {"Q": Q, "p": p, "grid": grid,
-                      "stable": bool(max(scaled) <= 2.0 * min(scaled))}, None
+        return rows, {"Q": Q, "p": p, "grid": grid, "stable": is_stable(
+            [r["deficit_times_lnR"] for r in rows])}, None
     res = improved_weight_check(Q, p, int(args.profiles), int(args.seed))
     rows = [{"index": i, "slack": s} for i, s in enumerate(res["slacks"])]
-    return rows, {"Q": Q, "p": p, "min_slack": res["min_slack"]}, (
-        "improved-weight inequality violated (slack below -1e-9)"
-        if res["min_slack"] < -1e-9 else None)
+    return rows, {"Q": Q, "p": p, "min_slack": res["min_slack"]}, res["failure"]
 
 
 # -------------------------------------------------------------- geometry ----
@@ -261,40 +248,34 @@ def _cmd_geometry(args):
     theta, N = float(_or(args.theta, 1.0)), int(_or(args.N, 3))
     if check == "strip":
         q = geo.strip_quotient(theta, float(args.epsilon))
-        expected = ((2.0 * theta - 1.0) / 2.0) ** 2
-        record = _record("strip", check, q, expected, q >= expected - 1e-9)
+        record = _record("strip", check, q, *geo.bound_verdict(check, q, theta))
     elif check == "vandermonde":
         res = geo.vandermonde_checks(N, theta, int(args.samples), seed,
                                      float(args.epsilon))
-        expected = res["reduced_quotient"]
-        ok = (res["harmonicity_residual"] <= 1e-6
-              and res["sphere_eigvalue_residual"] <= 1e-5
-              and abs(res["rayleigh_quotient"] - expected) <= 0.05 * expected)
         record = _record(
-            f"vandermonde(N={N})", check, res["rayleigh_quotient"], expected,
-            ok, res["rayleigh_std_error"],
+            f"vandermonde(N={N})", check, res["rayleigh_quotient"],
+            res["reduced_quotient"], res["pass"], res["rayleigh_std_error"],
             harmonicity_residual=res["harmonicity_residual"],
             sphere_eigvalue_residual=res["sphere_eigvalue_residual"])
     else:
         model = _geometry_model(args, N)
-        if check in ("homogeneity", "orthogonality"):
-            error = (geo.homogeneity_error if check == "homogeneity"
-                     else geo.cylindrical_orthogonality_error)
-            err = error(model, seed=seed)
-            record = _record(model.kind, check, err, 0.0, err <= 1e-12)
-        elif check == "gradient":
-            rng = np.random.default_rng(seed)
-            pts = rng.uniform(0.3, 1.5, size=(200, model.dims)) \
-                * rng.choice([-1.0, 1.0], size=(200, model.dims))
-            err = geo.gauge_gradient_fd_error(model, pts)
-            record = _record(model.kind, check, err, 0.0, err <= 1e-6)
+        if check in ("homogeneity", "orthogonality", "gradient"):
+            if check == "gradient":
+                rng = np.random.default_rng(seed)
+                pts = rng.uniform(0.3, 1.5, size=(200, model.dims)) \
+                    * rng.choice([-1.0, 1.0], size=(200, model.dims))
+                err = geo.gauge_gradient_fd_error(model, pts)
+            else:
+                err = (geo.homogeneity_error if check == "homogeneity" else
+                       geo.cylindrical_orthogonality_error)(model, seed=seed)
+            record = _record(model.kind, check, err,
+                             *geo.bound_verdict(check, err))
         elif check == "measure":
             res = geo.measure_homogeneity_check(
                 model, float(args.alpha), float(args.R1), float(args.R2),
                 int(args.samples), seed)
             record = _record(model.kind, check, res["ratio"].mean,
-                             res["expected"], res["pass"],
-                             res["ratio"].std_error,
+                             res["expected"], res["pass"], res["ratio"].std_error,
                              inconclusive=bool(res["inconclusive"]))
         elif check == "direct":
             from .functional import reduce_radial_functional
@@ -309,8 +290,7 @@ def _cmd_geometry(args):
             est = geo.direct_rayleigh(model, scenario, phi,
                                       int(args.samples), seed)
             record = _record(model.kind, check, est.mean, red.quotient,
-                             abs(est.mean - red.quotient) <= 3.0 * est.std_error,
-                             est.std_error)
+                             est.agrees_with(red.quotient), est.std_error)
         else:
             raise ParameterDomainError(
                 "check must be homogeneity | gradient | measure | "
@@ -326,17 +306,14 @@ def _cmd_geometry(args):
 # -------------------------------------------------------------- rayleigh ----
 
 def _cmd_rayleigh(args):
-    from .functional import random_profile_slacks
+    from .functional import random_profile_slacks, slack_verdict
 
     scenario = _build_scenario(args)
     rows = random_profile_slacks(scenario, int(args.profiles), int(args.seed))
-    min_slack = min(r["slack"] for r in rows)
-    summary = {"scenario": scenario.name,
-               "sharp_constant": scenario.sharp_constant,
-               "min_slack": min_slack, "pass": bool(min_slack >= -1e-8)}
-    return rows, summary, None if summary["pass"] else (
-        f"sampled quotient fell below the sharp constant for {scenario.name} "
-        f"(min normalized slack {min_slack})")
+    min_slack, failure = slack_verdict(scenario, rows)
+    return rows, {"scenario": scenario.name,
+                  "sharp_constant": scenario.sharp_constant,
+                  "min_slack": min_slack, "pass": failure is None}, failure
 
 
 # -------------------------------------------------------------- catalog -----

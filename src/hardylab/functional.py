@@ -26,7 +26,7 @@ from .quadrature import QuadratureError, integrate_batch
 from .scenarios import CheckFailure, ParameterDomainError, Scenario
 
 __all__ = ["ReducedFunctional", "InvalidProfileError", "reduce_radial_functional",
-           "random_profile_slacks"]
+           "random_profile_slacks", "slack_verdict"]
 
 _SAMPLE_TOL = 1e-9      # relative target of each random-profile integral
 
@@ -176,3 +176,11 @@ def random_profile_slacks(scenario: Scenario, count: int,
     c = scenario.sharp_constant
     return [{"index": i, "quotient": red.quotient, "slack": red.slack(c)}
             for i, red in enumerate(reduced)]
+
+
+def slack_verdict(scenario: Scenario, rows: list[dict]):
+    """The rows' least slack, and a failure message unless it is >= -1e-8."""
+    least = min(r["slack"] for r in rows)
+    return least, None if least >= -1e-8 else (
+        f"sampled quotient fell below the sharp constant for {scenario.name} "
+        f"(min normalized slack {least})")

@@ -31,7 +31,7 @@ __all__ = [
     "homogeneity_error",
     "cylindrical_orthogonality_error",
     "measure_homogeneity_check",
-    "strip_quotient",
+    "strip_quotient", "bound_verdict",
     "vandermonde_checks",
     "direct_rayleigh",
     "DEFAULT_SEED",
@@ -66,6 +66,10 @@ class MonteCarloEstimate:
     def __post_init__(self) -> None:
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
+
+    def agrees_with(self, value: float) -> bool:
+        """The 3-sigma rule: value within three standard errors of the mean."""
+        return bool(abs(self.mean - value) <= 3.0 * self.std_error)
 
 
 @dataclass(frozen=True)
@@ -308,16 +312,14 @@ def measure_homogeneity_check(model: GaugeModel, alpha: float, R1: float,
 
     ratio, std_error, mean_den = _mc_ratio(weigh, sampler, samples, seed)
     expected = (R2 / R1) ** model.Q
-    gap = abs(ratio - expected)
     estimate = MonteCarloEstimate(ratio, std_error, samples, seed)
     # the denominator is Phi_alpha(R1) / vol(box) per sample
     lam_alpha = float(np.prod(2.0 * half)) * mean_den / R1 ** model.Q
     return {
         "ratio": estimate,
         "expected": expected,
-        "rel_error": gap / expected,
         "lambda_alpha_estimate": lam_alpha,
-        "pass": bool(gap <= 3.0 * std_error),
+        "pass": estimate.agrees_with(expected),
         "inconclusive": bool(std_error > 0.05 * expected),
     }
 
@@ -387,6 +389,15 @@ def strip_quotient(theta: float, epsilon: float) -> float:
     X1, X2, X3, X4, Y1, Z = (est.value for est in ests)
     return (X1 - 2.0 * (theta - 1.0) * X2
             + X3 * ((theta - 0.5) * (theta - 1.5) + Z / Y1)) / X4
+
+
+def bound_verdict(check: str, value: float, theta: float = 1.0):
+    """(expected, pass) of a one-float check: the strip quotient clears
+    ((2 theta - 1)/2)^2 - 1e-9, a gradient's FD error is <= 1e-6, others 1e-12."""
+    if check == "strip":
+        expected = ((2.0 * theta - 1.0) / 2.0) ** 2
+        return expected, value >= expected - 1e-9
+    return 0.0, value <= (1e-6 if check == "gradient" else 1e-12)
 
 
 # -- Vandermonde sector -----------------------------------------------------
@@ -514,6 +525,10 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
         "expected_sphere_eigenvalue": expected_eig,
         "expected_constant": sector.sharp_constant,
         "reduced_quotient": reduced.quotient,
+        "pass": bool(harmonicity_residual <= 1e-6
+                     and sphere_eigvalue_residual <= 1e-5
+                     and abs(quotient - reduced.quotient)
+                     <= 0.05 * reduced.quotient),
     }
 
 

@@ -26,7 +26,7 @@ from .scenarios import CheckFailure, ParameterDomainError, require_p
 
 __all__ = [
     "scalar_identity_batch",
-    "vector_identity_batch",
+    "vector_identity_batch", "identity_verdict",
     "realified_identity_oracle",
     "sample_complex_pairs",
     "rhs_closed_form",
@@ -190,6 +190,14 @@ def _split(p: float, f, g, times_q: bool, terms):
             raise CheckFailure(f"{name} is not finite at p = {p!r}: the "
                                "identity split overflows the float range")
     return out
+
+
+def identity_verdict(out: dict):
+    """A split's worst residual / (1e-9 (1 + |rhs|)); failing above 1."""
+    worst = float(np.max(out["residual"]
+                         / (1e-9 * (1.0 + np.abs(out["rhs_closed"])))))
+    return worst, None if worst <= 1.0 else (
+        "scalar/vector identity residual exceeded 1e-9 (1 + |rhs|)")
 
 
 def _require_finite(f, g, names: str):

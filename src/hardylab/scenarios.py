@@ -499,7 +499,11 @@ def scenario_catalog(name: str, **params) -> Scenario:
     except KeyError:
         raise ParameterDomainError(
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}") from None
-    return replace(builder(**params), params=dict(params))
+    try:
+        return replace(builder(**params), params=dict(params))
+    except OverflowError:   # a power or exp of the parameters, as |gamma|^p
+        raise ParameterDomainError(
+            f"scenario {name!r} overflows the float range at {params}") from None
 
 
 def default_catalog() -> list[Scenario]:

@@ -45,7 +45,7 @@ __all__ = [
     "psi_cutoff",
     "strip_cutoff",
     "sweep_quotient",
-    "psiR_deficit",
+    "psiR_deficit", "is_stable",
     "improved_weight_check",
 ]
 
@@ -330,6 +330,12 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
             for R, d, lnR in zip(grid, deficits, logs)]
 
 
+def is_stable(scaled, deficits=()) -> bool:
+    """Scaled deficits within a factor 2, and deficits (if given) falling."""
+    return bool(max(scaled) <= 2.0 * min(scaled)
+                and all(b < a for a, b in zip(deficits, deficits[1:])))
+
+
 def improved_weight_check(Q: float, p: float, profile_count: int,
                           seed: int) -> dict:
     """Sampled slack of the improved-weight inequality over random profiles
@@ -339,4 +345,6 @@ def improved_weight_check(Q: float, p: float, profile_count: int,
     scenario = scenario_catalog("improved_weight", Q=Q, p=p)
     slacks = [row["slack"] for row in
               random_profile_slacks(scenario, profile_count, seed)]
-    return {"min_slack": min(slacks), "slacks": slacks}
+    return {"min_slack": min(slacks), "slacks": slacks, "failure": (
+        "improved-weight inequality violated (slack below -1e-9)"
+        if min(slacks) < -1e-9 else None)}

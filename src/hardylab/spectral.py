@@ -72,7 +72,10 @@ class AnnulusProblem:
     @property
     def lemma_lower_bound(self) -> float:
         """Every eigenvalue exceeds |(Q - p theta)/p|^p."""
-        return abs((self.Q - self.p * self.theta) / self.p) ** self.p
+        try:
+            return abs((self.Q - self.p * self.theta) / self.p) ** self.p
+        except OverflowError:
+            raise ParameterDomainError("|(Q - p theta)/p|^p overflows") from None
 
 
 @dataclass(frozen=True)
@@ -216,20 +219,24 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
         x = max(x, (math.log(2.0 * math.pi ** 2 * (p - 1.0) / p) + math.log(c)
                     * (p - 2.0) / p + 2.0 * math.log(which / span)) / p)
     lo, hi, last = -math.inf, math.inf, None    # F(lo) > 0 > F(hi)
-    for _ in range(_MAX_STEPS):
-        f = math.log(which * shoot(problem, c + math.exp(p * x)) / span)
-        lo, hi = (x, hi) if f > 0 else (lo, x)
-        slope = -1.0 if last is None else (f - last[1]) / (x - last[0])
-        step = -f / slope if slope < 0 else f
-        last = (x, f)
-        if abs(step) <= width:
-            x += step
-            break
-        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
-    else:
-        raise SearchFailureError(f"half-period search for eigenvalue {which} "
-                                 f"did not converge in {_MAX_STEPS} steps")
-    return _result_from(problem, c + math.exp(p * x), which, tol)
+    try:
+        for _ in range(_MAX_STEPS):
+            f = math.log(which * shoot(problem, c + math.exp(p * x)) / span)
+            lo, hi = (x, hi) if f > 0 else (lo, x)
+            slope = -1.0 if last is None else (f - last[1]) / (x - last[0])
+            step = -f / slope if slope < 0 else f
+            last = (x, f)
+            if abs(step) <= width:
+                x += step
+                break
+            x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        else:
+            raise SearchFailureError(f"half-period search for eigenvalue {which} "
+                                     f"did not converge in {_MAX_STEPS} steps")
+        lam = c + math.exp(p * x)
+    except OverflowError:
+        raise ParameterDomainError(f"lam = c + exp(p x) overflows at p = {p!r}") from None
+    return _result_from(problem, lam, which, tol)
 
 
 def check_lambda1_lower_bound(problem: AnnulusProblem, result: ShootingResult,

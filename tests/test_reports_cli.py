@@ -5,6 +5,7 @@ import math
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -690,6 +691,16 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     # input
     (["rayleigh", "--scenario", "power", "--Q", "5", "--p", "2", "--theta",
       "200", "--profiles", "20"], 1),
+    # finite parameters whose constant, lemma bound or search step overflows
+    # a float power or exp
+    (["rayleigh", "--scenario", "power", "--Q", "1e300"], 2),
+    (["rayleigh", "--scenario", "gaussian_a", "--beta", "1e-300"], 2),
+    (["rayleigh", "--scenario", "gaussian_b", "--Q", "1e300"], 2),
+    (["rayleigh", "--scenario", "log_radial", "--theta", "1e300"], 2),
+    (["rayleigh", "--scenario", "annulus", "--Q", "1e300"], 2),
+    (["sharpness", "--mode", "improved", "--Q", "1e300"], 2),
+    (["eig", "--Q", "1e300"], 2),
+    (["eig", "--p", "1e300"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -704,6 +715,7 @@ def test_exit_codes_without_traceback(argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     if code == 2:
+        assert len(lines) == 1, lines
         assert lines[0].startswith(
             "config error: " if unreadable else
             "output error: " if unwritable else "parameter error: ")
@@ -727,3 +739,237 @@ def test_identity_overflow_is_one_fail_line(argv, tmp_path):
         f"FAIL: w_term is not finite at p = {float(argv[2])!r}: the "
         "identity split overflows the float range"]
     assert proc.stdout == "" and not out.exists()
+
+
+# ------------------------------------------------ failing verdict paths ----
+# Each check made to fail in process: the quantity it judges is perturbed
+# behind the function that computes it, or replaced, so the pins hold the
+# verdicts and their rendering. Each case's patch is a (module, name,
+# replacement) triple.
+
+def _wrap(module, name, change):
+    """(module, name, replacement): `name` with `change` applied to its
+    result."""
+    real = getattr(module, name)
+    return module, name, lambda *a, **k: change(real(*a, **k))
+
+
+def _const(module, name, value):
+    return module, name, lambda *a, **k: value
+
+
+def _scaled_quotient(factor):
+    from hardylab import functional
+
+    return _wrap(functional, "reduce_radial_functional",
+                 lambda red: replace(red, quotient=red.quotient * factor))
+
+
+def _laplacian(harmonic):
+    """The FD Laplacian of the vandermonde check, off by 2e-6 of its scale
+    on the harmonicity test (harmonic=True) or by 2e-5 relative on the
+    sphere-eigenvalue test."""
+    from hardylab import geometry
+
+    real = geometry._fd_laplacian
+
+    def laplacian(func, pts, rel_step=1e-3):
+        lap, scale = real(func, pts, rel_step)
+        if (func is geometry.vandermonde) == harmonic:
+            lap = lap + 2e-6 * scale if harmonic else lap * (1.0 + 2e-5)
+        return lap, scale
+
+    return geometry, "_fd_laplacian", laplacian
+
+
+def _identity_out(p, f, g):
+    n = len(f)
+    return {"w_term": np.full(n, 1.0), "wtilde_term": np.full(n, 2.0),
+            "rhs_closed": np.full(n, 3.0), "residual": np.full(n, 1e-8)}
+
+
+def _slacks(slack):
+    return lambda *a, **k: [{"index": 0, "quotient": 2.0, "slack": 0.5},
+                            {"index": 1, "quotient": 1.0, "slack": slack}]
+
+
+def _failing_patch(case):
+    from hardylab import (besselpair, functional, geometry, identities,
+                          sharpness, spectral)
+    from hardylab.sharpness import SweepRow
+
+    real_grushin, real_eig = geometry.grushin, spectral.eigenvalue
+    return {
+        "identity": (identities, "scalar_identity_batch", _identity_out),
+        "bessel_positive": _wrap(besselpair, "verify_bessel_pair",
+                                 lambda c: replace(c, is_positive=False)),
+        "bessel_ode": _wrap(besselpair, "verify_bessel_pair",
+                            lambda c: replace(c, max_ode_residual=2e-6)),
+        "bessel_closed_form": _wrap(
+            besselpair, "verify_bessel_pair",
+            lambda c: replace(c, max_closed_form_error=2e-6)),
+        "eig_bound": (spectral, "eigenvalue", lambda problem, **kw: replace(
+            real_eig(problem, **kw),
+            lam=problem.lemma_lower_bound * (1.0 + 1e-9))),
+        "improved": (functional, "random_profile_slacks", _slacks(-2e-9)),
+        "rayleigh": (functional, "random_profile_slacks", _slacks(-2e-8)),
+        "strip": _const(geometry, "strip_quotient", 0.25 - 2e-9),
+        "vandermonde_harmonicity": _laplacian(True),
+        "vandermonde_sphere": _laplacian(False),
+        "vandermonde_band": _scaled_quotient(1.1),
+        "homogeneity": _const(geometry, "homogeneity_error", 2e-12),
+        "orthogonality": _const(geometry, "cylindrical_orthogonality_error",
+                                2e-12),
+        "gradient": _const(geometry, "gauge_gradient_fd_error", 2e-6),
+        "direct": _scaled_quotient(1.5),
+        "measure_fail": (geometry, "grushin", lambda *a: replace(
+            real_grushin(*a), Q=real_grushin(*a).Q + 0.25)),
+        "measure_inconclusive": (geometry, "grushin", lambda *a: replace(
+            real_grushin(*a), Q=real_grushin(*a).Q + 1.0)),
+        "sweep_scale": (sharpness, "sweep_quotient", lambda *a: [
+            SweepRow(1e-2, 2.75, 0.5, 4.0), SweepRow(1e-3, 2.5, 0.25, 9.0)]),
+        "sweep_order": (sharpness, "sweep_quotient", lambda *a: [
+            SweepRow(1e-2, 2.5, 0.25, 4.0), SweepRow(1e-3, 2.75, 0.5, 4.5)]),
+        "psi": (sharpness, "psiR_deficit", lambda *a: [
+            {"R": 10.0, "deficit": 0.9, "deficit_times_lnR": 2.0},
+            {"R": 100.0, "deficit": 0.5, "deficit_times_lnR": 4.5}]),
+    }[case]
+
+
+_BESSEL = ["bessel", "--scenario", "power", "--Q", "5", "--p", "2", "--theta",
+           "1", "--r0", "1", "--r1", "10"]
+_GRUSHIN = ["geometry", "--model", "grushin", "--n", "1", "--k", "1",
+            "--gamma", "1"]
+_VANDERMONDE = ["geometry", "--check", "vandermonde", "--N", "3", "--theta",
+                "1", "--samples", "20000"]
+_BESSEL_FAIL = ("FAIL: Bessel-pair certificate (positivity of the ODE "
+                "solution or closed-form residual above 1e-6)")
+
+
+def _geometry_fail(check, estimate, expected, prefix="FAIL"):
+    return (f"{prefix}: geometry check {check} (estimate {estimate} vs "
+            f"expected {expected})")
+
+
+# case: (argv, exit code, verdict line or None, sha256 of the report,
+# sha256 of stderr)
+_FAILING_PATHS = {
+    "identity": (
+        ["identity", "--p", "2.5", "--samples", "20", "--seed", "7"], 1,
+        "FAIL: scalar/vector identity residual exceeded 1e-9 (1 + |rhs|)",
+        "d382dbdc94d4e40b4e843c29f07adc4066bc90391e8d2dbeb8101f8bfd3309b0",
+        "e483172b908cddf10403b1a6683ea5bdbb77f5a03a3f2e054a67e22d8a5bfefb"),
+    "bessel_positive": (
+        _BESSEL, 1, _BESSEL_FAIL,
+        "69202e486b6880909aabf0442b7829ec04130ec3b753dc7b0317e583cfe326e2",
+        "8eaf5a3d820dd80ea29084b82b70dbcca3cee341f7fb22b0ff1cbe2621e67699"),
+    "bessel_ode": (
+        _BESSEL, 1, _BESSEL_FAIL,
+        "69202e486b6880909aabf0442b7829ec04130ec3b753dc7b0317e583cfe326e2",
+        "28f5fda5d696c9a732beb83bfb11a964bb82c612ccfa39d5e15862e3a326a8c1"),
+    "bessel_closed_form": (
+        _BESSEL, 1, _BESSEL_FAIL,
+        "69202e486b6880909aabf0442b7829ec04130ec3b753dc7b0317e583cfe326e2",
+        "22baffdd6564e54c8efdacbcdb162cb60b716246216fcfd31760dc1f7bed9c41"),
+    "eig_bound": (
+        ["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1", "--b",
+         "2"], 1,
+        "FAIL: eigenvalue does not exceed the lower bound |(Q - p theta)/p|^p",
+        "508d8f60332f818685116751852b440a2a0e7408eb573d23b38878eb93843043",
+        "40fac34ef4fa966685111d846a4e94407dc6ffe273f37603ce0a8b4a80188c61"),
+    "improved": (
+        ["sharpness", "--mode", "improved", "--Q", "5", "--p", "2",
+         "--profiles", "2"], 1,
+        "FAIL: improved-weight inequality violated (slack below -1e-9)",
+        "8ae334641e837318e33b02178e1a1eb2d47ca1ac119afd4e7366ea360a432c17",
+        "4894f3465ecd342f5fe79de913fee9bdc03804d11a02a8adbd2bc9a91b7d8b6e"),
+    "rayleigh": (
+        ["rayleigh", "--scenario", "power", "--Q", "5", "--p", "2", "--theta",
+         "1", "--profiles", "2"], 1,
+        "FAIL: sampled quotient fell below the sharp constant for power "
+        "(min normalized slack -2e-08)",
+        "9ce39dc61a7f8f5b77d0b419d6be560d2d12321b18b04df5845bbde99504f8f4",
+        "3c2c241844d1ace1ce2d583d4e98f4e1a07c5776b6de1beef11b2be0ec034012"),
+    "strip": (
+        ["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-3"],
+        1, _geometry_fail("strip", "0.249999998", "0.25"),
+        "b7ff075141009fa64b557120b3229312ae0901830fe114f376a8e028b4734d62",
+        "17e6fecb4283bcab6f4fb4b861b550315b10dd9b7fd978321fe28ad81ce7dac6"),
+    "vandermonde_harmonicity": (
+        _VANDERMONDE, 1,
+        _geometry_fail("vandermonde", "12.610858868875734",
+                       "12.580270670077187"),
+        "f97840cd5a94cf4a7435ca65c2523206cabcb43da1d2ae24dea35fef3fb5c4e0",
+        "563e99cc1e4bcef25bb98b08a04c3d295ccf29e1e2ca89101ceb9d4d375e92a4"),
+    "vandermonde_sphere": (
+        _VANDERMONDE, 1,
+        _geometry_fail("vandermonde", "12.610858868875734",
+                       "12.580270670077187"),
+        "e5b81f835841aab25ba151370eeaef2cf84d846bc46e61eb4406adf571cd6831",
+        "563e99cc1e4bcef25bb98b08a04c3d295ccf29e1e2ca89101ceb9d4d375e92a4"),
+    "vandermonde_band": (
+        _VANDERMONDE, 1,
+        _geometry_fail("vandermonde", "12.610858868875734",
+                       "13.838297737084908"),
+        "daaf873e039021521cd3db6be074beac5cf62d1d756f58ffd9d7b779184889a0",
+        "102185281f52cf7c78b45acd80b9f33d50dd6fdfd8a8f1570af82c3316ce5673"),
+    "homogeneity": (
+        [*_GRUSHIN, "--check", "homogeneity"], 1,
+        _geometry_fail("homogeneity", "2e-12", "0.0"),
+        "b0d93a6d33b62a45fba435b9d1833e28edb93f4754dc58b5d326433ef22d881c",
+        "90aca283eea39aadbb02ba13d96cc787b01538a0b6dcd6cf7e5d42e280e739d9"),
+    "orthogonality": (
+        ["geometry", "--model", "greiner", "--n", "1", "--gamma", "1",
+         "--check", "orthogonality"], 1,
+        _geometry_fail("orthogonality", "2e-12", "0.0"),
+        "fe73d545856cbf58001cac15db65f04ae3a478959c2232ee5fd9ae01db4e30a1",
+        "7cc6305f7ea6e403ba82b5102e7d9e4c32cab07da42631a8d4b377510641e596"),
+    "gradient": (
+        ["geometry", "--model", "greiner", "--n", "1", "--gamma", "2",
+         "--check", "gradient"], 1,
+        _geometry_fail("gradient", "2e-06", "0.0"),
+        "58d2baed96c40ed5d18de9cfb39a030e2fcf2c21096980d6b75a800c3a604956",
+        "b82afe81a748107674a11fa49814ce72ddf621cd33195276b638d14250cabfc5"),
+    "direct": (
+        [*_GRUSHIN, "--check", "direct", "--scenario", "power", "--Q", "3",
+         "--p", "2", "--theta", "1", "--samples", "20000"], 1,
+        _geometry_fail("direct", "649.6724952445118", "939.9107875746303"),
+        "d4bf08d63a6d9f3558b7d8b617387f54252b00f146a1d368ae7283539e3f5e50",
+        "11ecc8bea6fd5b3e2e1ff25367c5b029d0425505ff554e585373aa6c8cf589c9"),
+    "measure_fail": (
+        [*_GRUSHIN, "--check", "measure", "--samples", "20000"], 1,
+        _geometry_fail("measure", "7.794866688554787", "9.513656920021768"),
+        "bde9866f3a3fad672df0a259da8e01175db387227993e9c9e135e0ece9711931",
+        "5b9a043b530ad8461c9fe9b31bb51db4575a75a3520f09fd6f48aa804b55dd0f"),
+    "measure_inconclusive": (
+        [*_GRUSHIN, "--check", "measure", "--samples", "300"], 0,
+        _geometry_fail("measure", "8.27414502023547", "16.0",
+                       prefix="INCONCLUSIVE"),
+        "af07be1b68d06791cacd56349037375c6038961f6115f1f05b38baf1e79ee6de",
+        "368da47a84edda6f2153ea1971bc7198ce1e482e7ac2cc8673597bfbbfd9c008"),
+    # stable: false is reported, and the run exits 0
+    "sweep_scale": (
+        _SWEEP, 0, None,
+        "2adb7efe4c2d45594a413407db93a8195c2cde67519de7fe44254c4cb0ac8d39",
+        "1b8bdd74f13ccca33eb5aeaf2525d97de132143d147cc41aa2fa5843da6547b2"),
+    "sweep_order": (
+        _SWEEP, 0, None,
+        "ab070d83f5f5a13687d6438b7553ecdfe17051add3a8d5009d929660bab4bab7",
+        "1b8bdd74f13ccca33eb5aeaf2525d97de132143d147cc41aa2fa5843da6547b2"),
+    "psi": (
+        ["sharpness", "--mode", "psi", "--Q", "5", "--p", "2"], 0, None,
+        "05d9f212a29fedacac3b30d8098e9f18085a5d771345e83c4324c5a78750ed3d",
+        "4fe57b942fcd95cfd5779fb65baec12140374b263438a53e8b6ef5a889d956d5"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING_PATHS))
+def test_failing_verdict_paths_are_pinned(case, monkeypatch, capsys):
+    argv, code, verdict, report_sha, err_sha = _FAILING_PATHS[case]
+    monkeypatch.setattr(*_failing_patch(case))
+    got, out, err = _cli(argv, capsys)
+    assert got == code
+    assert [x for x in err.splitlines() if not x.startswith("{")] == (
+        [] if verdict is None else [verdict])
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha
