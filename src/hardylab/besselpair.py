@@ -1,18 +1,27 @@
-"""Certification of Bessel pairs along the radial ODE
+"""Bessel pairs certified by the integrated flux identity, and the flux
+system solve of `spectral`.
+
+A Bessel pair (V, W) with constant lam has a positive solution phi of
 
     (V(r) r^(Q-1) |phi'|^(p-2) phi')' + lam W(r) r^(Q-1) |phi|^(p-2) phi = 0.
 
-The state is (phi, m) with the p-Laplacian flux m = V r^(Q-1) |phi'|^(p-2) phi'
-as momentum, which stays smooth across phi' = 0; phi' is recovered by the
-inversion |m|^(1/(p-1)) with the sign carried separately. Integration never
-starts at the singular origin: initial data is seeded at an interior point
-from the closed form. `solve_flux` also integrates the annulus eigenfunction
-of `spectral`, in t = ln r with constant coefficients and a constant drift.
-It steps by DOP853 in Python floats, with the tableau, initial step, step
-control and dense output of scipy's `solve_ivp`, and imports no scipy. The
-coefficients are read by one call per step attempt, at the array of all its
-stage radii and its dense piece's, and the stage sums are straight-line
-code generated at import from the tableau.
+`verify_bessel_pair` checks the catalog's closed form phi (for
+improved_weight, the auxiliary exp(-r) pair) on each of _INTERVALS geometric
+intervals [r_i, r_(i+1)] of [r0, r1] against the ODE integrated there,
+
+    m(r_(i+1)) - m(r_i) + int (lam W - z) r^(Q-1) Phi_p(phi) dr = 0,
+    phi(r_(i+1)) - phi(r_i) - int phi' dr = 0,
+
+with the flux m = V r^(Q-1) Phi_p(phi'), Phi_p(x) = |x|^(p-2) x and z the
+zero-order numerator weight; the second identity ties phi' to phi. By
+uniqueness of the initial-value problem, phi is then the solution from its
+own data at r0, so no ODE is integrated.
+
+`solve_flux` integrates the annulus eigenfunction of `spectral`, the flux
+system in t = ln r with constant coefficients and a constant drift. It steps
+by DOP853 in Python floats, with the tableau, initial step, step control and
+dense output of scipy's `solve_ivp`, and imports no scipy; the stage sums
+are straight-line code generated at import from the tableau.
 """
 
 from __future__ import annotations
@@ -24,62 +33,64 @@ from typing import Callable
 import numpy as np
 
 from .profiles import Profile
-from .scenarios import (CheckFailure, Exponents, RadialWeightPair, Scenario,
+from .quadrature import QuadratureError, integrate_batch
+from .scenarios import (CheckFailure, RadialWeightPair, Scenario,
                         closed_form_maximizer)
 
 __all__ = [
     "BesselCertificate",
     "ODEFailure",
     "FluxSolution",
-    "SingularCoefficientError",
-    "DivergenceError",
     "solve_flux",
-    "integrate_bessel_ode",
     "verify_bessel_pair",
-    "ode_residuals",
     "improved_weight_auxiliary_pair",
     "momentum_from_profile",
 ]
 
-_BLOWUP = 1e12
-_RTOL, _ATOL = 1e-10, 1e-12     # DOP853 tolerances of every certificate solve
-_DENSE_N = 600                  # points comparing the solve with the closed form
-_GRID_N = 1000                  # points of the closed form's residual scan
-_FD_REL_STEP = 1e-4             # relative step of the residual's flux derivative
+_INTERVALS = 64                 # geometric intervals of each certificate
+_PROBES = 16                    # points per interval where phi > 0 is checked
+_FLUX_RTOL = 1e-13              # relative target of each identity's integral
+_U = 2.0 ** -53                 # unit roundoff
+# each identity must hold within this many error budgets on every interval
+_FLUX_K = 10.0
 # RHS budget of one solve; the largest legitimate solve seen needs ~4e4
 _MAX_NFEV = 1_000_000
 
 
 class ODEFailure(CheckFailure):
-    """The flux ODE could not be integrated across the requested range."""
-
-
-class SingularCoefficientError(ODEFailure):
-    """V vanishes (or is negative) on the integration path."""
-
-
-class DivergenceError(ODEFailure):
-    """|phi| exceeded the blow-up threshold during integration."""
+    """The flux ODE could not be integrated, or its coefficients could not
+    be evaluated, across the requested range."""
 
 
 @dataclass(frozen=True)
 class BesselCertificate:
+    """The closed form on [r0, r1]: its smallest value on the probe grid,
+    and for the flux identity and the phi' identity the largest relative
+    residual (|residual| over the summed magnitudes of its terms) and the
+    largest residual over its error budget, each over every interval."""
     is_positive: bool
     min_phi: float
-    max_ode_residual: float
-    max_closed_form_error: float
-    # r -> (phi, m): dense interpolant of the certifying solve
+    max_ode_residual: float             # the flux identity
+    max_closed_form_error: float        # the phi' identity
+    max_flux_over_budget: float
+    max_phi_over_budget: float
+    # r -> (phi, m) of the closed form
     solution: Callable = field(repr=False, compare=False)
-    # r -> normalized ODE residual of the certified closed form at each r
+    # r -> relative flux residual of the interval holding each r
     residual: Callable = field(repr=False, compare=False)
 
     @property
     def failure(self) -> str | None:
-        """None if phi stays positive and both residuals are <= 1e-6."""
-        return None if (self.is_positive and self.max_ode_residual <= 1e-6
-                        and self.max_closed_form_error <= 1e-6) else (
-            "Bessel-pair certificate (positivity of the ODE solution or "
-            "closed-form residual above 1e-6)")
+        """None if phi > 0 at every probe and both identities hold within
+        _FLUX_K error budgets on every interval."""
+        if (self.is_positive and self.max_flux_over_budget <= _FLUX_K
+                and self.max_phi_over_budget <= _FLUX_K):
+            return None
+        return (f"Bessel-pair certificate (phi > 0, and the flux and phi' "
+                f"identities within {_FLUX_K:g} error budgets on every "
+                f"interval): min phi {self.min_phi:.6g}, worst flux residual "
+                f"{self.max_flux_over_budget:.3g} budgets, worst phi' "
+                f"residual {self.max_phi_over_budget:.3g} budgets")
 
 
 def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
@@ -270,19 +281,14 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order + 1)
 
 
-# a step attempt's 15 radii t + _C h: its 12 stages, then its dense piece's 3
-_C = np.array([c for c, _ in _STAGES + _EXTRA])
-
-
 # The stage sums as straight-line code, generated once from the tableau above.
-# K holds the stage slopes as k{j}_0, k{j}_1 (phi and m of stage j), and
-# A[n], B[n] are the coefficients at the n-th radius of the call. Every sum
+# K holds the stage slopes as k{j}_0, k{j}_1 (phi and m of stage j). Every sum
 # starts from 0.0 and adds a_j k_j left to right in its row's order, and the
 # RHS is solve_flux's: phi' = Phi_p^-1(m / A) + d phi, m' = -d m - B Phi_p(phi)
 # with Phi_p^-1(w) = |w|^inv sign w, inv = 1/(p-1), Phi_p(x) = |x|^q x, q = p-2.
-_RHS = ("w = z1 / A[{n}]",
+_RHS = ("w = z1 / A",
         "k{s}_0 = copysign(abs(w) ** inv, w) + d * z0",
-        "k{s}_1 = -d * z1 - B[{n}] * abs(z0) ** q * z0")
+        "k{s}_1 = -d * z1 - B * abs(z0) ** q * z0")
 
 
 def _sum(row, i):
@@ -292,11 +298,11 @@ def _sum(row, i):
 
 def _stage_lines(stages, first):
     """Source of each stage: its state y + h sum_j a_j K[j] and its slope,
-    stage `first` taking the call's first radius."""
+    the first being stage `first`."""
     lines = []
     for n, (_, row) in enumerate(stages):
         lines += [f"z{i} = y{i} + ({_sum(row, i)}) * h" for i in (0, 1)]
-        lines += [x.format(n=n, s=first + n) for x in _RHS]
+        lines += [x.format(s=first + n) for x in _RHS]
     return lines
 
 
@@ -312,7 +318,7 @@ def _generate(name, lines, result):
 _K13 = ", ".join(f"k{j}_{i}" for j in range(len(_STAGES) + 1) for i in (0, 1))
 # the RHS at (y0, y1): a start evaluation
 _slope = _generate("slope", ["z0, z1 = y0, y1"]
-                   + [x.format(n=0, s=0) for x in _RHS], "k0_0, k0_1")
+                   + [x.format(s=0) for x in _RHS], "k0_0, k0_1")
 # a step from the slope K = (k0_0, k0_1) at its start: the 13 slopes (the
 # last at y_new is the next step's first), y_new and the E5 and E3 estimates
 _step = _generate(
@@ -342,7 +348,8 @@ def _rms(x):
 
 def _initial_step(slope, t0, y0, f0, t_bound, direction, rtol, atol):
     """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4) for an
-    error estimator of order 7 and no step bound, in its numpy expressions."""
+    error estimator of order 7 and no step bound, in its numpy expressions;
+    the RHS `slope` is autonomous."""
     interval_length = abs(t_bound - t0)
     y0, f0 = np.array(y0), np.array(f0)
     scale = atol + np.abs(y0) * rtol
@@ -350,7 +357,7 @@ def _initial_step(slope, t0, y0, f0, t_bound, direction, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = np.array(slope(float(t0 + h0 * direction), tuple(y1.tolist())))
+    f1 = np.array(slope(tuple(y1.tolist())))
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -369,25 +376,24 @@ class FluxSolution:
     """A `solve_flux` solve: the step ends t and the states y (2 x len(t)),
     nfev and the dense output `sol`. A step's order-7 piece costs 3 more RHS
     evaluations, so it is built, and counted in nfev, only when something
-    first evaluates that step; its coefficients come with the step. `consts`
-    are the RHS constants (1/(p-1), p-2, drift) of the generated code."""
+    first evaluates that step. `consts` are the RHS constants (A, B,
+    1/(p-1), p-2, drift) of the generated code."""
 
     def __init__(self, consts):
         self.nfev, self._consts = 0, consts
-        # (t_old, t, y_old, y, K, (A, B) at the piece's radii) per step
-        self._steps, self._pieces = [], {}
+        self._steps, self._pieces = [], {}      # (t_old, t, y_old, y, K)
 
     def _piece(self, k):
         """Step k's interpolant coefficients F, 7 (phi, m) pairs, built as
         scipy's DOP853 builds them, in floats."""
         F = self._pieces.get(k)
         if F is None:
-            t_old, t, y_old, y, K, (A, B) = self._steps[k]
+            t_old, t, y_old, y, K = self._steps[k]
             h = t - t_old
             dy = [v - u for u, v in zip(y_old, y)]
             F = [dy, [h * f - d for d, f in zip(dy, K[:2])],
                  [2 * d - h * (f1 + f0) for d, f0, f1 in zip(dy, K[:2], K[-2:])]]
-            F += _dense(*y_old, h, K, A, B, *self._consts)
+            F += _dense(*y_old, h, K, *self._consts)
             self.nfev += len(_EXTRA)
             self._pieces[k] = F
         return F
@@ -422,32 +428,22 @@ class FluxSolution:
         return self
 
 
-def _per_stage(x, n):
-    """A coefficient as n floats: an array's entries or a constant n times."""
-    return x.tolist() if isinstance(x, np.ndarray) else [float(x)] * n
-
-
-def _dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
+def _dop853(A, B, p, drift, t0, y0, t_bound, rtol, atol):
     """solve_ivp(rhs, (t0, t_bound), y0, method="DOP853", dense_output=True)
     of scipy for solve_flux's RHS on Python floats: scipy's initial step,
     then each step as scipy's DOP853 takes it (the E5/E3 error norm and its
     controller: safety 0.9, factors 0.2 to 10, exponent -1/8, the minimum
     step and the clamp to t_bound), summing each stage over its row's nonzero
-    entries. One coefficient call serves each step attempt (its 12 stage
-    radii and its dense piece's 3) and each start evaluation (1). The first
-    step that ends with |phi| > blowup raises DivergenceError, naming that
-    step's end."""
-    consts = (1.0 / (p - 1.0), p - 2.0, drift)
+    entries."""
+    consts = (A, B, 1.0 / (p - 1.0), p - 2.0, drift)
 
-    def slope(t, y):
-        A, B = coefficients(np.array([t]))
-        return _slope(*y, 0.0, (), _per_stage(A, 1), _per_stage(B, 1),
-                      *consts)
+    def slope(y):
+        return _slope(*y, 0.0, (), *consts)
 
     sol = FluxSolution(consts)
     y, t = (float(y0[0]), float(y0[1])), t0
     ts, ys = [t0], [y]
-    f = slope(t0, y)
+    f = slope(y)
     if t0 == t_bound:       # scipy's zero-span solve: one constant piece
         sol.nfev = 1
         return sol._finish([t0, t0], [y, y])
@@ -470,8 +466,7 @@ def _dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            A, B = (_per_stage(x, len(_C)) for x in coefficients(t + _C * h))
-            K, y_new, e5s, e3s = _step(*y, h, f, A, B, *consts)
+            K, y_new, e5s, e3s = _step(*y, h, f, *consts)
             sol.nfev += len(_STAGES)
             err5 = err3 = 0.0
             for e5, e3, u, v in zip(e5s, e3s, y, y_new):
@@ -488,57 +483,24 @@ def _dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        piece = (A[len(_STAGES):], B[len(_STAGES):])
-        sol._steps.append((t, t_new, y, y_new, K, piece))
+        sol._steps.append((t, t_new, y, y_new, K))
         t, y, f = t_new, y_new, K[-2:]
-        if abs(y[0]) > blowup:
-            raise DivergenceError(f"|phi| exceeded {blowup:.3g} at r = {t:.6g}")
         ts.append(t)
         ys.append(y)
     return sol._finish(ts, ys)
 
 
-def solve_flux(coefficients: Callable, p: float, r_span, y0,
-               rtol: float, atol: float, drift: float = 0.0,
-               blowup: float = math.inf) -> FluxSolution:
-    """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 over r_span
-    for (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with dense output
-    (`_dop853`); a drift d adds d phi to phi' and -d m to m'. The
-    coefficients take the 1-D array of a step's 15 radii, t + c_i h (its 12
-    stages and its dense piece's 3), and return (A, B) at all of them, each
-    an array or, constant, a float: one call per step attempt and per start
-    evaluation. The first step that ends with |phi| > blowup is a
-    DivergenceError, and a float overflow or division by zero in the RHS is
-    an ODEFailure."""
+def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
+               atol: float, drift: float = 0.0) -> FluxSolution:
+    """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 with constant
+    A and B over span for (phi, m), m = A |phi'|^(p-2) phi', by DOP853 with
+    dense output (`_dop853`); a drift d adds d phi to phi' and -d m to m'.
+    A float overflow or division by zero in the RHS is an ODEFailure."""
     try:
-        return _dop853(coefficients, p, drift, float(r_span[0]), y0,
-                       float(r_span[1]), rtol, atol, blowup)
+        return _dop853(float(A), float(B), p, drift, float(span[0]), y0,
+                       float(span[1]), rtol, atol)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _float_fault(exc) from exc
-
-
-def _bessel_coefficients(pair: RadialWeightPair, mu: float,
-                         zero_order: Callable | None = None) -> Callable:
-    """The flux coefficients (V r^mu, (lam W - z) r^mu) at a 1-D array of
-    radii: V, W and z see the whole array, and r^mu is a Python-float power
-    per entry, since numpy's array power may differ from libm's by an ulp.
-    The first radius where V <= 0 is a SingularCoefficientError."""
-    V, W, lam = pair.V, pair.W, pair.lam
-
-    def coefficients(r):
-        v = V(r)
-        singular = v <= 0.0
-        if singular.any():
-            i = int(singular.argmax())
-            raise SingularCoefficientError(
-                f"V({r.item(i)}) = {v.item(i)} <= 0 on the path")
-        c = lam * W(r)
-        if zero_order is not None:
-            c = c - zero_order(r)
-        rm = np.array([x ** mu for x in r.tolist()])
-        return v * rm, c * rm
-
-    return coefficients
 
 
 def _first_nonpositive(a: Callable, r0: float, r1: float) -> float | None:
@@ -556,69 +518,6 @@ def _first_nonpositive(a: Callable, r0: float, r1: float) -> float | None:
     while (mid := 0.5 * (good + first)) not in (good, first):
         good, first = (good, mid) if a(np.array([mid]))[0] <= 0.0 else (mid, first)
     return first
-
-
-def integrate_bessel_ode(pair: RadialWeightPair, exponents: Exponents,
-                         r0: float, y0: tuple[float, float], r_end: float,
-                         zero_order: Callable | None = None,
-                         blowup: float = _BLOWUP) -> Callable:
-    """Integrate the flux system from (phi, m)(r0) = y0 to r_end (either
-    direction) and return its dense output r -> (phi, m); a zeroth-order
-    numerator weight z makes the coefficient (lam W - z) r^mu. A probe of
-    V r^mu along the path that reads <= 0 is a SingularCoefficientError
-    naming the first such r. The first step that ends with |phi| > blowup
-    raises DivergenceError, naming its r."""
-    p = exponents.p
-    mu = exponents.measure_exponent
-    lo = min(r0, r_end)
-    hi = max(r0, r_end)
-    if not (pair.interval[0] <= lo and hi <= pair.interval[1]):
-        raise ValueError(
-            f"integration range [{lo}, {hi}] leaves the pair interval {pair.interval}")
-
-    def flux_weight(r):     # V r^mu; r^mu may overflow, V r^mu underflow
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            return pair.V(r) * r ** mu
-
-    r = _first_nonpositive(flux_weight, r0, r_end)
-    if r is not None:
-        a = float(flux_weight(np.array([r]))[0])
-        raise SingularCoefficientError(
-            f"V r^mu reads {a!r} from r = {r:.6g} on the integration path"
-            + (" (V vanishes there, or V > 0 underflows)" if a == 0.0 else ""))
-    return solve_flux(_bessel_coefficients(pair, mu, zero_order), p,
-                      (r0, r_end), y0, _RTOL, _ATOL, blowup=blowup).sol
-
-
-def ode_residuals(V, W, lam: float, mu: float, p: float, phi: Profile,
-                  grid: np.ndarray, zero_order: Callable | None = None) -> np.ndarray:
-    """Normalized ODE residual of an analytic profile at each grid point.
-
-    The outer derivative of the flux is taken by 4th-order central finite
-    differences with a logarithmically scaled step; the residual at each grid
-    point is normalized by the mean magnitude of the two terms. A zeroth-order
-    numerator weight z makes the coefficient (lam W - z) r^mu.
-    """
-    grid = np.asarray(grid, dtype=float)
-
-    def flux(r):
-        return momentum_from_profile(V, mu, p, phi, r)
-
-    h = _FD_REL_STEP * grid
-    flux_d = (flux(grid - 2 * h) - 8 * flux(grid - h)
-              + 8 * flux(grid + h) - flux(grid + 2 * h)) / (12 * h)
-    coeff = lam * W(grid)
-    if zero_order is not None:
-        coeff = coeff - zero_order(grid)
-    value = phi.value(grid)
-    zero_term = coeff * grid ** mu * np.abs(value) ** (p - 2.0) * value
-    resid = flux_d + zero_term
-    # where both terms vanish (the improved_weight auxiliary pair at r = 1)
-    # their mean is rounding noise and the ratio reads ~2; floor it at the
-    # flux's derivative scale |m|/r shrunk by the relative step
-    scale = np.maximum(0.5 * (np.abs(flux_d) + np.abs(zero_term)) + 1e-300,
-                       _FD_REL_STEP * np.abs(flux(grid)) / grid)
-    return np.abs(resid) / scale
 
 
 def improved_weight_auxiliary_pair(Q: float, p: float):
@@ -640,63 +539,98 @@ def improved_weight_auxiliary_pair(Q: float, p: float):
 
 def verify_bessel_pair(scenario: Scenario,
                        interval: tuple[float, float]) -> BesselCertificate:
-    """Integrate from closed-form-seeded data across the interval, certify
-    positivity of phi, and report the closed form's max ODE residual.
-
-    For the improved_weight scenario the certificate concerns the auxiliary
-    pair (exp(-r) against the (1-r)/r weight).
-    """
+    """Certify the scenario's closed form phi on [r0, r1] (for improved_weight
+    the auxiliary pair's exp(-r)) by the flux identity and the phi' identity
+    on each of _INTERVALS geometric intervals, whose integrals are the owners
+    of one `integrate_batch` call at relative target _FLUX_RTOL. An interval's
+    error budget is its integral's error bound (floored at _FLUX_RTOL times
+    the integral) plus 4u times the summed magnitudes of its end values, and
+    phi must be positive at _PROBES points per interval. A coefficient V r^mu
+    or W r^mu that is not a finite float at a probe, a V r^mu <= 0 on the
+    path, or a failed integral ends the check in a CheckFailure."""
     r0, r1 = interval
     lo, hi = scenario.pair.interval
     if not (lo < r0 < r1 < hi if math.isfinite(hi) else lo < r0 < r1):
         raise ValueError(f"interval {interval} is not strictly inside {scenario.pair.interval}")
-    exps = scenario.exponents
-    mu = exps.measure_exponent
+    p = scenario.exponents.p
+    mu = scenario.exponents.measure_exponent
     if scenario.name == "improved_weight":
-        pair, phi = improved_weight_auxiliary_pair(exps.Q, exps.p)
+        pair, phi = improved_weight_auxiliary_pair(scenario.exponents.Q, p)
     else:
         pair = scenario.pair
         phi = closed_form_maximizer(scenario)
     z = scenario.numerator_zero_order
 
-    def residual(r):
-        return ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi, r,
-                             zero_order=z)
-
-    grid = np.geomspace(r0, r1, _GRID_N)
-    # a term that overflows makes its residual NaN or inf, which fails the
-    # certificate; a coefficient that does fails the solve, so it ends here
-    with np.errstate(over="ignore", invalid="ignore"):
+    grid = np.geomspace(r0, r1, _INTERVALS * _PROBES + 1)
+    edges = grid[::_PROBES]
+    if not np.all(edges[1:] > edges[:-1]):
+        raise ValueError(f"interval {interval} is too short to split into "
+                         f"{_INTERVALS} geometric intervals")
+    # V r^mu may underflow and r^mu overflow; a non-finite one fails here
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rm = grid ** mu
         finite = np.isfinite(rm * pair.V(grid)) & np.isfinite(rm * pair.W(grid))
-        max_resid = float(np.max(residual(grid)))
+        phi_grid = phi.value(grid)
     if not finite.all():
         raise ODEFailure(
             "ODE integration failed: the coefficients V r^mu and W r^mu are "
             f"not finite from r = {grid[~finite][0]:.6g}")
 
-    at_r0 = np.array([r0])
-    y0 = (float(phi.value(at_r0)[0]),
-          float(momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
-    r = np.linspace(r0, r1, _DENSE_N)
-    ref = phi.value(r)
-    abs_ref = np.abs(ref)
-    scale = np.max(abs_ref)
-    # the closed form has no finite-r blow-up to guard against: the solve
-    # stops only far past the scale of the solution it should track
-    dense = integrate_bessel_ode(pair, exps, r0, y0, r1, zero_order=z,
-                                 blowup=_BLOWUP * scale)
-    phi_r = dense(r)[0]
-    closed_err = float(np.max(np.abs(phi_r - ref) / (abs_ref + 1e-2 * scale)))
+    def flux_weight(r):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return pair.V(r) * r ** mu
 
-    # positivity margin: ten times the integrator's local error scale at each r
-    margin = 10.0 * (_RTOL * abs_ref + 1e-12)
-    min_phi = float(np.min(phi_r))
+    r = _first_nonpositive(flux_weight, r0, r1)
+    if r is not None:
+        a = float(flux_weight(np.array([r]))[0])
+        raise ODEFailure(
+            f"V r^mu reads {a!r} from r = {r:.6g} on the integration path"
+            + (" (V vanishes there, or V > 0 underflows)" if a == 0.0 else ""))
+
+    def integrand(r, owner):
+        """Owners below _INTERVALS: (lam W - z) r^mu Phi_p(phi); then phi'."""
+        out = np.array(phi.derivative(r), dtype=float)
+        flux = owner < _INTERVALS
+        x = r[flux]
+        c = pair.lam * pair.W(x) - (0.0 if z is None else z(x))
+        v = phi.value(x)
+        out[flux] = c * x ** mu * np.abs(v) ** (p - 2.0) * v
+        return out
+
+    n = 2 * _INTERVALS
+    ests = integrate_batch(integrand, np.tile(edges[:-1], 2),
+                           np.tile(edges[1:], 2), [False] * n, [False] * n,
+                           [[]] * n, tol=0.0, rel_tol=_FLUX_RTOL)
+    for est in ests:
+        if isinstance(est, QuadratureError):
+            raise est
+    integral = np.array([e.value for e in ests]).reshape(2, _INTERVALS)
+    bound = np.array([e.error_estimate for e in ests]).reshape(2, _INTERVALS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.array([momentum_from_profile(pair.V, mu, p, phi, edges),
+                         phi_grid[::_PROBES]])
+    # m(r_(i+1)) - m(r_i) + I_flux and phi(r_(i+1)) - phi(r_i) - I_phi
+    resid = np.abs(np.diff(ends) + np.array([[1.0], [-1.0]]) * integral)
+    magnitude = np.abs(ends[:, :-1]) + np.abs(ends[:, 1:])
+    budget = (np.maximum(bound, _FLUX_RTOL * np.abs(integral))
+              + 4.0 * _U * magnitude)
+    # an interval where every term is 0 certifies nothing: NaN fails it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = resid / (magnitude + np.abs(integral))
+        over = resid / budget
+
+    def residual(r):
+        i = np.searchsorted(edges, r, side="right") - 1
+        return relative[0, np.clip(i, 0, _INTERVALS - 1)]
+
     return BesselCertificate(
-        is_positive=bool(np.all(phi_r > margin)),
-        min_phi=min_phi,
-        max_ode_residual=max_resid,
-        max_closed_form_error=closed_err,
-        solution=dense,
+        is_positive=bool(np.all(phi_grid > 0.0)),
+        min_phi=float(np.min(phi_grid)),
+        max_ode_residual=float(np.max(relative[0])),
+        max_closed_form_error=float(np.max(relative[1])),
+        max_flux_over_budget=float(np.max(over[0])),
+        max_phi_over_budget=float(np.max(over[1])),
+        solution=lambda r: (phi.value(r),
+                            momentum_from_profile(pair.V, mu, p, phi, r)),
         residual=residual,
     )

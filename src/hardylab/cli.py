@@ -155,6 +155,8 @@ def _cmd_bessel(args):
     return rows, {"is_positive": cert.is_positive, "min_phi": cert.min_phi,
                   "max_ode_residual": cert.max_ode_residual,
                   "max_closed_form_error": cert.max_closed_form_error,
+                  "max_flux_over_budget": cert.max_flux_over_budget,
+                  "max_phi_over_budget": cert.max_phi_over_budget,
                   "pass": cert.failure is None}, cert.failure
 
 
@@ -354,10 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "bessel",
         help="Bessel-pair certificate for a catalog scenario",
-        description="Integrates the radial ODE from closed-form-seeded data, "
-                    "certifies positivity of the solution, and reports the "
-                    "closed form's pointwise ODE residual; for "
-                    "improved_weight the auxiliary exp(-r) pair is certified.")
+        description="Certifies the scenario's closed-form phi on fixed "
+                    "geometric intervals [a, b] of [r0, r1]: phi > 0, and on "
+                    "each interval the ODE integrated once (the flux "
+                    "identity) and phi(b) - phi(a) = int phi' hold within a "
+                    "fixed multiple of their error budgets; for "
+                    "improved_weight the auxiliary exp(-r) pair is "
+                    "certified. The residual column is the relative flux "
+                    "residual of the interval holding r.")
     _add_scenario_args(sp)
     sp.add_argument("--r0", type=float)
     sp.add_argument("--r1", type=float)

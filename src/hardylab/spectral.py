@@ -161,10 +161,10 @@ def _result_from(problem: AnnulusProblem, lam: float, which: int,
 
     t_turn = (_half_periods(problem, lam)[0 if drift >= 0 else 1]
               / lam ** (1.0 / p))
-    rise = solve_flux(lambda t: (A, lam * A), p, (0.0, t_turn), (0.0, 1.0),
-                      _RTOL, _ATOL, drift=drift)
-    fall = solve_flux(lambda t: (A, lam * A), p, (t_turn, T), rise.y[:, -1],
-                      _RTOL, _ATOL, drift=drift)
+    rise = solve_flux(A, lam * A, p, (0.0, t_turn), (0.0, 1.0), _RTOL, _ATOL,
+                      drift=drift)
+    fall = solve_flux(A, lam * A, p, (t_turn, T), rise.y[:, -1], _RTOL, _ATOL,
+                      drift=drift)
     y, w = (np.concatenate([rise.y[i], fall.y[i]]) for i in (0, 1))
     residual, bound = float(abs(y[-1]) / np.max(y)), max(tol, 1e3 * _RTOL)
     inv = 1.0 / (p - 1.0)

@@ -128,8 +128,8 @@ def test_criterion_04_bessel_regression():
         worst_traj = max(worst_traj, cert.max_closed_form_error)
     ok = worst_resid <= 1e-6 and worst_traj <= 1e-6
     _report("criterion 4 (Bessel-pair closed-form regression)", ok,
-            f"max ODE residual {worst_resid:.2e}, max trajectory error "
-            f"{worst_traj:.2e}")
+            f"max relative flux residual {worst_resid:.2e}, max relative "
+            f"phi' residual {worst_traj:.2e}")
     assert worst_resid <= 1e-6
     assert worst_traj <= 1e-6
 

@@ -54,8 +54,11 @@ def test_each_verdict_passes_and_fails(monkeypatch):
     power = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
     cert = verify_bessel_pair(power, (1.0, 10.0))
     assert cert.failure is None
-    for change in ({"is_positive": False}, {"max_ode_residual": 2e-6},
-                   {"max_closed_form_error": 2e-6}):
+    for key in ("max_flux_over_budget", "max_phi_over_budget"):
+        assert replace(cert, **{key: 10.0}).failure is None
+    for change in ({"is_positive": False}, {"max_flux_over_budget": 10.5},
+                   {"max_phi_over_budget": 10.5},
+                   {"max_flux_over_budget": float("nan")}):
         assert replace(cert, **change).failure.startswith(
             "Bessel-pair certificate"), change
 

@@ -6,55 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from hardylab import besselpair
-from hardylab.besselpair import (DivergenceError, ODEFailure,
-                                 SingularCoefficientError,
-                                 improved_weight_auxiliary_pair,
-                                 integrate_bessel_ode, momentum_from_profile,
-                                 ode_residuals, solve_flux, verify_bessel_pair)
+from hardylab.besselpair import (ODEFailure, improved_weight_auxiliary_pair,
+                                 momentum_from_profile, solve_flux,
+                                 verify_bessel_pair)
 from hardylab.cli import run
-from hardylab.scenarios import (Exponents, RadialWeightPair,
-                                UnsupportedScenarioError,
+from hardylab.profiles import Profile
+from hardylab.scenarios import (UnsupportedScenarioError,
                                 closed_form_maximizer, default_catalog,
                                 scenario_catalog)
 from hardylab.spectral import AnnulusProblem, eigenvalue
-
-
-def test_power_trajectory_matches_closed_form():
-    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    # phi(1)=1, phi'(1)=-3/2, V r^4 flux
-    dense = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, (1.0, -1.5), 10.0)
-    r = np.linspace(1.0, 10.0, 600)
-    ref = r ** -1.5
-    assert np.max(np.abs(dense(r)[0] - ref) / ref) <= 1e-6
-
-
-def test_log_trajectory_matches_closed_form():
-    sc = scenario_catalog("log_radial", p=2.0, theta=0.0, R=1.0)
-    phi = closed_form_maximizer(sc)
-    r0 = 0.01
-    y0 = (float(phi.value(np.array([r0]))[0]),
-          momentum_from_profile(sc.pair.V, sc.exponents.measure_exponent,
-                                2.0, phi, r0))
-    dense = integrate_bessel_ode(sc.pair, sc.exponents, r0, y0, 0.9)
-    r = np.linspace(r0, 0.9, 600)
-    ref = np.log(1.0 / r) ** -0.5
-    assert np.max(np.abs(dense(r)[0] - ref) / ref) <= 1e-6
-
-
-def test_gaussian_a_trajectory_matches_closed_form():
-    sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
-    phi = closed_form_maximizer(sc)
-    y0 = (float(phi.value(np.array([0.5]))[0]),
-          momentum_from_profile(sc.pair.V, sc.exponents.measure_exponent,
-                                2.0, phi, 0.5))
-    dense = integrate_bessel_ode(sc.pair, sc.exponents, 0.5, y0, 3.0)
-    r = np.linspace(0.5, 3.0, 600)
-    ref = np.exp(r ** 2 / 4.0)
-    assert np.max(np.abs(dense(r)[0] - ref) / ref) <= 1e-6
-    assert float(phi.value(np.array([0.5]))[0]) == pytest.approx(math.exp(1 / 16))
 
 
 def test_certificates_for_catalog_closed_forms():
@@ -68,19 +31,35 @@ def test_certificates_for_catalog_closed_forms():
         ("power", dict(Q=4.0, p=3.0, theta=1.0), (0.2, 5.0)),
         ("antisymmetric", dict(N=3, theta=1.0), (0.1, 10.0)),
         ("antisymmetric", dict(N=5, theta=2.0), (0.1, 10.0)),
+        # recessive closed forms that a forward shot could not follow, a
+        # span where gaussian_b's V = exp(-r^2/2) falls to 1e-196, and a
+        # log_radial interval up to 1e-3 from its singular end
+        ("gaussian_b", dict(p=3.0), (0.5, 8.0)),
+        ("improved_weight", dict(Q=5.0, p=3.0), (0.1, 20.0)),
+        ("gaussian_b", {}, (0.5, 30.0)),
+        ("log_radial", dict(p=3.0), (1e-4, 0.999)),
     ]
     for name, kwargs, interval in cases:
         sc = scenario_catalog(name, **kwargs)
         cert = verify_bessel_pair(sc, interval)
-        assert cert.is_positive, (name, cert)
-        assert cert.max_ode_residual <= 1e-6, (name, cert)
-        assert cert.max_closed_form_error <= 1e-6, (name, cert)
+        assert cert.failure is None, (name, interval, cert)
+        assert cert.max_ode_residual <= 1e-13, (name, cert)
+        assert cert.max_closed_form_error <= 1e-13, (name, cert)
+
+
+def test_interval_too_short_to_split_is_a_parameter_error(capsys):
+    # [1, 1 + 2u] holds no 64 distinct geometric intervals
+    sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
+    with pytest.raises(ValueError, match="too short to split into 64"):
+        verify_bessel_pair(sc, (1.0, math.nextafter(1.0, 2.0)))
+    assert run(["bessel", "--scenario", "gaussian_a", "--r0", "1", "--r1",
+                "1.0000000000000002"]) == 2
+    assert capsys.readouterr().err.startswith("parameter error: interval ")
 
 
 def test_gaussian_a_certificate_on_a_long_interval(tmp_path):
-    # phi = exp(r^2/4) grows to 5e97 by r = 30: no blow-up at finite r, so
-    # neither the divergence guard nor the positivity margin may scale with
-    # max |phi| absolutely
+    # phi = exp(r^2/4) grows to 5e97 by r = 30: each interval's budget
+    # scales with its own terms, not with max |phi|
     sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
     cert = verify_bessel_pair(sc, (0.5, 30.0))
     assert cert.is_positive, cert
@@ -92,39 +71,56 @@ def test_gaussian_a_certificate_on_a_long_interval(tmp_path):
 
 def test_sign_changing_solution_is_not_certified():
     # four times the power pair's lam makes the solution from the closed
-    # form's data oscillate: r^-1.5 cos(2.6 ln r + c) changes sign on (0.1, 10)
+    # form's data oscillate: r^-1.5 cos(2.6 ln r + c) changes sign on
+    # (0.1, 10). The closed form r^-1.5 stays positive, but it no longer
+    # solves the ODE, so the flux identity fails on every interval
     sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
     sc = replace(sc, pair=replace(sc.pair, lam=4.0 * sc.pair.lam))
     cert = verify_bessel_pair(sc, (0.1, 10.0))
-    assert not cert.is_positive
-    assert cert.min_phi < 0.0
+    assert cert.is_positive and cert.min_phi > 0.0
+    assert cert.max_phi_over_budget <= besselpair._FLUX_K
+    assert cert.max_flux_over_budget > 1e10 * besselpair._FLUX_K
+    assert cert.failure.startswith("Bessel-pair certificate")
 
 
 def test_certificate_solution_and_residual_match_direct_evaluation():
-    # the certificate's dense solve and vectorized residual give the same bits
-    # as a fresh solve from the same data and a point-by-point residual loop
+    # the certificate's solution is the closed form and its flux, bit for
+    # bit, and its residual is the relative flux residual of the interval
+    # holding each r: with lam off by 1e-6 that residual is the lam error's
+    # share, which scipy's quad recomputes to 1e-6
     cases = [("power", dict(Q=5.0, p=2.0, theta=1.0), (1.0, 10.0)),
              ("annulus", dict(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e),
               (1.1, 2.5)),
-             ("improved_weight", dict(Q=5.0, p=3.0), (0.1, 5.0))]
+             ("antisymmetric", dict(N=5, theta=2.0), (0.1, 10.0))]
     for name, kwargs, (r0, r1) in cases:
         sc = scenario_catalog(name, **kwargs)
-        exps = sc.exponents
-        mu = exps.measure_exponent
-        if name == "improved_weight":
-            pair, phi = improved_weight_auxiliary_pair(exps.Q, exps.p)
-        else:
-            pair, phi = sc.pair, closed_form_maximizer(sc)
+        sc = replace(sc, pair=replace(sc.pair, lam=sc.pair.lam * (1 + 1e-6)))
+        p, mu = sc.exponents.p, sc.exponents.measure_exponent
+        pair, phi = sc.pair, closed_form_maximizer(sc)
+        z = sc.numerator_zero_order or (lambda r: 0.0 * r)
         cert = verify_bessel_pair(sc, (r0, r1))
-        at_r0 = np.array([r0])
-        y0 = (float(phi.value(at_r0)[0]), float(
-            momentum_from_profile(pair.V, mu, exps.p, phi, at_r0)[0]))
-        ref = integrate_bessel_ode(pair, exps, r0, y0, r1)
         r = np.linspace(r0, r1, 200)
-        assert np.array_equal(cert.solution(r), ref(r)), name
-        loop = [float(ode_residuals(pair.V, pair.W, pair.lam, mu, exps.p, phi,
-                                    np.array([x]))[0]) for x in r]
-        assert cert.residual(r).tolist() == loop, name
+        value, flux = cert.solution(r)
+        assert value.tobytes() == phi.value(r).tobytes(), name
+        assert flux.tobytes() == momentum_from_profile(
+            pair.V, mu, p, phi, r).tobytes(), name
+
+        def source(x):
+            x = np.array([x])
+            v = phi.value(x)
+            return float(((pair.lam * pair.W(x) - z(x)) * x ** mu
+                          * np.abs(v) ** (p - 2.0) * v)[0])
+
+        edges = np.geomspace(r0, r1, besselpair._INTERVALS + 1)
+        for i in (0, 21, 63):
+            a, b = edges[i], edges[i + 1]
+            integral = quad(source, a, b, epsabs=0.0, epsrel=1e-12)[0]
+            m = momentum_from_profile(pair.V, mu, p, phi, np.array([a, b]))
+            direct = abs(m[1] - m[0] + integral) / (
+                abs(m[0]) + abs(m[1]) + abs(integral))
+            assert cert.residual(np.array([0.5 * (a + b)]))[0] == \
+                pytest.approx(direct, rel=1e-6), (name, i)
+        assert cert.max_ode_residual == np.max(cert.residual(r))
 
 
 # every catalog closed form, over the intervals the benchmark certifies
@@ -137,12 +133,86 @@ CATALOG_INTERVALS = {
 }
 
 
-def _scalar_rhs(coefficients, p, drift):
-    """solve_flux's RHS at one r, from the coefficients at a one-element
-    array: the right-hand side scipy's solve_ivp steps."""
+def _lam_times(factor):
+    """A scenario -> its copy with lam scaled by factor; for improved_weight
+    the certified auxiliary pair's lam, through a patched builder."""
+    def perturb(sc, monkeypatch):
+        if sc.name != "improved_weight":
+            return replace(sc, pair=replace(sc.pair, lam=sc.pair.lam * factor))
+
+        def auxiliary(Q, p):
+            pair, phi = improved_weight_auxiliary_pair(Q, p)
+            return replace(pair, lam=pair.lam * factor), phi
+
+        monkeypatch.setattr(besselpair, "improved_weight_auxiliary_pair",
+                            auxiliary)
+        return sc
+
+    return perturb
+
+
+def _slope_times(factor):
+    def perturb(sc, monkeypatch):
+        phi = closed_form_maximizer(sc)
+        return replace(sc, maximizer=Profile(
+            phi.value, lambda r: factor * phi.derivative(r), phi.support))
+
+    return perturb
+
+
+def _gaussian_a_corr_times(factor):
+    # W = (r^(p(alpha-1)) - corr r^(alpha(p-1)-p)) exp(-r^alpha/beta)
+    def perturb(sc, monkeypatch):
+        p, Q = sc.exponents.p, sc.exponents.Q
+        alpha, beta = sc.extra["alpha"], sc.extra["beta"]
+        corr = factor * (p * beta / alpha) * (alpha * (p - 1.0) + Q - p)
+
+        def W(r):
+            return (r ** (p * (alpha - 1.0)) - corr
+                    * r ** (alpha * (p - 1.0) - p)) * np.exp(-r ** alpha / beta)
+
+        return replace(sc, pair=replace(sc.pair, W=W))
+
+    return perturb
+
+
+def _sphere_eigenvalue_times(factor):
+    def perturb(sc, monkeypatch):
+        z = sc.numerator_zero_order
+        return replace(sc, numerator_zero_order=lambda r: factor * z(r))
+
+    return perturb
+
+
+_CLOSED_FORMS = [sc.name for sc in default_catalog()]
+_SENSITIVITY = (
+    [(name, f"lam*(1{s}1e-10)", _lam_times(1.0 + float(f"{s}1e-10")))
+     for name in _CLOSED_FORMS for s in "+-"]
+    + [(name, "phi'*(1+1e-10)", _slope_times(1.0 + 1e-10))
+       for name in _CLOSED_FORMS if name != "improved_weight"]
+    + [("gaussian_a", "corr*(1+1e-9)", _gaussian_a_corr_times(1.0 + 1e-9)),
+       ("antisymmetric", "sphere_eigenvalue*(1+1e-9)",
+        _sphere_eigenvalue_times(1.0 + 1e-9))])
+
+
+@pytest.mark.parametrize("name, change, perturb", _SENSITIVITY,
+                         ids=[f"{n}-{c}" for n, c, _ in _SENSITIVITY])
+def test_certificate_fails_a_small_error_in_what_it_certifies(
+        name, change, perturb, monkeypatch):
+    # the bessel cells of the sensitivity matrix: each catalog closed form
+    # passes as built and fails with one of its ingredients off by 1e-10
+    # (1e-9 for a correction coefficient); improved_weight certifies its
+    # auxiliary exp(-r) pair, whose lam is the one perturbed
+    (sc,) = [sc for sc in default_catalog() if sc.name == name]
+    interval = CATALOG_INTERVALS[name]
+    assert verify_bessel_pair(sc, interval).failure is None
+    cert = verify_bessel_pair(perturb(sc, monkeypatch), interval)
+    assert cert.failure is not None, (change, cert)
+
+
+def _scalar_rhs(A, B, p, drift):
+    """solve_flux's RHS: the right-hand side scipy's solve_ivp steps."""
     def rhs(r, y):
-        A, B = (float(np.reshape(c, -1)[0])
-                for c in coefficients(np.array([r])))
         w = y[1] / A
         return (math.copysign(abs(w) ** (1.0 / (p - 1.0)), w) + drift * y[0],
                 -drift * y[1] - B * abs(y[0]) ** (p - 2.0) * y[0])
@@ -156,10 +226,9 @@ def _record_solves(monkeypatch):
     pairs = []
     dop853 = besselpair._dop853
 
-    def both(coefficients, p, drift, t0, y0, t_bound, rtol, atol, blowup):
-        ours = dop853(coefficients, p, drift, t0, y0, t_bound, rtol, atol,
-                      blowup)
-        pairs.append((ours, solve_ivp(_scalar_rhs(coefficients, p, drift),
+    def both(A, B, p, drift, t0, y0, t_bound, rtol, atol):
+        ours = dop853(A, B, p, drift, t0, y0, t_bound, rtol, atol)
+        pairs.append((ours, solve_ivp(_scalar_rhs(A, B, p, drift),
                                       (t0, t_bound), y0, method="DOP853",
                                       rtol=rtol, atol=atol, dense_output=True)))
         return ours
@@ -179,8 +248,6 @@ def test_float_stepper_matches_scipy_dop853(monkeypatch):
     # `_dop853` builds a step's dense piece only when it is read, so its
     # nfev counts fewer pieces than scipy's: compare accepted steps
     pairs = _record_solves(monkeypatch)
-    for sc in default_catalog():
-        verify_bessel_pair(sc, CATALOG_INTERVALS[sc.name])
     for p in (2.0, 2.5, 3.0, 4.0, 6.0):
         for b in (2.0, math.e, 4.0):
             eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=b))
@@ -195,13 +262,11 @@ def test_float_stepper_matches_scipy_dop853(monkeypatch):
 
 def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
     pairs = _record_solves(monkeypatch)
-    verify_bessel_pair(scenario_catalog("power", Q=4.0, p=3.0, theta=1.0),
-                       (0.2, 5.0))
     eigenvalue(AnnulusProblem(Q=5.0, p=4.0, theta=1.0, a=1.0, b=2.0))
-    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    integrate_bessel_ode(sc.pair, sc.exponents, 10.0, (10.0 ** -1.5,
-                         -1.5 * 10.0 ** 1.5), 1.0)            # backward
-    assert len(pairs) == 4
+    eigenvalue(AnnulusProblem(Q=3.0, p=3.0, theta=2.0, a=1.0, b=4.0))
+    solve_flux(1.0, 2.25, 2.0, (10.0, 1.0), (1.0, -1.5), 1e-10,
+               1e-12)                                         # backward
+    assert len(pairs) == 5
     for sol, _ in pairs:
         # at a step end sol picks the step that ends there, as OdeSolution
         ends = sol.sol(sol.t)
@@ -216,91 +281,13 @@ def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
             assert sol.sol(sol.t[k]).shape == (2,)
 
 
-def _record_coefficient_calls(monkeypatch):
-    """Route every solve_flux solve through a recorder of its coefficient
-    calls: per solve, the solution and each call's (radii, A, B)."""
-    solves = []
-    dop853 = besselpair._dop853
-
-    def recorded(coefficients, *args):
-        calls = []
-
-        def record(r):
-            A, B = coefficients(r)
-            calls.append((r.copy(), A, B))
-            return A, B
-
-        solves.append((dop853(record, *args), calls))
-        return solves[-1][0]
-
-    monkeypatch.setattr(besselpair, "_dop853", recorded)
-    return solves
-
-
-def test_stage_array_coefficients_are_the_one_element_ones(monkeypatch):
-    # V, W and z see a step's whole array of stage radii; every value must be
-    # the bits they give at a one-element array, whose r^mu is libm's pow,
-    # at the stage radii of real solves of every catalog certificate (the
-    # improved_weight one is its auxiliary pair's)
-    solves = _record_coefficient_calls(monkeypatch)
-    scenarios = default_catalog()
-    assert {sc.name for sc in scenarios} == set(CATALOG_INTERVALS)
-    for sc in scenarios:
-        del solves[:]
-        verify_bessel_pair(sc, CATALOG_INTERVALS[sc.name])
-        exps = sc.exponents
-        pair = (improved_weight_auxiliary_pair(exps.Q, exps.p)[0]
-                if sc.name == "improved_weight" else sc.pair)
-        coefficients = besselpair._bessel_coefficients(
-            pair, exps.measure_exponent, sc.numerator_zero_order)
-        ((_, calls),) = solves
-        assert {len(r) for r, _, _ in calls} == {1, 15}, sc.name
-        for r, A, B in calls:
-            one = np.array([coefficients(np.array([x])) for x in r.tolist()])
-            assert one[:, :, 0].tobytes() == np.array([A, B]).T.tobytes(), \
-                (sc.name, r)
-
-
-def test_one_coefficient_call_per_attempt_piece_and_start(monkeypatch):
-    solves = _record_coefficient_calls(monkeypatch)
-    sc = scenario_catalog("power", Q=4.0, p=3.0, theta=1.0)
-    dense = integrate_bessel_ode(sc.pair, sc.exponents, 0.2, (1.0, -1.0), 5.0)
-    dense(np.linspace(0.2, 5.0, 40))
-    eigenvalue(AnnulusProblem(Q=5.0, p=4.0, theta=1.0, a=1.0, b=2.0))
-    assert len(solves) == 3
-    for sol, calls in solves:
-        sizes = [len(r) for r, _, _ in calls]
-        # the start f(t0) and the initial step's probe, then the attempts,
-        # each with its 12 stage radii and its dense piece's 3; building a
-        # piece reads the coefficients its step stored
-        assert sizes[:2] == [1, 1] and sizes.count(1) == 2
-        attempts = sizes.count(15)
-        assert attempts + 2 == len(calls)
-        assert sol.nfev == 12 * attempts + 3 * len(sol._pieces) + 2
-        assert attempts >= len(sol.t) - 1
-        steps = [r for r, _, _ in calls if len(r) == 15]
-        for t_old, t, *_ in sol._steps:     # each accepted step's radii
-            r = t_old + besselpair._C * (t - t_old)
-            assert any(np.array_equal(r, x) for x in steps)
-        # the annulus coefficients are the constants A and lam A, as floats
-        if sol is not solves[0][0]:
-            assert all(isinstance(A, float) for _, A, _ in calls)
-    assert solves[0][0]._pieces
-
-
 def test_dense_pieces_are_built_once_when_read():
-    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    exps = sc.exponents
-
-    def coefficients(r):
-        return sc.pair.V(r) * r ** 4, sc.pair.lam * sc.pair.W(r) * r ** 4
-
-    sol = solve_flux(coefficients, exps.p, (1.0, 10.0), (1.0, -1.5),
-                     1e-10, 1e-12)
+    # phi'' = -2.25 phi: p = 2, A = 1, B = 2.25, no drift
+    sol = solve_flux(1.0, 2.25, 2.0, (1.0, 10.0), (1.0, -1.5), 1e-10, 1e-12)
     steps = len(sol.t) - 1
     assert steps > 5 and (sol.nfev - 2) % 12 == 0    # no piece built yet
     solved = sol.nfev
-    r = np.linspace(1.0, 10.0, 50)
+    r = np.linspace(1.0, 10.0, 10)
     first = sol.sol(r)
     read = np.unique(np.clip(np.searchsorted(sol.t, r) - 1, 0, None))
     assert sol.nfev == solved + 3 * len(read) < solved + 3 * steps
@@ -316,8 +303,8 @@ def test_zero_span_solve_is_scipys_constant_solve():
     ref = solve_ivp(rhs, (1.0, 1.0), (2.0, 3.0), method="DOP853",
                     dense_output=True)
     # phi' = m, m' = -phi: solve_flux's RHS at p = 2, A = B = 1, no drift
-    sol = besselpair._dop853(lambda r: (1.0, 1.0), 2.0, 0.0, 1.0, (2.0, 3.0),
-                             1.0, 1e-10, 1e-12, math.inf)
+    sol = besselpair._dop853(1.0, 1.0, 2.0, 0.0, 1.0, (2.0, 3.0), 1.0, 1e-10,
+                             1e-12)
     assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
     assert sol.nfev == ref.nfev == 1
     r = np.array([0.5, 1.0, 2.0])
@@ -328,9 +315,6 @@ def test_zero_span_solve_is_scipys_constant_solve():
 def test_generated_stages_are_the_tableau_rows_summed_in_order():
     # the straight-line stage code against the tableau summed by loops, each
     # row from 0.0 in its order, with the RHS taken stage by stage
-    def rhs(z, A, B, p, d):
-        return _scalar_rhs(lambda r: (A, B), p, d)(0.0, z)
-
     def combine(K, row):
         d0 = d1 = 0.0
         for j, a in row.items():
@@ -338,29 +322,29 @@ def test_generated_stages_are_the_tableau_rows_summed_in_order():
             d1 += K[j][1] * a
         return d0, d1
 
-    def add_stages(K, y, h, stages, A, B, p, d):
-        for n, (_, row) in enumerate(stages):
+    def add_stages(K, y, h, stages, rhs):
+        for _, row in stages:
             d0, d1 = combine(K, row)
             z = (y[0] + d0 * h, y[1] + d1 * h)
-            K.append(rhs(z, A[n], B[n], p, d))
+            K.append(rhs(0.0, z))
         return z
 
     rng = np.random.default_rng(27)
     for p, d in ((2.0, 0.0), (3.0, 0.7), (2.5, -1.3), (8.0, 0.0)):
         y, f = (tuple(rng.normal(size=2).tolist()) for _ in range(2))
         h = float(rng.uniform(0.01, 0.2))
-        A, B = rng.uniform(0.5, 2.0, 15).tolist(), rng.normal(size=15).tolist()
-        args = (1.0 / (p - 1.0), p - 2.0, d)
-        assert besselpair._slope(*y, 0.0, (), A, B, *args) == rhs(y, A[0],
-                                                                 B[0], p, d)
+        A, B = float(rng.uniform(0.5, 2.0)), float(rng.normal())
+        rhs = _scalar_rhs(A, B, p, d)
+        args = (A, B, 1.0 / (p - 1.0), p - 2.0, d)
+        assert besselpair._slope(*y, 0.0, (), *args) == rhs(0.0, y)
         K = [f]
-        y_new = add_stages(K, y, h, besselpair._STAGES, A, B, p, d)
-        flat, *rest = besselpair._step(*y, h, f, A, B, *args)
+        y_new = add_stages(K, y, h, besselpair._STAGES, rhs)
+        flat, *rest = besselpair._step(*y, h, f, *args)
         assert flat == tuple(x for k in K for x in k)
         assert rest == [y_new, combine(K, besselpair._E5),
                         combine(K, besselpair._E3)]
-        add_stages(K, y, h, besselpair._EXTRA, A[12:], B[12:], p, d)
-        assert besselpair._dense(*y, h, flat, A[12:], B[12:], *args) == tuple(
+        add_stages(K, y, h, besselpair._EXTRA, rhs)
+        assert besselpair._dense(*y, h, flat, *args) == tuple(
             tuple(h * x for x in combine(K, row)) for row in besselpair._D)
 
 
@@ -384,26 +368,25 @@ def test_dop853_tableau_is_scipys_bitwise():
         assert ours.tobytes() == theirs.tobytes()
 
 
-@pytest.mark.parametrize("coefficients, y0, fault", [
-    pytest.param(lambda r: (1.0, 1.0), (1e200, 0.0),     # |phi|^(p-2) = 1e400
-                 "float overflow", id="overflow"),
-    pytest.param(lambda r: (np.where(r > 0.5, 0.0, 1.0), 1.0), (1.0, 0.0),
-                 "float division by zero", id="zero_division"),  # m / A, A = 0
+@pytest.mark.parametrize("A, y0, fault", [
+    pytest.param(1.0, (1e200, 0.0), "float overflow",       # |phi|^(p-2) = 1e400
+                 id="overflow"),
+    pytest.param(0.0, (1.0, 0.0), "float division by zero",  # m / A, A = 0
+                 id="zero_division"),
 ])
-def test_float_overflow_in_the_rhs_is_an_ode_failure(coefficients, y0, fault):
+def test_float_overflow_in_the_rhs_is_an_ode_failure(A, y0, fault):
     # the message names the fault, not the errno tuple of an OverflowError
     with pytest.raises(ODEFailure, match=f"^ODE integration failed: {fault} "
                        "in the right-hand side$"):
-        solve_flux(coefficients, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12)
+        solve_flux(A, 1.0, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12)
 
 
 def test_stiff_solve_ends_at_the_rhs_budget():
-    # B = 10^(400 r) turns stiff long before it overflows: without a budget
-    # the solve kept taking ever smaller steps for minutes
+    # B = 1e16 makes phi'' = -1e16 phi turn 1.6e7 times on the span: without
+    # a budget the solve would take ~1e8 steps
     start = time.perf_counter()
     with pytest.raises(ODEFailure, match="more than 1000000 RHS evaluations"):
-        solve_flux(lambda r: (1.0, 10.0 ** (400.0 * r)), 3.0, (0.0, 1.0),
-                   (1.0, 0.0), 1e-10, 1e-12)
+        solve_flux(1.0, 1e16, 2.0, (0.0, 1.0), (1.0, 0.0), 1e-10, 1e-12)
     assert time.perf_counter() - start < 60.0
 
 
@@ -424,43 +407,42 @@ def test_float_overflow_exits_1_without_traceback(tmp_path):
 
 
 def test_improved_weight_auxiliary_equation():
-    # exp(-r) against V~ = r^-(Q-p), W~ = r^-(Q-p)(1-r)/r, lam = p-1
-    sc = scenario_catalog("improved_weight", Q=5.0, p=2.0)
-    cert = verify_bessel_pair(sc, (0.1, 5.0))
-    assert cert.is_positive
-    assert cert.max_ode_residual <= 1e-6
-    assert cert.max_closed_form_error <= 1e-6
-    # both ODE terms vanish at r = 1, where the residual needs a scale floor
-    pair, phi = improved_weight_auxiliary_pair(5.0, 3.0)
-    resid = ode_residuals(pair.V, pair.W, pair.lam, 4.0, 3.0, phi,
-                          np.append(np.geomspace(0.1, 5.0, 500), 1.0))
-    assert np.max(resid) <= 1e-6
+    # exp(-r) against V~ = r^-(Q-p), W~ = r^-(Q-p)(1-r)/r, lam = p-1: the
+    # flux m = -r^(p-1) e^(-(p-1) r) is stationary at r = 1, where W~
+    # changes sign, and the interval holding r = 1 still holds to rounding
+    for p in (2.0, 3.0):
+        cert = verify_bessel_pair(
+            scenario_catalog("improved_weight", Q=5.0, p=p), (0.1, 5.0))
+        assert cert.failure is None, cert
+        assert cert.residual(np.array([1.0]))[0] <= 1e-14
+        pair, phi = improved_weight_auxiliary_pair(5.0, p)
+        r = np.geomspace(0.1, 5.0, 50)
+        assert np.allclose(momentum_from_profile(pair.V, 4.0, p, phi, r),
+                           -r ** (p - 1.0) * np.exp(-(p - 1.0) * r),
+                           rtol=1e-14, atol=0.0)
 
 
 def test_ode_scale_invariance():
-    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    r = np.linspace(1.0, 5.0, 600)
-    ref = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, (1.0, -1.5), 5.0)(r)[0]
-    p = sc.exponents.p
+    # p = 2 with a drift: the solve is linear, so c phi_0 gives c phi
+    p, t = 2.0, np.linspace(0.0, 4.0, 600)
+    ref = solve_flux(1.0, 2.25, p, (0.0, 4.0), (1.0, -1.5), 1e-10, 1e-12,
+                     drift=0.5).sol(t)[0]
     for c in (2.0, -1.0, 10.0):
         y0 = (c * 1.0, abs(c) ** (p - 2.0) * c * -1.5)
-        phi = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, y0, 5.0)(r)[0]
+        phi = solve_flux(1.0, 2.25, p, (0.0, 4.0), y0, 1e-10, 1e-12,
+                         drift=0.5).sol(t)[0]
         scale = np.max(np.abs(c * ref))
         assert np.max(np.abs(phi - c * ref)) <= 1e-8 * scale
 
 
 def test_ode_scale_invariance_p3():
-    sc = scenario_catalog("power", Q=4.0, p=3.0, theta=1.0)
-    phi = closed_form_maximizer(sc)
-    m0 = momentum_from_profile(sc.pair.V, sc.exponents.measure_exponent, 3.0,
-                               phi, 1.0)
-    phi0 = float(phi.value(np.array([1.0]))[0])
-    r = np.linspace(1.0, 4.0, 600)
-    ref = integrate_bessel_ode(sc.pair, sc.exponents, 1.0, (phi0, m0), 4.0)(r)[0]
+    t = np.linspace(0.0, 3.0, 600)
+    ref = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (1.0, -0.8), 1e-10, 1e-12,
+                     drift=-0.4).sol(t)[0]
     c = 2.0
     # momentum scales like |c|^(p-2) c = c^2 for p=3, c>0
-    sol = integrate_bessel_ode(sc.pair, sc.exponents, 1.0,
-                               (c * phi0, c ** 2.0 * m0), 4.0)(r)[0]
+    sol = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (c, c ** 2.0 * -0.8), 1e-10,
+                     1e-12, drift=-0.4).sol(t)[0]
     assert np.max(np.abs(sol - c * ref)) <= 1e-8 * np.max(np.abs(c * ref))
 
 
@@ -504,47 +486,8 @@ def test_singular_coefficient_detected():
     def V(r):
         return np.maximum(1.0 - np.asarray(r, dtype=float), 0.0)  # hits 0 at r=1
 
-    def W(r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
-    pair = RadialWeightPair(V, W, 1.0, (0.0, math.inf), W_nonnegative=True)
     sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
-    with pytest.raises(SingularCoefficientError):
-        integrate_bessel_ode(pair, sc.exponents, 0.5, (1.0, 0.1), 2.0)
-
-
-def test_divergence_detected(monkeypatch):
-    from scipy.optimize import brentq
-    from scipy.special import i0e, i1e, k0e, k1e
-
-    def V(r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
-    def W(r):
-        return -np.ones_like(np.asarray(r, dtype=float))
-
-    solves = []
-
-    class Recorded(besselpair.FluxSolution):
-        def __init__(self, rhs):
-            super().__init__(rhs)
-            solves.append(self)
-
-    monkeypatch.setattr(besselpair, "FluxSolution", Recorded)
-    pair = RadialWeightPair(V, W, 200.0, (0.0, math.inf), W_nonnegative=False)
-    exps = Exponents(p=2.0, theta=1.0, Q=2.0)
-    with pytest.raises(DivergenceError) as err:
-        integrate_bessel_ode(pair, exps, 1.0, (1.0, 1.0), 30.0)
-    # (r phi')' = 200 r phi from phi(1) = phi'(1) = 1 is phi = A I0(k r) +
-    # B K0(k r), k = sqrt(200); the guard names the first step end past the
-    # r where phi crosses 1e12
-    k = math.sqrt(200.0)
-    A, B = np.linalg.solve([[i0e(k) * math.exp(k), k0e(k) * math.exp(-k)],
-                            [k * i1e(k) * math.exp(k),
-                             -k * k1e(k) * math.exp(-k)]], [1.0, 1.0])
-    crossing = brentq(lambda r: A * i0e(k * r) * math.exp(k * r)
-                      + B * k0e(k * r) * math.exp(-k * r) - 1e12, 1.0, 30.0)
-    (sol,) = solves
-    before, last = sol._steps[-2][1], sol._steps[-1][1]
-    assert before < crossing <= last
-    assert str(err.value) == f"|phi| exceeded 1e+12 at r = {last:.6g}"
+    sc = replace(sc, pair=replace(sc.pair, V=V))
+    with pytest.raises(ODEFailure, match=r"^V r\^mu reads 0\.0 from r = 1 on "
+                       "the integration path"):
+        verify_bessel_pair(sc, (0.5, 2.0))

@@ -316,7 +316,8 @@ _COLD_COMMANDS = {
     "identity": (["identity", "--p", "2.5", "--samples", "200", "--seed", "7"],
                  {"identities"}),
     "bessel": (["bessel", "--scenario", "power", "--Q", "5", "--p", "2",
-                "--theta", "1", "--r0", "1", "--r1", "10"], {"besselpair"}),
+                "--theta", "1", "--r0", "1", "--r1", "10"],
+               {"besselpair", "quadrature"}),
     "eig_p2": (["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1",
                 "--b", "2.718281828"], _ODE),
     "eig_p3_which2": (["eig", "--Q", "5", "--p", "3", "--theta", "1", "--a",
@@ -475,17 +476,23 @@ def test_bessel_cli_ode_failure_exits_1(capsys):
 
 
 def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
-    # the README bessel and eig reports, bit for bit: the flux ODE's stepping
-    # and dense output may not move a float
+    # the README bessel and eig reports, bit for bit: the certificate's
+    # quadrature, and the flux ODE's stepping and dense output, may not move
+    # a float
+    bessel = tmp_path / "b.csv"
     code, _, err = _cli(["bessel", "--scenario", "power", "--Q", "5", "--p",
                          "2", "--theta", "1", "--r0", "1", "--r1", "10",
-                         "--out", str(tmp_path / "b.csv")], capsys)
+                         "--out", str(bessel)], capsys)
     summary = json.loads(err.splitlines()[0])["summary"]
     assert code == 0
-    assert [repr(summary[k]) for k in ("min_phi", "max_ode_residual",
-                                       "max_closed_form_error")] == [
-        "0.03162277660460544", "2.7961307417827463e-12",
-        "1.7314215968014936e-10"]
+    assert [repr(summary[k]) for k in (
+        "min_phi", "max_ode_residual", "max_closed_form_error",
+        "max_flux_over_budget", "max_phi_over_budget")] == [
+        "0.03162277660168379", "2.066285011825151e-16",
+        "1.4942752556818584e-16", "0.06754226393963839",
+        "0.048844536518505836"]
+    assert hashlib.sha256(bessel.read_bytes()).hexdigest() == \
+        "fd0072df7150079a4c61f31749a2d971d5b810704d9c7faa7377557f7d47662d"
     phi2 = tmp_path / "phi2.csv"
     for argv, lam in ((["--Q", "3", "--p", "2", "--theta", "1", "--a", "1",
                         "--b", "2.718281828"], "10.11960440442272"),
@@ -804,10 +811,10 @@ def _failing_patch(case):
         "bessel_positive": _wrap(besselpair, "verify_bessel_pair",
                                  lambda c: replace(c, is_positive=False)),
         "bessel_ode": _wrap(besselpair, "verify_bessel_pair",
-                            lambda c: replace(c, max_ode_residual=2e-6)),
+                            lambda c: replace(c, max_flux_over_budget=20.0)),
         "bessel_closed_form": _wrap(
             besselpair, "verify_bessel_pair",
-            lambda c: replace(c, max_closed_form_error=2e-6)),
+            lambda c: replace(c, max_phi_over_budget=20.0)),
         "eig_bound": (spectral, "eigenvalue", lambda problem, **kw: replace(
             real_eig(problem, **kw),
             lam=problem.lemma_lower_bound * (1.0 + 1e-9))),
@@ -842,8 +849,13 @@ _GRUSHIN = ["geometry", "--model", "grushin", "--n", "1", "--k", "1",
             "--gamma", "1"]
 _VANDERMONDE = ["geometry", "--check", "vandermonde", "--N", "3", "--theta",
                 "1", "--samples", "20000"]
-_BESSEL_FAIL = ("FAIL: Bessel-pair certificate (positivity of the ODE "
-                "solution or closed-form residual above 1e-6)")
+
+
+def _bessel_fail(flux, phi):
+    return ("FAIL: Bessel-pair certificate (phi > 0, and the flux and phi' "
+            "identities within 10 error budgets on every interval): min phi "
+            f"0.0316228, worst flux residual {flux} budgets, worst phi' "
+            f"residual {phi} budgets")
 
 
 def _geometry_fail(check, estimate, expected, prefix="FAIL"):
@@ -860,17 +872,17 @@ _FAILING_PATHS = {
         "d382dbdc94d4e40b4e843c29f07adc4066bc90391e8d2dbeb8101f8bfd3309b0",
         "e483172b908cddf10403b1a6683ea5bdbb77f5a03a3f2e054a67e22d8a5bfefb"),
     "bessel_positive": (
-        _BESSEL, 1, _BESSEL_FAIL,
-        "69202e486b6880909aabf0442b7829ec04130ec3b753dc7b0317e583cfe326e2",
-        "8eaf5a3d820dd80ea29084b82b70dbcca3cee341f7fb22b0ff1cbe2621e67699"),
+        _BESSEL, 1, _bessel_fail("0.0675", "0.0488"),
+        "fd0072df7150079a4c61f31749a2d971d5b810704d9c7faa7377557f7d47662d",
+        "972f0776b2c02d805efae2f77fe9bbe18ec2dea3dcc33cf4dfb2b2c8406b9a40"),
     "bessel_ode": (
-        _BESSEL, 1, _BESSEL_FAIL,
-        "69202e486b6880909aabf0442b7829ec04130ec3b753dc7b0317e583cfe326e2",
-        "28f5fda5d696c9a732beb83bfb11a964bb82c612ccfa39d5e15862e3a326a8c1"),
+        _BESSEL, 1, _bessel_fail("20", "0.0488"),
+        "fd0072df7150079a4c61f31749a2d971d5b810704d9c7faa7377557f7d47662d",
+        "d376a6f63c9d6004b1c8c6991af6b77698b0426f20741467ab15aeaf97c3dd1f"),
     "bessel_closed_form": (
-        _BESSEL, 1, _BESSEL_FAIL,
-        "69202e486b6880909aabf0442b7829ec04130ec3b753dc7b0317e583cfe326e2",
-        "22baffdd6564e54c8efdacbcdb162cb60b716246216fcfd31760dc1f7bed9c41"),
+        _BESSEL, 1, _bessel_fail("0.0675", "20"),
+        "fd0072df7150079a4c61f31749a2d971d5b810704d9c7faa7377557f7d47662d",
+        "a0d5e89d63ac54f906089302e13ad2da2361cea8893e2d1fd79e2d2e4f3d1b49"),
     "eig_bound": (
         ["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1", "--b",
          "2"], 1,
