@@ -29,6 +29,7 @@ __all__ = [
     "CheckFailure",
     "UnsupportedScenarioError",
     "require_p",
+    "require_annulus",
     "closed_form_maximizer",
     "scenario_catalog",
     "scenario_to_json",
@@ -63,6 +64,14 @@ def require_p(p: float) -> None:
     """Every identity and inequality here needs a finite p >= 2 (NaN fails)."""
     if not (p >= 2 and math.isfinite(p)):
         raise ParameterDomainError(f"p must be >= 2 and finite, got {p}")
+
+
+def require_annulus(a: float, b: float) -> None:
+    """An annulus a < r < b needs 0 < a < b and a finite ratio b/a, whose
+    logarithm every annulus eigenvalue is a function of (NaN fails)."""
+    if not (0 < a < b and math.isfinite(b / a)):
+        raise ParameterDomainError(
+            f"annulus needs 0 < a < b and a finite b/a, got a={a}, b={b}")
 
 
 @dataclass(frozen=True)
@@ -341,8 +350,7 @@ def _gaussian_b(p: float = 2.0, theta: float = 1.0, alpha: float = 2.0,
 
 def closed_form_lambda1_p2(Q: float, theta: float, a: float, b: float) -> float:
     """First eigenvalue of the annulus problem for p = 2 (Cauchy-Euler form)."""
-    if not 0 < a < b:
-        raise ParameterDomainError(f"annulus needs 0 < a < b, got a={a}, b={b}")
+    require_annulus(a, b)
     return ((Q - 2.0 * theta) / 2.0) ** 2 + (math.pi / math.log(b / a)) ** 2
 
 
@@ -372,8 +380,6 @@ def _annulus_maximizer_p2(Q: float, theta: float, a: float, b: float):
 
 def _annulus(Q: float = 3.0, p: float = 2.0, theta: float = 1.0,
              a: float = 1.0, b: float = math.e) -> Scenario:
-    if not 0 < a < b:
-        raise ParameterDomainError(f"annulus needs 0 < a < b, got a={a}, b={b}")
     exps = Exponents(p=p, theta=theta, Q=Q)
     if p == 2:
         lam = closed_form_lambda1_p2(Q, theta, a, b)

@@ -310,7 +310,7 @@ _REDUCTION = {"functional", "quadrature"}
 _SWEEPS = {"sharpness"} | _REDUCTION
 # the sweep and psi modes, in t, with the Picone remainder of identities
 _T_SWEEPS = {"sharpness", "quadrature", "identities"}
-_ODE = {"besselpair", "spectral", "quadrature"}   # eig: T by quadrature
+_ODE = {"spectral", "quadrature"}   # eig: T by quadrature
 _COLD_COMMANDS = {
     "catalog": (["catalog"], set()),
     "identity": (["identity", "--p", "2.5", "--samples", "200", "--seed", "7"],
@@ -708,6 +708,16 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["sharpness", "--mode", "improved", "--Q", "1e300"], 2),
     (["eig", "--Q", "1e300"], 2),
     (["eig", "--p", "1e300"], 2),
+    # an annulus whose ratio b/a overflows a float
+    (["eig", "--a", "1e-320", "--b", "1"], 2),
+    (["rayleigh", "--scenario", "annulus", "--p", "3", "--a", "1e-320", "--b",
+      "1", "--profiles", "3"], 2),
+    (["bessel", "--scenario", "annulus", "--a", "1e-320", "--b", "1", "--r0",
+      "0.5", "--r1", "0.9"], 2),
+    (["sharpness", "--scenario", "annulus", "--a", "1e-320", "--b", "1",
+      "--eps-grid", "0.2"], 2),
+    (["rayleigh", "--scenario", "annulus", "--a", "1e-320", "--b", "1",
+      "--profiles", "3"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -726,6 +736,8 @@ def test_exit_codes_without_traceback(argv, code, tmp_path):
         assert lines[0].startswith(
             "config error: " if unreadable else
             "output error: " if unwritable else "parameter error: ")
+        if "1e-320" in argv:
+            assert "b/a" in lines[0], lines
     else:
         fails = [x for x in lines if x.startswith("FAIL: ")]
         assert fails == (lines[-1:] if code == 1 else [])

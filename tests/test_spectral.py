@@ -1,15 +1,18 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hardylab import spectral
 from hardylab.functional import reduce_radial_functional
 from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                                 scenario_catalog)
 from hardylab.spectral import (AnnulusProblem, SearchFailureError,
-                               check_lambda1_lower_bound, eigenvalue, shoot)
+                               check_lambda1_lower_bound, eigenvalue, shoot,
+                               solve_flux)
 from oracles import annulus_eigenvalue_mp, half_period_mp
 
 PROB = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
@@ -201,9 +204,8 @@ def _flux_exponents(problem):
 
 def _tight_shot(problem, lam):
     """Dense output of the flux shot in r from (phi, m)(a) = (0, 1) at rtol
-    1e-13, written independently of besselpair.solve_flux, and its exact
+    1e-13, written independently of spectral.solve_flux, and its exact
     max phi, at the zero of m."""
-    from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
 
     flux_exp, weight_exp = _flux_exponents(problem)
@@ -455,3 +457,198 @@ def test_tolerance_below_shot_accuracy_costs_no_shots(monkeypatch):
             eigenvalue(prob, which=n, tol=tol)
             counts.append(len(calls))
         assert counts[1] <= counts[0], (prob, n, counts)
+
+
+def _scalar_rhs(A, B, p, drift):
+    """solve_flux's RHS: the right-hand side scipy's solve_ivp steps."""
+    def rhs(r, y):
+        w = y[1] / A
+        return (math.copysign(abs(w) ** (1.0 / (p - 1.0)), w) + drift * y[0],
+                -drift * y[1] - B * abs(y[0]) ** (p - 2.0) * y[0])
+
+    return rhs
+
+
+def _record_solves(monkeypatch):
+    """Route every solve_flux solve through a recorder that also runs scipy's
+    own solve_ivp(method="DOP853") on the same RHS, span and tolerances."""
+    pairs = []
+    solve = spectral.solve_flux
+
+    def both(A, B, p, span, y0, rtol, atol, drift):
+        ours = solve(A, B, p, span, y0, rtol, atol, drift)
+        pairs.append((ours, solve_ivp(_scalar_rhs(A, B, p, drift), span, y0,
+                                      method="DOP853", rtol=rtol, atol=atol,
+                                      dense_output=True)))
+        return ours
+
+    monkeypatch.setattr(spectral, "solve_flux", both)
+    return pairs
+
+
+def test_float_stepper_matches_scipy_dop853(monkeypatch):
+    # the two differ only in the rounding of the stage sums (BLAS orders them
+    # its own way); for p != 2 that can tip the accept/reject decision of a
+    # step across a turning point of phi, where the flux is only
+    # C^{1,1/(p-1)}, and part single solves by a few percent of their steps
+    # and ~1e2 rtol in the state. No solve here takes such a step: the
+    # annulus shot's rise ends at the turning time that the period integral
+    # gives, and its fall restarts there, so the states agree to ~1e-11.
+    # `solve_flux` builds a step's dense piece only when it is read, so its
+    # nfev counts fewer pieces than scipy's: compare accepted steps
+    pairs = _record_solves(monkeypatch)
+    for p in (2.0, 2.5, 3.0, 4.0, 6.0):
+        for b in (2.0, math.e, 4.0):
+            eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=b))
+    assert len(pairs) > 20
+    for ours, ref in pairs:
+        assert ours.t[-1] == ref.t[-1]
+        final = np.abs(ref.y[:, -1])
+        assert np.max(np.abs(ours.y[:, -1] - ref.y[:, -1])) <= 1e-9 * np.max(final)
+    total = sum(len(ref.t) - 1 for _, ref in pairs)
+    assert abs(sum(len(ours.t) - 1 for ours, _ in pairs) - total) <= 0.02 * total
+
+
+def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
+    pairs = _record_solves(monkeypatch)
+    eigenvalue(AnnulusProblem(Q=5.0, p=4.0, theta=1.0, a=1.0, b=2.0))
+    eigenvalue(AnnulusProblem(Q=3.0, p=3.0, theta=2.0, a=1.0, b=4.0))
+    assert len(pairs) == 4
+    for sol, _ in pairs:
+        # at a step end sol picks the step that ends there, as OdeSolution
+        ends = sol.sol(sol.t)
+        assert np.array_equal(ends[:, 0], sol.y[:, 0])
+        for k in range(len(sol.t) - 1):
+            y0, y1 = sol.y[:, k], sol.y[:, k + 1]
+            F = sol._piece(k)
+            assert spectral._horner(F, 0.0, tuple(y0)) == tuple(y0)
+            end = np.array(spectral._horner(F, 1.0, tuple(y0)))
+            assert np.array_equal(ends[:, k + 1], end)
+            assert np.all(np.abs(end - y1) <= 4e-16 * (np.abs(y0) + np.abs(y1)))
+            assert sol.sol(sol.t[k]).shape == (2,)
+
+
+def test_dense_pieces_are_built_once_when_read():
+    # phi'' = -2.25 phi: p = 2, A = 1, B = 2.25, no drift
+    sol = solve_flux(1.0, 2.25, 2.0, (1.0, 10.0), (1.0, -1.5), 1e-10, 1e-12,
+                     0.0)
+    steps = len(sol.t) - 1
+    assert steps > 5 and (sol.nfev - 2) % 12 == 0    # no piece built yet
+    solved = sol.nfev
+    r = np.linspace(1.0, 10.0, 10)
+    first = sol.sol(r)
+    read = np.unique(np.clip(np.searchsorted(sol.t, r) - 1, 0, None))
+    assert sol.nfev == solved + 3 * len(read) < solved + 3 * steps
+    assert np.array_equal(sol.sol(r[::-1])[:, ::-1], first)
+    sol.sol(sol.t)
+    assert sol.nfev == solved + 3 * steps
+
+
+def test_generated_stages_are_the_tableau_rows_summed_in_order():
+    # the straight-line stage code against the tableau summed by loops, each
+    # row from 0.0 in its order, with the RHS taken stage by stage
+    def combine(K, row):
+        d0 = d1 = 0.0
+        for j, a in row.items():
+            d0 += K[j][0] * a
+            d1 += K[j][1] * a
+        return d0, d1
+
+    def add_stages(K, y, h, stages, rhs):
+        for _, row in stages:
+            d0, d1 = combine(K, row)
+            z = (y[0] + d0 * h, y[1] + d1 * h)
+            K.append(rhs(0.0, z))
+        return z
+
+    rng = np.random.default_rng(27)
+    for p, d in ((2.0, 0.0), (3.0, 0.7), (2.5, -1.3), (8.0, 0.0)):
+        y, f = (tuple(rng.normal(size=2).tolist()) for _ in range(2))
+        h = float(rng.uniform(0.01, 0.2))
+        A, B = float(rng.uniform(0.5, 2.0)), float(rng.normal())
+        rhs = _scalar_rhs(A, B, p, d)
+        args = (A, B, 1.0 / (p - 1.0), p - 2.0, d)
+        assert spectral._slope(*y, 0.0, (), *args) == rhs(0.0, y)
+        K = [f]
+        y_new = add_stages(K, y, h, spectral._STAGES, rhs)
+        flat, *rest = spectral._step(*y, h, f, *args)
+        assert flat == tuple(x for k in K for x in k)
+        assert rest == [y_new, combine(K, spectral._E5),
+                        combine(K, spectral._E3)]
+        add_stages(K, y, h, spectral._EXTRA, rhs)
+        assert spectral._dense(*y, h, flat, *args) == tuple(
+            tuple(h * x for x in combine(K, row)) for row in spectral._D)
+
+
+def test_dop853_tableau_is_scipys_bitwise():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    A, C = np.zeros((16, 16)), np.zeros(16)
+    for i, (c, row) in enumerate(spectral._STAGES + spectral._EXTRA, 1):
+        C[i] = c
+        A[i, list(row)] = list(row.values())
+    E = np.zeros((2, 13))
+    D = np.zeros((4, 16))
+    for out, rows in ((E, (spectral._E3, spectral._E5)),
+                      (D, spectral._D)):
+        for i, row in enumerate(rows):
+            out[i, list(row)] = list(row.values())
+    B = np.zeros(12)
+    B[list(spectral._STAGES[-1][1])] = list(spectral._STAGES[-1][1].values())
+    for ours, theirs in ((A, ref.A), (C, ref.C), (B, ref.B), (E[0], ref.E3),
+                         (E[1], ref.E5), (D, ref.D)):
+        assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("A, y0, fault", [
+    pytest.param(1.0, (1e200, 0.0), "float overflow",       # |phi|^(p-2) = 1e400
+                 id="overflow"),
+    pytest.param(0.0, (1.0, 0.0), "float division by zero",  # m / A, A = 0
+                 id="zero_division"),
+])
+def test_float_overflow_in_the_rhs_is_a_search_failure(A, y0, fault):
+    # the message names the fault, not the errno tuple of an OverflowError
+    with pytest.raises(SearchFailureError, match=f"^ODE integration failed: "
+                       f"{fault} in the right-hand side$"):
+        solve_flux(A, 1.0, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12, 0.0)
+
+
+def test_stiff_solve_ends_at_the_rhs_budget():
+    # B = 1e16 makes phi'' = -1e16 phi turn 1.6e7 times on the span: without
+    # a budget the solve would take ~1e8 steps
+    start = time.perf_counter()
+    with pytest.raises(SearchFailureError,
+                       match="more than 1000000 RHS evaluations"):
+        solve_flux(1.0, 1e16, 2.0, (0.0, 1.0), (1.0, 0.0), 1e-10, 1e-12, 0.0)
+    assert time.perf_counter() - start < 60.0
+
+
+def test_ode_scale_invariance():
+    # p = 2 with a drift: the solve is linear, so c phi_0 gives c phi
+    p, t = 2.0, np.linspace(0.0, 4.0, 600)
+    ref = solve_flux(1.0, 2.25, p, (0.0, 4.0), (1.0, -1.5), 1e-10, 1e-12,
+                     drift=0.5).sol(t)[0]
+    for c in (2.0, -1.0, 10.0):
+        y0 = (c * 1.0, abs(c) ** (p - 2.0) * c * -1.5)
+        phi = solve_flux(1.0, 2.25, p, (0.0, 4.0), y0, 1e-10, 1e-12,
+                         drift=0.5).sol(t)[0]
+        scale = np.max(np.abs(c * ref))
+        assert np.max(np.abs(phi - c * ref)) <= 1e-8 * scale
+
+
+def test_ode_scale_invariance_p3():
+    t = np.linspace(0.0, 3.0, 600)
+    ref = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (1.0, -0.8), 1e-10, 1e-12,
+                     drift=-0.4).sol(t)[0]
+    c = 2.0
+    # momentum scales like |c|^(p-2) c = c^2 for p=3, c>0
+    sol = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (c, c ** 2.0 * -0.8), 1e-10,
+                     1e-12, drift=-0.4).sol(t)[0]
+    assert np.max(np.abs(sol - c * ref)) <= 1e-8 * np.max(np.abs(c * ref))
+
+
+def test_span_that_does_not_run_forward_is_a_value_error():
+    # the shot only steps forward: a zero or backward span is a caller's error
+    for span in ((1.0, 1.0), (10.0, 1.0)):
+        with pytest.raises(ValueError, match="does not run forward"):
+            solve_flux(1.0, 2.25, 2.0, span, (1.0, -1.5), 1e-10, 1e-12, 0.0)
