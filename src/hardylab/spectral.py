@@ -21,9 +21,10 @@ over a half-period (`_result_from`) gives the eigenfunction and checks lam.
 
 The shot integrates the flux system in t = ln r, with constant coefficients
 and a constant drift, by `solve_flux`: forward DOP853 steps in Python floats,
-with the tableau, initial step, step control and dense output of scipy's
-`solve_ivp`, and no scipy import; the stage sums are straight-line code
-generated at import from the tableau.
+with the tableau, initial step and step control of scipy's `solve_ivp`, and
+no scipy import; the stage sums are straight-line code generated at import
+from the tableau. The same code over numpy arrays reads the solution between
+step ends, as one step from the step end below each point.
 """
 
 from __future__ import annotations
@@ -148,12 +149,11 @@ def shoot(problem: AnnulusProblem, lam: float) -> float:
 
 
 # DOP853 (Hairer, Norsett and Wanner, Solving Ordinary Differential Equations
-# I, 2nd ed., II.5-II.6): the coefficients of Hairer's dop853.f, transcribed
+# I, 2nd ed., II.5): the coefficients of Hairer's dop853.f, transcribed
 # from scipy/integrate/_ivp/dop853_coefficients.py. Each stage is (c, {j: a_j})
 # over its row's nonzero entries: stages 1-11, then (1, B), whose stage is
-# f(t + h, y_new); _EXTRA are the three more stages of the order-7 dense
-# output, whose coefficients are _D. The error estimates weigh the stages by
-# _E5 and by _E3 = B - _BHH.
+# f(t + h, y_new). The error estimates weigh the stages by _E5 and by
+# _E3 = B - _BHH.
 _STAGES = (
     (0.526001519587677318785587544488e-01, {
         0: 5.26001519587677318785587544488e-2
@@ -228,34 +228,6 @@ _STAGES = (
         11: 4.47106157277725905176885569043e-2
     }),
 )
-_EXTRA = (
-    (0.1, {
-        0: 5.61675022830479523392909219681e-2,
-        6: 2.53500210216624811088794765333e-1,
-        7: -2.46239037470802489917441475441e-1,
-        8: -1.24191423263816360469010140626e-1,
-        9: 1.5329179827876569731206322685e-1,
-        10: 8.20105229563468988491666602057e-3,
-        11: 7.56789766054569976138603589584e-3, 12: -8.298e-3
-    }),
-    (0.2, {
-        0: 3.18346481635021405060768473261e-2,
-        5: 2.83009096723667755288322961402e-2,
-        6: 5.35419883074385676223797384372e-2,
-        7: -5.49237485713909884646569340306e-2,
-        10: -1.08347328697249322858509316994e-4,
-        11: 3.82571090835658412954920192323e-4,
-        12: -3.40465008687404560802977114492e-4,
-        13: 1.41312443674632500278074618366e-1
-    }),
-    (0.777777777777777777777777777778, {
-        0: -4.28896301583791923408573538692e-1,
-        5: -4.69762141536116384314449447206, 6: 7.68342119606259904184240953878,
-        7: 4.06898981839711007970213554331, 8: 3.56727187455281109270669543021e-1,
-        12: -1.39902416515901462129418009734e-3,
-        13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138
-    }),
-)
 _E5 = {
     0: 0.1312004499419488073250102996e-1,
     5: -0.1225156446376204440720569753e+1, 6: -0.4957589496572501915214079952,
@@ -267,64 +239,6 @@ _BHH = {0: 0.244094488188976377952755905512,
         8: 0.733846688281611857341361741547,
         11: 0.220588235294117647058823529412e-1}
 _E3 = {j: b - _BHH.get(j, 0.0) for j, b in _STAGES[-1][1].items()}
-_D = (
-    {
-        0: -0.84289382761090128651353491142e+1,
-        5: 0.56671495351937776962531783590,
-        6: -0.30689499459498916912797304727e+1,
-        7: 0.23846676565120698287728149680e+1,
-        8: 0.21170345824450282767155149946e+1,
-        9: -0.87139158377797299206789907490,
-        10: 0.22404374302607882758541771650e+1,
-        11: 0.63157877876946881815570249290,
-        12: -0.88990336451333310820698117400e-1,
-        13: 0.18148505520854727256656404962e+2,
-        14: -0.91946323924783554000451984436e+1,
-        15: -0.44360363875948939664310572000e+1
-    },
-    {
-        0: 0.10427508642579134603413151009e+2,
-        5: 0.24228349177525818288430175319e+3,
-        6: 0.16520045171727028198505394887e+3,
-        7: -0.37454675472269020279518312152e+3,
-        8: -0.22113666853125306036270938578e+2,
-        9: 0.77334326684722638389603898808e+1,
-        10: -0.30674084731089398182061213626e+2,
-        11: -0.93321305264302278729567221706e+1,
-        12: 0.15697238121770843886131091075e+2,
-        13: -0.31139403219565177677282850411e+2,
-        14: -0.93529243588444783865713862664e+1,
-        15: 0.35816841486394083752465898540e+2
-    },
-    {
-        0: 0.19985053242002433820987653617e+2,
-        5: -0.38703730874935176555105901742e+3,
-        6: -0.18917813819516756882830838328e+3,
-        7: 0.52780815920542364900561016686e+3,
-        8: -0.11573902539959630126141871134e+2,
-        9: 0.68812326946963000169666922661e+1,
-        10: -0.10006050966910838403183860980e+1,
-        11: 0.77771377980534432092869265740,
-        12: -0.27782057523535084065932004339e+1,
-        13: -0.60196695231264120758267380846e+2,
-        14: 0.84320405506677161018159903784e+2,
-        15: 0.11992291136182789328035130030e+2
-    },
-    {
-        0: -0.25693933462703749003312586129e+2,
-        5: -0.15418974869023643374053993627e+3,
-        6: -0.23152937917604549567536039109e+3,
-        7: 0.35763911791061412378285349910e+3,
-        8: 0.93405324183624310003907691704e+2,
-        9: -0.37458323136451633156875139351e+2,
-        10: 0.10409964950896230045147246184e+3,
-        11: 0.29840293426660503123344363579e+2,
-        12: -0.43533456590011143754432175058e+2,
-        13: 0.96324553959188282948394950600e+2,
-        14: -0.39177261675615439165231486172e+2,
-        15: -0.14972683625798562581422125276e+3
-    },
-)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order + 1)
 
@@ -354,10 +268,11 @@ def _stage_lines(stages, first):
     return lines
 
 
-def _generate(name, lines, result):
-    """Compile `name(y0, y1, h, K, A, B, inv, q, d)` from its body's lines."""
+def _generate(name, lines, result, copysign=math.copysign):
+    """Compile `name(y0, y1, h, K, A, B, inv, q, d)` from its body's lines,
+    with math.copysign for floats or np.copysign for arrays."""
     body = "".join(f"    {x}\n" for x in lines + [f"return {result}"])
-    namespace = {"copysign": math.copysign}
+    namespace = {"copysign": copysign}
     exec(compile(f"def {name}(y0, y1, h, K, A, B, inv, q, d):\n{body}",
                  f"<dop853 {name}>", "exec"), namespace)
     return namespace[name]
@@ -373,21 +288,10 @@ _step = _generate(
     "step", ["k0_0, k0_1 = K"] + _stage_lines(_STAGES, 1),
     f"({_K13}), (z0, z1), ({_sum(_E5, 0)}, {_sum(_E5, 1)}), "
     f"({_sum(_E3, 0)}, {_sum(_E3, 1)})")
-# the three extra stages of a step's dense piece, then its rows h sum D K
-_dense = _generate(
-    "dense", [f"{_K13} = K"] + _stage_lines(_EXTRA, len(_STAGES) + 1),
-    ", ".join(f"(h * ({_sum(row, 0)}), h * ({_sum(row, 1)}))" for row in _D))
-
-
-def _horner(F, x, y_old):
-    """A step's order-7 interpolant at x = (t - t_old) / h from its
-    coefficients F, summed in the order of scipy's Dop853DenseOutput; x and
-    the entries of F and y_old are floats or arrays alike."""
-    xs, y0, y1 = (x, 1.0 - x), 0.0, 0.0
-    for i, (f0, f1) in enumerate(reversed(F)):
-        y0 = (y0 + f0) * xs[i % 2]
-        y1 = (y1 + f1) * xs[i % 2]
-    return y0 + y_old[0], y1 + y_old[1]
+# the same step over numpy arrays, to y_new only: FluxSolution.sol
+_step_to = _generate("step_to", ["k0_0, k0_1 = K"]
+                     + _stage_lines(_STAGES, 1)[:-len(_RHS)], "z0, z1",
+                     np.copysign)
 
 
 def _rms(x):
@@ -420,73 +324,49 @@ def _float_fault(exc):
                               "right-hand side")
 
 
+@dataclass(frozen=True)
 class FluxSolution:
-    """A `solve_flux` solve: the step ends t and the states y (2 x len(t)),
-    nfev and the dense output `sol`. A step's order-7 piece costs 3 more RHS
-    evaluations, so it is built, and counted in nfev, only when something
-    first evaluates that step. `consts` are the RHS constants (A, B,
-    1/(p-1), p-2, drift) of the generated code."""
-
-    def __init__(self, consts):
-        self.nfev, self._consts = 0, consts
-        self._steps, self._pieces = [], {}      # (t_old, t, y_old, y, K)
-
-    def _piece(self, k):
-        """Step k's interpolant coefficients F, 7 (phi, m) pairs, built as
-        scipy's DOP853 builds them, in floats."""
-        F = self._pieces.get(k)
-        if F is None:
-            t_old, t, y_old, y, K = self._steps[k]
-            h = t - t_old
-            dy = [v - u for u, v in zip(y_old, y)]
-            F = [dy, [h * f - d for d, f in zip(dy, K[:2])],
-                 [2 * d - h * (f1 + f0) for d, f0, f1 in zip(dy, K[:2], K[-2:])]]
-            F += _dense(*y_old, h, K, *self._consts)
-            self.nfev += len(_EXTRA)
-            self._pieces[k] = F
-        return F
+    """A `solve_flux` solve: the step ends t, the states y (2 x len(t)) and
+    nfev, the RHS evaluations it took. `f` (2 x len(t)) is the RHS at each
+    step end and `consts` the RHS constants (A, B, 1/(p-1), p-2, drift) of
+    the generated code; `sol` reads the solve between step ends."""
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    f: np.ndarray
+    consts: tuple
 
     def sol(self, t):
-        """(phi, m) at t, a float or an array, each from the piece of the step
-        that holds it: at a step end the step ending there and outside the
-        span the end step, as scipy's OdeSolution picks. A float overflow or
-        division by zero while building a piece is a SearchFailureError."""
+        """(phi, m) at t, a float or an array: one DOP853 step of size t - t_k
+        from the last step end t_k at or below t (from t_0 below the span),
+        taken for all points at once by the stage code over arrays. It gives
+        y exactly at each step end and adds nothing to nfev. A float
+        overflow, division by zero or invalid value in that step is a
+        SearchFailureError."""
         t = np.asarray(t, dtype=float)
-        s = t.reshape(-1)
-        k = np.clip(np.searchsorted(self.t, s) - 1, 0, len(self._steps) - 1)
-        steps, which = np.unique(k, return_inverse=True)
+        k = np.maximum(np.searchsorted(self.t, t, side="right") - 1, 0)
         try:
-            F = np.array([self._piece(j) for j in steps.tolist()])[which]
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _float_fault(exc) from exc
-        x = (s - self._t_old[k]) / self._h[k]
-        y = _horner(F.transpose(1, 2, 0), x, self._y_old[k].T)
-        return np.array(y).reshape((2,) + t.shape)
-
-    def _finish(self):
-        """t and y from the steps: the start, then each step's end."""
-        t_old, _, y_old, _, _ = self._steps[0]
-        self.t = np.array([t_old] + [st[1] for st in self._steps])
-        self.y = np.array([y_old] + [st[3] for st in self._steps]).T
-        self._t_old = np.array([st[0] for st in self._steps])
-        self._h = np.array([st[1] for st in self._steps]) - self._t_old
-        self._y_old = np.array([st[2] for st in self._steps]).reshape(-1, 2)
-        return self
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return np.array(_step_to(*self.y[:, k], t - self.t[k],
+                                         self.f[:, k], *self.consts))
+        except FloatingPointError as exc:
+            raise SearchFailureError(
+                f"ODE integration failed: float {exc} while reading the "
+                "solution") from exc
 
 
 def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
                atol: float, drift: float) -> FluxSolution:
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 with constant
     A and B forward over span = (t0, t1) for (phi, m), m = A |phi'|^(p-2)
-    phi', with dense output; a drift d adds d phi to phi' and -d m to m'.
-    It is scipy's solve_ivp(rhs, span, y0, method="DOP853",
-    dense_output=True) on Python floats: scipy's initial step, then each step
-    as scipy's DOP853 takes it (the E5/E3 error norm and its controller:
-    safety 0.9, factors 0.2 to 10, exponent -1/8, the minimum step and the
-    clamp to t1), summing each stage over its row's nonzero entries. A span
-    with t1 <= t0 is a ValueError; a float overflow or division by zero in
-    the RHS, a step below the float spacing or more than _MAX_NFEV RHS
-    evaluations is a SearchFailureError."""
+    phi'; a drift d adds d phi to phi' and -d m to m'. Its steps are scipy's
+    solve_ivp(rhs, span, y0, method="DOP853") on Python floats: scipy's
+    initial step, then each step as scipy's DOP853 takes it (the E5/E3 error
+    norm and its controller: safety 0.9, factors 0.2 to 10, exponent -1/8,
+    the minimum step and the clamp to t1), summing each stage over its row's
+    nonzero entries. A span with t1 <= t0 is a ValueError; a float overflow
+    or division by zero in the RHS, a step below the float spacing or more
+    than _MAX_NFEV RHS evaluations is a SearchFailureError."""
     t0, t_bound = float(span[0]), float(span[1])
     if not t0 < t_bound:
         raise ValueError(f"span ({t0!r}, {t_bound!r}) does not run forward")
@@ -495,12 +375,12 @@ def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
     def slope(y):
         return _slope(*y, 0.0, (), *consts)
 
-    sol = FluxSolution(consts)
     y, t = (float(y0[0]), float(y0[1])), t0
+    nfev = 2                    # f(t0) and the initial step's probe
     try:
         f = slope(y)
         h_abs = _initial_step(slope, y, f, t_bound - t0, rtol, atol)
-        sol.nfev = 2            # f(t0) and the initial step's probe
+        ends = [(t, y, f)]
         while t < t_bound:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -510,13 +390,13 @@ def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
                     raise SearchFailureError(
                         "ODE integration failed: Required step size is less "
                         "than spacing between numbers.")
-                if sol.nfev > _MAX_NFEV:
+                if nfev > _MAX_NFEV:
                     raise SearchFailureError(f"ODE integration failed: more "
                                              f"than {_MAX_NFEV} RHS evaluations")
                 t_new = min(t + h_abs, t_bound)
                 h_abs = t_new - t
                 K, y_new, e5s, e3s = _step(*y, h_abs, f, *consts)
-                sol.nfev += len(_STAGES)
+                nfev += len(_STAGES)
                 err5 = err3 = 0.0
                 for e5, e3, u, v in zip(e5s, e3s, y, y_new):
                     scale = atol + max(abs(u), abs(v)) * rtol
@@ -533,11 +413,12 @@ def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
                 h_abs *= max(_MIN_FACTOR,
                              _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
-            sol._steps.append((t, t_new, y, y_new, K))
             t, y, f = t_new, y_new, K[-2:]
+            ends.append((t, y, f))
     except (OverflowError, ZeroDivisionError) as exc:
         raise _float_fault(exc) from exc
-    return sol._finish()
+    t, y, f = (np.array(x) for x in zip(*ends))
+    return FluxSolution(t, y.T, nfev, f.T, consts)
 
 
 def _result_from(problem: AnnulusProblem, lam: float, which: int,
@@ -579,16 +460,17 @@ def _result_from(problem: AnnulusProblem, lam: float, which: int,
     log_peak = math.log(rise.y[0, -1]) - drift * (
         t_turn + (0 if drift >= 0 else which - 1) * T)
 
-    def dense(s):   # (y, w) from the rise's dense output up to the turn
-        return np.where(s <= t_turn, rise.sol(np.minimum(s, t_turn)),
-                        fall.sol(np.maximum(s, t_turn)))
+    def shot(s):    # (y, w): the rise's before the turn, the fall's after
+        yw, fell = np.empty((2,) + s.shape), s >= t_turn
+        yw[:, ~fell], yw[:, fell] = rise.sol(s[~fell]), fall.sol(s[fell])
+        return yw
 
     def phi(r, slope=False):
         """phi at r, or phi' with slope: (-1)^k e^(-kappa t/p) y over the peak."""
         r = np.asarray(r, dtype=float)
         t = np.log(r / a)
         k = np.clip(np.floor(t / T), 0, which - 1)
-        y, w = dense(t - k * T)
+        y, w = shot(t - k * T)
         scale = (1 - 2 * (k % 2)) * np.exp(-drift * t - log_peak)
         if slope:   # phi' = phi_t / r
             return scale * np.sign(w) * np.abs(w / A) ** (1 / (p - 1)) / r

@@ -477,8 +477,8 @@ def test_bessel_cli_ode_failure_exits_1(capsys):
 
 def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
     # the README bessel and eig reports, bit for bit: the certificate's
-    # quadrature, and the flux ODE's stepping and dense output, may not move
-    # a float
+    # quadrature, and the flux ODE's stepping and its reads between step
+    # ends, may not move a float
     bessel = tmp_path / "b.csv"
     code, _, err = _cli(["bessel", "--scenario", "power", "--Q", "5", "--p",
                          "2", "--theta", "1", "--r0", "1", "--r1", "10",
@@ -503,7 +503,7 @@ def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
         assert code == 0
         assert repr(json.loads(out)["summary"]["lambda"]) == lam
     assert hashlib.sha256(phi2.read_bytes()).hexdigest() == \
-        "b567691dbb892c5e1c80d9d29062a569d903ea1daac9c0456b020458fa5a8a2b"
+        "5d3118e4d58246ac5ba935f2758f092ba7bf3bc647921aa509d5195b2657c8c5"
 
 
 def test_readme_identity_report_is_pinned(capsys):
