@@ -143,9 +143,10 @@ def _cmd_bessel(args):
 
     scenario = _build_scenario(args)
     lo, hi = scenario.pair.interval
-    r0 = float(_or(args.r0, lo + 0.1 if lo > 0 else 0.1))
-    r1 = float(_or(args.r1, min(10.0 * r0, 0.9 * hi if math.isfinite(hi)
-                                else 10.0 * r0)))
+    w = hi - lo     # fractions of the width keep the defaults inside (lo, hi)
+    r0 = float(_or(args.r0, lo + min(0.1, w / 4.0)))
+    r1 = float(_or(args.r1, min(10.0 * r0, max(0.9 * hi, lo + 0.75 * w))
+                   if math.isfinite(hi) else 10.0 * r0))
     cert = verify_bessel_pair(scenario, (r0, r1))
     r = np.linspace(r0, r1, 200)
     phi, momentum = cert.solution(r)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import Profile, random_bumps
-from .quadrature import QuadratureError, integrate_batch
+from .quadrature import integrate_batch
 from .scenarios import CheckFailure, ParameterDomainError, Scenario
 
 __all__ = ["ReducedFunctional", "InvalidProfileError", "reduce_radial_functional",
@@ -72,8 +72,10 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
     rows[j] at the points r[j, ...], in r's shape or raveled. All integrals
     go to one integrate_batch call, a single profile's two or three as well;
     every integral keeps its own adaptive target, so a profile's result does
-    not depend on its batch mates. Raises the error met by the lowest-index
-    profile, the one reducing the profiles in order would raise.
+    not depend on its batch mates. Only the profiles before the first one
+    outside the scenario interval are reduced, and that profile's
+    InvalidProfileError is raised after them; the kernel raises the failed
+    integral of the lowest-index profile before any profile is reduced.
     """
     p = scenario.exponents.p
     mu = scenario.exponents.measure_exponent
@@ -89,15 +91,14 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         r = nodes.ravel()
         return r ** mu * weight(r) * np.abs(phi(nodes, rows).ravel()) ** p
 
-    specs = []
+    specs, invalid = [], None
     for support, kn in zip(supports, knots):
         try:
             specs.append(_bounds_and_flags(scenario.pair.interval, support,
                                            kn))
         except InvalidProfileError as err:
-            specs.append(err)
-    valid = [i for i, spec in enumerate(specs) if isinstance(spec, tuple)]
-    profile_of = np.repeat(valid, K)
+            invalid = err
+            break
 
     def integrand(x, owner):
         kind = owner % K
@@ -105,26 +106,18 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         for k in range(K):
             m = (kind == k).nonzero()[0]
             if m.size:   # a profile callable need not accept empty input
-                rows = profile_of[owner[m]]
-                out[m] = term(k, x[m], rows).reshape(m.size, -1)
+                out[m] = term(k, x[m], owner[m] // K).reshape(m.size, -1)
         return out
 
     lo, hi, s_left, s_right, points = (
-        [specs[i][f] for i in valid for _ in range(K)] for f in range(5))
+        [spec[f] for spec in specs for _ in range(K)] for f in range(5))
     # tol is relative-only here: the weights can underflow to ~1e-90 scales
     # on far-out supports, where any fixed absolute target is meaningless
-    ests = iter(integrate_batch(integrand, lo, hi, s_left, s_right, points,
-                                tol=0.0, rel_tol=tol))
+    ests = integrate_batch(integrand, lo, hi, s_left, s_right, points,
+                           tol=0.0, rel_tol=tol)
     reduced = []
-    for spec in specs:
-        if isinstance(spec, InvalidProfileError):
-            raise spec
-        values = []
-        for _ in range(K):
-            est = next(ests)
-            if isinstance(est, QuadratureError):
-                raise est
-            values.append(est.value)
+    for i in range(len(specs)):
+        values = [est.value for est in ests[K * i:K * i + K]]
         num = values[0]
         for v in values[1:-1]:
             num += v
@@ -138,6 +131,8 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         else:
             quotient = num / den
         reduced.append(ReducedFunctional(num, den, quotient))
+    if invalid is not None:
+        raise invalid
     return reduced
 
 

@@ -349,10 +349,10 @@ def strip_quotient(theta: float, epsilon: float) -> float:
         q = [X1 - 2 (theta-1) X2 + X3 ((theta-1/2)(theta-3/2) + Z/Y1)] / X4.
 
     The six integrals are the owners of one `integrate_batch` call, each
-    evaluated on its own nodes only; an owner that fails raises its
+    evaluated on its own nodes only; the first that fails raises its
     `QuadratureError`.
     """
-    from .quadrature import QuadratureError, integrate_batch
+    from .quadrature import integrate_batch
     from .sharpness import strip_cutoff
 
     if not math.isfinite(theta):
@@ -383,9 +383,6 @@ def strip_quotient(theta: float, epsilon: float) -> float:
                            [hi] * 4 + [1.0] * 2, [False] * 6, [False] * 6,
                            [inner] * 4 + [[]] * 2, tol=0.0,
                            rel_tol=_STRIP_TOL)
-    for est in ests:
-        if isinstance(est, QuadratureError):
-            raise est
     X1, X2, X3, X4, Y1, Z = (est.value for est in ests)
     return (X1 - 2.0 * (theta - 1.0) * X2
             + X3 * ((theta - 0.5) * (theta - 1.5) + Z / Y1)) / X4
@@ -393,10 +390,12 @@ def strip_quotient(theta: float, epsilon: float) -> float:
 
 def bound_verdict(check: str, value: float, theta: float = 1.0):
     """(expected, pass) of a one-float check: the strip quotient clears
-    ((2 theta - 1)/2)^2 - 1e-9, a gradient's FD error is <= 1e-6, others 1e-12."""
+    e = ((2 theta - 1)/2)^2 less 1e-9 max(1, e), like a sweep row, so the
+    slack outgrows e's float spacing; a gradient's FD error is <= 1e-6,
+    others 1e-12."""
     if check == "strip":
         expected = ((2.0 * theta - 1.0) / 2.0) ** 2
-        return expected, value >= expected - 1e-9
+        return expected, value >= expected - 1e-9 * max(1.0, expected)
     return 0.0, value <= (1e-6 if check == "gradient" else 1e-12)
 
 

@@ -6,7 +6,10 @@ integrand is called as f(x: ndarray, owner: ndarray) -> ndarray on the nodes of
 all live intervals at once, so many small integrals cost about as much as one
 large one. Every owner keeps its own target, refinement and stopping rules,
 and its result depends on its own intervals only, never on its batch mates.
-Converged owners drop out. ``integrate_adaptive`` is the one-owner case.
+Converged owners drop out. The kernel returns estimates only: once every
+owner has ended, it raises the QuadratureError of the lowest-numbered owner
+that failed, the error integrating the owners one by one in order would raise
+first. ``integrate_adaptive`` is the one-owner case.
 
 Endpoint singularities get a geometric seed mesh toward the flagged endpoint.
 Improper upper limits are handled by the substitution r = a + t/(1-t), which
@@ -174,7 +177,7 @@ def integrate_batch(
     tol: float = 1e-10,
     rel_tol: float = 1e-10,
     max_subdivisions: int = 1 << 20,
-) -> list[QuadratureEstimate | QuadratureError]:
+) -> list[QuadratureEstimate]:
     """Integrate the owners k = 0..n-1, each f(., k) over [a[k], b[k]] (b[k]
     may be +inf), in one adaptive pass.
 
@@ -186,9 +189,10 @@ def integrate_batch(
     the sum of |interval values|; until then each sweep refines its intervals
     above a fair share of that target, worst first and at most _SPLIT_BATCH
     of them. An owner whose every such interval has shrunk to the float grid
-    ends with its current estimate. Returns each owner's estimate, or the
-    QuadratureError it met: a non-finite integrand value, or the subdivision
-    cap, with the partial estimate.
+    ends with its current estimate. Returns every owner's estimate; once all
+    owners have ended, raises instead the QuadratureError of the
+    lowest-numbered owner that failed: a non-finite integrand value, or the
+    subdivision cap, with the partial estimate.
     """
     n = len(a)
     if not n:
@@ -220,6 +224,7 @@ def integrate_batch(
     ids = np.arange(n)
     stalled = None
     out: list = [None] * n
+    failed: dict[int, QuadratureError] = {}
     while True:
         count = np.bincount(owner, minlength=ids.size)
         total = np.bincount(owner, iv[2], ids.size)
@@ -244,17 +249,19 @@ def integrate_batch(
                 est = QuadratureEstimate(float(total[j]), float(total_err[j]),
                                          int(count[j]))
                 if k in bad:
-                    out[k] = QuadratureError(
+                    failed[k] = QuadratureError(
                         f"non-finite integrand value at x={bad[k]!r}")
                 elif total_err[j] <= target[j] or stalled is not None and stalled[j]:
                     out[k] = est
                 else:
-                    out[k] = QuadratureError(
+                    failed[k] = QuadratureError(
                         f"adaptive quadrature did not converge within "
                         f"{max_subdivisions} subdivisions (error "
                         f"{total_err[j]:.3e} > target {target[j]:.3e})",
                         partial=est)
             if n_ended == ids.size:
+                if failed:
+                    raise failed[min(failed)]
                 return out
             stay = ~ended
             ids, count, target = ids[stay], count[stay], target[stay]
@@ -308,6 +315,4 @@ def integrate_adaptive(
         lambda x, owner: f(x.ravel()),
         [a], [b], [singular_left], [singular_right], [points],
         tol=tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions)
-    if isinstance(est, QuadratureError):
-        raise est
     return est

@@ -147,9 +147,9 @@ class Scenario:
     # keyword arguments of the scenario_catalog call that built it
     params: dict = field(default_factory=dict)
     # the closed-form maximizer phi in t = ln r, where it cancels the weights:
-    # t -> (psi, chi, rho, z, h), psi = (V r^(Q-p))^(1/p) phi, chi = psi r
-    # phi'/phi, rho = W r^Q phi^p, the constant z = (zero-order weight) r^Q
-    # phi^p and gaussian_a's normalizer weight h (None elsewhere)
+    # t -> (psi, chi, rho, z), psi = (V r^(Q-p))^(1/p) phi, chi = psi r
+    # phi'/phi, rho = W r^Q phi^p and the constant z = (zero-order weight)
+    # r^Q phi^p
     maximizer_in_t: Callable | None = field(default=None, repr=False,
                                             compare=False)
 
@@ -209,7 +209,7 @@ def _power(Q: float | None = None, p: float = 2.0, theta: float = 1.0,
         pair=RadialWeightPair(V, W, lam, (0.0, math.inf)),
         maximizer=power_profile(gamma, (0.0, math.inf)),
         extra={"gamma": gamma},
-        maximizer_in_t=lambda t: (1.0, gamma, 1.0, 0.0, None),
+        maximizer_in_t=lambda t: (1.0, gamma, 1.0, 0.0),
     )
 
 
@@ -295,12 +295,11 @@ def _gaussian_a(p: float = 2.0, alpha: float = 2.0, beta: float = 2.0,
         r = np.asarray(r, dtype=float)
         return (alpha / (p * beta)) * r ** (alpha - 1.0) * max_value(r)
 
-    def in_t(t):    # with the normalizer weight h = r^(Q + alpha(p-1))
+    def in_t(t):
         psi = np.exp((Q - p) / p * t)
         rho = np.exp(Q * t) * (np.exp(p * (alpha - 1.0) * t) - corr
                                * np.exp((alpha * (p - 1.0) - p) * t))
-        return (psi, alpha / (p * beta) * np.exp(alpha * t) * psi, rho, 0.0,
-                np.exp((Q + alpha * (p - 1.0)) * t))
+        return psi, alpha / (p * beta) * np.exp(alpha * t) * psi, rho, 0.0
 
     return Scenario(
         name="gaussian_a", exponents=exps,
@@ -336,8 +335,7 @@ def _gaussian_b(p: float = 2.0, theta: float = 1.0, alpha: float = 2.0,
         e = np.exp(alpha * t) / beta
         psi = np.exp(-e / p)
         return (psi, -x * psi,
-                np.exp(-e) - (alpha / beta) / x * np.exp(alpha * t - e), 0.0,
-                None)
+                np.exp(-e) - (alpha / beta) / x * np.exp(alpha * t - e), 0.0)
 
     return Scenario(
         name="gaussian_b", exponents=exps,
@@ -373,7 +371,7 @@ def _annulus_maximizer_p2(Q: float, theta: float, a: float, b: float):
     def in_t(t):
         tau = c * (t - ln_a)
         sin = np.sin(tau)
-        return sin, c * np.cos(tau) - s * sin, sin * sin, 0.0, None
+        return sin, c * np.cos(tau) - s * sin, sin * sin, 0.0
 
     return Profile(value, derivative, (a, b)), in_t
 
@@ -454,7 +452,7 @@ def _antisymmetric(N: int = 3, theta: float = 1.0) -> Scenario:
                "vandermonde_degree": k},
         numerator_zero_order=zero_order,
         # z = sphere_eig V r^-2 r^Q r^(2 gamma) = sphere_eig
-        maximizer_in_t=lambda t: (1.0, gamma, 1.0, sphere_eig, None),
+        maximizer_in_t=lambda t: (1.0, gamma, 1.0, sphere_eig),
     )
 
 

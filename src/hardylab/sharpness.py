@@ -17,9 +17,8 @@ sets as its `maximizer_in_t` (the log scenarios sweep as power pairs in
 ln(R/r)), so the numerator is N = int |chi G + psi G_t|^p + z G^p dt and
 the denominator D = int rho G^p dt. By Picone's identity N - c D is the
 integral P of the remainder R_p(chi G + psi G_t, chi G) >= 0, which
-vanishes where G is constant. Each eps contributes N, D and P (and
-int h G^p where the maximizer carries a normalizer h) as owners of one
-kernel call over g_eps's support in t, with g_eps evaluated in t so that
+vanishes where G is constant. Each eps contributes N, D and P as owners of
+one kernel call over g_eps's support in t, with g_eps evaluated in t so that
 eps may go down to the smallest float. A sweep row is c + P/D, and only
 once N - c D and P agree, which a wrong c or a wrong maximizer fails at
 every eps. psi_R is linear in t on its two bridges, so its Hardy deficit
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import Profile
-from .quadrature import QuadratureError, integrate_batch
+from .quadrature import integrate_batch
 from .scenarios import (CheckFailure, Exponents, ParameterDomainError,
                         Scenario, closed_form_maximizer, scenario_catalog)
 
@@ -188,11 +187,11 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
     From the scenario's maximizer in t (a log scenario has none: it sweeps
     as its power pair), N = int |chi G + psi G_t|^p + z G^p, D = int rho G^p
     and the Picone integral P = int R_p(chi G + psi G_t, chi G) of every eps
-    (and int h G^p where the row has a normalizer h) are owners of one
-    kernel call over g_eps's support in t. Each eps raises its own
-    quadrature error when reached, and CheckFailure unless N - c D = P
-    within _PICONE_K times their summed error bounds (each estimate floored
-    at its relative target): an error dc in c moves N - c D by -D dc.
+    are owners of one kernel call over g_eps's support in t, which raises
+    the first failed integral before any eps is judged. Each eps then
+    raises CheckFailure, when reached, unless N - c D = P within _PICONE_K
+    times their summed error bounds (each estimate floored at its relative
+    target): an error dc in c moves N - c D by -D dc.
     """
     from .identities import picone_remainder
 
@@ -200,7 +199,6 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
     if row is None:     # no closed form: raises, naming the tag
         closed_form_maximizer(scenario)
     p = scenario.exponents.p
-    K = 3 if row(np.zeros(1))[4] is None else 4
     a, b = scenario.pair.interval   # (0, inf) except for the annulus
     ln_eps = np.log(eps_grid)
     lo = ln_eps if a == 0.0 else np.maximum(ln_eps, math.log(a))
@@ -213,40 +211,30 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
     seeds = [0.0] + [s * 2.0 ** k for k in range(10) for s in (1.0, -1.0)]
 
     def integrand(t, owner):
-        G, G_t = _cutoff_in_t(t, ln_eps[owner // K, None])
-        psi, chi, rho, z, h = row(t)
+        G, G_t = _cutoff_in_t(t, ln_eps[owner // 3, None])
+        psi, chi, rho, z = row(t)
         lead, slope, Gp = chi * G, psi * G_t, G ** p
         terms = [np.abs(lead + slope) ** p + z * Gp, rho * Gp,
-                 picone_remainder(p, lead, slope), h * Gp if K == 4 else None]
-        kind = (owner % K)[:, None]
-        return np.select([kind == k for k in range(K)], terms[:K])
+                 picone_remainder(p, lead, slope)]
+        kind = (owner % 3)[:, None]
+        return np.select([kind == k for k in range(3)], terms)
 
-    n = K * len(eps_grid)
+    n = 3 * len(eps_grid)
     ests = integrate_batch(
-        integrand, np.repeat(lo, K), np.repeat(hi, K), [False] * n,
+        integrand, np.repeat(lo, 3), np.repeat(hi, 3), [False] * n,
         [False] * n, [seeds + [e + math.log(2.0), -e - math.log(2.0)]
-                      for e in ln_eps for _ in range(K)],
+                      for e in ln_eps for _ in range(3)],
         tol=0.0, rel_tol=_SWEEP_TOL)
-    h_prev = -math.inf
     for i in range(len(eps_grid)):
-        mine = ests[K * i:K * i + K]
-        for est in mine:
-            if isinstance(est, QuadratureError):
-                raise est
         (N, dN), (D, dD), (P, dP) = (
             (e.value, max(e.error_estimate, _SWEEP_TOL * abs(e.value)))
-            for e in mine[:3])
+            for e in ests[3 * i:3 * i + 3])
         bound = _PICONE_K * (dN + c * dD + dP)
         if not abs(N - c * D - P) <= bound:
             raise CheckFailure(
                 f"sweep remainder N - c D = {N - c * D!r} and its Picone "
                 f"integral {P!r} differ by more than {bound:.3g}: c = {c!r} "
                 "is not the constant of the maximizer")
-        if K == 4:
-            if not mine[3].value > h_prev:
-                raise CheckFailure("two-term normalizer h(eps) failed to "
-                                   "diverge along the grid")
-            h_prev = mine[3].value
         yield D, P
 
 
@@ -319,13 +307,9 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
         kinks = [[1.0 / (ln * abs(gamma))] if ln * abs(gamma) > 1.0 else []
                  for ln in logs]
         n = len(grid)
-        deficits = []
-        for est in integrate_batch(integrand, [0.0] * n, [1.0] * n,
-                                   [False] * n, [False] * n, kinks, tol=0.0,
-                                   rel_tol=_PSI_TOL):
-            if isinstance(est, QuadratureError):
-                raise est
-            deficits.append(est.value)
+        deficits = [est.value for est in integrate_batch(
+            integrand, [0.0] * n, [1.0] * n, [False] * n, [False] * n, kinks,
+            tol=0.0, rel_tol=_PSI_TOL)]
     return [{"R": R, "deficit": d, "deficit_times_lnR": d * lnR}
             for R, d, lnR in zip(grid, deficits, logs)]
 

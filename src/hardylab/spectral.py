@@ -50,7 +50,7 @@ __all__ = [
     "check_lambda1_lower_bound",
 ]
 
-_RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of the final shot
+_RTOL, _ATOL = 1e-11, 1e-13     # DOP853 tolerances of every flux solve
 _MAX_STEPS = 60                 # search steps (half-periods) per eigenvalue
 _T_RTOL = 1e-13                 # relative target of each half-period integral
 _T_MAX_SUBDIVISIONS = 1 << 12   # bounds each half-period's cost
@@ -131,15 +131,15 @@ def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
         den[near] = (delta + gamma * F) * w2p[near]
         return (p - 1.0) / den
 
-    halves = integrate_batch(f, [0.0, 0.0], [math.inf, math.inf], [True, True],
-                             [False, False], [[], [w_min]],
-                             tol=0.0, rel_tol=_T_RTOL,
-                             max_subdivisions=_T_MAX_SUBDIVISIONS)
-    for est in halves:
-        if isinstance(est, QuadratureError):
-            raise SearchFailureError(f"half-period integral at lam = {lam!r} "
-                                     f"failed: {est}")
-    return halves[0].value, halves[1].value
+    try:
+        plus, minus = integrate_batch(
+            f, [0.0, 0.0], [math.inf, math.inf], [True, True], [False, False],
+            [[], [w_min]], tol=0.0, rel_tol=_T_RTOL,
+            max_subdivisions=_T_MAX_SUBDIVISIONS)
+    except QuadratureError as err:
+        raise SearchFailureError(f"half-period integral at lam = {lam!r} "
+                                 f"failed: {err}") from None
+    return plus.value, minus.value
 
 
 def shoot(problem: AnnulusProblem, lam: float) -> float:
@@ -298,13 +298,13 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(slope, y0, f0, interval_length, rtol, atol):
+def _initial_step(slope, y0, f0, interval_length):
     """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4) for an
-    error estimator of order 7, no step bound and a forward span of
-    interval_length, in its numpy expressions; the RHS `slope` is
-    autonomous."""
+    error estimator of order 7, no step bound, a forward span of
+    interval_length and the tolerances _RTOL and _ATOL, in its numpy
+    expressions; the RHS `slope` is autonomous."""
     y0, f0 = np.array(y0), np.array(f0)
-    scale = atol + np.abs(y0) * rtol
+    scale = _ATOL + np.abs(y0) * _RTOL
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
@@ -355,18 +355,19 @@ class FluxSolution:
                 "solution") from exc
 
 
-def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
-               atol: float, drift: float) -> FluxSolution:
+def solve_flux(A: float, B: float, p: float, span, y0,
+               drift: float) -> FluxSolution:
     """Integrate (A |phi'|^(p-2) phi')' + B |phi|^(p-2) phi = 0 with constant
     A and B forward over span = (t0, t1) for (phi, m), m = A |phi'|^(p-2)
     phi'; a drift d adds d phi to phi' and -d m to m'. Its steps are scipy's
-    solve_ivp(rhs, span, y0, method="DOP853") on Python floats: scipy's
-    initial step, then each step as scipy's DOP853 takes it (the E5/E3 error
-    norm and its controller: safety 0.9, factors 0.2 to 10, exponent -1/8,
-    the minimum step and the clamp to t1), summing each stage over its row's
-    nonzero entries. A span with t1 <= t0 is a ValueError; a float overflow
-    or division by zero in the RHS, a step below the float spacing or more
-    than _MAX_NFEV RHS evaluations is a SearchFailureError."""
+    solve_ivp(rhs, span, y0, method="DOP853", rtol=_RTOL, atol=_ATOL) on
+    Python floats: scipy's initial step, then each step as scipy's DOP853
+    takes it (the E5/E3 error norm and its controller: safety 0.9, factors
+    0.2 to 10, exponent -1/8, the minimum step and the clamp to t1), summing
+    each stage over its row's nonzero entries. A span with t1 <= t0 is a
+    ValueError; a float overflow or division by zero in the RHS, a step
+    below the float spacing or more than _MAX_NFEV RHS evaluations is a
+    SearchFailureError."""
     t0, t_bound = float(span[0]), float(span[1])
     if not t0 < t_bound:
         raise ValueError(f"span ({t0!r}, {t_bound!r}) does not run forward")
@@ -379,7 +380,7 @@ def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
     nfev = 2                    # f(t0) and the initial step's probe
     try:
         f = slope(y)
-        h_abs = _initial_step(slope, y, f, t_bound - t0, rtol, atol)
+        h_abs = _initial_step(slope, y, f, t_bound - t0)
         ends = [(t, y, f)]
         while t < t_bound:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -399,7 +400,7 @@ def solve_flux(A: float, B: float, p: float, span, y0, rtol: float,
                 nfev += len(_STAGES)
                 err5 = err3 = 0.0
                 for e5, e3, u, v in zip(e5s, e3s, y, y_new):
-                    scale = atol + max(abs(u), abs(v)) * rtol
+                    scale = _ATOL + max(abs(u), abs(v)) * _RTOL
                     e5, e3 = e5 / scale, e3 / scale
                     err5 += e5 * e5
                     err3 += e3 * e3
@@ -444,10 +445,8 @@ def _result_from(problem: AnnulusProblem, lam: float, which: int,
 
     t_turn = (_half_periods(problem, lam)[0 if drift >= 0 else 1]
               / lam ** (1.0 / p))
-    rise = solve_flux(A, lam * A, p, (0.0, t_turn), (0.0, 1.0), _RTOL, _ATOL,
-                      drift=drift)
-    fall = solve_flux(A, lam * A, p, (t_turn, T), rise.y[:, -1], _RTOL, _ATOL,
-                      drift=drift)
+    rise = solve_flux(A, lam * A, p, (0.0, t_turn), (0.0, 1.0), drift)
+    fall = solve_flux(A, lam * A, p, (t_turn, T), rise.y[:, -1], drift)
     y, w = (np.concatenate([rise.y[i], fall.y[i]]) for i in (0, 1))
     residual, bound = float(abs(y[-1]) / np.max(y)), max(tol, 1e3 * _RTOL)
     inv = 1.0 / (p - 1.0)

@@ -78,6 +78,12 @@ def test_each_verdict_passes_and_fails(monkeypatch):
 
     assert bound_verdict("strip", 1.0 - 1e-9, 1.5) == (1.0, True)
     assert bound_verdict("strip", 1.0 - 2e-9, 1.5) == (1.0, False)
+    # above 1 the slack is 1e-9 relative: a quotient 1e-6 relative below
+    # the bound still fails
+    for theta in (1.0, 1e4, 1e8):
+        expected = ((2.0 * theta - 1.0) / 2.0) ** 2
+        assert bound_verdict("strip", expected / (1.0 + 1e-6), theta) == \
+            (expected, False)
     assert bound_verdict("gradient", 1e-6) == (0.0, True)
     assert bound_verdict("gradient", 2e-6) == (0.0, False)
     for check in ("homogeneity", "orthogonality"):

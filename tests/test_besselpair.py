@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -42,6 +43,57 @@ def test_certificates_for_catalog_closed_forms():
         assert cert.failure is None, (name, interval, cert)
         assert cert.max_ode_residual <= 1e-13, (name, cert)
         assert cert.max_closed_form_error <= 1e-13, (name, cert)
+
+
+# name: the CLI's default (r0, r1), then max_ode_residual,
+# max_closed_form_error, max_flux_over_budget and max_phi_over_budget
+_DEFAULT_CERTIFICATES = {
+    "power": ["0.1", "1.0", "2.535666244012146e-16", "1.6501147518252718e-16",
+              "0.08288529304319989", "0.05393858323544026"],
+    "log_radial": ["0.1", "0.9", "2.7362788491635694e-16",
+                   "2.3859650337657505e-16", "0.25868163007476525",
+                   "0.10957753204401793"],
+    "log_cylindrical": ["0.1", "0.9", "3.2879512217856924e-16",
+                        "2.3859650337657505e-16", "0.34841401123891136",
+                        "0.10957753204401793"],
+    "gaussian_a": ["0.1", "1.0", "2.859601309279583e-16",
+                   "1.0346625754128516e-16", "0.057803528737670515",
+                   "0.22821446973528942"],
+    "gaussian_b": ["0.1", "1.0", "3.1179419860228226e-16",
+                   "1.6501147518252718e-16", "0.11951754803209039",
+                   "0.05393858323544026"],
+    "annulus": ["1.1", "2.4464536456131407", "3.2573954451615178e-15",
+                "3.4329624487094927e-16", "0.13619048702816486",
+                "0.20737226872938147"],
+    "cylindrical": ["0.1", "1.0", "1.57803836874511e-16",
+                    "9.452860416959159e-17", "0.11851262248248606",
+                    "0.07099214443471298"],
+    "strip": ["0.1", "1.0", "9.615840768975696e-17", "9.776926880144702e-17",
+              "0.07221614692496665", "0.07342592343346344"],
+    "antisymmetric": ["0.1", "1.0", "1.6251439916927252e-16",
+                      "9.452860416959159e-17", "0.1220503127058439",
+                      "0.07099214443471298"],
+    "improved_weight": ["0.1", "1.0", "2.3901829843188415e-16",
+                        "8.680873645668029e-17", "0.20366123996687416",
+                        "0.0895641492766119"],
+}
+
+
+def test_default_interval_certificates_are_pinned(capsys):
+    # every catalog scenario through `bessel` with no --r0/--r1: the default
+    # interval and the certificate's residuals and budgets, bit for bit
+    for sc in default_catalog():
+        argv = ["bessel", "--scenario", sc.name, "--format", "json"]
+        for key, value in sc.params.items():
+            argv += [f"--{key}", repr(value)]
+        assert run(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        summary = doc["summary"]
+        assert [repr(doc["rows"][0]["r"]), repr(doc["rows"][-1]["r"])] + [
+            repr(summary[k]) for k in (
+                "max_ode_residual", "max_closed_form_error",
+                "max_flux_over_budget", "max_phi_over_budget")] == \
+            _DEFAULT_CERTIFICATES[sc.name], sc.name
 
 
 def test_interval_too_short_to_split_is_a_parameter_error(capsys):

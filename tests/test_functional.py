@@ -203,6 +203,12 @@ def test_batch_errors_name_the_lowest_index_profile():
     with pytest.raises(QuadratureError):
         _reduce_all(sc, mixed)
     assert isinstance(_loop_error(sc, mixed), QuadratureError)
+    # a failing profile behind an invalid one is never integrated
+    behind = Bumps(np.array([[1.5, 10.5, 2.2]]), np.array([[0.3, 0.5, 0.4]]),
+                   np.array([[1.0, 1.0, math.nan]]))
+    with pytest.raises(InvalidProfileError):
+        _reduce_all(sc, behind)
+    assert isinstance(_loop_error(sc, behind), InvalidProfileError)
 
 
 def test_profile_count_must_be_positive():

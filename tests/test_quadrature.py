@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -150,17 +149,25 @@ def test_batch_matches_single_calls():
 
 
 def test_batch_nonconvergence_is_per_owner():
-    hard = lambda r: 1.0 / np.sqrt(np.abs(r - 0.37))
-    cases = [(lambda s: s * (1.0 - s), 0.0, 1.0, {}), (hard, 0.0, 1.0, {})]
+    # owners 1 and 3 fail: the batch raises owner 1's error, the one its
+    # own one-owner call raises, partial estimate included
+    def spike(c):
+        return lambda r: 1.0 / np.sqrt(np.abs(r - c))
+
+    easy = (lambda s: s * (1.0 - s), 0.0, 1.0, {})
     kw = dict(tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
-    easy, failed = _batch_call(cases, **kw)
-    assert math.isclose(easy.value, 1.0 / 6.0, rel_tol=1e-12)
-    assert isinstance(failed, QuadratureError)
-    with pytest.raises(QuadratureError) as single:
-        integrate_adaptive(hard, 0.0, 1.0, **kw)
-    assert str(failed) == str(single.value)
-    assert failed.partial == single.value.partial
-    assert failed.partial.subdivisions >= 8
+    for first, later in ((0.37, 0.61), (0.61, 0.37)):
+        cases = [easy, (spike(first), 0.0, 1.0, {}), easy,
+                 (spike(later), 0.0, 1.0, {})]
+        with pytest.raises(QuadratureError) as failed:
+            _batch_call(cases, **kw)
+        with pytest.raises(QuadratureError) as single:
+            integrate_adaptive(spike(first), 0.0, 1.0, **kw)
+        assert str(failed.value) == str(single.value)
+        assert failed.value.partial == single.value.partial
+        assert failed.value.partial.subdivisions >= 8
+    (alone,) = _batch_call([easy], **kw)
+    assert math.isclose(alone.value, 1.0 / 6.0, rel_tol=1e-12)
 
 
 def test_batch_nonfinite_value_names_its_owner_and_r():
@@ -169,11 +176,16 @@ def test_batch_nonfinite_value_names_its_owner_and_r():
         return np.where(shifted == 0.0, np.nan, 1.0) / np.where(
             shifted == 0.0, 1.0, shifted)
 
-    fine, bad = _batch_call([(lambda r: r * r, 0.0, 1.0, {}),
-                             (nan_at_half, 0.0, 1.0, {})])
-    assert math.isclose(fine.value, 1.0 / 3.0, rel_tol=1e-12)
-    assert isinstance(bad, QuadratureError)
-    assert re.search(r"at x=0\.5$", str(bad))
+    def nan_everywhere(r):
+        return np.full_like(r, np.nan)
+
+    # owner 3's first node is far below 0.5: the message is owner 1's
+    with pytest.raises(QuadratureError, match=r"^non-finite integrand value "
+                       r"at x=0\.5$"):
+        _batch_call([(lambda r: r * r, 0.0, 1.0, {}),
+                     (nan_at_half, 0.0, 1.0, {}),
+                     (lambda r: r, 0.0, 1.0, {}),
+                     (nan_everywhere, 0.0, 1.0, {})])
 
 
 def test_empty_batch():

@@ -442,6 +442,17 @@ def test_geometry_cli_strip_small_eps(eps, capsys):
         float(strip_quotient_mp(1.0, float(eps))), rel=1e-13)
 
 
+@pytest.mark.parametrize("theta", ["3e7", "1e8", "1e9", "1e12"])
+@pytest.mark.parametrize("eps", ["1e-3", "1e-8"])
+def test_geometry_cli_strip_passes_at_large_theta(theta, eps, capsys):
+    # from theta ~ 4e7 on, the float spacing of ((2 theta - 1)/2)^2 exceeds
+    # an absolute slack of 1e-9, and the quotient can round a few ulps below
+    code, out, err = _cli(["geometry", "--check", "strip", "--theta", theta,
+                           "--epsilon", eps], capsys)
+    assert code == 0, err
+    assert json.loads(out)["rows"][0]["pass"] is True
+
+
 def test_bessel_cli(capsys):
     code, out, err = _cli(["bessel", "--scenario", "power", "--Q", "5",
                            "--p", "2", "--theta", "1", "--r0", "1",
@@ -461,6 +472,21 @@ def test_bessel_cli_certifies_every_catalog_scenario(tmp_path, capsys):
         code, _, err = _cli(["bessel", "--scenario", sc.name, *flags,
                              "--out", str(tmp_path / "cert.csv")], capsys)
         assert code == 0, (sc.name, err)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "log_radial", "--R", "0.05"],
+    ["--scenario", "log_radial", "--R", "1e-6"],
+    ["--scenario", "log_cylindrical", "--R", "0.1"],
+    ["--scenario", "annulus", "--a", "1", "--b", "1.05"],
+])
+def test_bessel_default_interval_fits_a_narrow_interval(flags, tmp_path,
+                                                        capsys):
+    # the default r0 and r1 are fractions of the interval's width where it
+    # is narrower than 0.4, so no default falls outside it
+    code, _, err = _cli(["bessel", *flags, "--out",
+                         str(tmp_path / "cert.csv")], capsys)
+    assert code == 0, err
 
 
 def test_bessel_cli_ode_failure_exits_1(capsys):
@@ -538,6 +564,37 @@ def test_readme_sweep_outputs_are_pinned(capsys):
         assert code == 0
         assert [[repr(x) for x in row.values()]
                 for row in json.loads(out)["rows"]] == rows
+
+
+# argv, then the sha256 of its stdout and of its stderr
+_README_QUADRATURE_REPORTS = [
+    (["rayleigh", "--scenario", "gaussian_b", "--Q", "5", "--p", "2",
+      "--theta", "1", "--alpha", "2", "--beta", "2", "--profiles", "200"],
+     "5500f005f1aa89fd1c3ba30a59f80c8d0b1c1cde1c94eaa66bd5121635dc3ba2",
+     "cdf9660442be7bb1fd704fccc62fa4543928a97d4ae95a4d63905e4d227f8077"),
+    (["sharpness", "--mode", "improved", "--Q", "5", "--p", "2",
+      "--profiles", "100"],
+     "8dcc7a7af9caf568477e4000fd8df995a56b4c4592f5feffbd3e6a0b696cdc9d",
+     "13c83bcbff47361f9d44288803f75d661923ba189129cb4da50deb834739ab22"),
+    (["geometry", "--check", "strip", "--theta", "1", "--epsilon", "1e-3"],
+     "389b708b90f74523c6f761f67809eae7b74ad62b5a71a21930861623a19985f0",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["geometry", "--check", "vandermonde", "--N", "3", "--theta", "1",
+      "--samples", "1000000"],
+     "8d4e4610351b99bee1d994422bfbc8bbaac5f5f41d445d3df839b48fc4942fdf",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def test_readme_quadrature_reports_are_pinned(capsys):
+    # the README rayleigh, improved-weight, strip and vandermonde reports and
+    # their stderr, bit for bit: the random-profile batches and the strip's
+    # six integrals may not move a float
+    for argv, out_sha, err_sha in _README_QUADRATURE_REPORTS:
+        code, out, err = _cli(argv, capsys)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha, argv
+        assert hashlib.sha256(err.encode()).hexdigest() == err_sha, argv
 
 
 def test_eig_tol_above_1e_6_exits_2(tmp_path, capsys):

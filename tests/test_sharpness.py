@@ -278,8 +278,8 @@ def _with_chi_scaled(sc, factor):
     row = sc.maximizer_in_t
 
     def scaled(t):
-        psi, chi, rho, z, h = row(t)
-        return psi, chi * factor, rho, z, h
+        psi, chi, rho, z = row(t)
+        return psi, chi * factor, rho, z
 
     return replace(sc, maximizer_in_t=scaled)
 
@@ -301,9 +301,8 @@ def test_sweep_rejects_a_maximizer_off_by_1e_6(name, kw):
 def test_maximizer_in_t_is_the_r_form(name, kw):
     # each builder's row against its maximizer phi and weights in r, at
     # t = ln r: psi = (V r^(Q-p))^(1/p) phi, chi = psi r phi'/phi,
-    # rho = W r^Q phi^p, z = (zero-order weight) r^Q phi^p and gaussian_a's
-    # h = r^(Q + alpha(p-1)); the log scenarios carry no row, since they
-    # sweep as power pairs in ln(R/r)
+    # rho = W r^Q phi^p and z = (zero-order weight) r^Q phi^p; the log
+    # scenarios carry no row, since they sweep as power pairs in ln(R/r)
     sc = scenario_catalog(name, **kw)
     if name.startswith("log"):
         assert sc.maximizer_in_t is None
@@ -319,14 +318,10 @@ def test_maximizer_in_t_is_the_r_form(name, kw):
     expected = [psi, psi * r * slope / value,
                 sc.pair.W(r) * r ** Q * value ** p,
                 0.0 * r if zero_order is None else
-                zero_order(r) * r ** Q * value ** p,
-                r ** (Q + kw["alpha"] * (p - 1.0)) if name == "gaussian_a"
-                else None]
+                zero_order(r) * r ** Q * value ** p]
     row = sc.maximizer_in_t(np.log(r))
+    assert len(row) == 4
     for got, want in zip(row, expected):
-        if want is None:
-            assert got is None
-            continue
         got = np.broadcast_to(got, r.shape)
         assert np.all(np.abs(got - want)
                       <= 1e-14 * max(np.max(np.abs(want)), 1e-300)), name
@@ -348,7 +343,7 @@ def test_sweep_without_a_maximizer_names_its_tag(name, kw):
 
 
 def _pin_grid(name):
-    # gaussian_a's h ~ eps^-7 overflows in t below eps = 1e-44 at p = 3
+    # gaussian_a's integrands overflow in t below eps ~ 1e-50 at p = 3
     if name == "gaussian_a":
         return [1e-2, 1e-3, 1e-4, 1e-10, 1e-30, 1e-40]
     grid = [1e-2, 1e-3, 1e-4, 1e-10, 1e-30, 1e-100, 1e-300]
@@ -433,15 +428,17 @@ def test_sweep_row_is_infinite_where_the_denominator_is_not_positive(
 
 
 def test_sweep_errors_come_in_grid_order():
-    # a constant 1.5 times too large fails the Picone check at eps = 1e-2,
-    # ahead of eps = 1e-100, where gaussian_a's D ~ eps^-5 overflows: each
-    # eps raises its own error only when the sweep reaches it
+    # the kernel raises a failed integral at any eps before any row is
+    # judged: at eps = 1e-100 gaussian_a's D ~ eps^-5 overflows, ahead of
+    # the Picone check that a constant 1.5 times too large fails at
+    # eps = 1e-2; only a grid whose integrals all end reaches that check
     sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
     bad = _with_constant(sc, 1.5 * sc.sharp_constant)
+    for case in (sc, bad):
+        with pytest.raises(QuadratureError, match="non-finite"):
+            sweep_quotient(case, [1e-2, 1e-100])
     with pytest.raises(CheckFailure, match="Picone"):
-        sweep_quotient(bad, [1e-2, 1e-100])
-    with pytest.raises(QuadratureError, match="non-finite"):
-        sweep_quotient(sc, [1e-2, 1e-100])
+        sweep_quotient(bad, [1e-2, 1e-3])
 
 
 def test_overflowing_sweep_fails_without_warnings():
@@ -484,3 +481,12 @@ def test_psiR_deficit_p2_exact_and_p3_against_mpmath():
     for row in psiR_deficit(3.0, 3.0, [10.0, 1e10]):
         assert row["deficit"] == pytest.approx(
             2.0 * math.log(row["R"]) ** -2, rel=1e-13)
+
+
+def test_psiR_deficit_p3_rows_are_pinned():
+    # the p = 3 rows, one kernel call over the R grid, bit for bit
+    assert [[repr(x) for x in row.values()]
+            for row in psiR_deficit(5.0, 3.0, [10.0, 100.0, 1000.0])] == [
+        ["10.0", "0.9300237282324147", "2.1414587727587038"],
+        ["100.0", "0.44197382745648944", "2.0353646931896705"],
+        ["1000.0", "0.2918050162475712", "2.0157176414176283"]]

@@ -477,11 +477,11 @@ def _record_solves(monkeypatch):
     pairs = []
     solve = spectral.solve_flux
 
-    def both(A, B, p, span, y0, rtol, atol, drift):
-        ours = solve(A, B, p, span, y0, rtol, atol, drift)
+    def both(A, B, p, span, y0, drift):
+        ours = solve(A, B, p, span, y0, drift)
         pairs.append((ours, solve_ivp(_scalar_rhs(A, B, p, drift), span, y0,
-                                      method="DOP853", rtol=rtol, atol=atol,
-                                      dense_output=True)))
+                                      method="DOP853", rtol=spectral._RTOL,
+                                      atol=spectral._ATOL, dense_output=True)))
         return ours
 
     monkeypatch.setattr(spectral, "solve_flux", both)
@@ -543,8 +543,7 @@ def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
 
 def test_sol_is_cos_sin_and_evaluates_no_rhs():
     # phi'' = -2.25 phi: p = 2, A = 1, B = 2.25, no drift
-    sol = solve_flux(1.0, 2.25, 2.0, (1.0, 10.0), (1.0, -1.5), 1e-10, 1e-12,
-                     0.0)
+    sol = solve_flux(1.0, 2.25, 2.0, (1.0, 10.0), (1.0, -1.5), 0.0)
     steps, solved = len(sol.t) - 1, sol.nfev
     assert steps > 5 and (solved - 2) % 12 == 0
     r = np.linspace(1.0, 10.0, 101)
@@ -629,7 +628,7 @@ def test_float_overflow_in_the_rhs_is_a_search_failure(A, y0, t, fault):
     # and a read of the solve raises no numpy RuntimeWarning
     with pytest.raises(SearchFailureError,
                        match=f"^ODE integration failed: {fault}$"):
-        solve_flux(A, 1.0, 4.0, (0.0, 1.0), y0, 1e-10, 1e-12, 0.0).sol(t)
+        solve_flux(A, 1.0, 4.0, (0.0, 1.0), y0, 0.0).sol(t)
 
 
 def test_stiff_solve_ends_at_the_rhs_budget():
@@ -638,31 +637,30 @@ def test_stiff_solve_ends_at_the_rhs_budget():
     start = time.perf_counter()
     with pytest.raises(SearchFailureError,
                        match="more than 1000000 RHS evaluations"):
-        solve_flux(1.0, 1e16, 2.0, (0.0, 1.0), (1.0, 0.0), 1e-10, 1e-12, 0.0)
+        solve_flux(1.0, 1e16, 2.0, (0.0, 1.0), (1.0, 0.0), 0.0)
     assert time.perf_counter() - start < 60.0
 
 
 def test_ode_scale_invariance():
     # p = 2 with a drift: the solve is linear, so c phi_0 gives c phi
     p, t = 2.0, np.linspace(0.0, 4.0, 600)
-    ref = solve_flux(1.0, 2.25, p, (0.0, 4.0), (1.0, -1.5), 1e-10, 1e-12,
+    ref = solve_flux(1.0, 2.25, p, (0.0, 4.0), (1.0, -1.5),
                      drift=0.5).sol(t)[0]
     for c in (2.0, -1.0, 10.0):
         y0 = (c * 1.0, abs(c) ** (p - 2.0) * c * -1.5)
-        phi = solve_flux(1.0, 2.25, p, (0.0, 4.0), y0, 1e-10, 1e-12,
-                         drift=0.5).sol(t)[0]
+        phi = solve_flux(1.0, 2.25, p, (0.0, 4.0), y0, drift=0.5).sol(t)[0]
         scale = np.max(np.abs(c * ref))
         assert np.max(np.abs(phi - c * ref)) <= 1e-8 * scale
 
 
 def test_ode_scale_invariance_p3():
     t = np.linspace(0.0, 3.0, 600)
-    ref = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (1.0, -0.8), 1e-10, 1e-12,
+    ref = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (1.0, -0.8),
                      drift=-0.4).sol(t)[0]
     c = 2.0
     # momentum scales like |c|^(p-2) c = c^2 for p=3, c>0
-    sol = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (c, c ** 2.0 * -0.8), 1e-10,
-                     1e-12, drift=-0.4).sol(t)[0]
+    sol = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (c, c ** 2.0 * -0.8),
+                     drift=-0.4).sol(t)[0]
     assert np.max(np.abs(sol - c * ref)) <= 1e-8 * np.max(np.abs(c * ref))
 
 
@@ -670,4 +668,4 @@ def test_span_that_does_not_run_forward_is_a_value_error():
     # the shot only steps forward: a zero or backward span is a caller's error
     for span in ((1.0, 1.0), (10.0, 1.0)):
         with pytest.raises(ValueError, match="does not run forward"):
-            solve_flux(1.0, 2.25, 2.0, span, (1.0, -1.5), 1e-10, 1e-12, 0.0)
+            solve_flux(1.0, 2.25, 2.0, span, (1.0, -1.5), 0.0)
