@@ -47,9 +47,9 @@ _FLUX_K = 10.0
 
 
 class ODEFailure(CheckFailure):
-    """The certificate's coefficients V r^mu and W r^mu could not be
-    evaluated as finite floats, or V r^mu reads <= 0, across the requested
-    range."""
+    """The coefficient probe failed: the certificate's coefficients V r^mu
+    and W r^mu, probed on its grid of [r0, r1], are not all finite floats,
+    or V r^mu reads <= 0 somewhere on the path of its integrals."""
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,8 @@ def verify_bessel_pair(scenario: Scenario,
         phi_grid = phi.value(grid)
     if not finite.all():
         raise ODEFailure(
-            "ODE integration failed: the coefficients V r^mu and W r^mu are "
-            f"not finite from r = {grid[~finite][0]:.6g}")
+            "coefficient probe failed: V r^mu and W r^mu are not finite "
+            f"from r = {grid[~finite][0]:.6g}")
 
     def flux_weight(r):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):

@@ -7,9 +7,10 @@ values become the subcommand's defaults, so explicit flags win. Each command
 builds its rows and summary and takes its verdict (a failure message or None)
 from the module that computes what the verdict judges. `run` writes the
 report, prints the `FAIL:` or `INCONCLUSIVE:` line and maps the outcome to an
-exit code: 0 all checks passed, 1 a verdict failed or a quadrature, ODE or
-search could not be carried out (`CheckFailure`), 2 usage or parameter error
-(`ParameterDomainError`/`ValueError`, one that overflows, or a bad config).
+exit code: 0 all checks passed, 1 a verdict failed or a quadrature, a
+coefficient probe or a search could not be carried out (`CheckFailure`), 2
+usage or parameter error (`ParameterDomainError`/`ValueError`, one that
+overflows, or a bad config).
 
 Each command imports the layers it runs in its own body, so a cold process
 loads only those; none loads scipy.

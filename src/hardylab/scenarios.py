@@ -383,7 +383,7 @@ def _annulus(Q: float = 3.0, p: float = 2.0, theta: float = 1.0,
         lam = closed_form_lambda1_p2(Q, theta, a, b)
         maximizer, in_t = _annulus_maximizer_p2(Q, theta, a, b)
     else:
-        # no closed form: shoot for lam_1 (the ODE layer, so imported here)
+        # no closed form: search for lam_1 (spectral, so imported here)
         from .spectral import AnnulusProblem, eigenvalue
 
         lam = eigenvalue(AnnulusProblem(Q, p, theta, a, b)).lam

@@ -9,8 +9,9 @@ The grid is p in {2, 2.5, 3, 4, 6, 8, 20}, Q in {0, 1, p, 2p + 1, 20, 50}
 1e300} and --which n in {1, 2, 5}. Each case runs the CLI in process; a case
 passes when it exits 0. The script prints every failing case with its exit
 code and message, then "N of 861 pass", then one sha256 over the argv, the
-repr of lambda and of the endpoint residual of every passing case, in grid
-order: two trees that print the same line agree on every passing case.
+repr of lambda and of the endpoint residual (the half-period check's
+relative miss |n T(lambda) - ln(b/a)| / ln(b/a)) of every passing case, in
+grid order: two trees that print the same line agree on every passing case.
 """
 
 import contextlib

@@ -269,7 +269,7 @@ def test_float_overflow_exits_1_without_traceback(tmp_path):
         capture_output=True, text=True, timeout=120)
     err = proc.stderr
     assert proc.returncode == 1
-    assert "FAIL: ODE integration failed" in err and "Traceback" not in err
+    assert "FAIL: coefficient probe failed" in err and "Traceback" not in err
     assert "RuntimeWarning" not in err
     assert [x for x in err.splitlines() if x.startswith("FAIL: ")] == \
         err.splitlines()[-1:]

@@ -76,9 +76,9 @@ def test_eig_cli_any_which(capsys):
 
 
 def test_eig_cli_wide_annulus_with_large_kappa(capsys):
-    # kappa/p = 9 against u = (lam - c)^(1/2) = 0.027: w swings to about 330
-    # times its end value along the shot, and the end slope's error is read
-    # in that scale
+    # kappa/p = 9 against u = (lam - c)^(1/2) = 0.027: (lam - c)/lam is
+    # 9e-6, the kappa v < 0 side of the period integrand peaks at about
+    # lam/(lam - c) = 1e5, and the half-period check passes there
     code, out, err = _cli(["eig", "--Q", "20", "--p", "2", "--theta", "1",
                            "--a", "1", "--b", "1e50"], capsys)
     assert (code, err) == (0, "")
@@ -310,7 +310,7 @@ _REDUCTION = {"functional", "quadrature"}
 _SWEEPS = {"sharpness"} | _REDUCTION
 # the sweep and psi modes, in t, with the Picone remainder of identities
 _T_SWEEPS = {"sharpness", "quadrature", "identities"}
-_ODE = {"spectral", "quadrature"}   # eig: T by quadrature
+_EIG = {"spectral", "quadrature"}   # eig: T and phi by quadrature
 _COLD_COMMANDS = {
     "catalog": (["catalog"], set()),
     "identity": (["identity", "--p", "2.5", "--samples", "200", "--seed", "7"],
@@ -319,10 +319,10 @@ _COLD_COMMANDS = {
                 "--theta", "1", "--r0", "1", "--r1", "10"],
                {"besselpair", "quadrature"}),
     "eig_p2": (["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1",
-                "--b", "2.718281828"], _ODE),
+                "--b", "2.718281828"], _EIG),
     "eig_p3_which2": (["eig", "--Q", "5", "--p", "3", "--theta", "1", "--a",
                        "1", "--b", "2", "--which", "2",
-                       "--eigenfunction-out", "{tmp}/phi2.csv"], _ODE),
+                       "--eigenfunction-out", "{tmp}/phi2.csv"], _EIG),
     "sharpness_sweep": (["sharpness", "--scenario", "power", "--Q", "5",
                          "--p", "2", "--theta", "1",
                          "--eps-grid", "1e-2,1e-3,1e-4"], _T_SWEEPS),
@@ -361,7 +361,7 @@ def test_import_hardylab_loads_no_submodule():
 
 def test_cold_path_loads_no_scipy(tmp_path):
     # each command, in its own fresh interpreter, loads only the layers it
-    # runs, and none loads scipy: the ODE layer steps by its own DOP853
+    # runs, and none loads scipy: no command integrates an ODE
     assert any(m.split(".")[0] == "scipy" for m in _cold_modules(
         "import json, scipy.integrate")[0])     # the probe can see scipy
     for name, (argv, layers) in _COLD_COMMANDS.items():
@@ -503,8 +503,8 @@ def test_bessel_cli_ode_failure_exits_1(capsys):
 
 def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
     # the README bessel and eig reports, bit for bit: the certificate's
-    # quadrature, and the flux ODE's stepping and its reads between step
-    # ends, may not move a float
+    # quadrature, and the half-period search and the eigenfunction built
+    # from its integrand, may not move a float
     bessel = tmp_path / "b.csv"
     code, _, err = _cli(["bessel", "--scenario", "power", "--Q", "5", "--p",
                          "2", "--theta", "1", "--r0", "1", "--r1", "10",
@@ -529,7 +529,7 @@ def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
         assert code == 0
         assert repr(json.loads(out)["summary"]["lambda"]) == lam
     assert hashlib.sha256(phi2.read_bytes()).hexdigest() == \
-        "5d3118e4d58246ac5ba935f2758f092ba7bf3bc647921aa509d5195b2657c8c5"
+        "7a3f4f91a1cde1638a04b8da5757b6f0b3d11afd261819cb262dfc734e8e0e55"
 
 
 def test_readme_identity_report_is_pinned(capsys):
@@ -956,7 +956,7 @@ _FAILING_PATHS = {
         ["eig", "--Q", "3", "--p", "2", "--theta", "1", "--a", "1", "--b",
          "2"], 1,
         "FAIL: eigenvalue does not exceed the lower bound |(Q - p theta)/p|^p",
-        "508d8f60332f818685116751852b440a2a0e7408eb573d23b38878eb93843043",
+        "d34621c5b5219e450595bd49dcc5c42f9f35d7214e25a2891bfcf30e5785e988",
         "40fac34ef4fa966685111d846a4e94407dc6ffe273f37603ce0a8b4a80188c61"),
     "improved": (
         ["sharpness", "--mode", "improved", "--Q", "5", "--p", "2",

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +8,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hardylab import spectral
+from hardylab.besselpair import _FLUX_K, _FLUX_RTOL
 from hardylab.functional import reduce_radial_functional
+from hardylab.quadrature import integrate_batch
 from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                                 scenario_catalog)
 from hardylab.spectral import (AnnulusProblem, SearchFailureError,
-                               check_lambda1_lower_bound, eigenvalue, shoot,
-                               solve_flux)
+                               check_lambda1_lower_bound, eigenvalue, shoot)
 from oracles import annulus_eigenvalue_mp, half_period_mp
 
 PROB = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
@@ -81,9 +81,10 @@ def test_critical_case_never_zero():
 
 
 def test_shot_end_past_the_float_range():
-    # 150 to 160 decades are one half-period in t = ln r, where the shot runs
-    # whatever b is: phi = r^(1/2) sin(pi t/L) / peak, kappa = -1, peaks where
-    # tan(pi t/L) = -2 pi/L, and is formed relative to that peak
+    # 150 to 160 decades are one half-period in t = ln r, where the
+    # eigenfunction is built whatever b is: phi = r^(1/2) sin(pi t/L) / peak,
+    # kappa = -1, peaks where tan(pi t/L) = -2 pi/L, and is formed relative
+    # to that peak
     for b in (1e150, 1e155, 1e160):
         prob = AnnulusProblem(Q=1.0, p=2.0, theta=1.0, a=1.0, b=b)
         res = eigenvalue(prob)
@@ -99,9 +100,10 @@ def test_shot_end_past_the_float_range():
             <= 2e-9
 
 
-# (Q, p, b) with theta = 1, a = 1: a shot in r across [a, b] ends on phi's
-# maximum (b = 1e150) or overflows r^(Q-1) (Q = 20, b = 1e200), and a search
-# started at the kappa = 0 value puts lam within rounding of c (p = 6, 10)
+# (Q, p, b) with theta = 1, a = 1: an ODE shot in r across [a, b] would end
+# on phi's maximum (b = 1e150) or overflow r^(Q-1) (Q = 20, b = 1e200), and a
+# search started at the kappa = 0 value puts lam within rounding of c (p = 6,
+# 10)
 WIDE_CASES = [(1.0, 3.0, 1e150), (20.0, 3.0, 1e30), (5.0, 3.0, 1e200),
               (1.0, 6.0, 1e100), (1.0, 10.0, 1e50)]
 
@@ -111,7 +113,7 @@ def test_wide_annulus_passes_the_half_period_check(Q, p, b):
     res = eigenvalue(AnnulusProblem(Q=Q, p=p, theta=1.0, a=1.0, b=b))
     assert float(half_period_mp(Q, p, 1.0, res.lam)) == pytest.approx(
         math.log(b), rel=1e-11)
-    # the check's bound at the default tol is max(1e-8, 1e3 rtol) = 1e-8
+    # the check's bound at the default tol is max(tol, 1e-8) = 1e-8
     assert res.endpoint_residual <= 1e-8
     assert np.max(np.abs(res.eigenfunction.value(
         np.geomspace(1.0, b, 1001)))) <= 1.0 + 1e-12
@@ -179,15 +181,18 @@ def test_eigenfunction_quotient_equals_lambda1():
 
 
 def test_eigenfunction_matches_p2_closed_form():
+    from scipy.optimize import brentq
+
     from hardylab.scenarios import closed_form_maximizer
 
     res = eigenvalue(PROB, tol=1e-10)
     sc = scenario_catalog("annulus", Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
     ref = closed_form_maximizer(sc)
+    # normalized at its peak, the zero of its derivative, not on the grid
+    peak = brentq(ref.derivative, 1.0, math.e, xtol=1e-15)
     r = np.linspace(1.0, math.e, 400)
-    ref_vals = ref.value(r)
-    ref_vals = ref_vals / np.max(np.abs(ref_vals))
-    assert np.max(np.abs(res.eigenfunction.value(r) - ref_vals)) <= 1e-6
+    ref_vals = ref.value(r) / ref.value(peak)
+    assert np.max(np.abs(res.eigenfunction.value(r) - ref_vals)) <= 1e-12
 
 
 def test_eigenfunction_positive_inside():
@@ -205,9 +210,8 @@ def _flux_exponents(problem):
 
 
 def _tight_shot(problem, lam):
-    """Dense output of the flux shot in r from (phi, m)(a) = (0, 1) at rtol
-    1e-13, written independently of spectral.solve_flux, and its exact
-    max phi, at the zero of m."""
+    """Dense output of scipy's DOP853 flux shot in r from (phi, m)(a) =
+    (0, 1) at rtol 1e-13, and its exact max phi, at the zero of m."""
     from scipy.optimize import brentq
 
     flux_exp, weight_exp = _flux_exponents(problem)
@@ -227,8 +231,8 @@ def _tight_shot(problem, lam):
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_eigenfunction_matches_tight_shot(p):
     # phi is only C^{1,1/(p-1)} at its maximum; a spline through samples
-    # misses it by 6e-7..4e-5 there, the shot read by steps from its step
-    # ends by < 2e-9 (the final shot's global error at rtol 1e-11)
+    # misses it by 6e-7..4e-5 there, the eigenfunction built from the period
+    # integrand must not miss it by more than the bounds an rtol 1e-11 shot met
     for Q, a, b in ((5.0, 1.0, 2.0), (3.0, 1.0, math.e)):
         prob = AnnulusProblem(Q=Q, p=p, theta=1.0, a=a, b=b)
         res = eigenvalue(prob)
@@ -301,7 +305,7 @@ def test_eigenvalue_matches_period_integral(case):
     res = eigenvalue(AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b), which=n)
     assert res.zero_count == n - 1
     assert abs(res.lam - ref) <= 1e-12 * ref
-    # the final ODE shot, independent of the quadrature, ends on a zero
+    # the half-period check at the root: which T(lam) meets ln(b/a)
     assert res.endpoint_residual <= 1e-9
 
 
@@ -317,7 +321,7 @@ def test_period_integral_oracle_closed_forms():
 def test_half_period_p2_closed_form(kappa):
     # T = pi / u, u = sqrt(lam - kappa^2/4), from next to the peak of the
     # kappa v < 0 side's integrand (lam -> c) to far above c; its v > 0 half,
-    # the shot's rise from a zero to the turning point, is int_0^inf dv /
+    # the eigenfunction's rise from a zero to its peak, is int_0^inf dv /
     # ((v + kappa/2)^2 + u^2) = (pi/2 - atan(kappa/(2u))) / u, written as
     # atan2(2u, kappa) / u to spare the closed form a cancellation
     prob = AnnulusProblem(Q=2.0 + kappa, p=2.0, theta=1.0, a=1.0, b=2.0)
@@ -362,9 +366,9 @@ def test_lemma_check_margin_is_the_search_tolerance():
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
 def test_kappa_zero_is_pi_p_closed_form(p):
-    # Q = p theta makes the equation in t = ln r the plain half-linear one;
-    # the shot's flux is scaled so that y stays of order 1, else y ~ 1e-4 on
-    # the thin annulus and the absolute tolerance 1e-13 shows in the residual
+    # Q = p theta makes the equation in t = ln r the plain half-linear one,
+    # whose search takes its exact step first: T meets ln(b/a)/n to rounding
+    # on thick and thin annuli alike
     for n, (a, b) in ((1, (1.0, 2.0)), (3, (0.5, 20.0)), (3, (1.0, 1.001))):
         prob = AnnulusProblem(Q=2.0 * p, p=p, theta=2.0, a=a, b=b)
         res = eigenvalue(prob, which=n)
@@ -405,10 +409,13 @@ def test_p2_takes_at_most_two_shots(monkeypatch):
         assert 1 <= len(calls) <= 2
 
 
-@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+@pytest.mark.parametrize("shift", [1e-6, -1e-6, 1e-7, -1e-7])
 def test_lambda_off_by_1e_6_fails_the_check(monkeypatch, shift):
     # half-periods of lam (1 + shift) make the search land on
-    # lam_n / (1 + shift); the final shot, which never calls shoot, rejects it
+    # lam_n / (1 + shift); the half-period check at the root, which never
+    # calls shoot, rejects it: its which T(lam) misses ln(b/a) by 1.7e-8 to
+    # 5.4e-8 relative at 1e-7, past its bound 1e-8 (a 1e-8 shift misses by
+    # 1.7e-9 to 5.4e-9, inside it)
     monkeypatch.setattr(spectral, "shoot",
                         lambda problem, lam: shoot(problem, lam * (1 + shift)))
     for Q, p, theta, a, b, n in ORACLE_CASES:
@@ -420,9 +427,9 @@ def test_lambda_off_by_1e_6_fails_the_check(monkeypatch, shift):
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
     f"{x:g}" for x in c))
 def test_zeros_equally_spaced_in_log_r(case):
-    # in t = ln r the shot repeats itself, sign flipped, every T: at lam_n
-    # its first zero is at t = ln(b/a) / n, and the eigenfunction (the shot's
-    # antiperiodic extension) vanishes at every a (b/a)^(k/n)
+    # in t = ln r a solution repeats itself, sign flipped, every T: at lam_n
+    # its first zero is at t = ln(b/a) / n, and the eigenfunction (the first
+    # half-period's antiperiodic extension) vanishes at every a (b/a)^(k/n)
     Q, p, theta, a, b, n = case
     prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
     res = eigenvalue(prob, which=n)
@@ -432,6 +439,48 @@ def test_zeros_equally_spaced_in_log_r(case):
                                                  rel=1e-9)
     nodes = a * (b / a) ** (np.arange(1, n + 1) / n)
     assert np.max(np.abs(res.eigenfunction.value(nodes))) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
+    f"{x:g}" for x in c))
+def test_eigenfunction_satisfies_the_flux_identity(case):
+    # the eigenfunction, built from the period integrand without an ODE,
+    # against the ODE itself on 64 geometric intervals [r0, r1], as the
+    # Bessel-pair certificate checks a closed form: m(r1) - m(r0) + lam int
+    # r^(Q-1-p theta) Phi_p(phi) dr, m = r^(Q-1-p(theta-1)) Phi_p(phi'), and
+    # phi(r1) - phi(r0) - int phi' dr, each within _FLUX_K error budgets;
+    # and phi changes sign n - 1 times on (a, b)
+    Q, p, theta, a, b, n = case
+    prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
+    res = eigenvalue(prob, which=n)
+    phi, count = res.eigenfunction, 64
+    flux_exp, weight_exp = _flux_exponents(prob)
+
+    def Phi(x):
+        return np.abs(x) ** (p - 2.0) * x
+
+    def integrand(r, owner):    # owners below count: the flux identity's
+        r, flux = r.ravel(), np.repeat(owner < count, r.shape[1])
+        out = np.array(phi.derivative(r))
+        out[flux] = -res.lam * r[flux] ** weight_exp * Phi(phi.value(r[flux]))
+        return out
+
+    edges = np.geomspace(a, b, count + 1)
+    ests = integrate_batch(integrand, np.tile(edges[:-1], 2),
+                           np.tile(edges[1:], 2), [False] * 2 * count,
+                           [False] * 2 * count, [[]] * 2 * count, tol=0.0,
+                           rel_tol=_FLUX_RTOL)
+    integral = np.array([e.value for e in ests]).reshape(2, count)
+    bound = np.array([e.error_estimate for e in ests]).reshape(2, count)
+    ends = np.array([edges ** flux_exp * Phi(phi.derivative(edges)),
+                     phi.value(edges)])
+    # rounding: Phi_p(phi') carries p - 1 times the relative error of phi'
+    magnitude = np.abs(ends[:, :-1]) + np.abs(ends[:, 1:])
+    budget = (np.maximum(bound, _FLUX_RTOL * np.abs(integral))
+              + 4.0 * 2.0 ** -53 * np.array([[p - 1.0], [1.0]]) * magnitude)
+    assert np.max(np.abs(np.diff(ends) - integral) / budget) <= _FLUX_K
+    signs = np.sign(phi.value(a * (b / a) ** np.linspace(0.0, 1.0, 4001)))
+    assert np.count_nonzero(np.diff(signs[signs != 0])) == n - 1
 
 
 @pytest.mark.parametrize("b, n", [(1e10, 5), (1e12, 4)])
@@ -449,7 +498,8 @@ def test_wide_annulus_counts_zeros_near_a(b, n):
 
 
 def test_tolerance_below_shot_accuracy_costs_no_shots(monkeypatch):
-    # the search width is floored at the shots' own rtol
+    # the search width is floored at 1e-11, about what the half-periods
+    # resolve
     calls = _counting_shoot(monkeypatch)
     for Q, p, theta, a, b, n in ORACLE_CASES:
         prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
@@ -461,211 +511,20 @@ def test_tolerance_below_shot_accuracy_costs_no_shots(monkeypatch):
         assert counts[1] <= counts[0], (prob, n, counts)
 
 
-def _scalar_rhs(A, B, p, drift):
-    """solve_flux's RHS: the right-hand side scipy's solve_ivp steps."""
-    def rhs(r, y):
-        w = y[1] / A
-        return (math.copysign(abs(w) ** (1.0 / (p - 1.0)), w) + drift * y[0],
-                -drift * y[1] - B * abs(y[0]) ** (p - 2.0) * y[0])
-
-    return rhs
-
-
-def _record_solves(monkeypatch):
-    """Route every solve_flux solve through a recorder that also runs scipy's
-    own solve_ivp(method="DOP853") on the same RHS, span and tolerances."""
-    pairs = []
-    solve = spectral.solve_flux
-
-    def both(A, B, p, span, y0, drift):
-        ours = solve(A, B, p, span, y0, drift)
-        pairs.append((ours, solve_ivp(_scalar_rhs(A, B, p, drift), span, y0,
-                                      method="DOP853", rtol=spectral._RTOL,
-                                      atol=spectral._ATOL, dense_output=True)))
-        return ours
-
-    monkeypatch.setattr(spectral, "solve_flux", both)
-    return pairs
-
-
-def test_float_stepper_matches_scipy_dop853(monkeypatch):
-    # the two differ only in the rounding of the stage sums (BLAS orders them
-    # its own way); for p != 2 that can tip the accept/reject decision of a
-    # step across a turning point of phi, where the flux is only
-    # C^{1,1/(p-1)}, and part single solves by a few percent of their steps
-    # and ~1e2 rtol in the state. No solve here takes such a step: the
-    # annulus shot's rise ends at the turning time that the period integral
-    # gives, and its fall restarts there, so the states agree to ~1e-11.
-    # scipy's nfev also counts the 3 stages of each dense piece it builds,
-    # which `solve_flux` has none of: compare accepted steps
-    pairs = _record_solves(monkeypatch)
-    for p in (2.0, 2.5, 3.0, 4.0, 6.0):
-        for b in (2.0, math.e, 4.0):
-            eigenvalue(AnnulusProblem(Q=5.0, p=p, theta=1.0, a=1.0, b=b))
-    assert len(pairs) > 20
-    for ours, ref in pairs:
-        assert ours.t[-1] == ref.t[-1]
-        final = np.abs(ref.y[:, -1])
-        assert np.max(np.abs(ours.y[:, -1] - ref.y[:, -1])) <= 1e-9 * np.max(final)
-    total = sum(len(ref.t) - 1 for _, ref in pairs)
-    assert abs(sum(len(ours.t) - 1 for ours, _ in pairs) - total) <= 0.02 * total
-
-
 def test_eig_floats_are_pinned():
     # lam, the zero count and the endpoint residual on 80 problems, bit for
-    # bit: the search and the shot's step ends give them, so the way the
-    # eigenfunction is read between step ends may not move one of them
-    rows = []
+    # bit. lam and the zero count come from the search alone, and their
+    # hash has not moved since the half-period search replaced shooting;
+    # the residual is the half-period check's relative miss at the root
+    rows, found = [], []
     for p, b, which, (Q, theta) in itertools.product(
             (2.0, 2.5, 3.0, 4.0, 8.0), (1.5, math.e, 10.0, 1e3), (1, 2),
             ((5.0, 1.0), (3.0, 2.0))):
         res = eigenvalue(AnnulusProblem(Q=Q, p=p, theta=theta, a=1.0, b=b),
                          which=which)
         rows.append(repr((res.lam, res.zero_count, res.endpoint_residual)))
+        found.append(repr((res.lam, res.zero_count)))
+    assert hashlib.sha256("\n".join(found).encode()).hexdigest() == \
+        "dd6a5ac52a8327b555e4ebaf9ab01663ea89bb0965c9f51c010fd87d62377c98"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == \
-        "42ae6408f570f32e68e456cecf74f437ac756eb1da1d1a23258550a58bc2bc9c"
-
-
-def test_float_stepper_dense_output_hits_step_ends(monkeypatch):
-    pairs = _record_solves(monkeypatch)
-    eigenvalue(AnnulusProblem(Q=5.0, p=4.0, theta=1.0, a=1.0, b=2.0))
-    eigenvalue(AnnulusProblem(Q=3.0, p=3.0, theta=2.0, a=1.0, b=4.0))
-    assert len(pairs) == 4
-    for sol, _ in pairs:
-        # at a step end sol takes a step of size 0 from it; one ulp below, it
-        # takes nearly the whole step the solve took, over arrays
-        assert np.array_equal(sol.sol(sol.t), sol.y)
-        below = sol.sol(np.nextafter(sol.t[1:], -np.inf))
-        ulp = np.spacing(np.max(np.abs(sol.y)))
-        assert np.max(np.abs(below - sol.y[:, 1:])) <= 16 * ulp
-        assert sol.sol(sol.t[0]).shape == (2,)
-
-
-def test_sol_is_cos_sin_and_evaluates_no_rhs():
-    # phi'' = -2.25 phi: p = 2, A = 1, B = 2.25, no drift
-    sol = solve_flux(1.0, 2.25, 2.0, (1.0, 10.0), (1.0, -1.5), 0.0)
-    steps, solved = len(sol.t) - 1, sol.nfev
-    assert steps > 5 and (solved - 2) % 12 == 0
-    r = np.linspace(1.0, 10.0, 101)
-    first = sol.sol(r)
-    x = 1.5 * (r - 1.0)
-    assert np.max(np.abs(first[0] - (np.cos(x) - np.sin(x)))) <= 1e-9
-    assert np.max(np.abs(first[1] + 1.5 * (np.sin(x) + np.cos(x)))) <= 1e-9
-    assert np.array_equal(sol.sol(r[::-1])[:, ::-1], first)
-    assert sol.nfev == solved
-
-
-def test_generated_stages_are_the_tableau_rows_summed_in_order():
-    # the straight-line stage code against the tableau summed by loops, each
-    # row from 0.0 in its order, with the RHS taken stage by stage
-    def combine(K, row):
-        d0 = d1 = 0.0
-        for j, a in row.items():
-            d0 += K[j][0] * a
-            d1 += K[j][1] * a
-        return d0, d1
-
-    def add_stages(K, y, h, stages, rhs):
-        for _, row in stages:
-            d0, d1 = combine(K, row)
-            z = (y[0] + d0 * h, y[1] + d1 * h)
-            K.append(rhs(0.0, z))
-        return z
-
-    rng = np.random.default_rng(27)
-    for p, d in ((2.0, 0.0), (3.0, 0.7), (2.5, -1.3), (8.0, 0.0)):
-        y, f = (tuple(rng.normal(size=2).tolist()) for _ in range(2))
-        h = float(rng.uniform(0.01, 0.2))
-        A, B = float(rng.uniform(0.5, 2.0)), float(rng.normal())
-        rhs = _scalar_rhs(A, B, p, d)
-        args = (A, B, 1.0 / (p - 1.0), p - 2.0, d)
-        assert spectral._slope(*y, 0.0, (), *args) == rhs(0.0, y)
-        K = [f]
-        y_new = add_stages(K, y, h, spectral._STAGES, rhs)
-        flat, *rest = spectral._step(*y, h, f, *args)
-        assert flat == tuple(x for k in K for x in k)
-        assert rest == [y_new, combine(K, spectral._E5),
-                        combine(K, spectral._E3)]
-        # the same lines over numpy arrays, two step sizes at once, give the
-        # float step's y_new; numpy's power may round apart from libm's
-        hs = np.array([h, h / 3.0])
-        over = np.array(spectral._step_to(*y, hs, f, *args)).T
-        for step, z in zip(hs.tolist(), over):
-            ref = spectral._step(*y, step, f, *args)[1]
-            assert np.max(np.abs(z - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
-
-
-def test_dop853_tableau_is_scipys_bitwise():
-    # rows 1-12 of A (row 12 is B) with C, B and the two error weights
-    from scipy.integrate._ivp import dop853_coefficients as ref
-
-    A, C = np.zeros((13, 16)), np.zeros(13)
-    for i, (c, row) in enumerate(spectral._STAGES, 1):
-        C[i] = c
-        A[i, list(row)] = list(row.values())
-    E = np.zeros((2, 13))
-    for i, row in enumerate((spectral._E3, spectral._E5)):
-        E[i, list(row)] = list(row.values())
-    B = np.zeros(12)
-    B[list(spectral._STAGES[-1][1])] = list(spectral._STAGES[-1][1].values())
-    for ours, theirs in ((A, ref.A[:13]), (C, ref.C[:13]), (B, ref.B),
-                         (E[0], ref.E3), (E[1], ref.E5)):
-        assert ours.tobytes() == theirs.tobytes()
-
-
-@pytest.mark.parametrize("A, y0, t, fault", [
-    pytest.param(1.0, (1e200, 0.0), None,            # |phi|^(p-2) = 1e400
-                 "float overflow in the right-hand side", id="overflow"),
-    pytest.param(0.0, (1.0, 0.0), None,              # m / A, A = 0
-                 "float division by zero in the right-hand side",
-                 id="zero_division"),
-    pytest.param(1.0, (1.0, -1.5), [0.5, 1e200],     # a read 1e200 past the end
-                 r"float overflow encountered in [\w ]+ while reading the "
-                 "solution", id="sol_far_outside"),
-])
-def test_float_overflow_in_the_rhs_is_a_search_failure(A, y0, t, fault):
-    # the message names the fault, not the errno tuple of an OverflowError,
-    # and a read of the solve raises no numpy RuntimeWarning
-    with pytest.raises(SearchFailureError,
-                       match=f"^ODE integration failed: {fault}$"):
-        solve_flux(A, 1.0, 4.0, (0.0, 1.0), y0, 0.0).sol(t)
-
-
-def test_stiff_solve_ends_at_the_rhs_budget():
-    # B = 1e16 makes phi'' = -1e16 phi turn 1.6e7 times on the span: without
-    # a budget the solve would take ~1e8 steps
-    start = time.perf_counter()
-    with pytest.raises(SearchFailureError,
-                       match="more than 1000000 RHS evaluations"):
-        solve_flux(1.0, 1e16, 2.0, (0.0, 1.0), (1.0, 0.0), 0.0)
-    assert time.perf_counter() - start < 60.0
-
-
-def test_ode_scale_invariance():
-    # p = 2 with a drift: the solve is linear, so c phi_0 gives c phi
-    p, t = 2.0, np.linspace(0.0, 4.0, 600)
-    ref = solve_flux(1.0, 2.25, p, (0.0, 4.0), (1.0, -1.5),
-                     drift=0.5).sol(t)[0]
-    for c in (2.0, -1.0, 10.0):
-        y0 = (c * 1.0, abs(c) ** (p - 2.0) * c * -1.5)
-        phi = solve_flux(1.0, 2.25, p, (0.0, 4.0), y0, drift=0.5).sol(t)[0]
-        scale = np.max(np.abs(c * ref))
-        assert np.max(np.abs(phi - c * ref)) <= 1e-8 * scale
-
-
-def test_ode_scale_invariance_p3():
-    t = np.linspace(0.0, 3.0, 600)
-    ref = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (1.0, -0.8),
-                     drift=-0.4).sol(t)[0]
-    c = 2.0
-    # momentum scales like |c|^(p-2) c = c^2 for p=3, c>0
-    sol = solve_flux(1.3, 0.7, 3.0, (0.0, 3.0), (c, c ** 2.0 * -0.8),
-                     drift=-0.4).sol(t)[0]
-    assert np.max(np.abs(sol - c * ref)) <= 1e-8 * np.max(np.abs(c * ref))
-
-
-def test_span_that_does_not_run_forward_is_a_value_error():
-    # the shot only steps forward: a zero or backward span is a caller's error
-    for span in ((1.0, 1.0), (10.0, 1.0)):
-        with pytest.raises(ValueError, match="does not run forward"):
-            solve_flux(1.0, 2.25, 2.0, span, (1.0, -1.5), 0.0)
+        "6622fe5f819e090ae612e7e160cc12fda1a87fd70eb48c5c8bdb52e81a3f2554"
