@@ -184,11 +184,11 @@ def verify_bessel_pair(scenario: Scenario,
         return out
 
     n = 2 * _INTERVALS
-    ests = integrate_batch(integrand, np.tile(edges[:-1], 2),
-                           np.tile(edges[1:], 2), [False] * n, [False] * n,
-                           [[]] * n, tol=0.0, rel_tol=_FLUX_RTOL)
-    integral = np.array([e.value for e in ests]).reshape(2, _INTERVALS)
-    bound = np.array([e.error_estimate for e in ests]).reshape(2, _INTERVALS)
+    est = integrate_batch(integrand, np.tile(edges[:-1], 2),
+                          np.tile(edges[1:], 2), [False] * n, [False] * n,
+                          [[]] * n, tol=0.0, rel_tol=_FLUX_RTOL)
+    integral = est.value.reshape(2, _INTERVALS)
+    bound = est.error_estimate.reshape(2, _INTERVALS)
     with np.errstate(over="ignore", invalid="ignore"):
         ends = np.array([momentum_from_profile(pair.V, mu, p, phi, edges),
                          phi_grid[::_PROBES]])

@@ -113,15 +113,14 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         [spec[f] for spec in specs for _ in range(K)] for f in range(5))
     # tol is relative-only here: the weights can underflow to ~1e-90 scales
     # on far-out supports, where any fixed absolute target is meaningless
-    ests = integrate_batch(integrand, lo, hi, s_left, s_right, points,
-                           tol=0.0, rel_tol=tol)
+    values = integrate_batch(integrand, lo, hi, s_left, s_right, points,
+                             tol=0.0, rel_tol=tol).value.reshape(-1, K)
+    nums = values[:, 0].copy()
+    with np.errstate(over="ignore"):   # a sum past the float range is inf
+        for k in range(1, K - 1):
+            nums += values[:, k]
     reduced = []
-    for i in range(len(specs)):
-        values = [est.value for est in ests[K * i:K * i + K]]
-        num = values[0]
-        for v in values[1:-1]:
-            num += v
-        den = values[-1]
+    for num, den in zip(nums.tolist(), values[:, -1].tolist()):
         if den <= 0.0:
             if scenario.pair.W_nonnegative:
                 raise CheckFailure(

@@ -379,11 +379,10 @@ def strip_quotient(theta: float, epsilon: float) -> float:
         return out
 
     (lo, hi), inner = f.support, [f.knots[1]]
-    ests = integrate_batch(integrand, [lo] * 4 + [-1.0] * 2,
-                           [hi] * 4 + [1.0] * 2, [False] * 6, [False] * 6,
-                           [inner] * 4 + [[]] * 2, tol=0.0,
-                           rel_tol=_STRIP_TOL)
-    X1, X2, X3, X4, Y1, Z = (est.value for est in ests)
+    X1, X2, X3, X4, Y1, Z = integrate_batch(
+        integrand, [lo] * 4 + [-1.0] * 2, [hi] * 4 + [1.0] * 2, [False] * 6,
+        [False] * 6, [inner] * 4 + [[]] * 2, tol=0.0,
+        rel_tol=_STRIP_TOL).value.tolist()
     return (X1 - 2.0 * (theta - 1.0) * X2
             + X3 * ((theta - 0.5) * (theta - 1.5) + Z / Y1)) / X4
 

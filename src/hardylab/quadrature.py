@@ -4,12 +4,16 @@ One kernel refines a flat list of intervals, each tagged with the integral
 (its *owner*) it belongs to; per-owner sums come from ``np.bincount``, and the
 integrand is called as f(x: ndarray, owner: ndarray) -> ndarray on the nodes of
 all live intervals at once, so many small integrals cost about as much as one
-large one. Every owner keeps its own target, refinement and stopping rules,
-and its result depends on its own intervals only, never on its batch mates.
-Converged owners drop out. The kernel returns estimates only: once every
-owner has ended, it raises the QuadratureError of the lowest-numbered owner
-that failed, the error integrating the owners one by one in order would raise
-first. ``integrate_adaptive`` is the one-owner case.
+large one. The owner bookkeeping is array work too: one seed mesh is built for
+all owners at once (a lexsort over owner and edge), and the results are one
+``BatchEstimate`` of arrays indexed by owner, each ended owner's entries
+written by fancy indexing. Every owner keeps its own target, refinement and
+stopping rules, and its result depends on its own intervals only, never on
+its batch mates. Converged owners drop out. The kernel returns estimates
+only: once every owner has ended, it raises the QuadratureError of the
+lowest-numbered owner that failed, the error integrating the owners one by
+one in order would raise first. ``integrate_adaptive`` is the one-owner case
+and returns a ``QuadratureEstimate``.
 
 Endpoint singularities get a geometric seed mesh toward the flagged endpoint.
 Improper upper limits are handled by the substitution r = a + t/(1-t), which
@@ -18,15 +22,17 @@ maps [a, +inf) to [0, 1) and turns the far end into a flagged singular endpoint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .scenarios import CheckFailure, ParameterDomainError
 
 __all__ = [
+    "BatchEstimate",
     "QuadratureEstimate",
     "QuadratureError",
     "integrate_adaptive",
@@ -55,6 +61,8 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])   # Gauss nodes sit at odd slots
 
 _GRADE_LEVELS = 18            # geometric seed mesh depth toward a singular endpoint
+_GRADES = np.array([0.5 ** k for k in range(1, _GRADE_LEVELS + 1)])
+_DECADES = np.array([10.0 ** j for j in range(1, 309)])   # j < ceil(log10(b/a)) <= 309
 _SPLIT_BATCH = 256            # max intervals refined per owner per sweep
 _CHUNK = 256                  # intervals per integrand call: bounds a batch's working set
 
@@ -87,11 +95,13 @@ def _gk15(f: Callable, lefts: np.ndarray, rights: np.ndarray, owner: np.ndarray,
 
     f(x, owner) gets the (m, 15) nodes of at most _CHUNK intervals and their
     owners, and returns their m * 15 values. An owner with a finite ``shift``
-    integrates over t in [0, 1) for r = shift + t/(1-t). The rules are
-    row-wise dot products (vecdot), not one BLAS matrix product, so an
-    interval's numbers do not depend on its position in the batch. Returns
-    {owner: first non-finite r} for the owners whose integrand met a
-    non-finite value.
+    integrates over t in [0, 1) for r = shift + t/(1-t): the map and its
+    Jacobian 1/(1-t)^2 are taken over the whole chunk and kept, by np.where,
+    on the rows of such owners only. The rules are row-wise dot products
+    (vecdot), not one BLAS matrix product, so an interval's numbers do not
+    depend on its position in the batch. Returns {owner: first non-finite r}
+    for the owners whose integrand met a non-finite value. Runs under
+    integrate_batch's np.errstate.
     """
     if lefts.size > _CHUNK:
         bad: dict[int, float] = {}
@@ -105,58 +115,106 @@ def _gk15(f: Callable, lefts: np.ndarray, rights: np.ndarray, owner: np.ndarray,
     mid = 0.5 * (rights + lefts)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     if shift is not None:
-        mapped = np.isfinite(shift[owner])
-        one_m = 1.0 - x[mapped]
-        x[mapped] = shift[owner[mapped], None] + x[mapped] / one_m
-    # the non-finite check below names an overflowing owner: no warnings
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.ascontiguousarray(f(x, owner), dtype=float).reshape(x.shape)
-        if shift is not None:
-            vals[mapped] = vals[mapped] / one_m ** 2
-        bad = {}
-        finite = np.isfinite(vals)
-        if not finite.all():
-            for i in (~finite).ravel().nonzero()[0]:
-                bad.setdefault(int(owner[i // 15]), float(x.flat[i]))
-        kron = out[0]
-        np.multiply(half, np.vecdot(vals, _W_KRON), out=kron)
-        gauss = half * np.vecdot(vals, _W_GAUSS)
-        # QUADPACK-style sharpened error estimate
-        resasc = half * np.vecdot(
-            np.abs(vals - (kron / (2.0 * half))[:, None]), _W_KRON)
-        raw = np.abs(kron - gauss)
-        # where resasc == 0 the quotient is discarded by the condition
-        scaled = np.where(
-            (resasc > 0) & (raw > 0),
-            resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5),
-            raw,
-        )
+        at = shift[owner, None]
+        mapped = np.isfinite(at)
+        one_m = 1.0 - x
+        x = np.where(mapped, at + x / one_m, x)
+    vals = np.ascontiguousarray(f(x, owner), dtype=float).reshape(x.shape)
+    if shift is not None:
+        vals = np.where(mapped, vals / one_m ** 2, vals)
+    bad = {}
+    finite = np.isfinite(vals)
+    if np.count_nonzero(finite) < finite.size:
+        for i in (~finite).ravel().nonzero()[0]:
+            bad.setdefault(int(owner[i // 15]), float(x.flat[i]))
+    kron = out[0]
+    np.multiply(half, np.vecdot(vals, _W_KRON), out=kron)
+    gauss = half * np.vecdot(vals, _W_GAUSS)
+    # QUADPACK-style sharpened error estimate
+    resasc = half * np.vecdot(
+        np.abs(vals - (kron / (2.0 * half))[:, None]), _W_KRON)
+    raw = np.abs(kron - gauss)
+    # where resasc == 0 the quotient is discarded by the condition
+    scaled = np.where(
+        (resasc > 0) & (raw > 0),
+        resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5),
+        raw,
+    )
     # a NaN raw error (overflowing rule sums) counts as the worst, +inf
     out[1] = np.where(np.isfinite(scaled), scaled, np.fmin(raw, np.inf))
     return bad
 
 
-def _initial_edges(a: float, b: float, singular_left: bool, singular_right: bool,
-                   points: Sequence[float]) -> list[float]:
-    edges = {a, b}
-    for p in points:
-        if a < p < b:
-            edges.add(float(p))
-    width = b - a
-    if singular_left:
-        edges.update(a + width * 0.5 ** k for k in range(1, _GRADE_LEVELS + 1))
-    if singular_right:
-        edges.update(b - width * 0.5 ** k for k in range(1, _GRADE_LEVELS + 1))
-    if a > 0 and b / a > 100.0:
-        # multi-decade radial span: one seed panel per decade, otherwise a wide
-        # panel whose nodes all miss a left-edge power-law spike can report
-        # zero error and silently drop its mass
-        if b / a == math.inf:
-            raise ParameterDomainError(
-                f"span [{a}, {b}] is wider than a float ratio holds")
-        k = math.ceil(math.log10(b / a))
-        edges.update(a * 10.0 ** j for j in range(1, k))
-    return sorted(e for e in edges if a <= e <= b)
+def _seed_mesh(a: np.ndarray, b: np.ndarray, singular_left, singular_right,
+               points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lefts, rights, owner) of every owner's seed intervals, in owner order.
+
+    Owner k's edges are its ends, its points strictly inside, _GRADES toward
+    each flagged end and, on a span [a, b] with a > 0 and b/a > 100, one edge
+    per decade a 10^j, j < ceil(log10(b/a)); an improper owner is seeded on
+    [0, 1] in t, its points mapped and its right end flagged. One lexsort
+    over (owner, edge) and dropping each edge equal to the one before it
+    give every owner's distinct edges in ascending order; the ends come
+    first, so an edge equal to an end drops out. Raises the error of the
+    lowest-numbered owner with a >= b (ValueError) or a b/a that overflows
+    (ParameterDomainError). Runs under integrate_batch's np.errstate.
+    """
+    n = a.size
+    improper = b == math.inf
+    lo, hi = a.copy(), b.copy()
+    lo[improper], hi[improper] = 0.0, 1.0
+    ratio = hi / lo
+    # multi-decade radial span: one seed panel per decade, otherwise a wide
+    # panel whose nodes all miss a left-edge power-law spike can report zero
+    # error and silently drop its mass
+    wide = ((lo > 0.0) & (ratio > 100.0)).nonzero()[0]
+    wrong = ~(a < b)
+    if wide.size:
+        wrong[wide] |= ratio[wide] == math.inf
+    if np.count_nonzero(wrong):
+        k = int(wrong.argmax())
+        if not a[k] < b[k]:
+            raise ValueError("integration bounds must satisfy a < b, got "
+                             f"[{float(a[k])}, {float(b[k])}]")
+        raise ParameterDomainError(f"span [{float(lo[k])}, {float(hi[k])}] "
+                                   "is wider than a float ratio holds")
+    ids = np.arange(n)
+    edges, owners = [lo, hi], [ids, ids]
+    p = np.fromiter(itertools.chain.from_iterable(points), float)
+    if p.size:
+        p_owner = ids.repeat(np.fromiter(map(len, points), np.intp, n))
+        at, mapped = a[p_owner], improper[p_owner]
+        t = np.where(p > at, (p - at) / (1.0 + p - at), np.nan)
+        edges.append(np.where(mapped, t, p))
+        owners.append(p_owner)
+    width = hi - lo
+    left = np.asarray(singular_left, bool).nonzero()[0]
+    if left.size:
+        edges.append((lo[left, None] + width[left, None] * _GRADES).ravel())
+        owners.append(left.repeat(_GRADE_LEVELS))
+    right = (np.asarray(singular_right, bool) | improper).nonzero()[0]
+    if right.size:
+        edges.append((hi[right, None] - width[right, None] * _GRADES).ravel())
+        owners.append(right.repeat(_GRADE_LEVELS))
+    if wide.size:
+        count = np.array([math.ceil(math.log10(r)) - 1
+                          for r in ratio[wide].tolist()])
+        start = np.cumsum(count) - count
+        j = np.arange(start[-1] + count[-1]) - start.repeat(count)
+        edges.append(lo[wide].repeat(count) * _DECADES[j])
+        owners.append(wide.repeat(count))
+    if len(edges) == 2:     # no owner has an edge between its ends
+        return lo, hi, ids
+    edges, owners = np.concatenate(edges), np.concatenate(owners)
+    inside = (edges >= lo[owners]) & (edges <= hi[owners])
+    edges, owners = edges[inside], owners[inside]
+    order = np.lexsort((edges, owners))
+    edges, owners = edges[order], owners[order]
+    fresh = np.ones(edges.size, bool)
+    fresh[1:] = (edges[1:] != edges[:-1]) | (owners[1:] != owners[:-1])
+    edges, owners = edges[fresh], owners[fresh]
+    span = owners[1:] == owners[:-1]
+    return edges[:-1][span], edges[1:][span], owners[:-1][span]
 
 
 def _worst(hot, errs, owner, n):
@@ -167,6 +225,17 @@ def _worst(hot, errs, owner, n):
     return hot
 
 
+class BatchEstimate(NamedTuple):
+    """Every owner's value, error bound and work count, indexed by owner."""
+
+    value: np.ndarray
+    error_estimate: np.ndarray
+    subdivisions: np.ndarray
+
+
+# the non-finite check names an overflowing owner: the kernel, its integrand
+# calls included, warns of no overflow, division by zero or invalid value
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def integrate_batch(
     f: Callable,
     a: Sequence[float],
@@ -177,53 +246,42 @@ def integrate_batch(
     tol: float = 1e-10,
     rel_tol: float = 1e-10,
     max_subdivisions: int = 1 << 20,
-) -> list[QuadratureEstimate]:
+) -> BatchEstimate:
     """Integrate the owners k = 0..n-1, each f(., k) over [a[k], b[k]] (b[k]
     may be +inf), in one adaptive pass.
 
     f(x, owner) takes an (m, 15) array of nodes and the (m,) owners of its
     rows and returns the m * 15 values, in x's shape or raveled. Owner k has
-    its own endpoint-singularity flags and interior split points points[k];
-    the tolerances and the subdivision cap are shared. Owner k is done when
-    its error sum meets max(tol, rel_tol * max(|total|, mass)), mass being
-    the sum of |interval values|; until then each sweep refines its intervals
-    above a fair share of that target, worst first and at most _SPLIT_BATCH
-    of them. An owner whose every such interval has shrunk to the float grid
-    ends with its current estimate. Returns every owner's estimate; once all
-    owners have ended, raises instead the QuadratureError of the
-    lowest-numbered owner that failed: a non-finite integrand value, or the
-    subdivision cap, with the partial estimate.
+    its own endpoint-singularity flags and interior split points points[k],
+    seeded for all owners at once by `_seed_mesh`; the tolerances and the
+    subdivision cap are shared. Owner k is done when its error sum meets
+    max(tol, rel_tol * max(|total|, mass)), mass being the sum of |interval
+    values|; until then each sweep refines its intervals above a fair share
+    of that target, worst first and at most _SPLIT_BATCH of them. An owner
+    whose every such interval has shrunk to the float grid ends with its
+    current estimate. Returns the arrays of every owner's value, error
+    estimate and subdivisions, each ended owner's entries written by fancy
+    indexing; once all owners have ended, raises instead the QuadratureError
+    of the lowest-numbered owner that failed: a non-finite integrand value,
+    or the subdivision cap, with the partial estimate.
     """
-    n = len(a)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.size
+    est = BatchEstimate(np.empty(n), np.empty(n), np.empty(n, dtype=int))
     if not n:
-        return []
-    lefts, rights, sizes = [], [], []
-    improper = False
-    for k, (lo, hi) in enumerate(zip(a, b)):
-        lo, hi = float(lo), float(hi)
-        if not lo < hi:
-            raise ValueError(
-                f"integration bounds must satisfy a < b, got [{lo}, {hi}]")
-        if math.isinf(hi):
-            inner = [(p - lo) / (1.0 + p - lo) for p in points[k] if p > lo]
-            edges = _initial_edges(0.0, 1.0, singular_left[k], True, inner)
-            improper = True
-        else:
-            edges = _initial_edges(lo, hi, singular_left[k], singular_right[k],
-                                   points[k])
-        lefts += edges[:-1]
-        rights += edges[1:]
-        sizes.append(len(edges) - 1)
-    shift = np.where(np.isinf(b), a, np.inf) if improper else None
-    owner = np.arange(n).repeat(sizes)
+        return est
+    lefts, rights, owner = _seed_mesh(a, b, singular_left, singular_right,
+                                      points)
+    improper = b == math.inf
+    shift = np.where(improper, a, math.inf) if improper.any() else None
     # rows of iv: left, right, value and error of every live interval; owner
     # slots are renumbered 0..live-1 whenever some owners end, and ids maps
     # them back to the caller's owner numbers, which f, shift and bad use
-    iv = np.array([lefts, rights, lefts, rights])
+    iv = np.empty((4, owner.size))
+    iv[0], iv[1] = lefts, rights
     bad = _gk15(f, iv[0], iv[1], owner, shift, iv[2:])
     ids = np.arange(n)
     stalled = None
-    out: list = [None] * n
     failed: dict[int, QuadratureError] = {}
     while True:
         count = np.bincount(owner, minlength=ids.size)
@@ -235,34 +293,37 @@ def integrate_batch(
         # in the same order as total, mass >= |total| holds in floating point
         mass = np.bincount(owner, np.abs(iv[2]), ids.size)
         target = np.maximum(tol, rel_tol * mass)
-        ended = total_err <= target
+        ok = total_err <= target
+        if stalled is not None:
+            ok |= stalled
+        ended = ok.copy()
         if owner.size >= max_subdivisions:   # some owner may be at the cap
             ended |= count >= max_subdivisions
-        if stalled is not None:
-            ended |= stalled
         if bad:
-            ended[np.searchsorted(ids, list(bad))] = True
+            nonfinite = np.searchsorted(ids, list(bad))
+            ended[nonfinite], ok[nonfinite] = True, False
         n_ended = np.count_nonzero(ended)
         if n_ended:
-            for j in ended.nonzero()[0]:
+            k = ids[ok]
+            est.value[k], est.error_estimate[k] = total[ok], total_err[ok]
+            est.subdivisions[k] = count[ok]
+            for j in (ended & ~ok).nonzero()[0]:
                 k = int(ids[j])
-                est = QuadratureEstimate(float(total[j]), float(total_err[j]),
-                                         int(count[j]))
                 if k in bad:
                     failed[k] = QuadratureError(
                         f"non-finite integrand value at x={bad[k]!r}")
-                elif total_err[j] <= target[j] or stalled is not None and stalled[j]:
-                    out[k] = est
                 else:
                     failed[k] = QuadratureError(
                         f"adaptive quadrature did not converge within "
                         f"{max_subdivisions} subdivisions (error "
                         f"{total_err[j]:.3e} > target {target[j]:.3e})",
-                        partial=est)
+                        partial=QuadratureEstimate(float(total[j]),
+                                                   float(total_err[j]),
+                                                   int(count[j])))
             if n_ended == ids.size:
                 if failed:
                     raise failed[min(failed)]
-                return out
+                return est
             stay = ~ended
             ids, count, target = ids[stay], count[stay], target[stay]
             sel = stay[owner]
@@ -311,8 +372,10 @@ def integrate_adaptive(
     """Integrate f(r) over [a, b] (b may be +inf) to the requested tolerance:
     the one-owner case of integrate_batch. Raises QuadratureError carrying
     the partial estimate on non-convergence."""
-    (est,) = integrate_batch(
+    est = integrate_batch(
         lambda x, owner: f(x.ravel()),
         [a], [b], [singular_left], [singular_right], [points],
         tol=tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions)
-    return est
+    return QuadratureEstimate(float(est.value[0]),
+                              float(est.error_estimate[0]),
+                              int(est.subdivisions[0]))

@@ -182,16 +182,17 @@ def _cutoff_in_t(t, ln_eps):
 
 
 def _picone_integrals(scenario: Scenario, c: float, eps_grid):
-    """Yield (D, P) of the maximizer times g_eps at each eps, in grid order.
+    """The (len(eps_grid), 2) array of each eps's (D, P), for the maximizer
+    times g_eps.
 
     From the scenario's maximizer in t (a log scenario has none: it sweeps
     as its power pair), N = int |chi G + psi G_t|^p + z G^p, D = int rho G^p
     and the Picone integral P = int R_p(chi G + psi G_t, chi G) of every eps
     are owners of one kernel call over g_eps's support in t, which raises
-    the first failed integral before any eps is judged. Each eps then
-    raises CheckFailure, when reached, unless N - c D = P within _PICONE_K
-    times their summed error bounds (each estimate floored at its relative
-    target): an error dc in c moves N - c D by -D dc.
+    the first failed integral before any eps is judged. The first eps, in
+    grid order, where N - c D and P differ by more than _PICONE_K times
+    their summed error bounds (each estimate floored at its relative
+    target) raises CheckFailure: an error dc in c moves N - c D by -D dc.
     """
     from .identities import picone_remainder
 
@@ -220,22 +221,24 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
         return np.select([kind == k for k in range(3)], terms)
 
     n = 3 * len(eps_grid)
-    ests = integrate_batch(
+    est = integrate_batch(
         integrand, np.repeat(lo, 3), np.repeat(hi, 3), [False] * n,
         [False] * n, [seeds + [e + math.log(2.0), -e - math.log(2.0)]
                       for e in ln_eps for _ in range(3)],
         tol=0.0, rel_tol=_SWEEP_TOL)
-    for i in range(len(eps_grid)):
-        (N, dN), (D, dD), (P, dP) = (
-            (e.value, max(e.error_estimate, _SWEEP_TOL * abs(e.value)))
-            for e in ests[3 * i:3 * i + 3])
+    N, D, P = est.value.reshape(-1, 3).T
+    dN, dD, dP = np.maximum(est.error_estimate,
+                            _SWEEP_TOL * np.abs(est.value)).reshape(-1, 3).T
+    with np.errstate(over="ignore", invalid="ignore"):   # as floats would
         bound = _PICONE_K * (dN + c * dD + dP)
-        if not abs(N - c * D - P) <= bound:
-            raise CheckFailure(
-                f"sweep remainder N - c D = {N - c * D!r} and its Picone "
-                f"integral {P!r} differ by more than {bound:.3g}: c = {c!r} "
-                "is not the constant of the maximizer")
-        yield D, P
+        apart = ~(np.abs(N - c * D - P) <= bound)
+    if apart.any():
+        i = int(apart.argmax())
+        raise CheckFailure(
+            f"sweep remainder N - c D = {float(N[i] - c * D[i])!r} and its "
+            f"Picone integral {float(P[i])!r} differ by more than "
+            f"{bound[i]:.3g}: c = {c!r} is not the constant of the maximizer")
+    return np.stack([D, P], axis=1)
 
 
 def _log_equivalent_scenario(scenario: Scenario) -> Scenario:
@@ -266,7 +269,8 @@ def sweep_quotient(scenario: Scenario, eps_grid) -> list[SweepRow]:
             if scenario.name.startswith("log") else scenario)
     c = scenario.sharp_constant
     rows = []
-    for eps, (D, P) in zip(eps_grid, _picone_integrals(work, c, eps_grid)):
+    for eps, (D, P) in zip(eps_grid,
+                           _picone_integrals(work, c, eps_grid).tolist()):
         # where W changes sign, D <= 0 holds the inequality vacuously: the
         # reduced functional's quotient +inf
         deficit = P / D if D > 0.0 else math.inf
@@ -307,9 +311,9 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
         kinks = [[1.0 / (ln * abs(gamma))] if ln * abs(gamma) > 1.0 else []
                  for ln in logs]
         n = len(grid)
-        deficits = [est.value for est in integrate_batch(
+        deficits = integrate_batch(
             integrand, [0.0] * n, [1.0] * n, [False] * n, [False] * n, kinks,
-            tol=0.0, rel_tol=_PSI_TOL)]
+            tol=0.0, rel_tol=_PSI_TOL).value.tolist()
     return [{"R": R, "deficit": d, "deficit_times_lnR": d * lnR}
             for R, d, lnR in zip(grid, deficits, logs)]
 

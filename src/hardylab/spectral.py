@@ -144,11 +144,11 @@ def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
             lambda w, owner: rate(w, np.where(owner == 0, 1.0, -1.0)[:, None]),
             [0.0, 0.0], [math.inf, math.inf], [True, True], [False, False],
             [[], [w_min]], tol=0.0, rel_tol=_T_RTOL,
-            max_subdivisions=_T_MAX_SUBDIVISIONS)
+            max_subdivisions=_T_MAX_SUBDIVISIONS).value.tolist()
     except QuadratureError as err:
         raise SearchFailureError(f"half-period integral at lam = {lam!r} "
                                  f"failed: {err}") from None
-    return plus.value, minus.value
+    return plus, minus
 
 
 def shoot(problem: AnnulusProblem, lam: float) -> float:
@@ -208,14 +208,14 @@ def _eigenfunction(problem: AnnulusProblem, lam: float, which: int,
             return rates(v, side[o, None], zero[o, None], log[o, None])
 
         try:    # the peak chart's rates go like w^(p-2) at w = 0
-            ests = integrate_batch(
+            out[live] = integrate_batch(
                 f, lo, hi[live], (lo == 0) & ~zero, np.zeros(live.size, bool),
                 [[w_min] if s and not z else [] for s, z in zip(side, zero)],
-                tol=0.0, rel_tol=_T_RTOL, max_subdivisions=_T_MAX_SUBDIVISIONS)
+                tol=0.0, rel_tol=_T_RTOL,
+                max_subdivisions=_T_MAX_SUBDIVISIONS).value
         except QuadratureError as err:
             raise SearchFailureError(f"eigenfunction integral at lam = "
                                      f"{lam!r} failed: {err}") from None
-        out[live] = [e.value for e in ests]
         return out
 
     @functools.cache

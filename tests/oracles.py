@@ -10,12 +10,13 @@ sampled check that only the tests call.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from hardylab.identities import rhs_closed_form, sample_complex_pairs
 from hardylab.profiles import Profile
-from hardylab.scenarios import require_p
+from hardylab.scenarios import ParameterDomainError, require_p
 
 
 def check_derivative(phi: Profile, tol: float = 1e-5, n: int = 200,
@@ -82,6 +83,51 @@ def decades_gauss(f, a: float, b: float, per_decade: int = 8,
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
     return float(np.sum(wts * f(pts)))
+
+
+def initial_edges(a: float, b: float, singular_left: bool,
+                  singular_right: bool, points) -> list[float]:
+    """One owner's seed edges, built with a set and sorted: the per-owner
+    reference for `hardylab.quadrature._seed_mesh`."""
+    edges = {a, b}
+    for p in points:
+        if a < p < b:
+            edges.add(float(p))
+    width = b - a
+    if singular_left:
+        edges.update(a + width * 0.5 ** k for k in range(1, 19))
+    if singular_right:
+        edges.update(b - width * 0.5 ** k for k in range(1, 19))
+    if a > 0 and b / a > 100.0:
+        if b / a == math.inf:
+            raise ParameterDomainError(
+                f"span [{a}, {b}] is wider than a float ratio holds")
+        k = math.ceil(math.log10(b / a))
+        edges.update(a * 10.0 ** j for j in range(1, k))
+    return sorted(e for e in edges if a <= e <= b)
+
+
+def seed_mesh_per_owner(a, b, singular_left, singular_right, points):
+    """(lefts, rights, owner) of a batch's seed intervals, one owner at a
+    time in order; an improper owner is seeded in t = (r - a)/(1 + r - a)."""
+    lefts, rights, owner = [], [], []
+    for k, (lo, hi) in enumerate(zip(a, b)):
+        lo, hi = float(lo), float(hi)
+        if not lo < hi:
+            raise ValueError(
+                f"integration bounds must satisfy a < b, got [{lo}, {hi}]")
+        if math.isinf(hi):
+            with np.errstate(invalid="ignore"):     # a point at inf
+                inner = [(p - lo) / (1.0 + p - lo) for p in points[k]
+                         if p > lo]
+            edges = initial_edges(0.0, 1.0, singular_left[k], True, inner)
+        else:
+            edges = initial_edges(lo, hi, singular_left[k], singular_right[k],
+                                  points[k])
+        lefts += edges[:-1]
+        rights += edges[1:]
+        owner += [k] * (len(edges) - 1)
+    return np.array(lefts), np.array(rights), np.array(owner, dtype=int)
 
 
 def psi_energy(psi: Profile) -> float:

@@ -1,12 +1,14 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from hardylab.quadrature import (QuadratureError, integrate_adaptive,
-                                 integrate_batch)
+from hardylab.quadrature import (QuadratureError, _seed_mesh,
+                                 integrate_adaptive, integrate_batch)
+from hardylab.scenarios import ParameterDomainError
 
-from oracles import decades_gauss, graded_gauss
+from oracles import decades_gauss, graded_gauss, seed_mesh_per_owner
 
 
 def test_sqrt_singularity():
@@ -134,18 +136,21 @@ def _batch_call(cases, **kw):
 
 def test_batch_matches_single_calls():
     tol = dict(tol=1e-11, rel_tol=1e-11)
-    ests = _batch_call(_BATCH, **tol)
-    for (g, a, b, kw), est in zip(_BATCH, ests):
-        single = integrate_adaptive(g, a, b, **tol, **kw)
-        assert abs(est.value - single.value) <= 4 * np.spacing(abs(single.value))
-        assert abs(est.error_estimate - single.error_estimate) \
-            <= 4 * np.spacing(single.error_estimate)
-        assert est.subdivisions == single.subdivisions
+    est = _batch_call(_BATCH, **tol)
+    single = [integrate_adaptive(g, a, b, **tol, **kw)
+              for g, a, b, kw in _BATCH]
+    value, error, subdivisions = (
+        np.array([getattr(s, field) for s in single])
+        for field in ("value", "error_estimate", "subdivisions"))
+    assert np.all(np.abs(est.value - value) <= 4 * np.spacing(np.abs(value)))
+    assert np.all(np.abs(est.error_estimate - error)
+                  <= 4 * np.spacing(error))
+    assert np.array_equal(est.subdivisions, subdivisions)
     # and each owner's result does not depend on its batch mates
     for k in range(len(_BATCH)):
-        alone = _batch_call(_BATCH[k:k + 1], **tol)[0]
-        assert (alone.value, alone.subdivisions) \
-            == (ests[k].value, ests[k].subdivisions)
+        alone = _batch_call(_BATCH[k:k + 1], **tol)
+        assert (alone.value.tolist(), alone.subdivisions.tolist()) \
+            == ([est.value[k]], [est.subdivisions[k]])
 
 
 def test_batch_nonconvergence_is_per_owner():
@@ -166,8 +171,9 @@ def test_batch_nonconvergence_is_per_owner():
         assert str(failed.value) == str(single.value)
         assert failed.value.partial == single.value.partial
         assert failed.value.partial.subdivisions >= 8
-    (alone,) = _batch_call([easy], **kw)
-    assert math.isclose(alone.value, 1.0 / 6.0, rel_tol=1e-12)
+    alone = _batch_call([easy], **kw)
+    assert alone.value.shape == (1,)
+    assert math.isclose(alone.value[0], 1.0 / 6.0, rel_tol=1e-12)
 
 
 def test_batch_nonfinite_value_names_its_owner_and_r():
@@ -189,4 +195,147 @@ def test_batch_nonfinite_value_names_its_owner_and_r():
 
 
 def test_empty_batch():
-    assert integrate_batch(lambda x, owner: x, [], [], [], [], []) == []
+    est = integrate_batch(lambda x, owner: x, [], [], [], [], [])
+    assert [field.shape for field in est] == [(0,)] * 3
+
+
+def _random_owner(rng):
+    """(a, b, singular_left, singular_right, points) of one seeded owner:
+    improper, short, just over or under 100 in b/a, many decades wide, or
+    now and then a >= b or a b/a past the float range; its points inside,
+    outside, on and repeated on the ends."""
+    a = float(rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0),
+                          10.0 ** rng.uniform(-300.0, 2.0), -1.0, 0.37]))
+    kind = rng.choice(6, p=[0.2, 0.2, 0.2, 0.34, 0.03, 0.03])
+    if kind == 5:
+        a, b = 10.0 ** float(rng.uniform(-320.0, -10.0)), 1e300
+    elif kind == 4:
+        b = a - float(rng.choice([0.0, 1.0]))
+    elif kind == 0:
+        b = math.inf
+    elif kind == 1:
+        b = a + float(rng.uniform(1e-9, 5.0))
+    elif kind == 2 and a > 0.0:
+        step = int(rng.integers(-3, 4))  # b/a at, just under or just over 100
+        b = a * 100.0
+        for _ in range(abs(step)):
+            b = math.nextafter(b, math.copysign(math.inf, step))
+    elif a > 0.0:
+        b = a * 10.0 ** float(rng.choice([rng.uniform(2.0, 300.0), 3.0, 8.0]))
+    else:
+        b = a + 10.0 ** float(rng.uniform(-3.0, 3.0))
+    finite = b if math.isfinite(b) else a + 3.0
+    choices = [a, b, finite, a - 1.0, finite + 1.0, 0.0, -0.0, 1e300,
+               0.5 * (a + finite), a + 1e-3 * (finite - a), math.nan]
+    points = [choices[i] for i in rng.integers(len(choices),
+                                               size=rng.integers(6))]
+    points += [float(rng.uniform(*sorted((a, finite))))
+               for _ in range(rng.integers(3))]
+    if rng.integers(2):
+        points.append(points[0] if points else a)
+    if points and rng.integers(2):
+        points = np.array(points)
+    return a, b, bool(rng.integers(2)), bool(rng.integers(2)), points
+
+
+def _seed_outcome(mesh, *batch):
+    """mesh's (lefts, rights, owner) as raw bytes, or its error."""
+    try:
+        return tuple(np.asarray(x).tobytes() for x in mesh(*batch))
+    except (ValueError, ParameterDomainError) as err:
+        return type(err), str(err)
+
+
+def test_seed_mesh_matches_per_owner_edges():
+    # the array seed mesh of every owner at once against the per-owner set
+    # and sort, bit for bit (a -0.0 edge included), or the same error, over
+    # 2,800 batches of 1-6 owners
+    rng = np.random.default_rng(2024)
+    outcomes = collections.Counter()
+    for _ in range(2800):
+        a, b, left, right, points = zip(*(
+            _random_owner(rng) for _ in range(rng.integers(1, 7))))
+        expect = _seed_outcome(seed_mesh_per_owner, a, b, left, right, points)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = _seed_outcome(_seed_mesh, np.array(a), np.array(b), left,
+                                right, points)   # as integrate_batch runs it
+        assert got == expect
+        outcomes[expect[0] if isinstance(expect[0], type) else "mesh"] += 1
+    assert outcomes["mesh"] >= 2000
+    assert min(outcomes[ValueError], outcomes[ParameterDomainError]) >= 50
+
+
+@pytest.mark.parametrize("wrong_first", [True, False])
+def test_batch_raises_the_first_bad_owners_bound_error(wrong_first):
+    # a >= b is a ValueError, a b/a past the float range a
+    # ParameterDomainError; the batch raises that of the lowest-numbered
+    # bad owner, the one a loop over the owners in order raises
+    wrong, wide = (2.0, 1.0), (1e-300, 1e300)
+    bounds = [(0.0, 1.0), wrong, (1.0, math.inf), wide]
+    if not wrong_first:
+        bounds[1], bounds[3] = wide, wrong
+    a, b = zip(*bounds)
+    flags, points = [False] * 4, [[]] * 4
+    expect = _seed_outcome(seed_mesh_per_owner, a, b, flags, flags, points)
+    assert expect[0] is (ValueError if wrong_first else ParameterDomainError)
+    with pytest.raises(expect[0]) as err:
+        integrate_batch(lambda x, owner: x, a, b, flags, flags, points)
+    assert str(err.value) == expect[1]
+
+
+def _kernel_work(monkeypatch, run):
+    """(rule calls, interval rows, integrand calls) of the GK15 rule over
+    run(): a rule call is one kernel request to evaluate intervals, however
+    the rule chunks them into integrand calls."""
+    import hardylab.quadrature as quadrature
+
+    inner, work, depth = quadrature._gk15, [0, 0, 0], [0]
+
+    def counting(f, lefts, *args):
+        if depth[0]:
+            return inner(f, lefts, *args)
+        work[0] += 1
+        work[1] += lefts.size
+
+        def g(x, owner):
+            work[2] += 1
+            return f(x, owner)
+
+        depth[0] += 1
+        try:
+            return inner(g, lefts, *args)
+        finally:
+            depth[0] -= 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_gk15", counting)
+        run()
+    return tuple(work)
+
+
+def test_kernel_work_is_pinned(monkeypatch, tmp_path):
+    # a faster kernel must not do less refinement: the rule calls, interval
+    # rows and integrand calls of four README-sized runs
+    from hardylab.cli import run
+    from hardylab.functional import random_profile_slacks
+    from hardylab.scenarios import DEFAULT_SEED, scenario_catalog
+
+    def cli(*args):
+        return lambda: run([*args, "--out", str(tmp_path / "out")])
+
+    gaussian_b = scenario_catalog("gaussian_b", Q=5.0, p=2.0, theta=1.0,
+                                  alpha=2.0, beta=2.0)
+    runs = {
+        "bessel": cli("bessel", "--scenario", "power", "--Q", "5", "--p", "2",
+                      "--theta", "1", "--r0", "1", "--r1", "10"),
+        "eig": cli("eig", "--Q", "5", "--p", "3", "--theta", "1", "--a", "1",
+                   "--b", "2", "--which", "2", "--eigenfunction-out",
+                   str(tmp_path / "phi2.csv")),
+        "slacks": lambda: random_profile_slacks(gaussian_b, 40, DEFAULT_SEED),
+        "sweep": cli("sharpness", "--scenario", "power", "--Q", "5", "--p",
+                     "2", "--theta", "1", "--eps-grid", "1e-2,1e-3,1e-4"),
+    }
+    work = {name: _kernel_work(monkeypatch, thunk)
+            for name, thunk in runs.items()}
+    assert work == {"bessel": (1, 128, 1), "eig": (13, 3362, 22),
+                    "slacks": (11, 2012, 14), "sweep": (3, 178, 3)}

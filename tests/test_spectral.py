@@ -466,12 +466,12 @@ def test_eigenfunction_satisfies_the_flux_identity(case):
         return out
 
     edges = np.geomspace(a, b, count + 1)
-    ests = integrate_batch(integrand, np.tile(edges[:-1], 2),
-                           np.tile(edges[1:], 2), [False] * 2 * count,
-                           [False] * 2 * count, [[]] * 2 * count, tol=0.0,
-                           rel_tol=_FLUX_RTOL)
-    integral = np.array([e.value for e in ests]).reshape(2, count)
-    bound = np.array([e.error_estimate for e in ests]).reshape(2, count)
+    est = integrate_batch(integrand, np.tile(edges[:-1], 2),
+                          np.tile(edges[1:], 2), [False] * 2 * count,
+                          [False] * 2 * count, [[]] * 2 * count, tol=0.0,
+                          rel_tol=_FLUX_RTOL)
+    integral = est.value.reshape(2, count)
+    bound = est.error_estimate.reshape(2, count)
     ends = np.array([edges ** flux_exp * Phi(phi.derivative(edges)),
                      phi.value(edges)])
     # rounding: Phi_p(phi') carries p - 1 times the relative error of phi'
