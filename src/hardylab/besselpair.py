@@ -92,9 +92,11 @@ def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
 def _first_nonpositive(a: Callable, r0: float, r1: float) -> float | None:
     """The first r from r0 towards r1 where a(r) <= 0 on a 64-point
     geometric probe, refined by bisection down to adjacent floats; None
-    when a > 0 (or NaN) at every probe point."""
+    when a > 0 (or NaN) at every probe point, or when a > 0 underflows: no
+    probe reads below 0, and a reads 0.0 just past a subnormal value."""
     probe = np.geomspace(r0, r1, 64)
-    bad = np.flatnonzero(a(probe) <= 0.0)
+    values = a(probe)
+    bad = np.flatnonzero(values <= 0.0)
     if not bad.size:
         return None
     i = int(bad[0])
@@ -103,7 +105,9 @@ def _first_nonpositive(a: Callable, r0: float, r1: float) -> float | None:
     good, first = float(probe[i - 1]), float(probe[i])
     while (mid := 0.5 * (good + first)) not in (good, first):
         good, first = (good, mid) if a(np.array([mid]))[0] <= 0.0 else (mid, first)
-    return first
+    ends = a(np.array([good, first]))
+    underflow = ends[1] == 0.0 == values[bad].min() and ends[0] < np.finfo(float).tiny
+    return None if underflow else first
 
 
 def improved_weight_auxiliary_pair(Q: float, p: float):
@@ -133,7 +137,8 @@ def verify_bessel_pair(scenario: Scenario,
     the integral) plus 4u times the summed magnitudes of its end values, and
     phi must be positive at _PROBES points per interval. A coefficient V r^mu
     or W r^mu that is not a finite float at a probe, a V r^mu <= 0 on the
-    path, or a failed integral ends the check in a CheckFailure."""
+    path (not one that underflows from positive values), or a failed
+    integral ends the check in a CheckFailure."""
     r0, r1 = interval
     lo, hi = scenario.pair.interval
     if not (lo < r0 < r1 < hi if math.isfinite(hi) else lo < r0 < r1):
@@ -171,7 +176,7 @@ def verify_bessel_pair(scenario: Scenario,
         a = float(flux_weight(np.array([r]))[0])
         raise ODEFailure(
             f"V r^mu reads {a!r} from r = {r:.6g} on the integration path"
-            + (" (V vanishes there, or V > 0 underflows)" if a == 0.0 else ""))
+            + (" (V vanishes there)" if a == 0.0 else ""))
 
     def integrand(r, owner):
         """Owners below _INTERVALS: (lam W - z) r^mu Phi_p(phi); then phi'."""

@@ -6,7 +6,7 @@ only the subcommand's own flag names (argparse dests such as `eps_grid`); its
 values become the subcommand's defaults, so explicit flags win. Each command
 builds its rows and summary and takes its verdict (a failure message or None)
 from the module that computes what the verdict judges. `run` writes the
-report, prints the `FAIL:` or `INCONCLUSIVE:` line and maps the outcome to an
+report, prints the `FAIL:` line and maps the outcome to an
 exit code: 0 all checks passed, 1 a verdict failed or a quadrature, a
 coefficient probe or a search could not be carried out (`CheckFailure`), 2
 usage or parameter error (`ParameterDomainError`/`ValueError`, one that
@@ -29,11 +29,6 @@ from .reports import emit_report, render_csv
 from .scenarios import (DEFAULT_SEED, CheckFailure, ParameterDomainError,
                         SCENARIO_NAMES, SCENARIO_PARAMETERS, default_catalog,
                         scenario_catalog, scenario_to_json)
-
-
-class _Inconclusive(str):
-    """A failed Monte-Carlo check whose estimate is too noisy to decide:
-    reported, but the run exits 0."""
 
 
 def _or(value, default):
@@ -238,10 +233,12 @@ def _geometry_model(args, N: int):
 
 
 def _record(model: str, check: str, estimate: float, expected: float,
-            ok: bool, std_error: float = 0.0, **extra) -> dict:
-    """The one row shape every geometry check reports."""
+            ok: bool, error_bound: float | None = None, **extra) -> dict:
+    """The one row shape every geometry check reports; a one-float check has
+    no error bound and keeps the std_error 0.0 of its earlier rows."""
+    key = "std_error" if error_bound is None else "error_bound"
     return {"model": model, "check": check, "estimate": estimate,
-            "std_error": std_error, "expected": expected, "pass": bool(ok),
+            key: error_bound or 0.0, "expected": expected, "pass": bool(ok),
             **extra}
 
 
@@ -258,7 +255,7 @@ def _cmd_geometry(args):
                                      float(args.epsilon))
         record = _record(
             f"vandermonde(N={N})", check, res["rayleigh_quotient"],
-            res["reduced_quotient"], res["pass"], res["rayleigh_std_error"],
+            res["reduced_quotient"], res["pass"], res["error_bound"],
             harmonicity_residual=res["harmonicity_residual"],
             sphere_eigvalue_residual=res["sphere_eigvalue_residual"])
     else:
@@ -278,33 +275,28 @@ def _cmd_geometry(args):
             res = geo.measure_homogeneity_check(
                 model, float(args.alpha), float(args.R1), float(args.R2),
                 int(args.samples), seed)
-            record = _record(model.kind, check, res["ratio"].mean,
-                             res["expected"], res["pass"], res["ratio"].std_error,
-                             inconclusive=bool(res["inconclusive"]))
+            record = _record(model.kind, check, res["ratio"], res["expected"],
+                             res["pass"], res["error_bound"],
+                             lambda_alpha=res["lambda_alpha"])
         elif check == "direct":
-            from .functional import reduce_radial_functional
             from .profiles import random_profile
 
             scenario = _build_scenario(args)
             rng = np.random.default_rng(seed)
             interval = (scenario.pair.interval[0],
                         min(scenario.pair.interval[1], 3.0))
-            phi = random_profile(rng, interval)
-            red = reduce_radial_functional(scenario, phi)
-            est = geo.direct_rayleigh(model, scenario, phi,
-                                      int(args.samples), seed)
-            record = _record(model.kind, check, est.mean, red.quotient,
-                             est.agrees_with(red.quotient), est.std_error)
+            res = geo.direct_rayleigh(model, scenario, random_profile(
+                rng, interval), int(args.samples), seed)
+            record = _record(model.kind, check, res["quotient"],
+                             res["reduced_quotient"], res["pass"],
+                             res["error_bound"])
         else:
             raise ParameterDomainError(
                 "check must be homogeneity | gradient | measure | "
                 "orthogonality | direct | strip | vandermonde")
-    if record["pass"]:
-        return [record], {"pass": True}, None
-    message = (f"geometry check {check} (estimate {record['estimate']} "
-               f"vs expected {record['expected']})")
-    return [record], {"pass": False}, (
-        _Inconclusive(message) if record.get("inconclusive") else message)
+    return [record], {"pass": record["pass"]}, None if record["pass"] else (
+        f"geometry check {check} (estimate {record['estimate']} "
+        f"vs expected {record['expected']})")
 
 
 # -------------------------------------------------------------- rayleigh ----
@@ -414,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
              "strip, ordered-sector)",
         description="Verifies the closed-form gauge gradients against finite "
                     "differences, the gauge-ball scaling law "
-                    "Phi(R) = lambda_alpha R^Q by Monte Carlo, the strip "
+                    "Phi(R) = lambda_alpha R^Q by quadrature, the strip "
                     "quotient bound ((2 theta-1)/2)^2, the ordered-sector "
                     "quotient at --epsilon against its 1-D reduction (which "
                     "tends to ((N^2-2 theta)/2)^2 + N(N-1)(theta-1)), and the "
@@ -429,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float)
     sp.add_argument("--R1", type=float, default=1.0)
     sp.add_argument("--R2", type=float, default=2.0)
-    sp.add_argument("--samples", type=int, default=10 ** 6)
+    sp.add_argument("--samples", type=int, default=10 ** 6,
+                    help="ignored: every geometry check is deterministic")
     sp.add_argument("--epsilon", type=float, default=1e-3)
     _add_scenario_args(sp)
     sp.set_defaults(alpha=2.0)   # --alpha doubles as the measure exponent
@@ -481,9 +474,6 @@ def run(argv=None) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     if failure is None:
-        return 0
-    if isinstance(failure, _Inconclusive):
-        print(f"INCONCLUSIVE: {failure}", file=sys.stderr)
         return 0
     print(f"FAIL: {failure}", file=sys.stderr)
     return 1

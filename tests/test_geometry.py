@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hardylab import geometry
+from hardylab.cli import run
 from hardylab.functional import reduce_radial_functional
 from hardylab.geometry import (UnsupportedModelError,
                                cylindrical_orthogonality_error,
@@ -79,28 +82,30 @@ def test_single_gauge_pass_matches_parent_formulas(model):
         d_ref, grad_ref = _parent_gauge_formulas(model, pts)
         assert np.array_equal(model.gauge(pts), d_ref)
         assert np.array_equal(model.grad_gauge_mag(pts), grad_ref, equal_nan=True)
-        d, mask, grad = model.gauge_and_grad(pts, lambda d: d < 1.7)
-    assert np.array_equal(d, d_ref)
-    assert np.array_equal(mask, d_ref < 1.7)
-    assert np.array_equal(grad, grad_ref[mask], equal_nan=True)
 
 
 def test_measure_check_pinned_values():
-    """The ratio as recorded before the single gauge pass; the std error of
-    the per-sample residuals."""
+    """The bi-radial quadrature's ratio, its error bound and the closed-form
+    ball constant, bit for bit."""
     res = measure_homogeneity_check(grushin(1, 1, 1.0), 2.0, 1.0, 2.0, 200_000,
                                     seed=17)
-    assert res["ratio"].mean == 7.983340299031773
-    assert res["ratio"].std_error == 0.06378006187298259
+    assert res["ratio"] == 8.0
+    assert res["error_bound"] == 4.8e-12
+    assert res["lambda_alpha"] == 1.5975203129807887
 
 
 def test_measure_std_error_matches_seed_spread():
-    """Over 200 seeds the ratios scatter as their std errors say."""
+    """The error bound stands where the seed spread of the Monte-Carlo
+    ratio stood: no seed or sample count moves the result, and each
+    Phi_alpha(R) lies within its share of the bound of lambda_alpha R^Q."""
     runs = [measure_homogeneity_check(grushin(1, 1, 1.0), 2.0, 1.0, 2.0,
-                                      20_000, seed=seed)["ratio"]
-            for seed in range(200)]
-    spread = np.std([r.mean for r in runs], ddof=1)
-    assert abs(spread / np.median([r.std_error for r in runs]) - 1.0) <= 0.15
+                                      samples, seed=seed)
+            for seed, samples in ((0, 20_000), (1, 2), (199, -5))]
+    assert all(r == runs[0] for r in runs)
+    res = runs[0]
+    assert abs(res["ratio"] - 8.0) <= res["error_bound"] <= 1e-11 * 8.0
+    for phi, R in zip(res["ball_integrals"], (1.0, 2.0)):
+        assert abs(phi - res["lambda_alpha"] * R ** 3) <= 1e-12 * phi
 
 
 def test_homogeneity_all_models():
@@ -138,15 +143,16 @@ def test_measure_scaling_euclidean_volumes():
     res = measure_homogeneity_check(euclidean(3), 0.0, 1.0, 2.0, 10 ** 6,
                                     seed=2)
     assert res["expected"] == pytest.approx(8.0)
-    assert abs(res["ratio"].mean - 8.0) <= 0.01 * 8.0
-    assert res["pass"] or res["inconclusive"] is False
+    assert abs(res["ratio"] - 8.0) <= 1e-12 * 8.0
+    assert res["lambda_alpha"] == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
+    assert res["pass"]
 
 
 def test_measure_scaling_identical_radii():
     res = measure_homogeneity_check(greiner(1, 1.0), 2.0, 1.0, 1.0, 1000,
                                     seed=3)
-    assert res["ratio"].mean == 1.0
-    assert res["ratio"].std_error == 0.0
+    assert res["ratio"] == 1.0
+    assert 0.0 < res["error_bound"] <= 1e-11
     assert res["pass"]
 
 
@@ -173,9 +179,8 @@ def test_measure_scaling_greiner_and_alpha2():
     res = measure_homogeneity_check(greiner(1, 1.0), 2.0, 1.0, 2.0, 10 ** 6,
                                     seed=17)
     assert res["expected"] == pytest.approx(16.0)   # Q = 4
-    assert abs(res["ratio"].mean - 16.0) <= max(3.0 * res["ratio"].std_error,
-                                                0.02 * 16.0)
-    assert res["lambda_alpha_estimate"] > 0.0
+    assert abs(res["ratio"] - 16.0) <= res["error_bound"]
+    assert res["lambda_alpha"] == pytest.approx(math.pi, rel=1e-14)
 
 
 def _beta(x, y):
@@ -190,7 +195,38 @@ def _beta(x, y):
 ])
 def test_measure_lambda_alpha_matches_closed_form(model, alpha, exact):
     res = measure_homogeneity_check(model, alpha, 1.0, 2.0, 10 ** 6, seed=17)
-    assert res["lambda_alpha_estimate"] == pytest.approx(exact, rel=0.02)
+    assert res["lambda_alpha"] == pytest.approx(exact, rel=1e-10)
+    assert res["ball_integrals"][0] == pytest.approx(exact, rel=1e-10)
+
+
+_BALL_MODELS = [euclidean(2), euclidean(3), grushin(1, 1, 1.0),
+                grushin(2, 1, 0.5), greiner(1, 1.0), greiner(1, 2.0)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0])
+@pytest.mark.parametrize("model", _BALL_MODELS,
+                         ids=lambda m: f"{m.kind}{sorted(m.params.values())}")
+def test_measure_matches_the_ball_constant(model, alpha):
+    # each bi-radial Phi_alpha(R) against the Beta-function closed form
+    res = measure_homogeneity_check(model, alpha, 1.0, 2.0, 0)
+    assert res["pass"]
+    for phi, R in zip(res["ball_integrals"], (1.0, 2.0)):
+        assert abs(phi / (res["lambda_alpha"] * R ** model.Q) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "euclidean", "--N", "2"],
+    ["--model", "grushin", "--n", "1", "--k", "1", "--gamma", "1"],
+    ["--model", "greiner", "--n", "1", "--gamma", "1"]], ids=lambda a: a[1])
+@pytest.mark.parametrize("dQ", [1e-6, -1e-6])
+def test_measure_fails_when_Q_is_off_by_1e_6(argv, dQ, monkeypatch, capsys):
+    argv = ["geometry", "--check", "measure", *argv]
+    assert run(argv) == 0
+    real = getattr(geometry, argv[4])
+    monkeypatch.setattr(geometry, argv[4],
+                        lambda *a: replace(real(*a), Q=real(*a).Q + dQ))
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("FAIL: geometry check measure")
 
 
 def test_strip_quotient_matches_separable_oracle():
@@ -281,6 +317,27 @@ def test_strip_deficit_does_not_depend_on_theta(eps):
 def test_strip_parameter_validation():
     with pytest.raises(ParameterDomainError):
         strip_quotient(1.0, 0.3)
+    with pytest.raises(ParameterDomainError, match=r"^theta = 1e\+155 overflows"):
+        strip_quotient(1e155, 1e-3)
+
+
+@pytest.mark.parametrize("theta, eps, q", [
+    (3.0, 1e-3, 6.930891533253761), (3.0, 1e-12, 6.415898451675749),
+    (-5.0, 1e-3, 30.93089153325376), (-5.0, 1e-12, 30.415898451675737),
+    (1e4, 1e-3, 99990000.93089151), (1e4, 1e-12, 99990000.41589849),
+    (1e12, 1e-3, 9.999999999989997e+23), (1e12, 1e-12, 9.999999999990005e+23),
+    (1e100, 1e-3, 1e+200)])
+def test_strip_quotient_theta_scaling_is_exact(theta, eps, q):
+    # theta - 1/2 enters the integrals over a power of two, which rounds
+    # exactly: the quotients of the unscaled integrals, bit for bit
+    assert strip_quotient(theta, eps) == q
+
+
+def test_strip_quotient_at_a_theta_whose_square_nears_the_float_range():
+    # the unscaled integrands overflowed from theta ~ 1e150 on
+    q = strip_quotient(1e153, 1e-3)
+    assert q == pytest.approx(1e306, rel=1e-15)
+    assert geometry.bound_verdict("strip", q, 1e153)[1]
 
 
 def test_nonfinite_model_knobs_rejected():
@@ -320,6 +377,7 @@ def test_vandermonde_polynomial_and_gradient():
     assert vandermonde(pts)[0] == pytest.approx(6.0)
     rng = np.random.default_rng(8)
     sample = rng.normal(size=(50, 3))
+    sample[:10, 1] = sample[:10, 0]      # coinciding coordinates
     grad = vandermonde_gradient(sample)
     h = 1e-6
     for j in range(3):
@@ -327,6 +385,19 @@ def test_vandermonde_polynomial_and_gradient():
         shifted[:, j] += h
         fd = (vandermonde(shifted) - vandermonde(sample)) / h
         assert np.max(np.abs(fd - grad[:, j])) < 1e-3
+    # where x1 = x2 the gradient is (x3-x1)^2 (-1, 1, 0)
+    assert np.allclose(grad[:10], (sample[:10, 2] - sample[:10, 0])[:, None] ** 2
+                       * np.array([-1.0, 1.0, 0.0]), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_sphere_moment_ratios_are_exact(N):
+    # C/A = kappa (Euler) and B/A = kappa (2 kappa + N - 2) (harmonicity),
+    # from the Gauss-Hermite rule without using either
+    kappa = N * (N - 1) // 2
+    CA, BA = geometry._sphere_moment_ratios(N, kappa)
+    assert abs(CA / kappa - 1.0) <= 1e-14
+    assert abs(BA / (kappa * (2 * kappa + N - 2)) - 1.0) <= 1e-14
 
 
 def _separated_quotient(N: int, theta: float, eps: float) -> float:
@@ -359,29 +430,59 @@ def _separated_quotient(N: int, theta: float, eps: float) -> float:
 
 def test_vandermonde_checks_n2():
     out = vandermonde_checks(2, 1.0, 200_000, seed=9)
+    assert out["pass"]
     assert out["harmonicity_residual"] <= 1e-6
     assert out["expected_constant"] == pytest.approx(1.0)
     # sphere factor x2-x1 has degree 1: eigenvalue 1*(1+0) = 1
     assert out["expected_sphere_eigenvalue"] == pytest.approx(1.0)
-    assert out["sphere_eigvalue_residual"] <= 1e-5
+    assert out["sphere_eigvalue_residual"] <= 1e-14
     oracle = _separated_quotient(2, 1.0, 1e-2)
     assert out["reduced_quotient"] == pytest.approx(oracle, rel=1e-8)
-    assert abs(out["rayleigh_quotient"] - oracle) <= \
-        5.0 * max(out["rayleigh_std_error"], 1e-4)
+    assert out["rayleigh_quotient"] == pytest.approx(oracle, rel=1e-8)
+    assert abs(out["rayleigh_quotient"] - out["reduced_quotient"]) \
+        <= out["error_bound"] <= 1e-11 * out["reduced_quotient"]
     assert out["rayleigh_quotient"] > 1.0
 
 
 def test_vandermonde_checks_n3():
     out = vandermonde_checks(3, 1.0, 300_000, seed=10)
+    assert out["pass"]
     assert out["harmonicity_residual"] <= 1e-6
     assert out["expected_sphere_eigenvalue"] == pytest.approx(12.0)
-    assert out["sphere_eigvalue_residual"] <= 1e-5
+    assert out["sphere_eigvalue_residual"] <= 1e-14
     assert out["expected_constant"] == pytest.approx(12.25)
     assert abs(out["rayleigh_quotient"] - 12.25) <= 0.05 * 12.25
     oracle = _separated_quotient(3, 1.0, 1e-2)
     assert out["reduced_quotient"] == pytest.approx(oracle, rel=1e-8)
-    assert abs(out["rayleigh_quotient"] - oracle) <= \
-        5.0 * max(out["rayleigh_std_error"], 1e-4)
+    assert out["rayleigh_quotient"] == pytest.approx(oracle, rel=1e-8)
+    assert abs(out["rayleigh_quotient"] - out["reduced_quotient"]) \
+        <= out["error_bound"] <= 1e-11 * out["reduced_quotient"]
+
+
+_SECTORS = [(N, theta) for N in (2, 3, 4) for theta in (0.5, 1.0, 2.0)
+            if N * N > 2.0 * theta]
+
+
+@pytest.mark.parametrize("N, theta", _SECTORS)
+def test_vandermonde_quotient_equals_reduced(N, theta):
+    out = vandermonde_checks(N, theta, 0, epsilon=1e-3)
+    assert out["pass"]
+    assert abs(out["rayleigh_quotient"] / out["reduced_quotient"] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_vandermonde_fails_on_a_zero_order_weight_off_by_1e_6(N, monkeypatch):
+    # the reduced quotient's sphere-eigenvalue term scaled by 1 + 1e-6
+    real = geometry.scenario_catalog
+
+    def catalog(*args, **kwargs):
+        sector = real(*args, **kwargs)
+        z = sector.numerator_zero_order
+        return replace(sector, numerator_zero_order=lambda r: (1.0 + 1e-6) * z(r))
+
+    assert vandermonde_checks(N, 1.0, 0, epsilon=1e-3)["pass"]
+    monkeypatch.setattr(geometry, "scenario_catalog", catalog)
+    assert not vandermonde_checks(N, 1.0, 0, epsilon=1e-3)["pass"]
 
 
 def test_vandermonde_hypothesis_validation():
@@ -401,13 +502,21 @@ def _sin_profile():
     )
 
 
+def _agrees(res, red):
+    """res passed, and its quotient lies within 10 of its error bounds of
+    the reduction `red`, which took the default relative target 1e-10."""
+    assert res["pass"]
+    assert res["reduced_quotient"] == pytest.approx(red.quotient, rel=1e-9)
+    assert abs(res["quotient"] - res["reduced_quotient"]) \
+        <= 10.0 * res["error_bound"] <= 1e-10 * red.quotient
+
+
 def test_direct_rayleigh_matches_reduction():
     sc = scenario_catalog("power", Q=3.0, p=2.0, theta=1.0)
     phi = _sin_profile()
     red = reduce_radial_functional(sc, phi)
     for model, seed in ((euclidean(3), 31), (grushin(1, 1, 1.0), 32)):
-        est = direct_rayleigh(model, sc, phi, 10 ** 6, seed=seed)
-        assert abs(est.mean - red.quotient) <= 3.0 * est.std_error, model.kind
+        _agrees(direct_rayleigh(model, sc, phi, 10 ** 6, seed=seed), red)
 
 
 def test_direct_rayleigh_sign_changing_weight():
@@ -416,8 +525,7 @@ def test_direct_rayleigh_sign_changing_weight():
     phi = smooth_bump(0.45, 0.18)     # support below the W sign change
     red = reduce_radial_functional(sc, phi)
     assert red.denominator > 0
-    est = direct_rayleigh(grushin(1, 1, 1.0), sc, phi, 10 ** 6, seed=77)
-    assert abs(est.mean - red.quotient) <= 3.0 * est.std_error
+    _agrees(direct_rayleigh(grushin(1, 1, 1.0), sc, phi, 10 ** 6, seed=77), red)
 
 
 def test_direct_rayleigh_scale_invariance():
@@ -425,7 +533,9 @@ def test_direct_rayleigh_scale_invariance():
     phi = _sin_profile()
     est1 = direct_rayleigh(euclidean(3), sc, phi, 200_000, seed=5)
     est5 = direct_rayleigh(euclidean(3), sc, scaled(phi, 5.0), 200_000, seed=5)
-    assert est5.mean == pytest.approx(est1.mean, rel=1e-12)
+    assert est5["quotient"] == pytest.approx(est1["quotient"], rel=1e-12)
+    est5 = direct_rayleigh(grushin(1, 1, 1.0), sc, scaled(phi, 5.0), 0)
+    assert est5["quotient"] == pytest.approx(est1["quotient"], rel=1e-12)
 
 
 def test_direct_rayleigh_q_mismatch_rejected():

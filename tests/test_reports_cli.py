@@ -332,7 +332,7 @@ _COLD_COMMANDS = {
                             "--p", "2", "--profiles", "5"], _SWEEPS),
     "geometry_measure": (["geometry", "--model", "grushin", "--n", "1",
                           "--k", "1", "--gamma", "1", "--check", "measure",
-                          "--samples", "20000"], {"geometry"}),
+                          "--samples", "20000"], {"geometry", "quadrature"}),
     "geometry_vandermonde": (["geometry", "--check", "vandermonde", "--N", "3",
                               "--theta", "1", "--samples", "20000"],
                              {"geometry"} | _SWEEPS),
@@ -490,15 +490,22 @@ def test_bessel_default_interval_fits_a_narrow_interval(flags, tmp_path,
 
 
 def test_bessel_cli_ode_failure_exits_1(capsys):
-    # gaussian_b's V = exp(-r^2/2) > 0 reads 0.0 only past r = 38.604, where
-    # exp underflows below -745.133: the failure names that r
-    argv = ["--scenario", "gaussian_b", "--r0", "0.5", "--r1", "40"]
-    code, _, err = _cli(["bessel", *argv], capsys)
-    assert code == 1
-    assert err.startswith("FAIL: ") and "Traceback" not in err
-    assert err == ("FAIL: V r^mu reads 0.0 from r = 38.604 on the integration "
-                   "path (V vanishes there, or V > 0 underflows)\n")
+    # gaussian_b's V = exp(-r^2/2) > 0 reads 0.0 past r = 38.604, where exp
+    # underflows below -745.133. That is no zero of V: [0.5, 40] certifies,
+    # while on [0.5, 60] the last intervals, where every term of the flux
+    # identity reads 0.0, certify nothing
     assert math.exp(-38.6035 ** 2 / 2) > 0.0 == math.exp(-38.6045 ** 2 / 2)
+    argv = ["bessel", "--scenario", "gaussian_b", "--r0", "0.5", "--r1"]
+    code, _, err = _cli([*argv, "40"], capsys)
+    assert code == 0, err
+    assert json.loads(err)["summary"]["max_flux_over_budget"] < 10.0
+    code, _, err = _cli([*argv, "60"], capsys)
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        "FAIL: Bessel-pair certificate (phi > 0, and the flux and phi' "
+        "identities within 10 error budgets on every interval): min phi "
+        "0.00215166, worst flux residual nan budgets, worst phi' residual "
+        "0.0397 budgets")
 
 
 def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
@@ -581,7 +588,7 @@ _README_QUADRATURE_REPORTS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["geometry", "--check", "vandermonde", "--N", "3", "--theta", "1",
       "--samples", "1000000"],
-     "8d4e4610351b99bee1d994422bfbc8bbaac5f5f41d445d3df839b48fc4942fdf",
+     "5836d5f3c8005acd29ddd8f259e029af105cc159acead997511fffe2e6456c59",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
@@ -663,13 +670,36 @@ def test_geometry_cli_vandermonde_small_constant(capsys):
 
 
 def test_geometry_measure_small_sample_has_std_error(capsys):
-    # 1,000 samples are one chunk; the error still comes from every sample
-    code, out, _ = _cli(["geometry", "--model", "grushin", "--n", "1", "--k",
-                         "1", "--gamma", "1", "--check", "measure",
-                         "--samples", "1000", "--seed", "3"], capsys)
-    assert code == 0
-    row = json.loads(out)["rows"][0]
-    assert row["pass"] is True and row["std_error"] > 0.0
+    # the error bound of the quadrature stands where the Monte-Carlo std
+    # error stood, and a small --samples or another --seed changes nothing
+    docs = []
+    for extra in ([], ["--samples", "1000", "--seed", "3"],
+                  ["--samples", "2", "--seed", "4"]):
+        code, out, _ = _cli(["geometry", "--model", "grushin", "--n", "1",
+                             "--k", "1", "--gamma", "1", "--check", "measure",
+                             *extra], capsys)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert all(d["rows"] == docs[0]["rows"] and d["summary"] == {"pass": True}
+               for d in docs)
+    row = docs[0]["rows"][0]
+    assert 0.0 < row["error_bound"] <= 1e-11 * row["expected"]
+    assert list(row) == ["model", "check", "estimate", "error_bound",
+                         "expected", "pass", "lambda_alpha"]
+
+
+def test_geometry_cli_strip_theta_near_the_float_range(capsys):
+    # theta - 1/2 enters the strip integrals scaled by a power of two, so
+    # theta = 1e153 (bound 1e306) is checked; at 1e155 the bound overflows
+    code, out, err = _cli(["geometry", "--check", "strip", "--theta", "1e153",
+                           "--epsilon", "1e-3"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["rows"][0]["pass"] is True
+    code, _, err = _cli(["geometry", "--check", "strip", "--theta", "1e155",
+                         "--epsilon", "1e-3"], capsys)
+    assert code == 2
+    assert err == ("parameter error: theta = 1e+155 overflows the strip bound "
+                   "((2 theta - 1)/2)^2\n")
 
 
 _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
@@ -681,22 +711,23 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     ([*_SWEEP, "--eps-grid", "0.3"], 2),
     ([*_SWEEP, "--eps-grid", "nan"], 2),
     (["sharpness", "--scenario", "improved_weight"], 2),
-    # a check that could not be carried out: no sample lands in a gauge ball
-    # of radius 1e-9, and the annulus gap lam_1 - c = (pi / ln b)^2 = 2.1e-5 is
-    # below one ulp (3.1e-5) of c = 2.5e11
-    (["geometry", "--model", "greiner", "--check", "measure", "--samples",
-      "1000", "--R1", "1e-9", "--R2", "1"], 1),
+    # a check that could not be carried out: V r^mu underflows to 0.0 on the
+    # last intervals, where every term of the flux identity reads 0.0, and
+    # the annulus gap lam_1 - c = (pi / ln b)^2 = 2.1e-5 is below one ulp
+    # (3.1e-5) of c = 2.5e11
+    (["bessel", "--scenario", "gaussian_b", "--r0", "0.5", "--r1", "60"], 1),
     (["eig", "--Q", "1e6", "--p", "2", "--theta", "1", "--a", "1", "--b",
       "1e300"], 1),
     # a config file that is a directory, or a JSON document that is no object
     (["catalog", "--config", "{tmp}"], 2),
     (["catalog", "--config", "{tmp}/list.json"], 2),
-    # a Monte-Carlo check asked for no samples
-    (["geometry", "--check", "vandermonde", "--samples", "0"], 2),
-    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
-      "0"], 2),
+    # a geometry check outside its domain: N beyond desk scale, R1 > R2, a
+    # scenario Q that is not the model's
+    (["geometry", "--check", "vandermonde", "--N", "5"], 2),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--R1", "2",
+      "--R2", "1"], 2),
     (["geometry", "--model", "grushin", "--check", "direct", "--scenario",
-      "power", "--Q", "3", "--samples", "-5"], 2),
+      "power", "--Q", "5"], 2),
     # non-finite or out-of-domain exponents
     (["sharpness", "--mode", "psi", "--p", "nan"], 2),
     (["sharpness", "--mode", "psi", "--p", "inf"], 2),
@@ -741,10 +772,10 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     (["sharpness", "--mode", "psi", "--Q", "5", "--p", "2", "--R-grid",
       "inf"], 2),
     (["sharpness", "--scenario", "gaussian_b", "--eps-grid", "1e-400"], 2),
-    # one sample has no standard error
-    (["geometry", "--check", "vandermonde", "--samples", "1"], 2),
-    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
-      "1"], 2),
+    # a strip bound ((2 theta - 1)/2)^2 or a ball's R^Q past the float range
+    (["geometry", "--check", "strip", "--theta", "1e155"], 2),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--R2",
+      "1e300"], 2),
     # true vector identities whose near-collinear rows once cancelled the
     # closed-form right side past the residual bound
     (["identity", "--p", "12", "--h", "3", "--samples", "10000", "--out",
@@ -775,6 +806,18 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
       "--eps-grid", "0.2"], 2),
     (["rayleigh", "--scenario", "annulus", "--a", "1e-320", "--b", "1",
       "--profiles", "3"], 2),
+    # the geometry checks are quadratures: --samples is ignored
+    (["geometry", "--check", "vandermonde", "--samples", "0"], 0),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
+      "0"], 0),
+    (["geometry", "--model", "grushin", "--check", "direct", "--scenario",
+      "power", "--Q", "3", "--samples", "-5"], 0),
+    (["geometry", "--check", "vandermonde", "--samples", "1"], 0),
+    (["geometry", "--model", "euclidean", "--check", "measure", "--samples",
+      "1"], 0),
+    # a gauge ball of radius 1e-9 is integrated like any other
+    (["geometry", "--model", "greiner", "--check", "measure", "--samples",
+      "1000", "--R1", "1e-9", "--R2", "1"], 0),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -841,21 +884,35 @@ def _scaled_quotient(factor):
                  lambda red: replace(red, quotient=red.quotient * factor))
 
 
-def _laplacian(harmonic):
-    """The FD Laplacian of the vandermonde check, off by 2e-6 of its scale
-    on the harmonicity test (harmonic=True) or by 2e-5 relative on the
-    sphere-eigenvalue test."""
+def _laplacian():
+    """The FD Laplacian terms of the vandermonde check, each off by 2e-6 of
+    the scale that normalizes their sum."""
     from hardylab import geometry
 
-    real = geometry._fd_laplacian
+    real = geometry._fd_axes
 
-    def laplacian(func, pts, rel_step=1e-3):
-        lap, scale = real(func, pts, rel_step)
-        if (func is geometry.vandermonde) == harmonic:
-            lap = lap + 2e-6 * scale if harmonic else lap * (1.0 + 2e-5)
-        return lap, scale
+    def axes(func, pts, stencil, power):
+        out = real(func, pts, stencil, power)
+        if func is geometry.vandermonde:
+            out = out + 2e-6 * np.maximum(np.abs(out).max(axis=1)[:, None], 1.0)
+        return out
 
-    return geometry, "_fd_laplacian", laplacian
+    return geometry, "_fd_axes", axes
+
+
+def _sphere_eigenvalue(factor):
+    """The antisymmetric sector's sphere eigenvalue scaled by factor, where
+    the vandermonde check compares its moment ratio B/A with it."""
+    from hardylab import geometry
+
+    real = geometry.scenario_catalog
+
+    def catalog(*args, **kwargs):
+        sector = real(*args, **kwargs)
+        return replace(sector, extra={**sector.extra, "sphere_eigenvalue":
+                                      factor * sector.extra["sphere_eigenvalue"]})
+
+    return geometry, "scenario_catalog", catalog
 
 
 def _identity_out(p, f, g):
@@ -890,8 +947,8 @@ def _failing_patch(case):
         "improved": (functional, "random_profile_slacks", _slacks(-2e-9)),
         "rayleigh": (functional, "random_profile_slacks", _slacks(-2e-8)),
         "strip": _const(geometry, "strip_quotient", 0.25 - 2e-9),
-        "vandermonde_harmonicity": _laplacian(True),
-        "vandermonde_sphere": _laplacian(False),
+        "vandermonde_harmonicity": _laplacian(),
+        "vandermonde_sphere": _sphere_eigenvalue(1.0 + 1e-11),
         "vandermonde_band": _scaled_quotient(1.1),
         "homogeneity": _const(geometry, "homogeneity_error", 2e-12),
         "orthogonality": _const(geometry, "cylindrical_orthogonality_error",
@@ -900,8 +957,6 @@ def _failing_patch(case):
         "direct": _scaled_quotient(1.5),
         "measure_fail": (geometry, "grushin", lambda *a: replace(
             real_grushin(*a), Q=real_grushin(*a).Q + 0.25)),
-        "measure_inconclusive": (geometry, "grushin", lambda *a: replace(
-            real_grushin(*a), Q=real_grushin(*a).Q + 1.0)),
         "sweep_scale": (sharpness, "sweep_quotient", lambda *a: [
             SweepRow(1e-2, 2.75, 0.5, 4.0), SweepRow(1e-3, 2.5, 0.25, 9.0)]),
         "sweep_order": (sharpness, "sweep_quotient", lambda *a: [
@@ -927,8 +982,8 @@ def _bessel_fail(flux, phi):
             f"residual {phi} budgets")
 
 
-def _geometry_fail(check, estimate, expected, prefix="FAIL"):
-    return (f"{prefix}: geometry check {check} (estimate {estimate} vs "
+def _geometry_fail(check, estimate, expected):
+    return (f"FAIL: geometry check {check} (estimate {estimate} vs "
             f"expected {expected})")
 
 
@@ -978,22 +1033,22 @@ _FAILING_PATHS = {
         "17e6fecb4283bcab6f4fb4b861b550315b10dd9b7fd978321fe28ad81ce7dac6"),
     "vandermonde_harmonicity": (
         _VANDERMONDE, 1,
-        _geometry_fail("vandermonde", "12.610858868875734",
+        _geometry_fail("vandermonde", "12.580270670077198",
                        "12.580270670077187"),
-        "f97840cd5a94cf4a7435ca65c2523206cabcb43da1d2ae24dea35fef3fb5c4e0",
-        "563e99cc1e4bcef25bb98b08a04c3d295ccf29e1e2ca89101ceb9d4d375e92a4"),
+        "b91d811289ac2ba5e582230c6d6b0d0110075c44c3a3dbff41daaad1d7419688",
+        "0ff46ea70eb04f4e33d77b9088ee3ad558f260ec389c02dae96c174a0548f0c3"),
     "vandermonde_sphere": (
         _VANDERMONDE, 1,
-        _geometry_fail("vandermonde", "12.610858868875734",
+        _geometry_fail("vandermonde", "12.580270670077198",
                        "12.580270670077187"),
-        "e5b81f835841aab25ba151370eeaef2cf84d846bc46e61eb4406adf571cd6831",
-        "563e99cc1e4bcef25bb98b08a04c3d295ccf29e1e2ca89101ceb9d4d375e92a4"),
+        "41cb02be5e4b4cfc3f933a6426c0272b48350f8f0285792943c7acfb337fd8e0",
+        "0ff46ea70eb04f4e33d77b9088ee3ad558f260ec389c02dae96c174a0548f0c3"),
     "vandermonde_band": (
         _VANDERMONDE, 1,
-        _geometry_fail("vandermonde", "12.610858868875734",
+        _geometry_fail("vandermonde", "12.580270670077198",
                        "13.838297737084908"),
-        "daaf873e039021521cd3db6be074beac5cf62d1d756f58ffd9d7b779184889a0",
-        "102185281f52cf7c78b45acd80b9f33d50dd6fdfd8a8f1570af82c3316ce5673"),
+        "a6c6deeb8df154d480e51a6b14bb3c9ef327f017eb789c0ed8cfeb64eb24d506",
+        "42321bf2db4c77e7c6f5a0b6ee78bb997505b45c316eed8092cd4ea7c44dcd2d"),
     "homogeneity": (
         [*_GRUSHIN, "--check", "homogeneity"], 1,
         _geometry_fail("homogeneity", "2e-12", "0.0"),
@@ -1014,20 +1069,14 @@ _FAILING_PATHS = {
     "direct": (
         [*_GRUSHIN, "--check", "direct", "--scenario", "power", "--Q", "3",
          "--p", "2", "--theta", "1", "--samples", "20000"], 1,
-        _geometry_fail("direct", "649.6724952445118", "939.9107875746303"),
-        "d4bf08d63a6d9f3558b7d8b617387f54252b00f146a1d368ae7283539e3f5e50",
-        "11ecc8bea6fd5b3e2e1ff25367c5b029d0425505ff554e585373aa6c8cf589c9"),
+        _geometry_fail("direct", "626.607191716421", "939.9107875746299"),
+        "69e7f74822ad8c17c1ab94c8ebbfe89314f977f2bd3d5b61dd39c2b4ba7ed22e",
+        "f4ce5b65590cad0162dfdfff91f282521fe77ca4581f073a4d6ef5f550e701dd"),
     "measure_fail": (
         [*_GRUSHIN, "--check", "measure", "--samples", "20000"], 1,
-        _geometry_fail("measure", "7.794866688554787", "9.513656920021768"),
-        "bde9866f3a3fad672df0a259da8e01175db387227993e9c9e135e0ece9711931",
-        "5b9a043b530ad8461c9fe9b31bb51db4575a75a3520f09fd6f48aa804b55dd0f"),
-    "measure_inconclusive": (
-        [*_GRUSHIN, "--check", "measure", "--samples", "300"], 0,
-        _geometry_fail("measure", "8.27414502023547", "16.0",
-                       prefix="INCONCLUSIVE"),
-        "af07be1b68d06791cacd56349037375c6038961f6115f1f05b38baf1e79ee6de",
-        "368da47a84edda6f2153ea1971bc7198ce1e482e7ac2cc8673597bfbbfd9c008"),
+        _geometry_fail("measure", "8.0", "9.513656920021768"),
+        "988b83989ab84b8cdbe2fd3b4fee93c3892cb5648ddcb56bc0385392835f9701",
+        "a300e134ae0a3c5bfe449ddcf48aa8af90ef756af41584d2975126fe447745ac"),
     # stable: false is reported, and the run exits 0
     "sweep_scale": (
         _SWEEP, 0, None,
