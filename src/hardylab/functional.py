@@ -160,12 +160,14 @@ def random_profile_slacks(scenario: Scenario, count: int,
                           seed: int) -> list[dict]:
     """Inequality sampling: quotient and normalized slack for seeded random
     bump profiles supported inside the scenario interval, drawn in order
-    from one seeded stream (deterministic) and reduced as one batch."""
+    from one seeded stream (deterministic) and reduced as one batch, every
+    integral split at its profile's bump edges (``Bumps.knots``), as a
+    profile reduced on its own is."""
     if count < 1:
         raise ParameterDomainError(f"profile count must be >= 1, got {count}")
     bumps = random_bumps(np.random.default_rng(seed), scenario.pair.interval,
                          count)
-    reduced = _reduce_batch(scenario, bumps.supports, [()] * count,
+    reduced = _reduce_batch(scenario, bumps.supports, bumps.knots,
                             bumps.value, bumps.derivative, _SAMPLE_TOL)
     c = scenario.sharp_constant
     return [{"index": i, "quotient": red.quotient, "slack": red.slack(c)}

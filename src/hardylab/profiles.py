@@ -7,7 +7,9 @@ keep analytic derivatives via the product rule.
 Smooth bumps are parameter arrays: ``Bumps`` holds the centres, half-widths
 and amplitudes of a batch of bump sums, one profile per column, and one
 vectorized formula evaluates a single bump, one random profile, or the whole
-batch at once with each point evaluated on its own profile's row.
+batch at once with each point evaluated on its own profile's row. A bump is
+smooth but not analytic at its edges c -+ w, so the edges inside a profile's
+support are its knots, where every integral of it is split.
 """
 
 from __future__ import annotations
@@ -103,9 +105,19 @@ class Bumps:
     def derivative(self, r, rows):
         return self._eval(r, rows, True)
 
+    @property
+    def knots(self) -> list[tuple[float, ...]]:
+        """Each profile's bump edges c -+ w strictly inside its support,
+        where the sum is smooth but not analytic."""
+        edges = np.concatenate([self.centers - self.halfwidths,
+                                self.centers + self.halfwidths])
+        return [tuple(sorted({e for e in col if lo < e < hi}))
+                for col, (lo, hi) in zip(edges.T.tolist(), self.supports)]
+
     def profile(self, i: int) -> Profile:
         return Profile(lambda r: self.value(r, i),
-                       lambda r: self.derivative(r, i), self.supports[i])
+                       lambda r: self.derivative(r, i), self.supports[i],
+                       self.knots[i])
 
 
 def smooth_bump(center: float, halfwidth: float,
@@ -118,8 +130,12 @@ def smooth_bump(center: float, halfwidth: float,
 def random_bumps(rng: np.random.Generator, interval: tuple[float, float],
                  count: int) -> Bumps:
     """count random admissible test profiles, each a sum of smooth bumps
-    supported strictly inside the open interval (improper ends are
-    truncated), drawn in the order of count successive random_profile calls."""
+    supported strictly inside the open interval (improper ends are cut at
+    30), drawn in the order of count successive random_profile calls: n
+    bumps from integers(1, 5), then one call for the 4n - 1 uniforms of c,
+    w and amp of each bump and a sign draw after the first, each value
+    formed as uniform(low, high) forms it, so the stream is bitwise that of
+    one call per number."""
     rbar, rmax = interval
     lo = max(rbar, 1e-6)
     hi = rmax if np.isfinite(rmax) else 30.0
@@ -127,23 +143,24 @@ def random_bumps(rng: np.random.Generator, interval: tuple[float, float],
     span = hi - lo
     left = lo + 0.05 * span
     right = hi - 0.05 * span
-    draws = []
-    for _ in range(count):
+    # uniforms of c, w, amp and sign; a first bump's sign of 1 never flips
+    u = np.ones((count, _MAX_BUMPS, 4))
+    sizes = []
+    for row in u:
         n = int(rng.integers(1, _MAX_BUMPS + 1))
-        bumps = []
-        for i in range(n):
-            c = rng.uniform(left, right)
-            wmax = min(c - lo, hi - c)
-            w = rng.uniform(0.2, 0.95) * wmax
-            amp = rng.uniform(0.2, 1.0)
-            if i > 0 and rng.random() < 0.4:
-                amp = -amp
-            bumps.append((c, w, amp))
-        draws.append(bumps)
-    k = max((len(d) for d in draws), default=1)
-    padded = [d + [(d[0][0], d[0][1], 0.0)] * (k - len(d)) for d in draws]
-    params = np.array(padded, dtype=float).reshape(count, k, 3)
-    return Bumps(*np.ascontiguousarray(params.transpose(2, 1, 0)))
+        draw = rng.random(4 * n - 1)
+        row[0, :3], row[1:n] = draw[:3], draw[3:].reshape(n - 1, 4)
+        row[n:] = row[0]
+        sizes.append(n)
+    k = max(sizes, default=1)
+    u = u[:, :k]
+    # numpy's uniform(low, high) is low + (high - low) * u
+    c = left + (right - left) * u[..., 0]
+    w = (0.2 + (0.95 - 0.2) * u[..., 1]) * np.minimum(c - lo, hi - c)
+    amp = 0.2 + (1.0 - 0.2) * u[..., 2]
+    amp = np.where(u[..., 3] < 0.4, -amp, amp)
+    amp[np.arange(k) >= np.array(sizes)[:, None]] = 0.0
+    return Bumps(*(np.ascontiguousarray(x.T) for x in (c, w, amp)))
 
 
 def random_profile(rng: np.random.Generator,

@@ -366,3 +366,60 @@ def strip_quotient_mp(theta: float, eps: float, dps: int = 30):
         X1, X2, X3, X4 = (mpmath.quad(X(k), xs) for k in range(4))
         Y1, Y2, Y3 = (mpmath.quad(Y(k), [-1, 0, 1]) for k in range(3))
         return (X1 * Y1 - 2 * X2 * Y2 + X3 * Y3) / (X4 * Y1)
+
+
+def scalar_bump_draws(rng: np.random.Generator, interval, count: int):
+    """(c, w, amp) of each bump of count random profiles, one generator call
+    per number: random_bumps' draw order written as a loop of scalar
+    draws, n = integers(1, 5) bumps, then per bump c = uniform(left, right),
+    w = uniform(0.2, 0.95) min(c - lo, hi - c), amp = uniform(0.2, 1) and,
+    after the first bump, a sign flip when random() < 0.4."""
+    lo = max(interval[0], 1e-6)
+    hi = interval[1] if np.isfinite(interval[1]) else 30.0
+    left, right = lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)
+    draws = []
+    for _ in range(count):
+        bumps = []
+        for i in range(int(rng.integers(1, 5))):
+            c = rng.uniform(left, right)
+            w = rng.uniform(0.2, 0.95) * min(c - lo, hi - c)
+            amp = rng.uniform(0.2, 1.0)
+            if i > 0 and rng.random() < 0.4:
+                amp = -amp
+            bumps.append((c, w, amp))
+        draws.append(bumps)
+    return draws
+
+
+def bump_quotient_mp(bumps, Q: float, p: float, pieces: int, dps: int = 30):
+    """int r^(Q-1) |phi'|^p dr / int r^(Q-1-p) |phi|^p dr for the bump sum
+    phi = sum a exp(1 - 1/(1 - t^2)), t = (r - c)/w, over the (c, w, a) of
+    bumps: the power scenario's reduced quotient at theta = 1, at dps digits.
+    mpmath.quad splits at every bump edge c -+ w, where phi is not analytic,
+    and on a uniform grid of `pieces` pieces of the support, which puts the
+    kinks of |phi'|^p and |phi|^p (p not even) near a split. No hardylab
+    code. Returns an mpf; the parameters are taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        params = [tuple(map(mpmath.mpf, b)) for b in bumps]
+        lo = min(c - w for c, w, _ in params)
+        hi = max(c + w for c, w, _ in params)
+        cuts = {lo + (hi - lo) * k / pieces for k in range(pieces + 1)}
+        cuts |= {c + s * w for c, w, _ in params for s in (-1, 1)}
+
+        def phi(r, derivative):
+            total = mpmath.mpf(0)
+            for c, w, a in params:
+                t = (r - c) / w
+                if abs(t) < 1:
+                    q = 1 - t * t
+                    term = a * mpmath.exp(1 - 1 / q)
+                    total += term * -2 * t / (w * q * q) if derivative else term
+            return total
+
+        num = mpmath.quad(lambda r: r ** (Q - 1) * abs(phi(r, True)) ** p,
+                          sorted(cuts))
+        den = mpmath.quad(lambda r: r ** (Q - 1 - p) * abs(phi(r, False)) ** p,
+                          sorted(cuts))
+        return num / den

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hardylab.profiles import (Profile, power_profile, random_bumps,
+from hardylab.profiles import (Bumps, Profile, power_profile, random_bumps,
                                random_profile, smooth_bump)
 
-from oracles import check_derivative
+from oracles import check_derivative, scalar_bump_draws
 
 
 def test_bump_support_and_values():
@@ -112,3 +115,46 @@ def test_bump_batch_rows_equal_successive_random_profiles():
         got = batch.value(nodes, np.array([4, 0, 8]))
         for j, i in enumerate((4, 0, 8)):
             assert np.array_equal(got[j], batch.profile(i).value(nodes[j]))
+
+
+_INTERVALS = st.one_of(
+    st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 100.0)).map(
+        lambda t: (t[0], t[0] + t[1])),
+    st.tuples(st.floats(0.0, 20.0), st.just(math.inf)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 50),
+       interval=_INTERVALS)
+def test_bulk_draws_equal_scalar_draws(seed, count, interval):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = random_bumps(rng, interval, count)
+    draws = scalar_bump_draws(ref, interval, count)
+    k = max(map(len, draws))
+    assert batch.centers.shape == (k, count)
+    for i, bumps in enumerate(draws):
+        pads = [(bumps[0][0], bumps[0][1], 0.0)] * (k - len(bumps))
+        assert list(zip(batch.centers[:, i].tolist(),
+                        batch.halfwidths[:, i].tolist(),
+                        batch.amplitudes[:, i].tolist())) == bumps + pads
+    # and the stream goes on where the scalar draws leave it
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_bump_edges_inside_the_support_are_knots():
+    assert smooth_bump(1.0, 0.5).knots == ()
+    # profile 1 is one bump padded with a zero-amplitude copy of it
+    bumps = Bumps(np.array([[1.0, 5.0], [2.0, 5.0]]),
+                  np.array([[0.5, 1.0], [0.75, 1.0]]),
+                  np.array([[1.0, 0.7], [-0.5, 0.0]]))
+    assert bumps.supports == [(0.5, 2.75), (4.0, 6.0)]
+    assert bumps.knots == [(1.25, 1.5), ()]
+    batch = random_bumps(np.random.default_rng(2), (0.0, np.inf), 30)
+    for i, (lo, hi) in enumerate(batch.supports):
+        live = batch.amplitudes[:, i] != 0.0
+        c, w = batch.centers[live, i], batch.halfwidths[live, i]
+        edges = set((c - w).tolist()) | set((c + w).tolist())
+        assert batch.knots[i] == tuple(sorted(e for e in edges if lo < e < hi))
+    for b in (bumps, batch):
+        for i in range(len(b.supports)):
+            assert b.profile(i).knots == b.knots[i]

@@ -338,4 +338,4 @@ def test_kernel_work_is_pinned(monkeypatch, tmp_path):
     work = {name: _kernel_work(monkeypatch, thunk)
             for name, thunk in runs.items()}
     assert work == {"bessel": (1, 128, 1), "eig": (13, 3362, 22),
-                    "slacks": (11, 2012, 14), "sweep": (3, 178, 3)}
+                    "slacks": (8, 1890, 13), "sweep": (3, 178, 3)}

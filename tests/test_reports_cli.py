@@ -1069,9 +1069,9 @@ _FAILING_PATHS = {
     "direct": (
         [*_GRUSHIN, "--check", "direct", "--scenario", "power", "--Q", "3",
          "--p", "2", "--theta", "1", "--samples", "20000"], 1,
-        _geometry_fail("direct", "626.607191716421", "939.9107875746299"),
-        "69e7f74822ad8c17c1ab94c8ebbfe89314f977f2bd3d5b61dd39c2b4ba7ed22e",
-        "f4ce5b65590cad0162dfdfff91f282521fe77ca4581f073a4d6ef5f550e701dd"),
+        _geometry_fail("direct", "626.607191716421", "939.9107875746315"),
+        "aa145273d65458c9630a59d2c53377d0a31297a48a2f7493521e4821a0135e76",
+        "6becdc3613da7828f55261d4875b6db690f928cf3afeed2979b271c19cdfda72"),
     "measure_fail": (
         [*_GRUSHIN, "--check", "measure", "--samples", "20000"], 1,
         _geometry_fail("measure", "8.0", "9.513656920021768"),
