@@ -89,19 +89,19 @@ def momentum_from_profile(V, mu: float, p: float, phi: Profile, r):
     return V(r) * r ** mu * np.abs(d) ** (p - 2.0) * d
 
 
-def _first_nonpositive(a: Callable, r0: float, r1: float) -> float | None:
-    """The first r from r0 towards r1 where a(r) <= 0 on a 64-point
-    geometric probe, refined by bisection down to adjacent floats; None
-    when a > 0 (or NaN) at every probe point, or when a > 0 underflows: no
-    probe reads below 0, and a reads 0.0 just past a subnormal value."""
-    probe = np.geomspace(r0, r1, 64)
-    values = a(probe)
-    bad = np.flatnonzero(values <= 0.0)
+def _first_nonpositive(a: Callable, probe: np.ndarray,
+                       values: np.ndarray) -> float | None:
+    """The first r along the probe (the certificate's own grid) where a(r)
+    <= 0, read from values = a(probe) and bisected down to adjacent floats;
+    None when a > 0 (or NaN) at every probe point, or when a > 0
+    underflows: no probe reads below 0, and a reads 0.0 just past a
+    subnormal value."""
+    bad = (values <= 0.0).nonzero()[0]
     if not bad.size:
         return None
     i = int(bad[0])
     if i == 0:
-        return r0
+        return float(probe[0])
     good, first = float(probe[i - 1]), float(probe[i])
     while (mid := 0.5 * (good + first)) not in (good, first):
         good, first = (good, mid) if a(np.array([mid]))[0] <= 0.0 else (mid, first)
@@ -152,7 +152,12 @@ def verify_bessel_pair(scenario: Scenario,
         phi = closed_form_maximizer(scenario)
     z = scenario.numerator_zero_order
 
-    grid = np.geomspace(r0, r1, _INTERVALS * _PROBES + 1)
+    # np.geomspace(r0, r1, m + 1) bit for bit; an r1 of inf is too short below
+    m = _INTERVALS * _PROBES
+    with np.errstate(invalid="ignore"):
+        l0, l1 = np.log10([r0, r1])
+        grid = 10.0 ** (np.arange(m + 1.0) * ((l1 - l0) / m) + l0)
+    grid[0], grid[-1] = r0, r1
     edges = grid[::_PROBES]
     if not np.all(edges[1:] > edges[:-1]):
         raise ValueError(f"interval {interval} is too short to split into "
@@ -160,9 +165,10 @@ def verify_bessel_pair(scenario: Scenario,
     # V r^mu may underflow and r^mu overflow; a non-finite one fails here
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rm = grid ** mu
-        finite = np.isfinite(rm * pair.V(grid)) & np.isfinite(rm * pair.W(grid))
+        flux_grid = rm * pair.V(grid)
+        finite = np.isfinite(flux_grid) & np.isfinite(rm * pair.W(grid))
         phi_grid = phi.value(grid)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         raise ODEFailure(
             "coefficient probe failed: V r^mu and W r^mu are not finite "
             f"from r = {grid[~finite][0]:.6g}")
@@ -171,7 +177,7 @@ def verify_bessel_pair(scenario: Scenario,
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             return pair.V(r) * r ** mu
 
-    r = _first_nonpositive(flux_weight, r0, r1)
+    r = _first_nonpositive(flux_weight, grid, flux_grid)
     if r is not None:
         a = float(flux_weight(np.array([r]))[0])
         raise ODEFailure(
@@ -180,25 +186,27 @@ def verify_bessel_pair(scenario: Scenario,
 
     def integrand(r, owner):
         """Owners below _INTERVALS: (lam W - z) r^mu Phi_p(phi); then phi'."""
-        out = np.array(phi.derivative(r), dtype=float)
+        out = np.empty(r.shape)
         flux = owner < _INTERVALS
         x = r[flux]
         c = pair.lam * pair.W(x) - (0.0 if z is None else z(x))
         v = phi.value(x)
         out[flux] = c * x ** mu * np.abs(v) ** (p - 2.0) * v
+        out[~flux] = phi.derivative(r[~flux])
         return out
 
     n = 2 * _INTERVALS
-    est = integrate_batch(integrand, np.tile(edges[:-1], 2),
-                          np.tile(edges[1:], 2), [False] * n, [False] * n,
-                          [[]] * n, tol=0.0, rel_tol=_FLUX_RTOL)
+    est = integrate_batch(integrand, np.concatenate([edges[:-1], edges[:-1]]),
+                          np.concatenate([edges[1:], edges[1:]]),
+                          np.zeros(n, bool), np.zeros(n, bool),
+                          np.empty((n, 0)), tol=0.0, rel_tol=_FLUX_RTOL)
     integral = est.value.reshape(2, _INTERVALS)
     bound = est.error_estimate.reshape(2, _INTERVALS)
     with np.errstate(over="ignore", invalid="ignore"):
         ends = np.array([momentum_from_profile(pair.V, mu, p, phi, edges),
                          phi_grid[::_PROBES]])
     # m(r_(i+1)) - m(r_i) + I_flux and phi(r_(i+1)) - phi(r_i) - I_phi
-    resid = np.abs(np.diff(ends) + np.array([[1.0], [-1.0]]) * integral)
+    resid = np.abs(ends[:, 1:] - ends[:, :-1] + [[1.0], [-1.0]] * integral)
     magnitude = np.abs(ends[:, :-1]) + np.abs(ends[:, 1:])
     budget = (np.maximum(bound, _FLUX_RTOL * np.abs(integral))
               + 4.0 * _U * magnitude)
@@ -211,13 +219,16 @@ def verify_bessel_pair(scenario: Scenario,
         i = np.searchsorted(edges, r, side="right") - 1
         return relative[0, np.clip(i, 0, _INTERVALS - 1)]
 
+    min_phi = float(phi_grid.min())
+    ode, closed = relative.max(axis=1).tolist()
+    flux_over, phi_over = over.max(axis=1).tolist()
     return BesselCertificate(
-        is_positive=bool(np.all(phi_grid > 0.0)),
-        min_phi=float(np.min(phi_grid)),
-        max_ode_residual=float(np.max(relative[0])),
-        max_closed_form_error=float(np.max(relative[1])),
-        max_flux_over_budget=float(np.max(over[0])),
-        max_phi_over_budget=float(np.max(over[1])),
+        is_positive=min_phi > 0.0,
+        min_phi=min_phi,
+        max_ode_residual=ode,
+        max_closed_form_error=closed,
+        max_flux_over_budget=flux_over,
+        max_phi_over_budget=phi_over,
         solution=lambda r: (phi.value(r),
                             momentum_from_profile(pair.V, mu, p, phi, r)),
         residual=residual,

@@ -109,8 +109,10 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
                 out[m] = term(k, x[m], owner[m] // K).reshape(m.size, -1)
         return out
 
-    lo, hi, s_left, s_right, points = (
+    lo, hi, s_left, s_right, split = (
         [spec[f] for spec in specs for _ in range(K)] for f in range(5))
+    width = max(map(len, split), default=0)   # NaN-padded to one array
+    points = [k + [math.nan] * (width - len(k)) for k in split]
     # tol is relative-only here: the weights can underflow to ~1e-90 scales
     # on far-out supports, where any fixed absolute target is meaningless
     values = integrate_batch(integrand, lo, hi, s_left, s_right, points,

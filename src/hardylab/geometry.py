@@ -414,7 +414,7 @@ def strip_quotient(theta: float, epsilon: float) -> float:
     (lo, hi), inner = f.support, [f.knots[1]]
     X1, X2, X3, X4, Y1, Z = integrate_batch(
         integrand, [lo] * 4 + [-1.0] * 2, [hi] * 4 + [1.0] * 2, [False] * 6,
-        [False] * 6, [inner] * 4 + [[]] * 2, tol=0.0,
+        [False] * 6, [inner] * 4 + [[math.nan]] * 2, tol=0.0,
         rel_tol=_STRIP_TOL).value.tolist()
     return (X1 - 2.0 * ((theta - 1.0) / m) * X2
             + X3 * (sig * ((theta - 1.5) / m) + Z / Y1 / m / m)) / X4 * m * m

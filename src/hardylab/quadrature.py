@@ -7,13 +7,14 @@ all live intervals at once, so many small integrals cost about as much as one
 large one. The owner bookkeeping is array work too: one seed mesh is built for
 all owners at once (a lexsort over owner and edge), and the results are one
 ``BatchEstimate`` of arrays indexed by owner, each ended owner's entries
-written by fancy indexing. Every owner keeps its own target, refinement and
-stopping rules, and its result depends on its own intervals only, never on
-its batch mates. Converged owners drop out. The kernel returns estimates
-only: once every owner has ended, it raises the QuadratureError of the
-lowest-numbered owner that failed, the error integrating the owners one by
-one in order would raise first. ``integrate_adaptive`` is the one-owner case
-and returns a ``QuadratureEstimate``.
+written by fancy indexing; the split points come in as one (n, m) array, a
+row NaN-padded where its owner has fewer. Every owner keeps its own target,
+refinement and stopping rules, and its result depends on its own intervals
+only, never on its batch mates. Converged owners drop out. The kernel returns
+estimates only: once every owner has ended, it raises the QuadratureError of
+the lowest-numbered owner that failed, the error integrating the owners one
+by one in order would raise first. ``integrate_adaptive`` is the one-owner
+case and returns a ``QuadratureEstimate``.
 
 Endpoint singularities get a geometric seed mesh toward the flagged endpoint.
 Improper upper limits are handled by the substitution r = a + t/(1-t), which
@@ -22,7 +23,6 @@ maps [a, +inf) to [0, 1) and turns the far end into a flagged singular endpoint.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -149,7 +149,8 @@ def _seed_mesh(a: np.ndarray, b: np.ndarray, singular_left, singular_right,
                points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lefts, rights, owner) of every owner's seed intervals, in owner order.
 
-    Owner k's edges are its ends, its points strictly inside, _GRADES toward
+    Owner k's edges are its ends, the points of row k of the (n, m) array
+    points strictly inside (a NaN pads a row and drops out), _GRADES toward
     each flagged end and, on a span [a, b] with a > 0 and b/a > 100, one edge
     per decade a 10^j, j < ceil(log10(b/a)); an improper owner is seeded on
     [0, 1] in t, its points mapped and its right end flagged. One lexsort
@@ -180,9 +181,8 @@ def _seed_mesh(a: np.ndarray, b: np.ndarray, singular_left, singular_right,
                                    "is wider than a float ratio holds")
     ids = np.arange(n)
     edges, owners = [lo, hi], [ids, ids]
-    p = np.fromiter(itertools.chain.from_iterable(points), float)
-    if p.size:
-        p_owner = ids.repeat(np.fromiter(map(len, points), np.intp, n))
+    if points.size:
+        p, p_owner = points.ravel(), ids.repeat(points.size // n)
         at, mapped = a[p_owner], improper[p_owner]
         t = np.where(p > at, (p - at) / (1.0 + p - at), np.nan)
         edges.append(np.where(mapped, t, p))
@@ -242,7 +242,7 @@ def integrate_batch(
     b: Sequence[float],
     singular_left: Sequence[bool],
     singular_right: Sequence[bool],
-    points: Sequence[Sequence[float]],
+    points: np.ndarray | Sequence[Sequence[float]],
     tol: float = 1e-10,
     rel_tol: float = 1e-10,
     max_subdivisions: int = 1 << 20,
@@ -253,8 +253,10 @@ def integrate_batch(
     f(x, owner) takes an (m, 15) array of nodes and the (m,) owners of its
     rows and returns the m * 15 values, in x's shape or raveled. Owner k has
     its own endpoint-singularity flags and interior split points points[k],
-    seeded for all owners at once by `_seed_mesh`; the tolerances and the
-    subdivision cap are shared. Owner k is done when its error sum meets
+    row k of an (n, m) array-like (m may be 0) whose NaN entries pad a row
+    and are ignored; a first axis other than n is a ValueError. All owners
+    are seeded at once by `_seed_mesh`; the tolerances and the subdivision
+    cap are shared. Owner k is done when its error sum meets
     max(tol, rel_tol * max(|total|, mass)), mass being the sum of |interval
     values|; until then each sweep refines its intervals above a fair share
     of that target, worst first and at most _SPLIT_BATCH of them. An owner
@@ -266,7 +268,10 @@ def integrate_batch(
     or the subdivision cap, with the partial estimate.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    points = np.asarray(points, dtype=float)
     n = a.size
+    if points.shape[:1] != (n,):
+        raise ValueError(f"points must have {n} rows, got {points.shape}")
     est = BatchEstimate(np.empty(n), np.empty(n), np.empty(n, dtype=int))
     if not n:
         return est
@@ -373,8 +378,8 @@ def integrate_adaptive(
     the one-owner case of integrate_batch. Raises QuadratureError carrying
     the partial estimate on non-convergence."""
     est = integrate_batch(
-        lambda x, owner: f(x.ravel()),
-        [a], [b], [singular_left], [singular_right], [points],
+        lambda x, owner: f(x.ravel()), [a], [b], [singular_left],
+        [singular_right], np.reshape(points, (1, -1)),
         tol=tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     return QuadratureEstimate(float(est.value[0]),
                               float(est.error_estimate[0]),

@@ -308,8 +308,9 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
             return ln * (picone_remainder(p, b, a)
                          + picone_remainder(p, b, -a))
 
-        kinks = [[1.0 / (ln * abs(gamma))] if ln * abs(gamma) > 1.0 else []
-                 for ln in logs]
+        slope = lnR * abs(gamma)
+        kinks = np.divide(1.0, slope, out=np.full(slope.size, math.nan),
+                          where=slope > 1.0)[:, None]
         n = len(grid)
         deficits = integrate_batch(
             integrand, [0.0] * n, [1.0] * n, [False] * n, [False] * n, kinks,

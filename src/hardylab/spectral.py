@@ -143,7 +143,7 @@ def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
         plus, minus = integrate_batch(
             lambda w, owner: rate(w, np.where(owner == 0, 1.0, -1.0)[:, None]),
             [0.0, 0.0], [math.inf, math.inf], [True, True], [False, False],
-            [[], [w_min]], tol=0.0, rel_tol=_T_RTOL,
+            [[math.nan], [w_min]], tol=0.0, rel_tol=_T_RTOL,
             max_subdivisions=_T_MAX_SUBDIVISIONS).value.tolist()
     except QuadratureError as err:
         raise SearchFailureError(f"half-period integral at lam = {lam!r} "
@@ -210,7 +210,7 @@ def _eigenfunction(problem: AnnulusProblem, lam: float, which: int,
         try:    # the peak chart's rates go like w^(p-2) at w = 0
             out[live] = integrate_batch(
                 f, lo, hi[live], (lo == 0) & ~zero, np.zeros(live.size, bool),
-                [[w_min] if s and not z else [] for s, z in zip(side, zero)],
+                np.where(side & ~zero, w_min, math.nan)[:, None],
                 tol=0.0, rel_tol=_T_RTOL,
                 max_subdivisions=_T_MAX_SUBDIVISIONS).value
         except QuadratureError as err:

@@ -46,42 +46,54 @@ def test_certificates_for_catalog_closed_forms():
 
 
 # name: the CLI's default (r0, r1), then max_ode_residual,
-# max_closed_form_error, max_flux_over_budget and max_phi_over_budget
+# max_closed_form_error, max_flux_over_budget, max_phi_over_budget, min_phi
+# and is_positive
 _DEFAULT_CERTIFICATES = {
     "power": ["0.1", "1.0", "2.535666244012146e-16", "1.6501147518252718e-16",
-              "0.08288529304319989", "0.05393858323544026"],
+              "0.08288529304319989", "0.05393858323544026",
+              "1.0", "True"],
     "log_radial": ["0.1", "0.9", "2.7362788491635694e-16",
                    "2.3859650337657505e-16", "0.25868163007476525",
-                   "0.10957753204401793"],
+                   "0.10957753204401793",
+                   "0.6590102289822608", "True"],
     "log_cylindrical": ["0.1", "0.9", "3.2879512217856924e-16",
                         "2.3859650337657505e-16", "0.34841401123891136",
-                        "0.10957753204401793"],
+                        "0.10957753204401793",
+                        "0.6590102289822608", "True"],
     "gaussian_a": ["0.1", "1.0", "2.859601309279583e-16",
                    "1.0346625754128516e-16", "0.057803528737670515",
-                   "0.22821446973528942"],
+                   "0.22821446973528942",
+                   "1.002503127605795", "True"],
     "gaussian_b": ["0.1", "1.0", "3.1179419860228226e-16",
                    "1.6501147518252718e-16", "0.11951754803209039",
-                   "0.05393858323544026"],
+                   "0.05393858323544026",
+                   "1.0", "True"],
     "annulus": ["1.1", "2.4464536456131407", "3.2573954451615178e-15",
                 "3.4329624487094927e-16", "0.13619048702816486",
-                "0.20737226872938147"],
+                "0.20737226872938147",
+                "0.2077781229974251", "True"],
     "cylindrical": ["0.1", "1.0", "1.57803836874511e-16",
                     "9.452860416959159e-17", "0.11851262248248606",
-                    "0.07099214443471298"],
+                    "0.07099214443471298",
+                    "1.0", "True"],
     "strip": ["0.1", "1.0", "9.615840768975696e-17", "9.776926880144702e-17",
-              "0.07221614692496665", "0.07342592343346344"],
+              "0.07221614692496665", "0.07342592343346344",
+              "0.31622776601683794", "True"],
     "antisymmetric": ["0.1", "1.0", "1.6251439916927252e-16",
                       "9.452860416959159e-17", "0.1220503127058439",
-                      "0.07099214443471298"],
+                      "0.07099214443471298",
+                      "1.0", "True"],
     "improved_weight": ["0.1", "1.0", "2.3901829843188415e-16",
                         "8.680873645668029e-17", "0.20366123996687416",
-                        "0.0895641492766119"],
+                        "0.0895641492766119",
+                        "0.36787944117144233", "True"],
 }
 
 
 def test_default_interval_certificates_are_pinned(capsys):
     # every catalog scenario through `bessel` with no --r0/--r1: the default
-    # interval and the certificate's residuals and budgets, bit for bit
+    # interval, the certificate's residuals and budgets and its smallest
+    # phi on the probe grid, bit for bit
     for sc in default_catalog():
         argv = ["bessel", "--scenario", sc.name, "--format", "json"]
         for key, value in sc.params.items():
@@ -92,7 +104,8 @@ def test_default_interval_certificates_are_pinned(capsys):
         assert [repr(doc["rows"][0]["r"]), repr(doc["rows"][-1]["r"])] + [
             repr(summary[k]) for k in (
                 "max_ode_residual", "max_closed_form_error",
-                "max_flux_over_budget", "max_phi_over_budget")] == \
+                "max_flux_over_budget", "max_phi_over_budget", "min_phi",
+                "is_positive")] == \
             _DEFAULT_CERTIFICATES[sc.name], sc.name
 
 
@@ -101,6 +114,9 @@ def test_interval_too_short_to_split_is_a_parameter_error(capsys):
     sc = scenario_catalog("gaussian_a", p=2.0, alpha=2.0, beta=2.0, Q=3.0)
     with pytest.raises(ValueError, match="too short to split into 64"):
         verify_bessel_pair(sc, (1.0, math.nextafter(1.0, 2.0)))
+    # an infinite r1 too, with no numpy warning on the way
+    with pytest.raises(ValueError, match="too short to split into 64"):
+        verify_bessel_pair(sc, (1.0, math.inf))
     assert run(["bessel", "--scenario", "gaussian_a", "--r0", "1", "--r1",
                 "1.0000000000000002"]) == 2
     assert capsys.readouterr().err.startswith("parameter error: interval ")
@@ -336,3 +352,31 @@ def test_singular_coefficient_detected():
     with pytest.raises(ODEFailure, match=r"^V r\^mu reads 0\.0 from r = 1 on "
                        "the integration path"):
         verify_bessel_pair(sc, (0.5, 2.0))
+    # V r^mu <= 0 at r0 itself is named there
+    with pytest.raises(ODEFailure, match=r"^V r\^mu reads 0\.0 from r = 1 on "
+                       r"the integration path \(V vanishes there\)$"):
+        verify_bessel_pair(sc, (1.0, 2.0))
+
+
+def test_coefficient_dip_between_coarse_probe_points_is_detected():
+    # V r^mu <= 0 on [1.9685, 1.9875], inside the last certificate interval
+    # (1.9571, 2): no point of a 64-point geometric probe of [0.5, 2] falls
+    # there, but 7 points of the certificate's own 1,025-point grid do, and
+    # bisection from the last positive one names the dip's left end
+    c, w = 1.978, 0.019
+    sc = scenario_catalog("power", Q=5.0, p=2.0, theta=1.0)
+    V0 = sc.pair.V
+
+    def V(r):
+        r = np.asarray(r, dtype=float)
+        return V0(r) * np.where(np.abs(r - c) < w,
+                                2.0 * np.abs(r - c) / w - 1.0, 1.0)
+
+    assert np.all(V(np.geomspace(0.5, 2.0, 64)) > 0.0)
+    assert np.count_nonzero(V(np.geomspace(0.5, 2.0, 1025)) <= 0.0) == 7
+    sc = replace(sc, pair=replace(sc.pair, V=V))
+    with pytest.raises(ODEFailure, match=r"^V r\^mu reads -[0-9.e-]+ from "
+                       r"r = 1\.9685 on the integration path$") as failed:
+        verify_bessel_pair(sc, (0.5, 2.0))
+    r = float(str(failed.value).split("from r = ")[1].split()[0])
+    assert c - w / 2 <= r <= c + w / 2

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardylab.quadrature import (QuadratureError, _seed_mesh,
                                  integrate_adaptive, integrate_batch)
@@ -125,13 +126,21 @@ def _batched(funcs):
     return f
 
 
+def _padded(points):
+    """Per-owner point lists as one (n, m) array, each row NaN-padded."""
+    out = np.full((len(points), max(map(len, points), default=0)), math.nan)
+    for row, mine in zip(out, points):
+        row[:len(mine)] = mine
+    return out
+
+
 def _batch_call(cases, **kw):
     return integrate_batch(
         _batched([c[0] for c in cases]), [c[1] for c in cases],
         [c[2] for c in cases],
         [c[3].get("singular_left", False) for c in cases],
         [c[3].get("singular_right", False) for c in cases],
-        [c[3].get("points", ()) for c in cases], **kw)
+        _padded([c[3].get("points", ()) for c in cases]), **kw)
 
 
 def test_batch_matches_single_calls():
@@ -247,8 +256,9 @@ def _seed_outcome(mesh, *batch):
 
 
 def test_seed_mesh_matches_per_owner_edges():
-    # the array seed mesh of every owner at once against the per-owner set
-    # and sort, bit for bit (a -0.0 edge included), or the same error, over
+    # the array seed mesh of every owner at once, its points NaN-padded
+    # into one array, against the per-owner set and sort of the ragged
+    # lists, bit for bit (a -0.0 edge included), or the same error, over
     # 2,800 batches of 1-6 owners
     rng = np.random.default_rng(2024)
     outcomes = collections.Counter()
@@ -256,13 +266,52 @@ def test_seed_mesh_matches_per_owner_edges():
         a, b, left, right, points = zip(*(
             _random_owner(rng) for _ in range(rng.integers(1, 7))))
         expect = _seed_outcome(seed_mesh_per_owner, a, b, left, right, points)
+        # as integrate_batch runs it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             got = _seed_outcome(_seed_mesh, np.array(a), np.array(b), left,
-                                right, points)   # as integrate_batch runs it
+                                right, _padded(points))
         assert got == expect
         outcomes[expect[0] if isinstance(expect[0], type) else "mesh"] += 1
     assert outcomes["mesh"] >= 2000
     assert min(outcomes[ValueError], outcomes[ParameterDomainError]) >= 50
+
+
+@st.composite
+def _ragged_owner(draw):
+    """(a, b, singular_left, singular_right, points) of one owner, proper
+    or improper, wide or a >= b, with a ragged list of points: NaN, -0.0,
+    repeats, and points inside, on or outside the ends."""
+    a = draw(st.sampled_from([0.0, -0.0, -1.0, 0.37, 1e-3])
+             | st.floats(-2.0, 2.0))
+    b = draw(st.sampled_from([math.inf, a, 1e4 * a + 1.0])
+             | st.floats(1e-9, 1e3).map(lambda w: a + w))
+    finite = b if math.isfinite(b) else a + 3.0
+    point = (st.sampled_from([a, b, finite, a - 1.0, finite + 1.0, 0.0,
+                              -0.0, math.nan, 0.5 * (a + finite)])
+             | st.floats(*sorted((a, finite))))
+    points = draw(st.lists(point, max_size=5))
+    if points and draw(st.booleans()):
+        points.append(points[0])
+    return a, b, draw(st.booleans()), draw(st.booleans()), points
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(batch=st.lists(_ragged_owner(), min_size=1, max_size=5))
+def test_padded_points_match_ragged_lists(batch):
+    # any ragged batch, NaN-padded into one (n, m) array, seeds the mesh of
+    # its per-owner lists bit for bit, or fails with the same error; a
+    # points array whose first axis is not n is a ValueError
+    a, b, left, right, points = zip(*batch)
+    expect = _seed_outcome(seed_mesh_per_owner, a, b, left, right, points)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        got = _seed_outcome(_seed_mesh, np.array(a), np.array(b), left,
+                            right, _padded(points))
+    assert got == expect
+    padded = _padded(points)
+    for wrong in (padded[1:], np.vstack([padded, padded[:1]]), padded.T):
+        if wrong.shape[:1] != (len(batch),):
+            with pytest.raises(ValueError, match=r"^points must have "):
+                integrate_batch(lambda x, owner: x, a, b, left, right, wrong)
 
 
 @pytest.mark.parametrize("wrong_first", [True, False])
