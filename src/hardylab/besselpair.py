@@ -4,9 +4,9 @@ A Bessel pair (V, W) with constant lam has a positive solution phi of
 
     (V(r) r^(Q-1) |phi'|^(p-2) phi')' + lam W(r) r^(Q-1) |phi|^(p-2) phi = 0.
 
-`verify_bessel_pair` checks the catalog's closed form phi (for
-improved_weight, the auxiliary exp(-r) pair) on each of _INTERVALS geometric
-intervals [r_i, r_(i+1)] of [r0, r1] against the ODE integrated there,
+`certify_flux` checks a profile phi, a closed form or a built solution, on
+each of _INTERVALS geometric intervals [r_i, r_(i+1)] of [r0, r1] against
+the equation integrated there,
 
     m(r_(i+1)) - m(r_i) + int (lam W - z) r^(Q-1) Phi_p(phi) dr = 0,
     phi(r_(i+1)) - phi(r_i) - int phi' dr = 0,
@@ -14,7 +14,8 @@ intervals [r_i, r_(i+1)] of [r0, r1] against the ODE integrated there,
 with the flux m = V r^(Q-1) Phi_p(phi'), Phi_p(x) = |x|^(p-2) x and z the
 zero-order numerator weight; the second identity ties phi' to phi. By
 uniqueness of the initial-value problem, phi is then the solution from its
-own data at r0, so no ODE is integrated.
+own data at r0, so no ODE is integrated. `verify_bessel_pair` certifies a
+scenario's closed form.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from .scenarios import (CheckFailure, RadialWeightPair, Scenario,
 __all__ = [
     "BesselCertificate",
     "ODEFailure",
+    "certify_flux",
     "verify_bessel_pair",
     "improved_weight_auxiliary_pair",
     "momentum_from_profile",
 ]
 
 _INTERVALS = 64                 # geometric intervals of each certificate
-_PROBES = 16                    # points per interval where phi > 0 is checked
+_PROBES = 16                    # points per interval where phi is probed
 _FLUX_RTOL = 1e-13              # relative target of each identity's integral
 _U = 2.0 ** -53                 # unit roundoff
 # each identity must hold within this many error budgets on every interval
@@ -47,24 +49,23 @@ _FLUX_K = 10.0
 
 
 class ODEFailure(CheckFailure):
-    """The coefficient probe failed: the certificate's coefficients V r^mu
-    and W r^mu, probed on its grid of [r0, r1], are not all finite floats,
-    or V r^mu reads <= 0 somewhere on the path of its integrals."""
+    """The coefficient probe failed: V r^mu or W r^mu is not finite on the
+    certificate's grid, or V r^mu reads <= 0 on the path of its integrals."""
 
 
 @dataclass(frozen=True)
 class BesselCertificate:
-    """The closed form on [r0, r1]: its smallest value on the probe grid,
-    and for the flux identity and the phi' identity the largest relative
-    residual (|residual| over the summed magnitudes of its terms) and the
-    largest residual over its error budget, each over every interval."""
+    """phi on [r0, r1]: its smallest value on the probe grid, and for the
+    flux identity and the phi' identity the largest relative residual
+    (|residual| over the summed magnitudes of its terms) and the largest
+    residual over its error budget, each over every interval."""
     is_positive: bool
     min_phi: float
     max_ode_residual: float             # the flux identity
     max_closed_form_error: float        # the phi' identity
     max_flux_over_budget: float
     max_phi_over_budget: float
-    # r -> (phi, m) of the closed form
+    # r -> (phi, m)
     solution: Callable = field(repr=False, compare=False)
     # r -> relative flux residual of the interval holding each r
     residual: Callable = field(repr=False, compare=False)
@@ -129,29 +130,34 @@ def improved_weight_auxiliary_pair(Q: float, p: float):
 
 def verify_bessel_pair(scenario: Scenario,
                        interval: tuple[float, float]) -> BesselCertificate:
-    """Certify the scenario's closed form phi on [r0, r1] (for improved_weight
-    the auxiliary pair's exp(-r)) by the flux identity and the phi' identity
-    on each of _INTERVALS geometric intervals, whose integrals are the owners
-    of one `integrate_batch` call at relative target _FLUX_RTOL. An interval's
-    error budget is its integral's error bound (floored at _FLUX_RTOL times
-    the integral) plus 4u times the summed magnitudes of its end values, and
-    phi must be positive at _PROBES points per interval. A coefficient V r^mu
-    or W r^mu that is not a finite float at a probe, a V r^mu <= 0 on the
-    path (not one that underflows from positive values), or a failed
-    integral ends the check in a CheckFailure."""
+    """`certify_flux` of the scenario's own pair and closed form (for
+    improved_weight, the auxiliary pair's exp(-r)) on [r0, r1] strictly
+    inside the pair's interval."""
     r0, r1 = interval
     lo, hi = scenario.pair.interval
     if not (lo < r0 < r1 < hi if math.isfinite(hi) else lo < r0 < r1):
         raise ValueError(f"interval {interval} is not strictly inside {scenario.pair.interval}")
     p = scenario.exponents.p
-    mu = scenario.exponents.measure_exponent
     if scenario.name == "improved_weight":
         pair, phi = improved_weight_auxiliary_pair(scenario.exponents.Q, p)
     else:
-        pair = scenario.pair
-        phi = closed_form_maximizer(scenario)
-    z = scenario.numerator_zero_order
+        pair, phi = scenario.pair, closed_form_maximizer(scenario)
+    return certify_flux(pair, p, scenario.exponents.measure_exponent,
+                        scenario.numerator_zero_order, phi, interval)
 
+
+def certify_flux(pair: RadialWeightPair, p: float, mu: float,
+                 z: Callable | None, phi: Profile,
+                 interval: tuple[float, float]) -> BesselCertificate:
+    """Certify phi on [r0, r1] against the pair's equation at its lam, with
+    measure r^mu and zero-order weight z (or None), by the flux and phi'
+    identities on _INTERVALS geometric intervals, whose integrals are the
+    owners of one `integrate_batch` call at relative target _FLUX_RTOL. An
+    interval's budget is its integral's error bound (floored at _FLUX_RTOL
+    times the integral) plus 4u times the summed magnitudes of its end
+    values; min_phi is phi's least value at _PROBES points per interval. A
+    failed coefficient probe (`ODEFailure`) or integral is a CheckFailure."""
+    r0, r1 = interval
     # np.geomspace(r0, r1, m + 1) bit for bit; an r1 of inf is too short below
     m = _INTERVALS * _PROBES
     with np.errstate(invalid="ignore"):

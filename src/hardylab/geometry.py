@@ -259,21 +259,23 @@ def _ball_integrals(model: GaugeModel, radii, weight):
     """Value and error bound of each Phi_k = int_{d < radii[k]}
     weight(d, |grad_L d|, k) dx. In the radii rho, s of the two layers
     (`GaugeModel.bilayer`), dx = |S^(h1-1)| |S^(h2-1)| rho^(h1-1) s^(h2-1)
-    drho ds; s = rho^(a/2) sinh u gives d = rho cosh(u)^(2/a) and |grad_L d|
-    = cosh(u)^(-2 kappa/a), smooth where (rho/d)^kappa peaks at s = 0. So
-    Phi_k = |S^(h1-1)| |S^(h2-1)| int_0^R rho^(q-1) J_k drho, q = h1 + a h2/2,
-    with J_k = int_0^U sinh(u)^(h2-1) cosh(u) weight du, sinh U =
+    drho ds; s = rho^(a/2) sinh u, in L = log cosh u = u + log1p(e^(-2u)) -
+    ln 2, gives d = rho e^(2L/a), s^(h2-1) ds/du = d^(a h2/2) tanh(u)^(h2-1)
+    (tanh^2 = 1 - e^(-2L)) and |grad_L d| = e^(-2 kappa L/a): every term
+    stays finite where cosh u overflows (u past 710 at the outer nodes near
+    rho = 0 once a passes about 78), and is smooth where (rho/d)^kappa
+    peaks at s = 0. So Phi_k = |S^(h1-1)| |S^(h2-1)| int_0^R rho^(h1-1) J_k
+    drho, with J_k = int_0^U d^(a h2/2) tanh(u)^(h2-1) weight du, sinh U =
     sqrt((R/rho)^a - 1): the J_k at an outer sweep's nodes are the owners of
     one integrate_batch call. Near rho = R, J_k covers a sliver of d that
     the weight resolves only to d's rounding, so its target is absolute,
-    _GAUGE_RTOL times the least mean of the J_k over rho^(q-1) drho from a
+    _GAUGE_RTOL times the least mean of the J_k over rho^(h1-1) drho from a
     first pass at 1e-3; for a weight of one sign they add at most 2
     _GAUGE_RTOL |Phi_k| to the outer error, floored at _GAUGE_RTOL |Phi_k|.
     """
     from .quadrature import integrate_batch
 
     h1, h2, a, kappa = model.bilayer()
-    q = h1 + 0.5 * a * h2
     radii = np.asarray(radii, dtype=float)
     n = radii.size
 
@@ -286,21 +288,21 @@ def _ball_integrals(model: GaugeModel, radii, weight):
             U = 0.5 * x + np.log1p(np.sqrt(-np.expm1(-x)))   # asinh sqrt(e^x - 1)
 
             def inner(u, o):
-                c = np.cosh(u)
-                return np.sinh(u) ** (h2 - 1) * c * weight(
-                    r[o, None] * c ** (2.0 / a), c ** (-2.0 * kappa / a),
-                    k[o, None])
+                L = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
+                d = r[o, None] * np.exp(2.0 / a * L)
+                return d ** (0.5 * a * h2) * np.tanh(u) ** (h2 - 1) * weight(
+                    d, np.exp(-2.0 * kappa / a * L), k[o, None])
 
             m = r.size
-            return r ** (q - 1.0) * integrate_batch(
+            return r ** (h1 - 1.0) * integrate_batch(
                 inner, np.zeros(m), U, [False] * m, [False] * m, [()] * m,
                 tol=inner_tol, rel_tol=rel_tol).value
 
         return integrate_batch(outer, np.zeros(n), radii, [True] * n,
                                [True] * n, [()] * n, tol=0.0, rel_tol=rel_tol)
 
-    with np.errstate(over="ignore"):    # an R^q past the float range
-        mean_J = np.min(abs(integrals(0.0, 1e-3).value) * q / radii ** q) if h2 else 0
+    with np.errstate(over="ignore"):    # an R^h1 past the float range
+        mean_J = np.min(abs(integrals(0.0, 1e-3).value) * h1 / radii ** h1) if h2 else 0
     est = integrals(_GAUGE_RTOL * mean_J, _GAUGE_RTOL)
     area = _sphere_area(h1) * (_sphere_area(h2) if h2 else 1.0)
     floor = _GAUGE_RTOL * np.abs(area * est.value)

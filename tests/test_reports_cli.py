@@ -1,4 +1,5 @@
 import argparse
+import faulthandler
 import hashlib
 import json
 import math
@@ -18,7 +19,14 @@ from oracles import strip_quotient_mp
 
 
 def _cli(args, capsys):
-    code = run(args)
+    """(exit code, stdout, stderr) of `run(args)` in this process. An
+    exception that escapes run fails the test, as a traceback would; a run
+    that hangs ends the suite after 60 s with the stacks of its threads."""
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        code = run(args)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -265,14 +273,12 @@ def test_scenario_flags_cover_builder_params():
                                   ["eig", "--Q", "nan"], ["eig", "--theta", "nan"],
                                   ["eig", "--Q", "inf"], ["eig", "--b", "inf"],
                                   ["eig", "--tol", "nan"]])
-def test_nan_p_exits_2(argv):
-    # a subprocess with a timeout: a NaN or infinite parameter that reaches
-    # the eig search never returns, and that must fail the test rather than
-    # hang the suite
-    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"parameter error: {argv[1][2:]} must be")
+def test_nan_p_exits_2(argv, capsys):
+    # a NaN or infinite parameter that reaches the eig search never returns:
+    # `_cli`'s hang guard ends it rather than the suite's time
+    code, _, err = _cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"parameter error: {argv[1][2:]} must be")
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -300,6 +306,22 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "improved_weight" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["eig", "--p", "nan"], 2, "parameter error: p must be"),
+    (["identity", "--p", "400", "--samples", "100"], 1,
+     "FAIL: w_term is not finite at p = 400.0"),
+], ids=["parameter_error", "fail"])
+def test_module_exits_with_the_run_code(argv, code, line):
+    # python -m hardylab.cli: main() hands run's exit code to sys.exit, and
+    # the failure is one line on stderr with no traceback and no report
+    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(line)
+    assert proc.stdout == ""
 
 
 # the twelve README commands at small sample counts, each with the hardylab
@@ -818,19 +840,29 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     # a gauge ball of radius 1e-9 is integrated like any other
     (["geometry", "--model", "greiner", "--check", "measure", "--samples",
       "1000", "--R1", "1e-9", "--R2", "1"], 0),
+    # steep gauges, a = 4 gamma or 2 + 2 gamma past 78, whose inner variable
+    # passes 710 at the outer nodes near rho = 0, where cosh overflows
+    (["geometry", "--model", "greiner", "--n", "1", "--gamma", "20",
+      "--check", "measure"], 0),
+    (["geometry", "--model", "greiner", "--n", "1", "--gamma", "40",
+      "--check", "measure"], 0),
+    (["geometry", "--model", "grushin", "--n", "1", "--k", "1", "--gamma",
+      "20", "--check", "measure"], 0),
+    (["geometry", "--model", "grushin", "--n", "1", "--k", "1", "--gamma",
+      "40", "--check", "measure"], 0),
+    (["geometry", "--model", "grushin", "--n", "1", "--k", "1", "--gamma",
+      "80", "--check", "measure"], 0),
 ])
-def test_exit_codes_without_traceback(argv, code, tmp_path):
+def test_exit_codes_without_traceback(argv, code, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     for name, value in (("null", "null"), ("array", "[1]"), ("bool", "true")):
         (tmp_path / f"{name}.json").write_text(f'{{"Q": {value}}}')
     unreadable = "{tmp}" in argv
     unwritable = "{tmp}/nodir/x.json" in argv
     argv = [x.replace("{tmp}", str(tmp_path)) for x in argv]
-    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
+    got, _, err = _cli(argv, capsys)
+    assert got == code, err
+    lines = err.splitlines()
     if code == 2:
         assert len(lines) == 1, lines
         assert lines[0].startswith(
@@ -845,19 +877,18 @@ def test_exit_codes_without_traceback(argv, code, tmp_path):
 
 @pytest.mark.parametrize("argv", [["identity", "--p", "400"],
                                   ["identity", "--p", "300", "--h", "3"]])
-def test_identity_overflow_is_one_fail_line(argv, tmp_path):
+def test_identity_overflow_is_one_fail_line(argv, tmp_path, capsys):
     # |f|^p and the segment integrals leave the float range: the run names
     # the overflow instead of reporting NaN residuals, warns nothing and
     # writes no report
     out = tmp_path / "identity.csv"
-    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv,
-                           "--samples", "100", "--out", str(out)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
+    code, stdout, err = _cli([*argv, "--samples", "100", "--out", str(out)],
+                             capsys)
+    assert code == 1
+    assert err.splitlines() == [
         f"FAIL: w_term is not finite at p = {float(argv[2])!r}: the "
         "identity split overflows the float range"]
-    assert proc.stdout == "" and not out.exists()
+    assert stdout == "" and not out.exists()
 
 
 # ------------------------------------------------ failing verdict paths ----
@@ -1069,9 +1100,9 @@ _FAILING_PATHS = {
     "direct": (
         [*_GRUSHIN, "--check", "direct", "--scenario", "power", "--Q", "3",
          "--p", "2", "--theta", "1", "--samples", "20000"], 1,
-        _geometry_fail("direct", "626.607191716421", "939.9107875746315"),
-        "aa145273d65458c9630a59d2c53377d0a31297a48a2f7493521e4821a0135e76",
-        "6becdc3613da7828f55261d4875b6db690f928cf3afeed2979b271c19cdfda72"),
+        _geometry_fail("direct", "626.6071917164213", "939.9107875746315"),
+        "cb3c50ae9f365bcc97add3a1ff719c2da69f8931016223a9cd0f3be066b428bd",
+        "02f4948bd8f75ce44d49e009c684670f972369a7051b02fd66404156ae989274"),
     "measure_fail": (
         [*_GRUSHIN, "--check", "measure", "--samples", "20000"], 1,
         _geometry_fail("measure", "8.0", "9.513656920021768"),

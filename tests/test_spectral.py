@@ -1,16 +1,15 @@
 import hashlib
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from hardylab import spectral
-from hardylab.besselpair import _FLUX_K, _FLUX_RTOL
+from hardylab.besselpair import _FLUX_K, certify_flux
 from hardylab.functional import reduce_radial_functional
-from hardylab.quadrature import integrate_batch
 from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                                 scenario_catalog)
 from hardylab.spectral import (AnnulusProblem, SearchFailureError,
@@ -441,46 +440,40 @@ def test_zeros_equally_spaced_in_log_r(case):
     assert np.max(np.abs(res.eigenfunction.value(nodes))) <= 1e-9
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
-    f"{x:g}" for x in c))
-def test_eigenfunction_satisfies_the_flux_identity(case):
-    # the eigenfunction, built from the period integrand without an ODE,
-    # against the ODE itself on 64 geometric intervals [r0, r1], as the
-    # Bessel-pair certificate checks a closed form: m(r1) - m(r0) + lam int
-    # r^(Q-1-p theta) Phi_p(phi) dr, m = r^(Q-1-p(theta-1)) Phi_p(phi'), and
-    # phi(r1) - phi(r0) - int phi' dr, each within _FLUX_K error budgets;
-    # and phi changes sign n - 1 times on (a, b)
+def _certify_eigenfunction(case, shift=0.0):
+    """`certify_flux` on [a, b] of the case's eigenfunction (with a shift,
+    one built at lam (1 + shift)) against the annulus power pair at lam."""
     Q, p, theta, a, b, n = case
     prob = AnnulusProblem(Q=Q, p=p, theta=theta, a=a, b=b)
     res = eigenvalue(prob, which=n)
-    phi, count = res.eigenfunction, 64
-    flux_exp, weight_exp = _flux_exponents(prob)
+    built = res.lam * (1.0 + shift)
+    phi = spectral._eigenfunction(prob, built, n, spectral._half_periods(
+        prob, built)) if shift else res.eigenfunction
+    pair = replace(scenario_catalog("annulus", **asdict(prob)).pair,
+                   lam=res.lam)
+    return certify_flux(pair, p, Q - 1.0, None, phi, (a, b)), phi
 
-    def Phi(x):
-        return np.abs(x) ** (p - 2.0) * x
 
-    def integrand(r, owner):    # owners below count: the flux identity's
-        r, flux = r.ravel(), np.repeat(owner < count, r.shape[1])
-        out = np.array(phi.derivative(r))
-        out[flux] = -res.lam * r[flux] ** weight_exp * Phi(phi.value(r[flux]))
-        return out
-
-    edges = np.geomspace(a, b, count + 1)
-    est = integrate_batch(integrand, np.tile(edges[:-1], 2),
-                          np.tile(edges[1:], 2), [False] * 2 * count,
-                          [False] * 2 * count, [[]] * 2 * count, tol=0.0,
-                          rel_tol=_FLUX_RTOL)
-    integral = est.value.reshape(2, count)
-    bound = est.error_estimate.reshape(2, count)
-    ends = np.array([edges ** flux_exp * Phi(phi.derivative(edges)),
-                     phi.value(edges)])
-    # rounding: Phi_p(phi') carries p - 1 times the relative error of phi'
-    magnitude = np.abs(ends[:, :-1]) + np.abs(ends[:, 1:])
-    budget = (np.maximum(bound, _FLUX_RTOL * np.abs(integral))
-              + 4.0 * 2.0 ** -53 * np.array([[p - 1.0], [1.0]]) * magnitude)
-    assert np.max(np.abs(np.diff(ends) - integral) / budget) <= _FLUX_K
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(
+    f"{x:g}" for x in c))
+def test_eigenfunction_satisfies_the_flux_identity(case):
+    # the eigenfunction, built from the period integrand without an ODE, by
+    # the closed forms' certificate; and phi changes sign n - 1 times on (a, b)
+    Q, p, theta, a, b, n = case
+    cert, phi = _certify_eigenfunction(case)
+    assert max(cert.max_flux_over_budget, cert.max_phi_over_budget) <= _FLUX_K
     signs = np.sign(phi.value(a * (b / a) ** np.linspace(0.0, 1.0, 4001)))
     assert np.count_nonzero(np.diff(signs[signs != 0])) == n - 1
+
+
+@pytest.mark.parametrize("shift", [1e-8, -1e-8])
+@pytest.mark.parametrize("case", [ORACLE_CASES[i] for i in (0, 2, 7)],
+                         ids=lambda c: "-".join(f"{x:g}" for x in c))
+def test_eigenfunction_off_lambda_fails_the_flux_identity(case, shift):
+    # 9.96e4 budgets or more off; against its own lam (1 + shift) a kappa = 0
+    # one passes, as the flux identity does not see phi(b) = 0
+    cert, _ = _certify_eigenfunction(case, shift)
+    assert cert.max_flux_over_budget > 1e3 * _FLUX_K
 
 
 @pytest.mark.parametrize("b, n", [(1e10, 5), (1e12, 4)])
