@@ -201,11 +201,9 @@ def certify_flux(pair: RadialWeightPair, p: float, mu: float,
         out[~flux] = phi.derivative(r[~flux])
         return out
 
-    n = 2 * _INTERVALS
     est = integrate_batch(integrand, np.concatenate([edges[:-1], edges[:-1]]),
-                          np.concatenate([edges[1:], edges[1:]]),
-                          np.zeros(n, bool), np.zeros(n, bool),
-                          np.empty((n, 0)), tol=0.0, rel_tol=_FLUX_RTOL)
+                          np.concatenate([edges[1:], edges[1:]]), tol=0.0,
+                          rel_tol=_FLUX_RTOL)
     integral = est.value.reshape(2, _INTERVALS)
     bound = est.error_estimate.reshape(2, _INTERVALS)
     with np.errstate(over="ignore", invalid="ignore"):

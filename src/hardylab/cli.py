@@ -3,7 +3,8 @@
 Subcommands: identity, bessel, eig, sharpness, geometry, rayleigh, catalog.
 Each flag declares its own default. A JSON config file (`--config`) may carry
 only the subcommand's own flag names (argparse dests such as `eps_grid`); its
-values become the subcommand's defaults, so explicit flags win. Each command
+values become the subcommand's defaults, so explicit flags win, and a value
+for an int flag is a JSON integer or a string argparse converts. Each command
 builds its rows and summary and takes its verdict (a failure message or None)
 from the module that computes what the verdict judges. `run` writes the
 report, prints the `FAIL:` line and maps the outcome to an
@@ -59,7 +60,8 @@ def _build_scenario(args):
     return scenario_catalog(args.scenario, **kwargs)
 
 
-def _read_config(path: str, parsed: argparse.Namespace) -> dict:
+def _read_config(path: str, parser: argparse.ArgumentParser,
+                 parsed: argparse.Namespace) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -69,10 +71,16 @@ def _read_config(path: str, parsed: argparse.Namespace) -> dict:
     if unknown:
         raise ParameterDomainError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
+    # argparse converts only string defaults: a float would reach an int flag
+    ints = {action.dest for action in parser._actions if action.type is int}
     for key, value in doc.items():
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ParameterDomainError(
                 f"config key {key!r} must be a number or a string, "
+                f"got {json.dumps(value)}")
+        if key in ints and isinstance(value, float):
+            raise ParameterDomainError(
+                f"config key {key!r} must be an integer, "
                 f"got {json.dumps(value)}")
     return doc
 
@@ -83,7 +91,7 @@ class _CommandParser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         parsed, extras = super().parse_known_args(args, namespace)
         if parsed.config:
-            self.set_defaults(**_read_config(parsed.config, parsed))
+            self.set_defaults(**_read_config(parsed.config, self, parsed))
             parsed, extras = super().parse_known_args(args, namespace)
         return parsed, extras
 

@@ -10,8 +10,11 @@ with the gauge-ball constant cancelling between numerator and denominator.
 One routine reduces one profile or many: the numerator, zero-order and
 denominator integrals of every profile go to one ``integrate_batch`` call, so
 sampling many random bump profiles costs a few kernel sweeps instead of two
-or three adaptive integrations per profile. ``reduce_radial_functional`` is
-its one-profile case, one kernel call as well.
+or three adaptive integrations per profile. Every profile's bounds and
+singular-end flags are computed as arrays, and its knots go to the kernel
+unfiltered: the kernel's seed mesh drops those outside the profile's bounds,
+on them, repeated or NaN. ``reduce_radial_functional`` is its one-profile
+case, one kernel call as well.
 """
 
 from __future__ import annotations
@@ -50,20 +53,6 @@ class ReducedFunctional:
         return (self.numerator - c * self.denominator) / scale
 
 
-def _bounds_and_flags(interval, support, knots):
-    rbar, rmax = interval
-    lo = max(rbar, support[0])
-    hi = min(rmax, support[1])
-    if not lo < hi:
-        raise InvalidProfileError(
-            f"profile support {support} lies outside the scenario "
-            f"interval {interval}")
-    sing_left = lo <= rbar or lo <= 0.0
-    sing_right = math.isinf(hi) or hi >= rmax
-    points = [k for k in knots if lo < k < hi]
-    return lo, hi, sing_left, sing_right, points
-
-
 def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
                   tol: float) -> list[ReducedFunctional]:
     """Reduced functionals of one profile or a batch of them.
@@ -72,7 +61,8 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
     rows[j] at the points r[j, ...], in r's shape or raveled. All integrals
     go to one integrate_batch call, a single profile's two or three as well;
     every integral keeps its own adaptive target, so a profile's result does
-    not depend on its batch mates. Only the profiles before the first one
+    not depend on its batch mates. knots[i] are profile i's split points,
+    passed to the kernel as they are. Only the profiles before the first one
     outside the scenario interval are reduced, and that profile's
     InvalidProfileError is raised after them; the kernel raises the failed
     integral of the lowest-index profile before any profile is reduced.
@@ -91,15 +81,6 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         r = nodes.ravel()
         return r ** mu * weight(r) * np.abs(phi(nodes, rows).ravel()) ** p
 
-    specs, invalid = [], None
-    for support, kn in zip(supports, knots):
-        try:
-            specs.append(_bounds_and_flags(scenario.pair.interval, support,
-                                           kn))
-        except InvalidProfileError as err:
-            invalid = err
-            break
-
     def integrand(x, owner):
         kind = owner % K
         out = np.empty_like(x)
@@ -109,14 +90,25 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
                 out[m] = term(k, x[m], owner[m] // K).reshape(m.size, -1)
         return out
 
-    lo, hi, s_left, s_right, split = (
-        [spec[f] for spec in specs for _ in range(K)] for f in range(5))
-    width = max(map(len, split), default=0)   # NaN-padded to one array
-    points = [k + [math.nan] * (width - len(k)) for k in split]
+    rbar, rmax = scenario.pair.interval
+    bounds = np.array(supports, dtype=float).reshape(-1, 2)
+    # fmax and fmin keep the interval end where a support end is NaN
+    lo, hi = np.fmax(rbar, bounds[:, 0]), np.fmin(rmax, bounds[:, 1])
+    invalid = ~(lo < hi)
+    n = int(invalid.argmax()) if invalid.any() else invalid.size
+    lo, hi = lo[:n], hi[:n]
+    s_left = (lo <= rbar) | (lo <= 0.0)
+    s_right = np.isinf(hi) | (hi >= rmax)
+    # every profile's knots, NaN-padded to one array: the kernel drops the
+    # ones outside a profile's bounds, on them, repeated or NaN
+    width = max(map(len, knots[:n]), default=0)
+    points = [[*k, *[math.nan] * (width - len(k))] for k in knots[:n]]
     # tol is relative-only here: the weights can underflow to ~1e-90 scales
     # on far-out supports, where any fixed absolute target is meaningless
-    values = integrate_batch(integrand, lo, hi, s_left, s_right, points,
-                             tol=0.0, rel_tol=tol).value.reshape(-1, K)
+    values = integrate_batch(integrand, lo.repeat(K), hi.repeat(K),
+                             s_left.repeat(K), s_right.repeat(K),
+                             np.repeat(points, K, axis=0), tol=0.0,
+                             rel_tol=tol).value.reshape(-1, K)
     nums = values[:, 0].copy()
     with np.errstate(over="ignore"):   # a sum past the float range is inf
         for k in range(1, K - 1):
@@ -132,8 +124,10 @@ def _reduce_batch(scenario: Scenario, supports, knots, value, derivative,
         else:
             quotient = num / den
         reduced.append(ReducedFunctional(num, den, quotient))
-    if invalid is not None:
-        raise invalid
+    if n < len(supports):
+        raise InvalidProfileError(
+            f"profile support {supports[n]} lies outside the scenario "
+            f"interval {scenario.pair.interval}")
     return reduced
 
 

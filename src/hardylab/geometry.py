@@ -293,13 +293,12 @@ def _ball_integrals(model: GaugeModel, radii, weight):
                 return d ** (0.5 * a * h2) * np.tanh(u) ** (h2 - 1) * weight(
                     d, np.exp(-2.0 * kappa / a * L), k[o, None])
 
-            m = r.size
             return r ** (h1 - 1.0) * integrate_batch(
-                inner, np.zeros(m), U, [False] * m, [False] * m, [()] * m,
-                tol=inner_tol, rel_tol=rel_tol).value
+                inner, np.zeros(r.size), U, tol=inner_tol,
+                rel_tol=rel_tol).value
 
         return integrate_batch(outer, np.zeros(n), radii, [True] * n,
-                               [True] * n, [()] * n, tol=0.0, rel_tol=rel_tol)
+                               [True] * n, tol=0.0, rel_tol=rel_tol)
 
     with np.errstate(over="ignore"):    # an R^h1 past the float range
         mean_J = np.min(abs(integrals(0.0, 1e-3).value) * h1 / radii ** h1) if h2 else 0
@@ -415,8 +414,8 @@ def strip_quotient(theta: float, epsilon: float) -> float:
 
     (lo, hi), inner = f.support, [f.knots[1]]
     X1, X2, X3, X4, Y1, Z = integrate_batch(
-        integrand, [lo] * 4 + [-1.0] * 2, [hi] * 4 + [1.0] * 2, [False] * 6,
-        [False] * 6, [inner] * 4 + [[math.nan]] * 2, tol=0.0,
+        integrand, [lo] * 4 + [-1.0] * 2, [hi] * 4 + [1.0] * 2,
+        points=[inner] * 4 + [[math.nan]] * 2, tol=0.0,
         rel_tol=_STRIP_TOL).value.tolist()
     return (X1 - 2.0 * ((theta - 1.0) / m) * X2
             + X3 * (sig * ((theta - 1.5) / m) + Z / Y1 / m / m)) / X4 * m * m
@@ -525,8 +524,8 @@ def vandermonde_checks(N: int, theta: float, mc_samples: int,
                         g.value(r) * G)
 
     est = integrate_batch(integrand, [g.support[0]] * 2, [g.support[1]] * 2,
-                          [False] * 2, [False] * 2, [g.knots[1:-1]] * 2,
-                          tol=0.0, rel_tol=_GAUGE_RTOL)
+                          points=[g.knots[1:-1]] * 2, tol=0.0,
+                          rel_tol=_GAUGE_RTOL)
     quotient, bound, ok = _against_reduced(est.value, np.maximum(
         est.error_estimate, _GAUGE_RTOL * np.abs(est.value)), reduced)
     return {"harmonicity_residual": harmonicity_residual,

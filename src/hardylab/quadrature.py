@@ -5,16 +5,18 @@ One kernel refines a flat list of intervals, each tagged with the integral
 integrand is called as f(x: ndarray, owner: ndarray) -> ndarray on the nodes of
 all live intervals at once, so many small integrals cost about as much as one
 large one. The owner bookkeeping is array work too: one seed mesh is built for
-all owners at once (a lexsort over owner and edge), and the results are one
-``BatchEstimate`` of arrays indexed by owner, each ended owner's entries
-written by fancy indexing; the split points come in as one (n, m) array, a
-row NaN-padded where its owner has fewer. Every owner keeps its own target,
-refinement and stopping rules, and its result depends on its own intervals
-only, never on its batch mates. Converged owners drop out. The kernel returns
-estimates only: once every owner has ended, it raises the QuadratureError of
-the lowest-numbered owner that failed, the error integrating the owners one
-by one in order would raise first. ``integrate_adaptive`` is the one-owner
-case and returns a ``QuadratureEstimate``.
+all owners at once (a lexsort over owner and edge), and the result is one
+``QuadratureEstimate`` of arrays indexed by owner, each ended owner's entries
+written by fancy indexing. Singular-endpoint flags (one per owner) and split
+points (one (n, m) array, a row NaN-padded) are optional; the seed mesh drops
+points outside an owner's interval, on its ends, repeated or NaN, so callers
+pass them unfiltered. Every owner keeps its own target, refinement and
+stopping rules, and its result depends on its own intervals only, never on
+its batch mates. Converged owners drop out. The kernel returns estimates
+only: once every owner has ended, it raises the QuadratureError of the
+lowest-numbered owner that failed, the error integrating the owners one by
+one in order would raise first. ``integrate_adaptive`` is the one-owner case
+and returns row 0 of its batch as floats.
 
 Endpoint singularities get a geometric seed mesh toward the flagged endpoint.
 Improper upper limits are handled by the substitution r = a + t/(1-t), which
@@ -24,7 +26,6 @@ maps [a, +inf) to [0, 1) and turns the far end into a flagged singular endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ import numpy as np
 from .scenarios import CheckFailure, ParameterDomainError
 
 __all__ = [
-    "BatchEstimate",
     "QuadratureEstimate",
     "QuadratureError",
     "integrate_adaptive",
@@ -67,17 +67,13 @@ _SPLIT_BATCH = 256            # max intervals refined per owner per sweep
 _CHUNK = 256                  # intervals per integrand call: bounds a batch's working set
 
 
-@dataclass(frozen=True)
-class QuadratureEstimate:
-    """Value of an integral together with an error bound and work count."""
+class QuadratureEstimate(NamedTuple):
+    """Value, error bound and subdivisions of an integral: floats (an int)
+    for one integral, arrays indexed by owner for a batch."""
 
-    value: float
-    error_estimate: float
-    subdivisions: int
-
-    def __post_init__(self) -> None:
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be nonnegative")
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
+    subdivisions: int | np.ndarray
 
 
 class QuadratureError(CheckFailure):
@@ -225,14 +221,6 @@ def _worst(hot, errs, owner, n):
     return hot
 
 
-class BatchEstimate(NamedTuple):
-    """Every owner's value, error bound and work count, indexed by owner."""
-
-    value: np.ndarray
-    error_estimate: np.ndarray
-    subdivisions: np.ndarray
-
-
 # the non-finite check names an overflowing owner: the kernel, its integrand
 # calls included, warns of no overflow, division by zero or invalid value
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -240,23 +228,24 @@ def integrate_batch(
     f: Callable,
     a: Sequence[float],
     b: Sequence[float],
-    singular_left: Sequence[bool],
-    singular_right: Sequence[bool],
-    points: np.ndarray | Sequence[Sequence[float]],
+    singular_left: Sequence[bool] | None = None,
+    singular_right: Sequence[bool] | None = None,
+    points: np.ndarray | Sequence[Sequence[float]] | None = None,
     tol: float = 1e-10,
     rel_tol: float = 1e-10,
     max_subdivisions: int = 1 << 20,
-) -> BatchEstimate:
+) -> QuadratureEstimate:
     """Integrate the owners k = 0..n-1, each f(., k) over [a[k], b[k]] (b[k]
     may be +inf), in one adaptive pass.
 
     f(x, owner) takes an (m, 15) array of nodes and the (m,) owners of its
     rows and returns the m * 15 values, in x's shape or raveled. Owner k has
-    its own endpoint-singularity flags and interior split points points[k],
-    row k of an (n, m) array-like (m may be 0) whose NaN entries pad a row
-    and are ignored; a first axis other than n is a ValueError. All owners
-    are seeded at once by `_seed_mesh`; the tolerances and the subdivision
-    cap are shared. Owner k is done when its error sum meets
+    its own endpoint-singularity flags (by default none) and interior split
+    points points[k], row k of an (n, m) array-like (m may be 0, as by
+    default) whose NaN entries pad a row and are ignored; flags of a shape
+    other than (n,) or a first axis of points other than n is a ValueError.
+    All owners are seeded at once by `_seed_mesh`; the tolerances and the
+    subdivision cap are shared. Owner k is done when its error sum meets
     max(tol, rel_tol * max(|total|, mass)), mass being the sum of |interval
     values|; until then each sweep refines its intervals above a fair share
     of that target, worst first and at most _SPLIT_BATCH of them. An owner
@@ -268,15 +257,19 @@ def integrate_batch(
     or the subdivision cap, with the partial estimate.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    points = np.asarray(points, dtype=float)
     n = a.size
+    points = np.empty((n, 0)) if points is None else np.asarray(points, float)
     if points.shape[:1] != (n,):
         raise ValueError(f"points must have {n} rows, got {points.shape}")
-    est = BatchEstimate(np.empty(n), np.empty(n), np.empty(n, dtype=int))
+    flags = [np.zeros(n, bool) if given is None else np.asarray(given, bool)
+             for given in (singular_left, singular_right)]
+    for name, flag in zip(("singular_left", "singular_right"), flags):
+        if flag.shape != (n,):
+            raise ValueError(f"{name} must have {n} entries, got {flag.shape}")
+    est = QuadratureEstimate(np.empty(n), np.empty(n), np.empty(n, dtype=int))
     if not n:
         return est
-    lefts, rights, owner = _seed_mesh(a, b, singular_left, singular_right,
-                                      points)
+    lefts, rights, owner = _seed_mesh(a, b, *flags, points)
     improper = b == math.inf
     shift = np.where(improper, a, math.inf) if improper.any() else None
     # rows of iv: left, right, value and error of every live interval; owner
@@ -375,12 +368,11 @@ def integrate_adaptive(
     points: Sequence[float] = (),
 ) -> QuadratureEstimate:
     """Integrate f(r) over [a, b] (b may be +inf) to the requested tolerance:
-    the one-owner case of integrate_batch. Raises QuadratureError carrying
-    the partial estimate on non-convergence."""
+    the one-owner case of integrate_batch, whose row 0 it returns as floats.
+    Raises QuadratureError carrying the partial estimate on
+    non-convergence."""
     est = integrate_batch(
         lambda x, owner: f(x.ravel()), [a], [b], [singular_left],
         [singular_right], np.reshape(points, (1, -1)),
         tol=tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions)
-    return QuadratureEstimate(float(est.value[0]),
-                              float(est.error_estimate[0]),
-                              int(est.subdivisions[0]))
+    return QuadratureEstimate._make(field.item(0) for field in est)

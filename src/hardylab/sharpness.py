@@ -220,11 +220,10 @@ def _picone_integrals(scenario: Scenario, c: float, eps_grid):
         kind = (owner % 3)[:, None]
         return np.select([kind == k for k in range(3)], terms)
 
-    n = 3 * len(eps_grid)
     est = integrate_batch(
-        integrand, np.repeat(lo, 3), np.repeat(hi, 3), [False] * n,
-        [False] * n, [seeds + [e + math.log(2.0), -e - math.log(2.0)]
-                      for e in ln_eps for _ in range(3)],
+        integrand, np.repeat(lo, 3), np.repeat(hi, 3),
+        points=[seeds + [e + math.log(2.0), -e - math.log(2.0)]
+                for e in ln_eps for _ in range(3)],
         tol=0.0, rel_tol=_SWEEP_TOL)
     N, D, P = est.value.reshape(-1, 3).T
     dN, dD, dP = np.maximum(est.error_estimate,
@@ -313,8 +312,8 @@ def psiR_deficit(Q: float, p: float, R_grid) -> list[dict]:
                           where=slope > 1.0)[:, None]
         n = len(grid)
         deficits = integrate_batch(
-            integrand, [0.0] * n, [1.0] * n, [False] * n, [False] * n, kinks,
-            tol=0.0, rel_tol=_PSI_TOL).value.tolist()
+            integrand, [0.0] * n, [1.0] * n, points=kinks, tol=0.0,
+            rel_tol=_PSI_TOL).value.tolist()
     return [{"R": R, "deficit": d, "deficit_times_lnR": d * lnR}
             for R, d, lnR in zip(grid, deficits, logs)]
 

@@ -142,8 +142,8 @@ def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
     try:
         plus, minus = integrate_batch(
             lambda w, owner: rate(w, np.where(owner == 0, 1.0, -1.0)[:, None]),
-            [0.0, 0.0], [math.inf, math.inf], [True, True], [False, False],
-            [[math.nan], [w_min]], tol=0.0, rel_tol=_T_RTOL,
+            [0.0, 0.0], [math.inf, math.inf], [True, True],
+            points=[[math.nan], [w_min]], tol=0.0, rel_tol=_T_RTOL,
             max_subdivisions=_T_MAX_SUBDIVISIONS).value.tolist()
     except QuadratureError as err:
         raise SearchFailureError(f"half-period integral at lam = {lam!r} "
@@ -209,8 +209,8 @@ def _eigenfunction(problem: AnnulusProblem, lam: float, which: int,
 
         try:    # the peak chart's rates go like w^(p-2) at w = 0
             out[live] = integrate_batch(
-                f, lo, hi[live], (lo == 0) & ~zero, np.zeros(live.size, bool),
-                np.where(side & ~zero, w_min, math.nan)[:, None],
+                f, lo, hi[live], (lo == 0) & ~zero,
+                points=np.where(side & ~zero, w_min, math.nan)[:, None],
                 tol=0.0, rel_tol=_T_RTOL,
                 max_subdivisions=_T_MAX_SUBDIVISIONS).value
         except QuadratureError as err:

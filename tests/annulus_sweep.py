@@ -12,6 +12,8 @@ code and message, then "N of 861 pass", then one sha256 over the argv, the
 repr of lambda and of the endpoint residual (the half-period check's
 relative miss |n T(lambda) - ln(b/a)| / ln(b/a)) of every passing case, in
 grid order: two trees that print the same line agree on every passing case.
+It exits 0 when every case passes and 1 when any fails, so the sweep can
+gate a run.
 """
 
 import contextlib
@@ -54,7 +56,7 @@ def main() -> int:
             print(f"{' '.join(argv)}: exit {code}: {message}")
     print(f"{passed} of {len(grid)} pass")
     print(f"sha256 of the passing cases: {digest.hexdigest()}")
-    return 0
+    return int(passed < len(grid))
 
 
 if __name__ == "__main__":

@@ -200,6 +200,25 @@ def _reduce_all(sc, bumps):
                          bumps.derivative, 1e-9)
 
 
+def test_kernel_drops_knots_outside_a_profile():
+    # the reducer passes its knots unfiltered: points outside each profile's
+    # support, on its ends and repeated leave every result's bits unchanged
+    for name, kwargs in (("power", dict(Q=5.0, p=3.0, theta=1.0)),
+                         ("antisymmetric", dict(N=3, theta=1.0))):
+        sc = scenario_catalog(name, **kwargs)
+        bumps = random_bumps(np.random.default_rng(5), sc.pair.interval, 12)
+        noisy = [(lo - 1.0, *k, lo, hi, *k[:1], 0.0, hi + 1.0, lo)
+                 for k, (lo, hi) in zip(bumps.knots, bumps.supports)]
+
+        def bits(knots):
+            reduced = _reduce_batch(sc, bumps.supports, knots, bumps.value,
+                                    bumps.derivative, 1e-9)
+            return np.array([[r.numerator, r.denominator, r.quotient]
+                             for r in reduced]).tobytes()
+
+        assert bits(noisy) == bits(bumps.knots)
+
+
 def test_batch_errors_name_the_lowest_index_profile():
     sc = scenario_catalog("annulus", Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
     # profiles 1 and 3 lie outside the interval (1, e)

@@ -134,11 +134,14 @@ def _padded(points):
     return out
 
 
-def _batch_call(cases, **kw):
+def _batch_call(cases, omit=False, **kw):
+    """One kernel call over cases; omit passes no flags or points at all."""
+    f, a, b = (_batched([c[0] for c in cases]), [c[1] for c in cases],
+               [c[2] for c in cases])
+    if omit:
+        return integrate_batch(f, a, b, **kw)
     return integrate_batch(
-        _batched([c[0] for c in cases]), [c[1] for c in cases],
-        [c[2] for c in cases],
-        [c[3].get("singular_left", False) for c in cases],
+        f, a, b, [c[3].get("singular_left", False) for c in cases],
         [c[3].get("singular_right", False) for c in cases],
         _padded([c[3].get("points", ()) for c in cases]), **kw)
 
@@ -160,6 +163,13 @@ def test_batch_matches_single_calls():
         alone = _batch_call(_BATCH[k:k + 1], **tol)
         assert (alone.value.tolist(), alone.subdivisions.tolist()) \
             == ([est.value[k]], [est.subdivisions[k]])
+    # omitted flags and points are none: bit for bit the call with all-False
+    # flags and an (n, 0) points array, the two improper owners included
+    bare = [case[:3] + ({},) for case in _BATCH]
+    explicit, omitted = (_batch_call(bare, omit=omit, **tol)
+                         for omit in (False, True))
+    assert np.isinf([case[2] for case in bare]).sum() == 2
+    assert [x.tobytes() for x in omitted] == [x.tobytes() for x in explicit]
 
 
 def test_batch_nonconvergence_is_per_owner():
@@ -312,6 +322,17 @@ def test_padded_points_match_ragged_lists(batch):
         if wrong.shape[:1] != (len(batch),):
             with pytest.raises(ValueError, match=r"^points must have "):
                 integrate_batch(lambda x, owner: x, a, b, left, right, wrong)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("side", ["singular_left", "singular_right"])
+def test_flags_of_another_length_than_the_owners_are_rejected(side, count):
+    # flags are one per owner: one flag for three owners would grade owner 0
+    # alone, and five would index past the owners; both name the shape
+    with pytest.raises(ValueError, match=rf"^{side} must have 3 entries, "
+                       rf"got \({count},\)$"):
+        integrate_batch(lambda x, owner: x, [0.0] * 3, [1.0] * 3,
+                        **{side: [True] * count})
 
 
 @pytest.mark.parametrize("wrong_first", [True, False])

@@ -852,11 +852,17 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
       "40", "--check", "measure"], 0),
     (["geometry", "--model", "grushin", "--n", "1", "--k", "1", "--gamma",
       "80", "--check", "measure"], 0),
+    # a config value for an int flag that is no JSON integer: argparse
+    # converts only string defaults, so it would run as int(value)
+    (["identity", "--config", "{tmp}/samples.json"], 2),
+    (["eig", "--config", "{tmp}/which.json"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     for name, value in (("null", "null"), ("array", "[1]"), ("bool", "true")):
         (tmp_path / f"{name}.json").write_text(f'{{"Q": {value}}}')
+    (tmp_path / "samples.json").write_text('{"samples": 2.5}')
+    (tmp_path / "which.json").write_text('{"which": 1.9}')
     unreadable = "{tmp}" in argv
     unwritable = "{tmp}/nodir/x.json" in argv
     argv = [x.replace("{tmp}", str(tmp_path)) for x in argv]
