@@ -71,17 +71,20 @@ def _read_config(path: str, parser: argparse.ArgumentParser,
     if unknown:
         raise ParameterDomainError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
-    # argparse converts only string defaults: a float would reach an int flag
-    ints = {action.dest for action in parser._actions if action.type is int}
+    # argparse converts only string defaults: a float would reach an int flag,
+    # and an int a float flag's config echo
+    types = {action.dest: action.type for action in parser._actions}
     for key, value in doc.items():
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ParameterDomainError(
                 f"config key {key!r} must be a number or a string, "
                 f"got {json.dumps(value)}")
-        if key in ints and isinstance(value, float):
+        if types.get(key) is int and isinstance(value, float):
             raise ParameterDomainError(
                 f"config key {key!r} must be an integer, "
                 f"got {json.dumps(value)}")
+        if types.get(key) is float and isinstance(value, int):
+            doc[key] = float(value)
     return doc
 
 

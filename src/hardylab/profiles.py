@@ -5,15 +5,17 @@ and the knots of a piecewise definition. Products (maximizer times cut-off)
 keep analytic derivatives via the product rule.
 
 Smooth bumps are parameter arrays: ``Bumps`` holds the centres, half-widths
-and amplitudes of a batch of bump sums, one profile per column, and one
-vectorized formula evaluates a single bump, one random profile, or the whole
-batch at once with each point evaluated on its own profile's row. A bump is
+and amplitudes of a batch of bump sums, one profile per column. One pass
+evaluates a single bump, one random profile or the whole batch, each row of
+points on its own profile and only on the bumps that reach the row. A bump is
 smooth but not analytic at its edges c -+ w, so the edges inside a profile's
-support are its knots, where every integral of it is split.
+support are its knots, where every integral of it is split; no kernel
+interval then straddles an edge, and most (bump, row) pairs are skipped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,21 +59,32 @@ class Profile:
 
 def _bump_sum(r, c, w, a, derivative: bool):
     """Sum of the C-infinity bumps a*exp(1 - 1/(1-t^2)), t = (r - c)/w, or of
-    their r-derivatives, one bump per leading entry of c, w and a (each
-    broadcast against r), added in order."""
-    out = None
-    for cj, wj, aj in zip(c, w, a):
-        t = (r - cj) / wj
-        inside = np.abs(t) < 1.0
-        ts = np.where(inside, t, 0.0)
-        q = 1.0 - ts**2
-        core = np.exp(1.0 - 1.0 / q)
-        if derivative:
-            core = core * (-2.0 * ts / q**2)
-            aj = aj / wj
-        term = np.where(inside, aj * core, 0.0)
-        out = term if out is None else out + term
-    return out[()]   # a 0-d result as a numpy scalar
+    their r-derivatives, at the (m, n) points r; row i takes bump j from
+    entry (j, i) of the (k, m) arrays c, w and a. Only live (bump, row) pairs
+    are evaluated: a != 0, t < 1 at one end of the row and t > -1 at the
+    other. fl((x - c)/w) is monotone in x, so a dead pair is zero on its whole
+    row; fmin/fmax take the ends, skipping NaN points. The terms are added in
+    bump order, bitwise the sum over all k bumps up to the sign of a zero: a
+    dead pair adds +0.0 where its term could be -0.0 (a pad's, at the centre
+    of its bump, in a derivative)."""
+    k, m = c.shape
+    ends = ((np.fmin.reduce(r, axis=1, initial=np.inf) - c) / w,
+            (np.fmax.reduce(r, axis=1, initial=-np.inf) - c) / w)
+    live = np.flatnonzero((a != 0.0) & (np.minimum(*ends) < 1.0)
+                          & (np.maximum(*ends) > -1.0))
+    cj, wj, aj = (x.take(live)[:, None] for x in (c, w, a))
+    t = (r.take(live % m, axis=0) - cj) / wj
+    inside = np.abs(t) < 1.0
+    ts = np.where(inside, t, 0.0)
+    q = 1.0 - ts**2
+    core = np.exp(1.0 - 1.0 / q)
+    if derivative:
+        core = core * (-2.0 * ts / q**2)
+        aj = aj / wj
+    terms = np.zeros((k * m, r.shape[1]))
+    terms[live] = np.where(inside, aj * core, 0.0)
+    terms = terms.reshape((k,) + r.shape)
+    return sum(terms[1:], terms[0])
 
 
 @dataclass(frozen=True)
@@ -92,10 +105,14 @@ class Bumps:
         return list(zip(lo.tolist(), hi.tolist()))
 
     def _eval(self, r, rows, derivative: bool):
-        r = np.asarray(r, dtype=float)
-        pick = (slice(None), rows) + (None,) * (r.ndim - np.ndim(rows))
-        return _bump_sum(r, self.centers[pick], self.halfwidths[pick],
-                         self.amplitudes[pick], derivative)
+        # every call as (rows, points), one row per entry of rows
+        r, rows = np.asarray(r, dtype=float), np.asarray(rows)
+        n = math.prod(r.shape[rows.ndim:])
+        out = _bump_sum(r.reshape(rows.size, n), *(
+            x.take(rows.ravel(), axis=1)
+            for x in (self.centers, self.halfwidths, self.amplitudes)),
+            derivative)
+        return out.reshape(r.shape)[()]   # a 0-d result as a numpy scalar
 
     def value(self, r, rows):
         """Profile rows[j] at r[j], where r may carry more trailing axes than

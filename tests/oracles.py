@@ -4,7 +4,8 @@ Deliberately disjoint from hardylab.quadrature: fixed composite
 Gauss-Legendre grids (numpy's leggauss) with geometric panel grading, and
 mpmath evaluations straight from the definitions. Frozen expected values in
 the tests were computed with these routines. `check_cp_lower_bound` is a
-sampled check that only the tests call.
+sampled check that only the tests call, and `dense_bump_sum` the per-bump
+dense evaluation that ``Bumps`` must match.
 """
 
 from __future__ import annotations
@@ -389,6 +390,29 @@ def scalar_bump_draws(rng: np.random.Generator, interval, count: int):
             bumps.append((c, w, amp))
         draws.append(bumps)
     return draws
+
+
+def dense_bump_sum(bumps, r, rows, derivative: bool):
+    """Bumps.value (derivative=False) or Bumps.derivative of the batch
+    bumps, densely: rows broadcast against r's leading axes, and every bump,
+    zero-amplitude pads too, evaluated at every point and added in bump
+    order."""
+    r = np.asarray(r, dtype=float)
+    pick = (slice(None), rows) + (None,) * (r.ndim - np.ndim(rows))
+    out = None
+    for cj, wj, aj in zip(bumps.centers[pick], bumps.halfwidths[pick],
+                          bumps.amplitudes[pick]):
+        t = (r - cj) / wj
+        inside = np.abs(t) < 1.0
+        ts = np.where(inside, t, 0.0)
+        q = 1.0 - ts**2
+        core = np.exp(1.0 - 1.0 / q)
+        if derivative:
+            core = core * (-2.0 * ts / q**2)
+            aj = aj / wj
+        term = np.where(inside, aj * core, 0.0)
+        out = term if out is None else out + term
+    return out[()]
 
 
 def bump_quotient_mp(bumps, Q: float, p: float, pieces: int, dps: int = 30):

@@ -1,16 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from hardylab.functional import (InvalidProfileError, _reduce_batch,
-                                 random_profile_slacks,
+from hardylab.functional import (_SAMPLE_TOL, InvalidProfileError,
+                                 _reduce_batch, random_profile_slacks,
                                  reduce_radial_functional)
 from hardylab.profiles import (Bumps, Profile, random_bumps, random_profile,
                                smooth_bump)
 from hardylab.quadrature import QuadratureError, integrate_batch
-from hardylab.scenarios import (CheckFailure, ParameterDomainError,
-                                scenario_catalog)
+from hardylab.scenarios import (DEFAULT_SEED, CheckFailure,
+                                ParameterDomainError, scenario_catalog)
 
 from oracles import bump_quotient_mp, composite_gauss, scaled
 
@@ -255,3 +256,31 @@ def test_profile_count_must_be_positive():
     for count in (0, -3):
         with pytest.raises(ParameterDomainError, match="profile count"):
             random_profile_slacks(sc, count, seed=1)
+
+
+# the five random-profile families of the benchmark, plus improved_weight
+_PINNED_FAMILIES = (
+    ("power", dict(Q=5.0, p=2.0, theta=1.0)),
+    ("power", dict(Q=5.0, p=3.0, theta=1.0)),
+    ("gaussian_b", dict(p=2.0, theta=1.0, alpha=2.0, beta=2.0, Q=5.0)),
+    ("log_radial", dict(p=2.0, theta=0.0, R=1.0)),
+    ("annulus", dict(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)),
+    ("improved_weight", dict(Q=5.0, p=2.0)),
+    ("improved_weight", dict(Q=5.0, p=3.0)),
+)
+
+
+def test_bump_batch_functionals_are_pinned():
+    # the numerator and denominator bits of 40 seeded profiles per family,
+    # as random_profile_slacks reduces them: finite bump quotients that no
+    # README report shows (its rayleigh rows all read inf)
+    digest = hashlib.sha256()
+    for name, kw in _PINNED_FAMILIES:
+        sc = scenario_catalog(name, **kw)
+        bumps = random_bumps(np.random.default_rng(DEFAULT_SEED),
+                             sc.pair.interval, 40)
+        for red in _reduce_batch(sc, bumps.supports, bumps.knots, bumps.value,
+                                 bumps.derivative, _SAMPLE_TOL):
+            digest.update(np.array([red.numerator, red.denominator]).tobytes())
+    assert digest.hexdigest() == \
+        "ee4eca31f63b448d8fc4c9dc9c9f239cdda1a5a0088899db4d66137270338be9"

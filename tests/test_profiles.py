@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hardylab.profiles import (Bumps, Profile, power_profile, random_bumps,
                                random_profile, smooth_bump)
+from hardylab.quadrature import _NODES
 
-from oracles import check_derivative, scalar_bump_draws
+from oracles import check_derivative, dense_bump_sum, scalar_bump_draws
 
 
 def test_bump_support_and_values():
@@ -139,6 +141,76 @@ def test_bulk_draws_equal_scalar_draws(seed, count, interval):
                         batch.amplitudes[:, i].tolist())) == bumps + pads
     # and the stream goes on where the scalar draws leave it
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _same_bits(got, want):
+    """Equal under ==, NaN to NaN, with equal bits up to the sign of a zero."""
+    if type(got) is not type(want):
+        return False
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.abs(got).view(np.uint64),
+                               np.abs(want).view(np.uint64)))
+
+
+@st.composite
+def _bump_batches(draw):
+    """A batch of k bump sums, some padded with zero-amplitude copies of
+    their first bump, a width sign flipped here and there."""
+    k, count = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    shape = (k, count)
+    c = draw(hnp.arrays(float, shape, elements=st.floats(-5.0, 15.0)))
+    w = draw(hnp.arrays(float, shape, elements=st.floats(1e-3, 4.0)))
+    a = draw(hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    w *= np.where(draw(hnp.arrays(bool, shape)), -1.0, 1.0)
+    for i in range(count):
+        n = draw(st.integers(1, k))
+        c[n:, i], w[n:, i], a[n:, i] = c[0, i], w[0, i], 0.0
+    return Bumps(c, w, a)
+
+
+@st.composite
+def _node_row(draw, bumps):
+    """15 nodes of one kernel-like interval: its ends on a bump edge, one
+    float off it or anywhere, its width down to the kernel's stuck 1e-13,
+    the nodes in any order, some NaN or infinite."""
+    j, i = (draw(st.integers(0, s - 1)) for s in bumps.centers.shape)
+    edge = bumps.centers[j, i] + draw(st.sampled_from((-1.0, 1.0))) \
+        * bumps.halfwidths[j, i]
+    end = draw(st.one_of(
+        st.sampled_from((edge, np.nextafter(edge, -np.inf),
+                         np.nextafter(edge, np.inf))),
+        st.floats(-30.0, 30.0)))
+    width = draw(st.sampled_from((2e-13 * max(abs(end), 1e-3), 1e-6, 0.1,
+                                  1.0, 10.0)))
+    lo, hi = (end, end + width) if draw(st.booleans()) else (end - width, end)
+    row = lo + (hi - lo) * (_NODES + 1.0) / 2.0
+    row[0], row[-1] = lo, hi
+    row = row[draw(st.permutations(range(15)))]
+    for _ in range(draw(st.integers(0, 2))):
+        row[draw(st.integers(0, 14))] = draw(
+            st.sampled_from((math.nan, math.inf, -math.inf)))
+    return i, row
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), bumps=_bump_batches())
+def test_live_pair_sums_equal_the_dense_sum(data, bumps):
+    drawn = data.draw(st.lists(_node_row(bumps), max_size=6))
+    rows = np.array([i for i, _ in drawn], dtype=int)
+    r = np.array([row for _, row in drawn]).reshape(-1, 15)
+    i = data.draw(st.integers(0, bumps.centers.shape[1] - 1))
+    flat = r.ravel()
+    calls = [(r, rows),                     # kernel node rows, maybe none
+             (r[:, :0], rows),              # rows without points
+             (flat, i), (flat[:0], i),      # one profile on a grid
+             (np.asarray(flat[0] if flat.size else 1.0), i)]   # 0-d
+    for derivative in (False, True):
+        evaluate = bumps.derivative if derivative else bumps.value
+        for x, which in calls:
+            assert _same_bits(evaluate(x, which),
+                              dense_bump_sum(bumps, x, which, derivative))
 
 
 def test_bump_edges_inside_the_support_are_knots():

@@ -203,6 +203,20 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
     assert doc["config"]["a"] == 1.0      # config supplies the rest
 
 
+def test_config_integer_for_a_float_flag_writes_the_flags_report(tmp_path,
+                                                                capsys):
+    # a JSON integer for a float flag is echoed as the flag's float
+    out, cfg = tmp_path / "report.json", tmp_path / "run.json"
+    cfg.write_text(json.dumps({"Q": 5, "p": 2, "a": 1}))
+    reports = []
+    for argv in (["--Q", "5", "--p", "2", "--a", "1"], ["--config", str(cfg)]):
+        assert _cli(["eig", *argv, "--theta", "1", "--b", "2", "--format",
+                     "json", "--out", str(out)], capsys)[0] == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert isinstance(json.loads(reports[1])["config"]["Q"], float)
+
+
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     # "gamma" is a geometry key that no scenario builder takes; the last
