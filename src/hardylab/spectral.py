@@ -16,7 +16,9 @@ Between two zeros the Riccati variable v = phi_t / phi runs from +inf to
     T(lam) = int_R (p-1) |v|^(p-2) dv / (lam + kappa |v|^(p-2) v + (p-1) |v|^p)
 
 (Elbert 1979; Dosly and Rehak, Half-Linear Differential Equations, 2005),
-taken by `quadrature.integrate_batch`. Nothing here integrates an ODE: the
+taken by `quadrature.integrate_batch`, whose seed mesh is split at the
+integrand's knee and at its dip near c (`_period_points`), so that one sweep
+of the kernel resolves it. Nothing here integrates an ODE: the
 eigenfunction comes from the same integrand. From the peak, where v = 0,
 
     t(v) - t_peak = -int_0^v (p-1) |s|^(p-2) ds / D(s),
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,7 @@ _MIN_WIDTH = 1e-11              # floor of the search's last step in x = ln u
 _CHECK_FLOOR = 1e-8             # floor of the half-period check's bound
 _T_RTOL = 1e-13                 # relative target of each half-period integral
 _T_MAX_SUBDIVISIONS = 1 << 12   # bounds each half-period's cost
+_DIP_GRADES = 2.0 ** np.arange(60)  # 2^j of the dip's split points
 _W_SPLIT = 4.0                  # w where the eigenfunction's two charts meet
 _NODES = 32                     # nodes of each chart's starting table
 _NEWTON_STEPS = 60              # Newton (or secant) steps per point
@@ -129,11 +133,42 @@ def _period_rate(p: float, c: float, lam: float):
     return rate, w_min, k
 
 
+def _period_points(p: float, c: float, lam: float, w_min: float) -> np.ndarray:
+    """The split points of `_period_rate`'s two owners, side +1 in row 0 and
+    side -1 in row 1, NaN-padded. Both rows hold the knee, w = 3/5 and 5/3
+    (t = 3/8 and 5/8 under the improper map w = t/(1-t)): the midpoints of
+    the seed panels w in [1/3, 1] and [1, 3], where the integrand carries its
+    mass at every lam. Row 1 also holds the dip: w* and w*(1 +- h 2^j) for
+    the j < 60 with h 2^j < 1/2, graded toward w* from its half-width h =
+    sqrt(2 delta / (gamma p (p-1))), where gamma F(w/w*) = delta (F''(1) =
+    p (p-1)); there are none for h >= 1/2, and none for c = 0, where there
+    is no dip. A p (p-1) that overflows gives h = 0: every such point is w*,
+    which the seed mesh keeps once."""
+    knee = [0.6, 5.0 / 3.0]
+    gamma = c / lam
+    dip = np.empty(0)
+    if gamma:
+        h = math.sqrt(2.0 * ((lam - c) / lam) / (gamma * (p * (p - 1.0))))
+        grades = h * _DIP_GRADES[h * _DIP_GRADES < 0.5]
+        dip = w_min * np.concatenate([1.0 - grades, 1.0 + grades])
+    points = np.full((2, 3 + dip.size), math.nan)
+    points[:, :2] = knee
+    points[1, 2] = w_min
+    points[1, 3:] = dip
+    return points
+
+
 def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
     """The two halves of sigma T(lam) for lam > c: `_period_rate` integrated
     over w in (0, inf), side +1 first, as the two owners of one
-    `integrate_batch` call at relative target _T_RTOL. A failed integral, or
-    a lam that is not above c, is a SearchFailureError."""
+    `integrate_batch` call at relative target _T_RTOL, split at
+    `_period_points`: the integrand's known features as breakpoints, as in
+    QUADPACK's dqagp. Without the knee points the kernel spends a second
+    sweep halving the two knee panels (p = 3 and 4), and without the dip's
+    grading up to 13 more closing in on w* near c; with them each
+    half-period of the README and benchmark problems converges in its seed
+    sweep. A failed integral, or a lam that is not above c, is a
+    SearchFailureError."""
     p, c = problem.p, problem.lemma_lower_bound
     if not lam > c:     # lam = c + u^p rounds to c for a tiny u
         raise SearchFailureError(
@@ -143,7 +178,8 @@ def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
         plus, minus = integrate_batch(
             lambda w, owner: rate(w, np.where(owner == 0, 1.0, -1.0)[:, None]),
             [0.0, 0.0], [math.inf, math.inf], [True, True],
-            points=[[math.nan], [w_min]], tol=0.0, rel_tol=_T_RTOL,
+            points=_period_points(p, c, lam, w_min), tol=0.0,
+            rel_tol=_T_RTOL,
             max_subdivisions=_T_MAX_SUBDIVISIONS).value.tolist()
     except QuadratureError as err:
         raise SearchFailureError(f"half-period integral at lam = {lam!r} "
@@ -324,7 +360,9 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
     One `_half_periods` call at the root then gives T(lam) and the
     eigenfunction's rise and fall, and the root fails unless |which T(lam) -
     ln(b/a)| / ln(b/a), the endpoint residual, is within max(tol,
-    _CHECK_FLOOR)."""
+    _CHECK_FLOOR). A step's lam = c + e^(p x) past the float range, or
+    below its normal range (c = 0, where a subnormal lam cannot hold tol),
+    is a ParameterDomainError."""
     if not 0 < tol <= 1e-6:     # looser, the root can land past lam_which
         raise ParameterDomainError(f"tol must be in (0, 1e-6], got {tol}")
     if which < 1:
@@ -338,9 +376,18 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
         x = max(x, (math.log(2.0 * math.pi ** 2 * (p - 1.0) / p) + math.log(c)
                     * (p - 2.0) / p + 2.0 * math.log(which / span)) / p)
     lo, hi, last = -math.inf, math.inf, None    # F(lo) > 0 > F(hi)
+
+    def lam_at(x):
+        lam = c + math.exp(p * x)
+        if lam < sys.float_info.min:    # c = 0: its ulp is coarser than tol
+            raise ParameterDomainError(
+                f"lam = c + exp(p x) = {lam!r} is below the normal float "
+                f"range at p = {p!r}")
+        return lam
+
     try:
         for _ in range(_MAX_STEPS):
-            f = math.log(which * shoot(problem, c + math.exp(p * x)) / span)
+            f = math.log(which * shoot(problem, lam_at(x)) / span)
             lo, hi = (x, hi) if f > 0 else (lo, x)
             slope = -1.0 if last is None else (f - last[1]) / (x - last[0])
             step = -f / slope if slope < 0 else f
@@ -352,7 +399,7 @@ def eigenvalue(problem: AnnulusProblem, which: int = 1,
         else:
             raise SearchFailureError(f"half-period search for eigenvalue {which} "
                                      f"did not converge in {_MAX_STEPS} steps")
-        lam = c + math.exp(p * x)
+        lam = lam_at(x)
     except OverflowError:
         raise ParameterDomainError(f"lam = c + exp(p x) overflows at p = {p!r}") from None
     halves = _half_periods(problem, lam)

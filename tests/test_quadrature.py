@@ -407,5 +407,5 @@ def test_kernel_work_is_pinned(monkeypatch, tmp_path):
     }
     work = {name: _kernel_work(monkeypatch, thunk)
             for name, thunk in runs.items()}
-    assert work == {"bessel": (1, 128, 1), "eig": (13, 3362, 22),
+    assert work == {"bessel": (1, 128, 1), "eig": (9, 3346, 18),
                     "slacks": (8, 1890, 13), "sweep": (3, 178, 3)}

@@ -572,7 +572,7 @@ def test_readme_ode_outputs_are_pinned(tmp_path, capsys):
         assert code == 0
         assert repr(json.loads(out)["summary"]["lambda"]) == lam
     assert hashlib.sha256(phi2.read_bytes()).hexdigest() == \
-        "7a3f4f91a1cde1638a04b8da5757b6f0b3d11afd261819cb262dfc734e8e0e55"
+        "4db8e6618b31ebda11d4cd16fbc2b8aa96575f9417ac63e242a7d1fede78ada5"
 
 
 def test_readme_identity_report_is_pinned(capsys):
@@ -870,6 +870,11 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     # converts only string defaults, so it would run as int(value)
     (["identity", "--config", "{tmp}/samples.json"], 2),
     (["eig", "--config", "{tmp}/which.json"], 2),
+    # an eigenvalue c + e^(px), c = 0, below the normal float range: e^(px)
+    # underflows to 0.0, or to a subnormal 1.3e-316 whose ulp is 3.7e-8
+    # relative, coarser than tol
+    (["eig", "--Q", "300", "--p", "300", "--b", "1e50"], 2),
+    (["eig", "--Q", "300", "--p", "300", "--b", "1e10"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")

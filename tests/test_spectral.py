@@ -3,6 +3,7 @@ import itertools
 import math
 from dataclasses import asdict, replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -14,6 +15,7 @@ from hardylab.scenarios import (ParameterDomainError, closed_form_lambda1_p2,
                                 scenario_catalog)
 from hardylab.spectral import (AnnulusProblem, SearchFailureError,
                                check_lambda1_lower_bound, eigenvalue, shoot)
+from annulus_sweep import half_period_calls
 from oracles import annulus_eigenvalue_mp, half_period_mp
 
 PROB = AnnulusProblem(Q=3.0, p=2.0, theta=1.0, a=1.0, b=math.e)
@@ -131,6 +133,61 @@ def test_search_starts_near_c_on_a_wide_annulus():
     assert res.lam == pytest.approx(0.34926977176674, rel=1e-13)
     assert float(half_period_mp(1.0, 10.0, 1.0, res.lam)) == pytest.approx(
         math.log(1e50), rel=1e-12)
+
+
+def _half_period_calls(Q, p, b, which):
+    """The integrand calls of each half-period of the which-th eigenvalue's
+    search on (1, b) at theta = 1, its root's check included."""
+    with half_period_calls() as counts:
+        eigenvalue(AnnulusProblem(Q=Q, p=p, theta=1.0, a=1.0, b=b),
+                   which=which)
+    return counts
+
+
+def test_half_periods_converge_in_their_seed_sweep():
+    # the knee and dip split points leave the kernel nothing to refine: a
+    # seed mesh without them takes two sweeps on 15 of the first 20
+    # problems, and 3 to 7 on the 12 nearer c
+    readme = [(3.0, 2.0, 2.718281828, 1), (5.0, 3.0, 2.0, 2)]
+    for case in readme + list(itertools.product(
+            (5.0,), (2.0, 3.0, 4.0), (2.0, math.e, 4.0), (1, 2))):
+        assert set(_half_period_calls(*case)) == {1}, case
+    # nearer c, (lam - c)/c is 2e-3 to 25
+    for case in itertools.product((5.0,), (3.0, 4.0, 6.0), (1e10, 1e50),
+                                  (1, 2)):
+        assert max(_half_period_calls(*case)) <= 2, case
+
+
+def test_period_points_at_a_p_whose_square_overflows():
+    # p (p-1) = inf makes the dip's half-width 0, and its points w* itself:
+    # no overflow, and no point but the knee and w* (c/lam = 1/2, so w* =
+    # 2^(-1/p) rounds to 1)
+    with np.errstate(all="raise"):
+        points = spectral._period_points(1e200, 1.0, 2.0, 1.0)
+    assert set(points[0][:2]) == {0.6, 5.0 / 3.0}
+    assert np.isnan(points[0][2:]).all()
+    assert set(points[1]) == {0.6, 5.0 / 3.0, 1.0}
+
+
+@pytest.mark.parametrize("Q, p, b, n", [(5.0, 3.0, 1e10, 1),
+                                        (11.0, 3.0, 1e50, 1),
+                                        (1.0, 4.0, 1e50, 5),
+                                        (20.0, 8.0, 1e150, 2)])
+def test_gap_to_c_matches_period_integral_near_c(Q, p, b, n):
+    # (lam - c)/c is 1.4e-4 to 5.7e-2 here, where the dip's split points are
+    # in use; the oracle's bracket is a factor 2 either side of the near-c
+    # asymptote, and the float c's rounding alone moves lam - c by 7e-13
+    # relative on the second case
+    prob = AnnulusProblem(Q=Q, p=p, theta=1.0, a=1.0, b=b)
+    c = prob.lemma_lower_bound
+    gap = (2.0 * math.pi ** 2 * (p - 1.0) * n ** 2 * c ** ((p - 2.0) / p)
+           / (p * math.log(b) ** 2))
+    with mpmath.workdps(20):
+        ref = annulus_eigenvalue_mp(Q, p, 1.0, 1.0, b, n, dps=20,
+                                    bracket=(c + gap / 2, c + 2 * gap))
+        ref_gap = float(ref - abs(mpmath.mpf(Q) / p - 1) ** p)
+    res = eigenvalue(prob, which=n)
+    assert abs((res.lam - c) - ref_gap) <= 1e-10 * ref_gap
 
 
 def test_p2_grid_against_closed_form():
@@ -283,16 +340,17 @@ ORACLE_CASES = [
 ]
 # the bits of each case's eigenvalue and of shoot there, which sums the two
 # half-period integrals before it divides by lam^(1/p): a reordered sum or
-# division moves lam in its last bits on some annulus cases
+# division, or another seed mesh of the half-period integrals (their split
+# points), moves lam in its last bits on some annulus cases
 ORACLE_BITS = [
-    (45.21996373315181, 0.6931471805599454),
-    (8.48519880917763, 1.5350567286626975),
-    (84.94494869089351, 0.6931471805599455),
-    (685.3387958821102, 0.3465735902799724),
-    (226.52644443763378, 0.7675283643313486),
-    (41.58320717926581, 1.151292546497023),
-    (252.11739372914568, 1.0986122886681102),
-    (8.811236831201063, 2.302585092994047),
+    (45.21996373315183, 0.6931471805599453),
+    (8.485198809177628, 1.5350567286626973),
+    (84.94494869089351, 0.6931471805599456),
+    (685.3387958821102, 0.34657359027997253),
+    (226.52644443763398, 0.7675283643313485),
+    (41.58320717926585, 1.151292546497023),
+    (252.11739372914613, 1.09861228866811),
+    (8.811236831201068, 2.302585092994046),
 ]
 
 
@@ -507,8 +565,9 @@ def test_tolerance_below_shot_accuracy_costs_no_shots(monkeypatch):
 def test_eig_floats_are_pinned():
     # lam, the zero count and the endpoint residual on 80 problems, bit for
     # bit. lam and the zero count come from the search alone, and their
-    # hash has not moved since the half-period search replaced shooting;
-    # the residual is the half-period check's relative miss at the root
+    # hash moves only with the half-period integrals (it moved when their
+    # seed mesh got the knee and dip split points); the residual is the
+    # half-period check's relative miss at the root
     rows, found = [], []
     for p, b, which, (Q, theta) in itertools.product(
             (2.0, 2.5, 3.0, 4.0, 8.0), (1.5, math.e, 10.0, 1e3), (1, 2),
@@ -518,6 +577,6 @@ def test_eig_floats_are_pinned():
         rows.append(repr((res.lam, res.zero_count, res.endpoint_residual)))
         found.append(repr((res.lam, res.zero_count)))
     assert hashlib.sha256("\n".join(found).encode()).hexdigest() == \
-        "dd6a5ac52a8327b555e4ebaf9ab01663ea89bb0965c9f51c010fd87d62377c98"
+        "0148e3ecb717adc1354a08747691acba983f39f7c392240446dadaedcaf922d2"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == \
-        "6622fe5f819e090ae612e7e160cc12fda1a87fd70eb48c5c8bdb52e81a3f2554"
+        "e9cc406c7c95e79e44ca947cd6fffeeb2f6cc635dca341c3fa946167d97d80d7"
