@@ -1,12 +1,13 @@
 """Concrete gauge geometries and direct multi-dimensional verification.
 
-Each model carries its homogeneous gauge d, the closed form of the
-horizontal-gradient magnitude |grad_L d|, the field matrix sigma(x), and the
-dilation exponents. Gauge-ball integrals are bi-radial quadratures: they check
-the scaling law Phi_alpha(R) = lambda_alpha R^Q against the closed-form ball
-constant and the directional Rayleigh quotient of a d-radial profile against
-its 1-D coarea reduction; the ordered-sector quotient uses exact sphere
-moments. Each verdict holds within _GAUGE_K error bounds of its integrals.
+Each model is its layer data (`GaugeModel`), from which one code path gives
+its homogeneous gauge d, the horizontal-gradient magnitude |grad_L d| and the
+field matrix sigma(x); Q and the dilation exponents are declared. Gauge-ball
+integrals are bi-radial quadratures: they check the scaling law Phi_alpha(R)
+= lambda_alpha R^Q against the closed-form ball constant and the directional
+Rayleigh quotient of a d-radial profile against its 1-D coarea reduction; the
+ordered-sector quotient uses exact sphere moments. Each verdict holds within
+_GAUGE_K error bounds of its integrals.
 """
 
 from __future__ import annotations
@@ -65,87 +66,80 @@ def _sphere_area(m: int) -> float:
 
 @dataclass(frozen=True)
 class GaugeModel:
+    """A homogeneous gauge given by its two layers: rho and s are the radii
+    of the first h1 and the next h2 coordinates, d = (rho^a + s^2)^(1/a) (d =
+    rho where h2 = 0) and |grad_L d| = (rho/d)^kappa, the form D'Ambrosio
+    uses for Grushin and Heisenberg-Greiner gauges (Ann. Sc. Norm. Super.
+    Pisa (5) 4, 2005); kappa = a/2 - 1 is declared, and the gradient check
+    tests it. The h horizontal fields are the first h coordinate fields, the
+    second layer's times (a/2) rho^kappa where it is horizontal (h > h1), or
+    the first layer's twisted by (a/2) rho^(kappa-1) (y_i, -x_i) d_t where it
+    is the vertical t (h = h1). Q and the dilation exponents are declared
+    too, as `measure_homogeneity_check` and `homogeneity_error` check them;
+    kind and params only label reports."""
     kind: str                    # euclidean | grushin | greiner | cylindrical_split
     dims: int
     h: int                       # number of horizontal fields
+    h1: int
+    h2: int
+    a: float
+    kappa: float
     Q: float
     dilation_exponents: tuple[float, ...]
     params: dict = field(default_factory=dict)
 
-    # -- gauge closed forms -------------------------------------------------
+    def _finite(self, values: np.ndarray, name: str) -> np.ndarray:
+        """values, or a ParameterDomainError where a power of rho left the
+        float range."""
+        if not np.all(np.isfinite(values)):
+            at = ", ".join(f"{k} = {v!r}" for k, v in self.params.items())
+            raise ParameterDomainError(
+                f"{self.kind} gauge {name} is not finite at {at}")
+        return values
 
     def _layers(self, pts: np.ndarray):
-        """One pass over the points: the gauge d and the first-layer radius
-        that |grad_L d| needs besides d (None where |grad_L d| = 1)."""
+        """One pass over the points: the gauge d and the first-layer radius."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "euclidean":
-            return _radius(pts), None
-        if self.kind == "grushin":
-            n, gam = self.params["n"], self.params["gamma"]
-            x = _radius(pts[:, :n])
-            y = _radius(pts[:, n:])
-            d = (x ** (2.0 * (1.0 + gam)) + y ** 2) ** (0.5 / (1.0 + gam))
-            return d, None if gam == 0.0 else x
-        if self.kind == "greiner":
-            n, gam = self.params["n"], self.params["gamma"]
-            z = _radius(pts[:, :2 * n])
-            t = pts[:, -1]
-            return (z ** (4.0 * gam) + t ** 2) ** (0.25 / gam), z
-        return _radius(pts[:, :self.params["m"]]), None
-
-    def _grad(self, d: np.ndarray, radius) -> np.ndarray:
-        """|grad_L d| from d and the first-layer radius at the same points."""
-        if radius is None:
-            return np.ones(d.shape[0])
-        gam = self.params["gamma"]
-        if self.kind == "grushin":
-            return (radius / d) ** gam
-        return radius ** (2.0 * gam - 1.0) / d ** (2.0 * gam - 1.0)
+        rho = _radius(pts[:, :self.h1])
+        if not self.h2:
+            return rho, rho
+        s = _radius(pts[:, self.h1:self.h1 + self.h2])
+        with np.errstate(over="ignore"):
+            d = (rho ** self.a + s ** 2) ** (1.0 / self.a)
+        return self._finite(d, "d"), rho
 
     def gauge(self, pts: np.ndarray) -> np.ndarray:
         return self._layers(pts)[0]
 
     def grad_gauge_mag(self, pts: np.ndarray) -> np.ndarray:
-        return self._grad(*self._layers(pts))
+        d, rho = self._layers(pts)
+        with np.errstate(invalid="ignore"):     # 0/0 at the origin
+            return (rho / d) ** self.kappa
 
     def sigma(self, pts: np.ndarray) -> np.ndarray:
         """Field matrix sigma(x) of shape (npts, h, dims)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        npts = pts.shape[0]
-        out = np.zeros((npts, self.h, self.dims))
-        if self.kind in ("euclidean", "cylindrical_split"):
-            out[:] = np.eye(self.dims)[None, :, :]
+        h1, h2 = self.h1, self.h2
+        out = np.repeat(np.eye(self.h, self.dims)[None], pts.shape[0], axis=0)
+        if not h2:
             return out
-        if self.kind == "grushin":
-            n, k, gam = self.params["n"], self.params["k"], self.params["gamma"]
-            xmag = np.linalg.norm(pts[:, :n], axis=1)
-            for i in range(n):
-                out[:, i, i] = 1.0
-            for j in range(k):
-                out[:, n + j, n + j] = (1.0 + gam) * xmag ** gam
-            return out
-        n, gam = self.params["n"], self.params["gamma"]
-        zmag = np.linalg.norm(pts[:, :2 * n], axis=1)
-        zfac = 2.0 * gam * zmag ** (2.0 * gam - 2.0)
-        for i in range(n):
-            out[:, i, i] = 1.0
-            out[:, i, -1] = zfac * pts[:, n + i]        # + 2 gamma y_i |z|^(2g-2) d_t
-            out[:, n + i, n + i] = 1.0
-            out[:, n + i, -1] = -zfac * pts[:, i]       # - 2 gamma x_i |z|^(2g-2) d_t
-        return out
+        rho = _radius(pts[:, :h1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.h > h1:     # layer two horizontal
+                layer = np.arange(h1, h1 + h2)
+                scale = 0.5 * self.a * rho ** self.kappa
+                out[:, layer, layer] = scale[:, None]
+            else:               # layer two the vertical t
+                n, twist = h1 // 2, 0.5 * self.a * rho ** (self.kappa - 1.0)
+                out[:, :n, -1] = twist[:, None] * pts[:, n:h1]
+                out[:, n:h1, -1] = -twist[:, None] * pts[:, :n]
+        return self._finite(out, "sigma")
 
     def bilayer(self) -> tuple[int, int, float, float]:
-        """(h1, h2, a, kappa): d^a = rho^a + s^2 and |grad_L d| =
-        (rho/d)^kappa, rho and s the radii of the first h1 and the other h2
-        coordinates; h2 = 0 where d = rho (euclidean, grushin with k = 0)."""
-        if self.kind == "cylindrical_split":
+        """(h1, h2, a, kappa) of a model whose gauge balls are bounded."""
+        if self.h1 + self.h2 < self.dims:
             raise UnsupportedModelError("cylindrical gauge balls are unbounded")
-        if self.kind == "euclidean":
-            return self.dims, 0, 2.0, 0.0
-        n, gam = self.params["n"], self.params["gamma"]
-        if self.kind == "grushin":
-            return n, self.params["k"], 2.0 + 2.0 * gam, gam
-        return 2 * n, 1, 4.0 * gam, 2.0 * gam - 1.0
+        return self.h1, self.h2, self.a, self.kappa
 
     def ball_constant(self, alpha: float) -> float:
         """lambda_alpha in Phi_alpha(R) = int_{d<R} |grad_L d|^alpha dx =
@@ -162,7 +156,8 @@ class GaugeModel:
 def euclidean(N: int) -> GaugeModel:
     if N < 1:
         raise ParameterDomainError(f"need N >= 1, got {N}")
-    return GaugeModel("euclidean", N, N, float(N), (1.0,) * N, {"N": N})
+    return GaugeModel("euclidean", N, N, N, 0, 2.0, 0.0, float(N), (1.0,) * N,
+                      {"N": N})
 
 
 def grushin(n: int, k: int, gamma: float) -> GaugeModel:
@@ -172,8 +167,8 @@ def grushin(n: int, k: int, gamma: float) -> GaugeModel:
         raise ParameterDomainError(f"grushin needs n >= 1, k >= 0, got ({n}, {k})")
     Q = n + (1.0 + gamma) * k
     exps = (1.0,) * n + (1.0 + gamma,) * k
-    return GaugeModel("grushin", n + k, n + k, Q, exps,
-                      {"n": n, "k": k, "gamma": gamma})
+    return GaugeModel("grushin", n + k, n + k, n, k, 2.0 + 2.0 * gamma, gamma,
+                      Q, exps, {"n": n, "k": k, "gamma": gamma})
 
 
 def greiner(n: int, gamma: float) -> GaugeModel:
@@ -183,15 +178,15 @@ def greiner(n: int, gamma: float) -> GaugeModel:
         raise ParameterDomainError(f"greiner needs n >= 1, got {n}")
     Q = 2.0 * n + 2.0 * gamma
     exps = (1.0,) * (2 * n) + (2.0 * gamma,)
-    return GaugeModel("greiner", 2 * n + 1, 2 * n, Q, exps,
-                      {"n": n, "gamma": gamma})
+    return GaugeModel("greiner", 2 * n + 1, 2 * n, 2 * n, 1, 4.0 * gamma,
+                      2.0 * gamma - 1.0, Q, exps, {"n": n, "gamma": gamma})
 
 
 def cylindrical_split(m: int, N: int) -> GaugeModel:
     if not 1 <= m <= N:
         raise ParameterDomainError(f"need 1 <= m <= N, got m={m}, N={N}")
-    return GaugeModel("cylindrical_split", N, N, float(N), (1.0,) * N,
-                      {"m": m, "N": N})
+    return GaugeModel("cylindrical_split", N, N, m, 0, 2.0, 0.0, float(N),
+                      (1.0,) * N, {"m": m, "N": N})
 
 
 def _fd_axes(func, pts: np.ndarray, stencil, power: int) -> np.ndarray:
@@ -242,8 +237,8 @@ def cylindrical_orthogonality_error(model: GaugeModel,
     """For the Greiner family: the horizontal derivative of the vertical
     radius |t| is orthogonal to the first-layer direction (z/|z|, 0); the
     quantity x.(sigma_1 y) vanishes identically."""
-    if model.kind != "greiner":
-        raise UnsupportedModelError("orthogonality check targets the Greiner model")
+    if not model.h < model.dims:
+        raise UnsupportedModelError("orthogonality check targets a vertical layer")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.2, 2.0, size=(_ORTHOGONALITY_SAMPLES, model.dims)) \
         * rng.choice([-1.0, 1.0], size=(_ORTHOGONALITY_SAMPLES, model.dims))

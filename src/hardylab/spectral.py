@@ -55,6 +55,7 @@ __all__ = [
 _MAX_STEPS = 60                 # search steps (half-periods) per eigenvalue
 _MIN_WIDTH = 1e-11              # floor of the search's last step in x = ln u
 _CHECK_FLOOR = 1e-8             # floor of the half-period check's bound
+_GAP_ULPS = 0.25 / _CHECK_FLOOR  # least lam - c of a half-period, in ulp(c)
 _T_RTOL = 1e-13                 # relative target of each half-period integral
 _T_MAX_SUBDIVISIONS = 1 << 12   # bounds each half-period's cost
 _DIP_GRADES = 2.0 ** np.arange(60)  # 2^j of the dip's split points
@@ -167,12 +168,17 @@ def _half_periods(problem: AnnulusProblem, lam: float) -> tuple[float, float]:
     sweep halving the two knee panels (p = 3 and 4), and without the dip's
     grading up to 13 more closing in on w* near c; with them each
     half-period of the README and benchmark problems converges in its seed
-    sweep. A failed integral, or a lam that is not above c, is a
-    SearchFailureError."""
+    sweep. A failed integral is a SearchFailureError, and so is a lam - c
+    within _GAP_ULPS ulp(c): near c, T ~ (lam - c)^(-1/2), so there the
+    rounding of lam = c + u^p alone moves T by more than the half-period
+    check's floor, and the integral itself fails to converge within 2^14
+    ulp(c) of c at p = 2 to 4."""
     p, c = problem.p, problem.lemma_lower_bound
-    if not lam > c:     # lam = c + u^p rounds to c for a tiny u
+    if not lam - c > _GAP_ULPS * math.ulp(c):
         raise SearchFailureError(
-            f"no half-period at lam = {lam!r} <= c = {c!r}")
+            f"lam - c = {lam - c!r} is within {_GAP_ULPS:g} ulp(c) of c = "
+            f"{c!r}, ulp(c) = {math.ulp(c)!r}: below c's float resolution "
+            f"for T(lam)")
     rate, w_min, _ = _period_rate(p, c, lam)
     try:
         plus, minus = integrate_batch(

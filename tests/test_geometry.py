@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab import geometry
 from hardylab.cli import run
@@ -16,7 +18,8 @@ from hardylab.geometry import (UnsupportedModelError,
                                vandermonde, vandermonde_checks,
                                vandermonde_gradient)
 from hardylab.profiles import Profile, smooth_bump
-from hardylab.scenarios import ParameterDomainError, scenario_catalog
+from hardylab.scenarios import (DEFAULT_SEED, ParameterDomainError,
+                                scenario_catalog)
 
 from oracles import scaled, strip_quotient_mp
 
@@ -64,7 +67,7 @@ def _parent_gauge_formulas(model, pts):
         return d, ones if gam == 0.0 else (x / d) ** gam
     z = norm(pts[:, :2 * n])
     d = (z ** (4.0 * gam) + pts[:, -1] ** 2) ** (0.25 / gam)
-    return d, z ** (2.0 * gam - 1.0) / d ** (2.0 * gam - 1.0)
+    return d, (z / d) ** (2.0 * gam - 1.0)
 
 
 @pytest.mark.parametrize("model", [
@@ -82,6 +85,10 @@ def test_single_gauge_pass_matches_parent_formulas(model):
         d_ref, grad_ref = _parent_gauge_formulas(model, pts)
         assert np.array_equal(model.gauge(pts), d_ref)
         assert np.array_equal(model.grad_gauge_mag(pts), grad_ref, equal_nan=True)
+        if model.kind == "greiner":     # the parent's z^kappa / d^kappa
+            z, kappa = np.linalg.norm(pts[:, :-1], axis=1), model.kappa
+            assert np.nanmax(np.abs(grad_ref / (z ** kappa / d_ref ** kappa)
+                                    - 1.0)) <= 2e-15
 
 
 def test_measure_check_pinned_values():
@@ -227,6 +234,48 @@ def test_measure_fails_when_Q_is_off_by_1e_6(argv, dQ, monkeypatch, capsys):
                         lambda *a: replace(real(*a), Q=real(*a).Q + dQ))
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("FAIL: geometry check measure")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "grushin", "--n", "1", "--k", "1", "--gamma", "1"],
+    ["--model", "greiner", "--n", "1", "--gamma", "2"]], ids=lambda a: a[1])
+@pytest.mark.parametrize("check, layer_data, rel", [
+    ("gradient", "kappa", 1e-5), ("gradient", "kappa", -1e-5),
+    ("homogeneity", "dilation_exponents", 1e-12),
+    ("homogeneity", "dilation_exponents", -1e-12)])
+def test_layer_data_off_fails_its_check(argv, check, layer_data, rel,
+                                        monkeypatch, capsys):
+    # (rho/d)^kappa is the horizontal gradient of d only while kappa = a/2 -
+    # 1, and d(delta_lam x) = lam d(x) only for its own dilation exponents:
+    # kappa, or the second layer's exponent, scaled by 1 + rel, at the
+    # smallest |rel| = 10^-k that each check detects
+    argv = ["geometry", "--check", check, *argv]
+    assert run(argv) == 0
+    real = getattr(geometry, argv[4])
+
+    def model(*args):
+        m = real(*args)
+        exps = m.dilation_exponents
+        return replace(m, **{layer_data: m.kappa * (1.0 + rel)
+                             if layer_data == "kappa" else
+                             exps[:-1] + (exps[-1] * (1.0 + rel),)})
+
+    monkeypatch.setattr(geometry, argv[4], model)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"FAIL: geometry check {check}")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(model=st.one_of(
+    st.builds(grushin, st.integers(1, 2), st.integers(1, 2),
+              st.floats(0.0, 10.0)),
+    st.builds(greiner, st.integers(1, 2), st.floats(1.0, 8.0))))
+def test_layer_data_pass_homogeneity_and_gradient(model):
+    # on the CLI's point draw; the gradient error reaches 6.6e-8 at
+    # greiner(1, 8) and 1.7e-8 at grushin(1, 2, 10), homogeneity 6.5e-16
+    assert homogeneity_error(model) <= 1e-12
+    pts = _sample_points(np.random.default_rng(DEFAULT_SEED), model.dims)
+    assert gauge_gradient_fd_error(model, pts) <= 1e-6
 
 
 def test_strip_quotient_matches_separable_oracle():

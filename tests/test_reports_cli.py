@@ -875,6 +875,16 @@ _SWEEP = ["sharpness", "--scenario", "power", "--Q", "5", "--p", "2",
     # relative, coarser than tol
     (["eig", "--Q", "300", "--p", "300", "--b", "1e50"], 2),
     (["eig", "--Q", "300", "--p", "300", "--b", "1e10"], 2),
+    # steep gauges whose d or sigma leaves the float range at the check's own
+    # points: rho^a or rho^(kappa-1) overflows
+    (["geometry", "--model", "greiner", "--n", "1", "--gamma", "100",
+      "--check", "homogeneity"], 2),
+    (["geometry", "--model", "grushin", "--n", "1", "--k", "1", "--gamma",
+      "150", "--check", "homogeneity"], 2),
+    (["geometry", "--model", "greiner", "--n", "1", "--gamma", "300",
+      "--check", "gradient"], 2),
+    (["geometry", "--model", "greiner", "--n", "1", "--gamma", "1e300",
+      "--check", "orthogonality"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")

@@ -190,6 +190,24 @@ def test_gap_to_c_matches_period_integral_near_c(Q, p, b, n):
     assert abs((res.lam - c) - ref_gap) <= 1e-10 * ref_gap
 
 
+def test_gap_at_c_resolution_fails_before_its_integral(monkeypatch, capsys):
+    # lam_1 - c = 2.1e-5 is below one ulp of c = 2.5e11 (3.1e-5): the first
+    # step, lam = c + 1 ulp, is refused before its half-period integral,
+    # which would spend all 4,096 subdivisions and fail to converge
+    from hardylab.cli import run
+
+    def integral(*args, **kwargs):
+        raise AssertionError("half-period integral taken")
+
+    monkeypatch.setattr(spectral, "integrate_batch", integral)
+    assert run(["eig", "--Q", "1e6", "--p", "2", "--theta", "1", "--a", "1",
+                "--b", "1e300"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL: lam - c = 3.0517578125e-05 is within 2.5e+07 ulp(c) of c = "
+        "249999000001.0, ulp(c) = 3.0517578125e-05: below c's float "
+        "resolution for T(lam)"]
+
+
 def test_p2_grid_against_closed_form():
     intervals = [(1.0, 2.0), (1.0, math.e), (0.5, 4.0)]
     for i, Q in enumerate((2.0, 3.0, 5.0)):
